@@ -1128,6 +1128,9 @@ def main(argv=None):
         help="multiply measured current-code times by FACTOR (validates that the gate fires)",
     )
     args = parser.parse_args(argv)
+    if args.check_against is not None and not args.check_against.is_file():
+        # Fail before the run, by name — not with a traceback after it.
+        raise SystemExit("error: --check-against reference %s does not exist" % args.check_against)
 
     if args.smoke:
         # Shrink to CI scale, but let explicit --vertices/--edges win.

@@ -381,6 +381,9 @@ def main() -> None:
                         help="multiply measured latencies by F before the gate "
                              "comparison (validates that the gate fires)")
     args = parser.parse_args()
+    if args.check_against is not None and not args.check_against.is_file():
+        # Fail before the run, by name — not with a traceback after it.
+        raise SystemExit("error: --check-against reference %s does not exist" % args.check_against)
 
     graph_scale = 0.02 if args.smoke else 0.05
     scale_queries = args.scale_queries or (10_000 if args.smoke else 100_000)

@@ -123,8 +123,8 @@ class CacheManager:
         """Back to a cold cache (between runs; once per batch).
 
         The static policy keeps its pinned set and only forgets the
-        first-touch flags — exactly :class:`ShardResidency.reset` —
-        while adaptive policies drop every resident partition and all
+        first-touch flags (the pre-cache residency reset), while
+        adaptive policies drop every resident partition and all
         recency/score state.
         """
         self.loaded[:] = False
@@ -359,9 +359,9 @@ class CacheManager:
     def split_billable(self, partition_indices: list[int]) -> tuple[list[int], list[int]]:
         """Split a task's partitions into (billable, cache-hit).
 
-        Static mode reproduces :class:`ShardResidency.split_billable`
-        bitwise: resident partitions are billable on first touch and
-        free afterwards.  Adaptive mode: resident partitions hit (their
+        Static mode reproduces the pre-cache shard residency bitwise:
+        resident partitions are billable on first touch and free
+        afterwards.  Adaptive mode: resident partitions hit (their
         recency refreshes), everything else must be billed — and then
         offered back through :meth:`fill` once it is on the device.
         """

@@ -15,10 +15,10 @@ the policy at three points:
 Three policies ship:
 
 ``static-prefix``
-    Reproduces the historical :class:`~repro.transfer.residency.ShardResidency`
-    behaviour bitwise: each device pins the leading partitions of its
-    shard until the budget is spent, pays one first-touch copy per pinned
-    partition, and never evicts or admits anything afterwards.
+    The pre-cache shard residency, reproduced bitwise: each device pins
+    the leading partitions of its shard until the budget is spent, pays
+    one first-touch copy per pinned partition, and never evicts or
+    admits anything afterwards.
 ``lru``
     Classic recency cache: every whole-partition ship is admitted,
     evicting the least-recently-touched residents to make room.
@@ -112,8 +112,8 @@ class EvictionPolicy(ABC):
 class StaticPrefixPolicy(EvictionPolicy):
     """Pin each shard's leading partitions; never evict, never admit.
 
-    Bitwise-identical to the pre-cache :class:`ShardResidency` behaviour:
-    the resident prefix is computed once from the per-device budget, each
+    Bitwise-identical to the pre-cache shard-residency behaviour: the
+    resident prefix is computed once from the per-device budget, each
     resident partition is billed exactly once on first touch, and
     everything else is re-billed every iteration.
     """

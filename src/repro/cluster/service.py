@@ -30,6 +30,7 @@ measured latency.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
 from repro.algorithms import make_algorithm
@@ -39,7 +40,7 @@ from repro.metrics.results import BatchResult
 from repro.obs import MetricsRegistry, write_chrome_trace
 from repro.obs.tracer import Span
 from repro.service.core import GraphService
-from repro.service.request import QueryHandle, QueryRequest, RequestStatus
+from repro.service.request import QueryHandle, QueryRequest
 from repro.service.stats import ServiceStats, register_service_metrics
 
 __all__ = ["ClusterService"]
@@ -59,21 +60,12 @@ class _ClusterTracer:
         for replica in self._replicas:
             replica.tracer.set_sample(sample)
 
-    @property
-    def total_spans(self) -> int:
-        return sum(
-            replica.tracer.total_spans
-            for replica in self._replicas
-            if replica.tracer.enabled
-        )
+    def _sum(self, name: str) -> int:
+        # The no-op tracer of an untraced replica has no span counters.
+        return sum(getattr(replica.tracer, name, 0) for replica in self._replicas)
 
-    @property
-    def dropped_spans(self) -> int:
-        return sum(
-            replica.tracer.dropped_spans
-            for replica in self._replicas
-            if replica.tracer.enabled
-        )
+    total_spans = property(lambda self: self._sum("total_spans"))
+    dropped_spans = property(lambda self: self._sum("dropped_spans"))
 
 
 class ClusterService:
@@ -177,19 +169,10 @@ class ClusterService:
         """Indices of the hosts still serving."""
         return [host for host, alive in enumerate(self._alive) if alive]
 
-    # The replay harness and the CLI drive a service through this
-    # duck-typed surface; the cluster aggregates it over the replicas.
     @property
-    def _queue(self) -> list[QueryHandle]:
-        return [handle for replica in self.replicas for handle in replica._queue]
-
-    @property
-    def _waves_served(self) -> int:
-        return sum(replica._waves_served for replica in self.replicas)
-
-    @property
-    def _clock_s(self) -> float:
-        return max(replica._clock_s for replica in self.replicas)
+    def in_flight(self) -> int:
+        """Admitted requests not yet terminal, over every replica."""
+        return sum(replica.in_flight for replica in self.replicas)
 
     # ------------------------------------------------------------------
     # Lifecycle: submit -> step/drain -> harvest
@@ -264,7 +247,7 @@ class ClusterService:
             alive,
             key=lambda host: (
                 self.replicas[host].admission.pending_bytes,
-                len(self.replicas[host]._queue),
+                self.replicas[host].in_flight,
                 host,
             ),
         )
@@ -281,7 +264,7 @@ class ClusterService:
         """
         self._fire_host_loss()
         candidates = [
-            host for host in self.alive_hosts() if self.replicas[host]._queue
+            host for host in self.alive_hosts() if self.replicas[host].in_flight
         ]
         while candidates:
             host = min(
@@ -365,10 +348,7 @@ class ClusterService:
         for handle in moved:
             source.admission.release([handle])
             if not survivors:
-                handle.status = RequestStatus.FAILED
-                handle.fault_cause = (
-                    "host %d lost with no surviving replica" % host
-                )
+                source._fail(handle, "host %d lost with no surviving replica" % host)
                 failed += 1
                 continue
             key = handle.request.label or "q%d" % handle.request_id
@@ -387,9 +367,13 @@ class ClusterService:
             source._handles.remove(handle)
             dst._handles.append(handle)
             dst._queue.append(handle)
-            # The reservation moves with the handle (release on its
-            # eventual completion subtracts the same estimate).
+            # The reservation and the submitted/admitted tally move with
+            # the handle (release and the terminal-state count happen
+            # where it completes), so every host's row keeps admitted ==
+            # completed + failed + cancelled + in-flight.
             dst.admission.pending_bytes += handle.estimated_bytes
+            source._stats.submitted -= 1
+            dst._stats.submitted += 1
             self.router.failovers += 1
             self.shipped_bytes += ship_bytes
             self.ship_time_s += ship_s
@@ -438,51 +422,29 @@ class ClusterService:
     # Statistics and observability
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
-        """Aggregate cluster statistics.
+        """Aggregate statistics: :meth:`ServiceStats.merge` over the replicas.
 
-        With one host this *is* the replica's snapshot (the degenerate-
-        equivalence guarantee); with several, counters sum, latency
-        lists merge in host order, and the makespan is the latest
-        replica clock.
+        Counters sum, class tallies merge, the makespan is the latest
+        replica clock; with one host the fold *is* the replica's
+        snapshot, value for value (the degenerate-equivalence guarantee).
         """
-        if len(self.replicas) == 1:
-            return self.replicas[0].stats()
-        total = ServiceStats()
-        for snapshot in (replica.stats() for replica in self.replicas):
-            total.submitted += snapshot.submitted
-            total.admitted += snapshot.admitted
-            total.rejected += snapshot.rejected
-            total.completed += snapshot.completed
-            total.failed += snapshot.failed
-            total.cancelled += snapshot.cancelled
-            total.queued += snapshot.queued
-            total.waves += snapshot.waves
-            total.preemptions += snapshot.preemptions
-            total.total_transfer_bytes += snapshot.total_transfer_bytes
-            total.deadline_met += snapshot.deadline_met
-            total.deadline_missed += snapshot.deadline_missed
-            total.faults_injected += snapshot.faults_injected
-            total.retries += snapshot.retries
-            total.retry_time_s += snapshot.retry_time_s
-            total.checkpoint_time_s += snapshot.checkpoint_time_s
-            total.recovery_time_s += snapshot.recovery_time_s
-            total.breaker_open = total.breaker_open or snapshot.breaker_open
-            total.breaker_trips += snapshot.breaker_trips
-            total.makespan_s = max(total.makespan_s, snapshot.makespan_s)
-            for priority, latencies in snapshot.latencies_by_class.items():
-                total.latencies_by_class.setdefault(priority, []).extend(latencies)
-        return total
+        return reduce(
+            ServiceStats.merge, (replica.stats() for replica in self.replicas), ServiceStats()
+        )
 
     def metrics(self) -> MetricsRegistry:
         """Aggregate ``service.*`` rows plus the ``cluster.*`` vocabulary.
 
         Per-replica breakdowns land under ``cluster.host<h>.*`` —
-        admission counters, makespan/throughput gauges and per-class
-        latency percentiles (via :mod:`repro.metrics.percentiles`) —
-        next to the router and network-shipping counters.
+        admission counters, makespan/throughput gauges and the per-class
+        latency percentiles of :meth:`ServiceStats.rows` — next to the
+        router and network-shipping counters.
         """
         registry = MetricsRegistry()
-        register_service_metrics(registry, self.stats())
+        snapshots = [replica.stats() for replica in self.replicas]
+        register_service_metrics(
+            registry, reduce(ServiceStats.merge, snapshots, ServiceStats())
+        )
         registry.gauge("cluster.hosts", float(self.config.hosts))
         registry.gauge("cluster.hosts_alive", float(len(self.alive_hosts())))
         for name, value in self.router.counters().items():
@@ -491,8 +453,7 @@ class ClusterService:
         registry.gauge("cluster.network.ship_time_s", self.ship_time_s)
         registry.gauge("cluster.network.bandwidth", self.network.bandwidth)
         registry.gauge("cluster.network.latency", self.network.latency)
-        for host, replica in enumerate(self.replicas):
-            snapshot = replica.stats()
+        for host, snapshot in enumerate(snapshots):
             prefix = "cluster.host%d" % host
             for name in (
                 "submitted", "admitted", "rejected", "completed", "failed",
@@ -504,12 +465,11 @@ class ClusterService:
             registry.gauge(
                 "%s.queries_per_second" % prefix, snapshot.queries_per_second
             )
-            for priority in sorted(snapshot.latencies_by_class):
+            for name, row in snapshot.rows().items():
                 for quantile in (50, 95, 99):
                     registry.gauge(
-                        "%s.latency_p%d_s.%s"
-                        % (prefix, quantile, priority.name.lower()),
-                        snapshot.latency_percentile(priority, quantile),
+                        "%s.latency_p%d_s.%s" % (prefix, quantile, name),
+                        row["p%d_s" % quantile],
                     )
         return registry
 
@@ -604,14 +564,9 @@ class ClusterService:
                 "this cluster does not trace; build it with "
                 "ServiceConfig(tracing=True)"
             )
-        dropped = sum(
-            replica.tracer.dropped_spans
-            for replica in self.replicas
-            if replica.tracer.enabled
-        )
         return write_chrome_trace(
             path,
             self.trace_spans(),
             metrics=self.metrics().snapshot(),
-            dropped=dropped,
+            dropped=self.tracer.dropped_spans,
         )

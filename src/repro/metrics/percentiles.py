@@ -1,8 +1,8 @@
 """The one percentile implementation the whole repo shares.
 
-``ServiceStats``, the replay harness's per-class folding and the bench
-scripts each grew their own ``np.percentile`` call; any drift between
-them (dtype, interpolation mode) would silently skew cross-layer
+``ServiceStats`` (whose ``class_row`` now feeds the replay reports too)
+and the bench scripts each grew their own ``np.percentile`` call; any
+drift between them (dtype, interpolation mode) would skew cross-layer
 comparisons.  This helper pins the exact computation — ``np.percentile``
 over a float64 array, default linear interpolation — so every latency
 percentile in stats tables, replay reports and benchmark artifacts is

@@ -8,10 +8,11 @@ counters (monotone), gauges (point-in-time values) and histograms with
 *fixed* bucket bounds, so a snapshot of the same run is always the same
 JSON — deterministic output is what lets CI diff it.
 
-The registry is assembled on demand (``GraphService.metrics()``,
-``RunResult.observability()``) from the underlying sources rather than
-updated on the hot paths: the sources already count, the registry only
-names and organizes.
+The registry is an *export view*, not a second store: the serving
+numbers' one incrementally-updated, mergeable source of truth is the
+:class:`~repro.service.stats.ServiceStats` a service bumps at its state
+transitions, and ``metrics()`` builds a registry from it (plus cache,
+injector and tracer counters) on demand, only to name, sort and export.
 """
 
 from __future__ import annotations

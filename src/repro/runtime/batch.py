@@ -78,8 +78,8 @@ class SharedTransferState:
     for free.  The transient set resets every super-iteration — under
     the default ``static-prefix`` policy the oversubscribed working set
     churns between iterations, so no cross-iteration reuse is assumed
-    beyond the persistent shard residency
-    (:class:`~repro.transfer.residency.ShardResidency`).
+    beyond the persistent shard residency (a
+    :class:`~repro.cache.manager.CacheManager` on that policy).
 
     Under an adaptive cache policy this forget-everything behaviour is
     superseded: every shipped partition is offered to the

@@ -53,7 +53,6 @@ from repro.core.backends import KernelBackend, active_backend, resolve_backend
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.kernel import KernelModel
 from repro.sim.streams import ResourceState, StreamScheduler, StreamTask
-from repro.transfer.residency import ShardResidency
 
 __all__ = ["ExecutionContext", "MultiDeviceScheduler"]
 
@@ -154,7 +153,7 @@ class ExecutionContext:
     residency_enabled:
         Whether multi-device sessions pin leading shard partitions into
         device memory under the default ``static-prefix`` policy
-        (:class:`~repro.transfer.residency.ShardResidency`).  Static
+        (:class:`~repro.cache.policy.StaticPrefixPolicy`).  Static
         single-device sessions are always residency-free, exactly as in
         the paper: its testbed graphs oversubscribe one GPU's memory, so
         partitions churn and static caching buys nothing there.
@@ -199,16 +198,13 @@ class ExecutionContext:
         self.num_devices = config.num_devices
         self.sharding = ShardedPartitioning(partitioning, config.num_devices)
         self.cache: CacheManager | None = None
-        if cache_policy != "static-prefix":
-            # Adaptive policies replace static residency wholesale and
-            # apply at any device count.
+        # Adaptive policies replace static residency wholesale and apply
+        # at any device count; the static prefix only pins the shards of
+        # multi-device sessions.
+        if cache_policy != "static-prefix" or (self.is_multi_device and residency_enabled):
             self.cache = CacheManager(
                 partitioning, self.sharding, config,
                 policy=cache_policy, budget_bytes=cache_budget,
-            )
-        elif self.is_multi_device and residency_enabled:
-            self.cache = ShardResidency(
-                partitioning, self.sharding, config, budget_bytes=cache_budget
             )
         self.scheduler = MultiDeviceScheduler(config)
         self.kernel_model = KernelModel(config)
@@ -238,17 +234,6 @@ class ExecutionContext:
         """
         backend = self.backend if self.backend is not None else active_backend()
         return backend.name
-
-    @property
-    def residency(self) -> CacheManager | None:
-        """The static residency cache (``None`` under adaptive policies).
-
-        Kept as the historical name for the ``static-prefix`` resident
-        sets; code that handles both modes should use :attr:`cache`.
-        """
-        if self.cache is not None and not self.cache.adaptive:
-            return self.cache
-        return None
 
     @property
     def cache_policy(self) -> str:

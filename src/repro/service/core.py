@@ -51,6 +51,14 @@ from repro.systems import make_system
 
 __all__ = ["GraphService"]
 
+#: ``BatchResult`` totals each served wave adds to the same-named
+#: :class:`ServiceStats` fields.
+_BATCH_TOTALS = (
+    "total_transfer_bytes", "amortized_bytes", "super_iterations",
+    "faults_injected", "retries", "retry_time_s", "checkpoint_time_s",
+    "recovery_time_s",
+)
+
 
 class GraphService:
     """Session-oriented serving API over one (graph, config) pair.
@@ -89,7 +97,9 @@ class GraphService:
         self._queue: list[QueryHandle] = []
         self._batches: list[BatchResult] = []
         self._next_request_id = 0
-        self._waves_served = 0
+        #: The one cumulative stats record (wave counter included), bumped
+        #: at the state transitions below; :meth:`stats` snapshots it.
+        self._stats = ServiceStats()
         #: Simulated clock: accumulated makespan of the served waves
         #: (plus idle jumps to the next arrival under event-driven
         #: serving).
@@ -253,10 +263,12 @@ class GraphService:
             _query=(program, source),
         )
         self._next_request_id += 1
+        self._stats.submitted += 1
         reason = self.admission.decide(estimate)
         if reason is not None:
             handle.status = RequestStatus.REJECTED
             handle.reject_reason = reason
+            self._stats.record(handle)
             if self.tracer.enabled and self.tracer.trace_query(handle.request_id):
                 self.tracer.instant(
                     "query", "rejected", track=self._track_of(handle),
@@ -356,8 +368,9 @@ class GraphService:
         taken = {id(handle) for handle in wave}
         self._queue = [handle for handle in self._queue if id(handle) not in taken]
         wave_start = self._clock_s
-        wave_index = self._waves_served
-        self._waves_served += 1
+        stats = self._stats
+        wave_index = stats.waves
+        stats.waves += 1
         for handle in wave:
             handle.status = RequestStatus.RUNNING
             handle.wave = wave_index
@@ -407,6 +420,9 @@ class GraphService:
                 # its admission reservation stays held — the query is
                 # still in the system.
                 handle._checkpoint = suspended[position]
+                stats.preemptions += 1
+                if not handle.preemptions:
+                    stats.preempted_queries += 1
                 handle.preemptions += 1
                 handle.status = RequestStatus.QUEUED
                 self._queue.append(handle)
@@ -437,11 +453,14 @@ class GraphService:
                     queue_wait_s=handle.queue_wait_s or 0.0,
                     preemptions=handle.preemptions, wave=wave_index,
                 )
+            stats.record(handle)
             completed.append(handle)
         self._clock_s += batch.makespan
         self.admission.release(completed)
         self.breaker.record(batch.faults_injected)
         self._batches.append(batch)
+        for name in _BATCH_TOTALS:
+            setattr(stats, name, getattr(stats, name) + getattr(batch, name))
         return batch
 
     # ------------------------------------------------------------------
@@ -491,13 +510,16 @@ class GraphService:
     def metrics(self) -> MetricsRegistry:
         """One registry over every live counter source of the service.
 
-        Assembled on demand from :meth:`stats`, the device cache, the
-        fault injector, the un-harvested batch records and the tracer —
+        An export view built on demand from the cumulative :meth:`stats`
+        record, the device cache, the fault injector and the tracer —
         the snapshot is deterministic (sorted names, fixed histogram
         bounds), so CI can diff it across runs.
         """
         registry = MetricsRegistry()
-        register_service_metrics(registry, self.stats())
+        stats = self.stats()
+        register_service_metrics(registry, stats)
+        registry.count("batch.amortized_bytes", stats.amortized_bytes)
+        registry.count("batch.super_iterations", stats.super_iterations)
         cache = self.system.context.cache
         if cache is not None:
             registry.merge_counters("cache", cache.counters())
@@ -508,9 +530,6 @@ class GraphService:
             registry.count("faults.injected", self._injector.faults_injected)
             registry.count("faults.retries", self._injector.retries)
             registry.gauge("faults.retry_time_s", self._injector.retry_time_s)
-        for batch in self._batches:
-            registry.count("batch.amortized_bytes", batch.amortized_bytes)
-            registry.count("batch.super_iterations", batch.super_iterations)
         if self.tracer.enabled:
             registry.count("trace.spans", self.tracer.total_spans)
             registry.count("trace.dropped_spans", self.tracer.dropped_spans)
@@ -570,8 +589,8 @@ class GraphService:
         after each :meth:`step` hands the finished handles and batches to
         the caller and drops the service's references, keeping memory
         bounded by the in-flight queue.  Queued/running handles stay.
-        After a harvest, :meth:`stats` only covers what has not been
-        harvested (the clock and wave counter remain cumulative).
+        :meth:`stats` and :meth:`metrics` are cumulative: they read the
+        same before and after a harvest.
         """
         finished = [handle for handle in self._handles if handle.done]
         if finished:
@@ -628,12 +647,19 @@ class GraphService:
             if handle.request.priority is not Priority.BULK
         ]
         for handle in shed:
-            handle.status = RequestStatus.FAILED
-            handle.fault_cause = (
+            self._fail(
+                handle,
                 "circuit breaker open after %d consecutive faulty wave(s); "
-                "BULK work shed" % self.breaker.threshold
+                "BULK work shed" % self.breaker.threshold,
             )
         self.admission.release(shed)
+
+    def _fail(self, handle: QueryHandle, cause: str) -> None:
+        """Fail a queued handle outside a wave — typed and counted (breaker
+        shed, last host lost); the caller returns the admission reservation."""
+        handle.status = RequestStatus.FAILED
+        handle.fault_cause = cause
+        self._stats.record(handle)
 
     def device_health(self) -> dict[str, object]:
         """Health view of the serving session's devices.
@@ -679,46 +705,17 @@ class GraphService:
         """
         return [self.system.run(program, source=source) for program, source in queries]
 
+    @property
+    def in_flight(self) -> int:
+        """Admitted requests not yet terminal (queued or suspended)."""
+        return len(self._queue)
+
     def stats(self) -> ServiceStats:
-        """Aggregate admission/latency/SLA statistics so far."""
-        stats = ServiceStats(
-            submitted=len(self._handles),
-            queued=len(self._queue),
-            waves=self._waves_served,
-            makespan_s=self._clock_s,
-            total_transfer_bytes=int(
-                sum(batch.total_transfer_bytes for batch in self._batches)
-            ),
-        )
-        for batch in self._batches:
-            stats.faults_injected += batch.faults_injected
-            stats.retries += batch.retries
-            stats.retry_time_s += batch.retry_time_s
-            stats.checkpoint_time_s += batch.checkpoint_time_s
-            stats.recovery_time_s += batch.recovery_time_s
-        stats.breaker_open = self.breaker.open
-        stats.breaker_trips = self.breaker.trips
-        for handle in self._handles:
-            if handle.status is RequestStatus.REJECTED:
-                stats.rejected += 1
-                continue
-            stats.admitted += 1
-            if handle.status is RequestStatus.FAILED:
-                stats.failed += 1
-                continue
-            if handle.status is RequestStatus.CANCELLED:
-                stats.cancelled += 1
-                stats.deadline_missed += 1
-                continue
-            stats.preemptions += handle.preemptions
-            if handle.status is not RequestStatus.DONE:
-                continue
-            stats.completed += 1
-            stats.latencies_by_class.setdefault(handle.request.priority, []).append(
-                handle.latency_s
-            )
-            if handle.deadline_met is True:
-                stats.deadline_met += 1
-            elif handle.deadline_met is False:
-                stats.deadline_missed += 1
-        return stats
+        """A snapshot of the cumulative admission/latency/SLA statistics
+        (counted at the state transitions, so :meth:`harvest` cannot reset it)."""
+        snapshot = ServiceStats().merge(self._stats)
+        snapshot.queued = len(self._queue)
+        snapshot.makespan_s = self._clock_s
+        snapshot.breaker_open = self.breaker.open
+        snapshot.breaker_trips = self.breaker.trips
+        return snapshot

@@ -8,10 +8,11 @@ whole trace or its results:
   (enough in-flight work for waves to batch and for the preemption
   check to see imminent arrivals, never the full trace);
 * after every scheduling wave the finished handles are
-  :meth:`~repro.service.GraphService.harvest`-ed, their latencies and
-  SLA outcomes folded into running per-class accumulators, and their
-  per-vertex result arrays dropped — memory stays bounded by the
-  lookahead window, not the trace length;
+  :meth:`~repro.service.GraphService.harvest`-ed and their per-vertex
+  result arrays dropped — memory stays bounded by the lookahead window,
+  not the trace length; the service's own cumulative
+  :class:`~repro.service.stats.ServiceStats` keeps the latencies and
+  SLA outcomes, and the report is read off it at the end;
 * a seeded reservoir of completed queries is kept aside and re-run solo
   after the replay, asserting the serving path returned bitwise the
   values a standalone ``system.run`` produces.
@@ -19,18 +20,19 @@ whole trace or its results:
 The :class:`ReplayReport` this emits (per-class p50/p95/p99, SLA
 attainment, rejection breakdown, simulated queries/s) is what
 ``benchmarks/bench_replay.py`` snapshots and what the CI replay gate
-compares against.
+compares against.  Either tier (``GraphService``, ``ClusterService``) is
+driven through public members only: ``submit`` / ``step`` / ``harvest`` /
+``stats`` / ``in_flight``, plus ``tracer`` and ``system``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.metrics.percentiles import percentile
 from repro.service.core import GraphService
 from repro.service.request import Priority, QueryRequest, RequestStatus
 
@@ -38,34 +40,13 @@ __all__ = ["ReplayHarness", "ReplayReport"]
 
 
 @dataclass
-class _ClassAccumulator:
-    """Running per-priority-class latency/SLA tallies."""
-
-    latencies: list[float] = field(default_factory=list)
-    queue_waits: list[float] = field(default_factory=list)
-    sla_met: int = 0
-    sla_missed: int = 0
-
-    def row(self) -> dict[str, object]:
-        latencies = np.asarray(self.latencies, dtype=np.float64)
-        carrying = self.sla_met + self.sla_missed
-        return {
-            "count": int(latencies.size),
-            "p50_s": percentile(latencies, 50),
-            "p95_s": percentile(latencies, 95),
-            "p99_s": percentile(latencies, 99),
-            "mean_s": float(latencies.mean()) if latencies.size else 0.0,
-            "max_s": float(latencies.max()) if latencies.size else 0.0,
-            "mean_wait_s": float(np.mean(self.queue_waits)) if self.queue_waits else 0.0,
-            "sla_met": self.sla_met,
-            "sla_missed": self.sla_missed,
-            "sla_attainment": (self.sla_met / carrying) if carrying else 1.0,
-        }
-
-
-@dataclass
 class ReplayReport:
-    """What one trace replay measured."""
+    """What one trace replay measured.
+
+    Read off the service's cumulative stats at the end, so it covers the
+    service's whole lifetime — replay on a fresh service.  A class's
+    ``sla_missed`` counts late completions only, never cancellations.
+    """
 
     #: Requests drawn from the trace (= submitted to the service).
     queries: int = 0
@@ -110,24 +91,7 @@ class ReplayReport:
 
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly dump (benchmark artifacts, CI gates)."""
-        return {
-            "queries": self.queries,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "rejected": self.rejected,
-            "waves": self.waves,
-            "preemptions": self.preemptions,
-            "preempted_queries": self.preempted_queries,
-            "makespan_s": self.makespan_s,
-            "bulk_makespan_s": self.bulk_makespan_s,
-            "queries_per_second": self.queries_per_second,
-            "wall_s": self.wall_s,
-            "classes": self.classes,
-            "rejections_by_class": self.rejections_by_class,
-            "verified_bitwise": self.verified_bitwise,
-            "verified_queries": self.verified_queries,
-        }
+        return {**asdict(self), "queries_per_second": self.queries_per_second}
 
 
 class ReplayHarness:
@@ -188,8 +152,6 @@ class ReplayHarness:
         """
         service = self.service
         stream: Iterator[QueryRequest] = iter(requests)
-        report = ReplayReport()
-        accumulators: dict[Priority, _ClassAccumulator] = {}
         reservoir: list[tuple] = []  # (program, source, values) samples
         sampled = 0
         exhausted = False
@@ -197,26 +159,39 @@ class ReplayHarness:
         while True:
             # Submit up to the lookahead window (REJECTED handles do not
             # occupy a slot — they are terminal the moment they exist).
-            while not exhausted and self._in_flight() < self.lookahead:
+            while not exhausted and service.in_flight < self.lookahead:
                 try:
                     request = next(stream)
                 except StopIteration:
                     exhausted = True
                     break
                 service.submit(request)
-                report.queries += 1
             batch = service.step()
             finished, _batches = service.harvest()
-            if finished:
-                sampled = self._fold(report, accumulators, finished, reservoir, sampled)
+            if self.verify_sample:
+                sampled = self._sample(finished, reservoir, sampled)
             if batch is None and exhausted:
                 break
-        report.waves = service._waves_served
-        report.makespan_s = service._clock_s
-        report.classes = {
-            priority.name.lower(): accumulator.row()
-            for priority, accumulator in sorted(accumulators.items())
-        }
+        stats = service.stats()
+        bulk = stats.classes.get(Priority.BULK)
+        report = ReplayReport(
+            queries=stats.submitted,
+            completed=stats.completed,
+            failed=stats.failed,
+            cancelled=stats.cancelled,
+            rejected=stats.rejected,
+            waves=stats.waves,
+            preemptions=stats.preemptions,
+            preempted_queries=stats.preempted_queries,
+            makespan_s=stats.makespan_s,
+            bulk_makespan_s=bulk.last_completion_s if bulk is not None else 0.0,
+            classes=stats.rows(),
+            rejections_by_class={
+                priority.name.lower(): stats.classes[priority].rejected
+                for priority in sorted(stats.classes)
+                if stats.classes[priority].rejected
+            },
+        )
         if self.verify_sample and reservoir:
             report.verified_queries = len(reservoir)
             report.verified_bitwise = self._verify(reservoir)
@@ -224,67 +199,21 @@ class ReplayHarness:
         return report
 
     # ------------------------------------------------------------------
-    def _in_flight(self) -> int:
-        """Handles submitted but not yet terminal (queue + this wave)."""
-        return len(self.service._queue)
-
-    def _fold(
-        self,
-        report: ReplayReport,
-        accumulators: dict[Priority, _ClassAccumulator],
-        finished,
-        reservoir: list,
-        sampled: int,
-    ) -> int:
-        """Fold one harvest into the running tallies; extends the reservoir."""
+    def _sample(self, finished, reservoir: list, sampled: int) -> int:
+        """Reservoir-sample one harvest's completed queries for verification."""
         for handle in finished:
-            priority = handle.request.priority
-            if handle.status is RequestStatus.REJECTED:
-                report.rejected += 1
-                name = priority.name.lower()
-                report.rejections_by_class[name] = (
-                    report.rejections_by_class.get(name, 0) + 1
-                )
+            if handle.status is not RequestStatus.DONE:
                 continue
-            if handle.preemptions:
-                report.preemptions += handle.preemptions
-                report.preempted_queries += 1
-            if handle.status is RequestStatus.FAILED:
-                report.failed += 1
-                continue
-            if handle.status is RequestStatus.CANCELLED:
-                report.cancelled += 1
-                continue
-            report.completed += 1
-            if priority is Priority.BULK:
-                # Completion in simulated time: the latency clock runs
-                # from arrival.
-                report.bulk_makespan_s = max(
-                    report.bulk_makespan_s, handle.arrival_s + handle.latency_s
-                )
-            accumulator = accumulators.setdefault(priority, _ClassAccumulator())
-            accumulator.latencies.append(handle.latency_s)
-            if handle.queue_wait_s is not None:
-                accumulator.queue_waits.append(handle.queue_wait_s)
-            if handle.deadline_met is True:
-                accumulator.sla_met += 1
-            elif handle.deadline_met is False:
-                accumulator.sla_missed += 1
-            if self.verify_sample:
-                sampled += 1
-                sample = (
-                    handle._query[0],
-                    handle._query[1],
-                    handle._result.values,
-                )
-                if len(reservoir) < self.verify_sample:
-                    reservoir.append(sample)
-                else:
-                    # Classic reservoir sampling: keep each completed
-                    # query with probability sample_size / seen_so_far.
-                    slot = int(self._rng.integers(sampled))
-                    if slot < self.verify_sample:
-                        reservoir[slot] = sample
+            sampled += 1
+            sample = (handle._query[0], handle._query[1], handle._result.values)
+            if len(reservoir) < self.verify_sample:
+                reservoir.append(sample)
+            else:
+                # Classic reservoir sampling: keep each completed query
+                # with probability sample_size / seen_so_far.
+                slot = int(self._rng.integers(sampled))
+                if slot < self.verify_sample:
+                    reservoir[slot] = sample
         return sampled
 
     def _verify(self, reservoir: list) -> bool:

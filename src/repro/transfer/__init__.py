@@ -21,7 +21,6 @@ everything.
 from repro.transfer.base import EngineKind, TransferEngine, TransferOutcome
 from repro.transfer.explicit_filter import ExplicitFilterEngine
 from repro.transfer.explicit_compaction import ExplicitCompactionEngine
-from repro.transfer.residency import ShardResidency
 from repro.transfer.zero_copy import ZeroCopyEngine
 from repro.transfer.unified_memory import UnifiedMemoryEngine
 
@@ -31,7 +30,6 @@ __all__ = [
     "TransferOutcome",
     "ExplicitFilterEngine",
     "ExplicitCompactionEngine",
-    "ShardResidency",
     "ZeroCopyEngine",
     "UnifiedMemoryEngine",
 ]

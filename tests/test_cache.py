@@ -35,7 +35,6 @@ from repro.systems.emogi import EmogiSystem
 from repro.systems.exptm_filter import ExpTMFilterSystem
 from repro.systems.hytgraph import HyTGraphSystem
 from repro.systems.subway import SubwaySystem
-from repro.transfer.residency import ShardResidency
 
 
 def build_manager(policy="lru", num_partitions=8, num_devices=2, budget=None, vertices=160):
@@ -119,12 +118,12 @@ class TestStaticPrefix:
         assert not manager.resident[outside]
         assert manager.would_admit(outside) is False
 
-    def test_shard_residency_is_the_static_policy(self):
+    def test_default_policy_is_the_static_prefix(self):
         manager = build_manager("static-prefix")
-        residency = ShardResidency(manager.partitioning, manager.sharding, manager.config)
-        assert isinstance(residency, CacheManager)
-        assert residency.policy_name == "static-prefix"
-        assert np.array_equal(residency.resident, manager.resident)
+        default = CacheManager(manager.partitioning, manager.sharding, manager.config)
+        assert default.policy_name == "static-prefix"
+        assert not default.adaptive
+        assert np.array_equal(default.resident, manager.resident)
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +299,6 @@ class TestContextWiring:
         graph = rmat_graph(300, 1500, seed=3)
         system = ExpTMFilterSystem(graph, config=HardwareConfig())
         assert system.context.cache is None
-        assert system.context.residency is None
         assert system.context.cache_policy == "static-prefix"
 
     def test_adaptive_single_device_builds_cache(self):
@@ -308,15 +306,15 @@ class TestContextWiring:
         system = ExpTMFilterSystem(graph, config=HardwareConfig(), cache_policy="lru")
         assert system.context.cache is not None
         assert system.context.cache.adaptive
-        assert system.context.residency is None  # residency is the static alias
         assert system.context.cache_policy == "lru"
 
-    def test_static_multi_device_cache_is_the_residency(self):
+    def test_static_multi_device_cache_is_the_static_prefix(self):
         graph = rmat_graph(300, 1500, seed=3)
         config = HardwareConfig(gpu_memory_bytes=graph.edge_data_bytes // 2).with_devices(2)
         system = ExpTMFilterSystem(graph, config=config)
-        assert system.context.residency is system.context.cache
-        assert isinstance(system.context.cache, ShardResidency)
+        assert type(system.context.cache) is CacheManager
+        assert not system.context.cache.adaptive
+        assert system.context.cache_policy == "static-prefix"
 
     def test_cache_budget_overrides_device_memory(self):
         graph = rmat_graph(300, 1500, seed=3)

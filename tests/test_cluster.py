@@ -20,6 +20,7 @@ Four guarantees anchor the cluster layer:
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.service import (
     ReplayHarness,
     RequestStatus,
     ServiceConfig,
+    ServiceStats,
     timed_mixed_trace,
 )
 from repro.sim.config import HardwareConfig
@@ -137,6 +139,59 @@ class TestDegenerateSingleHost:
         )
         assert [h.status for h in clustered] == [h.status for h in singles]
         assert cluster.stats().as_dict() == single.stats().as_dict()
+
+
+class TestStatsMerge:
+    """``ClusterService.stats()`` is a fold of ``ServiceStats.merge``."""
+
+    @staticmethod
+    def _canonical(stats):
+        # Sample lists concatenate in merge order; nothing derived from
+        # them (rows, percentiles, means) depends on that order.
+        payload = stats.as_dict()
+        payload["latencies_by_class"] = {
+            name: sorted(values) for name, values in payload["latencies_by_class"].items()
+        }
+        for name in ("retry_time_s", "checkpoint_time_s", "recovery_time_s"):
+            payload[name] = pytest.approx(payload[name], rel=1e-12)
+        return payload
+
+    def test_cluster_stats_is_the_merge_in_any_host_order(self, graph, hardware):
+        cluster = _cluster(graph, hardware, hosts=3, preemption=True)
+        report = ReplayHarness(cluster, lookahead=64).replay(
+            timed_mixed_trace(
+                graph, 120, rate=6000.0, seed=3, interactive_fraction=0.7,
+                bulk_fraction=0.2, interactive_sla_s=0.002,
+            )
+        )
+        snapshots = [replica.stats() for replica in cluster.replicas]
+        assert sum(s.completed > 0 for s in snapshots) == 3 and report.preemptions > 0
+        total = cluster.stats()
+        in_order = ServiceStats()
+        for snapshot in snapshots:
+            in_order.merge(snapshot)
+        assert total.as_dict() == in_order.as_dict()
+        for order in itertools.permutations(range(3)):
+            merged = ServiceStats()
+            for host in order:
+                merged.merge(snapshots[host])
+            assert self._canonical(merged) == self._canonical(total)
+        assert total.completed == report.completed == 120
+        assert total.makespan_s == max(s.makespan_s for s in snapshots) == report.makespan_s
+        assert total.rows() == report.classes
+        # The per-host metric gauges read the same single row function.
+        gauges = cluster.metrics().snapshot()["gauges"]
+        for host, snapshot in enumerate(snapshots):
+            for name, row in snapshot.rows().items():
+                assert gauges["cluster.host%d.latency_p95_s.%s" % (host, name)] == row["p95_s"]
+
+    def test_merge_leaves_the_replica_snapshots_alone(self, graph, hardware):
+        cluster = _cluster(graph, hardware, hosts=2)
+        cluster.submit_many(_mixed_requests() * 2)
+        cluster.drain()
+        before = [replica.stats().as_dict() for replica in cluster.replicas]
+        cluster.stats(), cluster.metrics(), cluster.observability()
+        assert [replica.stats().as_dict() for replica in cluster.replicas] == before
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +458,39 @@ class TestHostLoss:
         assert failed
         assert all("no surviving replica" in h.fault_cause for h in failed)
         assert cluster.events[0].get("failed") == len(failed)
+        # The no-survivor path is counted, so the lost host's row balances.
+        stats = cluster.stats()
+        assert stats.failed == len(failed)
+        assert stats.admitted == stats.completed + stats.failed == len(handles)
+        assert stats.queued == cluster.in_flight == 0
+
+    def test_per_host_rows_balance_across_a_failover(self, graph, hardware):
+        # The migrated handles' submitted/admitted tally moves with them:
+        # on every host, at every wave boundary, admitted == completed +
+        # failed + cancelled + in-flight — harvested or not.
+        cluster = _cluster(
+            graph, hardware, hosts=3,
+            admission_budget_bytes=graph.edge_data_bytes // 4,
+            faults="host-loss@1:host=1",
+        )
+        handles = cluster.submit_many(_loss_requests("sssp") * 2)
+
+        def check():
+            for replica in cluster.replicas:
+                row = replica.stats()
+                assert row.queued == replica.in_flight
+                assert row.admitted == (
+                    row.completed + row.failed + row.cancelled + row.queued
+                ), row
+
+        check()
+        while cluster.step() is not None:
+            cluster.harvest()
+            check()
+        assert cluster.router.failovers > 0
+        lost = cluster.replicas[1].stats()
+        assert lost.queued == 0 and lost.submitted == lost.completed
+        assert cluster.stats().completed == len(handles)
 
     def test_duplicate_loss_is_skipped_not_reapplied(self, graph, hardware):
         cluster = _cluster(

@@ -128,7 +128,7 @@ class TestShardResidencyBoundaries:
         from repro.graph.generators import rmat_graph
         from repro.graph.partition import ShardedPartitioning, partition_by_count
         from repro.sim.config import HardwareConfig
-        from repro.transfer.residency import ShardResidency
+        from repro.cache import CacheManager
 
         graph = rmat_graph(240, 1600, seed=4, name="rmat-res")
         partitioning = partition_by_count(graph, 8)
@@ -138,7 +138,7 @@ class TestShardResidencyBoundaries:
                 graph.edge_data_bytes // budget_divisor if budget_divisor else graph.edge_data_bytes
             )
         config = HardwareConfig(gpu_memory_bytes=budget, num_devices=2)
-        return ShardResidency(partitioning, sharding, config), partitioning
+        return CacheManager(partitioning, sharding, config, policy="static-prefix"), partitioning
 
     def test_zero_budget_pins_nothing(self):
         residency, _ = self._residency(budget=0)

@@ -77,7 +77,7 @@ def test_single_device_is_the_trivial_sharded_case():
     shard = context.sharding[0]
     assert (shard.vertex_start, shard.vertex_end) == (0, graph.num_vertices)
     assert shard.num_partitions == system.engine.partitioning.num_partitions
-    assert context.residency is None
+    assert context.cache is None
     assert context.num_resident_partitions == 0
 
 

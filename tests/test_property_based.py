@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +16,8 @@ from repro.graph.csr import CSRGraph
 from repro.graph.frontier import Frontier
 from repro.graph.partition import partition_by_bytes, partition_by_count
 from repro.graph.reorder import hub_sort, hub_sort_order
+from repro.service import Priority, ServiceStats
+from repro.service.stats import ClassTally
 from repro.sim.config import HardwareConfig
 from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
@@ -297,3 +301,90 @@ def test_checkpoint_restore_roundtrip_bitwise(data, algorithm, steps):
     session.pending[:] = ~session.pending
     driver.restore_checkpoint(session, checkpoint)
     np.testing.assert_array_equal(session.pending, pending)
+
+
+# ----------------------------------------------------------------------
+# ServiceStats.merge is a commutative, associative fold
+# ----------------------------------------------------------------------
+
+# Dyadic latencies (k / 1024): float sums of them are exact, so even the
+# time totals must agree bit for bit however the merges are grouped.
+_dyadic = st.integers(min_value=0, max_value=1 << 16).map(lambda k: k / 1024.0)
+_count = st.integers(min_value=0, max_value=50)
+
+
+@st.composite
+def class_tallies(draw):
+    latencies = draw(st.lists(_dyadic, max_size=12))
+    waits = draw(st.lists(_dyadic, min_size=len(latencies), max_size=len(latencies)))
+    met = draw(st.integers(min_value=0, max_value=len(latencies)))
+    return ClassTally(
+        latencies=latencies, queue_waits=waits, sla_met=met,
+        sla_missed=draw(st.integers(min_value=0, max_value=len(latencies) - met)),
+        rejected=draw(_count), failed=draw(_count), cancelled=draw(_count),
+        last_completion_s=draw(_dyadic),
+    )
+
+
+@st.composite
+def service_stats(draw):
+    return ServiceStats(
+        submitted=draw(_count), queued=draw(_count), waves=draw(_count),
+        preemptions=draw(_count), preempted_queries=draw(_count),
+        makespan_s=draw(_dyadic), total_transfer_bytes=draw(_count),
+        amortized_bytes=draw(_count), super_iterations=draw(_count),
+        faults_injected=draw(_count), retries=draw(_count),
+        retry_time_s=draw(_dyadic), checkpoint_time_s=draw(_dyadic),
+        recovery_time_s=draw(_dyadic), breaker_open=draw(st.booleans()),
+        breaker_trips=draw(_count),
+        classes=draw(st.dictionaries(st.sampled_from(list(Priority)), class_tallies())),
+    )
+
+
+def _merged(*parts):
+    total = ServiceStats()
+    for part in parts:
+        total.merge(part)
+    return total
+
+
+def _order_free(stats):
+    payload = stats.as_dict()
+    payload["latencies_by_class"] = {
+        name: sorted(values) for name, values in payload["latencies_by_class"].items()
+    }
+    tallies = {
+        priority: (tally.rejected, tally.failed, tally.cancelled, tally.last_completion_s)
+        for priority, tally in sorted(stats.classes.items())
+    }
+    return payload, tallies
+
+
+@COMMON_SETTINGS
+@given(service_stats(), service_stats(), service_stats())
+def test_service_stats_merge_is_associative_and_commutative(a, b, c):
+    before = [copy.deepcopy(part) for part in (a, b, c)]
+    flat = _merged(a, b, c)
+    assert _order_free(_merged(c, a, b)) == _order_free(flat)
+    assert _order_free(_merged(_merged(a, b), c)) == _order_free(flat)
+    assert _order_free(_merged(a, _merged(b, c))) == _order_free(flat)
+    # Merging reads its argument and leaves it alone; the empty record
+    # is the identity.
+    assert [a, b, c] == before
+    assert _merged(a).as_dict() == a.as_dict()
+    # Counters add, flags OR, the makespan is the latest clock.
+    assert flat.submitted == a.submitted + b.submitted + c.submitted
+    assert flat.completed == a.completed + b.completed + c.completed
+    assert flat.deadline_missed == a.deadline_missed + b.deadline_missed + c.deadline_missed
+    assert flat.breaker_open == (a.breaker_open or b.breaker_open or c.breaker_open)
+    assert flat.makespan_s == max(a.makespan_s, b.makespan_s, c.makespan_s)
+    # Class rows (percentiles, exact means, max) ignore sample order.
+    for name, row in flat.rows().items():
+        samples = sorted(
+            value
+            for part in (a, b, c)
+            for value in part.class_latencies(name)
+        )
+        assert row["count"] == len(samples)
+        assert row["max_s"] == samples[-1]
+        assert row["p50_s"] == float(np.percentile(samples, 50))

@@ -215,13 +215,17 @@ class TestEventDrivenServing:
         for index in range(3):
             service.submit(QueryRequest("bfs", source=index))
         service.drain()
+        before = service.stats()
         finished, batches = service.harvest()
         assert len(finished) == 3
         assert len(batches) >= 1
         assert service._handles == []
         assert service.batches == []
-        # The cumulative counters survive the harvest.
-        assert service.stats().waves >= 1
+        # The cumulative stats do not depend on the detached records.
+        after = service.stats()
+        assert after.waves >= 1
+        assert after.completed == 3
+        assert after.as_dict() == before.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +295,36 @@ class TestPreemption:
         assert bulk.status is RequestStatus.DONE
         assert bulk._checkpoint is None
         assert np.array_equal(bulk.result().values, solo.values)
+
+    def test_preempted_then_cancelled_bulk_is_counted_once_each_way(self, graph):
+        # Pins the two unified stats definitions: a preemption counts
+        # where it happens even if the query never completes, and a
+        # CANCELLED query is its class's ``cancelled``, never its
+        # ``sla_missed`` (``deadline_missed`` covers both).
+        solo = _service(graph).system.run(make_algorithm("pagerank"))
+        service = _service(graph, preemption=True, enforce_deadlines=True)
+        bulk = service.submit(
+            QueryRequest(
+                "pagerank", priority=Priority.BULK, deadline_s=solo.total_time * 0.6
+            )
+        )
+        lookup = service.submit(
+            QueryRequest(
+                "bfs", source=0, priority=Priority.INTERACTIVE,
+                arrival_s=solo.total_time * 0.3,
+            )
+        )
+        service.drain()
+        assert lookup.status is RequestStatus.DONE
+        assert bulk.status is RequestStatus.CANCELLED and bulk.preemptions >= 1
+        stats = service.stats()
+        assert stats.preemptions == bulk.preemptions
+        assert stats.preempted_queries == 1
+        tally = stats.classes[Priority.BULK]
+        assert (tally.cancelled, tally.sla_missed, tally.sla_met) == (1, 0, 0)
+        assert (stats.cancelled, stats.deadline_missed, stats.completed) == (1, 1, 1)
+        assert "bulk" not in stats.rows()  # rows cover classes that completed a query
+        assert stats.admitted == stats.completed + stats.failed + stats.cancelled
 
 
 # ----------------------------------------------------------------------
@@ -420,6 +454,65 @@ class TestReplayHarness:
         assert report.completed == 200
         assert report.preemptions > 0
         assert report.preempted_queries > 0
+
+    def test_report_is_the_service_stats_after_full_harvest(self, graph):
+        # One bookkeeper: a fully harvested replay leaves stats() and
+        # metrics() reading the report's totals, and the report's class
+        # rows are what the harvested handles themselves say.
+        service = _service(graph, preemption=True)
+        harvested = []
+        harvest = service.harvest
+
+        def collecting_harvest():
+            finished, batches = harvest()
+            harvested.extend(finished)
+            return finished, batches
+
+        service.harvest = collecting_harvest
+        report = ReplayHarness(service, lookahead=48).replay(
+            timed_mixed_trace(
+                graph, 200, rate=4000.0, seed=6, interactive_fraction=0.75,
+                bulk_fraction=0.15, interactive_sla_s=0.002,
+            )
+        )
+        assert service._handles == [] and len(harvested) == 200
+        stats = service.stats()
+        counters = service.metrics().snapshot()["counters"]
+        assert report.completed == 200
+        assert stats.completed == counters["service.completed"] == report.completed
+        assert stats.submitted == counters["service.submitted"] == report.queries
+        assert stats.preemptions == counters["service.preemptions"] == report.preemptions
+        assert report.preemptions == sum(handle.preemptions for handle in harvested)
+        assert report.preempted_queries == sum(bool(h.preemptions) for h in harvested)
+        assert stats.total_transfer_bytes == counters["service.total_transfer_bytes"] > 0
+        assert stats.makespan_s == report.makespan_s
+        assert stats.rows() == report.classes
+        expected = {}
+        for priority in Priority:
+            done = [h for h in harvested if h.request.priority is priority]
+            if not done:
+                continue
+            latencies = np.array([h.latency_s for h in done])
+            met = sum(h.deadline_met is True for h in done)
+            missed = sum(h.deadline_met is False for h in done)
+            expected[priority.name.lower()] = {
+                "count": len(done),
+                "p50_s": float(np.percentile(latencies, 50)),
+                "p95_s": float(np.percentile(latencies, 95)),
+                "p99_s": float(np.percentile(latencies, 99)),
+                "mean_s": pytest.approx(latencies.mean(), rel=1e-12),
+                "max_s": float(latencies.max()),
+                "mean_wait_s": pytest.approx(
+                    np.mean([h.queue_wait_s for h in done]), rel=1e-12
+                ),
+                "sla_met": met,
+                "sla_missed": missed,
+                "sla_attainment": met / (met + missed) if met + missed else 1.0,
+            }
+        assert report.classes == expected
+        assert expected["interactive"]["sla_missed"] > 0
+        bulk = [h for h in harvested if h.request.priority is Priority.BULK]
+        assert report.bulk_makespan_s == max(h.arrival_s + h.latency_s for h in bulk)
 
     def test_report_is_json_serializable(self, graph):
         service = _service(graph)
