@@ -105,7 +105,7 @@ from repro.bench.workloads import batch_sources
 from repro.metrics.results import IterationStats
 from repro.runtime.batch import QueryBatchRunner
 from repro.sim.config import HardwareConfig
-from repro.sim.streams import StreamTask
+from repro.sim.streams import StreamScheduler, StreamTask
 from repro.systems.emogi import EmogiSystem
 from repro.systems.exptm_filter import ExpTMFilterSystem
 from repro.systems.hytgraph import HyTGraphSystem
@@ -223,8 +223,8 @@ def _seed_run_iteration(self, iteration, program, state, pending):
     total_processed_edges = 0
     engine_task_counts = {}
     for order, task in enumerate(tasks):
-        processed_edges = self._execute_task(task, program, state, pending)
-        outcome = self._account_transfer(task)
+        processed_edges = _seed_execute_task(self, task, program, state, pending)
+        outcome = _seed_account_transfer(self, task)
         kernel_time = self.kernel_model.kernel_time(processed_edges, num_kernels=1)
         stream_tasks.append(
             StreamTask(
@@ -241,7 +241,7 @@ def _seed_run_iteration(self, iteration, program, state, pending):
         total_processed_edges += processed_edges
         engine_task_counts[task.engine.value] = engine_task_counts.get(task.engine.value, 0) + 1
 
-    timeline = self.stream_scheduler.schedule(stream_tasks)
+    timeline = StreamScheduler(self.config).schedule(stream_tasks)
     iteration_time = timeline.makespan + generation_overhead
     return IterationStats(
         index=iteration,
@@ -256,6 +256,18 @@ def _seed_run_iteration(self, iteration, program, state, pending):
         engine_partitions=selection.counts(),
         engine_tasks=engine_task_counts,
     )
+
+
+def _seed_run(self, program, source=None):
+    """The seed engine's outer loop: one `_seed_run_iteration` per iteration."""
+    self.reset_run_state()
+    session = self.start_session(program, source)
+    while session.pending.any() and session.iteration < self.options.max_iterations:
+        session.result.iterations.append(
+            _seed_run_iteration(self, session.iteration, program, session.state, session.pending)
+        )
+        session.iteration += 1
+    return self.finish_session(session)
 
 
 def _seed_combine(self, partitioning, selection, active_mask, active_ids=None):
@@ -298,10 +310,7 @@ def _seed_combine(self, partitioning, selection, active_mask, active_ids=None):
     if current:
         tasks.append(make_filter_task(current))
 
-    for engine, label in (
-        (EngineKind.EXP_COMPACTION, "ExpTM-C[combined:%d]"),
-        (EngineKind.IMP_ZERO_COPY, "ImpTM-ZC[combined:%d]"),
-    ):
+    for engine in (EngineKind.EXP_COMPACTION, EngineKind.IMP_ZERO_COPY):
         members = selection.partitions_using(engine)
         if members:
             vertices = np.concatenate([active_in(index) for index in members])
@@ -310,7 +319,7 @@ def _seed_combine(self, partitioning, selection, active_mask, active_ids=None):
                     engine=engine,
                     partition_indices=list(members),
                     active_vertices=np.sort(vertices),
-                    label=label % len(members),
+                    combined=True,
                 )
             )
     return tasks
@@ -363,17 +372,11 @@ def seed_baseline():
     combiner re-sorts task frontiers and the cost model rescans the
     frontier bitmap — i.e. the code the seed repository shipped.
     """
-    saved_engine = (
-        HyTGraphEngine._run_iteration,
-        HyTGraphEngine._execute_task,
-        HyTGraphEngine._account_transfer,
-    )
+    saved_run = HyTGraphEngine.run
     saved_combine = TaskCombiner.combine
     saved_estimate = CostModel.estimate
     saved_gather = [module.gather_edge_indices for module in _ALGORITHM_MODULES]
-    HyTGraphEngine._run_iteration = _seed_run_iteration
-    HyTGraphEngine._execute_task = _seed_execute_task
-    HyTGraphEngine._account_transfer = _seed_account_transfer
+    HyTGraphEngine.run = _seed_run
     TaskCombiner.combine = _seed_combine
     CostModel.estimate = _seed_estimate
     for module in _ALGORITHM_MODULES:
@@ -382,11 +385,7 @@ def seed_baseline():
         with legacy_kernels():
             yield
     finally:
-        (
-            HyTGraphEngine._run_iteration,
-            HyTGraphEngine._execute_task,
-            HyTGraphEngine._account_transfer,
-        ) = saved_engine
+        HyTGraphEngine.run = saved_run
         TaskCombiner.combine = saved_combine
         CostModel.estimate = saved_estimate
         for module, gather in zip(_ALGORITHM_MODULES, saved_gather):

@@ -363,9 +363,7 @@ class ClusterService:
             ship_s = self.network.transfer_seconds(ship_bytes)
             landing = ship_start + ship_s
             self._net_busy[dst_host] = landing
-            handle._ready_s = max(handle._ready_s, landing)
-            source._handles.remove(handle)
-            dst._handles.append(handle)
+            handle.ready_s = max(handle.ready_s, landing)
             dst._queue.append(handle)
             # The reservation and the submitted/admitted tally move with
             # the handle (release and the terminal-state count happen

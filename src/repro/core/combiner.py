@@ -16,11 +16,11 @@ per-kernel-launch and per-transfer overheads stay negligible):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.selection import SelectionResult
+from repro.core.selection import COMPACTION, ENGINE_OF_CODE, FILTER, ZERO_COPY, SelectionResult
 from repro.graph.partition import Partitioning
 from repro.transfer.base import EngineKind
 
@@ -29,7 +29,7 @@ __all__ = ["ScheduledTask", "TaskCombiner"]
 DEFAULT_COMBINE_FACTOR = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduledTask:
     """One unit of work handed to the asynchronous task scheduler.
 
@@ -45,20 +45,24 @@ class ScheduledTask:
     priority:
         Scheduling priority (lower runs earlier); filled in by the
         contribution-driven scheduler.
+    combined:
+        Whether this is an engine's single all-partitions task.
     """
 
     engine: EngineKind
     partition_indices: list[int]
     active_vertices: np.ndarray
     priority: float = 0.0
-    label: str = field(default="")
+    combined: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.label:
-            self.label = "%s[%s]" % (
-                self.engine.value,
-                ",".join(str(index) for index in self.partition_indices),
-            )
+    @property
+    def label(self) -> str:
+        """Display name, formatted on demand (also ``str(task)``)."""
+        members = self.partition_indices
+        listing = "combined:%d" % len(members) if self.combined else ",".join(map(str, members))
+        return "%s[%s]" % (self.engine.value, listing)
+
+    __str__ = label.fget
 
     @property
     def num_active_vertices(self) -> int:
@@ -94,74 +98,49 @@ class TaskCombiner:
             active_ids = np.flatnonzero(np.asarray(active_mask, dtype=bool))
         # Partitions hold consecutive vertex ranges and active_ids is
         # sorted, so one bisection of the partition boundaries splits the
-        # frontier; each partition's actives are then a plain slice view.
-        boundaries = np.append(partitioning.vertex_starts, partitioning.graph.num_vertices)
-        cuts = np.searchsorted(active_ids, boundaries)
-
-        def active_in(partition_index: int) -> np.ndarray:
-            return active_ids[cuts[partition_index] : cuts[partition_index + 1]]
+        # frontier: partition i's actives are active_ids[cuts[i]:cuts[i+1]]
+        # and a run of consecutive partitions is one plain slice.
+        cuts = active_ids.searchsorted(partitioning.vertex_boundaries).tolist()
+        codes = selection.codes
+        selected = codes.nonzero()[0]
+        selected_codes = codes[selected].tolist()
+        selected = selected.tolist()
 
         if not self.enabled:
-            tasks = []
-            for index, choice in enumerate(selection.choices):
-                if choice is None:
-                    continue
-                tasks.append(
-                    ScheduledTask(engine=choice, partition_indices=[index], active_vertices=active_in(index))
-                )
-            return tasks
+            return [
+                ScheduledTask(ENGINE_OF_CODE[code], [index], active_ids[cuts[index] : cuts[index + 1]])
+                for index, code in zip(selected, selected_codes)
+            ]
 
+        #: Ascending partition indices per selection code.
+        members: tuple[list[int], ...] = ([], [], [], [])
+        for index, code in zip(selected, selected_codes):
+            members[code].append(index)
         tasks: list[ScheduledTask] = []
 
         # --- ExpTM-filter: merge up to k consecutive partitions -----------
-        filter_partitions = selection.partitions_using(EngineKind.EXP_FILTER)
-        current: list[int] = []
-        previous_index: int | None = None
-        for index in filter_partitions:
-            consecutive = previous_index is not None and index == previous_index + 1
-            if current and (not consecutive or len(current) >= self.combine_factor):
-                tasks.append(self._make_filter_task(current, active_in))
-                current = []
-            current.append(index)
-            previous_index = index
-        if current:
-            tasks.append(self._make_filter_task(current, active_in))
-
-        # --- ExpTM-compaction: one combined task ---------------------------
-        compaction_partitions = selection.partitions_using(EngineKind.EXP_COMPACTION)
-        if compaction_partitions:
-            # Partition indices ascend and partitions hold consecutive vertex
-            # ranges, so the concatenation is already sorted.
-            vertices = np.concatenate([active_in(index) for index in compaction_partitions])
+        run = members[FILTER]
+        start = 0
+        while start < len(run):
+            end = start + 1
+            while end < len(run) and end - start < self.combine_factor and run[end] == run[end - 1] + 1:
+                end += 1
             tasks.append(
                 ScheduledTask(
-                    engine=EngineKind.EXP_COMPACTION,
-                    partition_indices=list(compaction_partitions),
-                    active_vertices=vertices,
-                    label="ExpTM-C[combined:%d]" % len(compaction_partitions),
+                    EngineKind.EXP_FILTER,
+                    run[start:end],
+                    active_ids[cuts[run[start]] : cuts[run[end - 1] + 1]],
                 )
             )
+            start = end
 
-        # --- ImpTM-zero-copy: one combined task ----------------------------
-        zero_copy_partitions = selection.partitions_using(EngineKind.IMP_ZERO_COPY)
-        if zero_copy_partitions:
-            vertices = np.concatenate([active_in(index) for index in zero_copy_partitions])
-            tasks.append(
-                ScheduledTask(
-                    engine=EngineKind.IMP_ZERO_COPY,
-                    partition_indices=list(zero_copy_partitions),
-                    active_vertices=vertices,
-                    label="ImpTM-ZC[combined:%d]" % len(zero_copy_partitions),
+        # --- ExpTM-compaction / ImpTM-zero-copy: one combined task each ----
+        for code in (COMPACTION, ZERO_COPY):
+            if members[code]:
+                # Partition indices ascend and partitions hold consecutive
+                # vertex ranges, so the concatenation is already sorted.
+                vertices = np.concatenate(
+                    [active_ids[cuts[index] : cuts[index + 1]] for index in members[code]]
                 )
-            )
+                tasks.append(ScheduledTask(ENGINE_OF_CODE[code], members[code], vertices, combined=True))
         return tasks
-
-    def _make_filter_task(self, partition_indices: list[int], active_in) -> ScheduledTask:
-        # Filter tasks merge consecutive partitions, so the concatenated
-        # active ids are already in ascending order.
-        vertices = np.concatenate([active_in(index) for index in partition_indices])
-        return ScheduledTask(
-            engine=EngineKind.EXP_FILTER,
-            partition_indices=list(partition_indices),
-            active_vertices=vertices,
-        )

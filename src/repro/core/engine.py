@@ -38,16 +38,29 @@ whole-partition transfers across queries.
 
 Performance architecture
 ------------------------
-The engine is built around a partition-local frontier fast path: tasks
-cover contiguous partition vertex ranges, so pending vertices are found
-with slice views + ``np.flatnonzero`` (never an O(|V|) per-task boolean
-mask), each task's sorted active-vertex array is split across partitions
-by bisection, transfers are priced with one vectorised
-:meth:`~repro.transfer.base.TransferEngine.transfer_task` call, and one
-frontier scan per iteration feeds the iteration stats, the cost model and
-the task combiner.  The per-edge scatter work itself lives in the shared
-kernel layer (:mod:`repro.core.kernels`); ``benchmarks/bench_perf_hotpaths.py``
-measures both layers against the seed implementation.
+Between engine selection and the batch fold an iteration is columns and
+plain tuples, not a record per task.  The selection is an ``int8`` code
+per partition (:class:`~repro.core.selection.SelectionResult`): the
+residency pin, the per-shard mask and the per-engine counts are array
+operations, and a run of consecutive filter partitions takes its actives
+as one slice of the iteration's single sorted frontier scan.  Static
+per-partition tables (vertex range, edge bytes, explicit-copy time) are
+built once per engine; pending vertices are found with slice views +
+``nonzero``, never an O(|V|) per-task mask.  Each scheduled task becomes
+one row of the :class:`~repro.sim.events.Timeline`, which maintains
+makespan, busy time per resource and finish time per owning query while
+it places; a merged co-schedule names each task's owner and class offset
+next to the task instead of copying it.
+
+Materialised on demand only: task labels, ``SelectionResult.choices``
+and ``Timeline.entries`` (the records the tracer and the tests read) —
+one scheduling path, traced or not.  Simulated numbers stay bitwise
+because every float comes from the same operations in the same order: a
+busy total adds one ``end - start`` per span in placement order, a filter
+transfer adds the tabulated per-partition copy times left to right, and
+the tables hold the very values the per-call formulas returned.
+``benchmarks/layers/run.py`` measures every layer's host time;
+``tests/test_call_budget.py`` gates the call count.
 """
 
 from __future__ import annotations
@@ -60,7 +73,13 @@ from repro.algorithms.base import ProgramState, VertexProgram
 from repro.core.combiner import ScheduledTask, TaskCombiner
 from repro.core.cost_model import CostModel
 from repro.core.priority import ContributionScheduler
-from repro.core.selection import EngineSelector, SelectionResult, SelectionThresholds
+from repro.core.selection import (
+    FILTER,
+    INACTIVE,
+    EngineSelector,
+    SelectionResult,
+    SelectionThresholds,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import (
     DeviceShard,
@@ -75,8 +94,8 @@ from repro.runtime.context import ExecutionContext
 from repro.runtime.driver import IterationDriver, IterationPlan, QuerySession
 from repro.sim.config import HardwareConfig, default_config
 from repro.sim.kernel import KernelModel
-from repro.sim.streams import StreamScheduler, StreamTask
-from repro.transfer.base import EngineKind, TransferEngine, TransferOutcome
+from repro.sim.streams import StreamTask
+from repro.transfer.base import EngineKind, TransferEngine
 from repro.transfer.explicit_compaction import ExplicitCompactionEngine
 from repro.transfer.explicit_filter import ExplicitFilterEngine
 from repro.transfer.zero_copy import ZeroCopyEngine
@@ -88,6 +107,9 @@ __all__ = ["HyTGraphOptions", "HyTGraphEngine"]
 # default keeps that partition *count* rather than the absolute size.
 DEFAULT_PARTITION_DIVISOR = 64
 
+_FILTER = EngineKind.EXP_FILTER
+#: ``EngineKind.value`` without the enum descriptor (read once per task).
+_ENGINE_LABEL = {kind: kind.value for kind in EngineKind}
 
 
 @dataclass
@@ -187,15 +209,19 @@ class HyTGraphEngine:
             self.graph, self.partitioning, enabled=self.options.contribution_scheduling
         )
         self.kernel_model = KernelModel(self.config)
-        # The raw single-device stream scheduler is kept for the perf
-        # harness's seed-baseline mode, which restores the pre-runtime
-        # iteration loop; the engine itself schedules via the context.
-        self.stream_scheduler = StreamScheduler(self.config)
         self.engines: dict[EngineKind, TransferEngine] = {
             EngineKind.EXP_FILTER: ExplicitFilterEngine(self.graph, self.config),
             EngineKind.EXP_COMPACTION: ExplicitCompactionEngine(self.graph, self.config),
             EngineKind.IMP_ZERO_COPY: ZeroCopyEngine(self.graph, self.config),
         }
+        # Static per-partition tables (plain lists: the task loop indexes
+        # them one partition at a time).
+        partitions = self.partitioning.partitions
+        copy_time = self.engines[_FILTER].pcie.explicit_copy_time
+        self._vertex_start = [partition.vertex_start for partition in partitions]
+        self._vertex_end = [partition.vertex_end for partition in partitions]
+        self._edge_bytes = [partition.edge_bytes for partition in partitions]
+        self._copy_time = [copy_time(partition.edge_bytes) for partition in partitions]
 
         # Device-agnostic execution runtime: shards, the device-memory
         # cache and the shared-host scheduler.  One device is the
@@ -297,41 +323,21 @@ class HyTGraphEngine:
         self.reset_run_state()
         session = self.start_session(program, source)
         self.driver.begin_trace()
-        # The loop goes through _run_iteration (rather than the driver's
-        # generic loop) so the perf harness can monkeypatch the seed
-        # iteration back in.
         while session.pending.any() and session.iteration < self.options.max_iterations:
-            stats = self._run_iteration(session.iteration, program, session.state, session.pending)
-            session.result.iterations.append(stats)
+            plan = self.driver.windowed_plan(lambda: self.plan_iteration(session))
+            session.result.iterations.append(
+                self.driver.finish(plan, trace_iteration=session.iteration)
+            )
             session.iteration += 1
         return self.finish_session(session)
-
-    def _run_iteration(
-        self,
-        iteration: int,
-        program: VertexProgram,
-        state: ProgramState,
-        pending: np.ndarray,
-    ) -> IterationStats:
-        return self.driver.finish(
-            self.driver.windowed_plan(lambda: self._plan(iteration, program, state, pending)),
-            trace_iteration=iteration,
-        )
 
     def plan_iteration(
         self, session: QuerySession, shared: SharedTransferState | None = None
     ) -> IterationPlan:
         """One planned iteration (batch-runner protocol)."""
-        return self._plan(session.iteration, session.program, session.state, session.pending, shared)
+        return self._plan(session, shared)
 
-    def _plan(
-        self,
-        iteration: int,
-        program: VertexProgram,
-        state: ProgramState,
-        pending: np.ndarray,
-        shared: SharedTransferState | None = None,
-    ) -> IterationPlan:
+    def _plan(self, session: QuerySession, shared: SharedTransferState | None = None) -> IterationPlan:
         """Plan one iteration: task generation, execution and accounting.
 
         Task generation, contribution scheduling and stream scheduling
@@ -345,18 +351,17 @@ class HyTGraphEngine:
         """
         graph = self.graph
         context = self.context
+        program, state, pending = session.program, session.state, session.pending
         # One frontier scan per iteration: the id array feeds the stats,
-        # the cost model and the task combiner (the seed engine rescanned
-        # the |V| mask in each of those places).
-        active_ids = np.flatnonzero(pending)
-        active_vertex_count = int(active_ids.size)
+        # the cost model and the task combiner.
+        active_ids = pending.nonzero()[0]
         active_edge_count = int(graph.out_degrees[active_ids].sum())
 
         # Active vertices without out-edges generate no tasks (their
         # partitions carry no active edges), so handle them directly: the
         # push is a no-op for traversal algorithms and simply folds the
         # residual for accumulative ones.
-        sinks = np.flatnonzero(pending & self._sink_mask)
+        sinks = (pending & self._sink_mask).nonzero()[0]
         if sinks.size:
             pending[sinks] = False
             program.process(graph, state, sinks)
@@ -374,12 +379,13 @@ class HyTGraphEngine:
             cache.observe_frontier(costs.active_edges)
             costs = self._discount_on_device_filter(costs, cache, shared)
         selection = self._force_resident_filter(self.selector.select(costs))
+        sharding = context.sharding
         device_task_lists: list[list[ScheduledTask]] = [
             self._device_tasks(shard, selection, pending, active_ids, program, state)
-            for shard in context.sharding
+            for shard in sharding
         ]
         # Each device scans only its own shard's partitions, concurrently.
-        widest_shard = max((shard.num_partitions for shard in context.sharding), default=0)
+        widest_shard = max((shard.num_partitions for shard in sharding), default=0)
         generation_overhead = self.kernel_model.device_scan_time(widest_shard)
 
         # ----- Stage 2: per-device asynchronous task execution -------------
@@ -388,6 +394,7 @@ class HyTGraphEngine:
         total_transfer_bytes = 0
         total_processed_edges = 0
         engine_task_counts: dict[str, int] = {}
+        kernel_time = self.kernel_model.kernel_time
 
         # Devices drain their task queues concurrently; interleaving the
         # per-device priority orders round-robin keeps the global value
@@ -399,31 +406,27 @@ class HyTGraphEngine:
                 if step >= len(tasks):
                     continue
                 task = tasks[step]
-                shard = context.sharding[device]
-                processed_edges, remote_count = self._execute_task(task, program, state, pending, shard)
-                outcome = self._account_task_transfer(task, shared)
-                kernel_time = self.kernel_model.kernel_time(processed_edges, num_kernels=1)
+                processed_edges, remote_count = self._execute_task(task, program, state, pending, sharding[device])
+                moved_bytes, transfer_time, cpu_time, overlapped = self._account_task_transfer(task, shared)
+                engine_label = _ENGINE_LABEL[task.engine]
+                # The task itself is the name: its label is formatted
+                # only if a trace or a fault event reads it.
                 stream_task_lists[device].append(
                     StreamTask(
-                        name=task.label,
-                        engine=task.engine.value,
-                        cpu_time=outcome.cpu_time,
-                        transfer_time=outcome.transfer_time,
-                        kernel_time=kernel_time,
-                        overlapped_transfer=outcome.overlapped,
-                        priority=float(order),
+                        task, engine_label, cpu_time, transfer_time,
+                        kernel_time(processed_edges, num_kernels=1), overlapped, float(order),
                     )
                 )
                 order += 1
                 remote_updates[device] += remote_count
-                total_transfer_bytes += outcome.bytes_transferred
+                total_transfer_bytes += moved_bytes
                 total_processed_edges += processed_edges
-                engine_task_counts[task.engine.value] = engine_task_counts.get(task.engine.value, 0) + 1
+                engine_task_counts[engine_label] = engine_task_counts.get(engine_label, 0) + 1
 
         stats = IterationStats(
-            index=iteration,
+            index=session.iteration,
             time=0.0,
-            active_vertices=active_vertex_count,
+            active_vertices=active_ids.size,
             active_edges=active_edge_count,
             transfer_bytes=total_transfer_bytes,
             processed_edges=total_processed_edges,
@@ -472,11 +475,9 @@ class HyTGraphEngine:
         cache = self.context.cache
         if cache is None or not cache.resident.any():
             return selection
-        choices = list(selection.choices)
-        for index in np.flatnonzero(cache.resident):
-            if choices[index] is not None:
-                choices[index] = EngineKind.EXP_FILTER
-        return SelectionResult(choices=choices)
+        codes = selection.codes.copy()
+        codes[cache.resident & (codes != INACTIVE)] = FILTER
+        return SelectionResult(codes=codes)
 
     def _device_tasks(
         self,
@@ -490,19 +491,17 @@ class HyTGraphEngine:
         """Combine and prioritise one device's shard-local tasks."""
         if shard.num_partitions == 0:
             return []
-        if shard.num_partitions == self.partitioning.num_partitions:
-            # The shard spans the whole partitioning (single-device case):
-            # no masking needed.
-            shard_selection, shard_active = selection, active_ids
-        else:
-            shard_choices: list[EngineKind | None] = [None] * self.partitioning.num_partitions
-            for index in shard.partition_indices():
-                shard_choices[index] = selection.choices[index]
-            shard_selection = SelectionResult(choices=shard_choices)
-            shard_active = active_ids[
-                np.searchsorted(active_ids, shard.vertex_start) : np.searchsorted(active_ids, shard.vertex_end)
+        if shard.num_partitions != self.partitioning.num_partitions:
+            # Multi-device: mask the selection and the frontier down to
+            # this shard (a single shard spans everything already).
+            members = shard.partition_indices()
+            codes = np.zeros_like(selection.codes)
+            codes[members.start : members.stop] = selection.codes[members.start : members.stop]
+            selection = SelectionResult(codes=codes)
+            active_ids = active_ids[
+                active_ids.searchsorted(shard.vertex_start) : active_ids.searchsorted(shard.vertex_end)
             ]
-        tasks = self.combiner.combine(self.partitioning, shard_selection, pending, active_ids=shard_active)
+        tasks = self.combiner.combine(self.partitioning, selection, pending, active_ids=active_ids)
         return self.priority.prioritize(tasks, program, state)
 
     # ------------------------------------------------------------------
@@ -512,28 +511,32 @@ class HyTGraphEngine:
         """Contiguous ``[start, end)`` vertex ranges covered by the task.
 
         Partitions hold consecutive vertex ranges and ``partition_indices``
-        is ascending, so adjacent partitions merge into one range.  The
-        ranges replace the per-task ``|V|``-sized boolean masks the seed
-        engine allocated: every frontier query below is a slice view plus
-        ``np.flatnonzero`` on the slice, i.e. O(range size) not O(|V|).
+        is ascending, so adjacent partitions merge into one range.  Every
+        frontier query below is then a slice view plus ``nonzero`` on the
+        slice, i.e. O(range size) not O(|V|).
         """
+        starts, ends = self._vertex_start, self._vertex_end
         ranges: list[tuple[int, int]] = []
+        range_start = range_end = -1
         for index in task.partition_indices:
-            partition = self.partitioning[index]
-            if ranges and ranges[-1][1] == partition.vertex_start:
-                ranges[-1] = (ranges[-1][0], partition.vertex_end)
-            else:
-                ranges.append((partition.vertex_start, partition.vertex_end))
+            if starts[index] != range_end:
+                if range_end >= 0:
+                    ranges.append((range_start, range_end))
+                range_start = starts[index]
+            range_end = ends[index]
+        if range_end >= 0:
+            ranges.append((range_start, range_end))
         return ranges
 
     @staticmethod
     def _pending_in_ranges(pending: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
         """Sorted pending vertex ids inside the given ranges (slice-local scan)."""
-        if len(ranges) == 1:
-            start, end = ranges[0]
-            return np.flatnonzero(pending[start:end]) + start
-        chunks = [np.flatnonzero(pending[start:end]) + start for start, end in ranges]
-        return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+        chunks = []
+        for start, end in ranges:
+            chunk = pending[start:end].nonzero()[0]
+            chunk += start
+            chunks.append(chunk)
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def _execute_task(
         self,
@@ -551,7 +554,8 @@ class HyTGraphEngine:
         sessions, where the one shard owns everything).
         """
         graph = self.graph
-        count_remote = self.context.is_multi_device
+        out_degrees = graph.out_degrees
+        count_remote = self.context.num_devices > 1
         ranges = self._task_vertex_ranges(task)
 
         # Asynchronous semantics: process whatever is pending in this
@@ -561,13 +565,13 @@ class HyTGraphEngine:
         if first_round.size == 0:
             return 0, 0
         pending[first_round] = False
-        processed_edges = int(graph.out_degrees[first_round].sum())
-        remote_count = 0
+        processed_edges = int(out_degrees[first_round].sum())
         newly_active = program.process(graph, state, first_round)
-        if newly_active.size:
-            pending[newly_active] = True
-            if count_remote:
-                remote_count += shard.count_remote(newly_active)
+        # Nothing re-activated means nothing of this task is pending again.
+        if newly_active.size == 0:
+            return processed_edges, 0
+        pending[newly_active] = True
+        remote_count = shard.count_remote(newly_active) if count_remote else 0
 
         if not self.options.recompute_loaded:
             return processed_edges, remote_count
@@ -575,13 +579,13 @@ class HyTGraphEngine:
         # Re-process the loaded subgraph once (Section VI-A): for filter
         # tasks the whole partition is resident on the GPU, for compaction
         # and zero-copy only the originally active vertices' edges are.
-        if task.engine == EngineKind.EXP_FILTER:
+        if task.engine is _FILTER:
             second_round = self._pending_in_ranges(pending, ranges)
         else:
             second_round = first_round[pending[first_round]]
         if second_round.size:
             pending[second_round] = False
-            processed_edges += int(graph.out_degrees[second_round].sum())
+            processed_edges += int(out_degrees[second_round].sum())
             newly_active = program.process(graph, state, second_round)
             if newly_active.size:
                 pending[newly_active] = True
@@ -592,22 +596,12 @@ class HyTGraphEngine:
     # ------------------------------------------------------------------
     # Transfer accounting
     # ------------------------------------------------------------------
-    def _account_transfer(self, task: ScheduledTask):
-        """Price the data movement of one task with its transfer engine."""
-        engine = self.engines[task.engine]
-        partitions = [self.partitioning[index] for index in task.partition_indices]
-        active = task.active_vertices
-        # active_vertices is sorted, so each partition's slice is found by
-        # bisection instead of two boolean compares over the whole array.
-        boundaries = [partition.vertex_start for partition in partitions]
-        boundaries.append(partitions[-1].vertex_end)
-        cuts = np.searchsorted(active, boundaries)
-        return engine.transfer_task(partitions, active, cuts)
-
     def _account_task_transfer(
         self, task: ScheduledTask, shared: SharedTransferState | None = None
-    ) -> TransferOutcome:
+    ) -> tuple[int, float, float, bool]:
         """Price one task's data movement, skipping already-on-device data.
+
+        Returns ``(bytes moved, transfer seconds, cpu seconds, overlapped)``.
 
         Filter tasks may cover partitions that are cache-resident (free
         reads — a one-off first-touch copy under the static policy, an
@@ -622,26 +616,29 @@ class HyTGraphEngine:
         choose them (:meth:`_force_resident_filter`).
         """
         cache = self.context.cache
-        if task.engine != EngineKind.EXP_FILTER or (cache is None and shared is None):
-            return self._account_transfer(task)
-        if cache is not None:
-            billable = cache.claim_billable(task.partition_indices, shared)
-        else:
-            billable = shared.claim_partitions(
-                list(task.partition_indices),
-                lambda index: self.partitioning[index].edge_bytes,
+        indices = task.partition_indices
+        if task.engine is not _FILTER or (cache is None and shared is None):
+            # Priced by the task's transfer engine.  active_vertices is
+            # sorted, so each partition's slice is found by bisection.
+            partitions = self.partitioning.partitions
+            boundaries = [self._vertex_start[index] for index in indices]
+            boundaries.append(self._vertex_end[indices[-1]])
+            active = task.active_vertices
+            outcome = self.engines[task.engine].transfer_task(
+                [partitions[index] for index in indices], active, active.searchsorted(boundaries)
             )
-        engine = self.engines[EngineKind.EXP_FILTER]
+            return (
+                outcome.bytes_transferred, outcome.transfer_time, outcome.cpu_time, outcome.overlapped
+            )
+        edge_bytes = self._edge_bytes
+        if cache is not None:
+            billable = cache.claim_billable(indices, shared)
+        else:
+            billable = shared.claim_partitions(indices, edge_bytes.__getitem__)
+        copy_time = self._copy_time
         bytes_total = 0
         transfer_time = 0.0
         for index in billable:
-            edge_bytes = self.partitioning[index].edge_bytes
-            bytes_total += edge_bytes
-            transfer_time += engine.pcie.explicit_copy_time(edge_bytes)
-        return TransferOutcome(
-            engine=EngineKind.EXP_FILTER,
-            bytes_transferred=bytes_total,
-            transfer_time=transfer_time,
-            cpu_time=0.0,
-            overlapped=False,
-        )
+            bytes_total += edge_bytes[index]
+            transfer_time += copy_time[index]
+        return bytes_total, transfer_time, 0.0, False

@@ -46,30 +46,50 @@ class SelectionThresholds:
             raise ValueError("beta must be in (0, 1]")
 
 
-@dataclass(frozen=True)
+#: Selection codes: one ``int8`` per partition, 0 for inactive ones.
+INACTIVE, FILTER, COMPACTION, ZERO_COPY = 0, 1, 2, 3
+#: Code -> engine (``None`` for inactive partitions) and engine -> code.
+ENGINE_OF_CODE = (None, EngineKind.EXP_FILTER, EngineKind.EXP_COMPACTION, EngineKind.IMP_ZERO_COPY)
+CODE_OF_ENGINE = {engine: code for code, engine in enumerate(ENGINE_OF_CODE)}
+
+
 class SelectionResult:
     """Chosen engine per partition for one iteration.
 
-    ``choices[i]`` is ``None`` for inactive partitions, otherwise one of
-    the three :class:`~repro.transfer.base.EngineKind` values HyTGraph
-    mixes (unified memory is never selected by the hybrid runtime —
-    Section IV explains why it is excluded as a baseline engine).
+    Held as :attr:`codes`, an ``int8`` vector with :data:`FILTER` /
+    :data:`COMPACTION` / :data:`ZERO_COPY` per active partition and
+    :data:`INACTIVE` elsewhere.  ``choices`` is the same thing as a list
+    of :class:`~repro.transfer.base.EngineKind` (``None`` for inactive
+    partitions; unified memory is never selected by the hybrid runtime —
+    Section IV explains why), and either form constructs a result.
     """
 
-    choices: list[EngineKind | None]
+    __slots__ = ("codes",)
+
+    def __init__(self, choices: list[EngineKind | None] | None = None, *, codes: np.ndarray | None = None):
+        if codes is None:
+            codes = np.array([CODE_OF_ENGINE[choice] for choice in choices], dtype=np.int8)
+        self.codes = codes
+
+    @property
+    def choices(self) -> list[EngineKind | None]:
+        """The selected engine (or ``None``) of every partition."""
+        return [ENGINE_OF_CODE[code] for code in self.codes.tolist()]
 
     def partitions_using(self, engine: EngineKind) -> list[int]:
         """Indices of partitions that selected ``engine``."""
-        return [index for index, choice in enumerate(self.choices) if choice == engine]
+        return np.flatnonzero(self.codes == CODE_OF_ENGINE[engine]).tolist()
 
     def counts(self) -> dict[str, int]:
-        """Number of active partitions per selected engine (Figure 7a/b)."""
-        totals: dict[str, int] = {}
-        for choice in self.choices:
-            if choice is None:
-                continue
-            totals[choice.value] = totals.get(choice.value, 0) + 1
-        return totals
+        """Number of active partitions per selected engine (Figure 7a/b).
+
+        Keys appear in order of the engines' first partition.
+        """
+        totals = np.bincount(self.codes, minlength=len(ENGINE_OF_CODE)).tolist()
+        present = [code for code in (FILTER, COMPACTION, ZERO_COPY) if totals[code]]
+        if len(present) > 1:
+            present.sort(key=self.codes.tolist().index)
+        return {ENGINE_OF_CODE[code].value: totals[code] for code in present}
 
 
 class EngineSelector:
@@ -80,23 +100,14 @@ class EngineSelector:
 
     def select(self, costs: PartitionCosts) -> SelectionResult:
         """Pick the most cost-efficient engine for every active partition."""
-        alpha = self.thresholds.alpha
-        beta = self.thresholds.beta
-        choices: list[EngineKind | None] = []
-        for index in range(costs.num_partitions):
-            if costs.active_edges[index] <= 0:
-                choices.append(None)
-                continue
-            tef = float(costs.filter_cost[index])
-            tec = float(costs.compaction_cost[index])
-            tiz = float(costs.zero_copy_cost[index])
-            if tec < alpha * tef and tec < beta * tiz:
-                choices.append(EngineKind.EXP_COMPACTION)
-            elif tiz < tef:
-                choices.append(EngineKind.IMP_ZERO_COPY)
-            else:
-                choices.append(EngineKind.EXP_FILTER)
-        return SelectionResult(choices=choices)
+        tef, tec, tiz = costs.filter_cost, costs.compaction_cost, costs.zero_copy_cost
+        active = costs.active_edges > 0
+        # Filter unless zero-copy is cheaper; compaction overrides both.
+        codes = active.astype(np.int8)
+        codes[active & (tiz < tef)] = ZERO_COPY
+        compaction = (tec < self.thresholds.alpha * tef) & (tec < self.thresholds.beta * tiz)
+        codes[active & compaction] = COMPACTION
+        return SelectionResult(codes=codes)
 
     def select_single(self, filter_cost: float, compaction_cost: float, zero_copy_cost: float) -> EngineKind:
         """Selection rule for a single partition (convenience for tests)."""

@@ -27,8 +27,6 @@ rely on.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.faults.spec import FaultKind, FaultSchedule, RetryPolicy
@@ -136,12 +134,13 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Task boundary
     # ------------------------------------------------------------------
-    def perturb_transfers(self, device_tasks: list[list]) -> dict[int, int]:
+    def perturb_transfers(self, device_tasks: list[list], owners: list[list[int]]) -> dict[int, int]:
         """Draw transient failures over the merged per-device task lists.
 
-        Tasks are rewritten in place with their retry re-sends and
-        backoff folded into ``transfer_time`` (and ``attempts`` set), so
-        the retry cost lands in the co-scheduled timeline.  Returns
+        ``owners[d][i]`` is the query ``device_tasks[d][i]`` belongs to.
+        Tasks are updated in place with their retry re-sends and backoff
+        folded into ``transfer_time`` (and ``attempts`` set), so the
+        retry cost lands in the co-scheduled timeline.  Returns
         ``{query_index: attempts}`` for the queries whose transfer
         exhausted the retry policy — permanent failures the caller must
         turn into a terminal query state.
@@ -152,7 +151,7 @@ class FaultInjector:
         retry = self.retry
         failures: dict[int, int] = {}
         for device, tasks in enumerate(device_tasks):
-            for position, task in enumerate(tasks):
+            for task, query in zip(tasks, owners[device]):
                 if task.transfer_time <= 0.0:
                     continue
                 failed = 0
@@ -167,6 +166,7 @@ class FaultInjector:
                 resends = failed if not permanent else failed - 1
                 extra = resends * task.transfer_time + retry.backoff_seconds(failed)
                 attempts = failed if permanent else failed + 1
+                name = "q%d|%s" % (query, task.name)
                 self.faults_injected += 1
                 self.retries += resends
                 self.retry_time_s += extra
@@ -175,42 +175,27 @@ class FaultInjector:
                     {
                         "super_iteration": self._super - 1,
                         "kind": FaultKind.TRANSFER_FLAKY.value,
-                        "task": task.name,
+                        "task": name,
                         "device": device,
                         "attempts": attempts,
                         "permanent": permanent,
                     }
                 )
-                tasks[position] = replace(
-                    task, transfer_time=task.transfer_time + extra, attempts=attempts
-                )
-                query = self._query_of(task.name)
+                task.transfer_time += extra
+                task.attempts = attempts
                 if self.tracer.enabled:
                     self.tracer.instant(
-                        "fault", "retry", track="faults", task=task.name,
+                        "fault", "retry", track="faults", task=name,
                         device=device, attempts=attempts, permanent=permanent,
                         retry_time_s=extra,
                     )
-                    track = (
-                        self.trace_tracks[query]
-                        if self.trace_tracks is not None and query is not None
-                        else None
-                    )
+                    track = self.trace_tracks[query] if self.trace_tracks is not None else None
                     if track is not None:
                         self.tracer.instant(
-                            "fault", "retry", track=track, task=task.name,
+                            "fault", "retry", track=track, task=name,
                             device=device, attempts=attempts, permanent=permanent,
                             retry_time_s=extra,
                         )
                 if permanent:
-                    if query is not None:
-                        failures[query] = max(failures.get(query, 0), attempts)
+                    failures[query] = max(failures.get(query, 0), attempts)
         return failures
-
-    @staticmethod
-    def _query_of(task_name: str) -> int | None:
-        """The owning query index from a merged task's ``q<i>|`` prefix."""
-        head, sep, _ = task_name.partition("|")
-        if not sep or not head.startswith("q") or not head[1:].isdigit():
-            return None
-        return int(head[1:])

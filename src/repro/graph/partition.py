@@ -91,6 +91,7 @@ class Partitioning:
         self._validate()
         # vertex -> partition index lookup, used for per-partition reductions.
         boundaries = np.array([p.vertex_start for p in self.partitions] + [graph.num_vertices])
+        self._vertex_boundaries = boundaries
         self._vertex_starts = boundaries[:-1]
         self._partition_of_vertex = np.zeros(graph.num_vertices, dtype=np.int64)
         for partition in self.partitions:
@@ -135,6 +136,11 @@ class Partitioning:
     def vertex_starts(self) -> np.ndarray:
         """``vertex_start`` of every partition (ascending ``int64`` array)."""
         return self._vertex_starts
+
+    @property
+    def vertex_boundaries(self) -> np.ndarray:
+        """:attr:`vertex_starts` plus the closing ``num_vertices`` bound."""
+        return self._vertex_boundaries
 
     def partition_of_vertex(self, vertex: int) -> int:
         """Index of the partition holding ``vertex``'s adjacency list."""

@@ -51,7 +51,6 @@ are what the serving layer's priority/SLA machinery consumes.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Sequence
 
 from repro.algorithms.base import VertexProgram
@@ -93,18 +92,15 @@ class SharedTransferState:
     """
 
     def __init__(self) -> None:
-        self._shipped: set[int] = set()
+        #: Partitions already on a device this super-iteration.  Read-only
+        #: for callers: :meth:`claim_partitions` is the only writer.
+        self.shipped: set[int] = set()
         #: Whole-partition bytes *not* re-shipped thanks to batching.
         self.amortized_bytes: int = 0
 
-    @property
-    def shipped(self) -> frozenset[int]:
-        """Partitions already on a device this super-iteration."""
-        return frozenset(self._shipped)
-
     def begin_super_iteration(self) -> None:
         """Forget the transient shipped set (cache admissions persist)."""
-        self._shipped.clear()
+        self.shipped.clear()
 
     def claim_partitions(
         self, partition_indices: Sequence[int], bytes_of: Callable[[int], int]
@@ -115,12 +111,13 @@ class SharedTransferState:
         them shipped); already-shipped ones are tallied as amortized
         bytes via ``bytes_of``.
         """
+        shipped = self.shipped
         fresh: list[int] = []
         for index in partition_indices:
-            if index in self._shipped:
+            if index in shipped:
                 self.amortized_bytes += bytes_of(index)
             else:
-                self._shipped.add(index)
+                shipped.add(index)
                 fresh.append(index)
         return fresh
 
@@ -410,21 +407,25 @@ class QueryBatchRunner:
             if classed_cache:
                 cache.set_fill_class(None)
 
+            # The merged co-schedule refers to the plans' own tasks: each
+            # device list has a parallel owner list, and the owner's class
+            # offset is applied when the tasks are ordered.
             merged_tasks = context.empty_device_lists()
+            merged_owners = context.empty_device_lists()
             merged_sync = [0] * context.num_devices
             overhead = 0.0
             for index, plan in plans:
                 session = sessions[index]
                 sync_bytes = context.sync_bytes(plan.remote_updates)
-                for device in range(context.num_devices):
-                    merged_tasks[device].extend(
-                        self._tag_task(task, index, offsets[index])
-                        for task in plan.device_tasks[device]
-                    )
+                for device, tasks in enumerate(plan.device_tasks):
+                    merged_tasks[device].extend(tasks)
+                    merged_owners[device].extend([index] * len(tasks))
                     merged_sync[device] += sync_bytes[device]
                 overhead += plan.overhead_time
                 # Per-query statistics: the query's own tasks scheduled
                 # alone (its standalone cost given the shared warm state).
+                # This must precede the fault injector below, which folds
+                # retries into the very same task objects.
                 session.result.iterations.append(driver.finish(plan))
                 session.iteration += 1
 
@@ -434,7 +435,7 @@ class QueryBatchRunner:
                 # scheduling; exhausted retry policies fail the owning
                 # query terminally.
                 for query_index, attempts in injector.perturb_transfers(
-                    merged_tasks
+                    merged_tasks, merged_owners
                 ).items():
                     terminal.setdefault(
                         query_index,
@@ -448,8 +449,8 @@ class QueryBatchRunner:
 
             # Batch wall-clock: all live queries' tasks co-scheduled on the
             # shared devices, one boundary exchange for their merged deltas.
-            timeline = context.schedule(merged_tasks, merged_sync)
-            finish_times = self._per_query_finish(timeline)
+            timeline = context.schedule(merged_tasks, merged_sync, merged_owners, offsets)
+            finish_times = timeline.owner_finish
             scale = context.time_scale
             if tracing:
                 super_start = trace_base + makespan
@@ -459,7 +460,7 @@ class QueryBatchRunner:
                     if track is None:
                         continue
                     start = trace_base + clocks[index]
-                    delta = finish_times.get(index, 0.0) * scale + plan.overhead_time
+                    delta = finish_times[index] * scale + plan.overhead_time
                     stats = plan.stats
                     per_query = busy.get(index, {})
                     tracer.span(
@@ -475,7 +476,7 @@ class QueryBatchRunner:
                         cpu_s=per_query.get("cpu", 0.0),
                     )
             for index, plan in plans:
-                clocks[index] += finish_times.get(index, 0.0) * scale + plan.overhead_time
+                clocks[index] += finish_times[index] * scale + plan.overhead_time
             makespan += timeline.makespan * scale + overhead
             super_iterations += 1
             if tracing:
@@ -602,69 +603,31 @@ class QueryBatchRunner:
     # Merged-schedule helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _tag_task(task, query_index: int, priority_offset: float):
-        """Copy a stream task into the merged co-schedule.
-
-        The copy carries a ``q<index>|`` name prefix so per-query finish
-        times can be read back out of the merged timeline, and — under
-        priority scheduling — its class offset added to the task
-        priority.  A zero offset leaves the priority field untouched, so
-        FIFO merges schedule bit-for-bit like the untagged historical
-        path (names never influence scheduling).
-        """
-        priority = task.priority if not priority_offset else priority_offset + task.priority
-        return replace(task, name="q%d|%s" % (query_index, task.name), priority=priority)
-
-    @staticmethod
     def _emit_device_spans(tracer, tracks, timeline, start_s: float, scale: float):
         """Replay one merged co-schedule onto the device trace lanes.
 
         Emits one span per task stage — ``dev<d>:<resource>`` lanes for
         device-owned stages, the bare resource lane for collective
         (boundary-sync) entries — skipping stages owned by untraced
-        queries.  Returns ``{query: {resource: busy_s}}``, the per-query
-        occupancy split the exec tiles annotate.
+        queries.  Owned stages are named ``q<owner>|<task>``.  Returns
+        ``{query: {resource: busy_s}}``, the per-query occupancy split
+        the exec tiles annotate.
         """
         busy: dict[int, dict[str, float]] = {}
         for entry in timeline.entries:
-            head, sep, _ = entry.name.partition("|")
-            owner = None
-            if sep and head.startswith("q") and head[1:].isdigit():
-                owner = int(head[1:])
-            for span in entry.spans:
-                if owner is not None:
-                    resources = busy.setdefault(owner, {})
-                    resources[span.resource] = (
-                        resources.get(span.resource, 0.0) + (span.end - span.start) * scale
+            owner = entry.owner
+            name, resources = entry.name, None
+            if owner >= 0:
+                resources = busy.setdefault(owner, {})
+                name = None if tracks[owner] is None else "q%d|%s" % (owner, name)
+            lane = "dev%d:" % entry.device if entry.device >= 0 else ""
+            for resource, start, end in entry.spans:
+                if resources is not None:
+                    resources[resource] = resources.get(resource, 0.0) + (end - start) * scale
+                if name is not None:
+                    tracer.span(
+                        "device", name, lane + resource,
+                        start_s + start * scale, start_s + end * scale,
+                        engine=entry.engine, stream=entry.stream,
                     )
-                    if tracks[owner] is None:
-                        continue
-                track = (
-                    "dev%d:%s" % (entry.device, span.resource)
-                    if entry.device >= 0
-                    else span.resource
-                )
-                tracer.span(
-                    "device", entry.name, track,
-                    start_s + span.start * scale, start_s + span.end * scale,
-                    engine=entry.engine, stream=entry.stream,
-                )
         return busy
-
-    @staticmethod
-    def _per_query_finish(timeline) -> dict[int, float]:
-        """Latest task end per query in a merged timeline.
-
-        Collective entries (the boundary sync) carry no ``q<index>|`` tag
-        and are excluded: they belong to the batch, not to any query.
-        """
-        finish: dict[int, float] = {}
-        for entry in timeline.entries:
-            head, sep, _ = entry.name.partition("|")
-            if not sep or not head.startswith("q") or not head[1:].isdigit():
-                continue
-            index = int(head[1:])
-            end = entry.end
-            if end > finish.get(index, 0.0):
-                finish[index] = end
-        return finish

@@ -14,8 +14,9 @@ scheduler emits no boundary-synchronisation entry.  That makes the
 sharded execution path bitwise identical to the historical single-device
 engines while deleting their ``run``/``_run_multi`` twin code.
 
-:class:`MultiDeviceScheduler` (formerly ``repro.sim.multi_gpu``) runs one
-:class:`~repro.sim.streams.StreamScheduler` per device.  The schedulers
+:class:`MultiDeviceScheduler` (formerly ``repro.sim.multi_gpu``) places every
+device's tasks with one :class:`~repro.sim.streams.StreamScheduler` into one
+:class:`~repro.sim.events.Timeline`.  The devices
 contend for two *shared host* resources — the CPU compaction engine and
 the host PCIe complex (every explicit copy and zero-copy read crosses the
 same root complex) — while each device brings its own GPU and its own
@@ -41,18 +42,12 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partitioning, ShardedPartitioning
 from repro.sim.config import HardwareConfig
-from repro.sim.events import (
-    INTERCONNECT_RESOURCE,
-    SYNC_ENGINE,
-    StageSpan,
-    Timeline,
-    TimelineEntry,
-)
+from repro.sim.events import Timeline
 from repro.cache.manager import CacheManager
 from repro.core.backends import KernelBackend, active_backend, resolve_backend
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.kernel import KernelModel
-from repro.sim.streams import ResourceState, StreamScheduler, StreamTask
+from repro.sim.streams import StreamScheduler, StreamTask
 
 __all__ = ["ExecutionContext", "MultiDeviceScheduler"]
 
@@ -65,8 +60,9 @@ class MultiDeviceScheduler:
         self.num_devices = num_devices if num_devices is not None else config.num_devices
         if self.num_devices < 1:
             raise ValueError("num_devices must be at least 1")
-        #: One stream scheduler per device, as on real multi-GPU hosts.
-        self.device_schedulers = [StreamScheduler(config) for _ in range(self.num_devices)]
+        #: Places every device's tasks: the per-device streams and GPU
+        #: cursors live in the timeline being built, not in the scheduler.
+        self.stream_scheduler = StreamScheduler(config)
         #: Multiplicative boundary-exchange slowdown (>= 1; the fault
         #: injector's ``interconnect-degrade`` raises it mid-run).
         self.interconnect_slowdown = 1.0
@@ -95,6 +91,8 @@ class MultiDeviceScheduler:
         self,
         device_tasks: Sequence[list[StreamTask]],
         sync_bytes_per_device: Sequence[int] | None = None,
+        owners: Sequence[list[int]] | None = None,
+        class_offsets: Sequence[float] | None = None,
     ) -> Timeline:
         """Schedule every device's tasks plus the boundary sync phase.
 
@@ -102,43 +100,37 @@ class MultiDeviceScheduler:
         placed in global ``(priority, submission order, device)`` order
         onto each device's own streams/GPU while the ``cpu`` and ``pcie``
         resources are shared across all devices.
+
+        A merged co-schedule of several queries passes ``owners`` —
+        ``owners[d][i]`` is the query ``device_tasks[d][i]`` belongs to —
+        and ``class_offsets``, the priority-class offset of each owner,
+        added to its tasks' priorities (a zero offset leaves them
+        untouched).  The timeline then tracks each owner's finish time.
         """
         if len(device_tasks) != self.num_devices:
             raise ValueError(
                 "expected %d device task lists, got %d" % (self.num_devices, len(device_tasks))
             )
 
-        merged: list[tuple[float, int, int, StreamTask]] = []
+        # (position, device) is unique, so tuple order never reaches the
+        # trailing owner/task members.
+        merged: list[tuple[float, int, int, int, StreamTask]] = []
         for device, tasks in enumerate(device_tasks):
-            for position, task in enumerate(tasks):
-                merged.append((task.priority, position, device, task))
-        merged.sort(key=lambda item: item[:3])
+            device_owners = owners[device] if owners is not None else [-1] * len(tasks)
+            for position, (task, owner) in enumerate(zip(tasks, device_owners)):
+                offset = class_offsets[owner] if owner >= 0 else 0.0
+                priority = offset + task.priority if offset else task.priority
+                merged.append((priority, position, device, owner, task))
+        merged.sort()
 
-        cpu = ResourceState()
-        pcie = ResourceState()
-        gpus = [ResourceState() for _ in range(self.num_devices)]
-        stream_free = [[0.0] * self.config.num_streams for _ in range(self.num_devices)]
-        timeline = Timeline()
-
-        for _, _, device, task in merged:
-            timeline.entries.append(
-                self.device_schedulers[device].place(
-                    task, stream_free[device], cpu, pcie, gpus[device], device=device
-                )
-            )
+        num_owners = len(class_offsets) if owners is not None else 0
+        timeline = Timeline(self.num_devices, self.config.num_streams, num_owners)
+        place = self.stream_scheduler.place
+        for _, _, device, owner, task in merged:
+            place(task, timeline, device, owner)
 
         if self.num_devices > 1:
-            start = timeline.makespan
-            duration = self.sync_duration(sync_bytes_per_device)
-            timeline.entries.append(
-                TimelineEntry(
-                    name="boundary-sync",
-                    engine=SYNC_ENGINE,
-                    stream=0,
-                    spans=(StageSpan(INTERCONNECT_RESOURCE, start, start + duration),),
-                    device=-1,
-                )
-            )
+            timeline.add_sync(self.sync_duration(sync_bytes_per_device))
         return timeline
 
 
@@ -333,6 +325,8 @@ class ExecutionContext:
         self,
         device_tasks: Sequence[list[StreamTask]],
         sync_bytes_per_device: Sequence[int] | None = None,
+        owners: Sequence[list[int]] | None = None,
+        class_offsets: Sequence[float] | None = None,
     ) -> Timeline:
         """Schedule per-device task lists plus the boundary sync phase."""
-        return self.scheduler.schedule(device_tasks, sync_bytes_per_device)
+        return self.scheduler.schedule(device_tasks, sync_bytes_per_device, owners, class_offsets)

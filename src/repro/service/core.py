@@ -93,8 +93,11 @@ class GraphService:
             budget_bytes=self.config.admission_budget_bytes,
             policy=self.config.admission_policy,
         )
-        self._handles: list[QueryHandle] = []
+        #: Admitted, not yet terminal (queued or suspended) handles.
         self._queue: list[QueryHandle] = []
+        #: Terminal handles not yet harvested — appended wherever a
+        #: handle's outcome is recorded, so :meth:`harvest` never scans.
+        self._finished: list[QueryHandle] = []
         self._batches: list[BatchResult] = []
         self._next_request_id = 0
         #: The one cumulative stats record (wave counter included), bumped
@@ -268,7 +271,7 @@ class GraphService:
         if reason is not None:
             handle.status = RequestStatus.REJECTED
             handle.reject_reason = reason
-            self._stats.record(handle)
+            self._record(handle)
             if self.tracer.enabled and self.tracer.trace_query(handle.request_id):
                 self.tracer.instant(
                     "query", "rejected", track=self._track_of(handle),
@@ -276,7 +279,6 @@ class GraphService:
                 )
         else:
             self._queue.append(handle)
-        self._handles.append(handle)
         return handle
 
     def submit_many(self, requests: Sequence[QueryRequest]) -> list[QueryHandle]:
@@ -352,21 +354,19 @@ class GraphService:
             self._shed_bulk()
         if not self._queue:
             return None
-        arrived = [handle for handle in self._queue if handle.ready_s <= self._clock_s]
-        if not arrived:
-            # Idle period: jump the clock to the next arrival (or, for a
-            # handle whose checkpoint is still in flight over the
-            # network, to the moment the shipment lands).
-            self._clock_s = min(handle.ready_s for handle in self._queue)
-            arrived = [
-                handle for handle in self._queue if handle.ready_s <= self._clock_s
-            ]
+        queue = self._queue
+        ready = [handle.ready_s for handle in queue]
+        # Idle period: jump the clock to the next arrival (or, for a
+        # handle whose checkpoint is still in flight over the network, to
+        # the moment the shipment lands).
+        clock = self._clock_s = max(self._clock_s, min(ready))
+        arrived = [handle for handle, ready_s in zip(queue, ready) if ready_s <= clock]
         prioritized = self.config.scheduling == "priority"
         if prioritized:
             arrived.sort(key=lambda handle: (handle.request.priority, handle.request_id))
         wave = self.admission.take_wave(arrived)
         taken = {id(handle) for handle in wave}
-        self._queue = [handle for handle in self._queue if id(handle) not in taken]
+        self._queue = [handle for handle in queue if id(handle) not in taken]
         wave_start = self._clock_s
         stats = self._stats
         wave_index = stats.waves
@@ -453,7 +453,7 @@ class GraphService:
                     queue_wait_s=handle.queue_wait_s or 0.0,
                     preemptions=handle.preemptions, wave=wave_index,
                 )
-            stats.record(handle)
+            self._record(handle)
             completed.append(handle)
         self._clock_s += batch.makespan
         self.admission.release(completed)
@@ -592,9 +592,8 @@ class GraphService:
         :meth:`stats` and :meth:`metrics` are cumulative: they read the
         same before and after a harvest.
         """
-        finished = [handle for handle in self._handles if handle.done]
-        if finished:
-            self._handles = [handle for handle in self._handles if not handle.done]
+        finished = sorted(self._finished, key=lambda handle: handle.request_id)
+        self._finished = []
         batches = self._batches
         self._batches = []
         return finished, batches
@@ -659,7 +658,12 @@ class GraphService:
         shed, last host lost); the caller returns the admission reservation."""
         handle.status = RequestStatus.FAILED
         handle.fault_cause = cause
+        self._record(handle)
+
+    def _record(self, handle: QueryHandle) -> None:
+        """Count a handle's terminal outcome and queue it for :meth:`harvest`."""
         self._stats.record(handle)
+        self._finished.append(handle)
 
     def device_health(self) -> dict[str, object]:
         """Health view of the serving session's devices.

@@ -135,6 +135,12 @@ class RequestStatus(Enum):
     CANCELLED = "cancelled"
 
 
+#: The states no request leaves.
+_TERMINAL = frozenset(
+    {RequestStatus.DONE, RequestStatus.REJECTED, RequestStatus.FAILED, RequestStatus.CANCELLED}
+)
+
+
 class RequestRejected(RuntimeError):
     """Raised when a rejected request's result is demanded."""
 
@@ -185,11 +191,11 @@ class QueryHandle:
     fault_cause: str | None = None
     #: Transfer attempts of the fatal fault (0 unless FAILED on one).
     attempts: int = 0
-    #: Earliest simulated time a scheduling wave may take this handle
-    #: (0.0 normally — :attr:`ready_s` then reduces to the arrival
-    #: stamp; raised above it only by cross-host checkpoint shipping,
-    #: whose network transfer must land before the query can resume).
-    _ready_s: float = field(default=0.0, repr=False)
+    #: Earliest simulated time a scheduling wave may take this handle:
+    #: the arrival stamp, raised above it only by cross-host checkpoint
+    #: shipping, whose network transfer must land before the query can
+    #: resume.
+    ready_s: float = field(default=0.0, repr=False)
     #: Suspended-state checkpoint of a preempted query (``None`` unless
     #: the request is currently waiting to resume).
     _checkpoint: object | None = field(default=None, repr=False)
@@ -198,29 +204,18 @@ class QueryHandle:
     _query: tuple | None = field(default=None, repr=False)
     _result: RunResult | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        self.ready_s = max(self.request.arrival_s, self.ready_s)
+
     @property
     def arrival_s(self) -> float:
         """The request's simulated arrival timestamp."""
         return self.request.arrival_s
 
     @property
-    def ready_s(self) -> float:
-        """Earliest simulated time a scheduling wave may take this handle.
-
-        Equals :attr:`arrival_s` unless a cross-host checkpoint shipment
-        is in flight, in which case it is the shipment's landing time.
-        """
-        return max(self.request.arrival_s, self._ready_s)
-
-    @property
     def done(self) -> bool:
         """Whether the request reached a terminal state."""
-        return self.status in (
-            RequestStatus.DONE,
-            RequestStatus.REJECTED,
-            RequestStatus.FAILED,
-            RequestStatus.CANCELLED,
-        )
+        return self.status in _TERMINAL
 
     def poll(self) -> RequestStatus:
         """Current lifecycle state; never triggers execution."""

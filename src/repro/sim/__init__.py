@@ -39,7 +39,7 @@ from repro.sim.pcie import PCIeModel
 from repro.sim.memory import DeviceMemory, PageCache
 from repro.sim.compaction import CompactionEngine, CompactionResult
 from repro.sim.kernel import KernelModel
-from repro.sim.streams import ResourceState, StreamScheduler, StreamTask, Timeline, TimelineEntry
+from repro.sim.streams import StreamScheduler, StreamTask, Timeline, TimelineEntry
 
 __all__ = [
     "HardwareConfig",
@@ -55,7 +55,6 @@ __all__ = [
     "CompactionEngine",
     "CompactionResult",
     "KernelModel",
-    "ResourceState",
     "StreamScheduler",
     "StreamTask",
     "Timeline",

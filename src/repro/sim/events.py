@@ -1,9 +1,10 @@
 """Timeline records produced by the multi-stream scheduler.
 
 The scheduler in :mod:`repro.sim.streams` assigns every task's stages
-(CPU compaction, PCIe transfer, GPU kernel) to simulated resources; the
-resulting :class:`TimelineEntry` records are what the per-iteration
-breakdown figures (Figure 3b/3c, Figure 7c/7d) aggregate.
+(CPU compaction, PCIe transfer, GPU kernel) to simulated resources and
+accumulates them in a :class:`Timeline`; the :class:`TimelineEntry`
+records the per-iteration breakdown figures (Figure 3b/3c, Figure 7c/7d),
+the tracer and the tests read are materialised from it on demand.
 
 Multi-GPU runs add two things to the same records: every entry carries
 the ``device`` that executed it, and each iteration ends with one
@@ -13,7 +14,7 @@ boundary-synchronisation entry occupying the ``"interconnect"`` resource
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["StageSpan", "TimelineEntry", "Timeline", "INTERCONNECT_RESOURCE", "SYNC_ENGINE"]
 
@@ -24,8 +25,7 @@ INTERCONNECT_RESOURCE = "interconnect"
 SYNC_ENGINE = "sync"
 
 
-@dataclass(frozen=True)
-class StageSpan:
+class StageSpan(NamedTuple):
     """One resource occupancy interval: ``[start, end)`` seconds on ``resource``."""
 
     resource: str
@@ -38,13 +38,13 @@ class StageSpan:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
+class TimelineEntry(NamedTuple):
     """Scheduling record of one task.
 
     ``device`` is the GPU the task ran on (0 on single-device runs; -1
     marks collective entries such as the boundary synchronisation, which
-    involve every device).
+    involve every device).  ``owner`` is the query the task belongs to in
+    a merged co-schedule (-1 when the schedule has a single owner).
     """
 
     name: str
@@ -52,6 +52,7 @@ class TimelineEntry:
     stream: int
     spans: tuple[StageSpan, ...]
     device: int = 0
+    owner: int = -1
 
     @property
     def start(self) -> float:
@@ -68,20 +69,80 @@ class TimelineEntry:
         return sum(span.duration for span in self.spans if span.resource == resource)
 
 
-@dataclass
 class Timeline:
-    """The full schedule of one iteration."""
+    """The full schedule of one iteration, accumulated while it is placed.
 
-    entries: list[TimelineEntry] = field(default_factory=list)
+    ``rows`` holds one tuple per placed task, in placement order::
 
-    @property
-    def makespan(self) -> float:
-        """End-to-end wall-clock time of the schedule."""
-        return max((entry.end for entry in self.entries), default=0.0)
+        (task, stream, device, owner,
+         cpu_start, cpu_end, pcie_start, pcie_end, gpu_start, gpu_end)
+
+    A stage exists iff the task's duration for it is positive.  The
+    aggregates are updated by :meth:`~repro.sim.streams.StreamScheduler.place`
+    in exactly the order the record-walking definitions summed in — one
+    ``end - start`` per span, left to right over the placement order — so
+    they are bit-for-bit what recomputing them from :attr:`entries` gives.
+    Busy totals start as the integer ``0`` because that is what a sum
+    over no spans is.
+    """
+
+    __slots__ = (
+        "rows", "makespan", "busy", "owner_finish", "sync",
+        "stream_free", "cpu_free", "pcie_free", "gpu_free",
+    )
+
+    def __init__(self, num_devices: int = 1, num_streams: int = 1, num_owners: int = 0):
+        self.rows: list[tuple] = []
+        #: End-to-end wall-clock time of the schedule.
+        self.makespan = 0.0
+        #: Resource name -> total busy seconds across all tasks.
+        self.busy: dict[str, float] = {"cpu": 0, "pcie": 0, "gpu": 0, INTERCONNECT_RESOURCE: 0}
+        #: Latest task end per owner (collective entries excluded).
+        self.owner_finish = [0.0] * num_owners
+        #: ``(start, end)`` of the boundary synchronisation, if any.
+        self.sync: tuple[float, float] | None = None
+        # Next-free cursors: one host CPU and one PCIe complex shared by
+        # every device; streams and the GPU are per device.
+        self.stream_free = [[0.0] * num_streams for _ in range(num_devices)]
+        self.cpu_free = 0.0
+        self.pcie_free = 0.0
+        self.gpu_free = [0.0] * num_devices
+
+    def add_sync(self, duration: float) -> None:
+        """Append the boundary synchronisation after every placed task."""
+        start = self.makespan
+        end = start + duration
+        self.sync = (start, end)
+        self.busy[INTERCONNECT_RESOURCE] += end - start
+        if end > self.makespan:
+            self.makespan = end
 
     def busy_time(self, resource: str) -> float:
         """Total busy seconds of a resource across all tasks."""
-        return sum(entry.time_on(resource) for entry in self.entries)
+        return self.busy.get(resource, 0)
+
+    @property
+    def sync_time(self) -> float:
+        """Total interconnect occupancy (boundary synchronisation phases)."""
+        return self.busy[INTERCONNECT_RESOURCE]
+
+    @property
+    def entries(self) -> list[TimelineEntry]:
+        """The schedule as records, one per task in placement order."""
+        entries = []
+        for task, stream, device, owner, cpu_start, cpu_end, pcie_start, pcie_end, gpu_start, gpu_end in self.rows:
+            spans = []
+            if task.cpu_time > 0:
+                spans.append(StageSpan("cpu", cpu_start, cpu_end))
+            if task.transfer_time > 0:
+                spans.append(StageSpan("pcie", pcie_start, pcie_end))
+            if task.kernel_time > 0:
+                spans.append(StageSpan("gpu", gpu_start, gpu_end))
+            entries.append(TimelineEntry(str(task.name), task.engine, stream, tuple(spans), device, owner))
+        if self.sync is not None:
+            span = StageSpan(INTERCONNECT_RESOURCE, *self.sync)
+            entries.append(TimelineEntry("boundary-sync", SYNC_ENGINE, 0, (span,), device=-1))
+        return entries
 
     def per_engine_time(self) -> dict[str, float]:
         """Sum of task durations grouped by transfer engine."""
@@ -89,12 +150,3 @@ class Timeline:
         for entry in self.entries:
             totals[entry.engine] = totals.get(entry.engine, 0.0) + (entry.end - entry.start)
         return totals
-
-    def device_entries(self, device: int) -> list[TimelineEntry]:
-        """The entries that ran on ``device`` (excluding collective entries)."""
-        return [entry for entry in self.entries if entry.device == device]
-
-    @property
-    def sync_time(self) -> float:
-        """Total interconnect occupancy (boundary synchronisation phases)."""
-        return self.busy_time(INTERCONNECT_RESOURCE)

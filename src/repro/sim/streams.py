@@ -27,19 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.config import HardwareConfig
-from repro.sim.events import StageSpan, Timeline, TimelineEntry
+from repro.sim.events import Timeline, TimelineEntry
 
-__all__ = ["StreamTask", "StreamScheduler", "ResourceState", "Timeline", "TimelineEntry"]
+__all__ = ["StreamTask", "StreamScheduler", "Timeline", "TimelineEntry"]
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamTask:
     """One schedulable unit of work.
 
     Attributes
     ----------
     name:
-        Label shown in timelines (usually the partition/task id).
+        Label shown in timelines (usually the partition/task id): a
+        string, or any object whose ``str()`` is the label — formatted
+        only where a label is shown (timeline records, fault events).
     engine:
         Transfer engine name (``"ExpTM-F"``, ``"ExpTM-C"``, ``"ImpTM-ZC"``,
         ``"ImpTM-UM"`` or ``"CPU"``).
@@ -63,7 +65,7 @@ class StreamTask:
         are already folded into ``transfer_time``).
     """
 
-    name: str
+    name: object
     engine: str
     cpu_time: float = 0.0
     transfer_time: float = 0.0
@@ -78,19 +80,6 @@ class StreamTask:
         if self.overlapped_transfer:
             return self.cpu_time + max(self.transfer_time, self.kernel_time)
         return self.cpu_time + self.transfer_time + self.kernel_time
-
-
-@dataclass
-class ResourceState:
-    """When an exclusive simulated resource next becomes free.
-
-    Shared mutable state so several schedulers can contend for the same
-    physical resource: the multi-GPU layer passes one ``pcie`` (and one
-    ``cpu``) state to every device's scheduler while keeping the ``gpu``
-    states per device.
-    """
-
-    free_at: float = 0.0
 
 
 class StreamScheduler:
@@ -113,74 +102,80 @@ class StreamScheduler:
         if num_streams <= 0:
             raise ValueError("num_streams must be positive")
 
-        ordered = sorted(enumerate(tasks), key=lambda pair: (pair[1].priority, pair[0]))
-        stream_free = [0.0] * num_streams
-        cpu = ResourceState()
-        pcie = ResourceState()
-        gpu = ResourceState()
-        timeline = Timeline()
-
-        for _, task in ordered:
-            timeline.entries.append(self.place(task, stream_free, cpu, pcie, gpu))
+        timeline = Timeline(num_streams=num_streams)
+        for _, task in sorted(enumerate(tasks), key=lambda pair: (pair[1].priority, pair[0])):
+            self.place(task, timeline)
         return timeline
 
-    def place(
-        self,
-        task: StreamTask,
-        stream_free: list[float],
-        cpu: ResourceState,
-        pcie: ResourceState,
-        gpu: ResourceState,
-        device: int = 0,
-    ) -> TimelineEntry:
-        """Place one task onto this scheduler's streams and resources.
+    def place(self, task: StreamTask, timeline: Timeline, device: int = 0, owner: int = -1) -> None:
+        """Place one task onto ``device``'s streams and the shared resources.
 
-        The resource states are caller-owned so they can be shared: the
-        multi-GPU layer hands every device's scheduler the same ``cpu``
-        and ``pcie`` states (one host) but a per-device ``gpu`` state and
-        ``stream_free`` list.
+        The timeline owns the resource cursors, so devices contend for the
+        same physical resources: the multi-GPU layer places every device's
+        tasks into one timeline (one host ``cpu`` and ``pcie``, a ``gpu``
+        and a stream set per device).  Appends the task's row and folds
+        its spans into the timeline's aggregates.
         """
-        stream_index = min(range(len(stream_free)), key=lambda s: stream_free[s])
-        cursor = stream_free[stream_index]
-        spans: list[StageSpan] = []
+        stream_free = timeline.stream_free[device]
+        stream = stream_free.index(min(stream_free))
+        cursor = stream_free[stream]
+        busy = timeline.busy
+        cpu_start = cpu_end = pcie_start = pcie_end = gpu_start = gpu_end = 0.0
+        placed = False
 
-        if task.cpu_time > 0:
-            start = max(cursor, cpu.free_at)
-            end = start + task.cpu_time
-            cpu.free_at = end
-            spans.append(StageSpan("cpu", start, end))
-            cursor = end
+        cpu_time = task.cpu_time
+        if cpu_time > 0:
+            free = timeline.cpu_free
+            cpu_start = free if free > cursor else cursor
+            cursor = cpu_end = cpu_start + cpu_time
+            timeline.cpu_free = cursor
+            busy["cpu"] += cpu_end - cpu_start
+            placed = True
 
+        transfer_time = task.transfer_time
+        kernel_time = task.kernel_time
         if task.overlapped_transfer:
-            duration = max(task.transfer_time, task.kernel_time)
+            duration = transfer_time if transfer_time > kernel_time else kernel_time
             if duration > 0:
-                start = max(cursor, pcie.free_at, gpu.free_at)
-                end = start + duration
-                pcie.free_at = end
-                gpu.free_at = end
-                if task.transfer_time > 0:
-                    spans.append(StageSpan("pcie", start, start + task.transfer_time))
-                if task.kernel_time > 0:
-                    spans.append(StageSpan("gpu", start, start + task.kernel_time))
-                cursor = end
+                start = max(cursor, timeline.pcie_free, timeline.gpu_free[device])
+                cursor = start + duration
+                timeline.pcie_free = cursor
+                timeline.gpu_free[device] = cursor
+                if transfer_time > 0:
+                    pcie_start, pcie_end = start, start + transfer_time
+                    busy["pcie"] += pcie_end - pcie_start
+                if kernel_time > 0:
+                    gpu_start, gpu_end = start, start + kernel_time
+                    busy["gpu"] += gpu_end - gpu_start
+                placed = True
         else:
-            if task.transfer_time > 0:
-                start = max(cursor, pcie.free_at)
-                end = start + task.transfer_time
-                pcie.free_at = end
-                spans.append(StageSpan("pcie", start, end))
-                cursor = end
-            if task.kernel_time > 0:
-                start = max(cursor, gpu.free_at)
-                end = start + task.kernel_time
-                gpu.free_at = end
-                spans.append(StageSpan("gpu", start, end))
-                cursor = end
+            if transfer_time > 0:
+                free = timeline.pcie_free
+                pcie_start = free if free > cursor else cursor
+                cursor = pcie_end = pcie_start + transfer_time
+                timeline.pcie_free = cursor
+                busy["pcie"] += pcie_end - pcie_start
+                placed = True
+            if kernel_time > 0:
+                free = timeline.gpu_free[device]
+                gpu_start = free if free > cursor else cursor
+                cursor = gpu_end = gpu_start + kernel_time
+                timeline.gpu_free[device] = cursor
+                busy["gpu"] += gpu_end - gpu_start
+                placed = True
 
-        stream_free[stream_index] = cursor
-        return TimelineEntry(
-            name=task.name, engine=task.engine, stream=stream_index, spans=tuple(spans), device=device
-        )
+        stream_free[stream] = cursor
+        timeline.rows.append((
+            task, stream, device, owner,
+            cpu_start, cpu_end, pcie_start, pcie_end, gpu_start, gpu_end,
+        ))
+        # A task's end is its last stage's end; a task with no stage ends
+        # at 0.0 and moves neither aggregate.
+        if placed:
+            if cursor > timeline.makespan:
+                timeline.makespan = cursor
+            if owner >= 0 and cursor > timeline.owner_finish[owner]:
+                timeline.owner_finish[owner] = cursor
 
     def serial_time(self, tasks: list[StreamTask]) -> float:
         """Total time if every stage of every task ran back to back.

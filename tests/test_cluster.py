@@ -282,7 +282,7 @@ class TestRouterDeterminism:
                 [h.request_id for h in handles],
                 [h.status for h in handles],
                 cluster.router.counters(),
-                [len(r._handles) for r in cluster.replicas],
+                [len(r._finished) for r in cluster.replicas],
             )
 
         assert serve() == serve()
@@ -331,7 +331,7 @@ class TestClusterServing:
             host
             for handle in (first, second)
             for host, replica in enumerate(cluster.replicas)
-            if handle in replica._handles
+            if handle in replica._queue
         ]
         assert sorted(hosts_of) == [0, 1]
         cluster.drain()

@@ -40,6 +40,7 @@ change (module-level scenario of ``test_golden_span_stream``)::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -279,6 +280,30 @@ class TestServiceTracing:
             return outcomes, json.dumps(service.stats().as_dict(), default=str)
 
         assert run(None) == run(True)
+
+    def test_traced_wave_has_identical_batch_numbers(self, obs_graph, obs_hardware):
+        """One scheduling path, traced or not: the wave's ``BatchResult`` —
+        makespan, per-query latencies and every per-iteration stat the
+        timeline's running aggregates fill — does not see the tracer."""
+
+        def wave(tracing):
+            service = _mixed_service(
+                obs_graph, obs_hardware, tracing=tracing,
+                faults="transfer-flaky:p=0.02", cache_policy="lru",
+            )
+            _serve_mix(service)
+            (batch,) = service.batches
+            numbers = {
+                spec.name: getattr(batch, spec.name)
+                for spec in dataclasses.fields(batch)
+                if spec.name not in ("results", "extra")
+            }
+            numbers["iterations"] = [
+                [dataclasses.asdict(stats) for stats in result.iterations] for result in batch.results
+            ]
+            return numbers
+
+        assert wave(None) == wave(True)
 
     def test_query_tiles_sum_to_latency(self, obs_graph, obs_hardware):
         service = _mixed_service(obs_graph, obs_hardware, tracing=True)

@@ -1,7 +1,11 @@
 """Unit tests for the multi-stream scheduler (Section VI-B, Figure 6)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.runtime.context import MultiDeviceScheduler
+from repro.sim.config import HardwareConfig
 from repro.sim.streams import StreamScheduler, StreamTask
 
 
@@ -110,3 +114,62 @@ class TestTimelineQueries:
         assert task.serial_time == pytest.approx(5.0)
         explicit = StreamTask("t", "ExpTM-C", cpu_time=1.0, transfer_time=4.0, kernel_time=2.0)
         assert explicit.serial_time == pytest.approx(7.0)
+
+
+# ----------------------------------------------------------------------
+# The timeline's running aggregates == the record-walking definitions
+# ----------------------------------------------------------------------
+
+#: Often zero (stage absent — a task with no stage at all must move no
+#: aggregate), values that round when added, and repeats so that streams tie.
+_DURATIONS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.1, 1.0 / 3.0, 1e-7, 2.5]),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+)
+
+
+@st.composite
+def co_schedules(draw):
+    """(scheduler, device task lists, sync bytes, owner lists, class offsets)."""
+    num_devices = draw(st.integers(1, 3))
+    num_owners = draw(st.integers(1, 4))
+    config = HardwareConfig().with_streams(draw(st.integers(1, 4))).with_devices(num_devices)
+    task = st.builds(
+        StreamTask,
+        name=st.just("t"),
+        engine=st.sampled_from(["ExpTM-F", "ExpTM-C", "ImpTM-ZC"]),
+        cpu_time=_DURATIONS,
+        transfer_time=_DURATIONS,
+        kernel_time=_DURATIONS,
+        overlapped_transfer=st.booleans(),
+        priority=st.sampled_from([0.0, 1.0, 2.0]),
+    )
+    device_tasks = [draw(st.lists(task, max_size=6)) for _ in range(num_devices)]
+    owners = [
+        draw(st.lists(st.integers(0, num_owners - 1), min_size=len(tasks), max_size=len(tasks)))
+        for tasks in device_tasks
+    ]
+    offsets = [draw(st.sampled_from([0.0, 1e6, 2e6])) for _ in range(num_owners)]
+    sync_bytes = [draw(st.integers(0, 10**6)) for _ in range(num_devices)]
+    return MultiDeviceScheduler(config), device_tasks, sync_bytes, owners, offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(co_schedules())
+def test_running_aggregates_equal_the_record_definitions(case):
+    scheduler, device_tasks, sync_bytes, owners, offsets = case
+    timeline = scheduler.schedule(device_tasks, sync_bytes, owners, offsets)
+    entries = timeline.entries
+    assert len(entries) == sum(map(len, device_tasks)) + (scheduler.num_devices > 1)
+
+    # The definitions the accumulator replaced, over the materialised records.
+    assert timeline.makespan == max((entry.end for entry in entries), default=0.0)
+    for resource in ("cpu", "pcie", "gpu", "interconnect"):
+        assert timeline.busy_time(resource) == sum(entry.time_on(resource) for entry in entries)
+    assert timeline.sync_time == timeline.busy_time("interconnect")
+    finish = {}
+    for entry in entries:
+        if entry.owner >= 0 and entry.end > finish.get(entry.owner, 0.0):
+            finish[entry.owner] = entry.end
+    assert timeline.owner_finish == [finish.get(owner, 0.0) for owner in range(len(offsets))]

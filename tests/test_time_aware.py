@@ -219,7 +219,7 @@ class TestEventDrivenServing:
         finished, batches = service.harvest()
         assert len(finished) == 3
         assert len(batches) >= 1
-        assert service._handles == []
+        assert service._finished == []
         assert service.batches == []
         # The cumulative stats do not depend on the detached records.
         after = service.stats()
@@ -424,7 +424,7 @@ class TestReplayHarness:
         assert report.waves >= 1
         assert report.makespan_s > 0
         # Finished handles were harvested along the way: nothing left.
-        assert service._handles == []
+        assert service._finished == []
         assert service._queue == []
 
     def test_verify_sample_bitwise(self, graph):
@@ -475,7 +475,7 @@ class TestReplayHarness:
                 bulk_fraction=0.15, interactive_sla_s=0.002,
             )
         )
-        assert service._handles == [] and len(harvested) == 200
+        assert service._finished == [] and len(harvested) == 200
         stats = service.stats()
         counters = service.metrics().snapshot()["counters"]
         assert report.completed == 200
