@@ -18,11 +18,13 @@ path that moves whole partitions:
   it;
 * the pure filter system (ExpTM-F) skips the copy for resident
   partitions under adaptive policies;
-* the batch runner's cross-query dedup composes with it — a partition
-  admitted after query A's ship is a *hit* for queries B..K in every
-  later super-iteration, which is the cross-super-iteration transfer
-  cache the static design lacked (``SharedTransferState`` still dedups
-  transient, non-admitted ships inside one super-iteration).
+* the session's transfer window
+  (:meth:`~repro.runtime.context.ExecutionContext.begin_window`)
+  composes with it — a partition admitted after query A's ship is a
+  *hit* for queries B..K in every later super-iteration, which is the
+  cross-super-iteration transfer cache the static design lacked (the
+  window's dedup, handed to :meth:`CacheManager.claim_billable`, still
+  covers transient, non-admitted ships inside one super-iteration).
 
 Frontier observations aggregate over a *window* (one iteration of a solo
 run, one super-iteration of a batch — every live query's frontier
@@ -385,16 +387,18 @@ class CacheManager:
                 billable.append(index)
         return billable, free
 
-    def claim_billable(self, partition_indices: list[int], shared=None) -> list[int]:
+    def claim_billable(self, partition_indices: list[int], dedup) -> list[int]:
         """The full billing protocol for one whole-partition (filter) ship.
 
         Encodes the ordering invariants every filter-transfer path must
         follow, in one place:
 
         1. :meth:`split_billable` — resident partitions hit for free;
-        2. the batch runner's ``shared`` dedup claims the remainder
-           (partitions a peer query already shipped this
-           super-iteration cost this query nothing);
+        2. ``dedup`` — the transfer window's
+           :meth:`~repro.runtime.context.ExecutionContext.claim_unshipped`
+           — claims the remainder (partitions already shipped this
+           window, by a peer query of the super-iteration, cost this
+           query nothing);
         3. misses are tallied only for what survives both — the copies
            that actually cross PCIe now;
         4. *every* cache-missing partition (billed here or riding a
@@ -403,12 +407,8 @@ class CacheManager:
 
         Returns the partitions the caller must price as explicit copies.
         """
-        billable, _ = self.split_billable(list(partition_indices))
-        missed = list(billable)
-        if shared is not None:
-            billable = shared.claim_partitions(
-                billable, lambda index: int(self.partition_bytes[index])
-            )
+        missed, _ = self.split_billable(list(partition_indices))
+        billable = dedup(missed)
         self.record_miss(billable)
         self.fill(missed)
         return billable

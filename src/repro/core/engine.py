@@ -32,9 +32,12 @@ the contiguous partition-range shards of its
 is the trivial case (one shard, no residency, no boundary exchange), so
 there is no separate single-device code path; multi-device sessions add
 per-device shard residency and the per-iteration boundary-delta
-synchronisation.  Through the ``shared`` planning argument the same code
-serves the concurrent multi-query batch runner, which deduplicates
-whole-partition transfers across queries.
+synchronisation.  The same ``plan_iteration(session)`` serves solo runs
+and the concurrent multi-query batch runner: whether a partition is
+already on a device — cache-resident, or shipped earlier in the transfer
+window by a peer query — is the context's decision
+(:attr:`~repro.runtime.context.ExecutionContext.claim`); every filter
+task is priced from the per-partition tables for what it leaves billable.
 
 Performance architecture
 ------------------------
@@ -81,15 +84,9 @@ from repro.core.selection import (
     SelectionThresholds,
 )
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import (
-    DeviceShard,
-    Partitioning,
-    partition_by_bytes,
-    partition_by_count,
-)
+from repro.graph.partition import DeviceShard, build_partitioning
 from repro.graph.reorder import ReorderedGraph, hub_sort
 from repro.metrics.results import IterationStats, RunResult
-from repro.runtime.batch import SharedTransferState
 from repro.runtime.context import ExecutionContext
 from repro.runtime.driver import IterationDriver, IterationPlan, QuerySession
 from repro.sim.config import HardwareConfig, default_config
@@ -101,11 +98,6 @@ from repro.transfer.explicit_filter import ExplicitFilterEngine
 from repro.transfer.zero_copy import ZeroCopyEngine
 
 __all__ = ["HyTGraphOptions", "HyTGraphEngine"]
-
-# With the paper's billion-edge graphs a 32 MB partition yields on the
-# order of a hundred partitions; for arbitrary (scaled-down) graphs the
-# default keeps that partition *count* rather than the absolute size.
-DEFAULT_PARTITION_DIVISOR = 64
 
 _FILTER = EngineKind.EXP_FILTER
 #: ``EngineKind.value`` without the enum descriptor (read once per task).
@@ -122,9 +114,9 @@ class HyTGraphOptions:
     Attributes
     ----------
     partition_bytes / num_partitions:
-        Partitioning granularity.  When both are ``None`` the graph is
-        split into ``DEFAULT_PARTITION_DIVISOR`` edge-balanced partitions
-        (the scaled equivalent of the paper's 32 MB chunks).
+        Partitioning granularity
+        (:func:`~repro.graph.partition.build_partitioning`: 64
+        edge-balanced partitions when both are ``None``).
     combine_factor:
         ``k`` — how many consecutive ExpTM-filter partitions merge into
         one task (4 in the paper).
@@ -199,7 +191,9 @@ class HyTGraphEngine:
         else:
             self.graph = graph
 
-        self.partitioning = self._build_partitioning()
+        self.partitioning = build_partitioning(
+            self.graph, self.options.num_partitions, self.options.partition_bytes
+        )
         # Sink detection runs every iteration; the degree==0 mask is static.
         self._sink_mask = self.graph.out_degrees == 0
         self.cost_model = CostModel(self.graph, self.partitioning, self.config)
@@ -246,18 +240,6 @@ class HyTGraphEngine:
     # ------------------------------------------------------------------
     # Setup helpers
     # ------------------------------------------------------------------
-    def _build_partitioning(self) -> Partitioning:
-        options = self.options
-        if options.num_partitions is not None:
-            return partition_by_count(self.graph, options.num_partitions)
-        if options.partition_bytes is not None:
-            return partition_by_bytes(self.graph, options.partition_bytes)
-        target_bytes = max(
-            self.graph.edge_bytes_per_edge,
-            self.graph.edge_data_bytes // DEFAULT_PARTITION_DIVISOR,
-        )
-        return partition_by_bytes(self.graph, target_bytes)
-
     def _translate_source(self, source: int | None) -> int | None:
         if source is None or self.reordering is None:
             return source
@@ -322,22 +304,14 @@ class HyTGraphEngine:
         """Run ``program`` to convergence and return the full result record."""
         self.reset_run_state()
         session = self.start_session(program, source)
-        self.driver.begin_trace()
-        while session.pending.any() and session.iteration < self.options.max_iterations:
-            plan = self.driver.windowed_plan(lambda: self.plan_iteration(session))
-            session.result.iterations.append(
-                self.driver.finish(plan, trace_iteration=session.iteration)
-            )
-            session.iteration += 1
+        self.driver.drive(self, session, self.options.max_iterations)
         return self.finish_session(session)
 
-    def plan_iteration(
-        self, session: QuerySession, shared: SharedTransferState | None = None
-    ) -> IterationPlan:
-        """One planned iteration (batch-runner protocol)."""
-        return self._plan(session, shared)
+    def plan_iteration(self, session: QuerySession) -> IterationPlan:
+        """One planned iteration (the planner protocol)."""
+        return self._plan(session)
 
-    def _plan(self, session: QuerySession, shared: SharedTransferState | None = None) -> IterationPlan:
+    def _plan(self, session: QuerySession) -> IterationPlan:
         """Plan one iteration: task generation, execution and accounting.
 
         Task generation, contribution scheduling and stream scheduling
@@ -372,12 +346,12 @@ class HyTGraphEngine:
         if cache is not None and cache.adaptive:
             # Frontier observation feeds the eviction policy (committed
             # at the next iteration boundary), and the cost model learns
-            # what is already on a device: resident partitions — and,
-            # under the batch runner, partitions another query shipped
-            # this super-iteration — price the filter engine at zero,
-            # so queries B..K select the free path query A paid for.
+            # what is already on a device: resident partitions — and
+            # partitions another query shipped earlier in this transfer
+            # window — price the filter engine at zero, so queries B..K
+            # select the free path query A paid for.
             cache.observe_frontier(costs.active_edges)
-            costs = self._discount_on_device_filter(costs, cache, shared)
+            costs = self._discount_on_device_filter(costs, cache.resident, context.shipped)
         selection = self._force_resident_filter(self.selector.select(costs))
         sharding = context.sharding
         device_task_lists: list[list[ScheduledTask]] = [
@@ -407,7 +381,7 @@ class HyTGraphEngine:
                     continue
                 task = tasks[step]
                 processed_edges, remote_count = self._execute_task(task, program, state, pending, sharding[device])
-                moved_bytes, transfer_time, cpu_time, overlapped = self._account_task_transfer(task, shared)
+                moved_bytes, transfer_time, cpu_time, overlapped = self._account_task_transfer(task)
                 engine_label = _ENGINE_LABEL[task.engine]
                 # The task itself is the name: its label is formatted
                 # only if a trace or a fault event reads it.
@@ -441,23 +415,21 @@ class HyTGraphEngine:
         )
 
     @staticmethod
-    def _discount_on_device_filter(
-        costs, cache, shared: SharedTransferState | None
-    ):
+    def _discount_on_device_filter(costs, resident: np.ndarray, shipped: set[int]):
         """Zero the filter cost of partitions already in device memory.
 
         The cache-aware cost-model hook (adaptive policies only): a
-        cache-resident partition — or one already shipped by a peer
-        query this super-iteration — costs nothing to read through the
-        filter path, so the selector sees a zero filter cost and never
-        pays compaction or zero-copy for bytes a device already holds.
-        This is the batch-aware pricing: query A's ship makes the
-        filter engine free for queries B..K planning later in the same
-        super-iteration.
+        cache-resident partition — or one already shipped in this
+        transfer window by a peer query — costs nothing to read through
+        the filter path, so the selector sees a zero filter cost and
+        never pays compaction or zero-copy for bytes a device already
+        holds.  This is the batch-aware pricing: query A's ship makes
+        the filter engine free for queries B..K planning later in the
+        same super-iteration.
         """
-        free_mask = cache.resident.copy()
-        if shared is not None and shared.shipped:
-            free_mask[list(shared.shipped)] = True
+        free_mask = resident.copy()
+        if shipped:
+            free_mask[list(shipped)] = True
         if not free_mask.any():
             return costs
         return replace(costs, filter_cost=np.where(free_mask, 0.0, costs.filter_cost))
@@ -596,49 +568,40 @@ class HyTGraphEngine:
     # ------------------------------------------------------------------
     # Transfer accounting
     # ------------------------------------------------------------------
-    def _account_task_transfer(
-        self, task: ScheduledTask, shared: SharedTransferState | None = None
-    ) -> tuple[int, float, float, bool]:
+    def _account_task_transfer(self, task: ScheduledTask) -> tuple[int, float, float, bool]:
         """Price one task's data movement, skipping already-on-device data.
 
         Returns ``(bytes moved, transfer seconds, cpu seconds, overlapped)``.
 
-        Filter tasks may cover partitions that are cache-resident (free
-        reads — a one-off first-touch copy under the static policy, an
-        admission after a billed miss under the adaptive ones) or, under
-        the batch runner, already shipped by another query this
-        super-iteration.  Every partition inside a task holds at least
-        one active vertex, so the billable filter cost is simply the
+        A filter task pays one explicit copy per partition the context's
+        claim leaves billable: cache-resident partitions are free reads
+        (a one-off first-touch copy under the static policy, an
+        admission after a billed miss under the adaptive ones) and so
+        are partitions a peer query already shipped this transfer
+        window.  Every partition inside a task holds at least one active
+        vertex, so the billable cost is simply the tabulated
         per-partition copy sum — identical to
-        :meth:`~repro.transfer.explicit_filter.ExplicitFilterEngine`'s
+        :meth:`~repro.transfer.explicit_filter.ExplicitFilterEngine.transfer`'s
         whole-partition pricing.  Compaction and zero-copy transfers are
         query-specific and never shareable; resident partitions never
         choose them (:meth:`_force_resident_filter`).
         """
-        cache = self.context.cache
         indices = task.partition_indices
-        if task.engine is not _FILTER or (cache is None and shared is None):
-            # Priced by the task's transfer engine.  active_vertices is
-            # sorted, so each partition's slice is found by bisection.
-            partitions = self.partitioning.partitions
-            boundaries = [self._vertex_start[index] for index in indices]
-            boundaries.append(self._vertex_end[indices[-1]])
-            active = task.active_vertices
-            outcome = self.engines[task.engine].transfer_task(
-                [partitions[index] for index in indices], active, active.searchsorted(boundaries)
-            )
-            return (
-                outcome.bytes_transferred, outcome.transfer_time, outcome.cpu_time, outcome.overlapped
-            )
-        edge_bytes = self._edge_bytes
-        if cache is not None:
-            billable = cache.claim_billable(indices, shared)
-        else:
-            billable = shared.claim_partitions(indices, edge_bytes.__getitem__)
-        copy_time = self._copy_time
-        bytes_total = 0
-        transfer_time = 0.0
-        for index in billable:
-            bytes_total += edge_bytes[index]
-            transfer_time += copy_time[index]
-        return bytes_total, transfer_time, 0.0, False
+        if task.engine is _FILTER:
+            edge_bytes, copy_time = self._edge_bytes, self._copy_time
+            bytes_total = 0
+            transfer_time = 0.0
+            for index in self.context.claim(indices):
+                bytes_total += edge_bytes[index]
+                transfer_time += copy_time[index]
+            return bytes_total, transfer_time, 0.0, False
+        # Priced by the task's transfer engine.  active_vertices is
+        # sorted, so each partition's slice is found by bisection.
+        partitions = self.partitioning.partitions
+        boundaries = [self._vertex_start[index] for index in indices]
+        boundaries.append(self._vertex_end[indices[-1]])
+        active = task.active_vertices
+        outcome = self.engines[task.engine].transfer_task(
+            [partitions[index] for index in indices], active, active.searchsorted(boundaries)
+        )
+        return outcome.bytes_transferred, outcome.transfer_time, outcome.cpu_time, outcome.overlapped

@@ -4,7 +4,8 @@ The runtime collapses the historical single-device / multi-device twin
 code paths into one substrate:
 
 * :class:`~repro.runtime.context.ExecutionContext` — devices, shards,
-  the device-memory cache (:mod:`repro.cache`) and the shared-host
+  the device-memory cache (:mod:`repro.cache`), the transfer window
+  that decides what is already on a device, and the shared-host
   scheduler, built once per session; ``num_devices == 1`` is the
   trivial (one-shard, zero-sync) case of the sharded path, not a
   separate branch.
@@ -18,7 +19,7 @@ code paths into one substrate:
   iterations over the shared stream/PCIe resources.
 """
 
-from repro.runtime.batch import QueryBatchRunner, SharedTransferState
+from repro.runtime.batch import QueryBatchRunner
 from repro.runtime.context import ExecutionContext, MultiDeviceScheduler
 from repro.runtime.driver import (
     FrontierSnapshot,
@@ -35,5 +36,4 @@ __all__ = [
     "FrontierSnapshot",
     "QuerySession",
     "QueryBatchRunner",
-    "SharedTransferState",
 ]

@@ -15,10 +15,11 @@ share it.
   warmed **once** for the whole batch, so the first-touch residency
   copies that a sequential K-run workload pays K times are paid once;
 * per super-iteration, every live query contributes one
-  :class:`~repro.runtime.driver.IterationPlan`; filter-style
-  whole-partition transfers are deduplicated across queries through
-  :class:`SharedTransferState` (a partition shipped for one query this
-  super-iteration is on the device for all of them);
+  :class:`~repro.runtime.driver.IterationPlan` inside one transfer window
+  (:meth:`~repro.runtime.context.ExecutionContext.begin_window`), so
+  filter-style whole-partition transfers are deduplicated across queries
+  (a partition shipped for one query this super-iteration is on the
+  device for all of them; :attr:`BatchResult.amortized_bytes`);
 * the merged per-device task lists are co-scheduled on the shared
   streams/PCIe, so one query's kernels overlap another's transfers; the
   batch makespan is the sum of the merged schedules.
@@ -57,7 +58,7 @@ from repro.algorithms.base import VertexProgram
 from repro.metrics.results import BatchResult
 from repro.runtime.driver import QuerySession
 
-__all__ = ["SharedTransferState", "QueryBatchRunner"]
+__all__ = ["QueryBatchRunner"]
 
 #: Offset between consecutive priority classes in the merged schedule.
 #: Within-plan task priorities are small (contribution ranks are tens,
@@ -65,61 +66,6 @@ __all__ = ["SharedTransferState", "QueryBatchRunner"]
 #: stride makes class order strict while preserving each plan's internal
 #: priority order.
 PRIORITY_STRIDE = 1e6
-
-
-class SharedTransferState:
-    """Cross-query transfer dedup within one batch super-iteration.
-
-    Whole-partition (ExpTM-filter style) transfers carry *edge* data,
-    which is identical for every query; once one query ships a partition
-    in a super-iteration, the partition sits in device memory for the
-    rest of that super-iteration and the other queries' kernels read it
-    for free.  The transient set resets every super-iteration — under
-    the default ``static-prefix`` policy the oversubscribed working set
-    churns between iterations, so no cross-iteration reuse is assumed
-    beyond the persistent shard residency (a
-    :class:`~repro.cache.manager.CacheManager` on that policy).
-
-    Under an adaptive cache policy this forget-everything behaviour is
-    superseded: every shipped partition is offered to the
-    :class:`~repro.cache.manager.CacheManager` for admission, and the
-    hottest ones stay resident *across* super-iterations — a later
-    super-iteration's queries hit the cache instead of re-shipping.
-    This object then only dedups the ships the cache declined to keep,
-    and its :attr:`shipped` set feeds the batch-aware cost model: a
-    partition already shipped for query A prices the filter engine at
-    zero for queries B..K planning later in the same super-iteration.
-    """
-
-    def __init__(self) -> None:
-        #: Partitions already on a device this super-iteration.  Read-only
-        #: for callers: :meth:`claim_partitions` is the only writer.
-        self.shipped: set[int] = set()
-        #: Whole-partition bytes *not* re-shipped thanks to batching.
-        self.amortized_bytes: int = 0
-
-    def begin_super_iteration(self) -> None:
-        """Forget the transient shipped set (cache admissions persist)."""
-        self.shipped.clear()
-
-    def claim_partitions(
-        self, partition_indices: Sequence[int], bytes_of: Callable[[int], int]
-    ) -> list[int]:
-        """Split off the partitions that still need shipping.
-
-        Returns the indices the calling query must pay for (and marks
-        them shipped); already-shipped ones are tallied as amortized
-        bytes via ``bytes_of``.
-        """
-        shipped = self.shipped
-        fresh: list[int] = []
-        for index in partition_indices:
-            if index in shipped:
-                self.amortized_bytes += bytes_of(index)
-            else:
-                shipped.add(index)
-                fresh.append(index)
-        return fresh
 
 
 class QueryBatchRunner:
@@ -209,27 +155,23 @@ class QueryBatchRunner:
         """
         if not queries:
             raise ValueError("a batch needs at least one query")
-        if priorities is not None and len(priorities) != len(queries):
-            raise ValueError(
-                "got %d priorities for %d queries" % (len(priorities), len(queries))
-            )
-        if deadlines is not None and len(deadlines) != len(queries):
-            raise ValueError(
-                "got %d deadlines for %d queries" % (len(deadlines), len(queries))
-            )
-        if checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be at least 1")
-        if preemptible is not None and len(preemptible) != len(queries):
-            raise ValueError(
-                "got %d preemptible flags for %d queries" % (len(preemptible), len(queries))
-            )
-        if resume is not None and len(resume) != len(queries):
-            raise ValueError(
-                "got %d resume checkpoints for %d queries" % (len(resume), len(queries))
-            )
         system = self.system
         context = system.context
         driver = system.driver
+        tracer = context.tracer
+        for what, per_query in (
+            ("priorities", priorities),
+            ("deadlines", deadlines),
+            ("preemptible flags", preemptible),
+            ("resume checkpoints", resume),
+            ("trace tracks", trace_tracks if tracer.enabled else None),
+        ):
+            if per_query is not None and len(per_query) != len(queries):
+                raise ValueError(
+                    "got %d %s for %d queries" % (len(per_query), what, len(queries))
+                )
+        if checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be at least 1")
 
         # Warm state (residency first-touch flags, page caches) is shared
         # by the whole batch: reset once here, NOT between queries.
@@ -249,19 +191,13 @@ class QueryBatchRunner:
             dense = {rank: position for position, rank in enumerate(sorted(set(ranks)))}
             offsets = [dense[rank] * PRIORITY_STRIDE for rank in ranks]
             order_key = lambda index: (ranks[index], index)  # noqa: E731
-        shared = SharedTransferState()
         cache = context.cache
         cache_before = cache.snapshot_counters() if cache is not None else None
 
-        tracer = context.tracer
         tracks: list[str | None] | None = None
         if tracer.enabled:
             if trace_tracks is None:
                 tracks = ["query:q%d" % index for index in range(len(sessions))]
-            elif len(trace_tracks) != len(queries):
-                raise ValueError(
-                    "got %d trace tracks for %d queries" % (len(trace_tracks), len(queries))
-                )
             else:
                 tracks = list(trace_tracks)
             # Event sources route through the same tracer for the run.
@@ -279,28 +215,40 @@ class QueryBatchRunner:
         terminal: dict[int, dict] = {}
         #: query index -> suspension checkpoint (preempted this batch).
         suspended: dict[int, object] = {}
-        preempt_capture_s = 0.0
-        resume_restore_s = 0.0
+        #: Billed checkpoint-copy seconds per phase (the span names).
+        copy_s = dict.fromkeys(
+            ("resume-restore", "preempt-capture", "recovery-restore", "checkpoint"), 0.0
+        )
+
+        def bill_copy(phase: str, index: int, checkpoint, cost: float) -> float | None:
+            """Bill one checkpoint copy to its phase, its query and the batch.
+
+            Emits the span and returns its end time if the query is traced.
+            """
+            nonlocal makespan
+            end = None
+            if tracing and tracks[index] is not None:
+                start = trace_base + clocks[index]
+                end = start + cost
+                tracer.span(
+                    "checkpoint", phase, tracks[index], start, end,
+                    checkpoint_bytes=checkpoint.checkpoint_bytes,
+                )
+            copy_s[phase] += cost
+            clocks[index] += cost
+            makespan += cost
+            return end
+
         if resume is not None:
             # Resumed queries pick up where their suspension checkpoint
             # left off; the host-to-device state copy is billed up front.
             for index, checkpoint in enumerate(resume):
-                if checkpoint is None:
-                    continue
-                cost = driver.restore_checkpoint(sessions[index], checkpoint)
-                if tracing and tracks[index] is not None:
-                    start = trace_base + clocks[index]
-                    tracer.span(
-                        "checkpoint", "resume-restore", tracks[index],
-                        start, start + cost,
-                        checkpoint_bytes=checkpoint.checkpoint_bytes,
+                if checkpoint is not None:
+                    bill_copy(
+                        "resume-restore", index, checkpoint,
+                        driver.restore_checkpoint(sessions[index], checkpoint),
                     )
-                resume_restore_s += cost
-                clocks[index] += cost
-                makespan += cost
         checkpoints: list = [None] * len(sessions)
-        checkpoint_time = 0.0
-        recovery_time = 0.0
         recovered_supers = 0
         if injector is not None:
             faults_before = injector.faults_injected
@@ -333,20 +281,12 @@ class QueryBatchRunner:
                     if not preemptible[index]:
                         continue
                     checkpoint = driver.capture_checkpoint(sessions[index])
-                    cost = checkpoint.transfer_seconds(context.config)
-                    if tracing and tracks[index] is not None:
-                        start = trace_base + clocks[index]
-                        tracer.span(
-                            "checkpoint", "preempt-capture", tracks[index],
-                            start, start + cost,
-                            checkpoint_bytes=checkpoint.checkpoint_bytes,
-                        )
-                        tracer.instant(
-                            "query", "preempted", track=tracks[index], t=start + cost
-                        )
-                    preempt_capture_s += cost
-                    clocks[index] += cost
-                    makespan += cost
+                    end = bill_copy(
+                        "preempt-capture", index, checkpoint,
+                        checkpoint.transfer_seconds(context.config),
+                    )
+                    if end is not None:
+                        tracer.instant("query", "preempted", track=tracks[index], t=end)
                     suspended[index] = checkpoint
                 live = [index for index in live if index not in suspended]
                 if not live:
@@ -369,26 +309,17 @@ class QueryBatchRunner:
                         recovered_supers += max(
                             0, sessions[index].iteration - checkpoint.iteration
                         )
-                        cost = driver.restore_checkpoint(sessions[index], checkpoint)
-                        if tracing and tracks[index] is not None:
-                            start = trace_base + clocks[index]
-                            tracer.span(
-                                "checkpoint", "recovery-restore", tracks[index],
-                                start, start + cost,
-                                checkpoint_bytes=checkpoint.checkpoint_bytes,
-                            )
-                        recovery_time += cost
-                        clocks[index] += cost
-                        makespan += cost
+                        bill_copy(
+                            "recovery-restore", index, checkpoint,
+                            driver.restore_checkpoint(sessions[index], checkpoint),
+                        )
                     if tracing:
                         tracer.set_clock(trace_base + makespan)
-            shared.begin_super_iteration()
-            if cache is not None:
-                # One cache observation window per super-iteration: the
-                # frontier-aware policy rescores and evicts collapsed
-                # partitions once per boundary, over the union of every
-                # live query's frontier.
-                cache.begin_iteration()
+            # One transfer window per super-iteration: a partition any
+            # query ships is on the device for its peers, and the cache
+            # rescores and evicts once per boundary, over the union of
+            # every live query's frontier.
+            context.begin_window()
 
             # Plan every live query's iteration (mutates its state and the
             # shared warm-transfer bookkeeping, in deterministic query
@@ -403,7 +334,7 @@ class QueryBatchRunner:
             for index in live:
                 if classed_cache:
                     cache.set_fill_class(ranks[index])
-                plans.append((index, driver.plan(system, sessions[index], shared=shared)))
+                plans.append((index, driver.plan(system, sessions[index])))
             if classed_cache:
                 cache.set_fill_class(None)
 
@@ -506,17 +437,10 @@ class QueryBatchRunner:
                         continue
                     checkpoint = driver.capture_checkpoint(session)
                     checkpoints[index] = checkpoint
-                    cost = checkpoint.transfer_seconds(context.config)
-                    if tracing and tracks[index] is not None:
-                        start = trace_base + clocks[index]
-                        tracer.span(
-                            "checkpoint", "checkpoint", tracks[index],
-                            start, start + cost,
-                            checkpoint_bytes=checkpoint.checkpoint_bytes,
-                        )
-                    checkpoint_time += cost
-                    clocks[index] += cost
-                    makespan += cost
+                    bill_copy(
+                        "checkpoint", index, checkpoint,
+                        checkpoint.transfer_seconds(context.config),
+                    )
 
         results = []
         for index, session in enumerate(sessions):
@@ -555,8 +479,8 @@ class QueryBatchRunner:
                 "faults_injected": injector.faults_injected - faults_before,
                 "retries": injector.retries - retries_before,
                 "retry_time_s": injector.retry_time_s - retry_time_before,
-                "checkpoint_time_s": checkpoint_time,
-                "recovery_time_s": recovery_time,
+                "checkpoint_time_s": copy_s["checkpoint"],
+                "recovery_time_s": copy_s["recovery-restore"],
                 "recovered_super_iterations": recovered_supers,
             }
         return BatchResult(
@@ -566,7 +490,7 @@ class QueryBatchRunner:
             results=results,
             makespan=makespan,
             super_iterations=super_iterations,
-            amortized_bytes=shared.amortized_bytes,
+            amortized_bytes=context.amortized_bytes,
             cache_hit_bytes=cache_totals["hit_bytes"],
             cache_miss_bytes=cache_totals["miss_bytes"],
             cache_evicted_bytes=cache_totals["evicted_bytes"],
@@ -580,12 +504,12 @@ class QueryBatchRunner:
                 **(
                     {
                         "suspended": suspended,
-                        "preempt_capture_s": preempt_capture_s,
+                        "preempt_capture_s": copy_s["preempt-capture"],
                     }
                     if suspended
                     else {}
                 ),
-                **({"resume_restore_s": resume_restore_s} if resume_restore_s else {}),
+                **({"resume_restore_s": copy_s["resume-restore"]} if copy_s["resume-restore"] else {}),
                 **(
                     {
                         "fault_events": list(injector.events),

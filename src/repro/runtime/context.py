@@ -2,10 +2,23 @@
 
 :class:`ExecutionContext` bundles everything the execution layer needs to
 know about *where* work runs — the device count, the contiguous
-partition-range shards, the optional per-device shard residency and the
-scheduler that places per-device task lists onto the shared host
-resources.  It is constructed once per system (or once per batch session)
-and handed to the :class:`~repro.runtime.driver.IterationDriver`.
+partition-range shards, the optional device-memory cache, the transfer
+window and the scheduler that places per-device task lists onto the
+shared host resources.  It is constructed once per system (or once per
+batch session) and handed to the
+:class:`~repro.runtime.driver.IterationDriver`.
+
+**The transfer window.**  "Is this partition's edge data already on a
+device?" is answered here and nowhere else.  A window is one iteration
+of a solo run or one super-iteration of a batch
+(:meth:`ExecutionContext.begin_window`); inside it a whole partition
+crosses PCIe at most once — edge data is the same for every query.
+:attr:`ExecutionContext.claim` runs the billing protocol of one
+whole-partition (filter) ship — cache split, window dedup, miss tally,
+admission — and returns what is left to price; planners never test
+whether a cache exists.  Bytes saved by a peer's copy accumulate in
+:attr:`ExecutionContext.amortized_bytes` (a solo iteration claims each
+partition once, so there the dedup is the identity).
 
 ``num_devices == 1`` is not a separate code path: the context simply
 holds one shard covering the whole partitioning, every frontier split
@@ -35,6 +48,7 @@ entry on the ``"interconnect"`` resource, after every device's last task.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -142,20 +156,17 @@ class ExecutionContext:
     graph / partitioning / config:
         The (possibly preprocessed) graph the session executes on, its
         edge partitioning, and the hardware platform.
-    residency_enabled:
-        Whether multi-device sessions pin leading shard partitions into
-        device memory under the default ``static-prefix`` policy
-        (:class:`~repro.cache.policy.StaticPrefixPolicy`).  Static
-        single-device sessions are always residency-free, exactly as in
-        the paper: its testbed graphs oversubscribe one GPU's memory, so
-        partitions churn and static caching buys nothing there.
     cache_policy:
         Eviction policy of the device-memory cache subsystem
-        (:mod:`repro.cache`).  ``"static-prefix"`` (default) reproduces
-        the historical behaviour bitwise; the adaptive policies
-        (``"lru"``, ``"frontier-aware"``) start empty, admit shipped
-        partitions and evict at iteration boundaries — and are active
-        at *any* device count, including one.
+        (:mod:`repro.cache`).  ``"static-prefix"`` (default) pins the
+        leading partitions of every shard on multi-device sessions
+        (:class:`~repro.cache.policy.StaticPrefixPolicy`) and leaves
+        single-device sessions cacheless, exactly as in the paper: its
+        testbed graphs oversubscribe one GPU's memory, so partitions
+        churn and static caching buys nothing there.  The adaptive
+        policies (``"lru"``, ``"frontier-aware"``) start empty, admit
+        shipped partitions and evict at iteration boundaries — and are
+        active at *any* device count, including one.
     cache_budget:
         Per-device cache budget in bytes (default: the device's
         edge-cache memory, ``config.gpu_memory_bytes``).
@@ -176,7 +187,6 @@ class ExecutionContext:
         graph: CSRGraph,
         partitioning: Partitioning,
         config: HardwareConfig,
-        residency_enabled: bool = True,
         cache_policy: str = "static-prefix",
         cache_budget: int | None = None,
         backend: str | KernelBackend | None = None,
@@ -193,11 +203,26 @@ class ExecutionContext:
         # Adaptive policies replace static residency wholesale and apply
         # at any device count; the static prefix only pins the shards of
         # multi-device sessions.
-        if cache_policy != "static-prefix" or (self.is_multi_device and residency_enabled):
+        if cache_policy != "static-prefix" or self.is_multi_device:
             self.cache = CacheManager(
                 partitioning, self.sharding, config,
                 policy=cache_policy, budget_bytes=cache_budget,
             )
+        #: Partitions shipped whole in the current transfer window
+        #: (read-only for callers: :meth:`claim_unshipped` is the writer).
+        self.shipped: set[int] = set()
+        #: Whole-partition bytes *not* re-shipped thanks to the window.
+        self.amortized_bytes = 0
+        self._partition_bytes = [partition.edge_bytes for partition in partitioning.partitions]
+        #: ``claim(partition_indices) -> billable indices`` (module
+        #: docstring).  Bound once — the cache is mutated in place on
+        #: device loss, never replaced — so the planners' per-task call
+        #: lands directly in the code that decides.
+        self.claim = (
+            self.claim_unshipped
+            if self.cache is None
+            else partial(self.cache.claim_billable, dedup=self.claim_unshipped)
+        )
         self.scheduler = MultiDeviceScheduler(config)
         self.kernel_model = KernelModel(config)
         #: Span sink (no-op unless a service/CLI installs a recording
@@ -238,9 +263,41 @@ class ExecutionContext:
         return 0 if self.cache is None else self.cache.num_resident
 
     def reset(self) -> None:
-        """Forget cross-run cache state (residency flags, adaptive contents)."""
+        """Forget cross-run transfer state (window, amortized tally, cache)."""
+        self.shipped.clear()
+        self.amortized_bytes = 0
         if self.cache is not None:
             self.cache.reset()
+
+    # ------------------------------------------------------------------
+    # Transfer window
+    # ------------------------------------------------------------------
+    def begin_window(self) -> None:
+        """Open the next transfer window (iteration or super-iteration).
+
+        Forgets the transient shipped set (cache admissions persist) and
+        commits the cache's observation window: frontier-aware eviction
+        fires once per boundary however many queries planned before it.
+        """
+        self.shipped.clear()
+        if self.cache is not None:
+            self.cache.begin_iteration()
+
+    def claim_unshipped(self, partition_indices: Sequence[int]) -> list[int]:
+        """The window dedup: the partitions not yet shipped this window.
+
+        Marks them shipped (the caller pays for them); the others are
+        tallied as amortized bytes.
+        """
+        shipped = self.shipped
+        fresh: list[int] = []
+        for index in partition_indices:
+            if index in shipped:
+                self.amortized_bytes += self._partition_bytes[index]
+            else:
+                shipped.add(index)
+                fresh.append(index)
+        return fresh
 
     # ------------------------------------------------------------------
     # Degraded modes (fault recovery)

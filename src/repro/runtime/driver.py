@@ -16,6 +16,12 @@ concurrent multi-query serving layer: the
 :class:`~repro.runtime.batch.QueryBatchRunner` collects one plan per live
 query, co-schedules the merged task lists on the shared devices, and
 still charges each query its standalone statistics.
+
+A planner is ``plan_iteration(session)`` and nothing more: what it may
+skip shipping is decided by the context's transfer window, which
+:meth:`IterationDriver.drive` opens once per solo iteration and the
+batch runner once per super-iteration — the one difference between the
+two, and not one a planner sees.
 """
 
 from __future__ import annotations
@@ -108,9 +114,8 @@ class IterationDriver:
     def __init__(self, context: ExecutionContext):
         self.context = context
         #: Simulated elapsed seconds of the current solo run — where the
-        #: next traced iteration's spans start.  Reset by
-        #: :meth:`begin_trace`; untouched (and unused) when the
-        #: context's tracer is the no-op default.
+        #: next traced iteration's spans start.  Reset by :meth:`drive`;
+        #: unused when the context's tracer is the no-op default.
         self._trace_elapsed = 0.0
 
     # ------------------------------------------------------------------
@@ -153,60 +158,37 @@ class IterationDriver:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def plan(self, planner, session: QuerySession, shared=None) -> IterationPlan:
-        """Run one planner iteration with device-cache bookkeeping.
+    def plan(self, planner, session: QuerySession, since=None) -> IterationPlan:
+        """Run one planner iteration inside the already-open transfer window.
 
-        Solo runs open a new cache observation window per iteration;
-        under the batch runner (``shared`` set) the window is opened
-        once per *super*-iteration before any query plans, so
-        frontier-aware eviction fires once per boundary regardless of
-        the live-query count.  Either way the plan's stats are stamped
-        with the cache hit/miss/evicted bytes the planning incurred.
+        The caller opened it
+        (:meth:`~repro.runtime.context.ExecutionContext.begin_window`):
+        :meth:`drive` per solo iteration, the batch runner per
+        *super*-iteration before any query plans.  The plan's stats are
+        stamped with the cache hit/miss/evicted bytes counted since
+        ``since`` (a counter snapshot; default: one taken here).
 
         Planning is where ``program.process`` pushes messages, so a
         backend pinned on the context is scoped around the whole call —
         every kernel the iteration runs dispatches to it, while sessions
         without an explicit backend keep the ambient one.
         """
-        if self.context.backend is None:
-            return self._plan(planner, session, shared)
-        with use_backend(self.context.backend):
-            return self._plan(planner, session, shared)
-
-    def _plan(self, planner, session: QuerySession, shared=None) -> IterationPlan:
-        if shared is None:
-            return self.windowed_plan(lambda: planner.plan_iteration(session))
-        cache = self.context.cache
-        if cache is None:
-            return planner.plan_iteration(session, shared=shared)
-        before = cache.snapshot_counters()
-        plan = planner.plan_iteration(session, shared=shared)
-        self.annotate_cache(plan.stats, cache.delta(before))
+        context = self.context
+        cache = context.cache
+        if since is None and cache is not None:
+            since = cache.snapshot_counters()
+        if context.backend is None:
+            plan = planner.plan_iteration(session)
+        else:
+            with use_backend(context.backend):
+                plan = planner.plan_iteration(session)
+        if cache is not None:
+            delta = cache.delta(since)
+            stats = plan.stats
+            stats.cache_hit_bytes = delta["hit_bytes"]
+            stats.cache_miss_bytes = delta["miss_bytes"]
+            stats.cache_evicted_bytes = delta["evicted_bytes"]
         return plan
-
-    def windowed_plan(self, make_plan) -> IterationPlan:
-        """Run ``make_plan()`` inside one fresh cache observation window.
-
-        The counter snapshot is taken *before* the window opens so the
-        boundary evictions committed by
-        :meth:`~repro.cache.manager.CacheManager.begin_iteration` are
-        attributed to the iteration that triggered them.
-        """
-        cache = self.context.cache
-        if cache is None:
-            return make_plan()
-        before = cache.snapshot_counters()
-        cache.begin_iteration()
-        plan = make_plan()
-        self.annotate_cache(plan.stats, cache.delta(before))
-        return plan
-
-    @staticmethod
-    def annotate_cache(stats: IterationStats, delta: dict[str, int]) -> None:
-        """Fill one iteration's cache fields from a counter delta."""
-        stats.cache_hit_bytes = delta["hit_bytes"]
-        stats.cache_miss_bytes = delta["miss_bytes"]
-        stats.cache_evicted_bytes = delta["evicted_bytes"]
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -234,10 +216,6 @@ class IterationDriver:
     # ------------------------------------------------------------------
     # Tracing (solo runs; see repro.obs)
     # ------------------------------------------------------------------
-    def begin_trace(self) -> None:
-        """Restart the solo-run span cursor at simulated time zero."""
-        self._trace_elapsed = 0.0
-
     def _emit_iteration_spans(self, stats: IterationStats, timeline, iteration: int) -> None:
         """One iteration tile on the run's query lane + its device spans."""
         tracer = self.context.tracer
@@ -281,12 +259,19 @@ class IterationDriver:
         """Run ``planner`` to convergence (or the iteration bound).
 
         ``planner`` is anything exposing
-        ``plan_iteration(session, shared=None) -> IterationPlan`` —
-        a :class:`~repro.systems.base.GraphSystem` or the HyTGraph engine.
+        ``plan_iteration(session) -> IterationPlan`` — a
+        :class:`~repro.systems.base.GraphSystem` or the HyTGraph engine.
+        Every iteration is its own transfer window.
         """
-        self.begin_trace()
+        self._trace_elapsed = 0.0
+        context = self.context
+        cache = context.cache
         while session.pending.any() and session.iteration < max_iterations:
-            plan = self.plan(planner, session)
+            # Snapshot before the window opens: the evictions committed
+            # at the boundary belong to the iteration that triggered them.
+            since = cache.snapshot_counters() if cache is not None else None
+            context.begin_window()
+            plan = self.plan(planner, session, since)
             session.result.iterations.append(self.finish(plan, trace_iteration=session.iteration))
             session.iteration += 1
         return session

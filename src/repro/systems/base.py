@@ -7,8 +7,9 @@ schedulers — trivial at ``num_devices == 1``) and one
 :class:`~repro.runtime.driver.IterationDriver`, and implements the
 ``run`` loop once.  Subclasses only describe *one iteration* by
 implementing :meth:`GraphSystem.plan_iteration`; the same method serves
-1..N devices and, through the ``shared`` argument, the concurrent
-multi-query batch runner.
+1..N devices, solo runs and the concurrent multi-query batch runner —
+what is already on a device is the business of the context's transfer
+window, not a planning argument.
 """
 
 from __future__ import annotations
@@ -19,13 +20,8 @@ import numpy as np
 
 from repro.algorithms.base import VertexProgram
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import (
-    Partitioning,
-    partition_by_bytes,
-    partition_by_count,
-)
+from repro.graph.partition import build_partitioning
 from repro.metrics.results import RunResult
-from repro.runtime.batch import SharedTransferState
 from repro.runtime.context import ExecutionContext
 from repro.runtime.driver import IterationDriver, IterationPlan, QuerySession
 from repro.sim.config import HardwareConfig, default_config
@@ -34,9 +30,6 @@ from repro.sim.pcie import PCIeModel
 
 __all__ = ["GraphSystem"]
 
-# Same scaled default as the HyTGraph engine: roughly 64 edge-balanced
-# partitions regardless of the (scaled-down) graph size.
-DEFAULT_PARTITION_DIVISOR = 64
 DEFAULT_MAX_ITERATIONS = 10_000
 
 
@@ -95,7 +88,7 @@ class GraphSystem(ABC):
         self.kernel_model = KernelModel(self.config)
         self.pcie = PCIeModel(self.config)
         if self.builds_runtime:
-            self.partitioning = self._build_partitioning(num_partitions, partition_bytes)
+            self.partitioning = build_partitioning(graph, num_partitions, partition_bytes)
             self.context = ExecutionContext(
                 self.graph,
                 self.partitioning,
@@ -110,19 +103,6 @@ class GraphSystem(ABC):
     def sharding(self):
         """The context's device shards (one trivial shard at 1 device)."""
         return self.context.sharding
-
-    def _build_partitioning(
-        self, num_partitions: int | None, partition_bytes: int | None
-    ) -> Partitioning:
-        if num_partitions is not None:
-            return partition_by_count(self.graph, num_partitions)
-        if partition_bytes is not None:
-            return partition_by_bytes(self.graph, partition_bytes)
-        target_bytes = max(
-            self.graph.edge_bytes_per_edge,
-            self.graph.edge_data_bytes // DEFAULT_PARTITION_DIVISOR,
-        )
-        return partition_by_bytes(self.graph, target_bytes)
 
     # ------------------------------------------------------------------
     # Session lifecycle (shared by run() and the batch runner)
@@ -181,17 +161,15 @@ class GraphSystem(ABC):
         return self.finish_session(session)
 
     @abstractmethod
-    def plan_iteration(
-        self, session: QuerySession, shared: SharedTransferState | None = None
-    ) -> IterationPlan:
+    def plan_iteration(self, session: QuerySession) -> IterationPlan:
         """Plan (and semantically execute) one outer iteration.
 
         Implementations mutate ``session.state`` / ``session.pending``
         exactly as the iteration's kernels would and return the
         iteration's per-device stream tasks, remote-activation counts
-        and prefilled statistics.  ``shared`` is non-``None`` only under
-        the batch runner, where whole-partition transfers may be
-        deduplicated across the batch's queries.
+        and prefilled statistics.  Whole-partition ships are billed
+        through ``self.context.claim``, which skips what the cache or a
+        peer query of the same transfer window already put on a device.
         """
 
     # ------------------------------------------------------------------

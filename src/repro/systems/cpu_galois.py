@@ -14,7 +14,6 @@ overhead.
 from __future__ import annotations
 
 from repro.metrics.results import IterationStats
-from repro.runtime.batch import SharedTransferState
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.systems.base import GraphSystem
 
@@ -26,9 +25,7 @@ class CPUGaloisSystem(GraphSystem):
 
     name = "Galois"
 
-    def plan_iteration(
-        self, session: QuerySession, shared: SharedTransferState | None = None
-    ) -> IterationPlan:
+    def plan_iteration(self, session: QuerySession) -> IterationPlan:
         pending = session.pending
         frontier = self.driver.snapshot(pending)
         iteration_time = self.kernel_model.cpu_processing_time(frontier.active_edges)

@@ -29,7 +29,6 @@ metrics.
 from __future__ import annotations
 
 from repro.metrics.results import IterationStats
-from repro.runtime.batch import SharedTransferState
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
@@ -49,9 +48,7 @@ class EmogiSystem(GraphSystem):
         super().__init__(*args, **kwargs)
         self.engine = ZeroCopyEngine(self.graph, self.config)
 
-    def plan_iteration(
-        self, session: QuerySession, shared: SharedTransferState | None = None
-    ) -> IterationPlan:
+    def plan_iteration(self, session: QuerySession) -> IterationPlan:
         pending = session.pending
         frontier = self.driver.snapshot(pending)
 

@@ -10,16 +10,19 @@ bytes whenever partitions are sparsely active (Figure 3a).
 On multi-device sessions every device ships its own shard's active
 partitions over the shared host PCIe; the redundancy weakness is
 unchanged — sharding splits the partitions, not the redundant bytes
-inside them.  Under the batch runner the whole-partition copies *are*
-shareable: a partition shipped for one query in a super-iteration is on
-the device for every other query active in it.
+inside them.  The whole-partition copies *are* shareable: a partition
+shipped for one query is on the device for every other query planning in
+the same transfer window (a batch super-iteration;
+:meth:`~repro.runtime.context.ExecutionContext.begin_window`).
 
 Because every transfer is a whole partition, this system benefits most
 directly from the adaptive device-memory cache (:mod:`repro.cache`):
 under ``lru`` / ``frontier-aware`` policies a shipped partition stays
 resident until evicted, and later iterations (or later super-iterations
 of a batch) read it for free.  The default ``static-prefix`` policy
-leaves the historical ship-every-iteration behaviour untouched.
+leaves the historical ship-every-iteration behaviour untouched: this
+baseline ignores the static shard pin by design and bills through the
+bare window dedup unless the policy is adaptive.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics.results import IterationStats
-from repro.runtime.batch import SharedTransferState
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
@@ -47,9 +49,7 @@ class ExpTMFilterSystem(GraphSystem):
         super().__init__(*args, **kwargs)
         self.engine = ExplicitFilterEngine(self.graph, self.config)
 
-    def plan_iteration(
-        self, session: QuerySession, shared: SharedTransferState | None = None
-    ) -> IterationPlan:
+    def plan_iteration(self, session: QuerySession) -> IterationPlan:
         pending = session.pending
         frontier = self.driver.snapshot(pending)
         active_ids = frontier.active_ids
@@ -58,9 +58,11 @@ class ExpTMFilterSystem(GraphSystem):
         boundaries = np.append(self.partitioning.vertex_starts, self.graph.num_vertices)
         cuts = np.searchsorted(active_ids, boundaries)
 
-        cache = self.context.cache
-        cache = cache if cache is not None and cache.adaptive else None
-        if cache is not None and active_ids.size:
+        context = self.context
+        cache = context.cache
+        adaptive = cache is not None and cache.adaptive
+        claim = context.claim if adaptive else context.claim_unshipped
+        if adaptive and active_ids.size:
             # Feed the eviction policy this iteration's per-partition
             # active-edge counts (committed at the next boundary).
             degrees = self.graph.out_degrees[active_ids]
@@ -71,7 +73,7 @@ class ExpTMFilterSystem(GraphSystem):
                 ).astype(np.int64)
             )
 
-        device_tasks: list[list[StreamTask]] = self.context.empty_device_lists()
+        device_tasks: list[list[StreamTask]] = context.empty_device_lists()
         transfer_bytes = 0
         active_partition_count = 0
         task_count = 0
@@ -83,17 +85,9 @@ class ExpTMFilterSystem(GraphSystem):
             active_partition_count += 1
             task_count += 1
             kernel_time = self.kernel_model.kernel_time(self._active_edge_count(in_partition))
-            if cache is not None:
-                billable = cache.claim_billable([partition.index], shared)
-            elif shared is not None:
-                billable = shared.claim_partitions(
-                    [partition.index], lambda index: self.partitioning[index].edge_bytes
-                )
-            else:
-                billable = [partition.index]
-            if not billable:
-                # Cache-resident, or another query in this batch
-                # super-iteration already shipped it; only the kernel runs.
+            if not claim([partition.index]):
+                # Cache-resident, or another query already shipped it
+                # this transfer window; only the kernel runs.
                 transfer_time = 0.0
             else:
                 outcome = self.engine.transfer(partition, in_partition)
@@ -111,7 +105,7 @@ class ExpTMFilterSystem(GraphSystem):
 
         # Synchronous processing: every active vertex pushes once.
         pending[active_ids] = False
-        remote_updates = [0] * self.context.num_devices
+        remote_updates = [0] * context.num_devices
         self.driver.process_per_device(
             session.program, session.state, pending, frontier.per_device, remote_updates
         )

@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics.results import IterationStats, RunResult
-from repro.runtime.batch import SharedTransferState
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
@@ -88,9 +87,7 @@ class GrusSystem(GraphSystem):
         result.extra["cached_vertices"] = int(self._vertex_cached.sum())
         result.extra["prefetched_bytes"] = self._prefetched_bytes
 
-    def plan_iteration(
-        self, session: QuerySession, shared: SharedTransferState | None = None
-    ) -> IterationPlan:
+    def plan_iteration(self, session: QuerySession) -> IterationPlan:
         pending = session.pending
         frontier = self.driver.snapshot(pending)
         active_vertices = frontier.active_ids

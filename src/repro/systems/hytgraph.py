@@ -15,7 +15,6 @@ from repro.algorithms.base import VertexProgram
 from repro.core.engine import HyTGraphEngine, HyTGraphOptions
 from repro.graph.csr import CSRGraph
 from repro.metrics.results import RunResult
-from repro.runtime.batch import SharedTransferState
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.config import HardwareConfig
 from repro.systems.base import GraphSystem
@@ -82,10 +81,8 @@ class HyTGraphSystem(GraphSystem):
         session.result.system = self.name
         return session
 
-    def plan_iteration(
-        self, session: QuerySession, shared: SharedTransferState | None = None
-    ) -> IterationPlan:
-        return self.engine.plan_iteration(session, shared)
+    def plan_iteration(self, session: QuerySession) -> IterationPlan:
+        return self.engine.plan_iteration(session)
 
     def finish_session(self, session: QuerySession) -> RunResult:
         result = self.engine.finish_session(session)

@@ -19,7 +19,6 @@ batch's queries — later queries fault in only what earlier ones evicted.
 from __future__ import annotations
 
 from repro.metrics.results import IterationStats, RunResult
-from repro.runtime.batch import SharedTransferState
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
@@ -58,9 +57,7 @@ class ImpTMUMSystem(GraphSystem):
             "hit_rate": counters["hits"] / counters["accesses"] if counters["accesses"] else 0.0,
         }
 
-    def plan_iteration(
-        self, session: QuerySession, shared: SharedTransferState | None = None
-    ) -> IterationPlan:
+    def plan_iteration(self, session: QuerySession) -> IterationPlan:
         pending = session.pending
         frontier = self.driver.snapshot(pending)
         active_vertices = frontier.active_ids

@@ -32,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics.results import IterationStats
-from repro.runtime.batch import SharedTransferState
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
@@ -59,9 +58,7 @@ class SubwaySystem(GraphSystem):
         self.async_rounds = async_rounds
         self.engine = ExplicitCompactionEngine(self.graph, self.config)
 
-    def plan_iteration(
-        self, session: QuerySession, shared: SharedTransferState | None = None
-    ) -> IterationPlan:
+    def plan_iteration(self, session: QuerySession) -> IterationPlan:
         program, state, pending = session.program, session.state, session.pending
         sharding = self.sharding
         frontier = self.driver.snapshot(pending)

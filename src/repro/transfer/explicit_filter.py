@@ -10,8 +10,6 @@ is redundant bytes whenever the partition's active-edge proportion is low
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.graph.partition import EdgePartition
@@ -45,29 +43,4 @@ class ExplicitFilterEngine(TransferEngine):
                 "partition_edges": float(partition.num_edges),
                 "redundant_bytes": float(num_bytes - active_edges * self.graph.edge_bytes_per_edge),
             },
-        )
-
-    def transfer_task(
-        self,
-        partitions: Sequence[EdgePartition],
-        active_vertices: np.ndarray,
-        cuts: np.ndarray,
-    ) -> TransferOutcome:
-        """Whole-partition pricing without the per-partition degree gathers.
-
-        Filter cost only depends on each partition's byte size and whether
-        it holds any active vertex, so the cuts array answers everything.
-        """
-        bytes_total = 0
-        transfer_time = 0.0
-        for position, partition in enumerate(partitions):
-            if cuts[position + 1] > cuts[position]:
-                bytes_total += partition.edge_bytes
-                transfer_time += self.pcie.explicit_copy_time(partition.edge_bytes)
-        return TransferOutcome(
-            engine=self.kind,
-            bytes_transferred=bytes_total,
-            transfer_time=transfer_time,
-            cpu_time=0.0,
-            overlapped=False,
         )

@@ -37,7 +37,7 @@ from repro.core.backends import (
 from repro.core.backends.array_api import ArrayApiBackend
 from repro.graph.generators import rmat_graph
 from repro.service.config import ServiceConfig
-from repro.systems import make_system
+from repro.systems import SYSTEMS, make_system
 from tests.test_kernels import bits, random_batches
 
 NUMBA_INSTALLED = "numba" in available_backends()
@@ -252,6 +252,36 @@ class TestRuntimePlumbing:
                 bits(reference.values), bits(result.values), err_msg=name
             )
             assert result.extra["backend"] == name
+
+    @pytest.mark.parametrize("system_name", sorted(SYSTEMS) + ["engine"])
+    def test_solo_run_dispatches_to_the_pinned_backend(self, system_name, monkeypatch):
+        """A pinned backend must run the kernels, not just label the result.
+
+        The ambient backend stays numpy; only the session is pinned.
+        """
+        from repro.algorithms.sssp import SSSP
+        from repro.core.engine import HyTGraphEngine, HyTGraphOptions
+
+        graph = rmat_graph(500, 4000, seed=7, weighted=True)
+        if system_name == "engine":
+            system = HyTGraphEngine(graph, options=HyTGraphOptions(backend="array-api"))
+        else:
+            system = make_system(system_name, graph, backend="array-api")
+        pinned = system.context.backend
+        assert pinned is get_backend("array-api")
+        calls = []
+        for kernel in ("push_and_activate", "scatter_add", "scatter_min", "scatter_max"):
+            original = getattr(pinned, kernel)
+
+            def counted(*args, _original=original, _kernel=kernel, **kwargs):
+                calls.append(_kernel)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pinned, kernel, counted)
+        with use_backend("numpy"):
+            result = system.run(SSSP(), 0)
+        assert result.extra["backend"] == "array-api"
+        assert calls, "%s dispatched no kernel to its pinned backend" % system_name
 
     def test_unknown_backend_fails_system_construction(self):
         with pytest.raises(UnknownBackendError, match="installed backends"):

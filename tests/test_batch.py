@@ -23,7 +23,7 @@ from repro.algorithms.sssp import SSSP
 from repro.bench.workloads import batch_sources
 from repro.graph.generators import rmat_graph
 from repro.metrics.results import BatchResult
-from repro.runtime.batch import QueryBatchRunner, SharedTransferState
+from repro.runtime.batch import QueryBatchRunner
 from repro.sim.config import HardwareConfig
 from repro.systems.emogi import EmogiSystem
 from repro.systems.exptm_filter import ExpTMFilterSystem
@@ -196,14 +196,22 @@ def test_single_query_batch_matches_plain_run(transfer_bound_graph):
     assert batch.results[0].total_transfer_bytes == alone.total_transfer_bytes
 
 
-def test_shared_transfer_state_claims_once_per_super_iteration():
-    shared = SharedTransferState()
-    sizes = {1: 100, 2: 200, 3: 300}
-    assert shared.claim_partitions([1, 2], sizes.get) == [1, 2]
-    assert shared.claim_partitions([2, 3], sizes.get) == [3]
-    assert shared.amortized_bytes == 200
-    shared.begin_super_iteration()
-    assert shared.claim_partitions([2], sizes.get) == [2]
+def test_transfer_window_claims_once_per_super_iteration(transfer_bound_graph):
+    # One device, static policy: no cache, so the claim is the bare window.
+    context = ExpTMFilterSystem(transfer_bound_graph, config=HardwareConfig()).context
+    assert context.cache is None
+    size = {index: context.partitioning[index].edge_bytes for index in (1, 2, 3)}
+    context.begin_window()
+    assert context.claim([1, 2]) == [1, 2]
+    assert context.claim([2, 3]) == [3]
+    assert context.shipped == {1, 2, 3}
+    assert context.amortized_bytes == size[2]
+    context.begin_window()
+    assert context.shipped == set()
+    assert context.claim([2]) == [2]
+    assert context.amortized_bytes == size[2]
+    context.reset()
+    assert context.shipped == set() and context.amortized_bytes == 0
 
 
 def test_grus_batch_pays_prefetch_once(transfer_bound_graph):

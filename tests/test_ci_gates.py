@@ -4,11 +4,13 @@ The replay gate's reference file was once git-ignored, so the job could
 only crash on a missing file.  These tests keep every gate honest from a
 clean checkout: each ``--check-against`` path named in the workflow is
 tracked by git, a missing reference is a one-line named error, and the
-replay gate exits 1 under its own ``--inject-latency`` knob.
+replay and perf gates exit 1 under their own ``--inject-*`` knobs.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -70,3 +72,19 @@ def test_replay_gate_fires_under_injected_latency(tmp_path):
     )
     assert result.returncode == 1, result.stdout + result.stderr
     assert "GATE FAILURE: regime:saturated: interactive p95" in result.stdout
+
+
+def test_tracing_overhead_gate_fires_under_injected_slowdown():
+    # In process and on a tiny serve (the smoke's 60 rounds take ~13 s):
+    # --inject-slowdown reaches the traced side, and an over-ceiling row
+    # alone fails a payload that otherwise equals its reference.
+    spec = importlib.util.spec_from_file_location(
+        "bench_perf_hotpaths", ROOT / "benchmarks" / "bench_perf_hotpaths.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    tracing = bench.run_tracing_bench(300, 2000, 2, 1, repeats=1, inject_slowdown=2.0)
+    assert tracing["HyTGraph"]["overhead_ratio"] > bench.TRACING_OVERHEAD_CEILING
+    reference = json.loads((ROOT / "benchmarks" / "BENCH_perf_smoke.json").read_text())
+    failures = bench.check_regressions(dict(reference, tracing=tracing), reference, 0.25)
+    assert len(failures) == 1 and "tracing overhead" in failures[0], failures

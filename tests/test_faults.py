@@ -522,6 +522,7 @@ def test_checkpoint_restore_is_bitwise(graph, config):
     session = system.start_session(make_algorithm("sssp"), 0)
     driver = system.driver
     for _ in range(2):
+        system.context.begin_window()
         plan = driver.plan(system, session)
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1
@@ -531,6 +532,7 @@ def test_checkpoint_restore_is_bitwise(graph, config):
     records = len(session.result.iterations)
     # Run further, then roll back.
     for _ in range(2):
+        system.context.begin_window()
         plan = driver.plan(system, session)
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1

@@ -373,19 +373,17 @@ class TestTransferTaskBatching:
             overlapped = overlapped or outcome.overlapped
         return bytes_total, transfer_time, cpu_time, overlapped
 
-    @pytest.mark.parametrize("engine_name", ["filter", "compaction", "zero_copy"])
+    @pytest.mark.parametrize("engine_name", ["compaction", "zero_copy"])
     def test_matches_per_partition_loop(self, engine_name):
         from repro.graph.partition import partition_by_count
         from repro.sim.config import default_config
         from repro.transfer.explicit_compaction import ExplicitCompactionEngine
-        from repro.transfer.explicit_filter import ExplicitFilterEngine
         from repro.transfer.zero_copy import ZeroCopyEngine
 
         graph = rmat_graph(300, 2500, seed=29, weighted=True)
         config = default_config()
         partitioning = partition_by_count(graph, 7)
         engine = {
-            "filter": ExplicitFilterEngine,
             "compaction": ExplicitCompactionEngine,
             "zero_copy": ZeroCopyEngine,
         }[engine_name](graph, config)

@@ -14,8 +14,10 @@ from repro.core.cost_model import CostModel
 from repro.core.selection import EngineSelector
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import Frontier
+from repro.graph.generators import rmat_graph
 from repro.graph.partition import partition_by_bytes, partition_by_count
 from repro.graph.reorder import hub_sort, hub_sort_order
+from repro.runtime.context import ExecutionContext
 from repro.service import Priority, ServiceStats
 from repro.service.stats import ClassTally
 from repro.sim.config import HardwareConfig
@@ -259,6 +261,7 @@ def test_checkpoint_restore_roundtrip_bitwise(data, algorithm, steps):
     for _ in range(steps):
         if not session.pending.any():
             break
+        system.context.begin_window()
         plan = driver.plan(system, session)
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1
@@ -275,6 +278,7 @@ def test_checkpoint_restore_roundtrip_bitwise(data, algorithm, steps):
     for _ in range(2):
         if not session.pending.any():
             break
+        system.context.begin_window()
         plan = driver.plan(system, session)
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1
@@ -311,6 +315,80 @@ def test_checkpoint_restore_roundtrip_bitwise(data, algorithm, steps):
 # time totals must agree bit for bit however the merges are grouped.
 _dyadic = st.integers(min_value=0, max_value=1 << 16).map(lambda k: k / 1024.0)
 _count = st.integers(min_value=0, max_value=50)
+
+
+# ----------------------------------------------------------------------
+# Transfer window: every requested byte is billed, amortized or a cache hit
+# ----------------------------------------------------------------------
+
+WINDOW_PARTITIONS = 8
+_WINDOW_GRAPH = rmat_graph(300, 2500, seed=41, weighted=True)
+_WINDOW_PARTITIONING = partition_by_count(_WINDOW_GRAPH, WINDOW_PARTITIONS)
+#: (devices, cache policy); one static device is the cacheless session.
+WINDOW_SESSIONS = {
+    "no-cache": (1, "static-prefix"),
+    "static-prefix": (2, "static-prefix"),
+    "lru": (1, "lru"),
+    "frontier-aware": (1, "frontier-aware"),
+}
+
+window_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("claim"),
+            st.lists(
+                st.integers(0, WINDOW_PARTITIONS - 1), min_size=1, max_size=4, unique=True
+            ).map(sorted),
+        ),
+        st.tuples(
+            st.just("observe"),
+            st.lists(st.integers(0, 50), min_size=WINDOW_PARTITIONS, max_size=WINDOW_PARTITIONS),
+        ),
+        st.tuples(st.just("window"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+@COMMON_SETTINGS
+@given(st.sampled_from(sorted(WINDOW_SESSIONS)), window_ops)
+def test_transfer_window_conserves_bytes(session, ops):
+    devices, policy = WINDOW_SESSIONS[session]
+    sizes = [partition.edge_bytes for partition in _WINDOW_PARTITIONING.partitions]
+    context = ExecutionContext(
+        _WINDOW_GRAPH,
+        _WINDOW_PARTITIONING,
+        # Room for about three partitions per device: adaptive policies evict.
+        HardwareConfig(gpu_memory_bytes=3 * max(sizes)).with_devices(devices),
+        cache_policy=policy,
+    )
+    cache = context.cache
+    assert (cache is None) == (session == "no-cache")
+
+    requested = billed = 0
+    billed_this_window: set[int] = set()
+    for op, argument in ops:
+        if op == "window":
+            context.begin_window()
+            billed_this_window.clear()
+        elif op == "observe":
+            if cache is not None:
+                cache.observe_frontier(np.array(argument, dtype=np.int64))
+        else:
+            billable = context.claim(argument)
+            assert set(billable) <= set(argument)
+            # A whole partition crosses PCIe at most once per window.
+            assert billed_this_window.isdisjoint(billable)
+            billed_this_window.update(billable)
+            requested += sum(sizes[index] for index in argument)
+            billed += sum(sizes[index] for index in billable)
+
+    counters = cache.counters() if cache is not None else None
+    hit_bytes = counters["hit_bytes"] if counters else 0
+    assert billed + context.amortized_bytes + hit_bytes == requested
+    if counters:
+        # A miss is tallied exactly for what crosses PCIe now.
+        assert counters["miss_bytes"] == billed
 
 
 @st.composite

@@ -1,9 +1,12 @@
 """Cross-system tests: every simulated system computes identical answers."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.algorithms import BFS, ConnectedComponents, DeltaPageRank, SSSP, reference
+from repro.core.engine import HyTGraphEngine
 from repro.sim.config import HardwareConfig
 from repro.systems import SYSTEMS, make_system
 from repro.systems.cpu_galois import CPUGaloisSystem
@@ -40,6 +43,23 @@ class TestRegistry:
         config = HardwareConfig(gpu_memory_bytes=12345)
         system = make_system("emogi", small_random_graph, config=config)
         assert system.config.gpu_memory_bytes == 12345
+
+    @pytest.mark.parametrize(
+        "planner", sorted(SYSTEMS.values(), key=lambda cls: cls.name) + [HyTGraphEngine],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_planner_protocol_is_plan_iteration_of_a_session(self, planner):
+        # What is already on a device is the context's business: no
+        # planner takes a transfer-state (or any other) planning argument.
+        assert list(inspect.signature(planner.plan_iteration).parameters) == ["self", "session"]
+
+    @pytest.mark.parametrize("cache_policy", ["static-prefix", "lru"])
+    @pytest.mark.parametrize("system_name", ALL_SYSTEM_NAMES)
+    def test_solo_run_amortizes_nothing(self, system_name, cache_policy, medium_rmat_graph):
+        # One query per transfer window: every claim is the first one.
+        system = make_system(system_name, medium_rmat_graph, cache_policy=cache_policy)
+        system.run(SSSP(), source=0)
+        assert system.context.amortized_bytes == 0
 
 
 class TestCrossSystemCorrectness:
