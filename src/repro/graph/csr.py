@@ -54,12 +54,12 @@ class CSRGraph:
     _edge_sources: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        row_offset = np.asarray(self.row_offset, dtype=np.int64)
-        column_index = np.asarray(self.column_index, dtype=np.int64)
+        row_offset = np.ascontiguousarray(self.row_offset, dtype=np.int64)
+        column_index = np.ascontiguousarray(self.column_index, dtype=np.int64)
         object.__setattr__(self, "row_offset", row_offset)
         object.__setattr__(self, "column_index", column_index)
         if self.edge_value is not None:
-            edge_value = np.asarray(self.edge_value, dtype=np.float64)
+            edge_value = np.ascontiguousarray(self.edge_value, dtype=np.float64)
             object.__setattr__(self, "edge_value", edge_value)
         self._validate()
         object.__setattr__(self, "_out_degrees", np.diff(row_offset))
@@ -193,62 +193,71 @@ class CSRGraph:
         num_vertices: int | None = None,
         weights: Sequence[float] | np.ndarray | None = None,
         name: str = "graph",
-        sort_neighbors: bool = True,
         deduplicate: bool = False,
     ) -> "CSRGraph":
-        """Build a CSR graph from an edge list.
-
-        Parameters
-        ----------
-        edges:
-            Sequence of ``(src, dst)`` pairs or an ``(m, 2)`` array.
-        num_vertices:
-            Total vertex count.  Defaults to ``max id + 1``.
-        weights:
-            Optional per-edge weights aligned with ``edges``.
-        sort_neighbors:
-            Sort each adjacency list by destination id (CSR convention).
-        deduplicate:
-            Drop duplicate ``(src, dst)`` pairs, keeping the first weight.
-        """
+        """:meth:`from_endpoints` for ``(src, dst)`` pairs or an ``(m, 2)`` array."""
         edge_array = np.asarray(edges, dtype=np.int64)
         if edge_array.size == 0:
             edge_array = edge_array.reshape(0, 2)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:
             raise ValueError("edges must be an (m, 2) array of (src, dst) pairs")
-        weight_array = None
+        return cls.from_endpoints(
+            edge_array[:, 0], edge_array[:, 1], num_vertices, weights, name, deduplicate
+        )
+
+    @classmethod
+    def from_endpoints(
+        cls,
+        sources: Sequence[int] | np.ndarray,
+        destinations: Sequence[int] | np.ndarray,
+        num_vertices: int | None = None,
+        weights: Sequence[float] | np.ndarray | None = None,
+        name: str = "graph",
+        deduplicate: bool = False,
+    ) -> "CSRGraph":
+        """Build a CSR graph from aligned source / destination id columns.
+
+        One sort of the key ``src * |V| + dst`` orders edges by source and
+        each adjacency list by destination; the edge arrays come out fresh
+        and contiguous, never views into the caller's input.
+
+        ``num_vertices`` defaults to ``max id + 1``; ``weights`` align with the
+        columns; ``deduplicate`` drops repeated ``(src, dst)`` pairs, keeping
+        the first weight.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        destinations = np.asarray(destinations, dtype=np.int64)
+        if sources.ndim != 1 or sources.shape != destinations.shape:
+            raise ValueError("sources and destinations must be aligned 1-D arrays")
         if weights is not None:
-            weight_array = np.asarray(weights, dtype=np.float64)
-            if weight_array.size != edge_array.shape[0]:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.size != sources.size:
                 raise ValueError("weights must align with edges")
-
-        if num_vertices is None:
-            num_vertices = int(edge_array.max()) + 1 if edge_array.size else 0
-        if edge_array.size and (edge_array.min() < 0 or edge_array.max() >= num_vertices):
+        largest = int(max(sources.max(), destinations.max())) if sources.size else -1
+        num_vertices = largest + 1 if num_vertices is None else int(num_vertices)
+        if largest >= num_vertices or (sources.size and min(sources.min(), destinations.min()) < 0):
             raise ValueError("edge endpoints outside [0, num_vertices)")
+        if num_vertices**2 >= 2**63:
+            raise ValueError("num_vertices**2 must fit in int64 for the (src, dst) sort key")
 
-        if deduplicate and edge_array.size:
-            keys = edge_array[:, 0] * np.int64(num_vertices) + edge_array[:, 1]
-            _, unique_idx = np.unique(keys, return_index=True)
-            unique_idx.sort()
-            edge_array = edge_array[unique_idx]
-            if weight_array is not None:
-                weight_array = weight_array[unique_idx]
-
-        if edge_array.size:
-            if sort_neighbors:
-                order = np.lexsort((edge_array[:, 1], edge_array[:, 0]))
-            else:
-                order = np.argsort(edge_array[:, 0], kind="stable")
-            edge_array = edge_array[order]
-            if weight_array is not None:
-                weight_array = weight_array[order]
-
-        counts = np.bincount(edge_array[:, 0], minlength=num_vertices) if edge_array.size else np.zeros(num_vertices, dtype=np.int64)
-        row_offset = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_offset[1:])
-        column_index = edge_array[:, 1] if edge_array.size else np.zeros(0, dtype=np.int64)
-        return cls(row_offset, column_index, weight_array, name=name)
+        keys = sources * np.int64(num_vertices)
+        keys += destinations
+        if weights is None:
+            keys.sort()
+        else:
+            # Stable, so equal (src, dst) pairs keep input order: "first weight wins".
+            order = np.argsort(keys, kind="stable")
+            keys, weights = keys[order], weights[order]
+        if deduplicate:
+            first = np.ones(keys.size, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            keys = keys[first]
+            if weights is not None:
+                weights = weights[first]
+        row_starts = np.arange(num_vertices + 1, dtype=np.int64) * num_vertices
+        row_offset = np.searchsorted(keys, row_starts)
+        keys -= np.repeat(row_starts[:-1], np.diff(row_offset))
+        return cls(row_offset, keys, weights, name=name)
 
     @classmethod
     def from_adjacency(
@@ -288,26 +297,18 @@ class CSRGraph:
 
     def reverse(self) -> "CSRGraph":
         """Return the transpose graph (every edge reversed)."""
-        sources = self.edge_sources()
-        edges = np.stack([self.column_index, sources], axis=1)
-        weights = self.edge_value
-        return CSRGraph.from_edges(
-            edges, num_vertices=self.num_vertices, weights=weights, name=self.name + "-rev"
+        return CSRGraph.from_endpoints(
+            self.column_index, self.edge_sources(), self.num_vertices, self.edge_value, self.name + "-rev"
         )
 
     def symmetrize(self) -> "CSRGraph":
         """Return an undirected version: each edge present in both directions."""
-        sources = self.edge_sources()
-        forward = np.stack([sources, self.column_index], axis=1)
-        backward = np.stack([self.column_index, sources], axis=1)
-        edges = np.concatenate([forward, backward], axis=0)
-        weights = None
-        if self.edge_value is not None:
-            weights = np.concatenate([self.edge_value, self.edge_value])
-        return CSRGraph.from_edges(
-            edges,
+        sources, weights = self.edge_sources(), self.edge_value
+        return CSRGraph.from_endpoints(
+            np.concatenate([sources, self.column_index]),
+            np.concatenate([self.column_index, sources]),
             num_vertices=self.num_vertices,
-            weights=weights,
+            weights=None if weights is None else np.concatenate([weights, weights]),
             name=self.name + "-sym",
             deduplicate=True,
         )
@@ -326,15 +327,8 @@ class CSRGraph:
         # new_id[old_vertex] = new label
         new_id = np.empty(self.num_vertices, dtype=np.int64)
         new_id[order] = np.arange(self.num_vertices)
-
-        sources = new_id[self.edge_sources()]
-        destinations = new_id[self.column_index]
-        edges = np.stack([sources, destinations], axis=1)
-        return CSRGraph.from_edges(
-            edges,
-            num_vertices=self.num_vertices,
-            weights=self.edge_value,
-            name=self.name,
+        return CSRGraph.from_endpoints(
+            new_id[self.edge_sources()], new_id[self.column_index], self.num_vertices, self.edge_value, self.name
         )
 
     def to_networkx(self):

@@ -88,31 +88,37 @@ def rmat_graph(
 
     sources = np.zeros(num_edges, dtype=np.int64)
     destinations = np.zeros(num_edges, dtype=np.int64)
-    # Descend bit by bit; vectorised over all edges at once.
-    for level in range(scale):
-        random_draw = rng.random(num_edges)
-        src_bit = (random_draw >= a + b).astype(np.int64)
-        # Within the chosen row half, pick the column half.
-        top_threshold = np.where(src_bit == 0, a / max(a + b, 1e-12), c / max(c + d, 1e-12))
-        column_draw = rng.random(num_edges)
-        dst_bit = (column_draw >= top_threshold).astype(np.int64)
-        sources = (sources << 1) | src_bit
-        destinations = (destinations << 1) | dst_bit
+    draw = np.empty(num_edges, dtype=np.float64)
+    src_bit = np.empty(num_edges, dtype=bool)
+    dst_bit = np.empty(num_edges, dtype=bool)
+    in_bottom = np.empty(num_edges, dtype=bool)
+    top_threshold, bottom_threshold = a / max(a + b, 1e-12), c / max(c + d, 1e-12)
+    # Descend bit by bit; vectorised over all edges, every level reusing the
+    # same buffers (two uniform draws per level: row half, then column half).
+    for _ in range(scale):
+        rng.random(out=draw)
+        np.greater_equal(draw, a + b, out=src_bit)
+        rng.random(out=draw)
+        # dst_bit = in_bottom where src_bit else dst_bit, as three bool ops:
+        # a masked ufunc or np.where costs more than both draws together.
+        np.greater_equal(draw, top_threshold, out=dst_bit)
+        np.greater_equal(draw, bottom_threshold, out=in_bottom)
+        in_bottom ^= dst_bit
+        in_bottom &= src_bit
+        dst_bit ^= in_bottom
+        sources <<= 1
+        sources |= src_bit
+        destinations <<= 1
+        destinations |= dst_bit
 
-    sources = sources % num_vertices
-    destinations = destinations % num_vertices
+    sources %= num_vertices
+    destinations %= num_vertices
     keep = sources != destinations
-    edges = np.stack([sources[keep], destinations[keep]], axis=1)
-    weights = None
-    graph = CSRGraph.from_edges(
-        edges,
-        num_vertices=num_vertices,
-        name=name or "rmat-%d" % num_edges,
-        deduplicate=True,
+    graph = CSRGraph.from_endpoints(
+        sources[keep], destinations[keep], num_vertices, name=name or "rmat-%d" % num_edges, deduplicate=True
     )
     if weighted:
-        weights = random_weights(graph.num_edges, seed=seed + 1)
-        graph = graph.with_weights(weights)
+        graph = graph.with_weights(random_weights(graph.num_edges, seed=seed + 1))
     return graph
 
 
@@ -174,16 +180,11 @@ def power_law_graph(
     dst_mass = ranks ** (-0.9 / (exponent - 1.0))
     destinations = rng.choice(num_vertices, size=total, p=dst_mass / dst_mass.sum())
     keep = sources != destinations
-    edges = np.stack([sources[keep], destinations[keep]], axis=1)
     # Random relabeling so that "hub" vertices are not trivially the lowest
     # ids: hub sorting must actually do work.
     relabel = rng.permutation(num_vertices)
-    edges = relabel[edges]
-    graph = CSRGraph.from_edges(
-        edges,
-        num_vertices=num_vertices,
-        name=name or "power-law",
-        deduplicate=True,
+    graph = CSRGraph.from_endpoints(
+        relabel[sources[keep]], relabel[destinations[keep]], num_vertices, name=name or "power-law", deduplicate=True
     )
     if not directed:
         graph = graph.symmetrize()
@@ -207,9 +208,8 @@ def uniform_random_graph(
     sources = rng.integers(0, num_vertices, size=num_edges)
     destinations = rng.integers(0, num_vertices, size=num_edges)
     keep = sources != destinations
-    edges = np.stack([sources[keep], destinations[keep]], axis=1)
-    graph = CSRGraph.from_edges(
-        edges, num_vertices=num_vertices, name=name or "uniform", deduplicate=True
+    graph = CSRGraph.from_endpoints(
+        sources[keep], destinations[keep], num_vertices, name=name or "uniform", deduplicate=True
     )
     if weighted:
         graph = graph.with_weights(random_weights(graph.num_edges, seed=seed + 1))

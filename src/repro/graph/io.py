@@ -8,6 +8,7 @@ demonstrate the full preprocess-then-run pipeline.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,10 @@ __all__ = ["save_edge_list", "load_edge_list", "save_csr", "load_csr"]
 def save_edge_list(graph: CSRGraph, path: str | Path, include_weights: bool | None = None) -> None:
     """Write a graph as a whitespace-separated edge list.
 
-    Each line is ``src dst`` or ``src dst weight``.  Lines starting with
-    ``#`` are comments (SNAP convention).
+    Each line is ``src dst`` or ``src dst weight`` (weights as ``repr``, so
+    they reload exactly).  Lines starting with ``#`` are comments (SNAP
+    convention); the first one records ``|V|`` so isolated trailing vertices
+    survive a round trip.
     """
     path = Path(path)
     if include_weights is None:
@@ -30,7 +33,7 @@ def save_edge_list(graph: CSRGraph, path: str | Path, include_weights: bool | No
         handle.write("# %s |V|=%d |E|=%d\n" % (graph.name, graph.num_vertices, graph.num_edges))
         for src, dst, weight in graph.iter_edges():
             if include_weights:
-                handle.write("%d %d %g\n" % (src, dst, weight))
+                handle.write("%d %d %r\n" % (src, dst, weight))
             else:
                 handle.write("%d %d\n" % (src, dst))
 
@@ -45,6 +48,9 @@ def load_edge_list(
 
     Parameters
     ----------
+    num_vertices:
+        Total vertex count.  Defaults to the ``|V|=`` comment header when the
+        file has one, else to ``max id + 1``.
     weighted:
         Force interpretation of a third column as weights.  If ``None`` the
         presence of a third column on the first data line decides.
@@ -55,23 +61,28 @@ def load_edge_list(
     weights: list[float] = []
     has_weights = weighted
     with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("%"):
+                header = re.search(r"\|V\|=(\d+)", line)
+                if header and num_vertices is None:
+                    num_vertices = int(header.group(1))
                 continue
             parts = line.split()
             if has_weights is None:
                 has_weights = len(parts) >= 3
-            sources.append(int(parts[0]))
-            destinations.append(int(parts[1]))
-            if has_weights:
-                weights.append(float(parts[2]) if len(parts) >= 3 else 1.0)
-    edges = np.stack([np.array(sources, dtype=np.int64), np.array(destinations, dtype=np.int64)], axis=1) if sources else np.zeros((0, 2), dtype=np.int64)
-    weight_array = np.array(weights, dtype=np.float64) if has_weights and weights else None
-    return CSRGraph.from_edges(
-        edges,
+            try:
+                sources.append(int(parts[0]))
+                destinations.append(int(parts[1]))
+                if has_weights:
+                    weights.append(float(parts[2]) if len(parts) >= 3 else 1.0)
+            except (IndexError, ValueError):
+                raise ValueError("%s:%d: expected 'src dst [weight]'" % (path, line_number)) from None
+    return CSRGraph.from_endpoints(
+        sources,
+        destinations,
         num_vertices=num_vertices,
-        weights=weight_array,
+        weights=weights if has_weights and weights else None,
         name=name or path.stem,
     )
 

@@ -63,6 +63,34 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRGraph.from_edges([(0, 5)], num_vertices=3)
 
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            CSRGraph.from_edges([(0, 1), (-1, 0)], num_vertices=3)
+
+    def test_sort_key_overflow_is_a_named_error(self):
+        with pytest.raises(ValueError, match="int64"):
+            CSRGraph.from_edges([(0, 1)], num_vertices=2**32)
+
+    def test_from_endpoints_equals_from_edges(self):
+        pairs = [(2, 0), (0, 2), (0, 1), (2, 0)]
+        weights = [4.0, 3.0, 2.0, 1.0]
+        by_pairs = CSRGraph.from_edges(pairs, weights=weights, deduplicate=True)
+        by_columns = CSRGraph.from_endpoints([2, 0, 0, 2], [0, 2, 1, 0], weights=weights, deduplicate=True)
+        np.testing.assert_array_equal(by_columns.row_offset, by_pairs.row_offset)
+        np.testing.assert_array_equal(by_columns.column_index, [1, 2, 0])
+        np.testing.assert_array_equal(by_columns.edge_value, [2.0, 3.0, 4.0])  # first weight wins
+        np.testing.assert_array_equal(by_columns.edge_value, by_pairs.edge_value)
+
+    def test_misaligned_endpoint_columns_rejected(self):
+        with pytest.raises(ValueError, match="aligned"):
+            CSRGraph.from_endpoints([0, 1], [1])
+
+    def test_hand_built_graph_never_keeps_a_strided_view(self):
+        pairs = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
+        graph = CSRGraph(np.array([0, 2, 3, 3]), pairs[:, 1], np.arange(6.0)[::2])
+        assert graph.column_index.flags.c_contiguous and graph.edge_value.flags.c_contiguous
+        np.testing.assert_array_equal(graph.column_index, [1, 2, 2])
+
     def test_invalid_row_offset_rejected(self):
         with pytest.raises(ValueError):
             CSRGraph(np.array([1, 2]), np.array([0, 1]))

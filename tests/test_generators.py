@@ -15,7 +15,31 @@ from repro.graph.generators import (
 )
 
 
+def reference_rmat_edges(num_vertices, num_edges, a, b, c, seed):
+    """The allocating level loop the buffer-reusing one replaced (same RNG calls)."""
+    d = 1.0 - a - b - c
+    rng = np.random.default_rng(seed)
+    sources = np.zeros(num_edges, dtype=np.int64)
+    destinations = np.zeros(num_edges, dtype=np.int64)
+    for _ in range(max(1, int(np.ceil(np.log2(num_vertices))))):
+        src_bit = (rng.random(num_edges) >= a + b).astype(np.int64)
+        threshold = np.where(src_bit == 0, a / max(a + b, 1e-12), c / max(c + d, 1e-12))
+        dst_bit = (rng.random(num_edges) >= threshold).astype(np.int64)
+        sources = (sources << 1) | src_bit
+        destinations = (destinations << 1) | dst_bit
+    sources, destinations = sources % num_vertices, destinations % num_vertices
+    return sorted(set(zip(sources[sources != destinations], destinations[sources != destinations])))
+
+
 class TestRmat:
+    @pytest.mark.parametrize(
+        "a, b, c", [(0.57, 0.19, 0.19), (0.65, 0.15, 0.15), (0.2, 0.3, 0.45), (0.5, 0.5, 0.0), (0.25, 0.25, 0.5)]
+    )
+    def test_matches_allocating_reference_loop(self, a, b, c):
+        graph = rmat_graph(300, 5000, a=a, b=b, c=c, seed=9)
+        edges = reference_rmat_edges(300, 5000, a, b, c, seed=9)
+        assert list(zip(graph.edge_sources(), graph.column_index)) == edges
+
     def test_basic_shape(self):
         graph = rmat_graph(256, 2048, seed=1)
         assert graph.num_vertices == 256

@@ -268,7 +268,6 @@ class TestPortedAlgorithms:
             num_vertices=3,
             weights=[4.0, 2.0, 1.0, 3.0, 1.0, 2.0, 1.0],
             name="duplicate-edges",
-            sort_neighbors=True,
         )
         random_graph = uniform_random_graph(80, 600, seed=11, weighted=True)
         scale_free = rmat_graph(128, 1200, seed=13, weighted=True)

@@ -70,6 +70,29 @@ class TestEdgeListIO:
         loaded = load_edge_list(path, weighted=False)
         assert not loaded.is_weighted
 
+    def test_weights_roundtrip_exactly(self, tmp_path):
+        weights = [1234567.25, 0.1, 1e-7]
+        graph = CSRGraph.from_edges([(0, 1), (1, 2), (2, 0)], weights=weights)
+        path = tmp_path / "graph.txt"
+        save_edge_list(graph, path)
+        np.testing.assert_array_equal(load_edge_list(path).edge_value, weights)
+
+    def test_header_vertex_count_is_honoured(self, tmp_path):
+        graph = CSRGraph.from_edges([(0, 1), (1, 2)], num_vertices=5)  # 3 and 4 isolated
+        path = tmp_path / "graph.txt"
+        save_edge_list(graph, path)
+        loaded = load_edge_list(path)
+        assert loaded.num_vertices == 5
+        np.testing.assert_array_equal(loaded.row_offset, graph.row_offset)
+        assert load_edge_list(path, num_vertices=7).num_vertices == 7
+
+    @pytest.mark.parametrize("bad_line", ["3", "a b", "0 1 heavy"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, bad_line):
+        path = tmp_path / "graph.txt"
+        path.write_text("# comment\n0 1 2.5\n%s\n" % bad_line)
+        with pytest.raises(ValueError, match=r"graph\.txt:3: expected 'src dst \[weight\]'"):
+            load_edge_list(path)
+
 
 class TestCSRBundleIO:
     def test_roundtrip(self, paper_graph, tmp_path):

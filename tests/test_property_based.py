@@ -74,6 +74,41 @@ def test_csr_from_edges_invariants(data):
     assert rebuilt == sorted((int(s), int(d)) for s, d in edges)
 
 
+def reference_csr(num_vertices, edges, weights, deduplicate):
+    """Reference builder: first-occurrence dedup, then a stable (src, dst) lexsort."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keep = np.arange(len(edges))
+    if deduplicate:
+        first_seen = {}
+        for position, pair in enumerate(map(tuple, edges.tolist())):
+            first_seen.setdefault(pair, position)
+        keep = np.array(sorted(first_seen.values()), dtype=np.int64)
+    edges = edges[keep]
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    counts = np.bincount(edges[:, 0], minlength=num_vertices)
+    values = None if weights is None else np.asarray(weights, dtype=np.float64)[keep][order]
+    return np.concatenate([[0], np.cumsum(counts)]), edges[order, 1], values
+
+
+@COMMON_SETTINGS
+@given(edge_lists(), st.booleans(), st.booleans(), st.integers(min_value=0, max_value=5))
+def test_from_edges_matches_lexsort_reference(data, weighted, deduplicate, isolated_tail):
+    num_vertices, edges, weights = data
+    num_vertices += isolated_tail  # trailing vertices with no edge at all
+    weights = weights if weighted else None
+    graph = CSRGraph.from_edges(
+        edges, num_vertices=num_vertices, weights=weights, deduplicate=deduplicate
+    )
+    row_offset, column_index, edge_value = reference_csr(num_vertices, edges, weights, deduplicate)
+    np.testing.assert_array_equal(graph.row_offset, row_offset)
+    np.testing.assert_array_equal(graph.column_index, column_index)
+    assert graph.column_index.flags.c_contiguous
+    if weighted:
+        np.testing.assert_array_equal(graph.edge_value, edge_value)
+    else:
+        assert graph.edge_value is None
+
+
 @COMMON_SETTINGS
 @given(edge_lists())
 def test_reverse_is_involution(data):
