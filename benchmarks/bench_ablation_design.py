@@ -54,8 +54,8 @@ def test_ablation_partitioning_granularity(benchmark, report_writer, bench_scale
         rows = []
         for num_partitions in (8, 32, 64, 128):
             for combine_factor in (1, 4, 8):
-                options = HyTGraphOptions(num_partitions=num_partitions, combine_factor=combine_factor)
-                result = workload.run("hytgraph", options=options)
+                options = HyTGraphOptions(combine_factor=combine_factor)
+                result = workload.run("hytgraph", options=options, num_partitions=num_partitions)
                 rows.append(
                     {
                         "partitions": num_partitions,

@@ -61,7 +61,7 @@ def build_cluster(workload, hosts: int, network: str, *, faults=None) -> Cluster
         network=network,
         service=ServiceConfig(system="hytgraph", faults=faults),
     )
-    return ClusterService.for_workload(workload, "hytgraph", config=config)
+    return ClusterService(config, graph=workload.graph, hardware=workload.config)
 
 
 def replay_once(workload, hosts: int, count: int, seed: int, network: str, *, faults=None):

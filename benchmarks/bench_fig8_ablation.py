@@ -32,11 +32,7 @@ def test_fig8_tc_and_cds_gains(benchmark, report_writer, bench_scale):
             for dataset in paper_datasets():
                 workload = build_workload(dataset, algorithm, scale=bench_scale)
                 for label, options in CONFIGURATIONS.items():
-                    run_options = HyTGraphOptions(
-                        task_combining=options.task_combining,
-                        contribution_scheduling=options.contribution_scheduling,
-                    )
-                    result = workload.run("hytgraph", options=run_options)
+                    result = workload.run("hytgraph", options=options)
                     table[(algorithm, dataset, label)] = result.total_time
         return table
 

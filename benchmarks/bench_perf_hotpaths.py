@@ -264,7 +264,7 @@ def _seed_run(self, program, source=None):
     """The seed engine's outer loop: one `_seed_run_iteration` per iteration."""
     self.reset_run_state()
     session = self.start_session(program, source)
-    while session.pending.any() and session.iteration < self.options.max_iterations:
+    while session.pending.any() and session.iteration < self.max_iterations:
         session.result.iterations.append(
             _seed_run_iteration(self, session.iteration, program, session.state, session.pending)
         )

@@ -35,15 +35,16 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. Build the engine.  The options shown are the paper's defaults;
     #    every one of them can be switched off for experimentation.
+    #    Partitioning (like the cache and backend knobs) is a
+    #    constructor argument shared with every baseline system.
     # ------------------------------------------------------------------
     options = HyTGraphOptions(
-        num_partitions=32,
         combine_factor=4,
         task_combining=True,
         contribution_scheduling=True,
         hub_sorting=True,
     )
-    engine = HyTGraphEngine(graph, options=options)
+    engine = HyTGraphEngine(graph, options=options, num_partitions=32)
     print("Partitioned the edge data into %d chunks; hub sorting gathered the "
           "top %.0f%% hub vertices at the front of the CSR." % (
               engine.partitioning.num_partitions, options.hub_fraction * 100))

@@ -5,7 +5,6 @@ from repro.bench.workloads import (
     build_workload,
     paper_datasets,
     scaled_config_for,
-    run_workload,
 )
 
-__all__ = ["Workload", "build_workload", "paper_datasets", "scaled_config_for", "run_workload"]
+__all__ = ["Workload", "build_workload", "paper_datasets", "scaled_config_for"]

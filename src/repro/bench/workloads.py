@@ -10,9 +10,7 @@ memory, the other graphs do not — Section VII-B2).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,9 +18,9 @@ from repro.algorithms import make_algorithm
 from repro.algorithms.base import VertexProgram
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DATASETS, dataset_names, load_dataset
-from repro.metrics.results import BatchResult, RunResult
+from repro.metrics.results import RunResult
 from repro.sim.config import GPU_PRESETS, HardwareConfig, gtx_2080ti
-from repro.systems import SYSTEMS
+from repro.systems import make_system
 
 __all__ = [
     "PAPER_EDGE_COUNTS",
@@ -31,7 +29,6 @@ __all__ = [
     "scaled_config_for",
     "batch_sources",
     "build_workload",
-    "run_workload",
 ]
 
 # Edge counts of the original datasets (Table IV), used to scale the
@@ -55,25 +52,6 @@ DEFAULT_SCALE = 1.0
 # systems lose part of the 11 GB to vertex data and runtime buffers.
 VERTEX_FOOTPRINT_BYTES = 48
 
-#: Entry points that already warned this process (one warning each, so a
-#: benchmark sweep does not drown in repeats).  Tests clear this set to
-#: assert the message.
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated(entry_point: str) -> None:
-    """Emit one DeprecationWarning per entry point pointing at the service."""
-    if entry_point in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(entry_point)
-    warnings.warn(
-        "%s is deprecated; submit a repro.service.QueryRequest to a "
-        "repro.service.GraphService instead (it serves the same workload with "
-        "priorities, deadlines and admission control)" % entry_point,
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 @dataclass
 class Workload:
@@ -87,115 +65,15 @@ class Workload:
     config: HardwareConfig
 
     def run(self, system_name: str, **system_kwargs) -> RunResult:
-        """Run this workload on the named system.
+        """One solo run of this cell on a freshly built named system.
 
-        .. deprecated::
-            Thin adapter over :class:`repro.service.GraphService` — a
-            one-request service over this workload's graph and config.
-            New code should build the service directly and submit typed
-            requests.
+        ``system_kwargs`` are the system constructor's (``options=``,
+        ``num_partitions=``, ``cache_policy=``, ...).  Serving — batches,
+        priorities, deadlines, admission — is
+        :class:`repro.service.GraphService` over ``graph``/``config``.
         """
-        _warn_deprecated("Workload.run")
-        service = self._service(system_name, system_kwargs)
-        handle = service.submit_program(self.program, self.source)
-        return handle.result()
-
-    def _service(self, system_name: str, system_kwargs: dict):
-        """A fresh one-shot service over this workload (adapter plumbing)."""
-        from repro.service import GraphService
-
-        return GraphService.for_workload(self, system_name, **system_kwargs)
-
-    def check_multi_device(self, system_name: str) -> None:
-        """Refuse multi-device configs on systems without a sharded path.
-
-        Raised here (before the system is even built) so CLI and
-        benchmark callers get one clear error instead of silently
-        running single-device.
-        """
-        if self.config.num_devices <= 1:
-            return
-        system_cls = SYSTEMS.get(system_name.lower())
-        if system_cls is None:
-            # Same message shape as make_system so a typo reads the same
-            # at every device count.
-            raise KeyError(
-                "unknown system %r; available: %s" % (system_name, ", ".join(sorted(SYSTEMS)))
-            )
-        if getattr(system_cls, "supports_multi_device", False):
-            return
-        capable = sorted(
-            name for name, cls in SYSTEMS.items() if getattr(cls, "supports_multi_device", False)
-        )
-        raise ValueError(
-            "system %r has no multi-device execution path (%d devices requested); "
-            "run it with one device or pick one of: %s"
-            % (system_name, self.config.num_devices, ", ".join(capable))
-        )
-
-    def make_queries(
-        self,
-        sources: Sequence[int | None] | None = None,
-        count: int | None = None,
-        seed: int | None = None,
-    ) -> list[tuple[VertexProgram, int | None]]:
-        """Build (program, source) query pairs for this workload's algorithm.
-
-        Pass explicit ``sources``, or let ``count`` (with an optional
-        ``seed``) sample them through :func:`batch_sources` — seeded
-        sampling makes batch benchmarks reproducible run-to-run while
-        still exercising divergent working sets.  Sourceless algorithms
-        get ``count`` copies of the ``None`` source.  The two forms are
-        exclusive: combining explicit ``sources`` with ``count``/``seed``
-        raises instead of silently ignoring the sampling arguments.
-        """
-        if sources is not None and (count is not None or seed is not None):
-            raise ValueError(
-                "make_queries takes explicit sources or count/seed sampling, not both"
-            )
-        if sources is None:
-            if count is None:
-                raise ValueError("make_queries needs explicit sources or a count")
-            if self.program.needs_source:
-                sources = batch_sources(self.graph, count, seed=seed)
-            else:
-                sources = [None] * count
-        return [(self.program, source) for source in sources]
-
-    def run_batch(
-        self, system_name: str, sources: Sequence[int | None], **system_kwargs
-    ) -> BatchResult:
-        """Serve ``sources`` as one concurrent batch on the named system.
-
-        .. deprecated::
-            Thin adapter over :class:`repro.service.GraphService`: every
-            source is submitted at the same priority and the queue is
-            drained as one wave, which reproduces the historical FIFO
-            co-schedule bitwise.
-        """
-        _warn_deprecated("Workload.run_batch")
-        service = self._service(system_name, system_kwargs)
-        for program, source in self.make_queries(sources):
-            service.submit_program(program, source)
-        (batch,) = service.drain()
-        return batch
-
-    def run_sequential(
-        self, system_name: str, sources: Sequence[int | None], **system_kwargs
-    ) -> list[RunResult]:
-        """The unbatched baseline: the same queries served back to back.
-
-        One system instance, each query run cold (``run`` resets the warm
-        transfer state), which is what a serving layer without batching
-        would do.
-
-        .. deprecated::
-            Thin adapter over
-            :meth:`repro.service.GraphService.baseline_sequential`.
-        """
-        _warn_deprecated("Workload.run_sequential")
-        service = self._service(system_name, system_kwargs)
-        return service.baseline_sequential(self.make_queries(sources))
+        system = make_system(system_name, self.graph, config=self.config, **system_kwargs)
+        return system.run(self.program, source=self.source)
 
 
 def paper_datasets() -> list[str]:
@@ -313,8 +191,3 @@ def build_workload(
         source=source,
         config=config,
     )
-
-
-def run_workload(system_name: str, workload: Workload, **system_kwargs) -> RunResult:
-    """Convenience wrapper: run ``workload`` on ``system_name``."""
-    return workload.run(system_name, **system_kwargs)

@@ -15,10 +15,11 @@ binaries would expect, plus the serving layer on top:
                             query's latency breakdown from a Chrome trace
                             captured with ``--trace-out``.
 
-``run``, ``compare`` and ``batch`` are thin adapters over the same
-:class:`~repro.service.GraphService` the ``serve`` command exposes in
-full — one warmed execution session per (graph, config), typed query
-requests underneath.
+Every command that executes builds one
+:class:`~repro.service.ServiceConfig` from its flags and serves typed
+query requests on the :class:`~repro.service.GraphService` (under
+``--hosts``/``--network``, the :class:`~repro.cluster.ClusterService`)
+that config describes — one warmed execution session per (graph, config).
 
 Examples
 --------
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -59,7 +61,7 @@ from repro.service import (
 )
 from repro.cluster import ClusterConfig, ClusterService
 from repro.service.config import ADMISSION_POLICIES, SCHEDULING_POLICIES
-from repro.sim.config import INTERCONNECT_PRESETS, NETWORK_PRESETS
+from repro.sim.config import GPU_PRESETS, INTERCONNECT_PRESETS, NETWORK_PRESETS
 from repro.systems import SYSTEMS
 
 __all__ = ["main", "build_parser", "parse_byte_size"]
@@ -92,7 +94,25 @@ def parse_byte_size(text: str) -> int:
     return value * multiplier
 
 
-def _add_cache_arguments(subparser: argparse.ArgumentParser) -> None:
+def positive_int(text: str) -> int:
+    # argparse quotes this function's name in its "invalid ... value" message.
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("%d is not a positive integer" % value)
+    return value
+
+
+def _add_platform_arguments(subparser: argparse.ArgumentParser) -> None:
+    """The graph/platform/cache/backend flags every executing command shares."""
+    subparser.add_argument("--dataset", default="SK", choices=dataset_names(),
+                           help="dataset stand-in")
+    subparser.add_argument("--scale", type=float, default=0.5, help="stand-in scale factor")
+    subparser.add_argument("--gpu", default=None, choices=sorted(GPU_PRESETS),
+                           help="GPU preset (default: GTX-2080Ti)")
+    subparser.add_argument("--devices", type=positive_int, default=1,
+                           help="number of GPUs (>1 enables the sharded multi-GPU layer)")
+    subparser.add_argument("--interconnect", default=None, choices=sorted(INTERCONNECT_PRESETS),
+                           help="inter-GPU link preset (default: nvlink)")
     subparser.add_argument(
         "--cache-policy", default="static-prefix", choices=sorted(CACHE_POLICIES),
         help="device-memory cache eviction policy (static-prefix reproduces "
@@ -103,9 +123,6 @@ def _add_cache_arguments(subparser: argparse.ArgumentParser) -> None:
         help="per-device cache budget in bytes, K/M/G suffixes allowed "
              "(default: the device's edge-cache memory)",
     )
-
-
-def _add_backend_argument(subparser: argparse.ArgumentParser) -> None:
     # No argparse choices on purpose: unknown names reach the backend
     # registry, whose error names the *installed* backends (numba is an
     # optional dependency, so the valid set is environment-specific).
@@ -143,21 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     info = subparsers.add_parser("info", help="describe a dataset stand-in")
-    info.add_argument("--dataset", default="SK", help="dataset name (SK, TW, FK, UK, FS)")
+    info.add_argument("--dataset", default="SK", choices=dataset_names() + ["all"],
+                      help="dataset name, or all")
     info.add_argument("--scale", type=float, default=1.0, help="stand-in scale factor")
 
     run = subparsers.add_parser("run", help="run one algorithm on one system")
-    run.add_argument("--dataset", default="SK")
+    _add_platform_arguments(run)
     run.add_argument("--algorithm", default="sssp", choices=sorted(ALGORITHMS))
     run.add_argument("--system", default="hytgraph", choices=sorted(SYSTEMS))
-    run.add_argument("--scale", type=float, default=0.5)
-    run.add_argument("--gpu", default=None, help="GPU preset name (e.g. GTX-1080, P100)")
-    run.add_argument("--devices", type=int, default=1,
-                     help="number of GPUs (>1 enables the sharded multi-GPU layer)")
-    run.add_argument("--interconnect", default=None, choices=sorted(INTERCONNECT_PRESETS),
-                     help="inter-GPU link preset (default: nvlink)")
-    _add_cache_arguments(run)
-    _add_backend_argument(run)
     _add_trace_argument(run)
     run.add_argument("--iterations", action="store_true", help="print the per-iteration table")
     run.add_argument("--verbose", action="store_true",
@@ -165,34 +175,20 @@ def build_parser() -> argparse.ArgumentParser:
                           "partitioning, cache residency)")
 
     compare = subparsers.add_parser("compare", help="run one workload on several systems")
-    compare.add_argument("--dataset", default="SK")
+    _add_platform_arguments(compare)
     compare.add_argument("--algorithm", default="pagerank", choices=sorted(ALGORITHMS))
     compare.add_argument("--systems", nargs="+", default=DEFAULT_COMPARE_SYSTEMS,
                          choices=sorted(SYSTEMS))
-    compare.add_argument("--scale", type=float, default=0.5)
-    compare.add_argument("--gpu", default=None, help="GPU preset name")
-    compare.add_argument("--devices", type=int, default=1,
-                         help="number of GPUs (>1 enables the sharded multi-GPU layer)")
-    compare.add_argument("--interconnect", default=None, choices=sorted(INTERCONNECT_PRESETS),
-                         help="inter-GPU link preset (default: nvlink)")
-    _add_cache_arguments(compare)
-    _add_backend_argument(compare)
 
     batch = subparsers.add_parser(
         "batch", help="serve a batch of concurrent queries on one system"
     )
-    batch.add_argument("--dataset", default="SK")
+    _add_platform_arguments(batch)
     batch.add_argument("--algorithm", default="sssp", choices=sorted(ALGORITHMS))
     batch.add_argument("--system", default="hytgraph", choices=sorted(SYSTEMS))
-    batch.add_argument("--scale", type=float, default=0.5)
-    batch.add_argument("--gpu", default=None, help="GPU preset name")
-    batch.add_argument("--devices", type=int, default=1,
-                       help="number of GPUs (>1 enables the sharded multi-GPU layer)")
-    batch.add_argument("--interconnect", default=None, choices=sorted(INTERCONNECT_PRESETS),
-                       help="inter-GPU link preset (default: nvlink)")
     batch.add_argument("--sources", type=int, nargs="+", default=None,
                        help="explicit traversal sources, one query each")
-    batch.add_argument("--num-queries", type=int, default=8,
+    batch.add_argument("--num-queries", type=positive_int, default=8,
                        help="query count when --sources is not given "
                             "(top-out-degree sources for source-based algorithms)")
     batch.add_argument("--seed", type=int, default=None,
@@ -200,23 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of taking the top-out-degree ones")
     batch.add_argument("--no-baseline", action="store_true",
                        help="skip the sequential (unbatched) baseline runs")
-    _add_cache_arguments(batch)
-    _add_backend_argument(batch)
     _add_trace_argument(batch)
     _add_stats_json_argument(batch)
 
     serve = subparsers.add_parser(
         "serve", help="serve a mixed-priority request trace through GraphService"
     )
-    serve.add_argument("--dataset", default="SK")
+    _add_platform_arguments(serve)
     serve.add_argument("--system", default="hytgraph", choices=sorted(SYSTEMS))
-    serve.add_argument("--scale", type=float, default=0.5)
-    serve.add_argument("--gpu", default=None, help="GPU preset name")
-    serve.add_argument("--devices", type=int, default=1,
-                       help="number of GPUs (>1 enables the sharded multi-GPU layer)")
-    serve.add_argument("--interconnect", default=None, choices=sorted(INTERCONNECT_PRESETS),
-                       help="inter-GPU link preset (default: nvlink)")
-    serve.add_argument("--hosts", type=int, default=1,
+    serve.add_argument("--hosts", type=positive_int, default=1,
                        help="simulated hosts; >1 serves through the replicated "
                             "cluster tier (--devices GPUs per host, consistent-"
                             "hash routing, cross-host failover)")
@@ -272,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--enforce-deadlines", action="store_true",
                        help="cancel queries that exceed their deadline mid-run "
                             "instead of only recording the SLA miss")
-    _add_cache_arguments(serve)
-    _add_backend_argument(serve)
     _add_trace_argument(serve)
     _add_stats_json_argument(serve)
 
@@ -298,94 +284,64 @@ def _cmd_info(args: argparse.Namespace) -> str:
     return format_table(rows, title="Dataset stand-ins (scale=%g)" % args.scale)
 
 
-def _multi_device_capable(system_name: str) -> bool:
-    return getattr(SYSTEMS[system_name], "supports_multi_device", False)
+@contextmanager
+def _user_errors(prefix: str = ""):
+    """Bad flag values and malformed requests are the caller's fault: exit
+    with the library's named message instead of a traceback."""
+    try:
+        yield
+    except (KeyError, ValueError) as error:
+        raise SystemExit(prefix + str(error))
 
 
-def _require_multi_device_capable(system_name: str, devices: int) -> None:
-    """User-input guard: one clean error for --devices on incapable systems."""
-    if devices > 1 and not _multi_device_capable(system_name):
-        raise SystemExit(
-            "system %r has no multi-device execution path; drop --devices or pick one of: %s"
-            % (system_name, ", ".join(sorted(name for name in SYSTEMS if _multi_device_capable(name))))
+def _workload(args: argparse.Namespace, algorithm: str):
+    with _user_errors():
+        return build_workload(
+            args.dataset, algorithm, scale=args.scale, preset=args.gpu,
+            num_devices=args.devices, interconnect=args.interconnect,
         )
 
 
-def _cache_kwargs(args: argparse.Namespace) -> dict:
-    """System kwargs for the device-memory cache CLI options.
+def _service(args: argparse.Namespace, system_name: str, workload, clustered=False, **serving):
+    """The service the flags describe, over the workload's graph and hardware.
 
-    Rejects a ``--cache-budget`` that could not take effect: under the
-    default ``static-prefix`` policy a cache exists only on multi-device
-    sessions, so a single-device run would silently ignore the budget.
+    One :class:`ServiceConfig` carries every flag (``serving``: the
+    ``serve`` command's policy flags, by config field name); ``clustered``
+    wraps it in the ``--hosts`` x ``--devices`` :class:`ClusterConfig`.
     """
     if (
         args.cache_budget is not None
         and args.cache_policy == "static-prefix"
         and args.devices <= 1
     ):
+        # Under the default policy a cache exists only on multi-device
+        # sessions, so a single-device run would silently ignore the budget.
         raise SystemExit(
             "--cache-budget has no effect here: the default static-prefix policy "
             "builds a device cache only with --devices > 1; pick an adaptive "
             "--cache-policy (lru, frontier-aware) or add devices"
         )
-    kwargs: dict = {}
-    if args.cache_policy != "static-prefix":
-        kwargs["cache_policy"] = args.cache_policy
-    if args.cache_budget is not None:
-        kwargs["cache_budget"] = args.cache_budget
-    return kwargs
-
-
-def _service_config(args: argparse.Namespace, system_name: str) -> ServiceConfig:
-    """The ServiceConfig the CLI flags describe (adapter plumbing)."""
-    try:
-        return ServiceConfig(
+    with _user_errors():
+        config = ServiceConfig(
             system=system_name,
             dataset=args.dataset,
             scale=args.scale,
             gpu=args.gpu,
             devices=args.devices,
-            interconnect=getattr(args, "interconnect", None),
-            scheduling=getattr(args, "scheduling", "priority"),
-            admission_budget_bytes=getattr(args, "budget", None),
-            admission_policy=getattr(args, "admission", "queue"),
-            faults=getattr(args, "faults", None),
-            chaos_seed=getattr(args, "chaos_seed", 0),
-            deadline_s=getattr(args, "deadline", None),
-            enforce_deadlines=getattr(args, "enforce_deadlines", False),
-            preemption=getattr(args, "preempt", False),
-            backend=getattr(args, "backend", None),
+            interconnect=args.interconnect,
+            cache_policy=args.cache_policy,
+            cache_budget=args.cache_budget,
+            backend=args.backend,
             tracing=getattr(args, "trace_out", None) is not None,
+            **serving,
         )
-    except ValueError as error:
-        # Bad --faults specs / --deadline values are user input: one
-        # clean error instead of a dataclass traceback.
-        raise SystemExit(str(error))
-
-
-def _service_for(args: argparse.Namespace, system_name: str, workload) -> GraphService:
-    """One GraphService over the workload's graph/config."""
-    config = _service_config(args, system_name)
-    kwargs = _cache_kwargs(args)
-    kwargs.update(config.system_kwargs())
-    return GraphService.for_workload(workload, system_name, config=config, **kwargs)
-
-
-def _cluster_for(args: argparse.Namespace, system_name: str, workload) -> ClusterService:
-    """One ClusterService (--hosts/--network) over the workload."""
-    service_config = _service_config(args, system_name)
-    try:
-        config = ClusterConfig(
-            hosts=args.hosts,
-            gpus_per_host=args.devices,
-            network=args.network or "tcp",
-            service=service_config,
-        )
-    except (KeyError, ValueError) as error:
-        raise SystemExit(str(error))
-    kwargs = _cache_kwargs(args)
-    kwargs.update(service_config.system_kwargs())
-    return ClusterService.for_workload(workload, system_name, config=config, **kwargs)
+        if clustered:
+            cluster = ClusterConfig(
+                hosts=args.hosts, gpus_per_host=args.devices,
+                network=args.network or "tcp", service=config,
+            )
+            return ClusterService(cluster, graph=workload.graph, hardware=workload.config)
+        return GraphService(config, graph=workload.graph, hardware=workload.config)
 
 
 def _export_trace(service: GraphService, path: Path) -> str:
@@ -407,12 +363,8 @@ def _write_stats_json(path: Path, payload: dict) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
-    _require_multi_device_capable(args.system, args.devices)
-    workload = build_workload(
-        args.dataset, args.algorithm, scale=args.scale, preset=args.gpu,
-        num_devices=args.devices, interconnect=args.interconnect,
-    )
-    service = _service_for(args, args.system, workload)
+    workload = _workload(args, args.algorithm)
+    service = _service(args, args.system, workload)
     result = service.run(QueryRequest(algorithm=args.algorithm, source=workload.source))
     lines = [
         "%s / %s on %s (%d vertices, %d edges)" % (
@@ -476,15 +428,12 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
-    workload = build_workload(
-        args.dataset, args.algorithm, scale=args.scale, preset=args.gpu,
-        num_devices=args.devices, interconnect=args.interconnect,
-    )
+    workload = _workload(args, args.algorithm)
     systems = list(args.systems)
     notes = ""
     if args.devices > 1:
-        skipped = [name for name in systems if not _multi_device_capable(name)]
-        systems = [name for name in systems if _multi_device_capable(name)]
+        skipped = [name for name in systems if not SYSTEMS[name].supports_multi_device]
+        systems = [name for name in systems if name not in skipped]
         if skipped:
             notes = "skipped (no multi-device path): %s\n" % ", ".join(skipped)
         if not systems:
@@ -493,7 +442,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
             )
     rows = []
     for system_name in systems:
-        service = _service_for(args, system_name, workload)
+        service = _service(args, system_name, workload)
         result = service.run(QueryRequest(algorithm=args.algorithm, source=workload.source))
         rows.append(
             {
@@ -516,27 +465,18 @@ def _cmd_compare(args: argparse.Namespace) -> str:
 
 
 def _cmd_batch(args: argparse.Namespace) -> str:
-    _require_multi_device_capable(args.system, args.devices)
-    if args.num_queries <= 0:
-        raise SystemExit("--num-queries must be positive")
-    workload = build_workload(
-        args.dataset, args.algorithm, scale=args.scale, preset=args.gpu,
-        num_devices=args.devices, interconnect=args.interconnect,
-    )
+    workload = _workload(args, args.algorithm)
     if workload.program.needs_source:
-        sources = (
-            args.sources
-            if args.sources
-            else batch_sources(workload.graph, args.num_queries, seed=args.seed)
-        )
+        with _user_errors():
+            sources = args.sources or batch_sources(workload.graph, args.num_queries, seed=args.seed)
     else:
         if args.sources:
             raise SystemExit("algorithm %r takes no traversal source" % args.algorithm)
         sources = [None] * args.num_queries
-    service = _service_for(args, args.system, workload)
-    queries = workload.make_queries(sources)
-    for program, source in queries:
-        service.submit_program(program, source)
+    service = _service(args, args.system, workload)
+    algorithm = workload.program.name.lower()  # canonical, whatever alias --algorithm used
+    with _user_errors():
+        service.submit_many([QueryRequest(algorithm=algorithm, source=source) for source in sources])
     (batch,) = service.drain()
     # Export before the sequential baseline: its solo runs share the
     # service tracer and would append their own lanes to the batch trace.
@@ -576,7 +516,9 @@ def _cmd_batch(args: argparse.Namespace) -> str:
         ),
     ]
     if not args.no_baseline:
-        sequential = service.baseline_sequential(queries)
+        # What a serving layer without batching would do: each query
+        # run cold, back to back, on the same system.
+        sequential = [service.system.run(workload.program, source=source) for source in sources]
         stats = batch.amortization_vs(sequential)
         lines.append(
             "vs sequential serving: %.2fx speedup (%.6f s -> %.6f s), "
@@ -628,28 +570,22 @@ def _load_trace(args: argparse.Namespace, workload) -> list[QueryRequest]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> str:
-    _require_multi_device_capable(args.system, args.devices)
-    if args.hosts < 1:
-        raise SystemExit("--hosts must be at least 1")
     clustered = args.hosts > 1 or args.network is not None
     # The SSSP cell loads the dataset weighted, so one service graph can
     # serve every algorithm a trace may carry.
-    workload = build_workload(
-        args.dataset, "sssp", scale=args.scale, preset=args.gpu,
-        num_devices=args.devices, interconnect=args.interconnect,
+    workload = _workload(args, "sssp")
+    service = _service(
+        args, args.system, workload, clustered,
+        scheduling=args.scheduling, admission_budget_bytes=args.budget,
+        admission_policy=args.admission, faults=args.faults, chaos_seed=args.chaos_seed,
+        deadline_s=args.deadline, enforce_deadlines=args.enforce_deadlines,
+        preemption=args.preempt,
     )
-    if clustered:
-        service = _cluster_for(args, args.system, workload)
-    else:
-        service = _service_for(args, args.system, workload)
     requests = _load_trace(args, workload)
-    try:
+    # Malformed requests: unknown algorithm, source on a sourceless
+    # program, CC on the serve command's directed graph.
+    with _user_errors("cannot serve trace: "):
         handles = service.submit_many(requests)
-    except (KeyError, ValueError) as error:
-        # Malformed requests (unknown algorithm, source on a sourceless
-        # program, CC on the serve command's directed graph) are the
-        # caller's fault: one clean error instead of a traceback.
-        raise SystemExit("cannot serve trace: %s" % error)
     service.drain()
     stats = service.stats()
 
@@ -771,18 +707,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "info":
-        output = _cmd_info(args)
-    elif args.command == "run":
-        output = _cmd_run(args)
-    elif args.command == "batch":
-        output = _cmd_batch(args)
-    elif args.command == "serve":
-        output = _cmd_serve(args)
-    elif args.command == "inspect":
-        output = _cmd_inspect(args)
-    else:
-        output = _cmd_compare(args)
+    commands = {
+        "info": _cmd_info, "run": _cmd_run, "compare": _cmd_compare,
+        "batch": _cmd_batch, "serve": _cmd_serve, "inspect": _cmd_inspect,
+    }
+    output = commands[args.command](args)
     print(output, end="")
     return 0
 

@@ -60,6 +60,12 @@ class ClusterConfig:
         object.__setattr__(self, "network", topology.network)
         if not isinstance(self.service, ServiceConfig):
             raise ValueError("service must be a ServiceConfig")
+        for spec in self.host_loss_specs():
+            if spec.host is not None and spec.host >= self.hosts:
+                raise ValueError(
+                    "host-loss targets host=%d, but the cluster's hosts are [0, %d)"
+                    % (spec.host, self.hosts)
+                )
 
     @property
     def topology(self) -> HostConfig:

@@ -80,25 +80,16 @@ class ClusterService:
         Optional prebuilt graph and hardware for the replicas'
         self-built path (as in :class:`~repro.service.GraphService`);
         all replicas share the graph object but own their systems.
-    replicas:
-        Prebuilt replicas, one per host (the :meth:`for_workload` path).
     """
 
-    def __init__(self, config: ClusterConfig | None = None, *, graph=None, hardware=None, replicas=None):
+    def __init__(self, config: ClusterConfig | None = None, *, graph=None, hardware=None):
         self.config = config or ClusterConfig()
         replica_config = self.config.replica_config()
-        if replicas is None:
-            first = GraphService(replica_config, graph=graph, hardware=hardware)
-            replicas = [first] + [
-                GraphService(replica_config, graph=first.graph, hardware=first.system.config)
-                for _ in range(self.config.hosts - 1)
-            ]
-        replicas = list(replicas)
-        if len(replicas) != self.config.hosts:
-            raise ValueError(
-                "expected %d replica(s), got %d" % (self.config.hosts, len(replicas))
-            )
-        self.replicas = replicas
+        first = GraphService(replica_config, graph=graph, hardware=hardware)
+        self.replicas = [first] + [
+            GraphService(replica_config, graph=first.graph, hardware=first.system.config)
+            for _ in range(self.config.hosts - 1)
+        ]
         self.network = self.config.network
         self.router = Router(self.config.hosts)
         self._alive = [True] * self.config.hosts
@@ -122,30 +113,6 @@ class ClusterService:
         #: Chronological cluster-level fault events.
         self.events: list[dict] = []
         self.tracer = _ClusterTracer(self.replicas)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_workload(
-        cls, workload, system_name: str, config: ClusterConfig | None = None, **system_kwargs
-    ) -> "ClusterService":
-        """A cluster over one benchmark workload's graph and hardware.
-
-        Each replica is built exactly as
-        :meth:`GraphService.for_workload` builds a single host (same
-        graph, same scaled hardware, same kwargs), which is what keeps
-        per-query values bitwise equal to single-host serving.
-        """
-        config = config or ClusterConfig()
-        replica_config = config.replica_config()
-        replicas = [
-            GraphService.for_workload(
-                workload, system_name, config=replica_config, **system_kwargs
-            )
-            for _ in range(config.hosts)
-        ]
-        return cls(config, replicas=replicas)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -317,7 +284,6 @@ class ClusterService:
                 self.events.append(event)
                 continue
             host = spec.host if spec.host is not None else alive[-1]
-            host = min(host, self.config.hosts - 1)
             event["host"] = host
             if not self._alive[host]:
                 event["skipped"] = "host already lost"

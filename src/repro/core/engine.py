@@ -111,12 +111,12 @@ class HyTGraphOptions:
     The defaults reproduce the full system of the paper; the ablation
     benchmarks flip individual switches.
 
+    Partitioning granularity, the iteration bound, the device cache and
+    the compute backend are not options: they are the constructor
+    arguments every :class:`~repro.systems.base.GraphSystem` takes.
+
     Attributes
     ----------
-    partition_bytes / num_partitions:
-        Partitioning granularity
-        (:func:`~repro.graph.partition.build_partitioning`: 64
-        edge-balanced partitions when both are ``None``).
     combine_factor:
         ``k`` — how many consecutive ExpTM-filter partitions merge into
         one task (4 in the paper).
@@ -133,24 +133,8 @@ class HyTGraphOptions:
         Re-process each loaded subgraph once with fresh values.
     thresholds:
         The α/β engine-selection thresholds.
-    max_iterations:
-        Safety bound on outer iterations.
-    backend:
-        Compute backend for the kernel layer (``None`` = ambient/default;
-        see :mod:`repro.core.backends`).  Rides in through the options
-        because the engine builds the execution context itself.
-    cache_policy / cache_budget:
-        Device-memory cache subsystem (:mod:`repro.cache`):
-        ``"static-prefix"`` (default) pins each shard's leading
-        partitions exactly as the historical residency did; ``"lru"``
-        and ``"frontier-aware"`` adapt the resident set every iteration
-        and work at any device count.  ``cache_budget`` is the
-        per-device byte budget (default: the device's edge-cache
-        memory).
     """
 
-    partition_bytes: int | None = None
-    num_partitions: int | None = None
     combine_factor: int = 4
     task_combining: bool = True
     contribution_scheduling: bool = True
@@ -158,10 +142,6 @@ class HyTGraphOptions:
     hub_fraction: float = 0.08
     recompute_loaded: bool = True
     thresholds: SelectionThresholds = field(default_factory=SelectionThresholds)
-    max_iterations: int = 10_000
-    cache_policy: str = "static-prefix"
-    cache_budget: int | None = None
-    backend: str | None = None
 
 
 class HyTGraphEngine:
@@ -174,10 +154,18 @@ class HyTGraphEngine:
         graph: CSRGraph,
         config: HardwareConfig | None = None,
         options: HyTGraphOptions | None = None,
+        num_partitions: int | None = None,
+        partition_bytes: int | None = None,
+        max_iterations: int = 10_000,
+        cache_policy: str = "static-prefix",
+        cache_budget: int | None = None,
+        backend: str | None = None,
     ):
         self.original_graph = graph
         self.config = config or default_config()
         self.options = options or HyTGraphOptions()
+        #: Outer-iteration bound (shared protocol with the systems).
+        self.max_iterations = max_iterations
 
         self.preprocessing_time = 0.0
         self.reordering: ReorderedGraph | None = None
@@ -191,9 +179,7 @@ class HyTGraphEngine:
         else:
             self.graph = graph
 
-        self.partitioning = build_partitioning(
-            self.graph, self.options.num_partitions, self.options.partition_bytes
-        )
+        self.partitioning = build_partitioning(self.graph, num_partitions, partition_bytes)
         # Sink detection runs every iteration; the degree==0 mask is static.
         self._sink_mask = self.graph.out_degrees == 0
         self.cost_model = CostModel(self.graph, self.partitioning, self.config)
@@ -226,16 +212,11 @@ class HyTGraphEngine:
             self.graph,
             self.partitioning,
             self.config,
-            cache_policy=self.options.cache_policy,
-            cache_budget=self.options.cache_budget,
-            backend=self.options.backend,
+            cache_policy=cache_policy,
+            cache_budget=cache_budget,
+            backend=backend,
         )
         self.driver = IterationDriver(self.context)
-
-    @property
-    def max_iterations(self) -> int:
-        """Outer-iteration bound (shared protocol with the systems)."""
-        return self.options.max_iterations
 
     # ------------------------------------------------------------------
     # Setup helpers
@@ -304,7 +285,7 @@ class HyTGraphEngine:
         """Run ``program`` to convergence and return the full result record."""
         self.reset_run_state()
         session = self.start_session(program, source)
-        self.driver.drive(self, session, self.options.max_iterations)
+        self.driver.drive(self, session, self.max_iterations)
         return self.finish_session(session)
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:

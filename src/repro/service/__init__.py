@@ -17,9 +17,9 @@ future async pipelining and multi-backend execution) plug into:
 * :class:`~repro.service.stats.ServiceStats` — admission counters,
   per-class latency percentiles, SLA attainment.
 
-The historical entry points (``Workload.run``/``run_batch``/
-``run_sequential`` and the CLI subcommands) are thin adapters over this
-package.
+The executing CLI subcommands serve through this package; a solo run
+without a service is ``make_system(...).run`` (``Workload.run`` for a
+benchmark cell).
 """
 
 from repro.obs import TracingConfig

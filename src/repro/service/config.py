@@ -1,11 +1,11 @@
 """One dataclass for every serving knob.
 
-Historically the knobs of a run were scattered across ``make_system``
-kwargs, ``build_workload`` arguments and per-CLI flags; the service
-collects them in :class:`ServiceConfig` so a deployment is described by
-one value — which graph, which system, how many devices over which
-interconnect, which cache policy, and the serving policies (scheduling
-discipline, admission budget) layered on top.
+A deployment is described by one :class:`ServiceConfig` value — which
+graph, which system, how many devices over which interconnect, which
+cache policy and compute backend, and the serving policies (scheduling
+discipline, admission budget) layered on top.  It is the only place
+those knobs are assembled: the CLI builds one from its flags, the
+service builds its system from it.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ class ServiceConfig:
 
     Graph/platform knobs (``dataset``/``scale``/``gpu``/``devices``/
     ``interconnect``) feed :func:`repro.bench.workloads.build_workload`
-    when the service builds its own graph; they are ignored when a
-    prebuilt system or workload is supplied.  Cache knobs are forwarded
-    to the system; serving knobs configure the scheduler and the
-    admission controller.
+    when the service builds its own graph; a caller that passes
+    ``graph=``/``hardware=`` has already applied them.  The system name
+    and the cache, backend and iteration knobs build the system (they
+    are not consulted when a prebuilt ``system=`` is substituted);
+    serving knobs configure the scheduler and the admission controller.
     """
 
     # --- system/platform ------------------------------------------------

@@ -22,10 +22,8 @@ polling a handle never executes; ``drain`` (or ``handle.result()``) does
 the work.
 
 Per-query *values* are bitwise identical to standalone ``system.run``
-calls — the scheduler shares transfer state, never semantics — which is
-what lets ``Workload.run``/``run_batch``/``run_sequential`` and the CLI
-be thin adapters over this class (asserted across the full
-algorithm × system grid in ``tests/test_service.py``).
+calls — the scheduler shares transfer state, never semantics (asserted
+across the full algorithm × system grid in ``tests/test_service.py``).
 """
 
 from __future__ import annotations
@@ -67,23 +65,32 @@ class GraphService:
     ----------
     config:
         The :class:`ServiceConfig` describing platform and serving
-        policies (defaults throughout when omitted).
-    system:
-        A prebuilt :class:`~repro.systems.base.GraphSystem` to serve on.
-        When omitted the service builds its own from ``config`` (and
-        ``graph``/``hardware`` when given): the dataset stand-in is
-        loaded weighted so every algorithm can run against it — except
-        CC, whose weakly-connected semantics need a symmetrized graph
-        (submit a CC request only to a service built over one; a
-        directed graph is refused at submit).
+        policies (defaults throughout when omitted).  The service builds
+        its system from it: ``config.system`` with the config's cache,
+        backend and iteration knobs.
     graph / hardware:
         Optional prebuilt graph and
-        :class:`~repro.sim.config.HardwareConfig` for the self-built
-        path.
+        :class:`~repro.sim.config.HardwareConfig` to build that system
+        over (a benchmark workload's ``graph``/``config``).  Without a
+        graph the config's dataset stand-in is loaded weighted so every
+        algorithm can run against it — except CC, whose weakly-connected
+        semantics need a symmetrized graph (submit a CC request only to
+        a service built over one; a directed graph is refused at
+        submit).
+    system:
+        A prebuilt :class:`~repro.systems.base.GraphSystem` to serve on
+        instead (tests substitute instrumented systems through it); the
+        config's system/platform/cache knobs are then not consulted.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *, system=None, graph=None, hardware=None):
         self.config = config or ServiceConfig()
+        if self.config.faults is not None and self.config.faults.host_loss_specs():
+            raise ValueError(
+                "host-loss faults need the cluster tier: a single-host service "
+                "cannot lose a host; serve through ClusterService (--hosts N on "
+                "the command line)"
+            )
         if system is None:
             system = self._build_system(self.config, graph, hardware)
         self.system = system
@@ -166,25 +173,6 @@ class GraphService:
             hardware = scaled_config_for(graph, None, preset)
         return make_system(config.system, graph, config=hardware, **config.system_kwargs())
 
-    @classmethod
-    def for_workload(
-        cls, workload, system_name: str, config: ServiceConfig | None = None, **system_kwargs
-    ) -> "GraphService":
-        """A service over one benchmark workload's graph and hardware.
-
-        This is the constructor the ``Workload``/CLI adapters use: the
-        system is built exactly as the historical entry points built it
-        (same graph, same scaled hardware config, same kwargs), so
-        results stay bitwise compatible.
-        """
-        workload.check_multi_device(system_name)
-        system = make_system(
-            system_name, workload.graph, config=workload.config, **system_kwargs
-        )
-        if config is None:
-            config = ServiceConfig(system=system_name.lower(), dataset=workload.dataset)
-        return cls(config, system=system)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -211,30 +199,6 @@ class GraphService:
         service is protecting itself).
         """
         return self._submit_resolved(request, make_algorithm(request.algorithm.lower()))
-
-    def submit_program(
-        self,
-        program: VertexProgram,
-        source: int | None = None,
-        *,
-        priority: Priority = Priority.STANDARD,
-        deadline_s: float | None = None,
-        label: str | None = None,
-    ) -> QueryHandle:
-        """Submit a pre-built vertex program (the ``Workload`` adapters' path).
-
-        Equivalent to :meth:`submit` with the program's request, minus
-        the registry lookup — callers that already hold a program object
-        (benchmark workloads, the CLI) reuse it unchanged.
-        """
-        request = QueryRequest(
-            algorithm=program.name.lower(),
-            source=source,
-            priority=priority,
-            deadline_s=deadline_s,
-            label=label,
-        )
-        return self._submit_resolved(request, program)
 
     def _check_program(self, program: VertexProgram) -> None:
         """Reject programs this service's graph cannot serve.
@@ -689,26 +653,15 @@ class GraphService:
     def run(self, request: QueryRequest) -> RunResult:
         """Submit one request and serve the queue to completion.
 
-        The single-query convenience the ``Workload.run``/CLI adapters
-        sit on; raises :class:`~repro.service.request.RequestRejected`
-        when admission control refuses the request.
+        Raises :class:`~repro.service.request.RequestRejected` when
+        admission control refuses the request.
         """
         handle = self.submit(request)
         return handle.result()
 
     # ------------------------------------------------------------------
-    # Baselines and statistics
+    # Statistics
     # ------------------------------------------------------------------
-    def baseline_sequential(
-        self, queries: Sequence[tuple[VertexProgram, int | None]]
-    ) -> list[RunResult]:
-        """The unbatched baseline: each query run cold, back to back.
-
-        What a serving layer without batching would do; used by the CLI
-        ``batch`` comparison and the scheduling benchmarks.
-        """
-        return [self.system.run(program, source=source) for program, source in queries]
-
     @property
     def in_flight(self) -> int:
         """Admitted requests not yet terminal (queued or suspended)."""

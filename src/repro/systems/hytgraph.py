@@ -34,39 +34,14 @@ class HyTGraphSystem(GraphSystem):
         graph: CSRGraph,
         config: HardwareConfig | None = None,
         options: HyTGraphOptions | None = None,
-        num_partitions: int | None = None,
-        partition_bytes: int | None = None,
-        max_iterations: int = 10_000,
-        cache_policy: str = "static-prefix",
-        cache_budget: int | None = None,
-        backend: str | None = None,
+        **shared,
     ):
-        super().__init__(
-            graph,
-            config=config,
-            num_partitions=num_partitions,
-            partition_bytes=partition_bytes,
-            max_iterations=max_iterations,
-            cache_policy=cache_policy,
-            cache_budget=cache_budget,
-            backend=backend,
-        )
+        # ``shared``: the knobs of the GraphSystem signature (partitioning,
+        # iteration bound, cache, backend); the engine builds the runtime,
+        # so it takes them as the same keyword arguments.
+        super().__init__(graph, config=config, **shared)
         self.options = options or HyTGraphOptions()
-        if num_partitions is not None:
-            self.options.num_partitions = num_partitions
-        if partition_bytes is not None:
-            self.options.partition_bytes = partition_bytes
-        self.options.max_iterations = max_iterations
-        # The engine builds the runtime, so the cache and backend knobs
-        # ride in through its options (explicit arguments win over an
-        # options object carrying the defaults).
-        if cache_policy != "static-prefix":
-            self.options.cache_policy = cache_policy
-        if cache_budget is not None:
-            self.options.cache_budget = cache_budget
-        if backend is not None:
-            self.options.backend = backend
-        self.engine = HyTGraphEngine(graph, config=self.config, options=self.options)
+        self.engine = HyTGraphEngine(graph, config=self.config, options=self.options, **shared)
         # Execute on the engine's runtime, built over the hub-sorted
         # graph's partitioning (builds_runtime=False skips the base build).
         self.partitioning = self.engine.partitioning

@@ -260,11 +260,11 @@ class TestRuntimePlumbing:
         The ambient backend stays numpy; only the session is pinned.
         """
         from repro.algorithms.sssp import SSSP
-        from repro.core.engine import HyTGraphEngine, HyTGraphOptions
+        from repro.core.engine import HyTGraphEngine
 
         graph = rmat_graph(500, 4000, seed=7, weighted=True)
         if system_name == "engine":
-            system = HyTGraphEngine(graph, options=HyTGraphOptions(backend="array-api"))
+            system = HyTGraphEngine(graph, backend="array-api")
         else:
             system = make_system(system_name, graph, backend="array-api")
         pinned = system.context.backend
@@ -297,7 +297,10 @@ class TestRuntimePlumbing:
         from repro.service import GraphService, QueryRequest
 
         workload = build_workload("SK", "sssp", scale=0.05)
-        service = GraphService.for_workload(workload, "hytgraph", backend="numpy")
+        service = GraphService(
+            ServiceConfig(system="hytgraph", backend="numpy"),
+            graph=workload.graph, hardware=workload.config,
+        )
         service.submit(QueryRequest(algorithm="sssp", source=0))
         service.submit(QueryRequest(algorithm="sssp", source=1))
         (batch,) = service.drain()

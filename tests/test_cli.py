@@ -1,7 +1,12 @@
 """Unit tests for the ``repro-graph`` command-line interface."""
 
+import hashlib
+import shlex
+from pathlib import Path
+
 import pytest
 
+import repro.cli
 from repro.cli import DEFAULT_COMPARE_SYSTEMS, build_parser, main
 
 
@@ -345,3 +350,236 @@ class TestCacheOptions:
         code = main(["run", "--dataset", "SK", "--algorithm", "bfs", "--scale", "0.05",
                      "--devices", "2", "--cache-budget", "64K"])
         assert code == 0
+
+
+# Byte-for-byte stdout (the --stats-json path normalised to STATS.json) and
+# the sha256 of the --stats-json payload of the batch/serve cases, recorded
+# at the commit before cli.py was rebuilt around one ServiceConfig.
+GOLDEN = {
+    "run-iterations": (
+        ["run", "--dataset", "SK", "--algorithm", "sssp", "--scale", "0.05", "--iterations"],
+        "HyTGraph / SSSP on SK (600 vertices, 15942 edges)\n"
+        "simulated time: 0.000205 s over 7 iterations (converged=True)\n"
+        "transfer volume: 0.219 MB (1.72x the edge data)\n"
+        "busy time: compaction 0.000000 s, PCIe 0.000197 s, GPU 0.000043 s\n"
+        "Per-iteration detail\n"
+        "iter  active_vertices  active_edges  time       transfer_KB  engines         \n"
+        "-----------------------------------------------------------------------------\n"
+        "0     1                350           3.301e-06  2.73         ExpTM-F         \n"
+        "1     350              14658         0.0001123  114.5        ExpTM-F,ImpTM-ZC\n"
+        "2     103              6562          6.299e-05  51.27        ExpTM-F,ImpTM-ZC\n"
+        "3     104              3107          1.405e-05  24.27        ExpTM-F,ImpTM-ZC\n"
+        "4     53               1894          1.051e-05  14.8         ExpTM-F,ImpTM-ZC\n"
+        "5     47               674           1.129e-06  5.27         ImpTM-ZC        \n"
+        "6     7                165           3.165e-07  1.29         ImpTM-ZC        \n",
+        None,
+    ),
+    "compare": (
+        ["compare", "--dataset", "SK", "--algorithm", "bfs", "--scale", "0.05"],
+        "BFS on SK (scale=0.05, GTX-2080Ti)\n"
+        "system    time (s)   iterations  transfer (xE)  slowdown\n"
+        "--------------------------------------------------------\n"
+        "EMOGI     8.98e-06   4           1              1       \n"
+        "ImpTM-UM  1.662e-05  4           1.03           1.85    \n"
+        "Grus      2.284e-05  4           1              2.54    \n"
+        "Subway    6.621e-05  4           1.06           7.37    \n"
+        "HyTGraph  0.000115   3           0.94           12.8    \n"
+        "ExpTM-F   0.000299   4           1.53           33.3    \n",
+        None,
+    ),
+    "batch": (
+        ["batch", "--dataset", "SK", "--algorithm", "sssp", "--scale", "0.05", "--num-queries", "3", "--seed", "3"],
+        "SSSP batch of 3 queries on SK (HyTGraph, scale=0.05)\n"
+        "query  source  iterations  time (s)  transfer_KB  converged\n"
+        "-----------------------------------------------------------\n"
+        "0      46      9           0.000175  182.4        True     \n"
+        "1      97      8           7.5e-05   114          True     \n"
+        "2      465     10          6e-05     112.5        True     \n"
+        "batch makespan: 0.000308 s over 10 super-iterations (9754.9 queries/s)\n"
+        "batch transfer volume: 0.419 MB (0.122 MB amortized across queries)\n"
+        "device cache (static-prefix): 0.000 MB hits, 0.000 MB misses, 0.000 MB evicted\n"
+        "vs sequential serving: 1.58x speedup (0.000486 s -> 0.000308 s), 0.122 MB transfer saved\n"
+        "stats: wrote STATS.json\n",
+        "1c754fb5cb9eaface82ac972ec66a679bc1992c5dd843a6a449c175dbb9a1328",
+    ),
+    "batch-lru": (
+        ["batch", "--dataset", "SK", "--algorithm", "sssp", "--scale", "0.05", "--num-queries", "3", "--seed", "3", "--cache-policy", "lru"],
+        "SSSP batch of 3 queries on SK (HyTGraph, scale=0.05)\n"
+        "query  source  iterations  time (s)  transfer_KB  converged\n"
+        "-----------------------------------------------------------\n"
+        "0      46      9           0.000159  149.7        True     \n"
+        "1      97      8           8.6e-05   90.42        True     \n"
+        "2      465     8           9.6e-05   85.61        True     \n"
+        "batch makespan: 0.000329 s over 9 super-iterations (9109.8 queries/s)\n"
+        "batch transfer volume: 0.334 MB (0.084 MB amortized across queries)\n"
+        "device cache (lru): 0.306 MB hits, 0.187 MB misses, 0.204 MB evicted\n"
+        "vs sequential serving: 1.15x speedup (0.000380 s -> 0.000329 s), 0.052 MB transfer saved\n"
+        "stats: wrote STATS.json\n",
+        "06ffa0f930a97ec453b65a1168fc275bbc992513d7574e2e68ef359b1e7ab3b9",
+    ),
+    "batch-2gpu": (
+        ["batch", "--dataset", "SK", "--algorithm", "sssp", "--scale", "0.05", "--num-queries", "3", "--seed", "3", "--devices", "2"],
+        "SSSP batch of 3 queries on SK (HyTGraph, scale=0.05) x2 GPUs over nvlink\n"
+        "query  source  iterations  time (s)  transfer_KB  converged\n"
+        "-----------------------------------------------------------\n"
+        "0      46      7           0.000109  63.11        True     \n"
+        "1      97      7           0.000113  59.84        True     \n"
+        "2      465     8           3.2e-05   1.6          True     \n"
+        "batch makespan: 0.000242 s over 8 super-iterations (12419.1 queries/s)\n"
+        "batch transfer volume: 0.128 MB (0.000 MB amortized across queries)\n"
+        "device cache (static-prefix): 0.942 MB hits, 0.128 MB misses, 0.000 MB evicted\n"
+        "vs sequential serving: 2.53x speedup (0.000610 s -> 0.000242 s), 0.255 MB transfer saved\n"
+        "stats: wrote STATS.json\n",
+        "c6fc679b54a451826302b5770156a5fe27ae189610bb3f4d4dc4a2473787c3ac",
+    ),
+    "batch-2gpu-lru": (
+        ["batch", "--dataset", "SK", "--algorithm", "sssp", "--scale", "0.05", "--num-queries", "3", "--seed", "3", "--devices", "2", "--cache-policy", "lru"],
+        "SSSP batch of 3 queries on SK (HyTGraph, scale=0.05) x2 GPUs over nvlink\n"
+        "query  source  iterations  time (s)  transfer_KB  converged\n"
+        "-----------------------------------------------------------\n"
+        "0      46      8           0.000114  112.1        True     \n"
+        "1      97      10          6.9e-05   79.26        True     \n"
+        "2      465     10          3e-05     36.62        True     \n"
+        "batch makespan: 0.000209 s over 10 super-iterations (14372.9 queries/s)\n"
+        "batch transfer volume: 0.233 MB (0.000 MB amortized across queries)\n"
+        "device cache (lru): 0.588 MB hits, 0.097 MB misses, 0.000 MB evicted\n"
+        "vs sequential serving: 1.82x speedup (0.000380 s -> 0.000209 s), 0.207 MB transfer saved\n"
+        "stats: wrote STATS.json\n",
+        "f0b9684f110cdedc55ada70664dd3de33014cbf0c6ec8a2a04b1344194899a22",
+    ),
+    "serve": (
+        ["serve", "--dataset", "SK", "--scale", "0.05", "--point-lookups", "4", "--analytical", "2"],
+        "served 6 of 6 requests on HyTGraph / SK (priority scheduling, 1 wave(s))\n"
+        "makespan 0.002907 s (2064.0 queries/s), transfer 2.978 MB\n"
+        "compute backend: numpy\n"
+        "stats: wrote STATS.json\n"
+        "Per-class service latency\n"
+        "class        queries  p50 (s)   p95 (s)   p99 (s)   max (s) \n"
+        "------------------------------------------------------------\n"
+        "interactive  4        0.000177  0.0002    0.000201  0.000201\n"
+        "bulk         2        0.002851  0.002901  0.002906  0.002907\n",
+        "26977ca201cf6ced6b69c39d368f527b25592b9675b27f9a22a743657e9022aa",
+    ),
+    "serve-budget-reject": (
+        ["serve", "--dataset", "SK", "--scale", "0.05", "--point-lookups", "4", "--analytical", "2", "--budget", "4M", "--admission", "reject"],
+        "served 6 of 6 requests on HyTGraph / SK (priority scheduling, 1 wave(s))\n"
+        "makespan 0.002907 s (2064.0 queries/s), transfer 2.978 MB\n"
+        "compute backend: numpy\n"
+        "admission: budget 4194304 bytes (reject policy), 6 admitted, 0 rejected\n"
+        "stats: wrote STATS.json\n"
+        "Per-class service latency\n"
+        "class        queries  p50 (s)   p95 (s)   p99 (s)   max (s) \n"
+        "------------------------------------------------------------\n"
+        "interactive  4        0.000177  0.0002    0.000201  0.000201\n"
+        "bulk         2        0.002851  0.002901  0.002906  0.002907\n",
+        "26977ca201cf6ced6b69c39d368f527b25592b9675b27f9a22a743657e9022aa",
+    ),
+    "serve-cluster-host-loss": (
+        ["serve", "--dataset", "SK", "--scale", "0.05", "--point-lookups", "4", "--analytical", "2", "--hosts", "2", "--devices", "2", "--faults", "host-loss@1:host=1"],
+        "served 6 of 6 requests on HyTGraph / SK (priority scheduling, 2 wave(s))\n"
+        "cluster: 2 host(s) x 2 GPU(s) over tcp (2.50 GB/s, 50 us); router: 6 affinity, 0 spill(s), 0 rejection(s)\n"
+        "makespan 0.001206 s (4973.2 queries/s), transfer 0.255 MB\n"
+        "compute backend: numpy\n"
+        "faults: 0 injected, 0 transfer retries (0.000000 s retry time); 0 failed, 0 cancelled\n"
+        "recovery: 0.000000 s checkpointing, 0.000000 s restoring; circuit breaker closed (0 trip(s))\n"
+        "hosts: 1 of 2 alive, lost: [1]; 3 failover(s), 0.000 MB checkpoint shipping (0.000150 s on the network)\n"
+        "stats: wrote STATS.json\n"
+        "Per-class service latency\n"
+        "class        queries  p50 (s)   p95 (s)   p99 (s)   max (s) \n"
+        "------------------------------------------------------------\n"
+        "interactive  4        0.000332  0.000635  0.000636  0.000636\n"
+        "bulk         2        0.000876  0.001148  0.001173  0.001179\n",
+        "f0f6fb3ed468ddad3d0823825d804e8481d74e0119d23824a16b716184ac062b",
+    ),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_stdout_and_stats_payload_are_byte_identical(self, name, tmp_path, capsys):
+        argv, expected, digest = GOLDEN[name]
+        stats = tmp_path / "stats.json"
+        if digest is not None:
+            argv = argv + ["--stats-json", str(stats)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.replace(str(stats), "STATS.json") == expected
+        if digest is not None:
+            assert hashlib.sha256(stats.read_bytes()).hexdigest() == digest
+
+
+class TestConfigFidelity:
+    """The service a sub-command builds carries the flags in its config."""
+
+    FLAGS = ["--dataset", "SK", "--scale", "0.05", "--devices", "2",
+             "--cache-policy", "lru", "--cache-budget", "1M", "--backend", "numpy"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--algorithm", "bfs"],
+        ["compare", "--algorithm", "bfs", "--systems", "emogi", "hytgraph"],
+        ["batch", "--algorithm", "bfs", "--num-queries", "2", "--no-baseline"],
+        ["serve", "--point-lookups", "2", "--analytical", "1"],
+        ["serve", "--point-lookups", "2", "--analytical", "1", "--hosts", "2"],
+    ], ids=["run", "compare", "batch", "serve", "serve-cluster"])
+    def test_built_service_config_equals_the_flags(self, argv, monkeypatch, capsys):
+        built = []
+
+        def recording(cls):
+            class Recording(cls):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    built.append(self)
+
+            return Recording
+
+        monkeypatch.setattr(repro.cli, "GraphService", recording(repro.cli.GraphService))
+        monkeypatch.setattr(repro.cli, "ClusterService", recording(repro.cli.ClusterService))
+        assert main(argv + self.FLAGS) == 0
+        configs = []
+        for service in built:
+            if isinstance(service, repro.cli.ClusterService):
+                configs.append(service.config.service)
+                configs.extend(replica.config for replica in service.replicas)
+            else:
+                configs.append(service.config)
+        assert configs
+        for config in configs:
+            assert (config.cache_policy, config.cache_budget, config.backend, config.devices) == (
+                "lru", 1 << 20, "numpy", 2,
+            )
+
+
+class TestBadInput:
+    """Bad flag values exit with one named line, never a traceback."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "--gpu", "NOPE"], "--gpu: invalid choice: 'NOPE'"),
+        (["run", "--dataset", "NOPE"], "--dataset: invalid choice: 'NOPE'"),
+        (["run", "--devices", "0"], "--devices: 0 is not a positive integer"),
+        (["batch", "--sources", "99999999"], "source 99999999 outside [0, 600)"),
+        (["batch", "--num-queries", "100000"], "cannot pick 100000 distinct sources in a 600-vertex graph"),
+    ], ids=["gpu", "dataset", "devices", "sources", "num-queries"])
+    def test_exits_with_a_named_line(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--scale", "0.05"])
+        # argparse reports on stderr (exit status 2); the commands raise
+        # SystemExit(message) themselves.
+        assert named in "%s\n%s" % (excinfo.value, capsys.readouterr().err)
+
+    def test_host_loss_needs_the_cluster_tier(self):
+        with pytest.raises(SystemExit, match="host-loss.*--hosts"):
+            main(["serve", "--scale", "0.05", "--faults", "host-loss@1:host=0"])
+
+
+def _documented_invocations():
+    """Every ``repro-graph ...`` example in the CLI docstring and the README."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    for origin, text in (("cli", repro.cli.__doc__), ("README", readme.read_text())):
+        for line in text.replace("\\\n", " ").splitlines():
+            line = line.strip()
+            if line.startswith("repro-graph "):
+                yield pytest.param(shlex.split(line, comments=True)[1:], id="%s: %s" % (origin, line[:60]))
+
+
+@pytest.mark.parametrize("argv", _documented_invocations())
+def test_documented_invocations_parse(argv):
+    build_parser().parse_args(argv)

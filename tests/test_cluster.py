@@ -562,10 +562,16 @@ class TestClusterConfig:
         fast = ClusterConfig(hosts=2, network="tcp")
         assert fast.network.transfer_seconds(10**9) > config.network.transfer_seconds(10**9)
 
-    def test_replica_count_must_match(self, graph, hardware):
-        replica = _service(graph, hardware)
-        with pytest.raises(ValueError, match="expected 2 replica"):
-            ClusterService(ClusterConfig(hosts=2), replicas=[replica])
+    def test_host_loss_target_must_be_a_configured_host(self):
+        service = ServiceConfig(system="hytgraph", faults="host-loss@1:host=7")
+        with pytest.raises(ValueError, match=r"host=7.*\[0, 2\)"):
+            ClusterConfig(hosts=2, service=service)
+        assert ClusterConfig(hosts=8, service=service).host_loss_specs()[0].host == 7
+
+    def test_single_host_service_refuses_host_loss(self, graph, hardware):
+        config = ServiceConfig(system="hytgraph", faults="device-loss@2;host-loss@1:host=0")
+        with pytest.raises(ValueError, match="host-loss.*ClusterService.*--hosts"):
+            GraphService(config, graph=graph, hardware=hardware)
 
 
 class TestClusterObservability:
@@ -629,5 +635,6 @@ class TestClusterCLI:
     def test_serve_rejects_bad_hosts(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="--hosts"):
+        with pytest.raises(SystemExit):
             main(["serve", "--dataset", "SK", "--scale", "0.05", "--hosts", "0"])
+        assert "--hosts: 0 is not a positive integer" in capsys.readouterr().err

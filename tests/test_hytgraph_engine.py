@@ -1,11 +1,14 @@
 """Tests for the HyTGraph runtime engine (correctness + behaviour)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.algorithms import BFS, ConnectedComponents, DeltaPageRank, PHP, SSSP, reference
 from repro.core.engine import HyTGraphEngine, HyTGraphOptions
 from repro.core.selection import SelectionThresholds
+from repro.systems import make_system
 from repro.transfer.base import EngineKind
 
 from tests.conftest import assert_distances_equal
@@ -13,7 +16,7 @@ from tests.conftest import assert_distances_equal
 
 @pytest.fixture
 def engine(medium_rmat_graph):
-    return HyTGraphEngine(medium_rmat_graph, options=HyTGraphOptions(num_partitions=16))
+    return HyTGraphEngine(medium_rmat_graph, num_partitions=16)
 
 
 class TestCorrectness:
@@ -25,27 +28,27 @@ class TestCorrectness:
 
     def test_bfs_matches_reference(self, medium_rmat_graph):
         graph = medium_rmat_graph.without_weights()
-        engine = HyTGraphEngine(graph, options=HyTGraphOptions(num_partitions=16))
+        engine = HyTGraphEngine(graph, num_partitions=16)
         source = int(np.argmax(graph.out_degrees))
         result = engine.run(BFS(), source=source)
         assert_distances_equal(result.values, reference.bfs_levels(graph, source))
 
     def test_cc_matches_reference(self, medium_power_law_graph):
         graph = medium_power_law_graph.without_weights().symmetrize()
-        engine = HyTGraphEngine(graph, options=HyTGraphOptions(num_partitions=16))
+        engine = HyTGraphEngine(graph, num_partitions=16)
         result = engine.run(ConnectedComponents())
         np.testing.assert_allclose(result.values, reference.connected_component_labels(graph))
 
     def test_pagerank_matches_reference(self, medium_rmat_graph):
         graph = medium_rmat_graph.without_weights()
-        engine = HyTGraphEngine(graph, options=HyTGraphOptions(num_partitions=16))
+        engine = HyTGraphEngine(graph, num_partitions=16)
         result = engine.run(DeltaPageRank(tolerance=1e-9))
         expected = reference.pagerank_values(graph)
         np.testing.assert_allclose(result.values, expected, rtol=1e-4, atol=1e-6)
 
     def test_php_matches_reference(self, medium_rmat_graph):
         graph = medium_rmat_graph.without_weights()
-        engine = HyTGraphEngine(graph, options=HyTGraphOptions(num_partitions=16))
+        engine = HyTGraphEngine(graph, num_partitions=16)
         source = int(np.argmax(graph.out_degrees))
         result = engine.run(PHP(tolerance=1e-10), source=source)
         expected = reference.php_values(graph, source)
@@ -54,10 +57,10 @@ class TestCorrectness:
     def test_hub_sorting_does_not_change_answers(self, medium_power_law_graph):
         source = int(np.argmax(medium_power_law_graph.out_degrees))
         with_hubs = HyTGraphEngine(
-            medium_power_law_graph, options=HyTGraphOptions(num_partitions=16, hub_sorting=True)
+            medium_power_law_graph, num_partitions=16, options=HyTGraphOptions(hub_sorting=True)
         ).run(SSSP(), source=source)
         without_hubs = HyTGraphEngine(
-            medium_power_law_graph, options=HyTGraphOptions(num_partitions=16, hub_sorting=False)
+            medium_power_law_graph, num_partitions=16, options=HyTGraphOptions(hub_sorting=False)
         ).run(SSSP(), source=source)
         assert_distances_equal(with_hubs.values, without_hubs.values)
 
@@ -68,12 +71,13 @@ class TestCorrectness:
             for contribution in (True, False):
                 for recompute in (True, False):
                     options = HyTGraphOptions(
-                        num_partitions=12,
                         task_combining=task_combining,
                         contribution_scheduling=contribution,
                         recompute_loaded=recompute,
                     )
-                    result = HyTGraphEngine(medium_rmat_graph, options=options).run(SSSP(), source=source)
+                    result = HyTGraphEngine(medium_rmat_graph, options=options, num_partitions=12).run(
+                        SSSP(), source=source
+                    )
                     assert_distances_equal(result.values, expected)
 
 
@@ -102,7 +106,7 @@ class TestBehaviour:
 
     def test_engine_mix_uses_multiple_engines_for_pagerank(self, medium_power_law_graph):
         graph = medium_power_law_graph.without_weights()
-        engine = HyTGraphEngine(graph, options=HyTGraphOptions(num_partitions=24))
+        engine = HyTGraphEngine(graph, num_partitions=24)
         result = engine.run(DeltaPageRank())
         used = set()
         for stats in result.iterations:
@@ -112,11 +116,11 @@ class TestBehaviour:
 
     def test_preprocessing_time_recorded_with_hub_sorting(self, medium_power_law_graph):
         engine = HyTGraphEngine(
-            medium_power_law_graph, options=HyTGraphOptions(num_partitions=8, hub_sorting=True)
+            medium_power_law_graph, num_partitions=8, options=HyTGraphOptions(hub_sorting=True)
         )
         assert engine.preprocessing_time > 0
         no_hubs = HyTGraphEngine(
-            medium_power_law_graph, options=HyTGraphOptions(num_partitions=8, hub_sorting=False)
+            medium_power_law_graph, num_partitions=8, options=HyTGraphOptions(hub_sorting=False)
         )
         assert no_hubs.preprocessing_time == 0.0
 
@@ -131,30 +135,50 @@ class TestBehaviour:
 
         source = int(np.argmax(medium_rmat_graph.out_degrees))
         hytgraph = HyTGraphEngine(
-            medium_rmat_graph, options=HyTGraphOptions(num_partitions=16)
+            medium_rmat_graph, num_partitions=16
         ).run(SSSP(), source=source)
         filter_only = ExpTMFilterSystem(medium_rmat_graph, num_partitions=16).run(SSSP(), source=source)
         assert hytgraph.total_transfer_bytes < filter_only.total_transfer_bytes
 
     def test_max_iterations_bound(self, medium_rmat_graph):
-        options = HyTGraphOptions(num_partitions=8, max_iterations=1)
-        result = HyTGraphEngine(medium_rmat_graph, options=options).run(
-            SSSP(), source=int(np.argmax(medium_rmat_graph.out_degrees))
+        source = int(np.argmax(medium_rmat_graph.out_degrees))
+        result = HyTGraphEngine(medium_rmat_graph, num_partitions=8, max_iterations=1).run(
+            SSSP(), source=source
         )
         assert result.num_iterations == 1
         assert not result.converged
+        # The same bound through the registry (the wrapper used to
+        # overwrite it with its own default).
+        wrapped = make_system("hytgraph", medium_rmat_graph, num_partitions=8, max_iterations=1)
+        assert wrapped.run(SSSP(), source=source).num_iterations == 1
+
+    def test_options_hold_only_the_behaviour_switches(self, medium_rmat_graph):
+        assert [field.name for field in dataclasses.fields(HyTGraphOptions)] == [
+            "combine_factor", "task_combining", "contribution_scheduling",
+            "hub_sorting", "hub_fraction", "recompute_loaded", "thresholds",
+        ]
+        # Partitioning, iteration bound, cache and backend are constructor
+        # arguments shared with every GraphSystem, not options.
+        with pytest.raises(TypeError):
+            HyTGraphOptions(backend="numpy")
+        options = HyTGraphOptions(task_combining=False)
+        system = make_system(
+            "hytgraph", medium_rmat_graph, options=options, num_partitions=8, cache_policy="lru"
+        )
+        assert system.partitioning.num_partitions == 8
+        assert system.context.cache.policy_name == "lru"
+        assert options == HyTGraphOptions(task_combining=False)  # caller-owned, never written
 
     def test_custom_thresholds(self, medium_rmat_graph):
-        options = HyTGraphOptions(
-            num_partitions=8, thresholds=SelectionThresholds(alpha=0.5, beta=0.2)
-        )
+        options = HyTGraphOptions(thresholds=SelectionThresholds(alpha=0.5, beta=0.2))
         source = int(np.argmax(medium_rmat_graph.out_degrees))
-        result = HyTGraphEngine(medium_rmat_graph, options=options).run(SSSP(), source=source)
+        result = HyTGraphEngine(medium_rmat_graph, options=options, num_partitions=8).run(SSSP(), source=source)
         assert result.converged
 
     def test_partition_bytes_option(self, medium_rmat_graph):
-        options = HyTGraphOptions(partition_bytes=2048, hub_sorting=False)
-        engine = HyTGraphEngine(medium_rmat_graph, options=options)
+        engine = HyTGraphEngine(
+            medium_rmat_graph, options=HyTGraphOptions(hub_sorting=False), partition_bytes=2048
+        )
         assert engine.partitioning.num_partitions > 4
 
     def test_empty_graph(self):
@@ -170,6 +194,6 @@ class TestBehaviour:
         # The reported distances must be indexed by *original* vertex ids.
         source = int(np.argmin(medium_power_law_graph.out_degrees + (medium_power_law_graph.out_degrees == 0) * 10**9))
         result = HyTGraphEngine(
-            medium_power_law_graph, options=HyTGraphOptions(num_partitions=8, hub_sorting=True)
+            medium_power_law_graph, num_partitions=8, options=HyTGraphOptions(hub_sorting=True)
         ).run(SSSP(), source=source)
         assert result.values[source] == 0.0

@@ -93,7 +93,7 @@ class TestExecutionPathShape:
 
     def test_pagerank_engine_mix_shifts_over_time(self):
         graph = power_law_graph(1500, 16.0, exponent=2.0, seed=31, name="mix")
-        engine = HyTGraphEngine(graph, options=HyTGraphOptions(num_partitions=32))
+        engine = HyTGraphEngine(graph, num_partitions=32)
         result = engine.run(DeltaPageRank())
         mix = result.engine_mix()
         assert len(mix) > 3
@@ -107,7 +107,7 @@ class TestExecutionPathShape:
     def test_sssp_sparse_iterations_prefer_zero_copy(self):
         graph = power_law_graph(1500, 16.0, exponent=2.0, seed=33, name="mix")
         graph = graph.with_weights(random_weights(graph.num_edges, seed=34))
-        engine = HyTGraphEngine(graph, options=HyTGraphOptions(num_partitions=32))
+        engine = HyTGraphEngine(graph, num_partitions=32)
         result = engine.run(SSSP(), source=int(np.argmax(graph.out_degrees)))
         # The tail iterations have few, low-degree active vertices: the
         # selector should avoid whole-partition filter transfers there.
@@ -123,10 +123,10 @@ class TestAblationShape:
     def test_contribution_scheduling_reduces_pagerank_work(self):
         graph = power_law_graph(1500, 16.0, exponent=2.0, seed=35, name="ablate")
         baseline = HyTGraphEngine(
-            graph, options=HyTGraphOptions(num_partitions=24, contribution_scheduling=False)
+            graph, num_partitions=24, options=HyTGraphOptions(contribution_scheduling=False)
         ).run(DeltaPageRank())
         with_cds = HyTGraphEngine(
-            graph, options=HyTGraphOptions(num_partitions=24, contribution_scheduling=True)
+            graph, num_partitions=24, options=HyTGraphOptions(contribution_scheduling=True)
         ).run(DeltaPageRank())
         assert with_cds.total_processed_edges <= baseline.total_processed_edges * 1.1
         assert with_cds.total_time <= baseline.total_time * 1.1
@@ -134,10 +134,10 @@ class TestAblationShape:
     def test_task_combining_reduces_task_count(self):
         graph = power_law_graph(1500, 16.0, exponent=2.0, seed=36, name="ablate")
         combined = HyTGraphEngine(
-            graph, options=HyTGraphOptions(num_partitions=24, task_combining=True)
+            graph, num_partitions=24, options=HyTGraphOptions(task_combining=True)
         ).run(DeltaPageRank())
         uncombined = HyTGraphEngine(
-            graph, options=HyTGraphOptions(num_partitions=24, task_combining=False)
+            graph, num_partitions=24, options=HyTGraphOptions(task_combining=False)
         ).run(DeltaPageRank())
         combined_tasks = sum(sum(stats.engine_tasks.values()) for stats in combined.iterations)
         uncombined_tasks = sum(sum(stats.engine_tasks.values()) for stats in uncombined.iterations)

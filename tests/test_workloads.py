@@ -9,7 +9,6 @@ from repro.bench.workloads import (
     build_workload,
     paper_datasets,
     pick_source,
-    run_workload,
     scaled_config_for,
 )
 from repro.graph.generators import rmat_graph
@@ -84,9 +83,26 @@ class TestBuildWorkload:
 class TestRunWorkload:
     def test_run_returns_result(self):
         workload = build_workload("SK", "bfs", scale=0.05)
-        result = run_workload("emogi", workload)
+        result = workload.run("emogi")
         assert result.converged
         assert result.system == "EMOGI"
+
+    def test_run_forwards_system_kwargs(self):
+        workload = build_workload("SK", "sssp", scale=0.05)
+        assert workload.run("hytgraph", max_iterations=1).num_iterations == 1
+
+    def test_run_matches_the_service(self):
+        """A solo run and a one-request service agree on values and timing."""
+        from repro.service import GraphService, QueryRequest, ServiceConfig
+
+        workload = build_workload("SK", "bfs", scale=0.05)
+        solo = workload.run("hytgraph")
+        service = GraphService(
+            ServiceConfig(system="hytgraph"), graph=workload.graph, hardware=workload.config
+        )
+        served = service.run(QueryRequest(algorithm="bfs", source=workload.source))
+        np.testing.assert_array_equal(solo.values, served.values)
+        assert solo.per_iteration_times() == served.per_iteration_times()
 
     def test_same_workload_same_answers_across_systems(self):
         workload = build_workload("TW", "bfs", scale=0.05)
@@ -105,15 +121,6 @@ class TestMultiDeviceGuards:
         with pytest.raises(ValueError, match="no multi-device execution path"):
             workload.run(system)
 
-    def test_workload_run_batch_refuses_incapable_system(self):
-        workload = build_workload("SK", "sssp", scale=0.05, num_devices=2)
-        with pytest.raises(ValueError, match="no multi-device execution path"):
-            workload.run_batch("grus", [0, 1])
-
-    def test_capable_system_passes_guard(self):
-        workload = build_workload("SK", "bfs", scale=0.05, num_devices=2)
-        workload.check_multi_device("hytgraph")  # no exception
-
 
 class TestBatchWorkloads:
     def test_batch_sources_distinct_and_by_degree(self):
@@ -127,15 +134,6 @@ class TestBatchWorkloads:
         with pytest.raises(ValueError):
             batch_sources(workload.graph, workload.graph.num_vertices + 1)
 
-    def test_run_batch_matches_sequential_values(self):
-        workload = build_workload("SK", "sssp", scale=0.05)
-        sources = batch_sources(workload.graph, 3)
-        batch = workload.run_batch("hytgraph", sources)
-        sequential = workload.run_sequential("hytgraph", sources)
-        assert batch.num_queries == 3
-        for alone, batched in zip(sequential, batch.results):
-            np.testing.assert_array_equal(alone.values, batched.values)
-
     def test_batch_sources_seeded_sampling_is_deterministic(self):
         workload = build_workload("SK", "sssp", scale=0.05)
         first = batch_sources(workload.graph, 6, seed=42)
@@ -146,78 +144,3 @@ class TestBatchWorkloads:
         assert first != other  # different seeds sample different sources
         # Sampled sources are usable traversal starts.
         assert all(workload.graph.out_degrees[s] > 0 for s in first)
-
-    def test_make_queries_counts_and_seeds(self):
-        workload = build_workload("SK", "sssp", scale=0.05)
-        queries = workload.make_queries(count=4, seed=7)
-        assert len(queries) == 4
-        assert [s for _, s in queries] == batch_sources(workload.graph, 4, seed=7)
-        explicit = workload.make_queries([1, 2])
-        assert [s for _, s in explicit] == [1, 2]
-        with pytest.raises(ValueError, match="sources or a count"):
-            workload.make_queries()
-
-    def test_make_queries_sourceless_algorithm(self):
-        workload = build_workload("SK", "pagerank", scale=0.05)
-        queries = workload.make_queries(count=3, seed=5)
-        assert [s for _, s in queries] == [None, None, None]
-
-    def test_make_queries_rejects_sources_combined_with_sampling(self):
-        """Explicit sources + count/seed used to silently drop the sampling."""
-        workload = build_workload("SK", "sssp", scale=0.05)
-        with pytest.raises(ValueError, match="not both"):
-            workload.make_queries([1, 2], count=4)
-        with pytest.raises(ValueError, match="not both"):
-            workload.make_queries([1, 2], seed=7)
-
-
-class TestDeprecationShims:
-    """The old entry points warn exactly once, pointing at GraphService."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_warned(self):
-        from repro.bench import workloads
-
-        workloads._DEPRECATION_WARNED.clear()
-        yield
-        workloads._DEPRECATION_WARNED.clear()
-
-    MESSAGE = r"deprecated; submit a repro\.service\.QueryRequest to a repro\.service\.GraphService"
-
-    def test_run_warns_once_and_matches_service(self):
-        import warnings
-
-        workload = build_workload("SK", "bfs", scale=0.05)
-        with pytest.warns(DeprecationWarning, match="Workload.run is " + self.MESSAGE):
-            result = workload.run("emogi")
-        assert result.converged
-        # Second call: the shim stays quiet (one warning per entry point).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            workload.run("emogi")
-
-    def test_run_batch_warns(self):
-        workload = build_workload("SK", "sssp", scale=0.05)
-        with pytest.warns(DeprecationWarning, match="Workload.run_batch is " + self.MESSAGE):
-            batch = workload.run_batch("hytgraph", [0, 1])
-        assert batch.num_queries == 2
-
-    def test_run_sequential_warns(self):
-        workload = build_workload("SK", "sssp", scale=0.05)
-        with pytest.warns(
-            DeprecationWarning, match="Workload.run_sequential is " + self.MESSAGE
-        ):
-            results = workload.run_sequential("hytgraph", [0, 1])
-        assert len(results) == 2
-
-    def test_adapters_match_direct_service(self):
-        """The shims are pure adapters: same values as the service path."""
-        from repro.service import GraphService, QueryRequest
-
-        workload = build_workload("SK", "bfs", scale=0.05)
-        with pytest.warns(DeprecationWarning):
-            via_shim = workload.run("hytgraph")
-        service = GraphService.for_workload(workload, "hytgraph")
-        direct = service.run(QueryRequest(algorithm="bfs", source=workload.source))
-        np.testing.assert_array_equal(via_shim.values, direct.values)
-        assert via_shim.per_iteration_times() == direct.per_iteration_times()
