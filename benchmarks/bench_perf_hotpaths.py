@@ -1,7 +1,7 @@
-"""Hot-path performance harness: kernel layer + engine fast paths.
+"""Hot-path performance harness: kernel backends + engine fast paths.
 
-Measures the speedup delivered by the vectorised scatter-reduce kernel
-layer (:mod:`repro.core.kernels`) and the partition-local frontier fast
+Measures the speedup delivered by the scatter-reduce kernel backends
+(:mod:`repro.core.backends`) and the partition-local frontier fast
 paths in the HyTGraph engine, against a faithful reconstruction of the
 seed ("pre kernel-layer") implementation:
 
@@ -100,7 +100,6 @@ from repro.core.backends import (
 from repro.core.combiner import ScheduledTask, TaskCombiner
 from repro.core.cost_model import CostModel, PartitionCosts
 from repro.core.engine import HyTGraphEngine
-from repro.core.kernels import legacy_kernels, push_and_activate, scatter_add, scatter_min
 from repro.graph.generators import grid_graph, rmat_graph, uniform_random_graph
 from repro.graph.partition import partition_by_bytes
 from repro.bench.workloads import batch_sources
@@ -122,6 +121,38 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_perf.json"
 # These are verbatim copies of the seed code and exist only so the
 # harness can measure "before" timings; they must not be used elsewhere.
 # ----------------------------------------------------------------------
+
+
+class _SeedKernels:
+    """The seed scatter kernels as a backend: ``ufunc.at`` + snapshot + ``np.unique``."""
+
+    name = "seed"
+
+    @staticmethod
+    def scatter_add(target, destinations, values):
+        np.add.at(target, destinations, values)
+        return target
+
+    @staticmethod
+    def scatter_min(target, destinations, values):
+        np.minimum.at(target, destinations, values)
+        return target
+
+    @staticmethod
+    def push_and_activate(target, destinations, values, *, combine="min", threshold=None):
+        destinations = np.asarray(destinations, dtype=np.int64)
+        if combine == "add":
+            np.add.at(target, destinations, values)
+            active = target[destinations] > threshold
+            return np.unique(destinations[active])
+        previous = target[destinations].copy()
+        if combine == "min":
+            np.minimum.at(target, destinations, values)
+            changed = target[destinations] < previous
+        else:
+            np.maximum.at(target, destinations, values)
+            changed = target[destinations] > previous
+        return np.unique(destinations[changed])
 
 
 def _seed_gather_edge_indices(graph, vertices):
@@ -369,10 +400,12 @@ _ALGORITHM_MODULES = (sssp_module, bfs_module, cc_module, pagerank_module, php_m
 def seed_baseline():
     """Restore every replaced hot path to its seed implementation.
 
-    Inside the context, algorithm scatters run through ``ufunc.at`` +
-    ``np.unique``, the engine allocates per-task ``|V|`` masks, the
-    combiner re-sorts task frontiers and the cost model rescans the
-    frontier bitmap — i.e. the code the seed repository shipped.
+    Inside the context, algorithm scatters run on :class:`_SeedKernels`
+    (``ufunc.at`` + ``np.unique``), the engine allocates per-task ``|V|``
+    masks, the combiner re-sorts task frontiers and the cost model
+    rescans the frontier bitmap — i.e. the code the seed repository
+    shipped.  The systems it runs are unpinned, so the ambient backend is
+    the one their sessions use.
     """
     saved_run = HyTGraphEngine.run
     saved_combine = TaskCombiner.combine
@@ -384,7 +417,7 @@ def seed_baseline():
     for module in _ALGORITHM_MODULES:
         module.gather_edge_indices = _seed_gather_edge_indices
     try:
-        with legacy_kernels():
+        with use_backend(_SeedKernels()):
             yield
     finally:
         HyTGraphEngine.run = saved_run
@@ -447,10 +480,10 @@ def _snap_parity(ratio):
 def run_microbench(num_vertices, repeats, backend_names):
     """Kernel rows for every backend in ``backend_names`` (numpy first).
 
-    ``before_s`` is always the seed formulation — the public kernel API
-    with the legacy kernels restored (``ufunc.at`` scatters, snapshot +
-    ``np.unique`` pushes) — measured once per batch and shared by every
-    backend's rows so their speedups are directly comparable.  Non-numpy
+    ``before_s`` is always the seed formulation — :class:`_SeedKernels`
+    (``ufunc.at`` scatters, snapshot + ``np.unique`` pushes) — measured
+    once per batch and shared by every backend's rows so their speedups
+    are directly comparable.  Non-numpy
     rows additionally record ``vs_numpy``: the numpy backend's time over
     this backend's time on the identical batch (>1 = faster than numpy).
     All backends are warmed by ``get_backend`` before any timing, so JIT
@@ -480,18 +513,13 @@ def run_microbench(num_vertices, repeats, backend_names):
             ),
         }
 
-    class _FacadeOps:
-        scatter_add = staticmethod(scatter_add)
-        scatter_min = staticmethod(scatter_min)
-        push_and_activate = staticmethod(push_and_activate)
-
     for label, factor in (("dense", 8), ("sparse", 0.02)):
         num_messages = int(num_vertices * factor)
         destinations = rng.integers(0, num_vertices, size=num_messages)
         values = rng.random(num_messages) * 1e-3
         base = rng.random(num_vertices)
 
-        seed_ops = kernel_ops(_FacadeOps, base, destinations, values)
+        seed_ops = kernel_ops(_SeedKernels, base, destinations, values)
         backend_ops = {
             name: kernel_ops(backends[name], base, destinations, values)
             for name in backend_names
@@ -526,11 +554,7 @@ def run_microbench(num_vertices, repeats, backend_names):
                 # the mins to be comparable.
                 offset = round_index % len(group)
                 for owner, fn in group[offset:] + group[:offset]:
-                    if owner == "seed":
-                        with legacy_kernels():
-                            measure(seed_best, op_name, fn)
-                    else:
-                        measure(after_best[owner], op_name, fn)
+                    measure(seed_best if owner == "seed" else after_best[owner], op_name, fn)
 
         for name in backend_names:
             for op_name, before in seed_best.items():
@@ -1114,7 +1138,7 @@ def main(argv=None):
         "--backend",
         default=None,
         metavar="NAME",
-        help="compute backend to activate for the whole run (numpy, numba, array-api or auto; "
+        help="compute backend to activate for the whole run (numpy, numba or auto; "
         "default: the REPRO_BACKEND environment override, numpy otherwise)",
     )
     parser.add_argument(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices
-from repro.core.kernels import push_and_activate
+from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import Frontier
 
@@ -44,8 +44,8 @@ class BFS(VertexProgram):
         destinations = graph.column_index[edge_indices]
         candidates = levels[sources] + 1.0
         # Fused min-combine scatter: applies the level updates and returns
-        # the destinations whose level dropped (repro.core.kernels).
-        return push_and_activate(levels, destinations, candidates, combine="min")
+        # the destinations whose level dropped (repro.core.backends).
+        return active_backend().push_and_activate(levels, destinations, candidates, combine="min")
 
     def vertex_result(self, state: ProgramState) -> np.ndarray:
         return state["level"]

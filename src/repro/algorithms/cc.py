@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices
-from repro.core.kernels import push_and_activate
+from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import Frontier
 
@@ -44,8 +44,8 @@ class ConnectedComponents(VertexProgram):
         destinations = graph.column_index[edge_indices]
         candidates = labels[sources]
         # Fused min-combine scatter: propagates the labels and returns the
-        # destinations whose label shrank (repro.core.kernels).
-        return push_and_activate(labels, destinations, candidates, combine="min")
+        # destinations whose label shrank (repro.core.backends).
+        return active_backend().push_and_activate(labels, destinations, candidates, combine="min")
 
     def vertex_result(self, state: ProgramState) -> np.ndarray:
         return state["label"]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices
-from repro.core.kernels import push_and_activate
+from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import Frontier
 
@@ -92,8 +92,8 @@ class DeltaPageRank(VertexProgram):
         # Fused add-combine scatter: accumulates the shares and returns every
         # destination whose residual now exceeds the tolerance — destinations
         # that were already above it stay on the frontier, so no separate
-        # "newly crossed" bookkeeping is needed (repro.core.kernels).
-        return push_and_activate(deltas, destinations, shares, combine="add", threshold=self.tolerance)
+        # "newly crossed" bookkeeping is needed (repro.core.backends).
+        return active_backend().push_and_activate(deltas, destinations, shares, combine="add", threshold=self.tolerance)
 
     def vertex_result(self, state: ProgramState) -> np.ndarray:
         # Remaining residual mass is part of the final rank estimate.

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices
-from repro.core.kernels import push_and_activate
+from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import Frontier
 
@@ -84,8 +84,8 @@ class PHP(VertexProgram):
         if destinations.size == 0:
             return np.zeros(0, dtype=np.int64)
         # Fused add-combine scatter: accumulates the penalised mass and
-        # returns the destinations above tolerance (repro.core.kernels).
-        return push_and_activate(deltas, destinations, shares, combine="add", threshold=self.tolerance)
+        # returns the destinations above tolerance (repro.core.backends).
+        return active_backend().push_and_activate(deltas, destinations, shares, combine="add", threshold=self.tolerance)
 
     def vertex_result(self, state: ProgramState) -> np.ndarray:
         result = state["php"] + state["delta"]

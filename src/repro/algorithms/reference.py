@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import scatter_add
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -80,7 +79,7 @@ def pagerank_values(graph: CSRGraph, damping: float = 0.85, tolerance: float = 1
     for _ in range(max_iterations):
         contributions = np.zeros(graph.num_vertices, dtype=np.float64)
         per_edge = ranks[sources] / safe_degrees[sources]
-        scatter_add(contributions, destinations, per_edge)
+        np.add.at(contributions, destinations, per_edge)
         new_ranks = (1.0 - damping) + damping * contributions
         if np.max(np.abs(new_ranks - ranks)) < tolerance:
             ranks = new_ranks
@@ -104,7 +103,7 @@ def php_values(graph: CSRGraph, source: int, penalty: float = 0.8, tolerance: fl
     for _ in range(max_iterations):
         contributions = np.zeros(graph.num_vertices, dtype=np.float64)
         per_edge = values[sources] / safe_degrees[sources]
-        scatter_add(contributions, destinations, per_edge)
+        np.add.at(contributions, destinations, per_edge)
         new_values = penalty * contributions
         new_values[source] = 1.0
         if np.max(np.abs(new_values - values)) < tolerance:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices
-from repro.core.kernels import push_and_activate
+from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import Frontier
 
@@ -47,8 +47,8 @@ class SSSP(VertexProgram):
         weights = graph.edge_value[edge_indices]
         candidates = distances[sources] + weights
         # Fused min-combine scatter: relaxes all edges and returns the
-        # destinations whose distance improved (repro.core.kernels).
-        return push_and_activate(distances, destinations, candidates, combine="min")
+        # destinations whose distance improved (repro.core.backends).
+        return active_backend().push_and_activate(distances, destinations, candidates, combine="min")
 
     def vertex_result(self, state: ProgramState) -> np.ndarray:
         return state["dist"]

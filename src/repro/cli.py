@@ -129,7 +129,7 @@ def _add_platform_arguments(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--backend", default=None, metavar="NAME",
         help="kernel compute backend: numpy (reference), numba (JIT, needs "
-             "the optional numba dependency), array-api, or auto to pick "
+             "the optional numba dependency), or auto to pick "
              "the fastest installed (default: REPRO_BACKEND env var, else numpy)",
     )
 

@@ -1,9 +1,9 @@
 """HyTGraph's primary contribution: hybrid transfer management.
 
-* :mod:`repro.core.kernels` — the scatter-reduce kernel facade every
-  vertex program pushes its updates through (the repo's GPU-kernel
-  stand-ins), dispatching to a pluggable :mod:`repro.core.backends`
-  implementation (numpy reference / numba JIT / array-API shim).
+* :mod:`repro.core.backends` — the scatter-reduce kernels every vertex
+  program pushes its updates through (the repo's GPU-kernel stand-ins):
+  the numpy reference or the optional numba JIT, called as
+  ``active_backend().push_and_activate(...)``.
 * :mod:`repro.core.cost_model` — the per-partition transfer-cost formulas
   (1), (2) and (3) of Section V-A.
 * :mod:`repro.core.selection` — the α/β engine-selection rule of
@@ -25,13 +25,6 @@ from repro.core.backends import (
     resolve_backend,
     use_backend,
 )
-from repro.core.kernels import (
-    legacy_kernels,
-    push_and_activate,
-    scatter_add,
-    scatter_max,
-    scatter_min,
-)
 from repro.core.cost_model import CostModel, PartitionCosts
 from repro.core.selection import EngineSelector, SelectionThresholds
 from repro.core.combiner import ScheduledTask, TaskCombiner
@@ -39,11 +32,6 @@ from repro.core.priority import ContributionScheduler
 from repro.core.engine import HyTGraphEngine, HyTGraphOptions
 
 __all__ = [
-    "scatter_add",
-    "scatter_min",
-    "scatter_max",
-    "push_and_activate",
-    "legacy_kernels",
     "KernelBackend",
     "available_backends",
     "get_backend",

@@ -7,12 +7,11 @@ Registers the built-in backends:
 * ``numba`` — JIT-compiled scatter loops and fused dense push-and-activate;
   optional dependency, probed without importing it
   (:mod:`repro.core.backends.numba_backend`).
-* ``array-api`` — runs the numpy kernels against any array-API namespace
-  (CuPy/torch where installed, plain numpy otherwise)
-  (:mod:`repro.core.backends.array_api`).
 
-See :mod:`repro.core.backends.base` for the protocol, the selection order
-(explicit > ``REPRO_BACKEND`` > ``numpy``) and the ``auto`` resolution.
+The vertex programs call ``active_backend().push_and_activate(...)``
+directly.  See :mod:`repro.core.backends.base` for the protocol, the
+selection order (explicit > ``REPRO_BACKEND`` > ``numpy``) and the
+``auto`` resolution.
 """
 
 from __future__ import annotations
@@ -69,12 +68,6 @@ def _load_numba() -> KernelBackend:
     return NumbaBackend()
 
 
-def _load_array_api() -> KernelBackend:
-    from repro.core.backends.array_api import ArrayApiBackend
-
-    return ArrayApiBackend()
-
-
 register_backend(
     BackendSpec(
         name="numpy",
@@ -90,13 +83,5 @@ register_backend(
         load=_load_numba,
         description="JIT-compiled scatter loops + fused dense push-and-activate",
         unavailable_reason="requires the optional numba dependency (pip install numba)",
-    )
-)
-register_backend(
-    BackendSpec(
-        name="array-api",
-        probe=lambda: True,
-        load=_load_array_api,
-        description="numpy kernels bridged to an array-API namespace (cupy > torch > numpy)",
     )
 )

@@ -1,12 +1,11 @@
 """Backend protocol, registry and selection for the kernel layer.
 
-The kernel layer (:mod:`repro.core.kernels`) funnels every vertex program
-through four hot entry points — ``scatter_add``, ``scatter_min``,
-``scatter_max`` and ``push_and_activate``.  A :class:`KernelBackend`
-provides those four operations; this module owns the registry of known
-backends, availability probing (optional dependencies are import-guarded
-and only loaded on first use), and the *active backend* the kernel facade
-dispatches to.
+A :class:`KernelBackend` provides the four hot kernel operations —
+``scatter_add``, ``scatter_min``, ``scatter_max`` and the fused
+``push_and_activate`` every vertex program pushes its updates through.
+This module owns the registry of known backends, availability probing
+(optional dependencies are import-guarded and only loaded on first use),
+and the *active backend* the vertex programs call.
 
 Selection order
 ---------------
@@ -16,8 +15,8 @@ Selection order
 3. The default: ``numpy`` (always available, the bitwise reference).
 
 ``auto`` resolves to the fastest installed backend (``numba`` when
-importable, otherwise ``numpy``).  The ``array-api`` shim is never picked
-by ``auto``: it exists for portability across array namespaces, not speed.
+importable, otherwise ``numpy``).  Explicit selections also accept a
+:class:`KernelBackend` instance, which passes through unregistered.
 
 Every backend must be **bitwise identical** to the numpy reference on the
 kernel contract (see :mod:`repro.core.backends.numpy_backend`); the
@@ -152,7 +151,7 @@ def module_installed(module: str) -> bool:
 
 
 def _normalise(name: str) -> str:
-    return name.strip().lower().replace("_", "-")
+    return name.strip().lower()
 
 
 def get_backend(name: str) -> KernelBackend:
@@ -215,14 +214,14 @@ def resolve_backend_name(backend: KernelBackend | str | None = None) -> str:
     return resolve_backend(backend).name
 
 
-# The backend the kernel facade dispatches to when the runtime context does
-# not carry an explicit one.  Resolved lazily so REPRO_BACKEND set by a test
+# The backend the vertex programs call when the runtime context does not
+# carry an explicit one.  Resolved lazily so REPRO_BACKEND set by a test
 # runner or CI leg takes effect without any code change.
 _ACTIVE: KernelBackend | None = None
 
 
 def active_backend() -> KernelBackend:
-    """The backend the kernel facade currently dispatches to."""
+    """The backend the vertex programs' kernel calls currently run on."""
     global _ACTIVE
     if _ACTIVE is None:
         _ACTIVE = resolve_backend(None)

@@ -51,8 +51,8 @@ class ServiceConfig:
     cache_policy: str = "static-prefix"
     cache_budget: int | None = None
     # --- compute backend -------------------------------------------------
-    #: Kernel-layer compute backend (``"numpy"``, ``"numba"``,
-    #: ``"array-api"`` or ``"auto"``); ``None`` keeps the ambient default
+    #: Kernel-layer compute backend (``"numpy"``, ``"numba"`` or
+    #: ``"auto"``); ``None`` keeps the ambient default
     #: (``REPRO_BACKEND`` env override, numpy otherwise).  Validated at
     #: config construction so an unknown or uninstalled backend fails the
     #: deployment immediately, naming the installed backends.

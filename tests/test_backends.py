@@ -34,11 +34,10 @@ from repro.core.backends import (
     resolve_backend_name,
     use_backend,
 )
-from repro.core.backends.array_api import ArrayApiBackend
 from repro.graph.generators import rmat_graph
 from repro.service.config import ServiceConfig
 from repro.systems import SYSTEMS, make_system
-from tests.test_kernels import bits, random_batches
+from tests.test_kernels import CountingBackend, bits, random_batches
 
 NUMBA_INSTALLED = "numba" in available_backends()
 
@@ -49,18 +48,16 @@ def installed_backends():
 
 class TestRegistryAndSelection:
     def test_builtin_backends_are_registered(self):
-        assert set(known_backends()) == {"numpy", "numba", "array-api"}
+        assert known_backends() == ("numpy", "numba")
 
-    def test_numpy_and_array_api_are_always_available(self):
-        names = available_backends()
-        assert "numpy" in names and "array-api" in names
+    def test_numpy_is_always_available(self):
+        assert "numpy" in available_backends()
 
     def test_instances_are_cached(self):
         assert get_backend("numpy") is get_backend("numpy")
 
     def test_names_are_normalised(self):
-        assert get_backend("NumPy") is get_backend("numpy")
-        assert get_backend("ARRAY_API") is get_backend("array-api")
+        assert get_backend(" NumPy ") is get_backend("numpy")
 
     def test_every_installed_backend_satisfies_the_protocol(self):
         for backend in installed_backends():
@@ -82,23 +79,18 @@ class TestRegistryAndSelection:
         expected = "numba" if NUMBA_INSTALLED else "numpy"
         assert resolve_backend_name("auto") == expected
 
-    def test_auto_never_picks_the_array_api_shim(self):
-        assert resolve_backend_name("auto") != "array-api"
-
     def test_default_resolution_without_env(self, monkeypatch):
         monkeypatch.delenv(backends.ENV_VAR, raising=False)
         assert resolve_backend(None).name == "numpy"
 
     def test_env_override_applies_when_no_explicit_backend(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "array-api")
-        assert resolve_backend(None).name == "array-api"
+        # A name only the environment carries fails resolution, so the
+        # variable is read — and a bad one fails loudly.
+        monkeypatch.setenv(backends.ENV_VAR, "no-such-backend")
+        with pytest.raises(UnknownBackendError, match="installed backends: numpy"):
+            resolve_backend(None)
         # Explicit names still win over the environment.
         assert resolve_backend("numpy").name == "numpy"
-
-    def test_env_override_with_bad_name_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "no-such-backend")
-        with pytest.raises(UnknownBackendError):
-            resolve_backend(None)
 
     def test_instances_pass_through_resolution(self):
         backend = get_backend("numpy")
@@ -106,15 +98,16 @@ class TestRegistryAndSelection:
 
     def test_use_backend_scopes_and_restores(self):
         before = active_backend()
-        with use_backend("array-api") as backend:
-            assert backend.name == "array-api"
-            assert active_backend() is backend
+        pinned = CountingBackend()
+        with use_backend(pinned) as backend:
+            assert backend is pinned
+            assert active_backend() is pinned
         assert active_backend() is before
 
     def test_use_backend_restores_on_error(self):
         before = active_backend()
         with pytest.raises(RuntimeError):
-            with use_backend("array-api"):
+            with use_backend(CountingBackend()):
                 raise RuntimeError("boom")
         assert active_backend() is before
 
@@ -197,23 +190,6 @@ class TestBackendExactness:
             assert out.size == 0 and out.dtype == np.int64
 
 
-class TestArrayApiShim:
-    def test_falls_back_to_numpy_namespace(self):
-        backend = ArrayApiBackend()
-        assert backend.namespace_name in ("cupy", "torch", "numpy")
-
-    def test_numpy_arrays_mutate_in_place_without_copies(self):
-        backend = ArrayApiBackend(preferred="numpy")
-        target = np.array([5.0, 5.0, 5.0])
-        out = backend.scatter_min(target, np.array([0, 2]), np.array([1.0, 9.0]))
-        assert out is target
-        np.testing.assert_array_equal(target, [1.0, 5.0, 5.0])
-
-    def test_unknown_namespace_rejected(self):
-        with pytest.raises(ValueError, match="not installed"):
-            ArrayApiBackend(preferred="no-such-namespace")
-
-
 class TestRuntimePlumbing:
     def graph(self):
         return rmat_graph(200, 1600, seed=7, weighted=True)
@@ -229,17 +205,21 @@ class TestRuntimePlumbing:
         from repro.algorithms.sssp import SSSP
 
         system = make_system("emogi", self.graph(), backend="numpy")
-        with use_backend("array-api"):
+        ambient = CountingBackend()
+        with use_backend(ambient):
             result = system.run(SSSP(), source=0)
         assert result.extra["backend"] == "numpy"
+        assert ambient.calls == 0
 
     def test_ambient_backend_flows_into_unpinned_sessions(self):
         from repro.algorithms.sssp import SSSP
 
         system = make_system("emogi", self.graph())
-        with use_backend("array-api"):
+        ambient = CountingBackend()
+        with use_backend(ambient):
             result = system.run(SSSP(), source=0)
-        assert result.extra["backend"] == "array-api"
+        assert result.extra["backend"] == "counting"
+        assert ambient.calls > 0
 
     def test_pinned_backend_runs_bitwise_equal_to_reference(self):
         from repro.algorithms.pagerank import DeltaPageRank
@@ -254,7 +234,7 @@ class TestRuntimePlumbing:
             assert result.extra["backend"] == name
 
     @pytest.mark.parametrize("system_name", sorted(SYSTEMS) + ["engine"])
-    def test_solo_run_dispatches_to_the_pinned_backend(self, system_name, monkeypatch):
+    def test_solo_run_dispatches_to_the_pinned_backend(self, system_name):
         """A pinned backend must run the kernels, not just label the result.
 
         The ambient backend stays numpy; only the session is pinned.
@@ -263,25 +243,16 @@ class TestRuntimePlumbing:
         from repro.core.engine import HyTGraphEngine
 
         graph = rmat_graph(500, 4000, seed=7, weighted=True)
+        pinned = CountingBackend()
         if system_name == "engine":
-            system = HyTGraphEngine(graph, backend="array-api")
+            system = HyTGraphEngine(graph, backend=pinned)
         else:
-            system = make_system(system_name, graph, backend="array-api")
-        pinned = system.context.backend
-        assert pinned is get_backend("array-api")
-        calls = []
-        for kernel in ("push_and_activate", "scatter_add", "scatter_min", "scatter_max"):
-            original = getattr(pinned, kernel)
-
-            def counted(*args, _original=original, _kernel=kernel, **kwargs):
-                calls.append(_kernel)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(pinned, kernel, counted)
+            system = make_system(system_name, graph, backend=pinned)
+        assert system.context.backend is pinned
         with use_backend("numpy"):
             result = system.run(SSSP(), 0)
-        assert result.extra["backend"] == "array-api"
-        assert calls, "%s dispatched no kernel to its pinned backend" % system_name
+        assert result.extra["backend"] == "counting"
+        assert pinned.calls, "%s dispatched no kernel to its pinned backend" % system_name
 
     def test_unknown_backend_fails_system_construction(self):
         with pytest.raises(UnknownBackendError, match="installed backends"):
@@ -309,7 +280,7 @@ class TestRuntimePlumbing:
 
 class TestServiceConfigAndCli:
     def test_config_accepts_known_backends(self):
-        for name in ("numpy", "array-api", "auto"):
+        for name in ("numpy", "auto"):
             config = ServiceConfig(backend=name)
             assert config.system_kwargs()["backend"] == name
 

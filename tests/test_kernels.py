@@ -1,15 +1,16 @@
-"""Equivalence tests for the scatter-reduce kernel layer.
+"""Equivalence tests for the scatter-reduce kernel backends.
 
-The kernel layer (:mod:`repro.core.kernels`) replaces the seed
-``np.add.at`` / ``np.minimum.at`` + snapshot + ``np.unique`` code paths.
-Its contract is *bitwise* equality, not approximate equality: every
-kernel must produce exactly the state the unbuffered ufunc would, and the
-fused ``push_and_activate`` must report exactly the activation set the
-seed formulation computed.  These property-style tests check that
+The backends (:mod:`repro.core.backends`) replace the seed ``np.add.at``
+/ ``np.minimum.at`` + snapshot + ``np.unique`` code paths.  Their
+contract is *bitwise* equality, not approximate equality: every kernel
+must produce exactly the state the unbuffered ufunc would, and the fused
+``push_and_activate`` must report exactly the activation set the seed
+formulation computed.  The seed formulation lives here as
+:class:`SeedKernels`, the oracle.  These property-style tests check the
 contract on seeded random inputs covering empty frontiers, self-loops,
-duplicate destinations and both the dense and the sparse dispatch paths,
-for the raw kernels, for every ported ``process()`` and for full engine
-runs.
+duplicate destinations and both the dense and the sparse activation
+formulations, for the raw kernels, for every ported ``process()`` and for
+full engine runs.
 """
 
 from __future__ import annotations
@@ -17,21 +18,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.backends as backend_registry
-import repro.core.backends.numpy_backend as numpy_backend
 from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.pagerank import DeltaPageRank
 from repro.algorithms.php import PHP
 from repro.algorithms.sssp import SSSP
-from repro.core.kernels import (
-    legacy_kernels,
-    push_and_activate,
-    scatter_add,
-    scatter_max,
-    scatter_min,
-    using_legacy_kernels,
-)
+from repro.core.backends import active_backend, available_backends, numpy_backend, use_backend
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph, uniform_random_graph
 from repro.systems.hytgraph import HyTGraphSystem
@@ -58,79 +50,35 @@ def random_batches(seed: int, trials: int):
         yield target, destinations, values
 
 
-@pytest.fixture(params=["native", "portable"])
-def kernel_dispatch(request, monkeypatch):
-    """Run each test under both kernel dispatch modes.
+class SeedKernels:
+    """The seed kernel formulation as a backend: the oracle.
 
-    ``native`` uses the indexed-ufunc fast paths of NumPy >= 1.25;
-    ``portable`` forces the seeded-bincount / sort+reduceat fallbacks so
-    the segment kernels are exercised regardless of the installed NumPy.
-    Both modes live in the numpy reference backend; under a non-numpy
-    active backend (e.g. ``REPRO_BACKEND=numba`` in CI) the flag is
-    harmless and the grid simply runs that backend against the references.
+    Bare ``ufunc.at`` scatters; ``push_and_activate`` snapshots the
+    per-message destination values, scatters, and ``np.unique``s the
+    destinations that qualify.  ``use_backend(SeedKernels())`` runs whole
+    engines on it.
     """
-    monkeypatch.setattr(numpy_backend, "_FORCE_PORTABLE", request.param == "portable")
-    return request.param
 
+    name = "seed"
 
-@pytest.fixture(params=["numpy", "numba", "array-api"])
-def each_backend(request):
-    """Run the raw-kernel grid against every installed compute backend.
+    @staticmethod
+    def scatter_add(target, destinations, values):
+        np.add.at(target, destinations, values)
+        return target
 
-    Backends whose optional dependency is missing are skipped with an
-    explicit reason rather than silently shrinking the grid.
-    """
-    name = request.param
-    if name not in backend_registry.available_backends():
-        pytest.skip(f"backend {name!r} is not installed in this environment")
-    with backend_registry.use_backend(name):
-        yield name
+    @staticmethod
+    def scatter_min(target, destinations, values):
+        np.minimum.at(target, destinations, values)
+        return target
 
+    @staticmethod
+    def scatter_max(target, destinations, values):
+        np.maximum.at(target, destinations, values)
+        return target
 
-class TestScatterOps:
-    def test_scatter_add_matches_ufunc_at_bitwise(self, each_backend, kernel_dispatch):
-        for target, destinations, values in random_batches(seed=1, trials=150):
-            expected = target.copy()
-            np.add.at(expected, destinations, values)
-            actual = scatter_add(target.copy(), destinations, values)
-            np.testing.assert_array_equal(bits(expected), bits(actual))
-
-    def test_scatter_min_matches_ufunc_at_bitwise(self, each_backend, kernel_dispatch):
-        for target, destinations, values in random_batches(seed=2, trials=150):
-            expected = target.copy()
-            np.minimum.at(expected, destinations, values)
-            actual = scatter_min(target.copy(), destinations, values)
-            np.testing.assert_array_equal(bits(expected), bits(actual))
-
-    def test_scatter_max_matches_ufunc_at_bitwise(self, each_backend, kernel_dispatch):
-        for target, destinations, values in random_batches(seed=3, trials=150):
-            expected = target.copy()
-            np.maximum.at(expected, destinations, values)
-            actual = scatter_max(target.copy(), destinations, values)
-            np.testing.assert_array_equal(bits(expected), bits(actual))
-
-    def test_empty_batch_is_a_no_op(self, each_backend, kernel_dispatch):
-        target = np.array([1.0, 2.0, 3.0])
-        empty = np.zeros(0, dtype=np.int64)
-        for op in (scatter_add, scatter_min, scatter_max):
-            out = op(target.copy(), empty, np.zeros(0))
-            np.testing.assert_array_equal(out, target)
-
-    def test_duplicate_destinations_fold_in_message_order(self, each_backend, kernel_dispatch):
-        # The exactness claim is about fold order: target, v1, v2, ... in
-        # original message order, even for many duplicates of one bin.
-        target = np.array([0.1])
-        values = np.array([1e16, 1.0, -1e16, 3.0, 7.0])
-        destinations = np.zeros(values.size, dtype=np.int64)
-        expected = target.copy()
-        np.add.at(expected, destinations, values)
-        actual = scatter_add(target.copy(), destinations, values)
-        np.testing.assert_array_equal(bits(expected), bits(actual))
-
-
-class TestPushAndActivate:
-    def legacy_reference(self, target, destinations, values, combine, threshold):
-        """The seed formulation: ufunc.at + snapshot + np.unique."""
+    @staticmethod
+    def push_and_activate(target, destinations, values, *, combine="min", threshold=None):
+        destinations = np.asarray(destinations, dtype=np.int64)
         if combine == "add":
             np.add.at(target, destinations, values)
             active = target[destinations] > threshold
@@ -144,37 +92,122 @@ class TestPushAndActivate:
             changed = target[destinations] > previous
         return np.unique(destinations[changed])
 
+    def warmup(self):
+        return None
+
+
+def _counted(kernel):
+    def counted(self, *args, **kwargs):
+        self.calls += 1
+        return kernel(*args, **kwargs)
+
+    return counted
+
+
+class CountingBackend(numpy_backend.NumpyBackend):
+    """The numpy kernels under another name, counting the calls they get.
+
+    A second backend that is never the ambient one unless a test makes it
+    so: pinning it shows which backend a code path really dispatches to.
+    """
+
+    name = "counting"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    scatter_add = _counted(numpy_backend.scatter_add)
+    scatter_min = _counted(numpy_backend.scatter_min)
+    scatter_max = _counted(numpy_backend.scatter_max)
+    push_and_activate = _counted(numpy_backend.push_and_activate)
+
+
+@pytest.fixture(params=["numpy", "numba"])
+def each_backend(request):
+    """Run the raw-kernel grid against every installed compute backend.
+
+    Backends whose optional dependency is missing are skipped with an
+    explicit reason rather than silently shrinking the grid.
+    """
+    name = request.param
+    if name not in available_backends():
+        pytest.skip(f"backend {name!r} is not installed in this environment")
+    with use_backend(name) as backend:
+        yield backend
+
+
+class TestScatterOps:
+    def test_scatter_add_matches_ufunc_at_bitwise(self, each_backend):
+        for target, destinations, values in random_batches(seed=1, trials=150):
+            expected = target.copy()
+            np.add.at(expected, destinations, values)
+            actual = each_backend.scatter_add(target.copy(), destinations, values)
+            np.testing.assert_array_equal(bits(expected), bits(actual))
+
+    def test_scatter_min_matches_ufunc_at_bitwise(self, each_backend):
+        for target, destinations, values in random_batches(seed=2, trials=150):
+            expected = target.copy()
+            np.minimum.at(expected, destinations, values)
+            actual = each_backend.scatter_min(target.copy(), destinations, values)
+            np.testing.assert_array_equal(bits(expected), bits(actual))
+
+    def test_scatter_max_matches_ufunc_at_bitwise(self, each_backend):
+        for target, destinations, values in random_batches(seed=3, trials=150):
+            expected = target.copy()
+            np.maximum.at(expected, destinations, values)
+            actual = each_backend.scatter_max(target.copy(), destinations, values)
+            np.testing.assert_array_equal(bits(expected), bits(actual))
+
+    def test_empty_batch_is_a_no_op(self, each_backend):
+        target = np.array([1.0, 2.0, 3.0])
+        empty = np.zeros(0, dtype=np.int64)
+        for op in (each_backend.scatter_add, each_backend.scatter_min, each_backend.scatter_max):
+            out = op(target.copy(), empty, np.zeros(0))
+            np.testing.assert_array_equal(out, target)
+
+    def test_duplicate_destinations_fold_in_message_order(self, each_backend):
+        # The exactness claim is about fold order: target, v1, v2, ... in
+        # original message order, even for many duplicates of one bin.
+        target = np.array([0.1])
+        values = np.array([1e16, 1.0, -1e16, 3.0, 7.0])
+        destinations = np.zeros(values.size, dtype=np.int64)
+        expected = target.copy()
+        np.add.at(expected, destinations, values)
+        actual = each_backend.scatter_add(target.copy(), destinations, values)
+        np.testing.assert_array_equal(bits(expected), bits(actual))
+
+
+class TestPushAndActivate:
     @pytest.mark.parametrize("combine", ["min", "max", "add"])
-    def test_matches_legacy_formulation(self, each_backend, kernel_dispatch, combine):
-        threshold = 0.5 if combine == "add" else None
-        kwargs = {"threshold": threshold} if combine == "add" else {}
+    def test_matches_legacy_formulation(self, each_backend, combine):
+        kwargs = {"threshold": 0.5} if combine == "add" else {}
         for target, destinations, values in random_batches(seed=4, trials=150):
             expected_state = target.copy()
-            expected_active = self.legacy_reference(
-                expected_state, destinations, values, combine, threshold
+            expected_active = SeedKernels.push_and_activate(
+                expected_state, destinations, values, combine=combine, **kwargs
             )
             actual_state = target.copy()
-            actual_active = push_and_activate(
+            actual_active = each_backend.push_and_activate(
                 actual_state, destinations, values, combine=combine, **kwargs
             )
             np.testing.assert_array_equal(bits(expected_state), bits(actual_state))
             np.testing.assert_array_equal(expected_active, actual_active)
             assert actual_active.dtype == np.int64
 
-    def test_empty_batch_returns_empty_frontier(self, each_backend, kernel_dispatch):
+    def test_empty_batch_returns_empty_frontier(self, each_backend):
         target = np.ones(5)
-        out = push_and_activate(target, np.zeros(0, dtype=np.int64), np.zeros(0), combine="min")
+        out = each_backend.push_and_activate(target, np.zeros(0, dtype=np.int64), np.zeros(0), combine="min")
         assert out.size == 0 and out.dtype == np.int64
 
-    def test_add_requires_threshold(self, each_backend, kernel_dispatch):
+    def test_add_requires_threshold(self, each_backend):
         with pytest.raises(ValueError, match="threshold"):
-            push_and_activate(np.ones(4), np.array([1]), np.array([1.0]), combine="add")
+            each_backend.push_and_activate(np.ones(4), np.array([1]), np.array([1.0]), combine="add")
 
     def test_unknown_combine_rejected(self):
         with pytest.raises(ValueError, match="combine"):
-            push_and_activate(np.ones(4), np.array([1]), np.array([1.0]), combine="sum")
+            active_backend().push_and_activate(np.ones(4), np.array([1]), np.array([1.0]), combine="sum")
 
-    def test_dense_and_sparse_paths_agree(self, each_backend, kernel_dispatch):
+    def test_dense_and_sparse_paths_agree(self, each_backend):
         # The same logical batch must give the same answer on both sides
         # of the density heuristic; shrink/grow the target to flip it.
         rng = np.random.default_rng(9)
@@ -182,16 +215,11 @@ class TestPushAndActivate:
         values = rng.random(200)
         dense_target = rng.random(50)  # 200 * 8 >= 50 -> dense
         sparse_target = np.concatenate([dense_target, rng.random(50_000)])  # -> sparse
-        dense_active = push_and_activate(dense_target, destinations, values, combine="add", threshold=0.75)
-        sparse_active = push_and_activate(sparse_target, destinations, values, combine="add", threshold=0.75)
+        push = each_backend.push_and_activate
+        dense_active = push(dense_target, destinations, values, combine="add", threshold=0.75)
+        sparse_active = push(sparse_target, destinations, values, combine="add", threshold=0.75)
         np.testing.assert_array_equal(dense_active, sparse_active)
         np.testing.assert_array_equal(bits(dense_target), bits(sparse_target[:50]))
-
-    def test_legacy_context_toggles_dispatch(self):
-        assert not using_legacy_kernels()
-        with legacy_kernels():
-            assert using_legacy_kernels()
-        assert not using_legacy_kernels()
 
 
 def seed_process_reference(algorithm, graph, state_arrays, active_vertices):
@@ -290,7 +318,7 @@ class TestPortedAlgorithms:
             ("php", PHP()),
         ],
     )
-    def test_process_matches_seed_bitwise(self, kernel_dispatch, name, program):
+    def test_process_matches_seed_bitwise(self, name, program):
         rng = np.random.default_rng(17)
         for graph in self.graphs():
             source = 0
@@ -309,7 +337,7 @@ class TestPortedAlgorithms:
                         bits(expected_arrays[key]), bits(actual_state[key]), err_msg="%s/%s" % (name, key)
                     )
 
-    def test_pagerank_activation_includes_already_hot_destinations(self, kernel_dispatch):
+    def test_pagerank_activation_includes_already_hot_destinations(self):
         # The satellite fix: the returned frontier is exactly the unique
         # destinations above tolerance, with no duplicate-unique pass.
         graph = CSRGraph.from_edges([(0, 1), (0, 2), (2, 1)], num_vertices=3)
@@ -321,7 +349,7 @@ class TestPortedAlgorithms:
 
 
 class TestEngineEquivalence:
-    """Full engine runs agree between seed kernels and the kernel layer."""
+    """Full engine runs agree between the seed kernels and the active backend."""
 
     @pytest.mark.parametrize(
         "program, needs_source",
@@ -336,9 +364,10 @@ class TestEngineEquivalence:
         graph = rmat_graph(256, 2500, seed=21, weighted=True)
         system = HyTGraphSystem(graph)
         kwargs = {"source": 3} if needs_source else {}
-        with legacy_kernels():
+        with use_backend(SeedKernels()):
             result_legacy = system.run(program, **kwargs)
         result_fused = system.run(program, **kwargs)
+        assert result_legacy.extra["backend"] == "seed"
         np.testing.assert_array_equal(
             bits(result_legacy.values), bits(result_fused.values)
         )
@@ -348,15 +377,15 @@ class TestEngineEquivalence:
             assert legacy_stats.processed_edges == fused_stats.processed_edges
             assert legacy_stats.transfer_bytes == fused_stats.transfer_bytes
 
-    def test_reference_solvers_unchanged_by_dispatch(self):
+    def test_reference_solvers_do_not_call_the_backend(self):
+        # The references check the kernels, so they must not run on them.
         from repro.algorithms.reference import pagerank_values, php_values
 
         graph = rmat_graph(200, 1500, seed=23)
-        with legacy_kernels():
-            pr_legacy = pagerank_values(graph, max_iterations=50)
-            php_legacy = php_values(graph, source=0, max_iterations=50)
-        np.testing.assert_array_equal(bits(pr_legacy), bits(pagerank_values(graph, max_iterations=50)))
-        np.testing.assert_array_equal(bits(php_legacy), bits(php_values(graph, source=0, max_iterations=50)))
+        with use_backend(CountingBackend()) as backend:
+            pagerank_values(graph, max_iterations=50)
+            php_values(graph, source=0, max_iterations=50)
+        assert backend.calls == 0
 
 
 class TestTransferTaskBatching:

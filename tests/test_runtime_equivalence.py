@@ -40,7 +40,7 @@ FIXTURE = Path(__file__).resolve().parent / "data" / "runtime_equivalence.json"
 #: The fixtures were captured with the numpy kernels; every backend must
 #: reproduce them bit for bit (simulated times are priced from message
 #: counts, so identical values/frontiers imply identical timings too).
-BACKENDS = ("numpy", "numba", "array-api")
+BACKENDS = ("numpy", "numba")
 
 
 @pytest.fixture(scope="module")
