@@ -136,6 +136,92 @@ def each_backend(request):
         yield backend
 
 
+@pytest.fixture(params=["dense", "sparse"])
+def formulation(request, monkeypatch):
+    """Force one activation formulation on every batch, whatever its size.
+
+    ``push_and_activate`` picks the touched-vertex bitmap (dense) or the
+    per-message compare + ``np.unique`` (sparse) from the batch size, so a
+    batch normally exercises only one of them.  Pinning the density factor
+    runs every batch through each; the numba backend reads the same test.
+    """
+    factor = 2**40 if request.param == "dense" else 0
+    monkeypatch.setattr(numpy_backend, "DENSE_FRONTIER_FACTOR", factor)
+    return request.param
+
+
+def assert_push_matches_seed(backend, target, destinations, values, combine, formulation=None):
+    """``backend.push_and_activate`` leaves the seed oracle's state and frontier."""
+    kwargs = {"threshold": 0.5} if combine == "add" else {}
+    if formulation is not None and len(destinations):
+        dense = numpy_backend._is_dense(np.asarray(destinations), target)
+        assert dense == (formulation == "dense")
+    expected_state = target.copy()
+    expected_active = SeedKernels.push_and_activate(
+        expected_state, destinations, values, combine=combine, **kwargs
+    )
+    actual_state = target.copy()
+    actual_active = backend.push_and_activate(
+        actual_state, destinations, values, combine=combine, **kwargs
+    )
+    np.testing.assert_array_equal(bits(expected_state), bits(actual_state))
+    np.testing.assert_array_equal(expected_active, actual_active)
+    assert actual_active.dtype == np.int64
+
+
+def _strided_views():
+    destinations = np.array([3, 0, 1, 0, 3, 2, 1, 2, 0, 1])[::2]
+    values = np.array([0.5, -2.0, 4.0, 1.5, -1.0, 3.0, 2.5, 0.25, 9.0, -0.75])[1::2]
+    return np.array([1.0, 0.0, -1.0, 2.0]), destinations, values
+
+
+#: Hand-built batches for the corners random batches rarely hit.  Each
+#: builds ``(target, destinations, values)`` valid for min, max and add.
+EDGE_CASES = {
+    # SSSP / BFS state starts at +inf; pushes into and from infinities.
+    "infinite_state": lambda: (
+        np.array([np.inf, np.inf, 0.0, np.inf, -np.inf, 3.0]),
+        np.array([0, 1, 1, 3, 4, 2, 5]),
+        np.array([1.0, 2.0, np.inf, 7.0, 5.0, 0.0, -np.inf]),
+    ),
+    # Messages equal to the current value: min / max must not activate.
+    "ties": lambda: (
+        np.array([1.0, 2.0, 3.0]),
+        np.array([0, 1, 2, 0]),
+        np.array([1.0, 2.0, 3.0, 1.0]),
+    ),
+    # Sums land exactly on the 0.5 threshold, which is not "above" it.
+    "threshold_boundary": lambda: (
+        np.array([0.25, 0.0, 0.5, 1.0]),
+        np.array([0, 1, 1, 2, 3]),
+        np.array([0.25, 0.25, 0.25, 0.0, -0.5]),
+    ),
+    # Every message to one vertex, in an order that makes the fold matter.
+    "single_hot_vertex": lambda: (
+        np.array([0.1, 5.0, -5.0]),
+        np.full(9, 1, dtype=np.int64),
+        np.array([1e16, 1.0, -1e16, 3.0, 7.0, -2.0, 0.5, 6.0, 4.0]),
+    ),
+    # The bitmap's first and last slots.
+    "first_and_last_vertex": lambda: (
+        np.arange(10, dtype=np.float64),
+        np.array([0, 9, 9, 0, 9]),
+        np.array([-1.0, 12.0, 8.0, 0.75, -3.0]),
+    ),
+    "int32_destinations": lambda: (
+        np.array([4.0, 1.0, 0.0, 2.0, 8.0]),
+        np.array([4, 2, 0, 2, 3, 4], dtype=np.int32),
+        np.array([3.0, -1.0, 6.0, 0.5, 2.0, 9.0]),
+    ),
+    "list_inputs": lambda: (
+        np.array([2.0, -1.0, 0.0]),
+        [2, 0, 1, 2],
+        [1.0, 0.5, -3.0, -0.25],
+    ),
+    "strided_views": _strided_views,
+}
+
+
 class TestScatterOps:
     def test_scatter_add_matches_ufunc_at_bitwise(self, each_backend):
         for target, destinations, values in random_batches(seed=1, trials=150):
@@ -180,19 +266,8 @@ class TestScatterOps:
 class TestPushAndActivate:
     @pytest.mark.parametrize("combine", ["min", "max", "add"])
     def test_matches_legacy_formulation(self, each_backend, combine):
-        kwargs = {"threshold": 0.5} if combine == "add" else {}
         for target, destinations, values in random_batches(seed=4, trials=150):
-            expected_state = target.copy()
-            expected_active = SeedKernels.push_and_activate(
-                expected_state, destinations, values, combine=combine, **kwargs
-            )
-            actual_state = target.copy()
-            actual_active = each_backend.push_and_activate(
-                actual_state, destinations, values, combine=combine, **kwargs
-            )
-            np.testing.assert_array_equal(bits(expected_state), bits(actual_state))
-            np.testing.assert_array_equal(expected_active, actual_active)
-            assert actual_active.dtype == np.int64
+            assert_push_matches_seed(each_backend, target, destinations, values, combine)
 
     def test_empty_batch_returns_empty_frontier(self, each_backend):
         target = np.ones(5)
@@ -220,6 +295,21 @@ class TestPushAndActivate:
         sparse_active = push(sparse_target, destinations, values, combine="add", threshold=0.75)
         np.testing.assert_array_equal(dense_active, sparse_active)
         np.testing.assert_array_equal(bits(dense_target), bits(sparse_target[:50]))
+
+
+class TestActivationFormulations:
+    """Each formulation alone reproduces the seed oracle on every batch."""
+
+    @pytest.mark.parametrize("combine", ["min", "max", "add"])
+    def test_random_batches_match_seed(self, each_backend, formulation, combine):
+        for target, destinations, values in random_batches(seed=5, trials=150):
+            assert_push_matches_seed(each_backend, target, destinations, values, combine, formulation)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    @pytest.mark.parametrize("combine", ["min", "max", "add"])
+    def test_edge_case_matches_seed(self, each_backend, formulation, combine, case):
+        target, destinations, values = EDGE_CASES[case]()
+        assert_push_matches_seed(each_backend, target, destinations, values, combine, formulation)
 
 
 def seed_process_reference(algorithm, graph, state_arrays, active_vertices):

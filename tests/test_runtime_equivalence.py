@@ -34,13 +34,17 @@ from tests.data.generate_runtime_equivalence import (
 )
 from repro.core.backends import available_backends, use_backend
 from repro.sim.config import HardwareConfig
+from tests.test_kernels import SeedKernels
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "runtime_equivalence.json"
 
 #: The fixtures were captured with the numpy kernels; every backend must
 #: reproduce them bit for bit (simulated times are priced from message
 #: counts, so identical values/frontiers imply identical timings too).
-BACKENDS = ("numpy", "numba")
+#: ``seed`` runs the runtime on the test oracle's seed kernels: a numpy
+#: cell that fails beside a passing seed cell means the kernels changed;
+#: both failing means the runtime did.
+BACKENDS = ("numpy", "numba", "seed")
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +60,13 @@ def graph():
 @pytest.fixture(params=BACKENDS)
 def kernel_backend(request):
     name = request.param
-    if name not in available_backends():
+    if name == "seed":
+        backend = SeedKernels()
+    elif name in available_backends():
+        backend = name
+    else:
         pytest.skip(f"backend {name!r} is not installed in this environment")
-    with use_backend(name):
+    with use_backend(backend):
         yield name
 
 
