@@ -29,7 +29,7 @@ def _frontier_trace(workload, system_name="emogi"):
     graph = workload.graph
     program = workload.program
     state = program.create_state(graph, workload.source)
-    pending = program.initial_frontier(graph, state, workload.source).mask.copy()
+    pending = program.initial_frontier(graph, state, workload.source)
     masks = []
     for _ in range(10_000):
         active = np.nonzero(pending)[0]

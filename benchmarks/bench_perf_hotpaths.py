@@ -46,8 +46,9 @@ seed ("pre kernel-layer") implementation:
   of :mod:`repro.obs`.  The two runs' simulated makespans are asserted
   identical — tracing must never change a served number.
 
-Results are written to ``BENCH_perf.json`` in the repository root so
-future PRs can track the perf trajectory.
+Results are written to the git-ignored
+``benchmarks/results/perf_hotpaths.json`` unless ``--out`` names another
+path; the committed smoke reference is ``benchmarks/BENCH_perf_smoke.json``.
 
 **Perf-regression gate.**  ``--check-against REF.json`` compares the
 run's end-to-end speedups with a reference file of the same shape and
@@ -114,7 +115,7 @@ from repro.systems.subway import SubwaySystem
 from repro.transfer.base import EngineKind
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_perf.json"
+DEFAULT_OUTPUT = REPO_ROOT / "benchmarks" / "results" / "perf_hotpaths.json"
 
 # ----------------------------------------------------------------------
 # Faithful seed (pre-PR) implementations of the replaced hot paths.
@@ -1280,6 +1281,7 @@ def main(argv=None):
         "service": service,
         "tracing": tracing,
     }
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print("wrote %s" % args.out)
 

@@ -23,7 +23,7 @@ Quickstart
 >>> result.total_time, result.num_iterations  # doctest: +SKIP
 """
 
-from repro.graph import CSRGraph, Frontier, load_dataset, rmat_graph, power_law_graph
+from repro.graph import CSRGraph, load_dataset, rmat_graph, power_law_graph
 from repro.algorithms import make_algorithm, SSSP, BFS, ConnectedComponents, DeltaPageRank, PHP
 from repro.systems import make_system, HyTGraphSystem, SubwaySystem, EmogiSystem, GrusSystem
 from repro.core import HyTGraphEngine, HyTGraphOptions
@@ -35,7 +35,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CSRGraph",
-    "Frontier",
     "load_dataset",
     "rmat_graph",
     "power_law_graph",

@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import Frontier
 
-__all__ = ["ProgramState", "VertexProgram", "gather_edge_indices"]
+__all__ = ["ProgramState", "VertexProgram", "gather_edge_indices", "single_vertex"]
 
 
 @dataclass
@@ -85,6 +84,13 @@ def gather_edge_indices(graph: CSRGraph, vertices: np.ndarray) -> tuple[np.ndarr
     return edge_indices, sources
 
 
+def single_vertex(num_vertices: int, vertex: int) -> np.ndarray:
+    """A frontier bitmap with only ``vertex`` active (BFS/SSSP/PHP source)."""
+    mask = np.zeros(num_vertices, dtype=bool)
+    mask[vertex] = True
+    return mask
+
+
 class VertexProgram(ABC):
     """Base class of all vertex-centric algorithms."""
 
@@ -111,8 +117,8 @@ class VertexProgram(ABC):
         """Allocate and initialise the per-vertex state arrays."""
 
     @abstractmethod
-    def initial_frontier(self, graph: CSRGraph, state: ProgramState, source: int | None = None) -> Frontier:
-        """The initially active vertices."""
+    def initial_frontier(self, graph: CSRGraph, state: ProgramState, source: int | None = None) -> np.ndarray:
+        """The initially active vertices, as a fresh boolean bitmap."""
 
     @abstractmethod
     def process(self, graph: CSRGraph, state: ProgramState, active_vertices: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ import numpy as np
 from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices
 from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import Frontier
 
 __all__ = ["ConnectedComponents"]
 
@@ -33,8 +32,8 @@ class ConnectedComponents(VertexProgram):
         labels = np.arange(graph.num_vertices, dtype=np.float64)
         return ProgramState({"label": labels})
 
-    def initial_frontier(self, graph: CSRGraph, state: ProgramState, source: int | None = None) -> Frontier:
-        return Frontier.all_active(graph.num_vertices)
+    def initial_frontier(self, graph: CSRGraph, state: ProgramState, source: int | None = None) -> np.ndarray:
+        return np.ones(graph.num_vertices, dtype=bool)
 
     def process(self, graph: CSRGraph, state: ProgramState, active_vertices: np.ndarray) -> np.ndarray:
         labels = state["label"]

@@ -28,7 +28,6 @@ import numpy as np
 from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices
 from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import Frontier
 
 __all__ = ["DeltaPageRank"]
 
@@ -62,8 +61,8 @@ class DeltaPageRank(VertexProgram):
         deltas = np.full(graph.num_vertices, 1.0 - self.damping, dtype=np.float64)
         return ProgramState({"rank": ranks, "delta": deltas})
 
-    def initial_frontier(self, graph: CSRGraph, state: ProgramState, source: int | None = None) -> Frontier:
-        return Frontier.from_mask(state["delta"] > self.tolerance)
+    def initial_frontier(self, graph: CSRGraph, state: ProgramState, source: int | None = None) -> np.ndarray:
+        return state["delta"] > self.tolerance
 
     def process(self, graph: CSRGraph, state: ProgramState, active_vertices: np.ndarray) -> np.ndarray:
         active_vertices = np.asarray(active_vertices, dtype=np.int64)

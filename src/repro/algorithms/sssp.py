@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices
+from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices, single_vertex
 from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import Frontier
 
 __all__ = ["SSSP"]
 
@@ -34,9 +33,9 @@ class SSSP(VertexProgram):
         distances[source] = 0.0
         return ProgramState({"dist": distances})
 
-    def initial_frontier(self, graph: CSRGraph, state: ProgramState, source: int | None = None) -> Frontier:
+    def initial_frontier(self, graph: CSRGraph, state: ProgramState, source: int | None = None) -> np.ndarray:
         source = self.validate_source(graph, source)
-        return Frontier.single(graph.num_vertices, source)
+        return single_vertex(graph.num_vertices, source)
 
     def process(self, graph: CSRGraph, state: ProgramState, active_vertices: np.ndarray) -> np.ndarray:
         distances = state["dist"]

@@ -26,11 +26,14 @@ path that moves whole partitions:
   window's dedup, handed to :meth:`CacheManager.claim_billable`, still
   covers transient, non-admitted ships inside one super-iteration).
 
-Frontier observations aggregate over a *window* (one iteration of a solo
-run, one super-iteration of a batch — every live query's frontier
-counts) and fold into the policy's scores when the next window opens, so
-eviction decisions are made once per iteration boundary, exactly the
-"between iterations" cadence the frontier-aware policy needs.
+Admission is classless: every query's fills, whatever its scheduling
+class, compete for the same per-device budget under the one policy.
+
+Per-query frontier observations aggregate over a *window* (one iteration
+of a solo run, one super-iteration of a batch — every live query's
+frontier counts) and fold into the policy's scores when the next window
+opens, so eviction decisions are made once per iteration boundary,
+exactly the "between iterations" cadence the frontier-aware policy needs.
 """
 
 from __future__ import annotations
@@ -82,19 +85,9 @@ class CacheManager:
         )
         self.policy = make_policy(policy)
         self.policy.bind(self)
-        #: Per-device byte caps per scheduling class (rank -> bytes);
-        #: empty = classless admission (the historical behaviour).
-        self.class_budgets: dict[float, int] = {}
-        #: Class rank of the query currently filling the cache (set by
-        #: the batch runner around each query's planning; ``None`` when
-        #: no class context applies).
-        self.fill_class: float | None = None
         #: resident[p] — partition ``p``'s edge data sits in its owning
         #: device's memory right now.
         self.resident = np.zeros(self.num_partitions, dtype=bool)
-        #: class_of[p] — best (lowest) class rank that admitted or hit
-        #: partition ``p`` while resident (``inf`` = unclassified).
-        self.class_of = np.full(self.num_partitions, np.inf)
         #: loaded[p] — static-prefix first-touch flag (the one-off
         #: residency copy has been charged already).
         self.loaded = np.zeros(self.num_partitions, dtype=bool)
@@ -130,7 +123,6 @@ class CacheManager:
         recency/score state.
         """
         self.loaded[:] = False
-        self.class_of[:] = np.inf
         self._window_active[:] = 0
         self._window_dirty = False
         self._counters = dict.fromkeys(COUNTER_FIELDS, 0)
@@ -160,7 +152,6 @@ class CacheManager:
             )
         self.invalidated_bytes += self.resident_bytes
         self.resident[:] = False
-        self.class_of[:] = np.inf
         self.loaded[:] = False
         self.used_bytes = [0] * self.num_devices
         self.policy.reset()
@@ -216,43 +207,6 @@ class CacheManager:
         )
         if not self.adaptive:
             self._install_initial_residency()
-
-    # ------------------------------------------------------------------
-    # Per-class budgets (multi-tenant serving)
-    # ------------------------------------------------------------------
-    def set_class_budgets(self, budgets: dict | None) -> None:
-        """Cap each scheduling class's per-device resident bytes.
-
-        ``budgets`` maps a class rank (the batch runner's priority rank;
-        lower = more urgent) to the per-device bytes that class's fills
-        may keep resident.  A class without an entry is uncapped.  While
-        any budget is set, an eviction chosen to admit a worse class's
-        partition never displaces a better class's — that is what keeps
-        interactive working sets resident while BULK scans churn the
-        rest of the device memory.  ``None``/empty restores classless
-        admission (bitwise the historical behaviour).
-        """
-        if not budgets:
-            self.class_budgets = {}
-            return
-        normalized: dict[float, int] = {}
-        for rank, cap in budgets.items():
-            cap = int(cap)
-            if cap < 0:
-                raise ValueError("class cache budget must be non-negative")
-            normalized[float(rank)] = cap
-        self.class_budgets = normalized
-
-    def set_fill_class(self, rank: float | None) -> None:
-        """Declare which class's query is about to fill the cache."""
-        self.fill_class = None if rank is None else float(rank)
-
-    def class_resident_bytes(self, rank: float, device: int | None = None) -> int:
-        """Resident bytes currently attributed to one class."""
-        mask = self.resident & (self.class_of == float(rank))
-        if device is not None:
-            mask &= self.device_of == device
-        return int(self.partition_bytes[mask].sum())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -320,7 +274,7 @@ class CacheManager:
         }
 
     # ------------------------------------------------------------------
-    # Frontier window (iteration-boundary eviction cadence)
+    # Observation window (iteration-boundary eviction cadence)
     # ------------------------------------------------------------------
     def begin_iteration(self) -> None:
         """Open a new observation window; commit and evict for the last one.
@@ -445,11 +399,6 @@ class CacheManager:
                 device=int(self.device_of[index]),
                 bytes=int(self.partition_bytes[index]),
             )
-        if self.class_budgets and self.fill_class is not None:
-            # A hit by a better class adopts the partition: it is now
-            # part of that class's working set and protected as such.
-            if self.fill_class < self.class_of[index]:
-                self.class_of[index] = self.fill_class
         self.policy.on_hit(index)
 
     def _admit(self, index: int) -> None:
@@ -460,24 +409,16 @@ class CacheManager:
         budget = self.budget_bytes[device]
         if size > budget:
             return  # can never fit; stay transient
-        rank = self.fill_class if self.class_budgets else None
-        if rank is not None:
-            cap = self.class_budgets.get(rank)
-            if cap is not None and self.class_resident_bytes(rank, device) + size > cap:
-                return  # class budget exhausted; stay transient
         needed = self.used_bytes[device] + size - budget
         if needed > 0:
             victims = self.policy.victims(device, index, needed)
             if victims is None:
                 return  # policy declined the admission
-            if rank is not None and any(self.class_of[victim] < rank for victim in victims):
-                return  # never displace a better class's working set
             for victim in victims:
                 self._evict(victim)
             if self.used_bytes[device] + size > budget:
                 return  # victims did not free enough after all
         self.resident[index] = True
-        self.class_of[index] = np.inf if rank is None else rank
         self.used_bytes[device] += size
         self.policy.on_admit(index)
         if self.tracer.enabled:
@@ -491,7 +432,6 @@ class CacheManager:
             return
         device = int(self.device_of[index])
         self.resident[index] = False
-        self.class_of[index] = np.inf
         self.used_bytes[device] -= int(self.partition_bytes[index])
         self._counters["evictions"] += 1
         self._counters["evicted_bytes"] += int(self.partition_bytes[index])

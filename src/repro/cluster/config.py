@@ -2,11 +2,13 @@
 
 A :class:`ClusterConfig` layers cluster topology — how many hosts, how
 many GPUs each, which network fabric connects them — on top of one
-:class:`~repro.service.config.ServiceConfig` that every replica shares.
-The single-host serving knobs keep their exact semantics per replica
-(each host runs its own admission controller, circuit breaker and fault
-injector); the only schedule entries the cluster layer claims for itself
-are the ``host-loss`` specs, which a single host cannot interpret.
+:class:`~repro.service.config.ServiceConfig` that every replica shares,
+and is the one place that topology is validated (host and GPU counts,
+network preset names).  The single-host serving knobs keep their exact
+semantics per replica (each host runs its own admission controller,
+circuit breaker and fault injector); the only schedule entries the
+cluster layer claims for itself are the ``host-loss`` specs, which a
+single host cannot interpret.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.faults.spec import FaultSpec
 from repro.service.config import ServiceConfig
-from repro.sim.config import HostConfig, NetworkConfig
+from repro.sim.config import NetworkConfig
 
 __all__ = ["ClusterConfig"]
 
@@ -52,12 +54,14 @@ class ClusterConfig:
     service: ServiceConfig = field(default_factory=ServiceConfig)
 
     def __post_init__(self) -> None:
-        # HostConfig validates counts and coerces preset names; keep the
-        # canonical topology value around for reports.
-        topology = HostConfig(
-            hosts=self.hosts, gpus_per_host=self.gpus_per_host, network=self.network
-        )
-        object.__setattr__(self, "network", topology.network)
+        if self.hosts < 1:
+            raise ValueError("hosts must be at least 1")
+        if self.gpus_per_host < 1:
+            raise ValueError("gpus_per_host must be at least 1")
+        if isinstance(self.network, str):
+            object.__setattr__(self, "network", NetworkConfig.from_preset(self.network))
+        elif not isinstance(self.network, NetworkConfig):
+            raise ValueError("network must be a NetworkConfig or a preset name")
         if not isinstance(self.service, ServiceConfig):
             raise ValueError("service must be a ServiceConfig")
         for spec in self.host_loss_specs():
@@ -66,13 +70,6 @@ class ClusterConfig:
                     "host-loss targets host=%d, but the cluster's hosts are [0, %d)"
                     % (spec.host, self.hosts)
                 )
-
-    @property
-    def topology(self) -> HostConfig:
-        """The cluster's :class:`~repro.sim.config.HostConfig`."""
-        return HostConfig(
-            hosts=self.hosts, gpus_per_host=self.gpus_per_host, network=self.network
-        )
 
     def host_loss_specs(self) -> tuple[FaultSpec, ...]:
         """The ``host-loss`` specs the cluster layer interprets itself."""

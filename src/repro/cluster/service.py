@@ -198,17 +198,7 @@ class ClusterService:
             return replica.admission.pending_bytes + estimate(host) > budget
 
         def refuses(host: int) -> bool:
-            # Mirrors AdmissionController.decide's reject conditions
-            # without reserving bytes.
-            admission = self.replicas[host].admission
-            if admission.budget_bytes is None:
-                return False
-            if estimate(host) > admission.budget_bytes:
-                return True
-            return (
-                admission.policy == "reject"
-                and admission.pending_bytes + estimate(host) > admission.budget_bytes
-            )
+            return self.replicas[host].admission.refusal(estimate(host)) is not None
 
         load_order = sorted(
             alive,

@@ -240,7 +240,6 @@ class HyTGraphEngine:
         program.check_graph(self.graph)
         internal_source = self._translate_source(program.validate_source(self.original_graph, source))
         state = program.create_state(self.graph, internal_source)
-        frontier = program.initial_frontier(self.graph, state, internal_source)
 
         result = RunResult(
             system=self.name,
@@ -264,7 +263,7 @@ class HyTGraphEngine:
             program=program,
             source=internal_source,
             state=state,
-            pending=frontier.mask.copy(),
+            pending=program.initial_frontier(self.graph, state, internal_source),
             result=result,
         )
 
@@ -325,7 +324,7 @@ class HyTGraphEngine:
         costs = self.cost_model.estimate(pending, active_ids=active_ids)
         cache = context.cache
         if cache is not None and cache.adaptive:
-            # Frontier observation feeds the eviction policy (committed
+            # The frontier observation feeds the eviction policy (committed
             # at the next iteration boundary), and the cost model learns
             # what is already on a device: resident partitions — and
             # partitions another query shipped earlier in this transfer

@@ -15,14 +15,15 @@ graph before and during processing:
   the edge-associated data (Section IV).
 * :mod:`repro.graph.reorder` — hub sorting used by the contribution-driven
   priority scheduler (Section VI-A, Formula 4).
-* :mod:`repro.graph.frontier` — active-vertex frontiers and per-partition
-  activeness accounting.
 * :mod:`repro.graph.properties` — degree statistics (Figure 3f).
 * :mod:`repro.graph.io` — edge-list and binary CSR persistence.
+
+Active-vertex frontiers are plain boolean NumPy bitmaps of length
+``num_vertices`` (see ``VertexProgram.initial_frontier``); per-partition
+activeness is :meth:`Partitioning.active_counts` over such a bitmap.
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import Frontier
 from repro.graph.partition import (
     DeviceShard,
     EdgePartition,
@@ -45,7 +46,6 @@ from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
 
 __all__ = [
     "CSRGraph",
-    "Frontier",
     "EdgePartition",
     "Partitioning",
     "DeviceShard",

@@ -77,10 +77,6 @@ class EdgePartition:
         """The vertex ids covered by this partition."""
         return np.arange(self.vertex_start, self.vertex_end, dtype=np.int64)
 
-    def contains_vertex(self, vertex: int) -> bool:
-        """Whether ``vertex``'s adjacency list lives in this partition."""
-        return self.vertex_start <= vertex < self.vertex_end
-
 
 class Partitioning:
     """An ordered list of :class:`EdgePartition` covering a graph.
@@ -218,10 +214,6 @@ class DeviceShard:
         """The partition indices belonging to this shard."""
         return range(self.partition_start, self.partition_end)
 
-    def owns_vertex(self, vertex: int) -> bool:
-        """Whether ``vertex``'s adjacency list is owned by this device."""
-        return self.vertex_start <= vertex < self.vertex_end
-
     def count_remote(self, vertices: np.ndarray) -> int:
         """How many of ``vertices`` are owned by a different shard.
 
@@ -248,7 +240,6 @@ class ShardedPartitioning:
         self.partitioning = partitioning
         self.num_devices = num_devices
         self.shards = self._build_shards()
-        self._vertex_starts = np.array([shard.vertex_start for shard in self.shards], dtype=np.int64)
         self._device_of_partition = np.zeros(partitioning.num_partitions, dtype=np.int64)
         for shard in self.shards:
             self._device_of_partition[shard.partition_start : shard.partition_end] = shard.device
@@ -306,18 +297,6 @@ class ShardedPartitioning:
     def device_of_partition(self, index: int) -> int:
         """Owning device of partition ``index``."""
         return int(self._device_of_partition[index])
-
-    def device_of_vertices(self, vertices: np.ndarray) -> np.ndarray:
-        """Owning device of every vertex id in ``vertices``."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        # Empty shards share their vertex_start with the next shard;
-        # side="right" - 1 resolves the tie to the last shard whose range
-        # actually starts there, which is the non-empty one.
-        return np.clip(
-            np.searchsorted(self._vertex_starts, vertices, side="right") - 1,
-            0,
-            self.num_devices - 1,
-        )
 
     def split_sorted_vertices(self, vertices: np.ndarray) -> list[np.ndarray]:
         """Slice a sorted vertex-id array into one view per device."""

@@ -110,10 +110,6 @@ class ReorderedGraph:
         """Original vertex id -> relabelled id."""
         return int(self.old_to_new[vertex])
 
-    def translate_to_old(self, vertex: int) -> int:
-        """Relabelled vertex id -> original id."""
-        return int(self.new_to_old[vertex])
-
     def values_in_original_order(self, values: np.ndarray) -> np.ndarray:
         """Map per-vertex results from relabelled order back to original ids."""
         restored = np.empty_like(values)

@@ -114,11 +114,6 @@ class RunResult:
         return float(sum(stat.time for stat in self.iterations))
 
     @property
-    def total_time_with_preprocessing(self) -> float:
-        """Execution time including one-off preprocessing."""
-        return self.total_time + self.preprocessing_time
-
-    @property
     def total_transfer_bytes(self) -> int:
         """Total bytes moved across PCIe."""
         return int(sum(stat.transfer_bytes for stat in self.iterations))
@@ -363,16 +358,6 @@ class BatchResult:
     def total_interconnect_bytes(self) -> int:
         """Inter-GPU boundary-delta bytes across all queries."""
         return int(sum(result.total_interconnect_bytes for result in self.results))
-
-    @property
-    def sequential_time_estimate(self) -> float:
-        """Sum of the queries' standalone iteration times.
-
-        An *in-batch* proxy (each query's tasks scheduled alone but with
-        the shared warm state); the honest sequential baseline re-runs
-        the queries independently — see :meth:`amortization_vs`.
-        """
-        return float(sum(result.total_time for result in self.results))
 
     def amortization_vs(self, sequential: list[RunResult]) -> dict[str, float]:
         """Amortization statistics against independent sequential runs.

@@ -16,7 +16,6 @@ from repro.obs.export import (
     spans_to_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.flight import flight_report, load_trace, query_summary, query_tracks
 from repro.obs.metrics import LATENCY_BUCKETS_S, Histogram, MetricsRegistry
@@ -49,5 +48,4 @@ __all__ = [
     "spans_to_jsonl",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
 ]

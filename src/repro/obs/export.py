@@ -23,7 +23,6 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "spans_to_jsonl",
-    "write_jsonl",
     "validate_chrome_trace",
 ]
 
@@ -115,13 +114,6 @@ def write_chrome_trace(path, spans: list[Span], metrics: dict | None = None, dro
 def spans_to_jsonl(spans: list[Span]) -> str:
     """The span log: one JSON object per line, in span-id order."""
     return "".join(json.dumps(span.as_dict()) + "\n" for span in spans)
-
-
-def write_jsonl(path, spans: list[Span]) -> Path:
-    """Write the JSONL span log; returns the path written."""
-    path = Path(path)
-    path.write_text(spans_to_jsonl(spans))
-    return path
 
 
 def validate_chrome_trace(payload: dict) -> list[str]:

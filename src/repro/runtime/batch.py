@@ -323,20 +323,10 @@ class QueryBatchRunner:
 
             # Plan every live query's iteration (mutates its state and the
             # shared warm-transfer bookkeeping, in deterministic query
-            # order: priority rank first, then submission).  When the
-            # cache enforces per-class budgets, each query's fills are
-            # tagged with its priority rank so BULK scans cannot displace
-            # the interactive working set.
-            classed_cache = (
-                cache is not None and cache.class_budgets and priorities is not None
-            )
+            # order: priority rank first, then submission).
             plans = []
             for index in live:
-                if classed_cache:
-                    cache.set_fill_class(ranks[index])
                 plans.append((index, driver.plan(system, sessions[index])))
-            if classed_cache:
-                cache.set_fill_class(None)
 
             # The merged co-schedule refers to the plans' own tasks: each
             # device list has a parallel owner list, and the owner's class

@@ -106,7 +106,7 @@ class MultiDeviceScheduler:
         device_tasks: Sequence[list[StreamTask]],
         sync_bytes_per_device: Sequence[int] | None = None,
         owners: Sequence[list[int]] | None = None,
-        class_offsets: Sequence[float] | None = None,
+        owner_offsets: Sequence[float] | None = None,
     ) -> Timeline:
         """Schedule every device's tasks plus the boundary sync phase.
 
@@ -117,7 +117,7 @@ class MultiDeviceScheduler:
 
         A merged co-schedule of several queries passes ``owners`` —
         ``owners[d][i]`` is the query ``device_tasks[d][i]`` belongs to —
-        and ``class_offsets``, the priority-class offset of each owner,
+        and ``owner_offsets``, the priority-class offset of each owner,
         added to its tasks' priorities (a zero offset leaves them
         untouched).  The timeline then tracks each owner's finish time.
         """
@@ -132,12 +132,12 @@ class MultiDeviceScheduler:
         for device, tasks in enumerate(device_tasks):
             device_owners = owners[device] if owners is not None else [-1] * len(tasks)
             for position, (task, owner) in enumerate(zip(tasks, device_owners)):
-                offset = class_offsets[owner] if owner >= 0 else 0.0
+                offset = owner_offsets[owner] if owner >= 0 else 0.0
                 priority = offset + task.priority if offset else task.priority
                 merged.append((priority, position, device, owner, task))
         merged.sort()
 
-        num_owners = len(class_offsets) if owners is not None else 0
+        num_owners = len(owner_offsets) if owners is not None else 0
         timeline = Timeline(self.num_devices, self.config.num_streams, num_owners)
         place = self.stream_scheduler.place
         for _, _, device, owner, task in merged:
@@ -353,7 +353,7 @@ class ExecutionContext:
         self.scheduler.interconnect_slowdown *= factor
 
     # ------------------------------------------------------------------
-    # Frontier topology helpers
+    # Active-set topology helpers
     # ------------------------------------------------------------------
     def split_frontier(self, active_ids: np.ndarray) -> list[np.ndarray]:
         """Slice a sorted active-vertex array into one view per device."""
@@ -383,7 +383,7 @@ class ExecutionContext:
         device_tasks: Sequence[list[StreamTask]],
         sync_bytes_per_device: Sequence[int] | None = None,
         owners: Sequence[list[int]] | None = None,
-        class_offsets: Sequence[float] | None = None,
+        owner_offsets: Sequence[float] | None = None,
     ) -> Timeline:
         """Schedule per-device task lists plus the boundary sync phase."""
-        return self.scheduler.schedule(device_tasks, sync_bytes_per_device, owners, class_offsets)
+        return self.scheduler.schedule(device_tasks, sync_bytes_per_device, owners, owner_offsets)

@@ -119,7 +119,7 @@ class IterationDriver:
         self._trace_elapsed = 0.0
 
     # ------------------------------------------------------------------
-    # Frontier helpers
+    # Pending-bitmap helpers
     # ------------------------------------------------------------------
     def snapshot(self, pending: np.ndarray) -> FrontierSnapshot:
         """One frontier scan: sorted ids, per-device views and counts."""

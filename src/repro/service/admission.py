@@ -80,14 +80,25 @@ class AdmissionController:
     def decide(self, estimated_bytes: int) -> str | None:
         """Admission decision for one request: ``None`` or a reject reason.
 
-        A request whose own estimate exceeds the whole budget can never
-        run and is rejected under either policy; under ``reject``,
+        :meth:`refusal` decides; an admitted request's estimate is then
+        reserved against the budget until :meth:`release`.
+        """
+        reason = self.refusal(estimated_bytes)
+        if reason is None:
+            self.pending_bytes += estimated_bytes
+        return reason
+
+    def refusal(self, estimated_bytes: int) -> str | None:
+        """Why a request of this estimate would be refused now (or ``None``).
+
+        Side-effect free, so the cluster router can ask every host.  A
+        request whose own estimate exceeds the whole budget can never
+        run and is refused under either policy; under ``reject``,
         requests are additionally refused while the already-admitted
         queue fills the budget (queueing is for transient overload, hard
         back-pressure pushes it onto the client).
         """
         if self.budget_bytes is None:
-            self.pending_bytes += estimated_bytes
             return None
         if estimated_bytes > self.budget_bytes:
             return (
@@ -99,7 +110,6 @@ class AdmissionController:
                 "admission budget exhausted (%d of %d bytes pending); retry after the "
                 "queue drains" % (self.pending_bytes, self.budget_bytes)
             )
-        self.pending_bytes += estimated_bytes
         return None
 
     def take_wave(self, handles: list) -> list:

@@ -73,11 +73,6 @@ class ServiceConfig:
     #: the checkpoint in a later wave.  Off by default — the historical
     #: run-to-completion wave behaviour, bitwise.
     preemption: bool = False
-    #: Per-device device-cache byte caps per priority class
-    #: (class name -> bytes, e.g. ``{"bulk": 16_000_000}``); classes
-    #: without an entry are uncapped.  Only meaningful under an adaptive
-    #: cache policy; ``None`` keeps classless admission.
-    cache_class_budgets: dict | None = None
     max_iterations: int | None = None
     # --- faults and recovery ---------------------------------------------
     #: Default latency SLA applied to requests that carry none
@@ -138,18 +133,6 @@ class ServiceConfig:
             )
         if self.admission_budget_bytes is not None and self.admission_budget_bytes < 0:
             raise ValueError("admission_budget_bytes must be non-negative")
-        if self.cache_class_budgets is not None:
-            from repro.service.request import Priority
-
-            normalized = {}
-            for name, cap in self.cache_class_budgets.items():
-                rank = Priority.parse(name)
-                if int(cap) < 0:
-                    raise ValueError(
-                        "cache_class_budgets[%r] must be non-negative" % (name,)
-                    )
-                normalized[rank] = int(cap)
-            object.__setattr__(self, "cache_class_budgets", normalized)
         if self.devices < 1:
             raise ValueError("devices must be at least 1")
         if self.deadline_s is not None and self.deadline_s <= 0:

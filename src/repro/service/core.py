@@ -71,8 +71,9 @@ class GraphService:
     graph / hardware:
         Optional prebuilt graph and
         :class:`~repro.sim.config.HardwareConfig` to build that system
-        over (a benchmark workload's ``graph``/``config``).  Without a
-        graph the config's dataset stand-in is loaded weighted so every
+        over (a benchmark workload's ``graph``/``config``), passed
+        together or not at all.  Without them the config's dataset
+        stand-in and platform are built, the graph weighted so every
         algorithm can run against it — except CC, whose weakly-connected
         semantics need a symmetrized graph (submit a CC request only to
         a service built over one; a directed graph is refused at
@@ -114,15 +115,6 @@ class GraphService:
         #: (plus idle jumps to the next arrival under event-driven
         #: serving).
         self._clock_s = 0.0
-        if self.config.cache_class_budgets:
-            cache = self.system.context.cache
-            if cache is not None:
-                cache.set_class_budgets(
-                    {
-                        float(int(rank)): cap
-                        for rank, cap in self.config.cache_class_budgets.items()
-                    }
-                )
         #: Sheds queued BULK work after repeated faulty waves.
         self.breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
@@ -150,9 +142,13 @@ class GraphService:
     # ------------------------------------------------------------------
     @staticmethod
     def _build_system(config: ServiceConfig, graph, hardware):
-        from repro.bench.workloads import build_workload, scaled_config_for
-        from repro.sim.config import GPU_PRESETS, gtx_2080ti
+        from repro.bench.workloads import build_workload
 
+        if (graph is None) != (hardware is None):
+            raise ValueError(
+                "pass graph= and hardware= together (repro.bench.build_workload "
+                "builds both), or neither to build the config's dataset"
+            )
         if graph is None:
             # The SSSP cell loads the dataset weighted, so one graph
             # serves every algorithm except CC (gated at submit: its
@@ -166,11 +162,6 @@ class GraphService:
                 interconnect=config.interconnect,
             )
             graph, hardware = workload.graph, workload.config
-        elif hardware is None:
-            preset = GPU_PRESETS[config.gpu] if config.gpu else None
-            if config.devices != 1 or config.interconnect is not None:
-                preset = (preset or gtx_2080ti()).with_devices(config.devices, config.interconnect)
-            hardware = scaled_config_for(graph, None, preset)
         return make_system(config.system, graph, config=hardware, **config.system_kwargs())
 
     # ------------------------------------------------------------------

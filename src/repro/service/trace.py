@@ -142,7 +142,7 @@ def iter_arrival_times(
 
 
 def arrival_times(process: str, rate: float, count: int, seed: int = 0, **kwargs) -> np.ndarray:
-    """The materialized (sorted ascending) timestamps of one process."""
+    """All ``count`` timestamps of one process as one sorted array."""
     return np.fromiter(
         iter_arrival_times(process, rate, count, seed, **kwargs),
         dtype=np.float64,

@@ -10,9 +10,9 @@ discrete-event simulator whose parameters come straight from the paper:
 * :mod:`repro.sim.pcie` — the PCIe Transaction-Layer-Packet model: 256
   outstanding memory requests per TLP, 32/64/96/128-byte request payloads,
   the γ = 0.625 zero-copy round-trip damping factor (Section V-A).
-* :mod:`repro.sim.memory` — device memory accounting and the 4-KB-page
-  LRU cache used by the unified-memory engine.
-* :mod:`repro.sim.compaction` — the CPU active-edge compaction engine.
+* :mod:`repro.sim.memory` — the 4-KB-page LRU cache used by the
+  unified-memory engine.
+* :mod:`repro.sim.compaction` — the CPU active-edge compaction cost model.
 * :mod:`repro.sim.kernel` — GPU kernel and CPU processing time models.
 * :mod:`repro.sim.streams` — the multi-stream scheduler that overlaps CPU
   compaction, PCIe transfers and GPU kernels (Section VI-B, Figure 6).
@@ -36,8 +36,8 @@ from repro.sim.config import (
     default_config,
 )
 from repro.sim.pcie import PCIeModel
-from repro.sim.memory import DeviceMemory, PageCache
-from repro.sim.compaction import CompactionEngine, CompactionResult
+from repro.sim.memory import PageCache
+from repro.sim.compaction import CompactionEngine
 from repro.sim.kernel import KernelModel
 from repro.sim.streams import StreamScheduler, StreamTask, Timeline, TimelineEntry
 
@@ -50,10 +50,8 @@ __all__ = [
     "tesla_p100",
     "default_config",
     "PCIeModel",
-    "DeviceMemory",
     "PageCache",
     "CompactionEngine",
-    "CompactionResult",
     "KernelModel",
     "StreamScheduler",
     "StreamTask",

@@ -1,4 +1,4 @@
-"""CPU-based active-edge compaction engine.
+"""CPU-based active-edge compaction cost model.
 
 The ExpTM-compaction approach (Section II-B, Subway-style) removes the
 inactive edges of a partition on the host CPU, packing the surviving
@@ -8,68 +8,21 @@ price is CPU time and main-memory traffic that grows with the active edge
 volume — on Subway the compaction stage accounts for roughly a third of
 total runtime (Figure 3c).
 
-:class:`CompactionEngine` does both jobs here: it *actually builds* the
-compacted sub-CSR (so the kernels can run on it and correctness is
-preserved) and it *prices* the work using the configured CPU compaction
-throughput.
+:class:`CompactionEngine` only *prices* that work: the bytes the packed
+buffer and index would occupy, and the CPU time to produce them at the
+configured compaction throughput.  No sub-CSR is built — the vertex
+programs push from the original CSR, so compaction never affects values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.graph.csr import CSRGraph
 from repro.sim.config import HardwareConfig
 
-__all__ = ["CompactionEngine", "CompactionResult", "CompactedSubgraph"]
-
-
-@dataclass(frozen=True)
-class CompactedSubgraph:
-    """The dense sub-CSR produced by compaction.
-
-    Attributes
-    ----------
-    vertices:
-        Original ids of the active vertices, in the order they appear in
-        the compacted structure.
-    row_offset:
-        Compressed index array (length ``len(vertices) + 1``).
-    column_index:
-        Neighbors of the active vertices, packed contiguously.
-    edge_value:
-        Matching edge weights, or ``None`` for unweighted graphs.
-    """
-
-    vertices: np.ndarray
-    row_offset: np.ndarray
-    column_index: np.ndarray
-    edge_value: np.ndarray | None
-
-    @property
-    def num_vertices(self) -> int:
-        """Number of active vertices in the compacted subgraph."""
-        return int(self.vertices.size)
-
-    @property
-    def num_edges(self) -> int:
-        """Number of edges kept after removing inactive ones."""
-        return int(self.column_index.size)
-
-
-@dataclass(frozen=True)
-class CompactionResult:
-    """Cost and content of one compaction operation."""
-
-    subgraph: CompactedSubgraph
-    output_bytes: int
-    cpu_time: float
+__all__ = ["CompactionEngine"]
 
 
 class CompactionEngine:
-    """Builds compacted subgraphs and prices the CPU work."""
+    """Prices the output volume and CPU work of active-edge compaction."""
 
     def __init__(self, config: HardwareConfig):
         self.config = config
@@ -96,27 +49,3 @@ class CompactionEngine:
         if output_bytes <= 0:
             return 0.0
         return output_bytes / self.config.cpu_compaction_throughput
-
-    def compact(self, graph: CSRGraph, active_vertices: np.ndarray) -> CompactionResult:
-        """Remove inactive edges: pack the adjacency lists of ``active_vertices``."""
-        active_vertices = np.asarray(active_vertices, dtype=np.int64)
-        degrees = graph.out_degrees[active_vertices] if active_vertices.size else np.zeros(0, dtype=np.int64)
-        row_offset = np.zeros(active_vertices.size + 1, dtype=np.int64)
-        np.cumsum(degrees, out=row_offset[1:])
-        total_edges = int(row_offset[-1])
-        column_index = np.empty(total_edges, dtype=np.int64)
-        edge_value = np.empty(total_edges, dtype=np.float64) if graph.is_weighted else None
-        for position, vertex in enumerate(active_vertices.tolist()):
-            src_start, src_end = graph.edge_slice(vertex)
-            dst_start, dst_end = row_offset[position], row_offset[position + 1]
-            column_index[dst_start:dst_end] = graph.column_index[src_start:src_end]
-            if edge_value is not None:
-                edge_value[dst_start:dst_end] = graph.edge_value[src_start:src_end]
-        subgraph = CompactedSubgraph(
-            vertices=active_vertices,
-            row_offset=row_offset,
-            column_index=column_index,
-            edge_value=edge_value,
-        )
-        bytes_out = self.output_bytes(total_edges, active_vertices.size, graph.is_weighted)
-        return CompactionResult(subgraph=subgraph, output_bytes=bytes_out, cpu_time=self.cpu_time(bytes_out))

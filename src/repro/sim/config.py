@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 __all__ = [
     "HardwareConfig",
-    "HostConfig",
     "NetworkConfig",
     "GPU_PRESETS",
     "INTERCONNECT_PRESETS",
@@ -108,51 +107,6 @@ class NetworkConfig:
         if nbytes < 0:
             raise ValueError("transfer size must be non-negative")
         return self.latency + nbytes / self.bandwidth
-
-    def scaled(self, scale: float) -> "NetworkConfig":
-        """A copy scaled for graphs ``scale`` times the paper's size.
-
-        Like :meth:`HardwareConfig.scaled`, the fixed per-event overhead
-        (message latency) is multiplied by ``scale`` so its magnitude
-        relative to per-checkpoint transfer times stays what it would be
-        at full scale; bandwidth is a physical constant and stays.
-        """
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        return replace(self, latency=self.latency * scale)
-
-
-@dataclass(frozen=True)
-class HostConfig:
-    """Topology of a simulated cluster: N hosts of M GPUs over a network.
-
-    Each host is one complete instance of the paper's platform
-    (:class:`HardwareConfig` with ``gpus_per_host`` devices); the
-    network prices every byte that crosses host boundaries.
-    """
-
-    hosts: int = 1
-    gpus_per_host: int = 1
-    network: "NetworkConfig | str" = "tcp"
-
-    def __post_init__(self) -> None:
-        if self.hosts < 1:
-            raise ValueError("hosts must be at least 1")
-        if self.gpus_per_host < 1:
-            raise ValueError("gpus_per_host must be at least 1")
-        if isinstance(self.network, str):
-            object.__setattr__(self, "network", NetworkConfig.from_preset(self.network))
-        elif not isinstance(self.network, NetworkConfig):
-            raise ValueError("network must be a NetworkConfig or a preset name")
-
-    @property
-    def total_gpus(self) -> int:
-        """GPUs across the whole cluster."""
-        return self.hosts * self.gpus_per_host
-
-    def scaled(self, scale: float) -> "HostConfig":
-        """A copy with the network's fixed overheads scaled (see above)."""
-        return replace(self, network=self.network.scaled(scale))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,13 @@
-"""Device memory accounting and the unified-memory page cache.
+"""The unified-memory page cache.
 
-Two pieces of state live here:
-
-* :class:`DeviceMemory` — a simple byte-granular allocator tracking how
-  much of the simulated GPU's global memory is in use (vertex-associated
-  arrays are allocated first; whatever is left can cache edge data).
-* :class:`PageCache` — the 4-KB-page LRU cache behind the unified-memory
-  transfer engine.  Accessing a set of pages returns how many hit the
-  cache and how many fault (and therefore must be migrated over PCIe);
-  when the cache is full, the least recently used pages are evicted.
-  Because the paper enables ``cudaMemAdviseSetReadMostly`` (Section III-C)
-  evicted pages are discarded, not written back.
+:class:`PageCache` is the 4-KB-page LRU cache behind the unified-memory
+transfer engine.  Accessing a set of pages returns how many hit the
+cache and how many fault (and therefore must be migrated over PCIe);
+when the cache is full, the least recently used pages are evicted.
+Because the paper enables ``cudaMemAdviseSetReadMostly`` (Section III-C)
+evicted pages are discarded, not written back.  Device-memory capacity
+itself is a :class:`~repro.sim.config.HardwareConfig` number that the
+device cache (:mod:`repro.cache`) budgets against.
 """
 
 from __future__ import annotations
@@ -20,62 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DeviceMemory", "PageCache", "PageAccessResult"]
-
-
-class DeviceMemory:
-    """Byte-granular accounting of simulated GPU global memory."""
-
-    def __init__(self, capacity_bytes: int):
-        if capacity_bytes < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity_bytes = int(capacity_bytes)
-        self._allocations: dict[str, int] = {}
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently allocated."""
-        return sum(self._allocations.values())
-
-    @property
-    def free_bytes(self) -> int:
-        """Bytes still available."""
-        return self.capacity_bytes - self.used_bytes
-
-    def allocate(self, label: str, num_bytes: int) -> None:
-        """Reserve ``num_bytes`` under ``label``.
-
-        Raises :class:`MemoryError` when the device memory is
-        oversubscribed — this is exactly the condition under which the
-        in-GPU-memory systems of Section I "fail to work".
-        """
-        if num_bytes < 0:
-            raise ValueError("cannot allocate a negative size")
-        if label in self._allocations:
-            raise ValueError("label %r already allocated" % label)
-        if num_bytes > self.free_bytes:
-            raise MemoryError(
-                "device memory oversubscribed: need %d bytes, only %d free"
-                % (num_bytes, self.free_bytes)
-            )
-        self._allocations[label] = int(num_bytes)
-
-    def free(self, label: str) -> None:
-        """Release the allocation named ``label``."""
-        if label not in self._allocations:
-            raise KeyError("no allocation named %r" % label)
-        del self._allocations[label]
-
-    def can_fit(self, num_bytes: int) -> bool:
-        """Whether ``num_bytes`` more would fit."""
-        return num_bytes <= self.free_bytes
-
-    def allocation(self, label: str) -> int:
-        """Size of the allocation named ``label``."""
-        return self._allocations[label]
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._allocations
+__all__ = ["PageCache", "PageAccessResult"]
 
 
 @dataclass(frozen=True)
@@ -85,11 +27,6 @@ class PageAccessResult:
     hits: int
     faults: int
     evictions: int
-
-    @property
-    def total(self) -> int:
-        """Total pages accessed."""
-        return self.hits + self.faults
 
 
 @dataclass

@@ -120,7 +120,6 @@ class GraphSystem(ABC):
         program.check_graph(self.graph)
         source = program.validate_source(self.graph, source)
         state = program.create_state(self.graph, source)
-        frontier = program.initial_frontier(self.graph, state, source)
         result = RunResult(system=self.name, algorithm=program.name, graph_name=self.graph.name)
         result.extra["backend"] = self.context.backend_name
         if self.context.is_multi_device:
@@ -130,7 +129,7 @@ class GraphSystem(ABC):
             program=program,
             source=source,
             state=state,
-            pending=frontier.mask.copy(),
+            pending=program.initial_frontier(self.graph, state, source),
             result=result,
         )
         self._prepare_session(session)

@@ -1,9 +1,14 @@
-"""Common interface of the transfer engines."""
+"""Common interface of the transfer engines.
+
+Every engine prices moving the active subgraph of a partition (or of a
+multi-partition task) as one :class:`TransferOutcome`: the bytes that
+cross PCIe and the seconds of PCIe and host-CPU time they cost.
+"""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -46,9 +51,10 @@ class TransferOutcome:
     overlapped:
         Whether the transfer overlaps the kernel on the GPU (implicit
         engines) or precedes it (explicit engines).
-    detail:
-        Engine-specific extras (TLP counts, page faults, ...), used by the
-        analysis figures and tests.
+
+    Engine-specific counts (TLPs, page faults) are not carried here: the
+    PCIe model computes them on demand, and the unified-memory engine's
+    page cache keeps cumulative hit/fault statistics.
     """
 
     engine: EngineKind
@@ -56,7 +62,6 @@ class TransferOutcome:
     transfer_time: float
     cpu_time: float = 0.0
     overlapped: bool = False
-    detail: dict[str, float] = field(default_factory=dict)
 
 
 class TransferEngine(ABC):

@@ -25,43 +25,24 @@ class ExplicitCompactionEngine(TransferEngine):
 
     kind = EngineKind.EXP_COMPACTION
 
-    def __init__(self, graph, config, materialize: bool = False):
+    def __init__(self, graph, config):
         super().__init__(graph, config)
         self._compactor = CompactionEngine(config)
-        # The simulated systems only need byte/time accounting; tests and
-        # examples can ask for the actual compacted sub-CSR.
-        self.materialize = materialize
-        self.last_subgraph = None
 
     def transfer(self, partition: EdgePartition, active_vertices: np.ndarray) -> TransferOutcome:
         active_vertices = np.asarray(active_vertices, dtype=np.int64)
         if active_vertices.size == 0:
             return TransferOutcome(self.kind, 0, 0.0)
-        if self.materialize:
-            result = self._compactor.compact(self.graph, active_vertices)
-            self.last_subgraph = result.subgraph
-            output_bytes = result.output_bytes
-            cpu_time = result.cpu_time
-            active_edges = result.subgraph.num_edges
-        else:
-            degrees = self._active_degrees(active_vertices)
-            active_edges = int(degrees.sum())
-            output_bytes = self._compactor.output_bytes(
-                active_edges, active_vertices.size, self.graph.is_weighted
-            )
-            cpu_time = self._compactor.cpu_time(output_bytes)
-        transfer_time = self.pcie.explicit_copy_time(output_bytes)
+        active_edges = int(self._active_degrees(active_vertices).sum())
+        output_bytes = self._compactor.output_bytes(
+            active_edges, active_vertices.size, self.graph.is_weighted
+        )
         return TransferOutcome(
             engine=self.kind,
             bytes_transferred=output_bytes,
-            transfer_time=transfer_time,
-            cpu_time=cpu_time,
+            transfer_time=self.pcie.explicit_copy_time(output_bytes),
+            cpu_time=self._compactor.cpu_time(output_bytes),
             overlapped=False,
-            detail={
-                "tlps": float(self.pcie.explicit_copy_tlps(output_bytes)),
-                "active_edges": float(active_edges),
-                "active_vertices": float(active_vertices.size),
-            },
         )
 
     def transfer_task(
@@ -75,11 +56,8 @@ class ExplicitCompactionEngine(TransferEngine):
         Output bytes and CPU time are linear in each partition's active
         edge/vertex counts and the transfer time keeps its per-partition
         TLP rounding, so the result matches the :meth:`transfer` loop bit
-        for bit.  Materialising engines fall back to the loop so
-        ``last_subgraph`` still reflects the final partition.
+        for bit.
         """
-        if self.materialize:
-            return super().transfer_task(partitions, active_vertices, cuts)
         active_vertices = np.asarray(active_vertices, dtype=np.int64)
         if active_vertices.size == 0:
             return TransferOutcome(self.kind, 0, 0.0)

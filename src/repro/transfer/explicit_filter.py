@@ -29,18 +29,10 @@ class ExplicitFilterEngine(TransferEngine):
             # A partition with no active edges is filtered out entirely.
             return TransferOutcome(self.kind, 0, 0.0)
         num_bytes = partition.edge_bytes
-        time = self.pcie.explicit_copy_time(num_bytes)
-        active_edges = int(self._active_degrees(active_vertices).sum())
         return TransferOutcome(
             engine=self.kind,
             bytes_transferred=num_bytes,
-            transfer_time=time,
+            transfer_time=self.pcie.explicit_copy_time(num_bytes),
             cpu_time=0.0,
             overlapped=False,
-            detail={
-                "tlps": float(self.pcie.explicit_copy_tlps(num_bytes)),
-                "active_edges": float(active_edges),
-                "partition_edges": float(partition.num_edges),
-                "redundant_bytes": float(num_bytes - active_edges * self.graph.edge_bytes_per_edge),
-            },
         )

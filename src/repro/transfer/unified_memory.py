@@ -48,19 +48,10 @@ class UnifiedMemoryEngine(TransferEngine):
         lengths = degrees * self.graph.edge_bytes_per_edge
         pages = self.pcie.pages_for_byte_ranges(start_bytes, lengths)
         access = self.cache.access(pages)
-        transfer_time = self.pcie.page_migration_time(access.faults)
-        bytes_migrated = access.faults * self.config.um_page_bytes
         return TransferOutcome(
             engine=self.kind,
-            bytes_transferred=bytes_migrated,
-            transfer_time=transfer_time,
+            bytes_transferred=access.faults * self.config.um_page_bytes,
+            transfer_time=self.pcie.page_migration_time(access.faults),
             cpu_time=0.0,
             overlapped=True,
-            detail={
-                "pages_touched": float(access.total),
-                "page_faults": float(access.faults),
-                "page_hits": float(access.hits),
-                "evictions": float(access.evictions),
-                "active_edges": float(degrees.sum()),
-            },
         )

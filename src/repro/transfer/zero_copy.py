@@ -29,11 +29,9 @@ class ZeroCopyEngine(TransferEngine):
         active_vertices = np.asarray(active_vertices, dtype=np.int64)
         if active_vertices.size == 0:
             return TransferOutcome(self.kind, 0, 0.0, overlapped=True)
-        degrees = self._active_degrees(active_vertices)
-        start_bytes = self._edge_start_bytes(active_vertices)
         access = self.pcie.zero_copy_access(
-            degrees,
-            start_bytes=start_bytes,
+            self._active_degrees(active_vertices),
+            start_bytes=self._edge_start_bytes(active_vertices),
             value_bytes=self.graph.edge_bytes_per_edge,
         )
         return TransferOutcome(
@@ -42,12 +40,6 @@ class ZeroCopyEngine(TransferEngine):
             transfer_time=access.time,
             cpu_time=0.0,
             overlapped=True,
-            detail={
-                "requests": float(access.num_requests),
-                "tlps": float(access.num_tlps),
-                "active_vertices": float(active_vertices.size),
-                "active_edges": float(degrees.sum()),
-            },
         )
 
     def transfer_task(

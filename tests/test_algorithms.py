@@ -24,8 +24,7 @@ from tests.conftest import assert_distances_equal
 def run_synchronously(program, graph, source=None, max_iterations=10_000):
     """Reference executor: process the entire frontier every iteration."""
     state = program.create_state(graph, source)
-    frontier = program.initial_frontier(graph, state, source)
-    pending = frontier.mask.copy()
+    pending = program.initial_frontier(graph, state, source)
     for _ in range(max_iterations):
         active = np.nonzero(pending)[0]
         if active.size == 0:
@@ -211,3 +210,19 @@ class TestRegistry:
         duplicate = state.copy()
         duplicate["dist"][0] = 42.0
         assert state["dist"][0] == 0.0
+
+    @pytest.mark.parametrize(
+        "program, expected",
+        [(SSSP(), [0]), (BFS(), [0]), (PHP(), [0]), (ConnectedComponents(), range(6)), (DeltaPageRank(), range(6))],
+    )
+    def test_initial_frontier_is_a_fresh_bitmap(self, paper_graph, program, expected):
+        state = program.create_state(paper_graph, 0)
+        before = state.copy()
+        first = program.initial_frontier(paper_graph, state, 0)
+        assert first.dtype == bool and first.shape == (paper_graph.num_vertices,)
+        assert np.flatnonzero(first).tolist() == list(expected)
+        # The runtime clears its pending set in place: no state may alias it.
+        first[:] = False
+        assert np.flatnonzero(program.initial_frontier(paper_graph, state, 0)).tolist() == list(expected)
+        for key in state.arrays:
+            np.testing.assert_array_equal(state[key], before[key])

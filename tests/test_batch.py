@@ -169,9 +169,6 @@ def test_batch_result_aggregates(transfer_bound_graph):
     assert batch.num_queries == 3
     assert batch.super_iterations == max(r.num_iterations for r in batch.results)
     assert batch.total_transfer_bytes == sum(r.total_transfer_bytes for r in batch.results)
-    assert batch.sequential_time_estimate == pytest.approx(
-        sum(r.total_time for r in batch.results)
-    )
     row = batch.summary_row()
     assert row["queries"] == 3 and row["system"] == "EMOGI"
     stats = batch.amortization_vs(batch.results)

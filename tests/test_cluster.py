@@ -39,7 +39,7 @@ from repro.service import (
     ServiceStats,
     timed_mixed_trace,
 )
-from repro.sim.config import HardwareConfig
+from repro.sim.config import HardwareConfig, NetworkConfig
 
 
 @pytest.fixture(scope="module")
@@ -540,8 +540,27 @@ class TestClusterConfig:
             ClusterConfig(gpus_per_host=0)
         with pytest.raises(KeyError, match="unknown network preset"):
             ClusterConfig(network="carrier-pigeon")
+        with pytest.raises(ValueError, match="NetworkConfig or a preset name"):
+            ClusterConfig(network=12.5e9)
         with pytest.raises(ValueError, match="ServiceConfig"):
             ClusterConfig(service="not-a-config")
+
+    def test_defaults_and_total_gpus(self):
+        default = ClusterConfig()
+        assert (default.hosts, default.gpus_per_host) == (1, 1)
+        assert default.network == NetworkConfig.from_preset("tcp")
+        # hosts x gpus_per_host GPUs: one replica per host, each building
+        # gpus_per_host devices of its own over one shared graph.
+        cluster = ClusterService(
+            ClusterConfig(
+                hosts=3, gpus_per_host=2,
+                service=ServiceConfig(dataset="SK", scale=0.05, system="hytgraph"),
+            )
+        )
+        assert len(cluster.replicas) == 3
+        assert [replica.system.config.num_devices for replica in cluster.replicas] == [2, 2, 2]
+        assert len({id(replica.system) for replica in cluster.replicas}) == 3
+        assert all(replica.graph is cluster.graph for replica in cluster.replicas)
 
     def test_replica_config_strips_host_loss_and_sets_devices(self):
         config = ClusterConfig(
@@ -557,8 +576,9 @@ class TestClusterConfig:
 
     def test_network_presets_coerced(self):
         config = ClusterConfig(network="rdma")
-        assert config.network.kind == "rdma"
-        assert config.topology.total_gpus == 1
+        assert config.network == NetworkConfig.from_preset("rdma")
+        custom = NetworkConfig(kind="lab", bandwidth=1e9, latency=1e-4)
+        assert ClusterConfig(network=custom).network is custom
         fast = ClusterConfig(hosts=2, network="tcp")
         assert fast.network.transfer_seconds(10**9) > config.network.transfer_seconds(10**9)
 

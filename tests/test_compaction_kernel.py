@@ -1,40 +1,64 @@
-"""Unit tests for the CPU compaction engine and the kernel time model."""
+"""Unit tests for the CPU compaction cost model and the kernel time model."""
 
 import numpy as np
 import pytest
 
+from repro.graph.partition import partition_by_count
 from repro.sim.compaction import CompactionEngine
 from repro.sim.kernel import KernelModel
+from repro.transfer.explicit_compaction import ExplicitCompactionEngine
+
+
+def _cuts(partitions, active):
+    bounds = [partition.vertex_start for partition in partitions] + [partitions[-1].vertex_end]
+    return np.searchsorted(active, bounds)
 
 
 class TestCompactionContents:
+    """ExpTM-C ships exactly the active adjacency lists plus their index."""
+
     def test_compacted_subgraph_matches_source(self, paper_graph, config):
-        engine = CompactionEngine(config)
+        engine = ExplicitCompactionEngine(paper_graph, config)
         active = np.array([1, 3])
-        result = engine.compact(paper_graph, active)
-        subgraph = result.subgraph
-        assert subgraph.num_vertices == 2
-        assert subgraph.num_edges == 4
-        np.testing.assert_array_equal(subgraph.vertices, active)
-        np.testing.assert_array_equal(subgraph.column_index[:2], paper_graph.neighbors(1))
-        np.testing.assert_array_equal(subgraph.column_index[2:], paper_graph.neighbors(3))
-        np.testing.assert_allclose(subgraph.edge_value[:2], paper_graph.edge_weights(1))
+        outcome = engine.transfer(partition_by_count(paper_graph, 1)[0], active)
+        # b -> {c, d} and d -> {e, f}: four (neighbor, weight) edges.
+        packed_edges = paper_graph.neighbors(1).size + paper_graph.neighbors(3).size
+        assert packed_edges == 4
+        expected = packed_edges * paper_graph.edge_bytes_per_edge + active.size * config.index_entry_bytes
+        assert outcome.bytes_transferred == expected
+        assert outcome.cpu_time == pytest.approx(expected / config.cpu_compaction_throughput)
+        assert outcome.transfer_time == engine.pcie.explicit_copy_time(expected)
+        assert not outcome.overlapped
 
     def test_compaction_unweighted(self, config):
         from repro.graph.generators import uniform_random_graph
 
         graph = uniform_random_graph(50, 300, seed=5)
-        engine = CompactionEngine(config)
-        result = engine.compact(graph, np.arange(0, 50, 2))
-        assert result.subgraph.edge_value is None
-        assert result.subgraph.num_edges == int(graph.out_degrees[::2].sum())
+        assert not graph.is_weighted
+        engine = ExplicitCompactionEngine(graph, config)
+        partitions = list(partition_by_count(graph, 4))
+        active = np.arange(0, 50, 2)
+        outcome = engine.transfer_task(partitions, active, _cuts(partitions, active))
+        # Neighbors only: no weight column rides along.
+        assert outcome.bytes_transferred == (
+            int(graph.out_degrees[::2].sum()) * graph.edge_bytes_per_edge
+            + active.size * config.index_entry_bytes
+        )
 
     def test_empty_active_set(self, paper_graph, config):
-        engine = CompactionEngine(config)
-        result = engine.compact(paper_graph, np.array([], dtype=np.int64))
-        assert result.subgraph.num_edges == 0
-        assert result.output_bytes == 0
-        assert result.cpu_time == 0.0
+        engine = ExplicitCompactionEngine(paper_graph, config)
+        partitions = list(partition_by_count(paper_graph, 3))
+        empty = np.array([], dtype=np.int64)
+        outcome = engine.transfer_task(partitions, empty, _cuts(partitions, empty))
+        assert outcome.bytes_transferred == 0
+        assert outcome.cpu_time == 0.0 and outcome.transfer_time == 0.0
+        # A partition without active vertices packs nothing of its own.
+        active = np.array([int(partitions[0].vertex_start)])
+        task = engine.transfer_task(partitions, active, _cuts(partitions, active))
+        alone = engine.transfer(partitions[0], active)
+        assert (task.bytes_transferred, task.cpu_time, task.transfer_time) == (
+            alone.bytes_transferred, alone.cpu_time, alone.transfer_time
+        )
 
 
 class TestCompactionCost:
@@ -44,6 +68,8 @@ class TestCompactionCost:
         assert engine.output_bytes(100, 10, weighted=False) == 100 * 4 + 10 * config.index_entry_bytes
         # Weighted: edges carry neighbor + weight.
         assert engine.output_bytes(100, 10, weighted=True) == 100 * 8 + 10 * config.index_entry_bytes
+        # An empty active set packs nothing.
+        assert engine.output_bytes(0, 0, weighted=True) == 0
 
     def test_cpu_time_scales_with_bytes(self, config):
         engine = CompactionEngine(config)

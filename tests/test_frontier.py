@@ -1,120 +1,199 @@
-"""Unit tests for the active-vertex frontier."""
+"""Unit tests for the active-vertex frontier bitmap.
+
+A frontier is a plain boolean array of length ``num_vertices``.  Programs
+create it (``VertexProgram.initial_frontier``, ``single_vertex``), each
+query session owns it as ``QuerySession.pending``, the
+:class:`~repro.runtime.driver.IterationDriver` scans it once per
+iteration (``snapshot``) and lands activations in it
+(``process_per_device``), the HyTGraph engine scans it per task range
+(``_pending_in_ranges``) and checkpoints copy it.  These tests pin that
+protocol end to end.
+"""
 
 import numpy as np
 import pytest
 
-from repro.graph.frontier import Frontier
+from repro.algorithms import BFS, ConnectedComponents, DeltaPageRank
+from repro.algorithms.base import single_vertex
+from repro.core.engine import HyTGraphEngine
+from repro.faults import QueryCheckpoint
+from repro.graph.generators import rmat_graph
+from repro.graph.partition import partition_by_count
+from repro.runtime.context import ExecutionContext
+from repro.runtime.driver import IterationDriver
+from repro.sim.config import HardwareConfig
+from repro.systems import SYSTEMS, make_system
+
+
+def _driver(graph, num_partitions=4, num_devices=1):
+    config = HardwareConfig().with_devices(num_devices) if num_devices > 1 else HardwareConfig()
+    return IterationDriver(ExecutionContext(graph, partition_by_count(graph, num_partitions), config))
+
+
+def _mask(num_vertices, vertices):
+    mask = np.zeros(num_vertices, dtype=bool)
+    mask[list(vertices)] = True
+    return mask
+
+
+@pytest.fixture(scope="module")
+def rmat():
+    return rmat_graph(120, 900, seed=7, name="rmat-frontier")
 
 
 class TestConstruction:
-    def test_empty(self):
-        frontier = Frontier(10)
-        assert frontier.count == 0
-        assert frontier.is_empty
-        assert frontier.num_vertices == 10
+    def test_empty(self, paper_graph):
+        system = make_system("emogi", paper_graph)
+        session = system.start_session(BFS(), 0)
+        session.pending[:] = False
+        assert not session.live
+        snapshot = system.driver.snapshot(session.pending)
+        assert snapshot.active_ids.size == 0
+        assert snapshot.active_vertices == 0 and snapshot.active_edges == 0
+        # An empty frontier is convergence: the driver plans nothing.
+        system.driver.drive(system, session, max_iterations=100)
+        assert session.iteration == 0 and session.result.iterations == []
+        assert system.finish_session(session).converged
 
-    def test_from_vertex_list(self):
-        frontier = Frontier(10, [1, 3, 5])
-        assert frontier.count == 3
-        assert list(frontier.active_vertices()) == [1, 3, 5]
+    def test_from_vertex_list(self, paper_graph):
+        snapshot = _driver(paper_graph, num_partitions=2).snapshot(_mask(6, [1, 3, 5]))
+        assert snapshot.active_ids.tolist() == [1, 3, 5]
+        assert snapshot.active_vertices == 3
+        assert [ids.tolist() for ids in snapshot.per_device] == [[1, 3, 5]]
 
-    def test_from_boolean_mask(self):
-        mask = np.zeros(6, dtype=bool)
-        mask[2] = True
-        frontier = Frontier(6, mask)
-        assert frontier.count == 1
-        assert frontier.is_active(2)
+    def test_from_boolean_mask(self, paper_graph):
+        # A caller-built bitmap is exactly what the next iteration processes.
+        system = make_system("emogi", paper_graph)
+        session = system.start_session(ConnectedComponents())
+        session.pending = _mask(6, [2])
+        system.context.begin_window()
+        stats = system.driver.finish(system.driver.plan(system, session))
+        assert stats.active_vertices == 1
+        assert stats.active_edges == paper_graph.out_degrees[2]
+        assert not session.pending[2]
 
-    def test_boolean_mask_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            Frontier(6, np.zeros(4, dtype=bool))
-
-    def test_all_active(self):
-        frontier = Frontier.all_active(7)
-        assert frontier.count == 7
+    def test_all_active(self, paper_graph):
+        system = make_system("emogi", paper_graph)
+        for program in (ConnectedComponents(), DeltaPageRank()):
+            session = system.start_session(program)
+            assert session.pending.dtype == bool and session.pending.all()
+            assert session.live
+            assert system.driver.snapshot(session.pending).active_edges == paper_graph.num_edges
 
     def test_single(self):
-        frontier = Frontier.single(9, 4)
-        assert frontier.count == 1
-        assert 4 in frontier
+        mask = single_vertex(9, 4)
+        assert mask.dtype == bool and mask.shape == (9,)
+        assert np.flatnonzero(mask).tolist() == [4]
+        # Every call is a fresh array: the runtime clears pending in place.
+        mask[:] = False
+        assert np.flatnonzero(single_vertex(9, 4)).tolist() == [4]
+        with pytest.raises(IndexError):
+            single_vertex(9, 9)
 
-    def test_from_mask_copies(self):
-        mask = np.zeros(4, dtype=bool)
-        frontier = Frontier.from_mask(mask)
-        mask[0] = True
-        assert frontier.count == 0
+    def test_from_mask_copies(self, paper_graph):
+        system = make_system("emogi", paper_graph)
+        session = system.start_session(BFS(), 0)
+        checkpoint = QueryCheckpoint.capture(session)
+        session.pending[:] = True
+        assert np.flatnonzero(checkpoint.pending).tolist() == [0]
+        checkpoint.restore(session)
+        assert np.flatnonzero(session.pending).tolist() == [0]
+        session.pending[3] = True
+        assert not checkpoint.pending[3]
 
 
 class TestQueries:
-    def test_active_edges(self):
-        frontier = Frontier(4, [0, 2])
-        out_degrees = np.array([5, 1, 7, 2])
-        assert frontier.active_edges(out_degrees) == 12
+    def test_active_edges(self, rmat):
+        mask = np.random.default_rng(3).random(rmat.num_vertices) < 0.3
+        driver = _driver(rmat)
+        snapshot = driver.snapshot(mask)
+        assert snapshot.active_edges == int(rmat.out_degrees[mask].sum())
+        vertices, edges = driver.context.partitioning.active_counts(mask)
+        assert vertices.sum() == snapshot.active_vertices == int(mask.sum())
+        assert edges.sum() == snapshot.active_edges
 
-    def test_len_and_contains(self):
-        frontier = Frontier(5, [1, 2])
-        assert len(frontier) == 2
-        assert 1 in frontier
-        assert 0 not in frontier
+    def test_len_and_contains(self, rmat):
+        mask = np.random.default_rng(5).random(rmat.num_vertices) < 0.4
+        driver = _driver(rmat, num_partitions=6, num_devices=2)
+        snapshot = driver.snapshot(mask)
+        assert len(snapshot.per_device) == 2
+        assert sum(ids.size for ids in snapshot.per_device) == snapshot.active_vertices
+        for shard, ids in zip(driver.context.sharding, snapshot.per_device):
+            assert np.all((ids >= shard.vertex_start) & (ids < shard.vertex_end))
+        np.testing.assert_array_equal(np.concatenate(snapshot.per_device), snapshot.active_ids)
 
 
 class TestMutation:
-    def test_activate_deactivate(self):
-        frontier = Frontier(8)
-        frontier.activate([1, 2, 3])
-        assert frontier.count == 3
-        frontier.deactivate([2])
-        assert frontier.count == 2
-        assert not frontier.is_active(2)
+    def test_activate_deactivate(self, paper_graph):
+        driver = _driver(paper_graph, num_partitions=2)
+        program = BFS()
+        state = program.create_state(paper_graph, 0)
+        pending = program.initial_frontier(paper_graph, state, 0)
+        snapshot = driver.snapshot(pending)
+        pending[snapshot.active_ids] = False
+        remote = [0]
+        driver.process_per_device(program, state, pending, snapshot.per_device, remote)
+        # a -> b, a -> c: both levels drop, so both become active.
+        assert np.flatnonzero(pending).tolist() == [1, 2]
+        assert remote == [0]
 
-    def test_activate_with_array(self):
-        frontier = Frontier(8)
-        frontier.activate(np.array([6, 7]))
-        assert frontier.count == 2
+    def test_activate_with_array(self, rmat):
+        driver = _driver(rmat, num_partitions=6, num_devices=2)
+        first_shard = driver.context.sharding[0]
+        source = first_shard.vertex_start
+        program = BFS()
+        state = program.create_state(rmat, source)
+        pending = np.zeros(rmat.num_vertices, dtype=bool)
+        remote = [0, 0]
+        driver.process_per_device(
+            program, state, pending, driver.snapshot(single_vertex(rmat.num_vertices, source)).per_device, remote
+        )
+        expected = np.setdiff1d(rmat.neighbors(source), [source])
+        assert np.flatnonzero(pending).tolist() == expected.tolist()
+        # Activations outside the emitting shard are its boundary messages.
+        assert remote == [int(np.count_nonzero(expected >= first_shard.vertex_end)), 0]
 
-    def test_activate_empty_is_noop(self):
-        frontier = Frontier(8)
-        frontier.activate([])
-        assert frontier.count == 0
+    def test_activate_empty_is_noop(self, rmat):
+        driver = _driver(rmat, num_partitions=6, num_devices=2)
+        program = BFS()
+        state = program.create_state(rmat, 0)
+        before = state.copy()
+        pending = single_vertex(rmat.num_vertices, 0)
+        remote = [0, 0]
+        empty = np.zeros(0, dtype=np.int64)
+        driver.process_per_device(program, state, pending, [empty, empty], remote)
+        assert np.flatnonzero(pending).tolist() == [0]
+        assert remote == [0, 0]
+        np.testing.assert_array_equal(state["level"], before["level"])
 
-    def test_clear(self):
-        frontier = Frontier.all_active(5)
-        frontier.clear()
-        assert frontier.is_empty
+    def test_clear(self, rmat):
+        system = make_system("emogi", rmat)
+        session = system.start_session(BFS(), 0)
+        system.driver.drive(system, session, max_iterations=10_000)
+        assert not session.pending.any()
+        assert session.iteration == len(session.result.iterations) > 0
+        assert system.finish_session(session).converged
 
     def test_clear_range(self):
-        frontier = Frontier.all_active(10)
-        frontier.clear_range(2, 5)
-        assert frontier.count == 7
-        assert not frontier.is_active(3)
-        assert frontier.is_active(5)
+        pending = _mask(12, [0, 2, 3, 6, 8, 11])
+        ranges = [(2, 5), (7, 9)]
+        assert HyTGraphEngine._pending_in_ranges(pending, ranges).tolist() == [2, 3, 8]
+        assert HyTGraphEngine._pending_in_ranges(pending, [(4, 6)]).size == 0
+        assert HyTGraphEngine._pending_in_ranges(pending, [(0, 12)]).tolist() == [0, 2, 3, 6, 8, 11]
+        # The scan reads the bitmap; it never clears it.
+        assert np.flatnonzero(pending).tolist() == [0, 2, 3, 6, 8, 11]
 
 
-class TestSetAlgebra:
-    def test_union_intersection_difference(self):
-        left = Frontier(6, [0, 1, 2])
-        right = Frontier(6, [2, 3])
-        assert set(left.union(right).active_vertices()) == {0, 1, 2, 3}
-        assert set(left.intersection(right).active_vertices()) == {2}
-        assert set(left.difference(right).active_vertices()) == {0, 1}
-
-    def test_operands_unchanged(self):
-        left = Frontier(6, [0, 1])
-        right = Frontier(6, [1, 2])
-        left.union(right)
-        assert left.count == 2
-        assert right.count == 2
-
-    def test_incompatible_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            Frontier(4).union(Frontier(5))
-
-    def test_copy_and_equality(self):
-        frontier = Frontier(6, [1, 4])
-        duplicate = frontier.copy()
-        assert duplicate == frontier
-        duplicate.activate([2])
-        assert duplicate != frontier
-
-    def test_equality_with_other_type(self):
-        assert Frontier(3) != "frontier"
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_every_system_drains_the_programs_bitmap(rmat, name):
+    system = make_system(name, rmat)
+    session = system.start_session(BFS(), 5)
+    # The HyTGraph engine hub-sorts, so its session speaks internal ids.
+    assert session.pending.dtype == bool and session.pending.shape == (rmat.num_vertices,)
+    assert np.flatnonzero(session.pending).tolist() == [session.source]
+    assert not any(np.shares_memory(session.pending, array) for array in session.state.arrays.values())
+    system.driver.drive(system, session, system.max_iterations)
+    assert not session.pending.any()
+    result = system.finish_session(session)
+    assert result.converged
+    assert result.values[5] == 0.0

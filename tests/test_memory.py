@@ -1,48 +1,9 @@
-"""Unit tests for device memory accounting and the UM page cache."""
+"""Unit tests for the UM page cache and static-prefix residency budgets."""
 
 import numpy as np
 import pytest
 
-from repro.sim.memory import DeviceMemory, PageCache
-
-
-class TestDeviceMemory:
-    def test_allocate_and_free(self):
-        memory = DeviceMemory(1000)
-        memory.allocate("vertex-data", 400)
-        assert memory.used_bytes == 400
-        assert memory.free_bytes == 600
-        memory.free("vertex-data")
-        assert memory.used_bytes == 0
-
-    def test_oversubscription_raises(self):
-        memory = DeviceMemory(100)
-        with pytest.raises(MemoryError):
-            memory.allocate("edges", 200)
-
-    def test_duplicate_label_rejected(self):
-        memory = DeviceMemory(100)
-        memory.allocate("a", 10)
-        with pytest.raises(ValueError):
-            memory.allocate("a", 10)
-
-    def test_free_unknown_label(self):
-        with pytest.raises(KeyError):
-            DeviceMemory(10).free("missing")
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            DeviceMemory(-1)
-        with pytest.raises(ValueError):
-            DeviceMemory(10).allocate("x", -5)
-
-    def test_can_fit_and_contains(self):
-        memory = DeviceMemory(100)
-        memory.allocate("a", 60)
-        assert memory.can_fit(40)
-        assert not memory.can_fit(41)
-        assert "a" in memory
-        assert memory.allocation("a") == 60
+from repro.sim.memory import PageCache
 
 
 class TestPageCache:
@@ -119,6 +80,61 @@ class TestPageCache:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             PageCache(-1)
+
+
+class TestDeviceMemoryBudget:
+    """Device-memory accounting: the cache's per-device byte budget."""
+
+    def _manager(self, num_devices=1, budget=None):
+        from repro.cache import CacheManager
+        from repro.graph.generators import rmat_graph
+        from repro.graph.partition import ShardedPartitioning, partition_by_count
+        from repro.sim.config import HardwareConfig
+
+        graph = rmat_graph(160, 960, seed=9, name="rmat-budget")
+        partitioning = partition_by_count(graph, 8)
+        sharding = ShardedPartitioning(partitioning, num_devices)
+        config = HardwareConfig(gpu_memory_bytes=graph.edge_data_bytes, num_devices=num_devices)
+        return CacheManager(partitioning, sharding, config, policy="lru", budget_bytes=budget)
+
+    def test_default_budget_is_device_memory(self):
+        manager = self._manager(num_devices=2)
+        assert manager.per_device_budget == manager.config.gpu_memory_bytes
+        assert manager.budget_bytes == [manager.config.gpu_memory_bytes] * 2
+        assert manager.used_bytes == [0, 0]
+
+    def test_set_budget_evicts_trailing_partitions_first(self):
+        manager = self._manager()
+        manager.fill(list(range(manager.num_partitions)))
+        assert manager.resident.all()
+        keep = int(manager.partition_bytes[:3].sum())
+        manager.set_budget(keep)
+        assert np.flatnonzero(manager.resident).tolist() == [0, 1, 2]
+        assert manager.used_bytes == [keep]
+        counters = manager.counters()
+        assert counters["evictions"] == manager.num_partitions - 3
+        assert counters["evicted_bytes"] == int(manager.partition_bytes[3:].sum())
+
+    def test_set_budget_rejects_negative(self):
+        manager = self._manager()
+        manager.fill([0])
+        with pytest.raises(ValueError, match="non-negative"):
+            manager.set_budget(-1)
+        assert manager.budget_bytes == [manager.per_device_budget]
+        assert manager.resident[0]
+
+    def test_used_bytes_track_residency(self):
+        sizes = self._manager().partition_bytes
+        manager = self._manager(num_devices=2, budget=int(sizes.max() + sizes.min()))
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            touched = rng.choice(manager.num_partitions, size=3, replace=False).tolist()
+            billable, _ = manager.split_billable(touched)
+            manager.fill(billable)
+            for device in range(2):
+                on_device = manager.resident & (manager.device_of == device)
+                assert manager.used_bytes[device] == int(manager.partition_bytes[on_device].sum())
+                assert manager.used_bytes[device] <= manager.budget_bytes[device]
 
 
 class TestShardResidencyBoundaries:

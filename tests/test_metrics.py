@@ -46,7 +46,6 @@ class TestRunResult:
         result = make_result()
         assert result.num_iterations == 2
         assert result.total_time == pytest.approx(3.0)
-        assert result.total_time_with_preprocessing == pytest.approx(3.5)
         assert result.total_transfer_bytes == 4000
         assert result.total_compaction_time == pytest.approx(0.2)
         assert result.total_transfer_time == pytest.approx(1.5)

@@ -187,12 +187,11 @@ def test_sharded_partitioning_tiles_and_balances():
         assert left.partition_end == right.partition_start
 
     vertices = np.arange(graph.num_vertices)
-    devices = sharding.device_of_vertices(vertices)
+    split = sharding.split_sorted_vertices(vertices)
     for shard in sharding:
         np.testing.assert_array_equal(
-            devices[shard.vertex_start : shard.vertex_end], shard.device
+            split[shard.device], np.arange(shard.vertex_start, shard.vertex_end)
         )
-    split = sharding.split_sorted_vertices(vertices)
     assert sum(part.size for part in split) == graph.num_vertices
 
     # Byte balance: no shard exceeds its fair share by more than the
@@ -210,9 +209,10 @@ def test_more_devices_than_partitions():
     assert sum(shard.num_partitions for shard in sharding) == 2
     assert sum(shard.num_partitions == 0 for shard in sharding) == 2
     assert sum(shard.num_vertices for shard in sharding) == graph.num_vertices
-    # Empty shards still resolve vertex ownership to a real shard.
-    devices = sharding.device_of_vertices(np.arange(graph.num_vertices))
-    assert devices.max() < 4
+    # Empty shards own no vertices; every vertex lands on a real shard.
+    split = sharding.split_sorted_vertices(np.arange(graph.num_vertices))
+    assert [part.size for part in split] == [shard.num_vertices for shard in sharding]
+    assert sum(part.size for part in split) == graph.num_vertices
 
     config = HardwareConfig().with_devices(4)
     system = EmogiSystem(graph, config=config, num_partitions=2)

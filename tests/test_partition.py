@@ -88,7 +88,7 @@ class TestPartitioningQueries:
         for partition in partitioning:
             for vertex in (partition.vertex_start, partition.vertex_end - 1):
                 assert partitioning.partition_of_vertex(vertex) == partition.index
-                assert partition.contains_vertex(vertex)
+                assert vertex in partition.vertices()
 
     def test_partition_of_vertices_vectorised(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)

@@ -13,12 +13,14 @@ from repro.faults import QueryCheckpoint
 from repro.core.cost_model import CostModel
 from repro.core.selection import EngineSelector
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import Frontier
 from repro.graph.generators import rmat_graph
 from repro.graph.partition import partition_by_bytes, partition_by_count
 from repro.graph.reorder import hub_sort, hub_sort_order
 from repro.runtime.context import ExecutionContext
+from repro.runtime.driver import IterationDriver
 from repro.service import Priority, ServiceStats
+from repro.service.admission import AdmissionController
+from repro.service.config import ADMISSION_POLICIES
 from repro.service.stats import ClassTally
 from repro.sim.config import HardwareConfig
 from repro.sim.pcie import PCIeModel
@@ -145,19 +147,30 @@ def test_partition_by_bytes_tiles_any_graph(data, budget):
 
 @COMMON_SETTINGS
 @given(
-    st.integers(min_value=1, max_value=60),
-    st.lists(st.integers(min_value=0, max_value=59), max_size=30),
-    st.lists(st.integers(min_value=0, max_value=59), max_size=30),
+    edge_lists(),
+    st.lists(st.integers(min_value=0, max_value=39), max_size=30),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
 )
-def test_frontier_matches_python_sets(num_vertices, first, second):
-    first = [v for v in first if v < num_vertices]
-    second = [v for v in second if v < num_vertices]
-    left = Frontier(num_vertices, first)
-    right = Frontier(num_vertices, second)
-    assert set(left.union(right).active_vertices()) == set(first) | set(second)
-    assert set(left.intersection(right).active_vertices()) == set(first) & set(second)
-    assert set(left.difference(right).active_vertices()) == set(first) - set(second)
-    assert left.count == len(set(first))
+def test_frontier_matches_python_sets(data, vertices, num_partitions, num_devices):
+    """One driver scan of a frontier bitmap agrees with Python sets."""
+    num_vertices, edges, _ = data
+    graph = CSRGraph.from_edges(edges, num_vertices=num_vertices)
+    active = {v for v in vertices if v < num_vertices}
+    pending = np.zeros(num_vertices, dtype=bool)
+    pending[list(active)] = True
+    config = HardwareConfig().with_devices(num_devices) if num_devices > 1 else HardwareConfig()
+    context = ExecutionContext(graph, partition_by_count(graph, num_partitions), config)
+    snapshot = IterationDriver(context).snapshot(pending)
+    assert snapshot.active_ids.tolist() == sorted(active)
+    assert snapshot.active_vertices == len(active)
+    assert snapshot.active_edges == sum(int(graph.out_degrees[v]) for v in active)
+    assert len(snapshot.per_device) == num_devices
+    for shard, ids in zip(context.sharding, snapshot.per_device):
+        assert set(ids.tolist()) == {v for v in active if shard.vertex_start <= v < shard.vertex_end}
+    per_partition_vertices, per_partition_edges = context.partitioning.active_counts(pending)
+    assert per_partition_vertices.sum() == len(active)
+    assert per_partition_edges.sum() == snapshot.active_edges
 
 
 @COMMON_SETTINGS
@@ -180,7 +193,7 @@ def test_hub_sorted_sssp_matches_reference(data):
     # Run SSSP synchronously on the relabelled graph and map back.
     program = SSSP()
     state = program.create_state(reordered.graph, internal)
-    pending = program.initial_frontier(reordered.graph, state, internal).mask.copy()
+    pending = program.initial_frontier(reordered.graph, state, internal)
     for _ in range(10_000):
         active = np.nonzero(pending)[0]
         if active.size == 0:
@@ -269,6 +282,30 @@ def test_cost_model_non_negative_and_selection_total(data):
     active = costs.active_partitions()
     assert all(selection.choices[index] is not None for index in active)
     assert sum(selection.counts().values()) == active.size
+
+
+@COMMON_SETTINGS
+@given(
+    st.one_of(st.none(), st.just(0), st.integers(min_value=0, max_value=64)),
+    st.sampled_from(ADMISSION_POLICIES),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=0, max_value=64),
+)
+def test_admission_refusal_is_decide_without_the_reservation(budget, policy, pending, estimate):
+    """The router's side-effect-free probe agrees with the admitting call."""
+
+    def controller():
+        admission = AdmissionController(None, budget_bytes=budget, policy=policy)
+        admission.pending_bytes = pending
+        return admission
+
+    probe = controller()
+    reason = probe.refusal(estimate)
+    assert probe.pending_bytes == pending
+    assert probe.refusal(estimate) == reason
+    fresh = controller()
+    assert fresh.decide(estimate) == reason
+    assert fresh.pending_bytes == pending + (estimate if reason is None else 0)
 
 
 ALGORITHM_NAMES = ["bfs", "sssp", "cc", "pagerank", "php"]

@@ -93,7 +93,7 @@ class TestApplyOrder:
     def test_translate_roundtrip(self, medium_power_law_graph):
         reordered = hub_sort(medium_power_law_graph, 0.08)
         for vertex in (0, 1, medium_power_law_graph.num_vertices - 1):
-            assert reordered.translate_to_old(reordered.translate_to_new(vertex)) == vertex
+            assert reordered.new_to_old[reordered.translate_to_new(vertex)] == vertex
 
     def test_degree_multiset_preserved(self, medium_power_law_graph):
         reordered = hub_sort(medium_power_law_graph, 0.08)

@@ -227,6 +227,65 @@ def test_oversized_request_rejected_under_both_policies(graphs):
         assert "exceed" in handle.reject_reason
 
 
+def _admission(budget, policy="queue", pending=0):
+    from repro.service.admission import AdmissionController
+
+    admission = AdmissionController(None, budget_bytes=budget, policy=policy)
+    admission.pending_bytes = pending
+    return admission
+
+
+def _estimates(*sizes):
+    from types import SimpleNamespace
+
+    return [SimpleNamespace(estimated_bytes=size) for size in sizes]
+
+
+def test_refusal_without_budget_admits_everything():
+    for policy in ("queue", "reject"):
+        admission = _admission(None, policy, pending=10**12)
+        assert admission.refusal(10**12) is None
+        assert admission.decide(10**12) is None
+        assert admission.pending_bytes == 2 * 10**12
+
+
+def test_refusal_names_the_oversized_estimate():
+    for policy in ("queue", "reject"):
+        admission = _admission(100, policy)
+        reason = admission.refusal(101)
+        assert reason == "estimated 101 bytes in flight exceed the 100-byte admission budget"
+        assert admission.decide(101) == reason
+        assert admission.pending_bytes == 0
+        assert admission.refusal(100) is None
+
+
+def test_reject_policy_refuses_only_while_the_queue_fills_the_budget():
+    queue = _admission(100, "queue", pending=60)
+    reject = _admission(100, "reject", pending=60)
+    assert queue.refusal(50) is None
+    assert reject.refusal(50) == (
+        "admission budget exhausted (60 of 100 bytes pending); retry after the queue drains"
+    )
+    assert reject.refusal(40) is None
+    reject.release(_estimates(60))
+    assert reject.refusal(50) is None and reject.pending_bytes == 0
+
+
+def test_take_wave_is_greedy_in_queue_order_and_release_clamps():
+    admission = _admission(100)
+    handles = _estimates(60, 50, 10)
+    # Greedy stops at the first handle that does not fit: no skipping
+    # ahead, so a large request is never starved by later small ones.
+    assert admission.take_wave(handles) == handles[:1]
+    assert admission.take_wave(handles[1:]) == handles[1:]
+    # The head always joins, so the queue makes progress.
+    assert admission.take_wave(_estimates(150, 1)) == _estimates(150)
+    assert _admission(None).take_wave(handles) == handles
+    admission.pending_bytes = 30
+    admission.release(handles)
+    assert admission.pending_bytes == 0
+
+
 def _co_partition_sources(service, count):
     """``count`` vertices sharing one partition (equal admission estimates)."""
     partitioning = service.system.partitioning
@@ -423,6 +482,20 @@ def test_service_builds_from_config():
     assert result.converged
     sssp = service.run(QueryRequest(algorithm="sssp", source=0))
     assert sssp.algorithm == "SSSP"
+
+
+@pytest.mark.parametrize("cluster", [False, True], ids=["service", "cluster"])
+@pytest.mark.parametrize("lone", ["graph", "hardware"])
+def test_graph_and_hardware_come_together(graphs, cluster, lone):
+    from repro.cluster import ClusterConfig, ClusterService
+
+    config = ServiceConfig(dataset="SK", scale=0.05, system="hytgraph")
+    prebuilt = {"graph": graphs["bfs"], "hardware": HardwareConfig()}[lone]
+    with pytest.raises(ValueError, match="graph= and hardware= together.*build_workload"):
+        if cluster:
+            ClusterService(ClusterConfig(service=config), **{lone: prebuilt})
+        else:
+            GraphService(config, **{lone: prebuilt})
 
 
 def test_multi_device_service_refuses_incapable_system():

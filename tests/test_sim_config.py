@@ -130,15 +130,6 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match="non-negative"):
             link.transfer_seconds(-1)
 
-    def test_scaled_shrinks_latency_only(self):
-        from repro.sim.config import NetworkConfig
-
-        link = NetworkConfig.from_preset("tcp").scaled(0.05)
-        assert link.latency == pytest.approx(50e-6 * 0.05)
-        assert link.bandwidth == NetworkConfig.from_preset("tcp").bandwidth
-        with pytest.raises(ValueError, match="positive"):
-            link.scaled(0.0)
-
     def test_validation(self):
         from repro.sim.config import NetworkConfig
 
@@ -146,34 +137,3 @@ class TestNetworkConfig:
             NetworkConfig(bandwidth=0.0)
         with pytest.raises(ValueError, match="latency"):
             NetworkConfig(latency=-1e-6)
-
-
-class TestHostConfig:
-    def test_defaults_and_total_gpus(self):
-        from repro.sim.config import HostConfig
-
-        topology = HostConfig(hosts=4, gpus_per_host=2)
-        assert topology.total_gpus == 8
-        assert topology.network.kind == "tcp"
-
-    def test_network_coercion(self):
-        from repro.sim.config import HostConfig, NetworkConfig
-
-        assert HostConfig(network="rdma").network == NetworkConfig.from_preset("rdma")
-        custom = NetworkConfig(kind="lab", bandwidth=1e9, latency=1e-4)
-        assert HostConfig(network=custom).network is custom
-
-    def test_validation(self):
-        from repro.sim.config import HostConfig
-
-        with pytest.raises(ValueError, match="hosts"):
-            HostConfig(hosts=0)
-        with pytest.raises(ValueError, match="gpus_per_host"):
-            HostConfig(gpus_per_host=0)
-
-    def test_scaled_scales_the_network(self):
-        from repro.sim.config import HostConfig
-
-        topology = HostConfig(hosts=2, network="tcp").scaled(0.1)
-        assert topology.hosts == 2
-        assert topology.network.latency == pytest.approx(50e-6 * 0.1)

@@ -1,6 +1,6 @@
 """Tests of time-aware serving (:mod:`repro.service` + runtime preemption).
 
-Five guarantees anchor the event-driven serving path:
+Four guarantees anchor the event-driven serving path:
 
 1. **Arrival processes** — Poisson / bursty / diurnal generators are
    seed-deterministic (same seed, identical trace), strictly ordered in
@@ -12,10 +12,7 @@ Five guarantees anchor the event-driven serving path:
    boundaries and resumed from its checkpoint converges to per-vertex
    values bitwise equal to an uninterrupted run, across HyTGraph,
    ExpTM-F and Subway; with preemption off nothing changes.
-4. **Per-class cache budgets** — BULK fills are capped at their class
-   budget and never displace a better class's resident working set;
-   with no budgets configured the cache is bitwise the classless one.
-5. **Replay harness** — streamed replays account for every query,
+4. **Replay harness** — streamed replays account for every query,
    detach finished handles (bounded memory), and the seeded bitwise
    verification sample matches solo runs.
 """
@@ -28,9 +25,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.cache import CacheManager
 from repro.graph.generators import rmat_graph
-from repro.graph.partition import ShardedPartitioning, partition_by_count
 from repro.service import (
     ARRIVAL_PROCESSES,
     GraphService,
@@ -328,85 +323,7 @@ class TestPreemption:
 
 
 # ----------------------------------------------------------------------
-# (4) per-class cache budgets
-# ----------------------------------------------------------------------
-
-
-def _manager(policy="lru", num_partitions=8, num_devices=1, budget=None):
-    graph = rmat_graph(160, 960, seed=9, name="rmat-classes")
-    partitioning = partition_by_count(graph, num_partitions)
-    sharding = ShardedPartitioning(partitioning, num_devices)
-    config = HardwareConfig(gpu_memory_bytes=graph.edge_data_bytes, num_devices=num_devices)
-    return CacheManager(partitioning, sharding, config, policy=policy, budget_bytes=budget)
-
-
-class TestClassCacheBudgets:
-    def test_bulk_fills_capped_at_class_budget(self):
-        manager = _manager()
-        cap = int(manager.partition_bytes[:2].sum())
-        manager.set_class_budgets({2.0: cap})
-        manager.set_fill_class(2.0)
-        manager.fill(list(range(manager.num_partitions)))
-        assert manager.class_resident_bytes(2.0, 0) <= cap
-        assert manager.class_resident_bytes(2.0, 0) > 0
-
-    def test_bulk_never_evicts_better_class(self):
-        graph_bytes = _manager().partition_bytes
-        # Budget fits exactly the interactive working set, so any BULK
-        # admission would need to evict an interactive-owned partition.
-        budget = int(graph_bytes[:3].sum())
-        manager = _manager(budget=budget)
-        manager.set_class_budgets({2.0: budget})
-        manager.set_fill_class(0.0)
-        manager.fill([0, 1, 2])
-        interactive_resident = manager.class_resident_bytes(0.0, 0)
-        assert interactive_resident > 0
-        manager.set_fill_class(2.0)
-        manager.fill(list(range(3, manager.num_partitions)))
-        # The interactive working set is untouched.
-        assert manager.class_resident_bytes(0.0, 0) == interactive_resident
-        assert manager.resident[:3].all()
-
-    def test_better_class_hit_adopts_partition(self):
-        manager = _manager()
-        manager.set_class_budgets({2.0: int(manager.partition_bytes.sum())})
-        manager.set_fill_class(2.0)
-        manager.fill([0])
-        assert manager.class_of[0] == 2.0
-        manager.set_fill_class(0.0)
-        manager.split_billable([0])  # a hit by the better class
-        assert manager.class_of[0] == 0.0
-
-    def test_no_budgets_keeps_classless_admission(self):
-        classless = _manager()
-        classed = _manager()
-        classed.set_fill_class(1.0)  # fill context without budgets is inert
-        for manager in (classless, classed):
-            manager.fill(list(range(manager.num_partitions)))
-        assert np.array_equal(classless.resident, classed.resident)
-        assert np.all(np.isinf(classed.class_of[classed.resident]))
-
-    def test_service_config_validates_class_budgets(self):
-        config = ServiceConfig(cache_class_budgets={"bulk": 1024, "interactive": 2048})
-        assert config.cache_class_budgets == {Priority.BULK: 1024, Priority.INTERACTIVE: 2048}
-        with pytest.raises(ValueError, match="unknown priority"):
-            ServiceConfig(cache_class_budgets={"urgent": 10})
-        with pytest.raises(ValueError, match="non-negative"):
-            ServiceConfig(cache_class_budgets={"bulk": -1})
-
-    def test_service_applies_class_budgets_to_cache(self, graph):
-        service = _service(
-            graph,
-            cache_policy="lru",
-            cache_class_budgets={"bulk": 4096},
-        )
-        cache = service.system.context.cache
-        assert cache is not None
-        assert cache.class_budgets == {float(int(Priority.BULK)): 4096}
-
-
-# ----------------------------------------------------------------------
-# (5) replay harness
+# (4) replay harness
 # ----------------------------------------------------------------------
 
 
