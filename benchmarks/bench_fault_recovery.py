@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.algorithms.sssp import SSSP
 from repro.bench.workloads import batch_sources
-from repro.faults import FaultInjector, FaultSchedule, RetryPolicy
+from repro.faults import FaultInjector, FaultSchedule
 from repro.graph.generators import rmat_graph
 from repro.metrics.tables import format_table
 from repro.runtime.batch import QueryBatchRunner
@@ -75,7 +75,7 @@ def run_batch(graph, config, sources, faults=None, checkpoint_interval=1):
     queries = [(SSSP(), source) for source in sources]
     injector = None
     if faults is not None:
-        injector = FaultInjector(FaultSchedule.parse(faults), retry=RetryPolicy())
+        injector = FaultInjector(FaultSchedule.parse(faults))
     return runner.run(queries, injector=injector, checkpoint_interval=checkpoint_interval)
 
 

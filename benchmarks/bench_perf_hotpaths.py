@@ -91,13 +91,7 @@ from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.pagerank import DeltaPageRank
 from repro.algorithms.php import PHP
 from repro.algorithms.sssp import SSSP
-from repro.core.backends import (
-    available_backends,
-    get_backend,
-    resolve_backend_name,
-    set_active_backend,
-    use_backend,
-)
+from repro.core.backends import available_backends, get_backend, use_backend
 from repro.core.combiner import ScheduledTask, TaskCombiner
 from repro.core.cost_model import CostModel, PartitionCosts
 from repro.core.engine import HyTGraphEngine
@@ -1128,6 +1122,94 @@ def check_regressions(current, reference, tolerance):
     return failures
 
 
+def run_benches(args, backend_name, micro_vertices):
+    """Every section of the harness under the active backend; returns the payload."""
+    # Microbench the numpy reference first, then every other installed
+    # backend; kernel arrays are tiny, so the extra rows are near-free.
+    micro_backends = ["numpy"] + [n for n in available_backends() if n != "numpy"]
+    # Best-of over at least 5 rounds (x3 timed calls each): micro rows
+    # gate at absolute floors (numpy >= seed, numba >= 2x numpy), so they
+    # get extra noise control even in --smoke mode where everything else
+    # runs once.
+    micro_repeats = max(args.repeats, 5)
+
+    print(
+        "== microbenchmarks (|V| = %d, backends: %s) =="
+        % (micro_vertices, ", ".join(micro_backends))
+    )
+    microbench = run_microbench(micro_vertices, micro_repeats, micro_backends)
+    for name in micro_backends:
+        for row_name, entry in microbench[name].items():
+            suffix = "  vs numpy %5.2fx" % entry["vs_numpy"] if "vs_numpy" in entry else ""
+            print(
+                "  %-9s %-26s before %8.5fs  after %8.5fs  speedup %6.1fx%s"
+                % (name, row_name, entry["before_s"], entry["after_s"], entry["speedup"], suffix)
+            )
+
+    print("== backend A/B (active backend: %s) ==" % backend_name)
+    backend_e2e = run_backend_e2e(backend_name, args.repeats)
+
+    print("== end-to-end (|V| = %d, |E| ~ %d) ==" % (args.vertices, args.edges))
+    end_to_end = run_end_to_end(
+        args.vertices, args.edges, args.seed, args.repeats, inject_slowdown=args.inject_slowdown
+    )
+
+    if args.smoke:
+        batch_vertices, batch_edges, batch_size = 1_000, 8_000, 8
+    else:
+        batch_vertices, batch_edges, batch_size = 4_000, 40_000, 16
+    print("== multi-query serving (|V| = %d, K = %d, 2 devices) ==" % (batch_vertices, batch_size))
+    batch = run_batch_bench(batch_vertices, batch_edges, batch_size)
+
+    if args.smoke:
+        cache_rows, cache_cols, cache_batch = 40, 30, 4
+    else:
+        cache_rows, cache_cols, cache_batch = 100, 60, 8
+    print("== cache policies (grid %dx%d, K = %d, 2 devices) ==" % (cache_rows, cache_cols, cache_batch))
+    cache = run_cache_bench(cache_rows, cache_cols, cache_batch)
+
+    if args.smoke:
+        serve_vertices, serve_edges, serve_lookups, serve_analytical = 1_000, 8_000, 6, 4
+    else:
+        serve_vertices, serve_edges, serve_lookups, serve_analytical = 2_000, 20_000, 12, 8
+    print(
+        "== service scheduling (|V| = %d, %d lookups + %d analytical) =="
+        % (serve_vertices, serve_lookups, serve_analytical)
+    )
+    service = run_service_bench(serve_vertices, serve_edges, serve_lookups, serve_analytical)
+
+    print(
+        "== tracing overhead (|V| = %d, %d lookups + %d analytical) =="
+        % (serve_vertices, serve_lookups, serve_analytical)
+    )
+    tracing = run_tracing_bench(
+        serve_vertices, serve_edges, serve_lookups, serve_analytical, args.repeats,
+        inject_slowdown=args.inject_slowdown,
+    )
+
+    return {
+        "meta": {
+            "harness": "bench_perf_hotpaths",
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "vertices": args.vertices,
+            "edges": args.edges,
+            "seed": args.seed,
+            "repeats": args.repeats,
+            "smoke": bool(args.smoke),
+            "backend": backend_name,
+            "backends_available": list(available_backends()),
+        },
+        "microbench": microbench,
+        "backend_e2e": backend_e2e,
+        "end_to_end": end_to_end,
+        "batch": batch,
+        "cache": cache,
+        "service": service,
+        "tracing": tracing,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--edges", type=int, default=1_000_000, help="target edge count of the generated graphs")
@@ -1195,98 +1277,14 @@ def main(argv=None):
 
     # Activate the requested backend for the whole run (raises up front,
     # naming the installed backends, on an unknown/uninstalled name).
-    backend_name = resolve_backend_name(args.backend)
-    set_active_backend(backend_name)
-    # Microbench the numpy reference first, then every other installed
-    # backend; kernel arrays are tiny, so the extra rows are near-free.
-    micro_backends = ["numpy"] + [n for n in available_backends() if n != "numpy"]
-    # Best-of over at least 5 rounds (x3 timed calls each): micro rows
-    # gate at absolute floors (numpy >= seed, numba >= 2x numpy), so they
-    # get extra noise control even in --smoke mode where everything else
-    # runs once.
-    micro_repeats = max(args.repeats, 5)
-
-    print(
-        "== microbenchmarks (|V| = %d, backends: %s) =="
-        % (micro_vertices, ", ".join(micro_backends))
-    )
-    microbench = run_microbench(micro_vertices, micro_repeats, micro_backends)
-    for name in micro_backends:
-        for row_name, entry in microbench[name].items():
-            suffix = "  vs numpy %5.2fx" % entry["vs_numpy"] if "vs_numpy" in entry else ""
-            print(
-                "  %-9s %-26s before %8.5fs  after %8.5fs  speedup %6.1fx%s"
-                % (name, row_name, entry["before_s"], entry["after_s"], entry["speedup"], suffix)
-            )
-
-    print("== backend A/B (active backend: %s) ==" % backend_name)
-    backend_e2e = run_backend_e2e(backend_name, args.repeats)
-
-    print("== end-to-end (|V| = %d, |E| ~ %d) ==" % (args.vertices, args.edges))
-    end_to_end = run_end_to_end(
-        args.vertices, args.edges, args.seed, args.repeats, inject_slowdown=args.inject_slowdown
-    )
-
-    if args.smoke:
-        batch_vertices, batch_edges, batch_size = 1_000, 8_000, 8
-    else:
-        batch_vertices, batch_edges, batch_size = 4_000, 40_000, 16
-    print("== multi-query serving (|V| = %d, K = %d, 2 devices) ==" % (batch_vertices, batch_size))
-    batch = run_batch_bench(batch_vertices, batch_edges, batch_size)
-
-    if args.smoke:
-        cache_rows, cache_cols, cache_batch = 40, 30, 4
-    else:
-        cache_rows, cache_cols, cache_batch = 100, 60, 8
-    print("== cache policies (grid %dx%d, K = %d, 2 devices) ==" % (cache_rows, cache_cols, cache_batch))
-    cache = run_cache_bench(cache_rows, cache_cols, cache_batch)
-
-    if args.smoke:
-        serve_vertices, serve_edges, serve_lookups, serve_analytical = 1_000, 8_000, 6, 4
-    else:
-        serve_vertices, serve_edges, serve_lookups, serve_analytical = 2_000, 20_000, 12, 8
-    print(
-        "== service scheduling (|V| = %d, %d lookups + %d analytical) =="
-        % (serve_vertices, serve_lookups, serve_analytical)
-    )
-    service = run_service_bench(serve_vertices, serve_edges, serve_lookups, serve_analytical)
-
-    print(
-        "== tracing overhead (|V| = %d, %d lookups + %d analytical) =="
-        % (serve_vertices, serve_lookups, serve_analytical)
-    )
-    tracing = run_tracing_bench(
-        serve_vertices, serve_edges, serve_lookups, serve_analytical, args.repeats,
-        inject_slowdown=args.inject_slowdown,
-    )
-
-    payload = {
-        "meta": {
-            "harness": "bench_perf_hotpaths",
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "vertices": args.vertices,
-            "edges": args.edges,
-            "seed": args.seed,
-            "repeats": args.repeats,
-            "smoke": bool(args.smoke),
-            "backend": backend_name,
-            "backends_available": list(available_backends()),
-        },
-        "microbench": microbench,
-        "backend_e2e": backend_e2e,
-        "end_to_end": end_to_end,
-        "batch": batch,
-        "cache": cache,
-        "service": service,
-        "tracing": tracing,
-    }
+    with use_backend(args.backend) as backend:
+        payload = run_benches(args, backend.name, micro_vertices)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print("wrote %s" % args.out)
 
-    hytgraph_pr = end_to_end["PR"]["HyTGraph"]["speedup"]
-    hytgraph_sssp = end_to_end["SSSP"]["HyTGraph"]["speedup"]
+    hytgraph_pr = payload["end_to_end"]["PR"]["HyTGraph"]["speedup"]
+    hytgraph_sssp = payload["end_to_end"]["SSSP"]["HyTGraph"]["speedup"]
     print(
         "HyTGraph end-to-end speedups: PR %.2fx, SSSP %.2fx (target >= 3x on ~1M-edge graphs)"
         % (hytgraph_pr, hytgraph_sssp)

@@ -24,11 +24,11 @@ Three policies ship:
     evicting the least-recently-touched residents to make room.
 ``frontier-aware``
     Scores partitions by active-edge density (an exponential moving
-    average over iterations) and evicts residents whose frontier
-    collapsed — ``idle_evict_after`` consecutive iterations without an
-    active edge — so hot partitions of the *current* wavefront can take
-    their place.  Admission never displaces a partition scoring higher
-    than the newcomer.
+    average over iterations, decay 0.5) and evicts residents whose
+    frontier collapsed — two consecutive iterations without an active
+    edge — so hot partitions of the *current* wavefront can take their
+    place.  Admission never displaces a partition scoring higher than
+    the newcomer.
 """
 
 from __future__ import annotations
@@ -180,20 +180,17 @@ class FrontierAwarePolicy(EvictionPolicy):
     active-edge density (active edges / partition edges), so partitions
     that were recently hot keep priority for a few iterations after
     their frontier moves on.  A resident partition that saw no active
-    edge for ``idle_evict_after`` consecutive iterations is considered
+    edge for :attr:`IDLE_EVICT_AFTER` consecutive iterations is considered
     collapsed and evicted at the iteration boundary, freeing budget for
     the partitions the wavefront is entering.
     """
 
     name = "frontier-aware"
 
-    def __init__(self, decay: float = 0.5, idle_evict_after: int = 2):
-        if not 0.0 <= decay < 1.0:
-            raise ValueError("decay must be in [0, 1)")
-        if idle_evict_after < 1:
-            raise ValueError("idle_evict_after must be at least 1")
-        self.decay = decay
-        self.idle_evict_after = idle_evict_after
+    #: Weight of the previous score in the moving average.
+    DECAY = 0.5
+    #: Consecutive iterations without an active edge before eviction.
+    IDLE_EVICT_AFTER = 2
 
     def reset(self) -> None:
         num_partitions = self.manager.num_partitions
@@ -215,12 +212,12 @@ class FrontierAwarePolicy(EvictionPolicy):
 
     def commit_window(self, window_active_edges: np.ndarray) -> list[int]:
         density = window_active_edges / self._edges_safe
-        self._score = self.decay * self._score + (1.0 - self.decay) * density
+        self._score = self.DECAY * self._score + (1.0 - self.DECAY) * density
         active = window_active_edges > 0
         self._idle[active] = 0
         self._idle[~active] += 1
         self._window_density = density
-        collapsed = self.manager.resident & (self._idle >= self.idle_evict_after)
+        collapsed = self.manager.resident & (self._idle >= self.IDLE_EVICT_AFTER)
         return [int(p) for p in np.flatnonzero(collapsed)]
 
     def victims(self, device: int, incoming: int, needed_bytes: int) -> list[int] | None:

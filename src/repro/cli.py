@@ -478,8 +478,6 @@ def _cmd_batch(args: argparse.Namespace) -> str:
     with _user_errors():
         service.submit_many([QueryRequest(algorithm=algorithm, source=source) for source in sources])
     (batch,) = service.drain()
-    # Export before the sequential baseline: its solo runs share the
-    # service tracer and would append their own lanes to the batch trace.
     trace_line = (
         _export_trace(service, args.trace_out) if args.trace_out is not None else None
     )

@@ -2,7 +2,8 @@
 
 The router answers one question per submission: *which host serves this
 request?*  Affinity comes first — requests hash to hosts by their
-session key (the request label, falling back to the request id), so a
+session key (the request label, falling back to the request id) on a
+ring with a fixed :data:`VNODES_PER_HOST` points per host, so a
 session's partitions stay warm in one replica's device cache instead of
 thrashing every cache a little.  When the affine host is saturated (its
 circuit breaker is open, or its admission budget is backed up) the
@@ -38,7 +39,8 @@ def stable_hash(key: str) -> int:
 
 
 class ConsistentHashRing:
-    """Classic consistent hashing: hosts × virtual nodes on a 64-bit ring.
+    """Classic consistent hashing: hosts × :data:`VNODES_PER_HOST` virtual
+    nodes on a 64-bit ring.
 
     Host loss needs no ring rebuild — lookups take the set of alive
     hosts and walk clockwise past dead vnodes, so only the keys that
@@ -46,16 +48,14 @@ class ConsistentHashRing:
     other key keeps its placement and its warmed cache.
     """
 
-    def __init__(self, hosts: int, vnodes: int = VNODES_PER_HOST):
+    def __init__(self, hosts: int):
         if hosts < 1:
             raise ValueError("hosts must be at least 1")
-        if vnodes < 1:
-            raise ValueError("vnodes must be at least 1")
         self.hosts = hosts
         points = [
             (stable_hash("host%d#%d" % (host, vnode)), host)
             for host in range(hosts)
-            for vnode in range(vnodes)
+            for vnode in range(VNODES_PER_HOST)
         ]
         points.sort()
         self._points = [point for point, _ in points]
@@ -91,8 +91,8 @@ class Router:
        properly-reasoned ``REJECTED`` handle.
     """
 
-    def __init__(self, hosts: int, vnodes: int = VNODES_PER_HOST):
-        self.ring = ConsistentHashRing(hosts, vnodes)
+    def __init__(self, hosts: int):
+        self.ring = ConsistentHashRing(hosts)
         #: Requests served by their hash-affine host.
         self.affinity_hits = 0
         #: Requests diverted off their affine host by load.

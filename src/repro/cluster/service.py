@@ -160,8 +160,6 @@ class ClusterService:
         source = primary._resolve_source(program, request.source)
         host = self._route(request, program, source)
         replica = self.replicas[host]
-        if replica._graph_symmetric is None:
-            replica._graph_symmetric = primary._graph_symmetric
         # Sync the cluster-global id into the chosen replica so its
         # submit numbers the handle; read the incremented value back.
         replica._next_request_id = self._next_request_id

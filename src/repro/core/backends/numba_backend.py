@@ -1,9 +1,9 @@
 """The numba kernel backend — JIT-compiled scatter loops, optional.
 
 Import-guarded: importing this module never fails, but constructing
-:class:`NumbaBackend` (via the registry) requires ``numba`` to be
-installed.  The registry probes availability with ``find_spec`` so the
-default environment never pays numba's import cost.
+:class:`NumbaBackend` (via :func:`~repro.core.backends.get_backend`)
+requires ``numba`` to be installed.  Availability is probed with
+``find_spec`` so the default environment never pays numba's import cost.
 
 Bitwise equivalence with the numpy reference is structural, not
 approximate:
@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.backends import BackendError
 from repro.core.backends import numpy_backend as _ref
-from repro.core.backends.base import BackendUnavailableError
 
 __all__ = ["NumbaBackend", "NUMBA_AVAILABLE"]
 
@@ -148,7 +148,7 @@ def _as_float64(array) -> np.ndarray:
 
 
 class NumbaBackend:
-    """JIT-compiled :class:`~repro.core.backends.base.KernelBackend`.
+    """JIT-compiled :class:`~repro.core.backends.KernelBackend`.
 
     Mirrors the numpy backend's density dispatch so the choice of fused
     kernel never changes the (identical) activation set, only the constant
@@ -159,7 +159,7 @@ class NumbaBackend:
 
     def __init__(self) -> None:
         if not NUMBA_AVAILABLE:
-            raise BackendUnavailableError(
+            raise BackendError(
                 "backend 'numba' requires the optional numba dependency "
                 "(pip install numba)"
             )
@@ -168,7 +168,7 @@ class NumbaBackend:
     def warmup(self) -> None:
         """Compile every kernel once on tiny inputs.
 
-        Called by the registry at construction, so JIT compilation cost is
+        Called by ``get_backend`` at construction, so JIT compilation cost is
         paid before the backend can appear inside any timed region; with
         ``cache=True`` later processes reuse the on-disk compilation cache.
         """

@@ -129,7 +129,7 @@ def push_and_activate(
 
 
 class NumpyBackend:
-    """The reference :class:`~repro.core.backends.base.KernelBackend`.
+    """The reference :class:`~repro.core.backends.KernelBackend`.
 
     The methods *are* the module-level kernels — zero extra indirection on
     the hot path — and :meth:`warmup` is a no-op because there is nothing

@@ -155,7 +155,6 @@ class HyTGraphEngine:
         config: HardwareConfig | None = None,
         options: HyTGraphOptions | None = None,
         num_partitions: int | None = None,
-        partition_bytes: int | None = None,
         max_iterations: int = 10_000,
         cache_policy: str = "static-prefix",
         cache_budget: int | None = None,
@@ -179,7 +178,7 @@ class HyTGraphEngine:
         else:
             self.graph = graph
 
-        self.partitioning = build_partitioning(self.graph, num_partitions, partition_bytes)
+        self.partitioning = build_partitioning(self.graph, num_partitions)
         # Sink detection runs every iteration; the degree==0 mask is static.
         self._sink_mask = self.graph.out_degrees == 0
         self.cost_model = CostModel(self.graph, self.partitioning, self.config)

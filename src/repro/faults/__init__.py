@@ -6,14 +6,14 @@ The failure model every later scaling feature builds on:
   :class:`~repro.faults.spec.FaultSchedule` — typed, seed-deterministic
   descriptions of what goes wrong (device loss, transient transfer
   faults, memory pressure, interconnect degradation);
-* :class:`~repro.faults.spec.RetryPolicy` — exponential-backoff retries
-  for transient transfer faults, billed into the simulated timeline;
+* :func:`~repro.faults.spec.backoff_seconds` — the fixed exponential
+  backoff of transient-fault retries, billed into the simulated timeline;
 * :class:`~repro.faults.injector.FaultInjector` — interprets a schedule
   at super-iteration and task boundaries;
 * :class:`~repro.faults.checkpoint.QueryCheckpoint` — per-query state
   snapshots the runner restores from on permanent faults;
-* :class:`~repro.faults.breaker.CircuitBreaker` — sheds BULK work under
-  repeated faults.
+* :class:`~repro.faults.breaker.CircuitBreaker` — sheds BULK work after
+  three consecutive faulty waves, resumes it after one clean wave.
 
 The invariant the whole subsystem is built around: faults perturb
 *time, placement and residency*, never vertex-program semantics — every
@@ -24,7 +24,7 @@ or host fallback) returns values bitwise identical to a fault-free run.
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.checkpoint import QueryCheckpoint
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec, RetryPolicy
+from repro.faults.spec import MAX_ATTEMPTS, FaultKind, FaultSchedule, FaultSpec, backoff_seconds
 
 __all__ = [
     "CircuitBreaker",
@@ -32,6 +32,7 @@ __all__ = [
     "FaultKind",
     "FaultSchedule",
     "FaultSpec",
+    "MAX_ATTEMPTS",
     "QueryCheckpoint",
-    "RetryPolicy",
+    "backoff_seconds",
 ]

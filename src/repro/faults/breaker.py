@@ -5,11 +5,11 @@ work makes every failure mode worse: BULK queries hold the session for
 many super-iterations, widening the window for the next fault and
 starving the INTERACTIVE traffic the service exists to protect.  The
 :class:`CircuitBreaker` counts consecutive faulty waves; once
-``threshold`` is reached it *opens* and the
+:attr:`~CircuitBreaker.THRESHOLD` (3) is reached it *opens* and the
 :class:`~repro.service.GraphService` sheds queued BULK requests (typed
 ``QueryFailed``, never silently dropped) while still serving the
-cheaper classes.  After ``cooldown`` consecutive clean waves the
-breaker closes again and BULK admission resumes.
+cheaper classes.  After :attr:`~CircuitBreaker.COOLDOWN` (1) clean
+wave the breaker closes again and BULK admission resumes.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ __all__ = ["CircuitBreaker"]
 class CircuitBreaker:
     """Consecutive-faulty-wave breaker (open = shed BULK work)."""
 
-    def __init__(self, threshold: int = 3, cooldown: int = 1):
-        if threshold < 1:
-            raise ValueError("threshold must be at least 1")
-        if cooldown < 1:
-            raise ValueError("cooldown must be at least 1")
-        self.threshold = threshold
-        self.cooldown = cooldown
+    #: Consecutive faulty waves before the breaker opens.
+    THRESHOLD = 3
+    #: Consecutive clean waves before an open breaker closes again.
+    COOLDOWN = 1
+
+    def __init__(self):
         self._faulty_streak = 0
         self._clean_streak = 0
         self._open = False
@@ -43,14 +42,14 @@ class CircuitBreaker:
         if faults > 0:
             self._clean_streak = 0
             self._faulty_streak += 1
-            if not self._open and self._faulty_streak >= self.threshold:
+            if not self._open and self._faulty_streak >= self.THRESHOLD:
                 self._open = True
                 self.trips += 1
         else:
             self._faulty_streak = 0
             if self._open:
                 self._clean_streak += 1
-                if self._clean_streak >= self.cooldown:
+                if self._clean_streak >= self.COOLDOWN:
                     self._open = False
                     self._clean_streak = 0
 

@@ -12,11 +12,12 @@ session.  The runtime consults it at two boundaries:
 * **task boundaries** — :meth:`perturb_transfers` walks the merged
   per-device stream-task lists in deterministic order and draws, per
   transfer-carrying task, the transient failures of the active
-  ``transfer-flaky`` specs.  Failed attempts are retried under the
-  :class:`~repro.faults.spec.RetryPolicy`: the re-sends and the
-  exponential backoff are billed into the task's transfer time (hence
-  into the simulated timeline), and a task that exhausts its attempts
-  permanently fails the owning query.
+  ``transfer-flaky`` specs.  Failed attempts are retried up to
+  :data:`~repro.faults.spec.MAX_ATTEMPTS` sends: the re-sends and the
+  exponential backoff (:func:`~repro.faults.spec.backoff_seconds`) are
+  billed into the task's transfer time (hence into the simulated
+  timeline), and a task that exhausts its attempts permanently fails the
+  owning query.
 
 Every random draw comes from one ``numpy`` generator seeded with the
 schedule's seed, and the walk order is deterministic (devices, then
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.faults.spec import FaultKind, FaultSchedule, RetryPolicy
+from repro.faults.spec import MAX_ATTEMPTS, FaultKind, FaultSchedule, backoff_seconds
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["FaultInjector"]
@@ -38,9 +39,8 @@ __all__ = ["FaultInjector"]
 class FaultInjector:
     """Applies one fault schedule to one execution session."""
 
-    def __init__(self, schedule: FaultSchedule, retry: RetryPolicy | None = None):
+    def __init__(self, schedule: FaultSchedule):
         self.schedule = schedule
-        self.retry = retry or RetryPolicy()
         self._rng = np.random.default_rng(schedule.seed)
         #: Next super-iteration index (one counter for the injector's
         #: lifetime: a service's waves share it, so ``@k`` means the
@@ -141,30 +141,29 @@ class FaultInjector:
         Tasks are updated in place with their retry re-sends and backoff
         folded into ``transfer_time`` (and ``attempts`` set), so the
         retry cost lands in the co-scheduled timeline.  Returns
-        ``{query_index: attempts}`` for the queries whose transfer
-        exhausted the retry policy — permanent failures the caller must
-        turn into a terminal query state.
+        ``{query_index: attempts}`` for the queries whose transfer failed
+        all :data:`~repro.faults.spec.MAX_ATTEMPTS` sends — permanent
+        failures the caller must turn into a terminal query state.
         """
         if self._flaky_p <= 0.0:
             return {}
         probability = self._flaky_p
-        retry = self.retry
         failures: dict[int, int] = {}
         for device, tasks in enumerate(device_tasks):
             for task, query in zip(tasks, owners[device]):
                 if task.transfer_time <= 0.0:
                     continue
                 failed = 0
-                while failed < retry.max_attempts and self._rng.random() < probability:
+                while failed < MAX_ATTEMPTS and self._rng.random() < probability:
                     failed += 1
                 if failed == 0:
                     continue
-                permanent = failed >= retry.max_attempts
+                permanent = failed >= MAX_ATTEMPTS
                 # Every failed attempt beyond the originally billed send
                 # is a re-send; a permanent failure never gets the final
                 # successful send, so one re-send less.
                 resends = failed if not permanent else failed - 1
-                extra = resends * task.transfer_time + retry.backoff_seconds(failed)
+                extra = resends * task.transfer_time + backoff_seconds(failed)
                 attempts = failed if permanent else failed + 1
                 name = "q%d|%s" % (query, task.name)
                 self.faults_injected += 1

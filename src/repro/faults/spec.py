@@ -17,8 +17,8 @@ Four fault kinds cover the failure surface of a multi-GPU serving host:
 ``transfer-flaky``
     Each PCIe transfer fails independently with probability ``p`` from
     super-iteration ``k`` on.  Failures are retried with exponential
-    backoff (:class:`RetryPolicy`); a transfer that exhausts its
-    attempts fails the owning query permanently.
+    backoff (:func:`backoff_seconds`); a transfer that fails all
+    :data:`MAX_ATTEMPTS` sends fails the owning query permanently.
 ``memory-pressure``
     The per-device cache budget shrinks by ``factor`` at super-iteration
     ``k`` (a co-tenant grabbed device memory); over-budget residents are
@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-__all__ = ["FaultKind", "FaultSpec", "FaultSchedule", "RetryPolicy"]
+__all__ = ["FaultKind", "FaultSpec", "FaultSchedule", "MAX_ATTEMPTS", "backoff_seconds"]
 
 
 class FaultKind(Enum):
@@ -239,33 +239,17 @@ class FaultSchedule:
         return cls(specs=tuple(specs), seed=seed)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential-backoff retry policy for transient transfer faults.
+#: Total sends of one transfer (the first try plus retries); a transfer
+#: whose every attempt fails is a permanent fault and fails the owning
+#: query.
+MAX_ATTEMPTS = 4
 
-    ``max_attempts`` bounds the *total* sends of one transfer (the first
-    try plus retries); a transfer whose every attempt fails is a
-    permanent fault and fails the owning query.  The ``i``-th retry
-    waits ``backoff_base_s * backoff_multiplier**i`` simulated seconds
-    before re-sending; backoff and re-send time are billed into the
-    simulated timeline.
+
+def backoff_seconds(failed_attempts: int) -> float:
+    """Total backoff wait after ``failed_attempts`` consecutive failures.
+
+    The ``i``-th retry waits ``1e-5 * 2**i`` simulated seconds before
+    re-sending; backoff and re-send time are billed into the simulated
+    timeline.
     """
-
-    max_attempts: int = 4
-    backoff_base_s: float = 1e-5
-    backoff_multiplier: float = 2.0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be at least 1")
-
-    def backoff_seconds(self, failed_attempts: int) -> float:
-        """Total backoff wait after ``failed_attempts`` consecutive failures."""
-        return sum(
-            self.backoff_base_s * self.backoff_multiplier**i
-            for i in range(failed_attempts)
-        )
+    return sum(1e-5 * 2.0**i for i in range(failed_attempts))

@@ -52,6 +52,7 @@ class CSRGraph:
     _out_degrees: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _in_degrees: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _edge_sources: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _is_symmetric: bool | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         row_offset = np.ascontiguousarray(self.row_offset, dtype=np.int64)
@@ -65,6 +66,7 @@ class CSRGraph:
         object.__setattr__(self, "_out_degrees", np.diff(row_offset))
         object.__setattr__(self, "_in_degrees", None)
         object.__setattr__(self, "_edge_sources", None)
+        object.__setattr__(self, "_is_symmetric", None)
 
     def _validate(self) -> None:
         if self.row_offset.ndim != 1 or self.row_offset.size < 1:
@@ -115,6 +117,19 @@ class CSRGraph:
             counts = np.bincount(self.column_index, minlength=self.num_vertices)
             object.__setattr__(self, "_in_degrees", counts.astype(np.int64))
         return self._in_degrees
+
+    @property
+    def is_symmetric(self) -> bool:
+        """Whether each edge ``(u, v)`` occurs as often as ``(v, u)`` (lazy, cached)."""
+        if self._is_symmetric is None:
+            sources, destinations = self.edge_sources(), self.column_index
+            forward = np.lexsort((destinations, sources))
+            backward = np.lexsort((sources, destinations))
+            symmetric = np.array_equal(sources[forward], destinations[backward]) and np.array_equal(
+                destinations[forward], sources[backward]
+            )
+            object.__setattr__(self, "_is_symmetric", symmetric)
+        return self._is_symmetric
 
     @property
     def average_degree(self) -> float:

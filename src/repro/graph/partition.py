@@ -11,6 +11,9 @@ A partition never splits a vertex's adjacency list: the vertex boundary is
 placed at the first vertex whose edges would overflow the byte budget.  A
 single vertex whose adjacency list alone exceeds the budget gets a
 partition of its own (real web graphs have such vertices).
+
+The systems call :func:`build_partitioning`: a partition count, or else
+1/64 of the edge data per partition (the scaled stand-in for 32 MB).
 """
 
 from __future__ import annotations
@@ -390,19 +393,16 @@ def partition_by_count(graph: CSRGraph, num_partitions: int) -> Partitioning:
     return _build_partitions(graph, deduped)
 
 
-def build_partitioning(
-    graph: CSRGraph, num_partitions: int | None = None, partition_bytes: int | None = None
-) -> Partitioning:
+def build_partitioning(graph: CSRGraph, num_partitions: int | None = None) -> Partitioning:
     """The partitioning every system and the HyTGraph engine execute on.
 
-    An explicit count wins over an explicit byte size; with neither, the
-    graph is split into ``DEFAULT_PARTITION_DIVISOR`` edge-balanced
-    partitions (the scaled equivalent of the paper's 32 MB chunks).
+    An explicit count wins; without one, the graph is split into
+    ``DEFAULT_PARTITION_DIVISOR`` edge-balanced partitions (the scaled
+    equivalent of the paper's 32 MB chunks).
     """
     if num_partitions is not None:
         return partition_by_count(graph, num_partitions)
-    if partition_bytes is None:
-        partition_bytes = max(
-            graph.edge_bytes_per_edge, graph.edge_data_bytes // DEFAULT_PARTITION_DIVISOR
-        )
+    partition_bytes = max(
+        graph.edge_bytes_per_edge, graph.edge_data_bytes // DEFAULT_PARTITION_DIVISOR
+    )
     return partition_by_bytes(graph, partition_bytes)

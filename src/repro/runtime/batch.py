@@ -56,6 +56,7 @@ from typing import Callable, Sequence
 
 from repro.algorithms.base import VertexProgram
 from repro.metrics.results import BatchResult
+from repro.obs.tracer import NULL_TRACER
 from repro.runtime.driver import QuerySession
 
 __all__ = ["QueryBatchRunner"]
@@ -80,15 +81,11 @@ class QueryBatchRunner:
         can serve batches; transfer amortization kicks in where the
         system's transfer pattern allows it (whole-partition filter
         transfers, shard residency), co-scheduling overlap everywhere.
-    max_iterations:
-        Per-query outer-iteration bound (defaults to the system's).
+        Each query is bounded by the system's ``max_iterations``.
     """
 
-    def __init__(self, system, max_iterations: int | None = None):
+    def __init__(self, system):
         self.system = system
-        self.max_iterations = (
-            max_iterations if max_iterations is not None else system.max_iterations
-        )
 
     def run(
         self,
@@ -176,6 +173,7 @@ class QueryBatchRunner:
         # Warm state (residency first-touch flags, page caches) is shared
         # by the whole batch: reset once here, NOT between queries.
         system.reset_run_state()
+        max_iterations = system.max_iterations
         sessions: list[QuerySession] = [
             system.start_session(program, source) for program, source in queries
         ]
@@ -264,7 +262,7 @@ class QueryBatchRunner:
                 if index not in terminal
                 and index not in suspended
                 and session.live
-                and session.iteration < self.max_iterations
+                and session.iteration < max_iterations
             ]
             if not live:
                 break
@@ -431,6 +429,10 @@ class QueryBatchRunner:
                         "checkpoint", index, checkpoint,
                         checkpoint.transfer_seconds(context.config),
                     )
+        if tracing and cache is not None:
+            # The cache routes through the tracer for this run only: solo
+            # runs on the same context stay out of the service's trace.
+            cache.tracer = NULL_TRACER
 
         results = []
         for index, session in enumerate(sessions):

@@ -113,10 +113,6 @@ class IterationDriver:
 
     def __init__(self, context: ExecutionContext):
         self.context = context
-        #: Simulated elapsed seconds of the current solo run — where the
-        #: next traced iteration's spans start.  Reset by :meth:`drive`;
-        #: unused when the context's tracer is the no-op default.
-        self._trace_elapsed = 0.0
 
     # ------------------------------------------------------------------
     # Pending-bitmap helpers
@@ -193,13 +189,12 @@ class IterationDriver:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def finish(self, plan: IterationPlan, trace_iteration: int | None = None) -> IterationStats:
+    def finish(self, plan: IterationPlan) -> IterationStats:
         """Schedule one plan on its own and fill its timing fields.
 
-        ``trace_iteration`` opts one *solo-run* iteration into span
-        emission (its index names the span); batch-mode standalone
-        finishes stay untraced — their merged timeline positions are the
-        batch runner's to emit.
+        Emits no spans: only the batch runner traces, from the merged
+        timeline, so a solo run on a traced service's context leaves the
+        service's trace untouched.
         """
         sync_bytes = self.context.sync_bytes(plan.remote_updates)
         timeline = self.context.schedule(plan.device_tasks, sync_bytes)
@@ -209,38 +204,7 @@ class IterationDriver:
             setattr(stats, _BUSY_FIELDS[resource], timeline.busy_time(resource))
         stats.interconnect_bytes = int(sum(sync_bytes))
         stats.sync_time = timeline.sync_time
-        if trace_iteration is not None and self.context.tracer.enabled:
-            self._emit_iteration_spans(stats, timeline, trace_iteration)
         return stats
-
-    # ------------------------------------------------------------------
-    # Tracing (solo runs; see repro.obs)
-    # ------------------------------------------------------------------
-    def _emit_iteration_spans(self, stats: IterationStats, timeline, iteration: int) -> None:
-        """One iteration tile on the run's query lane + its device spans."""
-        tracer = self.context.tracer
-        scale = self.context.time_scale
-        start = self._trace_elapsed
-        end = start + stats.time
-        tracer.span(
-            "iteration", "iter%d" % iteration, "query:run", start, end,
-            active_vertices=stats.active_vertices,
-            active_edges=stats.active_edges,
-            kernel_s=stats.kernel_time * scale,
-            transfer_s=stats.transfer_time * scale,
-            cpu_s=stats.compaction_time * scale,
-            cache_hit_bytes=stats.cache_hit_bytes,
-            cache_miss_bytes=stats.cache_miss_bytes,
-        )
-        for entry in timeline.entries:
-            prefix = "dev%d:" % entry.device if entry.device >= 0 else ""
-            for span in entry.spans:
-                tracer.span(
-                    "device", entry.name, prefix + span.resource,
-                    start + span.start * scale, start + span.end * scale,
-                    engine=entry.engine, stream=entry.stream,
-                )
-        self._trace_elapsed = end
 
     # ------------------------------------------------------------------
     # Checkpointing (fault recovery)
@@ -263,7 +227,6 @@ class IterationDriver:
         :class:`~repro.systems.base.GraphSystem` or the HyTGraph engine.
         Every iteration is its own transfer window.
         """
-        self._trace_elapsed = 0.0
         context = self.context
         cache = context.cache
         while session.pending.any() and session.iteration < max_iterations:
@@ -272,6 +235,6 @@ class IterationDriver:
             since = cache.snapshot_counters() if cache is not None else None
             context.begin_window()
             plan = self.plan(planner, session, since)
-            session.result.iterations.append(self.finish(plan, trace_iteration=session.iteration))
+            session.result.iterations.append(self.finish(plan))
             session.iteration += 1
         return session

@@ -6,15 +6,18 @@ cache policy and compute backend, and the serving policies (scheduling
 discipline, admission budget) layered on top.  It is the only place
 those knobs are assembled: the CLI builds one from its flags, the
 service builds its system from it.
+
+Checkpointing (every super-iteration), retries, the circuit breaker and
+the iteration bound are constants of :mod:`repro.faults` and the system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cache.policy import CACHE_POLICIES
-from repro.core.backends import resolve_backend_name
-from repro.faults import FaultSchedule, RetryPolicy
+from repro.core.backends import resolve_backend
+from repro.faults import FaultSchedule
 from repro.obs.tracer import TracingConfig
 from repro.systems import SYSTEMS
 
@@ -35,7 +38,7 @@ class ServiceConfig:
     ``interconnect``) feed :func:`repro.bench.workloads.build_workload`
     when the service builds its own graph; a caller that passes
     ``graph=``/``hardware=`` has already applied them.  The system name
-    and the cache, backend and iteration knobs build the system (they
+    and the cache and backend knobs build the system (they
     are not consulted when a prebuilt ``system=`` is substituted);
     serving knobs configure the scheduler and the admission controller.
     """
@@ -73,7 +76,6 @@ class ServiceConfig:
     #: the checkpoint in a later wave.  Off by default — the historical
     #: run-to-completion wave behaviour, bitwise.
     preemption: bool = False
-    max_iterations: int | None = None
     # --- faults and recovery ---------------------------------------------
     #: Default latency SLA applied to requests that carry none
     #: (``None`` = no default; must be positive when set).
@@ -82,8 +84,6 @@ class ServiceConfig:
     #: (request or default) deadline is cancelled mid-run instead of
     #: merely recorded as an SLA miss.
     enforce_deadlines: bool = False
-    #: Retry policy for transient transfer faults.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Fault schedule to inject (a :class:`FaultSchedule`, a spec string
     #: such as ``"device-loss@3:device=1;transfer-flaky:p=0.05"``, or
     #: ``None`` for fault-free serving).
@@ -91,13 +91,6 @@ class ServiceConfig:
     #: Seed of the injector's random stream (applied when ``faults`` is
     #: given as a spec string).
     chaos_seed: int = 0
-    #: Checkpoint query state every this many super-iterations.
-    checkpoint_interval: int = 1
-    #: Consecutive faulty waves before the circuit breaker opens and
-    #: queued BULK work is shed.
-    breaker_threshold: int = 3
-    #: Consecutive clean waves before an open breaker closes again.
-    breaker_cooldown: int = 1
     # --- observability ---------------------------------------------------
     #: Span tracing (:mod:`repro.obs`): ``None``/``False`` for the no-op
     #: tracer (zero overhead, the default), ``True`` for a recording
@@ -125,7 +118,7 @@ class ServiceConfig:
         if self.backend is not None:
             # Raises BackendError (a ValueError) naming the installed
             # backends for unknown or uninstalled names.
-            resolve_backend_name(self.backend)
+            resolve_backend(self.backend)
         if self.cache_policy.lower() not in CACHE_POLICIES:
             raise ValueError(
                 "unknown cache policy %r; pick one of: %s"
@@ -137,12 +130,6 @@ class ServiceConfig:
             raise ValueError("devices must be at least 1")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive (omit it for no deadline)")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be at least 1")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be at least 1")
-        if self.breaker_cooldown < 1:
-            raise ValueError("breaker_cooldown must be at least 1")
         if isinstance(self.faults, str):
             object.__setattr__(
                 self, "faults", FaultSchedule.parse(self.faults, seed=self.chaos_seed)
@@ -163,6 +150,4 @@ class ServiceConfig:
             kwargs["cache_budget"] = self.cache_budget
         if self.backend is not None:
             kwargs["backend"] = self.backend
-        if self.max_iterations is not None:
-            kwargs["max_iterations"] = self.max_iterations
         return kwargs

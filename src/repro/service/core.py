@@ -66,8 +66,8 @@ class GraphService:
     config:
         The :class:`ServiceConfig` describing platform and serving
         policies (defaults throughout when omitted).  The service builds
-        its system from it: ``config.system`` with the config's cache,
-        backend and iteration knobs.
+        its system from it: ``config.system`` with the config's cache
+        and backend knobs.
     graph / hardware:
         Optional prebuilt graph and
         :class:`~repro.sim.config.HardwareConfig` to build that system
@@ -116,16 +116,11 @@ class GraphService:
         #: serving).
         self._clock_s = 0.0
         #: Sheds queued BULK work after repeated faulty waves.
-        self.breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown,
-        )
+        self.breaker = CircuitBreaker()
         #: One injector for the service lifetime (``@k`` fault offsets
         #: count super-iterations across all waves); ``None`` fault-free.
         self._injector = (
-            FaultInjector(self.config.faults, retry=self.config.retry)
-            if self.config.faults is not None
-            else None
+            FaultInjector(self.config.faults) if self.config.faults is not None else None
         )
         #: Span tracer (:mod:`repro.obs`): the shared no-op unless
         #: ``config.tracing`` asks for recording.  Installed on the
@@ -133,9 +128,6 @@ class GraphService:
         self.tracer = make_tracer(self.config.tracing)
         if self.tracer.enabled:
             self.system.context.tracer = self.tracer
-        #: Lazily computed: whether the service graph is symmetric
-        #: (gates programs with ``needs_symmetric``, e.g. CC).
-        self._graph_symmetric: bool | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -199,7 +191,7 @@ class GraphService:
         which replica it would have landed on).
         """
         program.check_graph(self.graph)
-        if program.needs_symmetric and not self._symmetric_graph():
+        if program.needs_symmetric and not self.graph.is_symmetric:
             # The evaluation grid symmetrizes the graph for CC (weakly
             # connected components); serving it on a directed graph would
             # silently return different labels than every other entry
@@ -239,24 +231,6 @@ class GraphService:
     def submit_many(self, requests: Sequence[QueryRequest]) -> list[QueryHandle]:
         """Submit several requests; one handle each, in order."""
         return [self.submit(request) for request in requests]
-
-    def _symmetric_graph(self) -> bool:
-        """Whether every edge has its reverse (computed once, cached)."""
-        if self._graph_symmetric is None:
-            import numpy as np
-            from scipy.sparse import csr_matrix
-
-            graph = self.graph
-            adjacency = csr_matrix(
-                (
-                    np.ones(graph.num_edges, dtype=np.int64),
-                    graph.column_index,
-                    graph.row_offset,
-                ),
-                shape=(graph.num_vertices, graph.num_vertices),
-            )
-            self._graph_symmetric = (adjacency != adjacency.T).nnz == 0
-        return self._graph_symmetric
 
     def _resolve_source(self, program: VertexProgram, source: int | None) -> int | None:
         if not program.needs_source:
@@ -352,7 +326,6 @@ class GraphService:
             priorities=priorities,
             injector=self._injector,
             deadlines=deadlines,
-            checkpoint_interval=self.config.checkpoint_interval,
             preemptible=preempt_flags,
             should_preempt=preempt_check,
             resume=resume,
@@ -604,7 +577,7 @@ class GraphService:
             self._fail(
                 handle,
                 "circuit breaker open after %d consecutive faulty wave(s); "
-                "BULK work shed" % self.breaker.threshold,
+                "BULK work shed" % CircuitBreaker.THRESHOLD,
             )
         self.admission.release(shed)
 

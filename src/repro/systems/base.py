@@ -61,7 +61,6 @@ class GraphSystem(ABC):
         graph: CSRGraph,
         config: HardwareConfig | None = None,
         num_partitions: int | None = None,
-        partition_bytes: int | None = None,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         cache_policy: str = "static-prefix",
         cache_budget: int | None = None,
@@ -88,7 +87,7 @@ class GraphSystem(ABC):
         self.kernel_model = KernelModel(self.config)
         self.pcie = PCIeModel(self.config)
         if self.builds_runtime:
-            self.partitioning = build_partitioning(graph, num_partitions, partition_bytes)
+            self.partitioning = build_partitioning(graph, num_partitions)
             self.context = ExecutionContext(
                 self.graph,
                 self.partitioning,

@@ -46,9 +46,8 @@ class GrusSystem(GraphSystem):
 
     name = "Grus"
 
-    def __init__(self, *args, cache_bytes: int | None = None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.cache_bytes = cache_bytes
         self._zc_throughput = self.pcie.zero_copy_throughput(GRUS_ZC_REQUEST_BYTES)
         self._vertex_cached, self._prefetched_bytes = self._plan_prefetch()
         # The prefetch happens once, through the unified-memory migration
@@ -68,11 +67,10 @@ class GrusSystem(GraphSystem):
         """Decide which vertices' adjacency lists are cached on the device.
 
         Vertices are considered in descending out-degree order (the Grus
-        priority) and admitted until the device cache budget is exhausted.
-        Returns the boolean ``vertex_cached`` mask and the prefetched
-        byte volume.
+        priority) and admitted until device memory is exhausted.  Returns
+        the boolean ``vertex_cached`` mask and the prefetched byte volume.
         """
-        budget = self.config.gpu_memory_bytes if self.cache_bytes is None else self.cache_bytes
+        budget = self.config.gpu_memory_bytes
         per_edge = self.graph.edge_bytes_per_edge
         order = np.argsort(-self.graph.out_degrees, kind="stable")
         sizes = self.graph.out_degrees[order] * per_edge

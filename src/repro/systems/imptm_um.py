@@ -33,10 +33,9 @@ class ImpTMUMSystem(GraphSystem):
 
     name = "ImpTM-UM"
 
-    def __init__(self, *args, cache_bytes: int | None = None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.cache_bytes = cache_bytes
-        self.engine = UnifiedMemoryEngine(self.graph, self.config, cache_bytes=self.cache_bytes)
+        self.engine = UnifiedMemoryEngine(self.graph, self.config)
 
     def reset_run_state(self) -> None:
         super().reset_run_state()

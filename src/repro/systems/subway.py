@@ -51,11 +51,8 @@ class SubwaySystem(GraphSystem):
     name = "Subway"
     supports_multi_device = True
 
-    def __init__(self, *args, async_rounds: int = MAX_LOCAL_ROUNDS, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if async_rounds < 0:
-            raise ValueError("async_rounds must be non-negative")
-        self.async_rounds = async_rounds
         self.engine = ExplicitCompactionEngine(self.graph, self.config)
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
@@ -89,7 +86,7 @@ class SubwaySystem(GraphSystem):
         # frontier is scanned once and sliced per shard; a device sees
         # activations produced by the other devices only from the next
         # round on (per-round bulk-synchronous view).
-        for _ in range(self.async_rounds):
+        for _ in range(MAX_LOCAL_ROUNDS):
             local_frontier = np.nonzero(pending & loaded)[0]
             if local_frontier.size == 0:
                 break

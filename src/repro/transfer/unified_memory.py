@@ -28,10 +28,9 @@ class UnifiedMemoryEngine(TransferEngine):
 
     kind = EngineKind.IMP_UNIFIED_MEMORY
 
-    def __init__(self, graph: CSRGraph, config: HardwareConfig, cache_bytes: int | None = None):
+    def __init__(self, graph: CSRGraph, config: HardwareConfig):
         super().__init__(graph, config)
-        capacity_bytes = config.gpu_memory_bytes if cache_bytes is None else cache_bytes
-        self.cache = PageCache(max(0, capacity_bytes // config.um_page_bytes))
+        self.cache = PageCache(max(0, config.gpu_memory_bytes // config.um_page_bytes))
 
     def reset(self) -> None:
         # A new run starts with a cold cache AND fresh statistics — the

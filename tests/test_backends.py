@@ -2,11 +2,12 @@
 
 Three concerns, in order:
 
-* **Selection** — registry contents, ``auto`` resolution, the
+* **Selection** — the shipped backends, ``auto`` resolution, the
   ``REPRO_BACKEND`` environment override, and the error contract: an
-  unknown or uninstalled backend must fail up front with a message that
-  names the installed backends, wherever the name enters the stack
-  (registry, ``ExecutionContext``, ``ServiceConfig``, CLI).
+  unknown or uninstalled backend must fail up front with a
+  :class:`BackendError` whose message names the installed backends,
+  wherever the name enters the stack (``get_backend``,
+  ``ExecutionContext``, ``ServiceConfig``, CLI).
 * **Exactness** — every installed backend's raw kernels must be bitwise
   equal to the ``ufunc.at`` references on the randomized batch grid
   (the runtime-level equivalence lives in ``test_runtime_equivalence``,
@@ -21,17 +22,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import backends
 from repro.core.backends import (
-    BackendUnavailableError,
+    BackendError,
     KernelBackend,
-    UnknownBackendError,
     active_backend,
     available_backends,
     get_backend,
-    known_backends,
     resolve_backend,
-    resolve_backend_name,
     use_backend,
 )
 from repro.graph.generators import rmat_graph
@@ -46,12 +43,9 @@ def installed_backends():
     return [get_backend(name) for name in available_backends()]
 
 
-class TestRegistryAndSelection:
-    def test_builtin_backends_are_registered(self):
-        assert known_backends() == ("numpy", "numba")
-
+class TestSelection:
     def test_numpy_is_always_available(self):
-        assert "numpy" in available_backends()
+        assert available_backends() == (("numpy", "numba") if NUMBA_INSTALLED else ("numpy",))
 
     def test_instances_are_cached(self):
         assert get_backend("numpy") is get_backend("numpy")
@@ -65,29 +59,29 @@ class TestRegistryAndSelection:
             assert backend.name in available_backends()
 
     def test_unknown_backend_error_names_installed_backends(self):
-        with pytest.raises(UnknownBackendError, match="numpy"):
+        with pytest.raises(BackendError, match="unknown backend 'cuda-graphs'") as excinfo:
             get_backend("cuda-graphs")
-        with pytest.raises(UnknownBackendError, match="installed backends"):
-            get_backend("cuda-graphs")
+        assert "installed backends: numpy" in str(excinfo.value)
+        assert isinstance(excinfo.value, ValueError)
 
     @pytest.mark.skipif(NUMBA_INSTALLED, reason="numba is installed here")
     def test_unavailable_backend_error_names_installed_backends(self):
-        with pytest.raises(BackendUnavailableError, match="installed backends.*numpy"):
+        with pytest.raises(BackendError, match="'numba' is not available.*installed backends: numpy"):
             get_backend("numba")
 
     def test_auto_resolves_to_fastest_installed(self):
         expected = "numba" if NUMBA_INSTALLED else "numpy"
-        assert resolve_backend_name("auto") == expected
+        assert resolve_backend("auto").name == expected
 
     def test_default_resolution_without_env(self, monkeypatch):
-        monkeypatch.delenv(backends.ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert resolve_backend(None).name == "numpy"
 
     def test_env_override_applies_when_no_explicit_backend(self, monkeypatch):
         # A name only the environment carries fails resolution, so the
         # variable is read — and a bad one fails loudly.
-        monkeypatch.setenv(backends.ENV_VAR, "no-such-backend")
-        with pytest.raises(UnknownBackendError, match="installed backends: numpy"):
+        monkeypatch.setenv("REPRO_BACKEND", "no-such-backend")
+        with pytest.raises(BackendError, match="installed backends: numpy"):
             resolve_backend(None)
         # Explicit names still win over the environment.
         assert resolve_backend("numpy").name == "numpy"
@@ -255,12 +249,12 @@ class TestRuntimePlumbing:
         assert pinned.calls, "%s dispatched no kernel to its pinned backend" % system_name
 
     def test_unknown_backend_fails_system_construction(self):
-        with pytest.raises(UnknownBackendError, match="installed backends"):
+        with pytest.raises(BackendError, match="installed backends"):
             make_system("hytgraph", self.graph(), backend="no-such-backend")
 
     @pytest.mark.skipif(NUMBA_INSTALLED, reason="numba is installed here")
     def test_unavailable_backend_fails_system_construction(self):
-        with pytest.raises(BackendUnavailableError, match="numba"):
+        with pytest.raises(BackendError, match="numba"):
             make_system("subway", self.graph(), backend="numba")
 
     def test_batch_results_record_their_backend(self):

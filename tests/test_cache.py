@@ -59,14 +59,8 @@ class TestPolicyRegistry:
             make_policy("clock")
 
     def test_policy_instance_passes_through(self):
-        policy = FrontierAwarePolicy(decay=0.25)
+        policy = FrontierAwarePolicy()
         assert make_policy(policy) is policy
-
-    def test_frontier_aware_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            FrontierAwarePolicy(decay=1.0)
-        with pytest.raises(ValueError):
-            FrontierAwarePolicy(idle_evict_after=0)
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

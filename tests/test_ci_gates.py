@@ -3,12 +3,14 @@
 The replay gate's reference file was once git-ignored, so the job could
 only crash on a missing file.  These tests keep every gate honest from a
 clean checkout: each ``--check-against`` path named in the workflow is
-tracked by git, a missing reference is a one-line named error, and the
-replay and perf gates exit 1 under their own ``--inject-*`` knobs.
+tracked by git, a missing reference is a one-line named error, the
+replay and perf gates exit 1 under their own ``--inject-*`` knobs, and
+the numba leg's skip check still matches the suites' skip reasons.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -60,6 +62,39 @@ def test_missing_reference_is_a_named_error(script, tmp_path):
     assert result.stderr.strip() == (
         "error: --check-against reference %s does not exist" % missing
     )
+
+
+def _skip_reasons(path: Path) -> list[str]:
+    """The literal text of every ``pytest.skip(...)`` reason in a test module."""
+    reasons = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "skip"
+            and node.args
+        ):
+            reason = node.args[0]
+            parts = reason.values if isinstance(reason, ast.JoinedStr) else [reason]
+            reasons.append("".join(
+                part.value for part in parts
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            ))
+    return reasons
+
+
+def test_numba_leg_grep_matches_the_backend_skip_reasons():
+    # The numba leg fails when a backend suite skips for a missing
+    # backend, by grepping the -rs output.  Rewording either side would
+    # silently disable that gate, so the two strings are pinned together.
+    grep = re.search(r'grep -q "([^"]+)" numba_suites\.log', WORKFLOW.read_text())
+    assert grep is not None, "the numba leg no longer greps its suite log"
+    for suite in ("test_kernels.py", "test_runtime_equivalence.py"):
+        assert suite in WORKFLOW.read_text()
+        reasons = _skip_reasons(ROOT / "tests" / suite)
+        assert reasons, "%s has no backend skip" % suite
+        for reason in reasons:
+            assert grep.group(1) in reason, (suite, reason)
 
 
 def test_replay_gate_fires_under_injected_latency(tmp_path):

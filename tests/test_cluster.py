@@ -233,8 +233,6 @@ class TestRouterDeterminism:
     def test_ring_validation(self):
         with pytest.raises(ValueError, match="hosts"):
             ConsistentHashRing(0)
-        with pytest.raises(ValueError, match="vnodes"):
-            ConsistentHashRing(2, vnodes=0)
         with pytest.raises(ValueError, match="alive"):
             ConsistentHashRing(2).affine_host("k", [])
 

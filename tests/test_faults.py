@@ -17,7 +17,7 @@ earlier in the same iteration, so re-sharding after a device loss
 legitimately changes the accumulation order.  Those recover to the same
 fixed point within convergence tolerance and get their own test.
 
-Around the grid: unit tests of the spec grammar, the retry policy, the
+Around the grid: unit tests of the spec grammar, the retry backoff, the
 injector's determinism, the cache's fault-recovery surface, host
 fallback, permanent failures, deadline cancellation and the service's
 circuit breaker.
@@ -32,13 +32,14 @@ import pytest
 
 from repro.algorithms import make_algorithm
 from repro.faults import (
+    MAX_ATTEMPTS,
     CircuitBreaker,
     FaultInjector,
     FaultKind,
     FaultSchedule,
     FaultSpec,
     QueryCheckpoint,
-    RetryPolicy,
+    backoff_seconds,
 )
 from repro.graph.generators import rmat_graph
 from repro.runtime.batch import QueryBatchRunner
@@ -245,15 +246,12 @@ class TestFaultSpec:
         pure_cluster = FaultSchedule.parse("host-loss@1:host=0")
         assert pure_cluster.without_host_loss() is None
 
-    def test_retry_policy(self):
-        policy = RetryPolicy(max_attempts=3, backoff_base_s=1e-3, backoff_multiplier=2.0)
-        assert policy.backoff_seconds(0) == 0.0
-        assert policy.backoff_seconds(1) == pytest.approx(1e-3)
-        assert policy.backoff_seconds(3) == pytest.approx(1e-3 * (1 + 2 + 4))
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_multiplier=0.5)
+    def test_backoff_is_a_doubling_series_from_ten_microseconds(self):
+        # The i-th retry waits 1e-5 * 2**i s: the waits sum to 1e-5 * (2**n - 1).
+        assert MAX_ATTEMPTS == 4
+        for failed in range(MAX_ATTEMPTS + 1):
+            expected = 1e-5 * (2**failed - 1)
+            assert backoff_seconds(failed) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +365,7 @@ def test_exhausted_retries_fail_the_query_typed(graph, config):
     assert faulted.failed_queries == faulted.num_queries
     for result in faulted.results:
         assert result.extra["fault_status"] == "failed"
-        assert result.extra["fault_attempts"] == RetryPolicy().max_attempts
+        assert result.extra["fault_attempts"] == MAX_ATTEMPTS
         assert "persisted" in result.extra["fault_cause"]
         assert result.values is None
         assert not result.converged
@@ -390,18 +388,18 @@ def test_deadline_cancellation_is_typed(graph, config):
 
 
 def test_circuit_breaker_state_machine():
-    breaker = CircuitBreaker(threshold=2, cooldown=2)
+    breaker = CircuitBreaker()
+    breaker.record(1)
+    breaker.record(3)
+    breaker.record(0)  # a clean wave restarts the faulty streak
+    breaker.record(1)
     breaker.record(1)
     assert not breaker.open
-    breaker.record(3)
+    breaker.record(2)
     assert breaker.open
     assert breaker.trips == 1
     breaker.record(0)
-    assert breaker.open  # one clean wave < cooldown
-    breaker.record(0)
     assert not breaker.open
-    with pytest.raises(ValueError):
-        CircuitBreaker(threshold=0)
 
 
 def make_service(graph, config, devices=2, **overrides):
@@ -411,28 +409,44 @@ def make_service(graph, config, devices=2, **overrides):
 
 
 def test_service_surfaces_query_failed(graph, config):
-    service = make_service(
-        graph, config, faults="transfer-flaky:p=1.0", breaker_threshold=1
-    )
+    service = make_service(graph, config, faults="transfer-flaky:p=1.0")
     handle = service.submit(QueryRequest("sssp", source=0))
     service.drain()
     assert handle.status is RequestStatus.FAILED
     assert handle.done
     with pytest.raises(QueryFailed, match="persisted") as excinfo:
         handle.result()
-    assert excinfo.value.attempts == RetryPolicy().max_attempts
+    assert excinfo.value.attempts == MAX_ATTEMPTS
     stats = service.stats()
     assert stats.failed == 1
-    assert stats.breaker_open
+    assert not stats.breaker_open  # one faulty wave is below the threshold
     assert stats.faults_injected >= 1
 
 
+def test_breaker_opens_after_three_faulty_waves_and_closes_after_one_clean(graph, config):
+    service = make_service(graph, config, faults="transfer-flaky:p=1.0")
+    opened = []
+    for source in (0, 7, 19):
+        service.submit(QueryRequest("sssp", source=source))
+        (batch,) = service.drain()
+        assert batch.faults_injected > 0
+        opened.append(service.breaker.open)
+    assert opened == [False, False, True]
+    assert service.stats().breaker_trips == 1
+    # A query from a sink ships no edge data, so its wave draws no fault.
+    sink = int(np.flatnonzero(graph.out_degrees == 0)[0])
+    service.submit(QueryRequest("sssp", source=sink))
+    (batch,) = service.drain()
+    assert batch.faults_injected == 0
+    assert not service.breaker.open
+    assert service.stats().breaker_trips == 1
+
+
 def test_open_breaker_sheds_queued_bulk_work(graph, config):
-    service = make_service(
-        graph, config, faults="transfer-flaky:p=1.0", breaker_threshold=1
-    )
-    service.submit(QueryRequest("sssp", source=0))
-    service.drain()
+    service = make_service(graph, config, faults="transfer-flaky:p=1.0")
+    for source in (0, 7, 19):
+        service.submit(QueryRequest("sssp", source=source))
+        service.drain()
     assert service.breaker.open
     bulk = service.submit(QueryRequest("sssp", source=7, priority=Priority.BULK))
     interactive = service.submit(
@@ -498,12 +512,6 @@ def test_service_config_validation():
         ServiceConfig(admission_policy="drop")
     with pytest.raises(ValueError, match="unknown cache policy"):
         ServiceConfig(cache_policy="mru")
-    with pytest.raises(ValueError, match="checkpoint_interval"):
-        ServiceConfig(checkpoint_interval=0)
-    with pytest.raises(ValueError, match="breaker_threshold"):
-        ServiceConfig(breaker_threshold=0)
-    with pytest.raises(ValueError, match="breaker_cooldown"):
-        ServiceConfig(breaker_cooldown=0)
     with pytest.raises(ValueError, match="unknown fault kind"):
         ServiceConfig(faults="explosion:p=1")
     parsed = ServiceConfig(faults="device-loss@1", chaos_seed=9)

@@ -8,6 +8,7 @@ import pytest
 from repro.algorithms import BFS, ConnectedComponents, DeltaPageRank, PHP, SSSP, reference
 from repro.core.engine import HyTGraphEngine, HyTGraphOptions
 from repro.core.selection import SelectionThresholds
+from repro.graph.partition import DEFAULT_PARTITION_DIVISOR, partition_by_bytes
 from repro.systems import make_system
 from repro.transfer.base import EngineKind
 
@@ -175,10 +176,13 @@ class TestBehaviour:
         result = HyTGraphEngine(medium_rmat_graph, options=options, num_partitions=8).run(SSSP(), source=source)
         assert result.converged
 
-    def test_partition_bytes_option(self, medium_rmat_graph):
-        engine = HyTGraphEngine(
-            medium_rmat_graph, options=HyTGraphOptions(hub_sorting=False), partition_bytes=2048
-        )
+    def test_default_partitioning_is_the_divisor_byte_budget(self, medium_rmat_graph):
+        engine = HyTGraphEngine(medium_rmat_graph, options=HyTGraphOptions(hub_sorting=False))
+        budget = medium_rmat_graph.edge_data_bytes // DEFAULT_PARTITION_DIVISOR
+        expected = partition_by_bytes(medium_rmat_graph, budget)
+        assert [(p.vertex_start, p.vertex_end) for p in engine.partitioning] == [
+            (p.vertex_start, p.vertex_end) for p in expected
+        ]
         assert engine.partitioning.num_partitions > 4
 
     def test_empty_graph(self):

@@ -456,25 +456,6 @@ class TestServiceTracing:
             service.export_trace(tmp_path / "trace.json")
 
 
-class TestSoloRunTracing:
-    def test_driver_emits_iteration_and_device_spans(self, obs_graph, obs_hardware):
-        system = make_system("hytgraph", obs_graph, config=obs_hardware)
-        tracer = Tracer()
-        system.context.tracer = tracer
-        from repro.algorithms import make_algorithm
-
-        result = system.run(make_algorithm("bfs"), source=0)
-        spans = tracer.spans()
-        tiles = [span for span in spans if span.category == "iteration"]
-        assert len(tiles) == result.num_iterations
-        assert tiles[0].start_s == 0.0
-        assert tiles[-1].end_s == pytest.approx(result.total_time)
-        for tile, stats in zip(tiles, result.iterations):
-            assert tile.duration_s == pytest.approx(stats.time)
-            assert tile.attrs["active_vertices"] == stats.active_vertices
-        assert any(span.category == "device" for span in spans)
-
-
 class TestRunResultObservability:
     def test_run_observability(self, obs_graph, obs_hardware):
         system = make_system("hytgraph", obs_graph, config=obs_hardware)
@@ -502,6 +483,33 @@ class TestReplayTracing:
         tracks = {span.track for span in service.tracer.spans()}
         assert not any(track.startswith("query:") for track in tracks)
         assert "service" in tracks
+
+    @pytest.mark.parametrize("cache_policy", ["static-prefix", "lru"])
+    def test_verification_reruns_leave_the_trace_untouched(
+        self, obs_graph, obs_hardware, cache_policy
+    ):
+        # The solo re-runs share the service's context, hence its tracer
+        # and its cache: they must add nothing to the trace.
+        from repro.service import timed_mixed_trace
+
+        def replay(verify_sample):
+            service = GraphService(
+                ServiceConfig(
+                    system="hytgraph", tracing=True, preemption=True, cache_policy=cache_policy
+                ),
+                graph=obs_graph, hardware=obs_hardware,
+            )
+            report = ReplayHarness(service, verify_sample=verify_sample).replay(
+                timed_mixed_trace(obs_graph, 60, 2000.0, process="poisson", seed=17)
+            )
+            return report, service
+
+        _, plain = replay(0)
+        report, verified = replay(5)
+        assert report.verified_queries == 5 and report.verified_bitwise
+        assert spans_to_jsonl(verified.tracer.spans()) == spans_to_jsonl(plain.tracer.spans())
+        counters = [service.metrics().snapshot()["counters"] for service in (plain, verified)]
+        assert counters[0]["trace.spans"] == counters[1]["trace.spans"]
 
     def test_null_tracer_accepts_the_hook(self, obs_graph, obs_hardware):
         from repro.service import synthetic_mixed_trace

@@ -121,6 +121,40 @@ def test_reverse_is_involution(data):
     np.testing.assert_array_equal(double_reversed.column_index, graph.column_index)
 
 
+def scipy_is_symmetric(graph):
+    """The oracle: the adjacency matrix (edge multiplicities) equals its transpose."""
+    from scipy.sparse import csr_matrix
+
+    adjacency = csr_matrix(
+        (np.ones(graph.num_edges, dtype=np.int64), graph.column_index, graph.row_offset),
+        shape=(graph.num_vertices, graph.num_vertices),
+    )
+    return (adjacency != adjacency.T).nnz == 0
+
+
+@COMMON_SETTINGS
+@given(
+    edge_lists(max_vertices=12, max_edges=40),
+    st.sampled_from(["as-is", "symmetrize", "mirror", "mirror-but-one"]),
+    st.integers(min_value=0, max_value=4),
+)
+def test_is_symmetric_matches_scipy(data, shape, self_loops):
+    num_vertices, edges, _ = data
+    edges = edges + [(vertex, vertex) for vertex in range(min(self_loops, num_vertices))]
+    if shape.startswith("mirror"):
+        # Every edge plus its reverse, duplicates kept; optionally drop one reverse.
+        reversed_edges = [(dst, src) for src, dst in edges]
+        edges = edges + reversed_edges[1 if shape == "mirror-but-one" else 0 :]
+    graph = CSRGraph.from_edges(edges, num_vertices=num_vertices)
+    if shape == "symmetrize":
+        graph = graph.symmetrize()
+    expected = scipy_is_symmetric(graph)
+    assert graph.is_symmetric == expected
+    assert graph.is_symmetric == expected  # the cached answer
+    if shape in ("symmetrize", "mirror"):
+        assert expected
+
+
 @COMMON_SETTINGS
 @given(edge_lists(), st.integers(min_value=1, max_value=10))
 def test_partitioning_tiles_any_graph(data, num_partitions):
