@@ -76,7 +76,7 @@ import gc
 import json
 import platform
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,14 @@ def _seed_gather_edge_indices(graph, vertices):
     edge_indices = np.repeat(starts, degrees) + within
     sources = vertices[repeats]
     return edge_indices, sources
+
+
+def _seed_out_edges(graph, vertices, weighted=False):
+    """``out_edges`` as the seed computed it: per-edge indices, then gathers."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    edge_indices, _ = _seed_gather_edge_indices(graph, vertices)
+    weights = graph.edge_value[edge_indices] if weighted else None
+    return graph.column_index[edge_indices], weights, graph.out_degrees[vertices]
 
 
 def _seed_task_vertex_mask(self, task):
@@ -388,7 +396,32 @@ def _seed_estimate(self, active_mask, active_ids=None):
     )
 
 
-_ALGORITHM_MODULES = (sssp_module, bfs_module, cc_module, pagerank_module, php_module)
+#: ``(owner, attribute, seed replacement)`` for every hot path the seed
+#: baseline swaps; the algorithm modules' entry is the name their
+#: ``process`` methods look up at call time.
+_SEED_SWAPS = (
+    (HyTGraphEngine, "run", _seed_run),
+    (TaskCombiner, "combine", _seed_combine),
+    (CostModel, "estimate", _seed_estimate),
+) + tuple(
+    (module, "out_edges", _seed_out_edges)
+    for module in (sssp_module, bfs_module, cc_module, pagerank_module, php_module)
+)
+
+
+@contextmanager
+def _swapped(owner, name, replacement):
+    # Assigning a name the owner does not define would add an attribute
+    # nothing reads, and every "vs seed" row would time the code against
+    # itself: a missing target is an error.
+    if name not in vars(owner):
+        raise AttributeError("seed_baseline: %s defines no %r to swap" % (owner.__name__, name))
+    saved = vars(owner)[name]
+    setattr(owner, name, replacement)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
 
 
 @contextmanager
@@ -396,30 +429,18 @@ def seed_baseline():
     """Restore every replaced hot path to its seed implementation.
 
     Inside the context, algorithm scatters run on :class:`_SeedKernels`
-    (``ufunc.at`` + ``np.unique``), the engine allocates per-task ``|V|``
+    (``ufunc.at`` + ``np.unique``), every push gathers its out-edges
+    through per-edge indices, the engine allocates per-task ``|V|``
     masks, the combiner re-sorts task frontiers and the cost model
     rescans the frontier bitmap — i.e. the code the seed repository
     shipped.  The systems it runs are unpinned, so the ambient backend is
     the one their sessions use.
     """
-    saved_run = HyTGraphEngine.run
-    saved_combine = TaskCombiner.combine
-    saved_estimate = CostModel.estimate
-    saved_gather = [module.gather_edge_indices for module in _ALGORITHM_MODULES]
-    HyTGraphEngine.run = _seed_run
-    TaskCombiner.combine = _seed_combine
-    CostModel.estimate = _seed_estimate
-    for module in _ALGORITHM_MODULES:
-        module.gather_edge_indices = _seed_gather_edge_indices
-    try:
-        with use_backend(_SeedKernels()):
-            yield
-    finally:
-        HyTGraphEngine.run = saved_run
-        TaskCombiner.combine = saved_combine
-        CostModel.estimate = saved_estimate
-        for module, gather in zip(_ALGORITHM_MODULES, saved_gather):
-            module.gather_edge_indices = gather
+    with ExitStack() as stack:
+        for owner, name, replacement in _SEED_SWAPS:
+            stack.enter_context(_swapped(owner, name, replacement))
+        stack.enter_context(use_backend(_SeedKernels()))
+        yield
 
 
 # ----------------------------------------------------------------------

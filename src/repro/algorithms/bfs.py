@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices, single_vertex
+from repro.algorithms.base import ProgramState, VertexProgram, out_edges, single_vertex
 from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 
@@ -37,11 +37,10 @@ class BFS(VertexProgram):
 
     def process(self, graph: CSRGraph, state: ProgramState, active_vertices: np.ndarray) -> np.ndarray:
         levels = state["level"]
-        edge_indices, sources = gather_edge_indices(graph, active_vertices)
-        if edge_indices.size == 0:
+        destinations, _, degrees = out_edges(graph, active_vertices)
+        if destinations.size == 0:
             return np.zeros(0, dtype=np.int64)
-        destinations = graph.column_index[edge_indices]
-        candidates = levels[sources] + 1.0
+        candidates = (levels[active_vertices] + 1.0).repeat(degrees)
         # Fused min-combine scatter: applies the level updates and returns
         # the destinations whose level dropped (repro.core.backends).
         return active_backend().push_and_activate(levels, destinations, candidates, combine="min")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices
+from repro.algorithms.base import ProgramState, VertexProgram, out_edges
 from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 
@@ -37,11 +37,10 @@ class ConnectedComponents(VertexProgram):
 
     def process(self, graph: CSRGraph, state: ProgramState, active_vertices: np.ndarray) -> np.ndarray:
         labels = state["label"]
-        edge_indices, sources = gather_edge_indices(graph, active_vertices)
-        if edge_indices.size == 0:
+        destinations, _, degrees = out_edges(graph, active_vertices)
+        if destinations.size == 0:
             return np.zeros(0, dtype=np.int64)
-        destinations = graph.column_index[edge_indices]
-        candidates = labels[sources]
+        candidates = labels[active_vertices].repeat(degrees)
         # Fused min-combine scatter: propagates the labels and returns the
         # destinations whose label shrank (repro.core.backends).
         return active_backend().push_and_activate(labels, destinations, candidates, combine="min")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices
+from repro.algorithms.base import ProgramState, VertexProgram, out_edges
 from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 
@@ -72,22 +72,16 @@ class DeltaPageRank(VertexProgram):
         deltas = state["delta"]
 
         # Fold residuals into ranks and capture the outgoing contribution.
-        outgoing = deltas[active_vertices].copy()
+        outgoing = deltas[active_vertices]
         ranks[active_vertices] += outgoing
         deltas[active_vertices] = 0.0
 
-        degrees = graph.out_degrees[active_vertices]
-        has_edges = degrees > 0
-        senders = active_vertices[has_edges]
-        if senders.size == 0:
+        destinations, _, degrees = out_edges(graph, active_vertices)
+        if destinations.size == 0:
             return np.zeros(0, dtype=np.int64)
-        per_edge_share = self.damping * outgoing[has_edges] / degrees[has_edges]
-
-        edge_indices, _ = gather_edge_indices(graph, senders)
-        destinations = graph.column_index[edge_indices]
-        # gather_edge_indices emits each sender's edges contiguously, so the
-        # per-sender share can simply be repeated by out-degree.
-        shares = np.repeat(per_edge_share, degrees[has_edges])
+        # Each sender splits its residual evenly over its out-edges; a
+        # sender without edges repeats zero times, so its share is unused.
+        shares = (self.damping * outgoing / np.maximum(degrees, 1)).repeat(degrees)
         # Fused add-combine scatter: accumulates the shares and returns every
         # destination whose residual now exceeds the tolerance — destinations
         # that were already above it stay on the frontier, so no separate

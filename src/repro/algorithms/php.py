@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices, single_vertex
+from repro.algorithms.base import ProgramState, VertexProgram, out_edges, single_vertex
 from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 
@@ -60,22 +60,13 @@ class PHP(VertexProgram):
         deltas = state["delta"]
         source = int(state["source"][0])
 
-        outgoing = deltas[active_vertices].copy()
+        outgoing = deltas[active_vertices]
         values[active_vertices] += outgoing
         deltas[active_vertices] = 0.0
 
-        degrees = graph.out_degrees[active_vertices]
-        has_edges = degrees > 0
-        senders = active_vertices[has_edges]
-        if senders.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        per_edge_share = self.penalty * outgoing[has_edges] / degrees[has_edges]
-
-        edge_indices, _ = gather_edge_indices(graph, senders)
-        destinations = graph.column_index[edge_indices]
-        # gather_edge_indices emits each sender's edges contiguously, so the
-        # per-sender share can simply be repeated by out-degree.
-        shares = np.repeat(per_edge_share, degrees[has_edges])
+        destinations, _, degrees = out_edges(graph, active_vertices)
+        # A sender without edges repeats zero times, so its share is unused.
+        shares = (self.penalty * outgoing / np.maximum(degrees, 1)).repeat(degrees)
         # The source absorbs mass without re-emitting it (penalised hitting).
         keep = destinations != source
         destinations = destinations[keep]

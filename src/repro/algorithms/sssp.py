@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ProgramState, VertexProgram, gather_edge_indices, single_vertex
+from repro.algorithms.base import ProgramState, VertexProgram, out_edges, single_vertex
 from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 
@@ -39,12 +39,10 @@ class SSSP(VertexProgram):
 
     def process(self, graph: CSRGraph, state: ProgramState, active_vertices: np.ndarray) -> np.ndarray:
         distances = state["dist"]
-        edge_indices, sources = gather_edge_indices(graph, active_vertices)
-        if edge_indices.size == 0:
+        destinations, weights, degrees = out_edges(graph, active_vertices, weighted=True)
+        if destinations.size == 0:
             return np.zeros(0, dtype=np.int64)
-        destinations = graph.column_index[edge_indices]
-        weights = graph.edge_value[edge_indices]
-        candidates = distances[sources] + weights
+        candidates = distances[active_vertices].repeat(degrees) + weights
         # Fused min-combine scatter: relaxes all edges and returns the
         # destinations whose distance improved (repro.core.backends).
         return active_backend().push_and_activate(distances, destinations, candidates, combine="min")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ALGORITHMS, make_algorithm, reference
-from repro.algorithms.base import gather_edge_indices
+from repro.algorithms.base import out_edges
 from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.pagerank import DeltaPageRank
@@ -36,22 +36,28 @@ def run_synchronously(program, graph, source=None, max_iterations=10_000):
     return program.vertex_result(state)
 
 
-class TestGatherEdgeIndices:
+class TestOutEdges:
     def test_matches_manual_slices(self, paper_graph):
-        edge_indices, sources = gather_edge_indices(paper_graph, np.array([1, 3]))
-        expected_indices = list(range(2, 4)) + list(range(6, 8))
-        np.testing.assert_array_equal(edge_indices, expected_indices)
-        np.testing.assert_array_equal(sources, [1, 1, 3, 3])
+        # CSR slices 2:4 (b -> c, d) and 6:8 (d -> e, f), in vertex order.
+        destinations, weights, degrees = out_edges(paper_graph, np.array([3, 1]), weighted=True)
+        np.testing.assert_array_equal(destinations, [4, 5, 2, 3])
+        np.testing.assert_array_equal(weights, [1.0, 4.0, 2.0, 1.0])
+        np.testing.assert_array_equal(degrees, [2, 2])
+        destinations, weights, degrees = out_edges(paper_graph, np.array([1, 3]))
+        np.testing.assert_array_equal(destinations, [2, 3, 4, 5])
+        assert weights is None
+        np.testing.assert_array_equal(degrees, [2, 2])
 
     def test_empty_input(self, paper_graph):
-        edge_indices, sources = gather_edge_indices(paper_graph, np.array([], dtype=np.int64))
-        assert edge_indices.size == 0
-        assert sources.size == 0
+        destinations, weights, degrees = out_edges(paper_graph, np.array([], dtype=np.int64), weighted=True)
+        assert destinations.size == 0 and weights.size == 0 and degrees.size == 0
+        assert destinations.dtype == degrees.dtype == np.int64
 
     def test_zero_degree_vertices(self):
         graph = path_graph(4)
-        edge_indices, sources = gather_edge_indices(graph, np.array([3]))
-        assert edge_indices.size == 0
+        destinations, _, degrees = out_edges(graph, np.array([3]))
+        assert destinations.size == 0
+        np.testing.assert_array_equal(degrees, [0])
 
 
 class TestSSSP:

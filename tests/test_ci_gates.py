@@ -4,8 +4,9 @@ The replay gate's reference file was once git-ignored, so the job could
 only crash on a missing file.  These tests keep every gate honest from a
 clean checkout: each ``--check-against`` path named in the workflow is
 tracked by git, a missing reference is a one-line named error, the
-replay and perf gates exit 1 under their own ``--inject-*`` knobs, and
-the numba leg's skip check still matches the suites' skip reasons.
+replay and perf gates exit 1 under their own ``--inject-*`` knobs, the
+perf gate's seed baseline really swaps in the seed gather, and the numba
+leg's skip check still matches the suites' skip reasons.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import repro.algorithms.cc as cc_module
+from repro.algorithms import make_algorithm
+from repro.core.engine import HyTGraphEngine
+from repro.graph.generators import rmat_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
@@ -97,6 +104,22 @@ def test_numba_leg_grep_matches_the_backend_skip_reasons():
             assert grep.group(1) in reason, (suite, reason)
 
 
+def test_paper_report_digests_cover_every_paper_bench_report():
+    # The paper-benches job checks the reports against committed digests;
+    # a report missing from the list would be written but never compared.
+    workflow = WORKFLOW.read_text()
+    assert "sha256sum --check --quiet benchmarks/paper_reports.sha256" in workflow
+    benches = set(re.findall(r"benchmarks/(bench_(?:table|fig|ablation)\w*\.py)", workflow))
+    assert len(benches) == 10, benches
+    written = set()
+    for bench in benches:
+        source = (ROOT / "benchmarks" / bench).read_text()
+        written.update(re.findall(r'report_writer\(\s*"([^"]+)"', source))
+    digests = (ROOT / "benchmarks" / "paper_reports.sha256").read_text().splitlines()
+    pinned = {re.fullmatch(r"[0-9a-f]{64}  benchmarks/results/(\w+)\.txt", line).group(1) for line in digests}
+    assert pinned == written and len(pinned) == 19
+
+
 def test_replay_gate_fires_under_injected_latency(tmp_path):
     # The 10^4-query scale phase is cut down (it dominates the smoke's
     # wall time); the three regime rows still compare like for like.
@@ -109,15 +132,55 @@ def test_replay_gate_fires_under_injected_latency(tmp_path):
     assert "GATE FAILURE: regime:saturated: interactive p95" in result.stdout
 
 
-def test_tracing_overhead_gate_fires_under_injected_slowdown():
-    # In process and on a tiny serve (the smoke's 60 rounds take ~13 s):
-    # --inject-slowdown reaches the traced side, and an over-ceiling row
-    # alone fails a payload that otherwise equals its reference.
+def _perf_harness():
     spec = importlib.util.spec_from_file_location(
         "bench_perf_hotpaths", ROOT / "benchmarks" / "bench_perf_hotpaths.py"
     )
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_seed_baseline_pushes_through_the_seed_gather(monkeypatch):
+    # Every "vs seed" row of the perf gate times the seed gather only if
+    # seed_baseline() swaps the name the programs actually call.
+    bench = _perf_harness()
+    calls = []
+    seed_gather = bench._seed_gather_edge_indices
+
+    def counting_gather(graph, vertices):
+        calls.append(vertices)
+        return seed_gather(graph, vertices)
+
+    monkeypatch.setattr(bench, "_seed_gather_edge_indices", counting_gather)
+    graph = rmat_graph(64, 400, seed=3, weighted=True)
+    frontier = np.arange(graph.num_vertices)
+    for name in ("sssp", "bfs", "cc", "pr", "php"):
+        program = make_algorithm(name)
+        state = program.create_state(graph, 0 if program.needs_source else None)
+        program.process(graph, state, frontier)
+        assert not calls, "%s gathered through the seed outside seed_baseline()" % name
+        with bench.seed_baseline():
+            program.process(graph, state, frontier)
+        assert calls, "%s pushed without the seed gather inside seed_baseline()" % name
+        calls.clear()
+
+
+def test_seed_baseline_refuses_a_missing_swap_target(monkeypatch):
+    bench = _perf_harness()
+    run = HyTGraphEngine.run
+    monkeypatch.delattr(cc_module, "out_edges")
+    with pytest.raises(AttributeError, match="defines no 'out_edges'"):
+        with bench.seed_baseline():
+            pass
+    assert HyTGraphEngine.run is run  # the swaps made before the miss are undone
+
+
+def test_tracing_overhead_gate_fires_under_injected_slowdown():
+    # In process and on a tiny serve (the smoke's 60 rounds take ~13 s):
+    # --inject-slowdown reaches the traced side, and an over-ceiling row
+    # alone fails a payload that otherwise equals its reference.
+    bench = _perf_harness()
     tracing = bench.run_tracing_bench(300, 2000, 2, 1, repeats=1, inject_slowdown=2.0)
     assert tracing["HyTGraph"]["overhead_ratio"] > bench.TRACING_OVERHEAD_CEILING
     reference = json.loads((ROOT / "benchmarks" / "BENCH_perf_smoke.json").read_text())

@@ -9,8 +9,9 @@ formulation computed.  The seed formulation lives here as
 :class:`SeedKernels`, the oracle.  These property-style tests check the
 contract on seeded random inputs covering empty frontiers, self-loops,
 duplicate destinations and both the dense and the sparse activation
-formulations, for the raw kernels, for every ported ``process()`` and for
-full engine runs.
+formulations, for the raw kernels, for every ported ``process()`` under
+each ``out_edges`` regime (checked against the seed per-edge-index gather,
+which lives here too) and for full engine runs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import base as algorithms_base
+from repro.algorithms.base import out_edges
 from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.pagerank import DeltaPageRank
@@ -312,15 +315,31 @@ class TestActivationFormulations:
         assert_push_matches_seed(each_backend, target, destinations, values, combine, formulation)
 
 
+def seed_gather_edge_indices(graph, vertices):
+    """The seed CSR gather: per-edge indices and repeated sources."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if vertices.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    starts = graph.row_offset[vertices]
+    degrees = graph.row_offset[vertices + 1] - starts
+    total = int(degrees.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    repeats = np.repeat(np.arange(vertices.size), degrees)
+    cumulative = np.concatenate([[0], np.cumsum(degrees)])[:-1]
+    within = np.arange(total) - np.repeat(cumulative, degrees)
+    edge_indices = np.repeat(starts, degrees) + within
+    sources = vertices[repeats]
+    return edge_indices, sources
+
+
 def seed_process_reference(algorithm, graph, state_arrays, active_vertices):
     """Verbatim seed implementations of every ``process()`` hot path."""
-    from repro.algorithms.base import gather_edge_indices
-
     active_vertices = np.asarray(active_vertices, dtype=np.int64)
     if algorithm in ("sssp", "bfs", "cc"):
         key = {"sssp": "dist", "bfs": "level", "cc": "label"}[algorithm]
         target = state_arrays[key]
-        edge_indices, sources = gather_edge_indices(graph, active_vertices)
+        edge_indices, sources = seed_gather_edge_indices(graph, active_vertices)
         if edge_indices.size == 0:
             return np.zeros(0, dtype=np.int64)
         destinations = graph.column_index[edge_indices]
@@ -351,7 +370,7 @@ def seed_process_reference(algorithm, graph, state_arrays, active_vertices):
     if senders.size == 0:
         return np.zeros(0, dtype=np.int64)
     per_edge_share = rate * outgoing[has_edges] / degrees[has_edges]
-    edge_indices, _ = gather_edge_indices(graph, senders)
+    edge_indices, _ = seed_gather_edge_indices(graph, senders)
     destinations = graph.column_index[edge_indices]
     shares = np.repeat(per_edge_share, degrees[has_edges])
     if algorithm == "php":
@@ -369,6 +388,29 @@ def seed_process_reference(algorithm, graph, state_arrays, active_vertices):
     now_active = deltas[destinations] > tolerance
     newly = destinations[now_active & ~previous]
     return np.unique(np.concatenate([newly, destinations[now_active]]))
+
+
+def assert_process_matches_seed(name, program, graph, state, frontier):
+    """``program.process`` leaves the seed's state and frontier; ``state`` is untouched."""
+    expected_arrays = {key: value.copy() for key, value in state.arrays.items()}
+    expected_active = seed_process_reference(name, graph, expected_arrays, frontier)
+    actual_state = state.copy()
+    actual_active = program.process(graph, actual_state, frontier)
+    np.testing.assert_array_equal(expected_active, actual_active)
+    for key in expected_arrays:
+        np.testing.assert_array_equal(
+            bits(expected_arrays[key]), bits(actual_state[key]), err_msg="%s/%s" % (name, key)
+        )
+
+
+#: Every ported program, by the name ``seed_process_reference`` knows it by.
+PROGRAMS = [
+    ("sssp", SSSP()),
+    ("bfs", BFS()),
+    ("cc", ConnectedComponents()),
+    ("pr", DeltaPageRank()),
+    ("php", PHP()),
+]
 
 
 class TestPortedAlgorithms:
@@ -398,16 +440,7 @@ class TestPortedAlgorithms:
             count = int(rng.integers(1, graph.num_vertices + 1))
             yield np.sort(rng.choice(graph.num_vertices, size=count, replace=False))
 
-    @pytest.mark.parametrize(
-        "name, program",
-        [
-            ("sssp", SSSP()),
-            ("bfs", BFS()),
-            ("cc", ConnectedComponents()),
-            ("pr", DeltaPageRank()),
-            ("php", PHP()),
-        ],
-    )
+    @pytest.mark.parametrize("name, program", PROGRAMS)
     def test_process_matches_seed_bitwise(self, name, program):
         rng = np.random.default_rng(17)
         for graph in self.graphs():
@@ -417,15 +450,7 @@ class TestPortedAlgorithms:
             warm = np.arange(0, graph.num_vertices, 2, dtype=np.int64)
             program.process(graph, state, warm)
             for frontier in self.frontiers(graph, rng):
-                expected_arrays = {key: value.copy() for key, value in state.arrays.items()}
-                expected_active = seed_process_reference(name, graph, expected_arrays, frontier)
-                actual_state = state.copy()
-                actual_active = program.process(graph, actual_state, frontier)
-                np.testing.assert_array_equal(expected_active, actual_active)
-                for key in expected_arrays:
-                    np.testing.assert_array_equal(
-                        bits(expected_arrays[key]), bits(actual_state[key]), err_msg="%s/%s" % (name, key)
-                    )
+                assert_process_matches_seed(name, program, graph, state, frontier)
 
     def test_pagerank_activation_includes_already_hot_destinations(self):
         # The satellite fix: the returned frontier is exactly the unique
@@ -436,6 +461,113 @@ class TestPortedAlgorithms:
         state["delta"][1] = 1.0  # destination already above tolerance
         active = program.process(graph, state, np.array([0], dtype=np.int64))
         np.testing.assert_array_equal(active, [1, 2])
+
+
+def out_edge_regime(graph, vertices):
+    """The regime ``out_edges`` must take for ``vertices``, from its definition."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if vertices.size == 0 or not np.all(np.diff(vertices) > 0):
+        return "gather"
+    first, last = vertices[0], vertices[-1]
+    if last - first + 1 == vertices.size:
+        return "contiguous"
+    span_edges = graph.row_offset[last + 1] - graph.row_offset[first]
+    filled = algorithms_base.SPAN_DENSITY * graph.out_degrees[vertices].sum()
+    return "span" if filled >= span_edges else "gather"
+
+
+@pytest.fixture(params=["contiguous", "span", "gather"])
+def gather_regime(request, monkeypatch):
+    """Force one ``out_edges`` regime on every vertex set that can take it.
+
+    A sorted vertex set normally reads its span or gathers by index
+    depending on how densely its edges fill the span, so a frontier
+    exercises only one of them.  Pinning ``SPAN_DENSITY`` to a huge value
+    sends every sorted, non-contiguous set with edges through the span
+    mask, and pinning it to zero sends them through the index gather.  The
+    contiguous regime is picked by the vertex set itself, so its frontiers
+    are id runs.
+    """
+    factor = {"contiguous": algorithms_base.SPAN_DENSITY, "span": 2**40, "gather": 0}[request.param]
+    monkeypatch.setattr(algorithms_base, "SPAN_DENSITY", factor)
+    return request.param
+
+
+class TestOutEdgeRegimes:
+    """Each ``out_edges`` regime alone reproduces the seed gather bitwise."""
+
+    def graphs(self):
+        # Vertices 2-5 have no out-edges: zero-degree runs inside spans.
+        gaps = CSRGraph.from_edges(
+            [(0, 7), (0, 0), (0, 7), (1, 3), (6, 1), (6, 6), (7, 0), (7, 2), (7, 6)],
+            num_vertices=8,
+            weights=[1.0, 2.0, 0.5, 4.0, 3.0, 1.0, 2.5, 1.5, 0.25],
+            name="zero-degree-runs",
+        )
+        random_graph = uniform_random_graph(60, 240, seed=41, weighted=True)
+        scale_free = rmat_graph(96, 700, seed=43, weighted=True)
+        return [gaps, random_graph, scale_free]
+
+    def frontiers(self, graph, rng):
+        n = graph.num_vertices
+        # Id runs: all vertices, the first and last vertex alone, random runs.
+        yield np.arange(n)
+        yield np.array([0])
+        yield np.array([n - 1])
+        for _ in range(6):
+            start = int(rng.integers(0, n))
+            yield np.arange(start, int(rng.integers(start + 1, n + 1)))
+        # Sorted sets with gaps, from the first to the last vertex.
+        yield np.array([0, n - 1])
+        for _ in range(8):
+            yield np.sort(rng.choice(n, size=int(rng.integers(2, n)), replace=False))
+        # Input no span regime may take: a span read would misalign it.
+        yield np.zeros(0, dtype=np.int64)
+        yield np.array([3, 5, 4, 6])  # a permuted id run
+        yield np.array([1, 1, 2, 6, 6])  # duplicates
+        yield rng.permutation(n)[: n // 2]
+
+    def regime_frontiers(self, graph, regime, rng):
+        """Frontiers that take ``regime``, each as int64, int32 and a list."""
+        hits = 0
+        for frontier in self.frontiers(graph, rng):
+            if out_edge_regime(graph, frontier) == regime:
+                hits += 1
+                yield frontier
+                yield frontier.astype(np.int32)
+                yield frontier.tolist()
+        assert hits >= 3, (graph.name, regime, hits)
+
+    def test_out_edges_match_seed_gather(self, gather_regime):
+        rng = np.random.default_rng(47)
+        for graph in self.graphs():
+            for variant in (graph, graph.without_weights()):
+                weighted = variant.is_weighted
+                for frontier in self.regime_frontiers(variant, gather_regime, rng):
+                    edge_indices, _ = seed_gather_edge_indices(variant, frontier)
+                    destinations, weights, degrees = out_edges(variant, frontier, weighted=weighted)
+                    np.testing.assert_array_equal(destinations, variant.column_index[edge_indices])
+                    expected_degrees = variant.out_degrees[np.asarray(frontier, dtype=np.int64)]
+                    np.testing.assert_array_equal(degrees, expected_degrees)
+                    assert destinations.dtype == degrees.dtype == np.int64
+                    if weighted:
+                        np.testing.assert_array_equal(bits(weights), bits(variant.edge_value[edge_indices]))
+                    else:
+                        assert weights is None
+                    # Only an id run reads the span in place.
+                    in_place = np.shares_memory(destinations, variant.column_index)
+                    assert in_place == (gather_regime == "contiguous" and destinations.size > 0)
+
+    @pytest.mark.parametrize("name, program", PROGRAMS)
+    def test_process_matches_seed_bitwise(self, gather_regime, name, program):
+        rng = np.random.default_rng(53)
+        for graph in self.graphs():
+            variants = [graph] if program.needs_weights else [graph, graph.without_weights()]
+            for variant in variants:
+                state = program.create_state(variant, 0 if program.needs_source else None)
+                program.process(variant, state, np.arange(0, variant.num_vertices, 3))
+                for frontier in self.regime_frontiers(variant, gather_regime, rng):
+                    assert_process_matches_seed(name, program, variant, state, frontier)
 
 
 class TestEngineEquivalence:
