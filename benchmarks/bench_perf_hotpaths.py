@@ -212,18 +212,29 @@ def _seed_execute_task(self, task, program, state, pending):
 
 
 def _seed_account_transfer(self, task):
+    """The seed's per-partition pricing, one partition at a time.
+
+    A filter partition holding an active vertex costs one whole-partition
+    copy from the context's tables; any other partition is priced alone,
+    as a one-slice ``transfer_task``.
+    """
     from repro.transfer.base import TransferOutcome
 
-    engine = self.engines[task.engine]
-    partitions = [self.partitioning[index] for index in task.partition_indices]
+    context = self.context
     bytes_total = 0
     transfer_time = 0.0
     cpu_time = 0.0
     overlapped = False
     active = task.active_vertices
-    for partition in partitions:
+    for index in task.partition_indices:
+        partition = self.partitioning[index]
         in_partition = active[(active >= partition.vertex_start) & (active < partition.vertex_end)]
-        outcome = engine.transfer(partition, in_partition)
+        if task.engine is EngineKind.EXP_FILTER:
+            if in_partition.size:
+                bytes_total += context.partition_bytes[index]
+                transfer_time += context.partition_copy_time[index]
+            continue
+        outcome = self.engines[task.engine].transfer_task(in_partition, (0, in_partition.size))
         bytes_total += outcome.bytes_transferred
         transfer_time += outcome.transfer_time
         cpu_time += outcome.cpu_time

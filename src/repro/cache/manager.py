@@ -235,16 +235,11 @@ class CacheManager:
         """Indices of the partitions resident on ``device`` (ascending)."""
         return np.flatnonzero(self.resident & (self.device_of == device))
 
-    def reuse_scores(self) -> np.ndarray | None:
-        """The policy's per-partition expected-reuse scores (or ``None``)."""
-        return self.policy.reuse_scores()
-
     def would_admit(self, index: int) -> bool:
         """Dry-run admission check: would :meth:`fill` keep this partition?
 
-        Lets cost models avoid *investing* in a whole-partition ship
-        whose bytes the policy would refuse to keep anyway (nothing is
-        evicted by this call).
+        Admission control counts a partition the policy would refuse to
+        keep as re-shipped churn (nothing is evicted by this call).
         """
         if not self.adaptive:
             return False

@@ -82,15 +82,6 @@ class EvictionPolicy(ABC):
     def observe_window(self, window_active_edges: np.ndarray) -> None:
         """Mid-iteration view of the accumulating frontier window."""
 
-    def reuse_scores(self) -> np.ndarray | None:
-        """Per-partition expected-reuse scores (``None``: policy has none).
-
-        Cost models may use these to *invest*: a partition that keeps
-        carrying active edges is worth one whole-partition ship now,
-        because every later iteration reads it from the cache for free.
-        """
-        return None
-
     @abstractmethod
     def victims(self, device: int, incoming: int, needed_bytes: int) -> list[int] | None:
         """Residents of ``device`` to evict so ``incoming`` fits.
@@ -203,9 +194,6 @@ class FrontierAwarePolicy(EvictionPolicy):
         # The EMA lags one iteration; blend in the current window so a
         # partition the wavefront just entered can displace cold ones.
         return max(self._score[partition], self._window_density[partition])
-
-    def reuse_scores(self) -> np.ndarray:
-        return np.maximum(self._score, self._window_density)
 
     def observe_window(self, window_active_edges: np.ndarray) -> None:
         self._window_density = window_active_edges / self._edges_safe

@@ -14,10 +14,11 @@ edges, what each candidate engine would cost:
   active vertex, with a damped round trip for unsaturated TLPs
   (Formula 3).
 
-All estimates are vectorised over partitions; RTT is an arbitrary common
-factor during comparison so the absolute value never matters, but the
-model keeps real seconds so the estimates can also be validated against
-the engines' actual execution in tests.
+All estimates are vectorised over partitions (the tests evaluate the
+formulas one partition at a time as their oracle); RTT is an arbitrary
+common factor during comparison so the absolute value never matters, but
+the model keeps real seconds so the estimates can also be validated
+against the engines' actual execution in tests.
 """
 
 from __future__ import annotations
@@ -48,15 +49,6 @@ class PartitionCosts:
     active_vertices: np.ndarray
     active_edges: np.ndarray
 
-    @property
-    def num_partitions(self) -> int:
-        """Number of partitions covered by the estimate."""
-        return self.filter_cost.size
-
-    def active_partitions(self) -> np.ndarray:
-        """Indices of partitions that contain at least one active edge."""
-        return np.nonzero(self.active_edges > 0)[0]
-
 
 class CostModel:
     """Formula 1-3 estimator bound to a graph, a partitioning and hardware."""
@@ -70,35 +62,6 @@ class CostModel:
         self._d1 = graph.edge_bytes_per_edge
         # Formula 1 depends only on the (static) partition sizes.
         self._static_filter_cost = self._filter_cost_from_edges(self._partition_edges)
-
-    # ------------------------------------------------------------------
-    # Individual formulas
-    # ------------------------------------------------------------------
-    def filter_cost(self, partition_index: int) -> float:
-        """Formula 1: whole-partition explicit transfer time."""
-        edges = int(self._partition_edges[partition_index])
-        return self._filter_cost_from_edges(np.array([edges]))[0]
-
-    def compaction_cost(self, active_edges: int, active_vertices: int) -> float:
-        """Formula 2's transfer term: compacted active edges + index array."""
-        return self._compaction_cost_from_counts(
-            np.array([active_edges]), np.array([active_vertices])
-        )[0]
-
-    def zero_copy_cost(self, active_vertex_ids: np.ndarray, partition_index: int) -> float:
-        """Formula 3: per-vertex zero-copy access with the damped RTT."""
-        active_vertex_ids = np.asarray(active_vertex_ids, dtype=np.int64)
-        if active_vertex_ids.size == 0:
-            return 0.0
-        degrees = self.graph.out_degrees[active_vertex_ids]
-        starts = self.graph.row_offset[active_vertex_ids] * self._d1
-        requests = self.pcie.requests_for_vertices(degrees, starts, value_bytes=self._d1)
-        total_requests = int(requests.sum())
-        num_tlps = int(np.ceil(total_requests / self.config.pcie_max_outstanding)) if total_requests else 0
-        partition_edges = int(self._partition_edges[partition_index])
-        active_edges = int(degrees.sum())
-        payload_fraction = active_edges / partition_edges if partition_edges else 0.0
-        return num_tlps * self.pcie.zero_copy_rtt(payload_fraction)
 
     # ------------------------------------------------------------------
     # Vectorised per-iteration estimation

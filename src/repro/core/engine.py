@@ -37,7 +37,8 @@ and the concurrent multi-query batch runner: whether a partition is
 already on a device — cache-resident, or shipped earlier in the transfer
 window by a peer query — is the context's decision
 (:attr:`~repro.runtime.context.ExecutionContext.claim`); every filter
-task is priced from the per-partition tables for what it leaves billable.
+task is priced from the context's per-partition tables for what it
+leaves billable.
 
 Performance architecture
 ------------------------
@@ -47,13 +48,15 @@ per partition (:class:`~repro.core.selection.SelectionResult`): the
 residency pin, the per-shard mask and the per-engine counts are array
 operations, and a run of consecutive filter partitions takes its actives
 as one slice of the iteration's single sorted frontier scan.  Static
-per-partition tables (vertex range, edge bytes, explicit-copy time) are
-built once per engine; pending vertices are found with slice views +
-``nonzero``, never an O(|V|) per-task mask.  Each scheduled task becomes
-one row of the :class:`~repro.sim.events.Timeline`, which maintains
-makespan, busy time per resource and finish time per owning query while
-it places; a merged co-schedule names each task's owner and class offset
-next to the task instead of copying it.
+per-partition tables are built once (vertex ranges per engine, edge bytes
+and explicit-copy time per context); pending vertices are found with
+slice views + ``nonzero``, never an O(|V|) per-task mask, and a
+compaction or zero-copy task is priced by one ``transfer_task`` call.
+Each scheduled task becomes one row of the
+:class:`~repro.sim.events.Timeline`, which maintains makespan, busy time
+per resource and finish time per owning query while it places; a merged
+co-schedule names each task's owner and class offset next to the task
+instead of copying it.
 
 Materialised on demand only: task labels, ``SelectionResult.choices``
 and ``Timeline.entries`` (the records the tracer and the tests read) —
@@ -94,7 +97,6 @@ from repro.sim.kernel import KernelModel
 from repro.sim.streams import StreamTask
 from repro.transfer.base import EngineKind, TransferEngine
 from repro.transfer.explicit_compaction import ExplicitCompactionEngine
-from repro.transfer.explicit_filter import ExplicitFilterEngine
 from repro.transfer.zero_copy import ZeroCopyEngine
 
 __all__ = ["HyTGraphOptions", "HyTGraphEngine"]
@@ -188,19 +190,16 @@ class HyTGraphEngine:
             self.graph, self.partitioning, enabled=self.options.contribution_scheduling
         )
         self.kernel_model = KernelModel(self.config)
+        # Filter tasks are priced from the context's per-partition tables.
         self.engines: dict[EngineKind, TransferEngine] = {
-            EngineKind.EXP_FILTER: ExplicitFilterEngine(self.graph, self.config),
             EngineKind.EXP_COMPACTION: ExplicitCompactionEngine(self.graph, self.config),
             EngineKind.IMP_ZERO_COPY: ZeroCopyEngine(self.graph, self.config),
         }
-        # Static per-partition tables (plain lists: the task loop indexes
-        # them one partition at a time).
+        # Static per-partition vertex ranges (plain lists: the task loop
+        # indexes them one partition at a time).
         partitions = self.partitioning.partitions
-        copy_time = self.engines[_FILTER].pcie.explicit_copy_time
         self._vertex_start = [partition.vertex_start for partition in partitions]
         self._vertex_end = [partition.vertex_end for partition in partitions]
-        self._edge_bytes = [partition.edge_bytes for partition in partitions]
-        self._copy_time = [copy_time(partition.edge_bytes) for partition in partitions]
 
         # Device-agnostic execution runtime: shards, the device-memory
         # cache and the shared-host scheduler.  One device is the
@@ -229,9 +228,7 @@ class HyTGraphEngine:
     # Session lifecycle
     # ------------------------------------------------------------------
     def reset_run_state(self) -> None:
-        """Reset warm cross-run state (engine caches, residency flags)."""
-        for engine in self.engines.values():
-            engine.reset()
+        """Reset warm cross-run state (residency flags, transfer window)."""
         self.context.reset()
 
     def start_session(self, program: VertexProgram, source: int | None = None) -> QuerySession:
@@ -558,16 +555,16 @@ class HyTGraphEngine:
         admission after a billed miss under the adaptive ones) and so
         are partitions a peer query already shipped this transfer
         window.  Every partition inside a task holds at least one active
-        vertex, so the billable cost is simply the tabulated
-        per-partition copy sum — identical to
-        :meth:`~repro.transfer.explicit_filter.ExplicitFilterEngine.transfer`'s
-        whole-partition pricing.  Compaction and zero-copy transfers are
-        query-specific and never shareable; resident partitions never
-        choose them (:meth:`_force_resident_filter`).
+        vertex, so the billable cost is simply the sum of the context's
+        per-partition copy table (whole-partition pricing).  Compaction
+        and zero-copy transfers are query-specific and never shareable;
+        resident partitions never choose them
+        (:meth:`_force_resident_filter`).
         """
         indices = task.partition_indices
         if task.engine is _FILTER:
-            edge_bytes, copy_time = self._edge_bytes, self._copy_time
+            context = self.context
+            edge_bytes, copy_time = context.partition_bytes, context.partition_copy_time
             bytes_total = 0
             transfer_time = 0.0
             for index in self.context.claim(indices):
@@ -576,11 +573,8 @@ class HyTGraphEngine:
             return bytes_total, transfer_time, 0.0, False
         # Priced by the task's transfer engine.  active_vertices is
         # sorted, so each partition's slice is found by bisection.
-        partitions = self.partitioning.partitions
         boundaries = [self._vertex_start[index] for index in indices]
         boundaries.append(self._vertex_end[indices[-1]])
         active = task.active_vertices
-        outcome = self.engines[task.engine].transfer_task(
-            [partitions[index] for index in indices], active, active.searchsorted(boundaries)
-        )
+        outcome = self.engines[task.engine].transfer_task(active, active.searchsorted(boundaries))
         return outcome.bytes_transferred, outcome.transfer_time, outcome.cpu_time, outcome.overlapped

@@ -16,9 +16,12 @@ crosses PCIe at most once — edge data is the same for every query.
 :attr:`ExecutionContext.claim` runs the billing protocol of one
 whole-partition (filter) ship — cache split, window dedup, miss tally,
 admission — and returns what is left to price; planners never test
-whether a cache exists.  Bytes saved by a peer's copy accumulate in
-:attr:`ExecutionContext.amortized_bytes` (a solo iteration claims each
-partition once, so there the dedup is the identity).
+whether a cache exists.  What is left is priced from the context's
+per-partition tables, :attr:`ExecutionContext.partition_bytes` and
+:attr:`ExecutionContext.partition_copy_time`.  Bytes saved by a peer's
+copy accumulate in :attr:`ExecutionContext.amortized_bytes` (a solo
+iteration claims each partition once, so there the dedup is the
+identity).
 
 ``num_devices == 1`` is not a separate code path: the context simply
 holds one shard covering the whole partitioning, every frontier split
@@ -61,6 +64,7 @@ from repro.cache.manager import CacheManager
 from repro.core.backends import KernelBackend, active_backend, resolve_backend
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.kernel import KernelModel
+from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
 
 __all__ = ["ExecutionContext", "MultiDeviceScheduler"]
@@ -213,7 +217,12 @@ class ExecutionContext:
         self.shipped: set[int] = set()
         #: Whole-partition bytes *not* re-shipped thanks to the window.
         self.amortized_bytes = 0
-        self._partition_bytes = [partition.edge_bytes for partition in partitioning.partitions]
+        #: The ExpTM-filter price, one entry per partition: its edge
+        #: bytes and their explicit-copy seconds (plain lists: planners
+        #: index them one partition at a time).
+        self.partition_bytes = [partition.edge_bytes for partition in partitioning.partitions]
+        copy_time = PCIeModel(config).explicit_copy_time
+        self.partition_copy_time = [copy_time(num_bytes) for num_bytes in self.partition_bytes]
         #: ``claim(partition_indices) -> billable indices`` (module
         #: docstring).  Bound once — the cache is mutated in place on
         #: device loss, never replaced — so the planners' per-task call
@@ -293,7 +302,7 @@ class ExecutionContext:
         fresh: list[int] = []
         for index in partition_indices:
             if index in shipped:
-                self.amortized_bytes += self._partition_bytes[index]
+                self.amortized_bytes += self.partition_bytes[index]
             else:
                 shipped.add(index)
                 fresh.append(index)

@@ -12,7 +12,6 @@ discrete-event simulator whose parameters come straight from the paper:
   the γ = 0.625 zero-copy round-trip damping factor (Section V-A).
 * :mod:`repro.sim.memory` — the 4-KB-page LRU cache used by the
   unified-memory engine.
-* :mod:`repro.sim.compaction` — the CPU active-edge compaction cost model.
 * :mod:`repro.sim.kernel` — GPU kernel and CPU processing time models.
 * :mod:`repro.sim.streams` — the multi-stream scheduler that overlaps CPU
   compaction, PCIe transfers and GPU kernels (Section VI-B, Figure 6).
@@ -37,7 +36,6 @@ from repro.sim.config import (
 )
 from repro.sim.pcie import PCIeModel
 from repro.sim.memory import PageCache
-from repro.sim.compaction import CompactionEngine
 from repro.sim.kernel import KernelModel
 from repro.sim.streams import StreamScheduler, StreamTask, Timeline, TimelineEntry
 
@@ -51,7 +49,6 @@ __all__ = [
     "default_config",
     "PCIeModel",
     "PageCache",
-    "CompactionEngine",
     "KernelModel",
     "StreamScheduler",
     "StreamTask",

@@ -38,11 +38,6 @@ class PageCacheStats:
     faults: int = 0
     evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of accessed pages served from the cache."""
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class PageCache:
     """LRU cache of unified-memory pages resident in device memory."""
@@ -58,10 +53,6 @@ class PageCache:
     def resident_pages(self) -> int:
         """Number of pages currently cached."""
         return len(self._pages)
-
-    def is_resident(self, page_id: int) -> bool:
-        """Whether ``page_id`` is currently in device memory."""
-        return page_id in self._pages
 
     def access(self, page_ids: np.ndarray) -> PageAccessResult:
         """Access a batch of pages, migrating the missing ones.
@@ -92,23 +83,3 @@ class PageCache:
         self.stats.faults += faults
         self.stats.evictions += evictions
         return PageAccessResult(hits=hits, faults=faults, evictions=evictions)
-
-    def pin(self, page_ids: np.ndarray) -> int:
-        """Insert pages without counting them as faults (Grus-style prefetch).
-
-        Returns the number of pages actually inserted (stops when the cache
-        is full; prefetched pages are never evicted by :meth:`pin`).
-        """
-        inserted = 0
-        for page_id in np.asarray(page_ids, dtype=np.int64).tolist():
-            if page_id in self._pages:
-                continue
-            if len(self._pages) >= self.capacity_pages:
-                break
-            self._pages[page_id] = None
-            inserted += 1
-        return inserted
-
-    def clear(self) -> None:
-        """Drop every cached page (new run)."""
-        self._pages.clear()

@@ -17,42 +17,22 @@ saturated TLP takes a round-trip time ``RTT``.
 * Unified memory migrates whole 4-KB pages at ``um_peak_fraction`` of the
   explicit-copy bandwidth plus a per-fault overhead.
 
-:class:`PCIeModel` packages these calculations; everything is vectorised
-over NumPy arrays so per-iteration planning over hundreds of partitions is
-cheap.
+:class:`PCIeModel` packages these calculations as prices of totals
+(``explicit_copy_time``, ``zero_copy_time``, ``page_migration_time``) and
+vectorised per-vertex counts (``requests_for_vertices``,
+``pages_for_byte_ranges``).  The transfer engines' ``transfer_task`` and
+the execution context's per-partition copy-time table are their callers;
+the estimator (:mod:`repro.core.cost_model`) vectorises the same formulas
+over partitions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.sim.config import HardwareConfig
 
-__all__ = ["PCIeModel", "ZeroCopyAccess"]
-
-
-@dataclass(frozen=True)
-class ZeroCopyAccess:
-    """Summary of a batch of zero-copy accesses.
-
-    Attributes
-    ----------
-    num_requests:
-        Total outstanding memory requests issued.
-    num_tlps:
-        Number of TLPs needed (``ceil(num_requests / MR)``).
-    payload_bytes:
-        Useful bytes actually carried (the active edge data).
-    time:
-        Seconds on the PCIe bus.
-    """
-
-    num_requests: int
-    num_tlps: int
-    payload_bytes: int
-    time: float
+__all__ = ["PCIeModel"]
 
 
 class PCIeModel:
@@ -123,13 +103,8 @@ class PCIeModel:
         gamma = self.config.zero_copy_gamma
         return (gamma + (1.0 - gamma) * payload_fraction) * self.config.tlp_round_trip_time
 
-    def zero_copy_access(
-        self,
-        degrees: np.ndarray,
-        start_bytes: np.ndarray | None = None,
-        value_bytes: int | None = None,
-    ) -> ZeroCopyAccess:
-        """Cost of accessing the out-edges of the given vertices via zero-copy.
+    def zero_copy_time(self, total_requests: int, payload_bytes: int) -> float:
+        """Zero-copy occupancy of ``total_requests`` carrying ``payload_bytes``.
 
         Every outstanding request pays a fixed header/management share of
         the TLP round trip (the γ part), and the payload itself moves at
@@ -141,26 +116,7 @@ class PCIeModel:
         exactly ``ceil(requests/MR)·RTT`` — the cudaMemcpy rate — while a
         batch of mostly-empty requests is dominated by the per-request
         overhead, reproducing the throughput collapse of Figure 3(e).
-        """
-        d1 = self.config.vertex_value_bytes if value_bytes is None else value_bytes
-        degrees = np.asarray(degrees, dtype=np.int64)
-        requests = self.requests_for_vertices(degrees, start_bytes, value_bytes=d1)
-        total_requests = int(requests.sum())
-        payload_bytes = int(degrees.sum()) * d1
-        num_tlps = int(np.ceil(total_requests / self.config.pcie_max_outstanding)) if total_requests else 0
-        return ZeroCopyAccess(
-            num_requests=total_requests,
-            num_tlps=num_tlps,
-            payload_bytes=payload_bytes,
-            time=self.zero_copy_time(total_requests, payload_bytes),
-        )
-
-    def zero_copy_time(self, total_requests: int, payload_bytes: int) -> float:
-        """Zero-copy occupancy for a request/payload total (see above).
-
-        Shared by :meth:`zero_copy_access` and the batched
-        ``ZeroCopyEngine.transfer_task`` accounting so the formula lives
-        in exactly one place.
+        ``ZeroCopyEngine.transfer_task`` applies it once per partition.
         """
         gamma = self.config.zero_copy_gamma
         rtt = self.config.tlp_round_trip_time

@@ -59,7 +59,7 @@ class EmogiSystem(GraphSystem):
             if device_active.size == 0:
                 continue
             active_devices += 1
-            outcome = self.engine.transfer(self.partitioning[0], device_active)
+            outcome = self.engine.transfer_task(device_active, (0, device_active.size))
             kernel_time = self.kernel_model.kernel_time(self._active_edge_count(device_active))
             transfer_bytes += outcome.bytes_transferred
             device_tasks[device].append(

@@ -34,7 +34,6 @@ from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
 from repro.transfer.base import EngineKind
-from repro.transfer.explicit_filter import ExplicitFilterEngine
 
 __all__ = ["ExpTMFilterSystem"]
 
@@ -44,10 +43,6 @@ class ExpTMFilterSystem(GraphSystem):
 
     name = "ExpTM-F"
     supports_multi_device = True
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.engine = ExplicitFilterEngine(self.graph, self.config)
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
         pending = session.pending
@@ -90,9 +85,8 @@ class ExpTMFilterSystem(GraphSystem):
                 # this transfer window; only the kernel runs.
                 transfer_time = 0.0
             else:
-                outcome = self.engine.transfer(partition, in_partition)
-                transfer_bytes += outcome.bytes_transferred
-                transfer_time = outcome.transfer_time
+                transfer_bytes += context.partition_bytes[partition.index]
+                transfer_time = context.partition_copy_time[partition.index]
             device_tasks[device].append(
                 StreamTask(
                     name="P%d-d%d" % (partition.index, device),

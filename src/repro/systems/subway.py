@@ -61,15 +61,15 @@ class SubwaySystem(GraphSystem):
         frontier = self.driver.snapshot(pending)
         active_ids = frontier.active_ids
 
-        # One compaction per device covering the frontier it owns; the
-        # whole-graph "partition" is irrelevant to the engine's math.
+        # One compaction per device covering the frontier it owns, priced
+        # as one slice.
         outcomes = []
         transfer_bytes = 0
         for device_active in frontier.per_device:
             if device_active.size == 0:
                 outcomes.append(None)
                 continue
-            outcome = self.engine.transfer(self.partitioning[0], device_active)
+            outcome = self.engine.transfer_task(device_active, (0, device_active.size))
             outcomes.append(outcome)
             transfer_bytes += outcome.bytes_transferred
 

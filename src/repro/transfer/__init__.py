@@ -1,11 +1,13 @@
 """Host-to-GPU transfer management engines.
 
-The four ways existing frameworks move the active subgraph to the GPU
-(Section II-B/II-C, Figure 2), each implemented against the simulated
-hardware in :mod:`repro.sim`:
+The ways existing frameworks move the active subgraph to the GPU
+(Section II-B/II-C, Figure 2), each priced against the simulated hardware
+in :mod:`repro.sim`:
 
-* :class:`~repro.transfer.explicit_filter.ExplicitFilterEngine` —
-  ExpTM-filter: ship every partition containing an active edge in full.
+* ExpTM-filter — ship every partition containing an active edge in full.
+  It needs no engine: its price is a per-partition table on the
+  :class:`~repro.runtime.context.ExecutionContext`
+  (``partition_bytes`` / ``partition_copy_time``).
 * :class:`~repro.transfer.explicit_compaction.ExplicitCompactionEngine` —
   ExpTM-compaction: CPU packs the active edges, then explicit copy.
 * :class:`~repro.transfer.zero_copy.ZeroCopyEngine` — ImpTM-zero-copy:
@@ -13,13 +15,13 @@ hardware in :mod:`repro.sim`:
 * :class:`~repro.transfer.unified_memory.UnifiedMemoryEngine` —
   ImpTM-unified-memory: page-granular migration with an LRU device cache.
 
-HyTGraph's hybrid runtime mixes the first three per partition each
-iteration (Section IV); the baseline systems each use one of them for
-everything.
+Each engine prices a task with one call,
+:meth:`~repro.transfer.base.TransferEngine.transfer_task`.  HyTGraph's
+hybrid runtime mixes the first three per partition each iteration
+(Section IV); the baseline systems each use one of them for everything.
 """
 
 from repro.transfer.base import EngineKind, TransferEngine, TransferOutcome
-from repro.transfer.explicit_filter import ExplicitFilterEngine
 from repro.transfer.explicit_compaction import ExplicitCompactionEngine
 from repro.transfer.zero_copy import ZeroCopyEngine
 from repro.transfer.unified_memory import UnifiedMemoryEngine
@@ -28,7 +30,6 @@ __all__ = [
     "EngineKind",
     "TransferEngine",
     "TransferOutcome",
-    "ExplicitFilterEngine",
     "ExplicitCompactionEngine",
     "ZeroCopyEngine",
     "UnifiedMemoryEngine",

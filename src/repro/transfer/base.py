@@ -1,8 +1,10 @@
 """Common interface of the transfer engines.
 
-Every engine prices moving the active subgraph of a partition (or of a
-multi-partition task) as one :class:`TransferOutcome`: the bytes that
+Every engine prices moving the active subgraph of one task — one or more
+consecutive partitions — as one :class:`TransferOutcome`: the bytes that
 cross PCIe and the seconds of PCIe and host-CPU time they cost.
+:meth:`TransferEngine.transfer_task` is the only pricing call; a
+single-mechanism baseline prices its whole frontier as a one-slice task.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import EdgePartition
 from repro.sim.config import HardwareConfig
 from repro.sim.pcie import PCIeModel
 
@@ -75,50 +76,14 @@ class TransferEngine(ABC):
         self.pcie = PCIeModel(config)
 
     @abstractmethod
-    def transfer(self, partition: EdgePartition, active_vertices: np.ndarray) -> TransferOutcome:
-        """Move the active subgraph of ``partition`` to the GPU.
-
-        ``active_vertices`` are the active vertex ids whose adjacency
-        lists live in ``partition`` (callers guarantee containment).
-        """
-
-    def transfer_task(
-        self,
-        partitions: Sequence[EdgePartition],
-        active_vertices: np.ndarray,
-        cuts: np.ndarray,
-    ) -> TransferOutcome:
-        """Aggregate outcome of transferring one multi-partition task.
+    def transfer_task(self, active_vertices: np.ndarray, cuts: Sequence[int]) -> TransferOutcome:
+        """Move the active subgraph of one task to the GPU.
 
         ``active_vertices`` is the task's sorted active-vertex array and
-        ``cuts`` (length ``len(partitions) + 1``) slices it per partition:
-        partition ``i`` owns ``active_vertices[cuts[i]:cuts[i + 1]]``.
-
-        The default implementation loops over :meth:`transfer`; the hot
-        engines override it with a vectorised pass that produces the same
-        per-partition accounting (including per-partition TLP rounding)
-        without one Python call per partition.
+        ``cuts`` slices it per partition: the task's partition ``i`` owns
+        ``active_vertices[cuts[i]:cuts[i + 1]]``.  ``(0, n)`` prices the
+        whole array as one slice.
         """
-        bytes_total = 0
-        transfer_time = 0.0
-        cpu_time = 0.0
-        overlapped = False
-        for position, partition in enumerate(partitions):
-            outcome = self.transfer(partition, active_vertices[cuts[position] : cuts[position + 1]])
-            bytes_total += outcome.bytes_transferred
-            transfer_time += outcome.transfer_time
-            cpu_time += outcome.cpu_time
-            overlapped = overlapped or outcome.overlapped
-        return TransferOutcome(
-            engine=self.kind,
-            bytes_transferred=bytes_total,
-            transfer_time=transfer_time,
-            cpu_time=cpu_time,
-            overlapped=overlapped,
-        )
-
-    def reset(self) -> None:
-        """Clear any cross-iteration state (page caches); default no-op."""
 
     def _active_degrees(self, active_vertices: np.ndarray) -> np.ndarray:
         return self.graph.out_degrees[np.asarray(active_vertices, dtype=np.int64)]

@@ -12,10 +12,11 @@ free (pages are discarded, not written back).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import EdgePartition
 from repro.sim.config import HardwareConfig
 from repro.sim.memory import PageCache
 from repro.transfer.base import EngineKind, TransferEngine, TransferOutcome
@@ -38,8 +39,14 @@ class UnifiedMemoryEngine(TransferEngine):
         # now that systems keep one engine instance for their lifetime.
         self.cache = PageCache(self.cache.capacity_pages)
 
-    def transfer(self, partition: EdgePartition, active_vertices: np.ndarray) -> TransferOutcome:
-        active_vertices = np.asarray(active_vertices, dtype=np.int64)
+    def transfer_task(self, active_vertices: np.ndarray, cuts: Sequence[int]) -> TransferOutcome:
+        """Price ``active_vertices[cuts[0]:cuts[-1]]`` as one page-access batch.
+
+        Page migration has no per-partition rounding: the pages the whole
+        slice touches are deduplicated and faulted in through the LRU
+        cache in one pass, so the inner cuts do not matter.
+        """
+        active_vertices = np.asarray(active_vertices, dtype=np.int64)[cuts[0] : cuts[-1]]
         if active_vertices.size == 0:
             return TransferOutcome(self.kind, 0, 0.0, overlapped=True)
         degrees = self._active_degrees(active_vertices)

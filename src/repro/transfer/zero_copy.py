@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.partition import EdgePartition
 from repro.transfer.base import EngineKind, TransferEngine, TransferOutcome
 
 __all__ = ["ZeroCopyEngine"]
@@ -25,40 +24,19 @@ class ZeroCopyEngine(TransferEngine):
 
     kind = EngineKind.IMP_ZERO_COPY
 
-    def transfer(self, partition: EdgePartition, active_vertices: np.ndarray) -> TransferOutcome:
-        active_vertices = np.asarray(active_vertices, dtype=np.int64)
-        if active_vertices.size == 0:
-            return TransferOutcome(self.kind, 0, 0.0, overlapped=True)
-        access = self.pcie.zero_copy_access(
-            self._active_degrees(active_vertices),
-            start_bytes=self._edge_start_bytes(active_vertices),
-            value_bytes=self.graph.edge_bytes_per_edge,
-        )
-        return TransferOutcome(
-            engine=self.kind,
-            bytes_transferred=access.payload_bytes,
-            transfer_time=access.time,
-            cpu_time=0.0,
-            overlapped=True,
-        )
-
-    def transfer_task(
-        self,
-        partitions: Sequence[EdgePartition],
-        active_vertices: np.ndarray,
-        cuts: np.ndarray,
-    ) -> TransferOutcome:
+    def transfer_task(self, active_vertices: np.ndarray, cuts: Sequence[int]) -> TransferOutcome:
         """One vectorised pass over the task's vertices.
 
         The zero-copy cost model is per-vertex and, within a partition,
         linear in the request and payload totals, so per-vertex requests
         are computed once and reduced per partition with exact integer
-        prefix sums; the per-partition times then follow the same formula
-        (and the same accumulation order) as the :meth:`transfer` loop.
+        prefix sums; each partition then pays
+        :meth:`~repro.sim.pcie.PCIeModel.zero_copy_time` of its own totals.
         """
         active_vertices = np.asarray(active_vertices, dtype=np.int64)
         if active_vertices.size == 0:
             return TransferOutcome(self.kind, 0, 0.0, overlapped=True)
+        cuts = np.asarray(cuts)
         d1 = self.graph.edge_bytes_per_edge
         degrees = self._active_degrees(active_vertices)
         requests = self.pcie.requests_for_vertices(

@@ -229,11 +229,6 @@ class TestFrontierAware:
         assert manager.resident[1]
         assert not manager.resident[0]
 
-    def test_reuse_scores_exposed_only_by_frontier_aware(self):
-        assert build_manager("frontier-aware").reuse_scores() is not None
-        assert build_manager("lru").reuse_scores() is None
-        assert build_manager("static-prefix").reuse_scores() is None
-
     def test_would_admit_is_a_dry_run(self):
         sizes = build_manager("frontier-aware", num_devices=1).partition_bytes
         manager = build_manager("frontier-aware", num_devices=1, budget=int(sizes[0]))

@@ -5,7 +5,8 @@ only crash on a missing file.  These tests keep every gate honest from a
 clean checkout: each ``--check-against`` path named in the workflow is
 tracked by git, a missing reference is a one-line named error, the
 replay and perf gates exit 1 under their own ``--inject-*`` knobs, the
-perf gate's seed baseline really swaps in the seed gather, and the numba
+perf gate's seed baseline really swaps in the seed gather and prices
+transfers exactly as the engine does, and the numba
 leg's skip check still matches the suites' skip reasons.
 """
 
@@ -26,7 +27,8 @@ import pytest
 import repro.algorithms.cc as cc_module
 from repro.algorithms import make_algorithm
 from repro.core.engine import HyTGraphEngine
-from repro.graph.generators import rmat_graph
+from repro.graph.generators import rmat_graph, uniform_random_graph
+from repro.transfer.base import EngineKind
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
@@ -174,6 +176,35 @@ def test_seed_baseline_refuses_a_missing_swap_target(monkeypatch):
         with bench.seed_baseline():
             pass
     assert HyTGraphEngine.run is run  # the swaps made before the miss are undone
+
+
+def test_seed_transfer_oracle_prices_every_planned_task_like_the_engine(monkeypatch):
+    # The seed baseline prices each partition of a task alone; the live
+    # engine prices the task in one call.  They must agree bit for bit on
+    # every task HyTGraph plans, or the gate's "vs seed" rows would time
+    # different accounting.  The two programs plan multi-partition tasks
+    # of all three engines whose partitions round to different TLP counts
+    # alone than together, so an oracle pricing a task as one total fails.
+    bench = _perf_harness()
+    graph = uniform_random_graph(6000, 36_000, seed=1, weighted=True)
+    engine = HyTGraphEngine(graph, num_partitions=8, max_iterations=10)
+    live = engine._account_task_transfer
+    priced = []
+
+    def recording(task):
+        priced.append((task, live(task)))
+        return priced[-1][1]
+
+    monkeypatch.setattr(engine, "_account_task_transfer", recording)
+    engine.run(make_algorithm("sssp"), source=0)
+    engine.run(make_algorithm("pr"))
+    multi_partition = {task.engine for task, _ in priced if len(task.partition_indices) > 1}
+    assert multi_partition == {EngineKind.EXP_FILTER, EngineKind.EXP_COMPACTION, EngineKind.IMP_ZERO_COPY}
+    for task, (moved, transfer_time, cpu_time, overlapped) in priced:
+        seed = bench._seed_account_transfer(engine, task)
+        assert (seed.bytes_transferred, seed.transfer_time, seed.cpu_time, seed.overlapped) == (
+            moved, transfer_time, cpu_time, overlapped
+        ), task.label
 
 
 def test_tracing_overhead_gate_fires_under_injected_slowdown():

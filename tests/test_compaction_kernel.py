@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.graph.partition import partition_by_count
-from repro.sim.compaction import CompactionEngine
 from repro.sim.kernel import KernelModel
 from repro.transfer.explicit_compaction import ExplicitCompactionEngine
 
@@ -20,7 +19,7 @@ class TestCompactionContents:
     def test_compacted_subgraph_matches_source(self, paper_graph, config):
         engine = ExplicitCompactionEngine(paper_graph, config)
         active = np.array([1, 3])
-        outcome = engine.transfer(partition_by_count(paper_graph, 1)[0], active)
+        outcome = engine.transfer_task(active, (0, active.size))
         # b -> {c, d} and d -> {e, f}: four (neighbor, weight) edges.
         packed_edges = paper_graph.neighbors(1).size + paper_graph.neighbors(3).size
         assert packed_edges == 4
@@ -38,7 +37,7 @@ class TestCompactionContents:
         engine = ExplicitCompactionEngine(graph, config)
         partitions = list(partition_by_count(graph, 4))
         active = np.arange(0, 50, 2)
-        outcome = engine.transfer_task(partitions, active, _cuts(partitions, active))
+        outcome = engine.transfer_task(active, _cuts(partitions, active))
         # Neighbors only: no weight column rides along.
         assert outcome.bytes_transferred == (
             int(graph.out_degrees[::2].sum()) * graph.edge_bytes_per_edge
@@ -49,33 +48,19 @@ class TestCompactionContents:
         engine = ExplicitCompactionEngine(paper_graph, config)
         partitions = list(partition_by_count(paper_graph, 3))
         empty = np.array([], dtype=np.int64)
-        outcome = engine.transfer_task(partitions, empty, _cuts(partitions, empty))
+        outcome = engine.transfer_task(empty, _cuts(partitions, empty))
         assert outcome.bytes_transferred == 0
         assert outcome.cpu_time == 0.0 and outcome.transfer_time == 0.0
         # A partition without active vertices packs nothing of its own.
         active = np.array([int(partitions[0].vertex_start)])
-        task = engine.transfer_task(partitions, active, _cuts(partitions, active))
-        alone = engine.transfer(partitions[0], active)
+        task = engine.transfer_task(active, _cuts(partitions, active))
+        alone = engine.transfer_task(active, (0, active.size))
         assert (task.bytes_transferred, task.cpu_time, task.transfer_time) == (
             alone.bytes_transferred, alone.cpu_time, alone.transfer_time
         )
 
 
 class TestCompactionCost:
-    def test_output_bytes_formula(self, config):
-        engine = CompactionEngine(config)
-        # Unweighted: edges * d1 + vertices * d2.
-        assert engine.output_bytes(100, 10, weighted=False) == 100 * 4 + 10 * config.index_entry_bytes
-        # Weighted: edges carry neighbor + weight.
-        assert engine.output_bytes(100, 10, weighted=True) == 100 * 8 + 10 * config.index_entry_bytes
-        # An empty active set packs nothing.
-        assert engine.output_bytes(0, 0, weighted=True) == 0
-
-    def test_cpu_time_scales_with_bytes(self, config):
-        engine = CompactionEngine(config)
-        assert engine.cpu_time(config.cpu_compaction_throughput) == pytest.approx(1.0)
-        assert engine.cpu_time(0) == 0.0
-
     def test_compaction_slower_than_pcie(self, config):
         # The paper's premise: compaction throughput is well below the PCIe
         # explicit-copy bandwidth, otherwise it would always be worth it.

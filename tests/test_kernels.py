@@ -609,46 +609,3 @@ class TestEngineEquivalence:
             php_values(graph, source=0, max_iterations=50)
         assert backend.calls == 0
 
-
-class TestTransferTaskBatching:
-    """transfer_task must reproduce the per-partition transfer() loop."""
-
-    def _loop_reference(self, engine, partitions, active, cuts):
-        bytes_total, transfer_time, cpu_time, overlapped = 0, 0.0, 0.0, False
-        for position, partition in enumerate(partitions):
-            outcome = engine.transfer(partition, active[cuts[position] : cuts[position + 1]])
-            bytes_total += outcome.bytes_transferred
-            transfer_time += outcome.transfer_time
-            cpu_time += outcome.cpu_time
-            overlapped = overlapped or outcome.overlapped
-        return bytes_total, transfer_time, cpu_time, overlapped
-
-    @pytest.mark.parametrize("engine_name", ["compaction", "zero_copy"])
-    def test_matches_per_partition_loop(self, engine_name):
-        from repro.graph.partition import partition_by_count
-        from repro.sim.config import default_config
-        from repro.transfer.explicit_compaction import ExplicitCompactionEngine
-        from repro.transfer.zero_copy import ZeroCopyEngine
-
-        graph = rmat_graph(300, 2500, seed=29, weighted=True)
-        config = default_config()
-        partitioning = partition_by_count(graph, 7)
-        engine = {
-            "compaction": ExplicitCompactionEngine,
-            "zero_copy": ZeroCopyEngine,
-        }[engine_name](graph, config)
-
-        rng = np.random.default_rng(31)
-        for trial in range(10):
-            count = int(rng.integers(0, graph.num_vertices))
-            active = np.sort(rng.choice(graph.num_vertices, size=count, replace=False))
-            partitions = [partitioning[index] for index in range(partitioning.num_partitions)]
-            boundaries = [partition.vertex_start for partition in partitions]
-            boundaries.append(partitions[-1].vertex_end)
-            cuts = np.searchsorted(active, boundaries)
-            expected = self._loop_reference(engine, partitions, active, cuts)
-            outcome = engine.transfer_task(partitions, active, cuts)
-            assert outcome.bytes_transferred == expected[0]
-            assert outcome.transfer_time == pytest.approx(expected[1], rel=0, abs=0)
-            assert outcome.cpu_time == pytest.approx(expected[2], rel=0, abs=0)
-            assert outcome.overlapped == expected[3]
