@@ -233,7 +233,10 @@ class FaultSchedule:
                         "bad fault entry %r: %r is not a valid %s" % (entry, value, key)
                     ) from None
                 kwargs["probability" if key == "p" else key] = parsed
-            specs.append(FaultSpec(**kwargs))
+            try:
+                specs.append(FaultSpec(**kwargs))
+            except ValueError as error:
+                raise ValueError("bad fault entry %r: %s" % (entry, error)) from None
         if not specs:
             raise ValueError("empty fault schedule %r" % text)
         return cls(specs=tuple(specs), seed=seed)

@@ -13,8 +13,9 @@ paper's published figures directly.
 
 Because the reproduction runs on scaled-down graphs, GPU memory capacity
 must be scaled by the same factor as the graphs to preserve the
-oversubscription regime; use :meth:`HardwareConfig.scaled_memory` for
-that (the benchmark harness does it automatically).
+oversubscription regime; :meth:`HardwareConfig.scaled` does that and
+scales the fixed per-event overheads with it (the benchmark workloads
+call it for you).
 """
 
 from __future__ import annotations
@@ -247,18 +248,6 @@ class HardwareConfig:
     def with_gpu_memory(self, gpu_memory_bytes: int) -> "HardwareConfig":
         """A copy with a different device-memory capacity."""
         return replace(self, gpu_memory_bytes=int(gpu_memory_bytes))
-
-    def scaled_memory(self, scale: float) -> "HardwareConfig":
-        """A copy with device memory scaled by ``scale``.
-
-        When graphs are scaled down by a factor ``s`` relative to the
-        paper's datasets, calling ``preset.scaled_memory(s)`` preserves the
-        graph-size-to-GPU-memory ratio that drives the oversubscription
-        behaviour (which system wins on which dataset).
-        """
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        return replace(self, gpu_memory_bytes=max(1, int(self.gpu_memory_bytes * scale)))
 
     def scaled(self, scale: float) -> "HardwareConfig":
         """A copy scaled for graphs ``scale`` times the paper's size.

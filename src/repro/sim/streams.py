@@ -181,7 +181,7 @@ class StreamScheduler:
         """Total time if every stage of every task ran back to back.
 
         The ratio ``serial_time / schedule(...).makespan`` quantifies how
-        much the multi-stream overlap is worth; the single-stream ablation
-        uses it.
+        much the multi-stream overlap is worth: ``schedule`` never takes
+        longer than this serial bound.
         """
         return sum(task.serial_time for task in tasks)

@@ -6,13 +6,16 @@ clean checkout: each ``--check-against`` path named in the workflow is
 tracked by git, a missing reference is a one-line named error, the
 replay and perf gates exit 1 under their own ``--inject-*`` knobs, the
 perf gate's seed baseline really swaps in the seed gather and prices
-transfers exactly as the engine does, and the numba
-leg's skip check still matches the suites' skip reasons.
+transfers exactly as the engine does, its simulated serving rows fail on
+any drift from the reference or below their bars, the numba leg's skip
+check still matches the suites' skip reasons, and every bench script is
+run by a CI job and listed in README's gate table.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import importlib.util
 import json
 import os
@@ -104,6 +107,49 @@ def test_numba_leg_grep_matches_the_backend_skip_reasons():
         assert reasons, "%s has no backend skip" % suite
         for reason in reasons:
             assert grep.group(1) in reason, (suite, reason)
+
+
+def _workflow_jobs() -> dict[str, str]:
+    """Each CI job's name mapped to the text of its block."""
+    jobs: dict[str, str] = {}
+    name = None
+    for line in WORKFLOW.read_text().split("\njobs:\n", 1)[1].splitlines():
+        match = re.fullmatch(r"  ([\w-]+):", line)
+        if match:
+            name = match.group(1)
+            jobs[name] = ""
+        elif name is not None:
+            jobs[name] += line + "\n"
+    return jobs
+
+
+def _readme_gate_rows() -> list[tuple[list[str], list[str]]]:
+    """``(files, CI jobs)`` of each row of README's "Which file gates what"."""
+    section = (ROOT / "README.md").read_text().split("### Which file gates what\n", 1)[1]
+    table = section.split("\n| --- |", 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in table.splitlines()[1:]:
+        cells = line.split(" | ")
+        rows.append((re.findall(r"`([^`]+)`", cells[0]), re.findall(r"`([^`]+)`", cells[1])))
+    return rows
+
+
+def test_every_bench_is_run_by_ci_and_listed_in_the_readme_gate_table():
+    jobs = _workflow_jobs()
+    listed = set()
+    for files, row_jobs in _readme_gate_rows():
+        assert row_jobs, "README gate row %s names no CI job" % files
+        for job in row_jobs:
+            assert job in jobs, "README gate table names an unknown CI job %r" % job
+            for path in files:
+                if path.startswith("benchmarks/bench_"):
+                    assert path in jobs[job], "CI job %r does not run %s" % (job, path)
+        listed.update(files)
+    benches = sorted("benchmarks/%s" % path.name for path in (ROOT / "benchmarks").glob("bench_*.py"))
+    assert benches
+    for path in benches:
+        assert path in listed, "%s is missing from README's gate table" % path
+        assert any(path in text for text in jobs.values()), "no CI job runs %s" % path
 
 
 def test_paper_report_digests_cover_every_paper_bench_report():
@@ -217,3 +263,32 @@ def test_tracing_overhead_gate_fires_under_injected_slowdown():
     reference = json.loads((ROOT / "benchmarks" / "BENCH_perf_smoke.json").read_text())
     failures = bench.check_regressions(dict(reference, tracing=tracing), reference, 0.25)
     assert len(failures) == 1 and "tracing overhead" in failures[0], failures
+
+
+def test_a_drifted_serving_row_fails_the_perf_gate():
+    # The serving speedups are simulated, so the smoke run reproduces the
+    # reference exactly: a 1% drift is a behaviour change, well inside the
+    # 25% wall-clock tolerance, and must fail by name.
+    bench = _perf_harness()
+    reference = json.loads((ROOT / "benchmarks" / "BENCH_perf_smoke.json").read_text())
+    assert bench.check_regressions(reference, reference, 0.25) == []
+    drifted = copy.deepcopy(reference)
+    drifted["cache"]["ExpTM-F"]["speedup"] *= 0.99
+    failures = bench.check_regressions(drifted, reference, 0.25)
+    assert len(failures) == 1, failures
+    assert failures[0].startswith("cache ExpTM-F: frontier-aware cache speedup"), failures
+    del drifted["service"]["HyTGraph"]
+    assert "service HyTGraph: row missing from the run" in bench.check_regressions(
+        drifted, reference, 0.25
+    )
+
+
+def test_a_serving_row_below_its_bar_fails():
+    bench = _perf_harness()
+    reference = json.loads((ROOT / "benchmarks" / "BENCH_perf_smoke.json").read_text())
+    assert bench.check_bars(reference) == []
+    slow = copy.deepcopy(reference)
+    slow["batch"]["HyTGraph"]["speedup"] = 1.9
+    assert bench.check_bars(slow) == [
+        "batch HyTGraph: batched speedup 1.90x fell below the 2.0x bar"
+    ]

@@ -197,6 +197,24 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="expected"):
             FaultSchedule.parse("device-loss:p=0.5")
 
+    @pytest.mark.parametrize(
+        "entry, cause",
+        [
+            ("device-loss@-1", "at_super_iteration must be non-negative"),
+            ("device-loss:device=-2", "device must be non-negative"),
+            ("transfer-flaky", "needs a probability"),
+            ("memory-pressure:factor=2", "needs a factor in"),
+            ("host-loss:host=-1", "host must be non-negative"),
+        ],
+    )
+    def test_parse_names_the_entry_a_spec_rejects(self, entry, cause):
+        # A value that parses but fails FaultSpec validation is reported
+        # like the parser's own errors: the entry first, then the cause.
+        with pytest.raises(ValueError) as raised:
+            FaultSchedule.parse("device-loss@1;%s" % entry)
+        assert str(raised.value).startswith("bad fault entry %r: " % entry)
+        assert cause in str(raised.value)
+
     def test_parse_rejects_empty(self):
         with pytest.raises(ValueError, match="empty fault schedule"):
             FaultSchedule.parse(" ; ")

@@ -20,6 +20,7 @@ import pytest
 from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import DeltaPageRank
 from repro.algorithms.sssp import SSSP
+from repro.bench.workloads import build_workload
 from repro.graph.generators import rmat_graph, uniform_random_graph
 from repro.graph.partition import ShardedPartitioning, partition_by_count
 from repro.runtime.context import MultiDeviceScheduler
@@ -114,6 +115,23 @@ def test_makespan_non_increasing_on_transfer_bound_workload():
     assert dual.total_transfer_bytes < single.total_transfer_bytes
     assert dual.total_interconnect_bytes > 0
     assert dual.converged and quad.converged
+
+
+def test_hytgraph_scales_on_the_uk_stand_in():
+    # The multi-GPU claim on a paper dataset: shard residency makes 2 and
+    # 4 devices no slower than 1 and cuts host-PCIe traffic.  It needs a
+    # graph that oversubscribes one device: at scale 0.05, SSSP at 4
+    # devices runs at 0.95x, so the claim is pinned at 0.5.
+    for algorithm in ("pagerank", "sssp"):
+        runs = {
+            devices: build_workload("UK", algorithm, scale=0.5, num_devices=devices).run("hytgraph")
+            for devices in (1, 2, 4)
+        }
+        for devices in (2, 4):
+            assert runs[devices].total_time <= runs[1].total_time, (algorithm, devices)
+            assert runs[devices].total_transfer_bytes < runs[1].total_transfer_bytes, (algorithm, devices)
+        assert runs[1].total_interconnect_bytes == 0
+        assert runs[2].total_interconnect_bytes > 0
 
 
 def test_shard_residency_reported():

@@ -62,12 +62,6 @@ class TestAdjustedCopies:
         config = HardwareConfig().with_gpu_memory(123)
         assert config.gpu_memory_bytes == 123
 
-    def test_scaled_memory(self):
-        base = HardwareConfig()
-        scaled = base.scaled_memory(0.5)
-        assert scaled.gpu_memory_bytes == base.gpu_memory_bytes // 2
-        assert scaled.pcie_bandwidth == base.pcie_bandwidth
-
     def test_scaled_also_scales_launch_overhead(self):
         base = HardwareConfig()
         scaled = base.scaled(0.01)
