@@ -36,6 +36,15 @@ boolean-compresses the span, and only genuinely sparse, unsorted or
 duplicated input gathers per-edge indices.  All three emit the same edges
 in the same order, so every message, every scatter fold order and every
 simulated number is independent of the regime.
+
+**Stacked rows.**  ``process`` also runs K queries of one program at
+once (the HyTGraph engine's fused batch waves): every state array is K
+per-query arrays laid end to end (``K x |V|`` flattened row-major) and
+the active ids are flat, ``r * |V| + v``, strictly ascending.
+:func:`out_edges` then returns flat destinations in the sender's row, so
+a scatter into the stacked state never mixes rows, and each row's
+messages keep the order a one-row call would emit them in: per-query
+values stay bitwise.
 """
 
 from __future__ import annotations
@@ -85,8 +94,9 @@ def out_edges(
     CSR order; ``degrees[i]`` is the out-degree of ``vertices[i]``, so
     ``x[vertices].repeat(degrees)`` lines a per-vertex value up with its
     edges.  This is the vectorised gather phase of a push-based GPU kernel.
-    The result may be a view of the graph's edge arrays: read it, never
-    write it.
+    Strictly ascending flat ids of stacked rows (``r * |V| + v``, see the
+    module docstring) yield flat destinations ``r * |V| + u``.  The result
+    may be a view of the graph's edge arrays: read it, never write it.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     row_offset = graph.row_offset
@@ -98,6 +108,8 @@ def out_edges(
     ascending = vertices.size > 0 and bool((vertices[1:] > vertices[:-1]).all())
     if ascending:
         first, last = int(vertices[0]), int(vertices[-1])
+        if last >= graph.num_vertices:
+            return _stacked_out_edges(graph, vertices, weighted)
         span_offsets = row_offset[first : last + 2]
         span = slice(span_offsets[0], span_offsets[-1])
         if last - first + 1 == vertices.size:
@@ -121,6 +133,31 @@ def out_edges(
     edge_indices = np.arange(total, dtype=np.int64) + (starts - (ends - degrees)).repeat(degrees)
     weights = graph.edge_value[edge_indices] if weighted else None
     return graph.column_index[edge_indices], weights, degrees
+
+
+def _stacked_out_edges(
+    graph: CSRGraph, vertices: np.ndarray, weighted: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """:func:`out_edges` of strictly ascending flat ids spanning rows > 0."""
+    num_vertices = graph.num_vertices
+    first_row = int(vertices[0]) // num_vertices
+    if first_row == int(vertices[-1]) // num_vertices:
+        # One row: its local ids keep every one-row regime.
+        base = first_row * num_vertices
+        destinations, weights, degrees = out_edges(graph, vertices - base, weighted)
+        return destinations + base, weights, degrees
+    # Several rows: gather per-edge indices from the local ids, then shift
+    # each destination into its sender's row.
+    rows, local = np.divmod(vertices, num_vertices)
+    row_offset = graph.row_offset
+    starts = row_offset[local]
+    degrees = row_offset[local + 1] - starts
+    ends = degrees.cumsum()
+    edge_indices = np.arange(int(ends[-1]), dtype=np.int64) + (starts - (ends - degrees)).repeat(degrees)
+    destinations = graph.column_index[edge_indices]
+    destinations += (rows * num_vertices).repeat(degrees)
+    weights = graph.edge_value[edge_indices] if weighted else None
+    return destinations, weights, degrees
 
 
 def single_vertex(num_vertices: int, vertex: int) -> np.ndarray:
@@ -167,7 +204,10 @@ class VertexProgram(ABC):
         vertices whose value changed — i.e. the vertices these pushes
         activated.  A vertex may activate itself only if its own value
         changed as a side effect (accumulative programs never re-activate
-        the sender).
+        the sender).  ``state`` may stack K queries of this program (see
+        the module docstring): ``active_vertices`` and the returned ids
+        are then flat ``r * |V| + v`` ids, and every row is pushed exactly
+        as a one-row call would push it.
         """
 
     @abstractmethod

@@ -58,7 +58,7 @@ class PHP(VertexProgram):
             return np.zeros(0, dtype=np.int64)
         values = state["php"]
         deltas = state["delta"]
-        source = int(state["source"][0])
+        sources = state["source"]
 
         outgoing = deltas[active_vertices]
         values[active_vertices] += outgoing
@@ -68,7 +68,14 @@ class PHP(VertexProgram):
         # A sender without edges repeats zero times, so its share is unused.
         shares = (self.penalty * outgoing / np.maximum(degrees, 1)).repeat(degrees)
         # The source absorbs mass without re-emitting it (penalised hitting).
-        keep = destinations != source
+        if sources.size == 1:
+            absorbing = int(sources[0])
+        else:
+            # Stacked rows: each message's absorber is its own row's source.
+            num_vertices = graph.num_vertices
+            row_sources = sources + num_vertices * np.arange(sources.size)
+            absorbing = row_sources[active_vertices // num_vertices].repeat(degrees)
+        keep = destinations != absorbing
         destinations = destinations[keep]
         shares = shares[keep]
         if destinations.size == 0:

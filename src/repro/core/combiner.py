@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.selection import COMPACTION, ENGINE_OF_CODE, FILTER, ZERO_COPY, SelectionResult
 from repro.graph.partition import Partitioning
-from repro.transfer.base import EngineKind
+from repro.transfer.base import ENGINE_LABEL, EngineKind
 
 __all__ = ["ScheduledTask", "TaskCombiner"]
 
@@ -60,7 +60,7 @@ class ScheduledTask:
         """Display name, formatted on demand (also ``str(task)``)."""
         members = self.partition_indices
         listing = "combined:%d" % len(members) if self.combined else ",".join(map(str, members))
-        return "%s[%s]" % (self.engine.value, listing)
+        return "%s[%s]" % (ENGINE_LABEL[self.engine], listing)
 
     __str__ = label.fget
 

@@ -49,6 +49,16 @@ class PartitionCosts:
     active_vertices: np.ndarray
     active_edges: np.ndarray
 
+    def row(self, index: int) -> "PartitionCosts":
+        """Row ``index`` of a stacked (``K x P``) estimate, as views."""
+        return PartitionCosts(
+            self.filter_cost[index],
+            self.compaction_cost[index],
+            self.zero_copy_cost[index],
+            self.active_vertices[index],
+            self.active_edges[index],
+        )
+
 
 class CostModel:
     """Formula 1-3 estimator bound to a graph, a partitioning and hardware."""
@@ -59,17 +69,26 @@ class CostModel:
         self.config = config
         self.pcie = PCIeModel(config)
         self._partition_edges = partitioning.edges_per_partition()
+        self._partition_edges_safe = np.maximum(self._partition_edges, 1)
         self._d1 = graph.edge_bytes_per_edge
-        # Formula 1 depends only on the (static) partition sizes.
+        self._payload_bytes = config.tlp_payload_bytes
+        self._rtt = config.tlp_round_trip_time
+        # Formula 1 depends only on the (static) partition sizes, and a
+        # vertex's zero-copy request count only on the CSR layout.
         self._static_filter_cost = self._filter_cost_from_edges(self._partition_edges)
+        # Per-vertex bincount weights (out-degree, zero-copy requests),
+        # kept as the float64 that bincount sums in anyway; exact, since
+        # every count is far below 2**53.
+        self._degrees = graph.out_degrees.astype(np.float64)
+        self._requests = self.pcie.vertex_requests(graph).astype(np.float64)
 
     # ------------------------------------------------------------------
     # Vectorised per-iteration estimation
     # ------------------------------------------------------------------
     def _filter_cost_from_edges(self, partition_edges: np.ndarray) -> np.ndarray:
         num_bytes = partition_edges.astype(np.float64) * self._d1
-        tlps = np.ceil(num_bytes / self.config.tlp_payload_bytes)
-        return tlps * self.config.tlp_round_trip_time
+        tlps = np.ceil(num_bytes / self._payload_bytes)
+        return tlps * self._rtt
 
     def _compaction_cost_from_counts(
         self, active_edges: np.ndarray, active_vertices: np.ndarray
@@ -78,48 +97,69 @@ class CostModel:
             active_edges.astype(np.float64) * self._d1
             + active_vertices.astype(np.float64) * self.config.index_entry_bytes
         )
-        tlps = np.ceil(num_bytes / self.config.tlp_payload_bytes)
-        return tlps * self.config.tlp_round_trip_time
+        tlps = np.ceil(num_bytes / self._payload_bytes)
+        return tlps * self._rtt
 
     def estimate(self, active_mask: np.ndarray, active_ids: np.ndarray | None = None) -> PartitionCosts:
         """Estimate all three engine costs for every partition.
 
         ``active_mask`` is the frontier bitmap at the start of the
-        iteration; callers that already hold the sorted active vertex ids
-        can pass them as ``active_ids`` (the mask is then not scanned).
-        The returned arrays are what the
+        iteration — one ``|V|`` bitmap, or ``K`` of them stacked as a
+        ``K x |V|`` matrix (one per query of a batch super-iteration).
+        Callers that already hold its flat sorted nonzero ids
+        (``r * |V| + v`` for stacked rows) can pass them as
+        ``active_ids`` (the mask is then not scanned).  A stacked mask
+        yields ``K x P`` cost arrays whose row ``r`` equals the estimate
+        of bitmap ``r`` alone: every reduction is one ``bincount`` over
+        ``row * P + partition``, which folds each row's vertices in the
+        same order as a one-row call.  The returned arrays are what the
         :class:`~repro.core.selection.EngineSelector` compares.
         """
+        active_mask = np.asarray(active_mask, dtype=bool)
         if active_ids is None:
-            active_ids = np.flatnonzero(np.asarray(active_mask, dtype=bool))
+            active_ids = np.flatnonzero(active_mask)
         num_partitions = self.partitioning.num_partitions
+        num_rows = 1 if active_mask.ndim == 1 else active_mask.shape[0]
+        shape = active_mask.shape[:-1] + (num_partitions,)
 
-        # Per-partition frontier reductions share one id array: counts,
+        # Per-partition frontier reductions share one key array: counts,
         # degrees and (below) zero-copy requests all bin by partition.
-        partition_of = self.partitioning.partition_of_vertices(active_ids)
-        degrees = self.graph.out_degrees[active_ids]
-        active_vertices = np.bincount(partition_of, minlength=num_partitions).astype(np.int64)
-        active_edges = np.bincount(partition_of, weights=degrees, minlength=num_partitions).astype(np.int64)
+        if num_rows == 1:
+            vertices = active_ids
+            keys = self.partitioning.partition_of_vertices(vertices)
+        else:
+            # In place: a wave's frontiers can hold K x |V| ids.
+            vertices = active_ids % self.graph.num_vertices
+            keys = active_ids // self.graph.num_vertices
+            keys *= num_partitions
+            keys += self.partitioning.partition_of_vertices(vertices)
+        num_bins = num_rows * num_partitions
+        active_vertices = np.bincount(keys, minlength=num_bins).astype(np.int64).reshape(shape)
+        active_edges = (
+            np.bincount(keys, weights=self._degrees[vertices], minlength=num_bins)
+            .astype(np.int64)
+            .reshape(shape)
+        )
 
-        filter_cost = np.where(active_edges > 0, self._static_filter_cost, 0.0)
+        touched = active_edges > 0
+        filter_cost = np.where(touched, self._static_filter_cost, 0.0)
         compaction_cost = self._compaction_cost_from_counts(active_edges, active_vertices)
-        compaction_cost = np.where(active_edges > 0, compaction_cost, 0.0)
+        compaction_cost = np.where(touched, compaction_cost, 0.0)
 
-        # Zero-copy: per-vertex requests, grouped back per partition.
-        zero_copy_cost = np.zeros(num_partitions, dtype=np.float64)
+        # Zero-copy: per-vertex requests (a static table), grouped back
+        # per partition.
+        zero_copy_cost = np.zeros(shape, dtype=np.float64)
         if active_ids.size:
-            starts = self.graph.row_offset[active_ids] * self._d1
-            requests = self.pcie.requests_for_vertices(degrees, starts, value_bytes=self._d1)
             requests_per_partition = np.bincount(
-                partition_of, weights=requests, minlength=num_partitions
-            )
+                keys, weights=self._requests[vertices], minlength=num_bins
+            ).reshape(shape)
             tlps = np.ceil(requests_per_partition / self.config.pcie_max_outstanding)
-            partition_edges_safe = np.maximum(self._partition_edges, 1)
-            payload_fraction = np.clip(active_edges / partition_edges_safe, 0.0, 1.0)
+            # Both counts are non-negative, so clipping to [0, 1] is a min.
+            payload_fraction = np.minimum(active_edges / self._partition_edges_safe, 1.0)
             gamma = self.config.zero_copy_gamma
-            rtt_zc = (gamma + (1.0 - gamma) * payload_fraction) * self.config.tlp_round_trip_time
+            rtt_zc = (gamma + (1.0 - gamma) * payload_fraction) * self._rtt
             zero_copy_cost = tlps * rtt_zc
-            zero_copy_cost = np.where(active_edges > 0, zero_copy_cost, 0.0)
+            zero_copy_cost = np.where(touched, zero_copy_cost, 0.0)
 
         return PartitionCosts(
             filter_cost=filter_cost,

@@ -14,12 +14,14 @@ share it.
   shards and (on multi-device sessions) shard residency are built and
   warmed **once** for the whole batch, so the first-touch residency
   copies that a sequential K-run workload pays K times are paid once;
-* per super-iteration, every live query contributes one
+* per super-iteration, one planner call returns every live query's
   :class:`~repro.runtime.driver.IterationPlan` inside one transfer window
   (:meth:`~repro.runtime.context.ExecutionContext.begin_window`), so
   filter-style whole-partition transfers are deduplicated across queries
   (a partition shipped for one query this super-iteration is on the
-  device for all of them; :attr:`BatchResult.amortized_bytes`);
+  device for all of them; :attr:`BatchResult.amortized_bytes`) and the
+  HyTGraph engine pushes each task step of all queries of one program as
+  one fused kernel call over their stacked state;
 * the merged per-device task lists are co-scheduled on the shared
   streams/PCIe, so one query's kernels overlap another's transfers; the
   batch makespan is the sum of the merged schedules.
@@ -58,6 +60,7 @@ from repro.algorithms.base import VertexProgram
 from repro.metrics.results import BatchResult
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.driver import QuerySession
+from repro.sim.events import INTERCONNECT_RESOURCE, SYNC_ENGINE
 
 __all__ = ["QueryBatchRunner"]
 
@@ -319,12 +322,11 @@ class QueryBatchRunner:
             # every live query's frontier.
             context.begin_window()
 
-            # Plan every live query's iteration (mutates its state and the
-            # shared warm-transfer bookkeeping, in deterministic query
-            # order: priority rank first, then submission).
-            plans = []
-            for index in live:
-                plans.append((index, driver.plan(system, sessions[index])))
+            # Plan every live query's iteration with one planner call
+            # (mutates each state and the shared warm-transfer bookkeeping,
+            # in deterministic query order: priority rank first, then
+            # submission).
+            plans = list(zip(live, driver.plan(system, [sessions[index] for index in live])))
 
             # The merged co-schedule refers to the plans' own tasks: each
             # device list has a parallel owner list, and the owner's class
@@ -522,28 +524,32 @@ class QueryBatchRunner:
     def _emit_device_spans(tracer, tracks, timeline, start_s: float, scale: float):
         """Replay one merged co-schedule onto the device trace lanes.
 
-        Emits one span per task stage — ``dev<d>:<resource>`` lanes for
-        device-owned stages, the bare resource lane for collective
-        (boundary-sync) entries — skipping stages owned by untraced
-        queries.  Owned stages are named ``q<owner>|<task>``.  Returns
-        ``{query: {resource: busy_s}}``, the per-query occupancy split
-        the exec tiles annotate.
+        Emits one span per task stage on its ``dev<d>:<resource>`` lane,
+        skipping stages owned by untraced queries, then the collective
+        boundary sync on the bare ``interconnect`` lane.  Owned stages are
+        named ``q<owner>|<task>``.  Returns ``{query: {resource: busy_s}}``,
+        the per-query occupancy split the exec tiles annotate.
         """
         busy: dict[int, dict[str, float]] = {}
-        for entry in timeline.entries:
-            owner = entry.owner
-            name, resources = entry.name, None
-            if owner >= 0:
-                resources = busy.setdefault(owner, {})
-                name = None if tracks[owner] is None else "q%d|%s" % (owner, name)
-            lane = "dev%d:" % entry.device if entry.device >= 0 else ""
-            for resource, start, end in entry.spans:
-                if resources is not None:
-                    resources[resource] = resources.get(resource, 0.0) + (end - start) * scale
+        span = tracer.span
+        # Every task of a merged co-schedule has an owner.
+        for task, stream, device, owner, stages in timeline.task_stages():
+            resources = busy.setdefault(owner, {})
+            name = None if tracks[owner] is None else "q%d|%s" % (owner, task.name)
+            lane = "dev%d:" % device
+            for resource, start, end in stages:
+                resources[resource] = resources.get(resource, 0.0) + (end - start) * scale
                 if name is not None:
-                    tracer.span(
+                    span(
                         "device", name, lane + resource,
                         start_s + start * scale, start_s + end * scale,
-                        engine=entry.engine, stream=entry.stream,
+                        engine=task.engine, stream=stream,
                     )
+        if timeline.sync is not None:
+            start, end = timeline.sync
+            span(
+                "device", "boundary-sync", INTERCONNECT_RESOURCE,
+                start_s + start * scale, start_s + end * scale,
+                engine=SYNC_ENGINE, stream=0,
+            )
         return busy

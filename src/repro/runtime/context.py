@@ -271,6 +271,23 @@ class ExecutionContext:
         """Partitions resident in device memory across all shards."""
         return 0 if self.cache is None else self.cache.num_resident
 
+    def cache_mark(self) -> tuple[int, ...] | None:
+        """Cache counter snapshot for :meth:`stamp_cache` (``None`` if cacheless)."""
+        return None if self.cache is None else self.cache.snapshot_counters()
+
+    def stamp_cache(self, stats, mark: tuple[int, ...] | None) -> None:
+        """Stamp ``stats`` with the cache bytes counted since ``mark``.
+
+        Planners mark before each query's claims and stamp after them, so
+        every plan of a K-query call carries its own hit/miss/evicted
+        bytes.  Cacheless sessions leave the zeros.
+        """
+        if self.cache is not None:
+            delta = self.cache.delta(mark)
+            stats.cache_hit_bytes = delta["hit_bytes"]
+            stats.cache_miss_bytes = delta["miss_bytes"]
+            stats.cache_evicted_bytes = delta["evicted_bytes"]
+
     def reset(self) -> None:
         """Forget cross-run transfer state (window, amortized tally, cache)."""
         self.shipped.clear()

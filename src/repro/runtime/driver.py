@@ -17,11 +17,16 @@ concurrent multi-query serving layer: the
 query, co-schedules the merged task lists on the shared devices, and
 still charges each query its standalone statistics.
 
-A planner is ``plan_iteration(session)`` and nothing more: what it may
-skip shipping is decided by the context's transfer window, which
-:meth:`IterationDriver.drive` opens once per solo iteration and the
-batch runner once per super-iteration — the one difference between the
-two, and not one a planner sees.
+A planner is ``plan_iterations(sessions)``: one plan per session, in
+order, from one call.  A solo iteration is the K = 1 call; the batch
+runner passes every live query of a super-iteration, so a planner may
+share work across them (the HyTGraph engine pushes every query of one
+program in one fused call per task step), while a baseline simply plans
+each session alone (:meth:`~repro.systems.base.GraphSystem.plan_iterations`).
+What a planner may skip shipping is decided by the context's transfer
+window, which :meth:`IterationDriver.drive` opens once per solo
+iteration and the batch runner once per super-iteration — the one
+difference between the two, and not one a planner sees.
 """
 
 from __future__ import annotations
@@ -154,15 +159,18 @@ class IterationDriver:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def plan(self, planner, session: QuerySession, since=None) -> IterationPlan:
-        """Run one planner iteration inside the already-open transfer window.
+    def plan(self, planner, sessions: list[QuerySession], since=None) -> list[IterationPlan]:
+        """Plan one iteration of every session, inside the open transfer window.
 
-        The caller opened it
+        One ``planner.plan_iterations(sessions)`` call returns one plan
+        per session, in order.  The caller opened the window
         (:meth:`~repro.runtime.context.ExecutionContext.begin_window`):
         :meth:`drive` per solo iteration, the batch runner per
-        *super*-iteration before any query plans.  The plan's stats are
-        stamped with the cache hit/miss/evicted bytes counted since
-        ``since`` (a counter snapshot; default: one taken here).
+        *super*-iteration before any query plans.  Each plan's stats
+        carry the cache bytes of its own query's claims; ``since`` (a
+        counter snapshot, solo runs only) restamps the one plan from an
+        earlier point, so it also owns the evictions committed when the
+        window opened.
 
         Planning is where ``program.process`` pushes messages, so a
         backend pinned on the context is scoped around the whole call —
@@ -170,21 +178,14 @@ class IterationDriver:
         without an explicit backend keep the ambient one.
         """
         context = self.context
-        cache = context.cache
-        if since is None and cache is not None:
-            since = cache.snapshot_counters()
         if context.backend is None:
-            plan = planner.plan_iteration(session)
+            plans = planner.plan_iterations(sessions)
         else:
             with use_backend(context.backend):
-                plan = planner.plan_iteration(session)
-        if cache is not None:
-            delta = cache.delta(since)
-            stats = plan.stats
-            stats.cache_hit_bytes = delta["hit_bytes"]
-            stats.cache_miss_bytes = delta["miss_bytes"]
-            stats.cache_evicted_bytes = delta["evicted_bytes"]
-        return plan
+                plans = planner.plan_iterations(sessions)
+        if since is not None:
+            context.stamp_cache(plans[0].stats, since)
+        return plans
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -223,18 +224,17 @@ class IterationDriver:
         """Run ``planner`` to convergence (or the iteration bound).
 
         ``planner`` is anything exposing
-        ``plan_iteration(session) -> IterationPlan`` — a
+        ``plan_iterations(sessions) -> list[IterationPlan]`` — a
         :class:`~repro.systems.base.GraphSystem` or the HyTGraph engine.
         Every iteration is its own transfer window.
         """
         context = self.context
-        cache = context.cache
         while session.pending.any() and session.iteration < max_iterations:
             # Snapshot before the window opens: the evictions committed
             # at the boundary belong to the iteration that triggered them.
-            since = cache.snapshot_counters() if cache is not None else None
+            since = context.cache_mark()
             context.begin_window()
-            plan = self.plan(planner, session, since)
+            [plan] = self.plan(planner, [session], since)
             session.result.iterations.append(self.finish(plan))
             session.iteration += 1
         return session

@@ -14,7 +14,7 @@ boundary-synchronisation entry occupying the ``"interconnect"`` resource
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 __all__ = ["StageSpan", "TimelineEntry", "Timeline", "INTERCONNECT_RESOURCE", "SYNC_ENGINE"]
 
@@ -126,19 +126,32 @@ class Timeline:
         """Total interconnect occupancy (boundary synchronisation phases)."""
         return self.busy[INTERCONNECT_RESOURCE]
 
+    def task_stages(self) -> Iterator[tuple]:
+        """Each placed task as ``(task, stream, device, owner, stages)``, in placement order.
+
+        ``stages`` lists the task's ``(resource, start, end)`` intervals:
+        :attr:`entries` without the records and the label formatting, for
+        the tracer's per-task loop.
+        """
+        for task, stream, device, owner, cpu_start, cpu_end, pcie_start, pcie_end, gpu_start, gpu_end in self.rows:
+            stages = []
+            if task.cpu_time > 0:
+                stages.append(("cpu", cpu_start, cpu_end))
+            if task.transfer_time > 0:
+                stages.append(("pcie", pcie_start, pcie_end))
+            if task.kernel_time > 0:
+                stages.append(("gpu", gpu_start, gpu_end))
+            yield task, stream, device, owner, stages
+
     @property
     def entries(self) -> list[TimelineEntry]:
         """The schedule as records, one per task in placement order."""
-        entries = []
-        for task, stream, device, owner, cpu_start, cpu_end, pcie_start, pcie_end, gpu_start, gpu_end in self.rows:
-            spans = []
-            if task.cpu_time > 0:
-                spans.append(StageSpan("cpu", cpu_start, cpu_end))
-            if task.transfer_time > 0:
-                spans.append(StageSpan("pcie", pcie_start, pcie_end))
-            if task.kernel_time > 0:
-                spans.append(StageSpan("gpu", gpu_start, gpu_end))
-            entries.append(TimelineEntry(str(task.name), task.engine, stream, tuple(spans), device, owner))
+        entries = [
+            TimelineEntry(
+                str(task.name), task.engine, stream, tuple(StageSpan(*stage) for stage in stages), device, owner
+            )
+            for task, stream, device, owner, stages in self.task_stages()
+        ]
         if self.sync is not None:
             span = StageSpan(INTERCONNECT_RESOURCE, *self.sync)
             entries.append(TimelineEntry("boundary-sync", SYNC_ENGINE, 0, (span,), device=-1))

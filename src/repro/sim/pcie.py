@@ -92,6 +92,17 @@ class PCIeModel:
         requests[degrees == 0] = 0
         return requests
 
+    def vertex_requests(self, graph) -> np.ndarray:
+        """Zero-copy requests of every vertex of ``graph`` (aligned by its CSR offset).
+
+        A function of the CSR layout alone, so the cost model and the
+        zero-copy engine build it once and index it per frontier.
+        """
+        d1 = graph.edge_bytes_per_edge
+        return self.requests_for_vertices(
+            graph.out_degrees, graph.row_offset[:-1] * d1, value_bytes=d1
+        )
+
     def zero_copy_rtt(self, payload_fraction: float) -> float:
         """Damped TLP round trip for zero-copy with the given payload fraction.
 
@@ -116,7 +127,8 @@ class PCIeModel:
         exactly ``ceil(requests/MR)·RTT`` — the cudaMemcpy rate — while a
         batch of mostly-empty requests is dominated by the per-request
         overhead, reproducing the throughput collapse of Figure 3(e).
-        ``ZeroCopyEngine.transfer_task`` applies it once per partition.
+        Arrays of totals price element-wise with the same operations
+        (``ZeroCopyEngine.transfer_task`` prices every partition at once).
         """
         gamma = self.config.zero_copy_gamma
         rtt = self.config.tlp_round_trip_time

@@ -7,9 +7,10 @@ schedulers — trivial at ``num_devices == 1``) and one
 :class:`~repro.runtime.driver.IterationDriver`, and implements the
 ``run`` loop once.  Subclasses only describe *one iteration* by
 implementing :meth:`GraphSystem.plan_iteration`; the same method serves
-1..N devices, solo runs and the concurrent multi-query batch runner —
-what is already on a device is the business of the context's transfer
-window, not a planning argument.
+1..N devices, solo runs and the concurrent multi-query batch runner
+(whose K-query :meth:`GraphSystem.plan_iterations` call plans each query
+alone) — what is already on a device is the business of the context's
+transfer window, not a planning argument.
 """
 
 from __future__ import annotations
@@ -157,6 +158,21 @@ class GraphSystem(ABC):
         session = self.start_session(program, source)
         self.driver.drive(self, session, self.max_iterations)
         return self.finish_session(session)
+
+    def plan_iterations(self, sessions: list[QuerySession]) -> list[IterationPlan]:
+        """Plan one iteration of every session (the planner protocol).
+
+        The default plans each session alone, in order, and stamps each
+        plan with the cache bytes its own claims moved.
+        """
+        context = self.context
+        plans = []
+        for session in sessions:
+            mark = context.cache_mark()
+            plan = self.plan_iteration(session)
+            context.stamp_cache(plan.stats, mark)
+            plans.append(plan)
+        return plans
 
     @abstractmethod
     def plan_iteration(self, session: QuerySession) -> IterationPlan:

@@ -59,6 +59,9 @@ class HyTGraphSystem(GraphSystem):
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
         return self.engine.plan_iteration(session)
 
+    def plan_iterations(self, sessions: list[QuerySession]) -> list[IterationPlan]:
+        return self.engine.plan_iterations(sessions)
+
     def finish_session(self, session: QuerySession) -> RunResult:
         result = self.engine.finish_session(session)
         result.system = self.name

@@ -20,7 +20,7 @@ from repro.graph.csr import CSRGraph
 from repro.sim.config import HardwareConfig
 from repro.sim.pcie import PCIeModel
 
-__all__ = ["EngineKind", "TransferOutcome", "TransferEngine"]
+__all__ = ["EngineKind", "ENGINE_LABEL", "TransferOutcome", "TransferEngine"]
 
 
 class EngineKind(str, Enum):
@@ -33,6 +33,10 @@ class EngineKind(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: ``EngineKind.value`` without the enum descriptor (hot paths read it per task).
+ENGINE_LABEL = {kind: kind.value for kind in EngineKind}
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.graph.csr import CSRGraph
+from repro.sim.config import HardwareConfig
 from repro.transfer.base import EngineKind, TransferEngine, TransferOutcome
 
 __all__ = ["ZeroCopyEngine"]
@@ -24,37 +26,37 @@ class ZeroCopyEngine(TransferEngine):
 
     kind = EngineKind.IMP_ZERO_COPY
 
+    def __init__(self, graph: CSRGraph, config: HardwareConfig):
+        super().__init__(graph, config)
+        #: Requests per vertex: static, the CSR layout fixes them.
+        self._requests = self.pcie.vertex_requests(graph)
+
     def transfer_task(self, active_vertices: np.ndarray, cuts: Sequence[int]) -> TransferOutcome:
         """One vectorised pass over the task's vertices.
 
         The zero-copy cost model is per-vertex and, within a partition,
-        linear in the request and payload totals, so per-vertex requests
-        are computed once and reduced per partition with exact integer
-        prefix sums; each partition then pays
-        :meth:`~repro.sim.pcie.PCIeModel.zero_copy_time` of its own totals.
+        linear in the request and payload totals, so the per-vertex
+        request table is reduced per partition with exact integer prefix
+        sums; each partition then pays
+        :meth:`~repro.sim.pcie.PCIeModel.zero_copy_time` of its own
+        totals, and ``np.add.accumulate`` adds those left to right.
         """
         active_vertices = np.asarray(active_vertices, dtype=np.int64)
         if active_vertices.size == 0:
             return TransferOutcome(self.kind, 0, 0.0, overlapped=True)
         cuts = np.asarray(cuts)
-        d1 = self.graph.edge_bytes_per_edge
         degrees = self._active_degrees(active_vertices)
-        requests = self.pcie.requests_for_vertices(
-            degrees, start_bytes=self._edge_start_bytes(active_vertices), value_bytes=d1
-        )
-        request_prefix = np.concatenate([[0], np.cumsum(requests)])
+        request_prefix = np.concatenate([[0], np.cumsum(self._requests[active_vertices])])
         degree_prefix = np.concatenate([[0], np.cumsum(degrees)])
         requests_per_partition = request_prefix[cuts[1:]] - request_prefix[cuts[:-1]]
-        payload_per_partition = (degree_prefix[cuts[1:]] - degree_prefix[cuts[:-1]]) * d1
-        transfer_time = 0.0
-        for partition_requests, partition_payload in zip(
-            requests_per_partition.tolist(), payload_per_partition.tolist()
-        ):
-            transfer_time += self.pcie.zero_copy_time(partition_requests, partition_payload)
+        payload_per_partition = (degree_prefix[cuts[1:]] - degree_prefix[cuts[:-1]]) * (
+            self.graph.edge_bytes_per_edge
+        )
+        partition_times = self.pcie.zero_copy_time(requests_per_partition, payload_per_partition)
         return TransferOutcome(
             engine=self.kind,
             bytes_transferred=int(payload_per_partition.sum()),
-            transfer_time=transfer_time,
+            transfer_time=float(np.add.accumulate(partition_times)[-1]),
             cpu_time=0.0,
             overlapped=True,
         )

@@ -549,7 +549,7 @@ def test_checkpoint_restore_is_bitwise(graph, config):
     driver = system.driver
     for _ in range(2):
         system.context.begin_window()
-        plan = driver.plan(system, session)
+        [plan] = driver.plan(system, [session])
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1
     checkpoint = driver.capture_checkpoint(session)
@@ -559,7 +559,7 @@ def test_checkpoint_restore_is_bitwise(graph, config):
     # Run further, then roll back.
     for _ in range(2):
         system.context.begin_window()
-        plan = driver.plan(system, session)
+        [plan] = driver.plan(system, [session])
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1
     cost = driver.restore_checkpoint(session, checkpoint)

@@ -5,8 +5,9 @@ create it (``VertexProgram.initial_frontier``, ``single_vertex``), each
 query session owns it as ``QuerySession.pending``, the
 :class:`~repro.runtime.driver.IterationDriver` scans it once per
 iteration (``snapshot``) and lands activations in it
-(``process_per_device``), the HyTGraph engine scans it per task range
-(``_pending_in_ranges``) and checkpoints copy it.  These tests pin that
+(``process_per_device``), the HyTGraph engine stacks the bitmaps of a
+super-iteration's queries and scans each task step's partitions in one
+pass, and checkpoints copy it.  These tests pin that
 protocol end to end.
 """
 
@@ -67,7 +68,8 @@ class TestConstruction:
         session = system.start_session(ConnectedComponents())
         session.pending = _mask(6, [2])
         system.context.begin_window()
-        stats = system.driver.finish(system.driver.plan(system, session))
+        [plan] = system.driver.plan(system, [session])
+        stats = system.driver.finish(plan)
         assert stats.active_vertices == 1
         assert stats.active_edges == paper_graph.out_degrees[2]
         assert not session.pending[2]
@@ -174,14 +176,36 @@ class TestMutation:
         assert session.iteration == len(session.result.iterations) > 0
         assert system.finish_session(session).converged
 
-    def test_clear_range(self):
-        pending = _mask(12, [0, 2, 3, 6, 8, 11])
-        ranges = [(2, 5), (7, 9)]
-        assert HyTGraphEngine._pending_in_ranges(pending, ranges).tolist() == [2, 3, 8]
-        assert HyTGraphEngine._pending_in_ranges(pending, [(4, 6)]).size == 0
-        assert HyTGraphEngine._pending_in_ranges(pending, [(0, 12)]).tolist() == [0, 2, 3, 6, 8, 11]
-        # The scan reads the bitmap; it never clears it.
-        assert np.flatnonzero(pending).tolist() == [0, 2, 3, 6, 8, 11]
+    def test_clear_range(self, rmat, monkeypatch):
+        # A fused step's first round pushes, for every row in one call,
+        # exactly the pending vertices inside that row's own task
+        # partitions (flat ids ``row * |V| + v``).
+        engine = HyTGraphEngine(rmat, num_partitions=4)
+        sessions = [engine.start_session(BFS(), source) for source in (0, 1)]
+        # Senders only (hub-sorted ids): no sink push precedes the steps.
+        senders = np.flatnonzero(engine.graph.out_degrees > 0)
+        for session, stride in zip(sessions, (3, 5)):
+            session.pending[:] = False
+            session.pending[senders[::stride]] = True
+        before = [session.pending.copy() for session in sessions]
+        pushed = []
+        process = BFS.process
+
+        def recording(program, graph, state, active_vertices):
+            pushed.append(np.asarray(active_vertices).copy())
+            return process(program, graph, state, active_vertices)
+
+        monkeypatch.setattr(BFS, "process", recording)
+        engine.context.begin_window()
+        plans = engine._plan(sessions)
+        num_vertices = rmat.num_vertices
+        boundaries = engine.partitioning.vertex_boundaries
+        for row, (plan, pending) in enumerate(zip(plans, before)):
+            in_task = np.zeros(num_vertices, dtype=bool)
+            for index in plan.device_tasks[0][0].name.partition_indices:
+                in_task[boundaries[index] : boundaries[index + 1]] = True
+            first_round = pushed[0][pushed[0] // num_vertices == row] - row * num_vertices
+            assert first_round.tolist() == np.flatnonzero(pending & in_task).tolist()
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

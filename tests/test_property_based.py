@@ -368,7 +368,7 @@ def test_checkpoint_restore_roundtrip_bitwise(data, algorithm, steps):
         if not session.pending.any():
             break
         system.context.begin_window()
-        plan = driver.plan(system, session)
+        [plan] = driver.plan(system, [session])
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1
 
@@ -385,7 +385,7 @@ def test_checkpoint_restore_roundtrip_bitwise(data, algorithm, steps):
         if not session.pending.any():
             break
         system.context.begin_window()
-        plan = driver.plan(system, session)
+        [plan] = driver.plan(system, [session])
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1
     for value in session.state.arrays.values():
