@@ -64,11 +64,6 @@ class ScheduledTask:
 
     __str__ = label.fget
 
-    @property
-    def num_active_vertices(self) -> int:
-        """Number of active vertices the task processes."""
-        return int(self.active_vertices.size)
-
 
 class TaskCombiner:
     """Merges per-partition engine selections into scheduler tasks."""

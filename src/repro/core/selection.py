@@ -108,14 +108,3 @@ class EngineSelector:
         compaction = (tec < self.thresholds.alpha * tef) & (tec < self.thresholds.beta * tiz)
         codes[active & compaction] = COMPACTION
         return SelectionResult(codes=codes)
-
-    def select_single(self, filter_cost: float, compaction_cost: float, zero_copy_cost: float) -> EngineKind:
-        """Selection rule for a single partition (convenience for tests)."""
-        costs = PartitionCosts(
-            filter_cost=np.array([filter_cost]),
-            compaction_cost=np.array([compaction_cost]),
-            zero_copy_cost=np.array([zero_copy_cost]),
-            active_vertices=np.array([1]),
-            active_edges=np.array([1]),
-        )
-        return self.select(costs).choices[0]

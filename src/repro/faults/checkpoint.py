@@ -2,13 +2,14 @@
 
 A :class:`QueryCheckpoint` is a consistent snapshot of one query taken
 at a super-iteration boundary: the program's per-vertex value arrays,
-the frontier bitmap, the iteration counters and a manifest of what was
-cache-resident at capture time.  On a permanent fault (device loss) the
-runner restores every live query from its last checkpoint and
-re-executes from there — the vertex-program semantics are deterministic
-and device-count independent, so re-execution converges to values
-bitwise identical to a fault-free run (the chaos grid asserts exactly
-that).
+the frontier bitmap, the iteration counters and the system's per-query
+scratch.  Device residency is not part of it: device memory does not
+survive the faults that trigger a restore, so the cache layer rebuilds
+it.  On a permanent fault (device loss) the runner restores every live
+query from its last checkpoint and re-executes from there — the
+vertex-program semantics are deterministic and device-count independent,
+so re-execution converges to values bitwise identical to a fault-free
+run (the chaos grid asserts exactly that).
 
 Costs are billed into the simulated timeline: capturing is one
 device-to-host copy of the state bytes over PCIe, restoring is the same
@@ -46,11 +47,6 @@ class QueryCheckpoint:
         bitmap.
     scratch:
         Deep copy of the session's system-specific scratch state.
-    residency:
-        Manifest of the cache-resident partitions at capture time
-        (``None`` on cacheless sessions).  Informational: device memory
-        does not survive the faults that trigger a restore, so residency
-        is rebuilt by the cache layer, not replayed from here.
     checkpoint_bytes:
         Bytes one capture/restore moves across PCIe.
     """
@@ -60,11 +56,10 @@ class QueryCheckpoint:
     state: ProgramState
     pending: np.ndarray
     scratch: dict
-    residency: np.ndarray | None
     checkpoint_bytes: int
 
     @classmethod
-    def capture(cls, session, cache=None) -> "QueryCheckpoint":
+    def capture(cls, session) -> "QueryCheckpoint":
         """Snapshot ``session`` (a :class:`~repro.runtime.driver.QuerySession`)."""
         state = session.state.copy()
         pending = session.pending.copy()
@@ -75,7 +70,6 @@ class QueryCheckpoint:
             state=state,
             pending=pending,
             scratch=copy.deepcopy(session.scratch),
-            residency=None if cache is None else cache.resident.copy(),
             checkpoint_bytes=int(nbytes),
         )
 

@@ -15,7 +15,7 @@ vertex-centric kernels can be evaluated with vectorised operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -275,22 +275,6 @@ class CSRGraph:
         return cls(row_offset, keys, weights, name=name)
 
     @classmethod
-    def from_adjacency(
-        cls,
-        adjacency: dict[int, Iterable[int]],
-        num_vertices: int | None = None,
-        name: str = "graph",
-    ) -> "CSRGraph":
-        """Build a CSR graph from a ``{src: [dst, ...]}`` adjacency mapping."""
-        edges = [(src, dst) for src, neighbors in adjacency.items() for dst in neighbors]
-        if num_vertices is None:
-            max_id = -1
-            for src, neighbors in adjacency.items():
-                max_id = max(max_id, src, *(list(neighbors) or [-1]))
-            num_vertices = max_id + 1
-        return cls.from_edges(edges, num_vertices=num_vertices, name=name)
-
-    @classmethod
     def empty(cls, num_vertices: int = 0, name: str = "empty") -> "CSRGraph":
         """A graph with ``num_vertices`` vertices and no edges."""
         return cls(np.zeros(num_vertices + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), name=name)
@@ -345,16 +329,6 @@ class CSRGraph:
         return CSRGraph.from_endpoints(
             new_id[self.edge_sources()], new_id[self.column_index], self.num_vertices, self.edge_value, self.name
         )
-
-    def to_networkx(self):
-        """Convert to a :class:`networkx.DiGraph` (testing / validation only)."""
-        import networkx as nx
-
-        nx_graph = nx.DiGraph()
-        nx_graph.add_nodes_from(range(self.num_vertices))
-        for src, dst, weight in self.iter_edges():
-            nx_graph.add_edge(src, dst, weight=weight)
-        return nx_graph
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "CSRGraph(name=%r, |V|=%d, |E|=%d, weighted=%s)" % (

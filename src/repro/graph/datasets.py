@@ -65,11 +65,6 @@ class DatasetSpec:
     directed: bool
     seed: int
 
-    @property
-    def approx_edges(self) -> int:
-        """Approximate edge count at ``scale=1.0``."""
-        return int(self.num_vertices * self.average_degree)
-
 
 # Vertex counts are chosen so the five graphs keep the paper's relative
 # ordering by total edge volume: SK < TW < FK < UK < FS, with SK small

@@ -57,6 +57,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.algorithms.base import VertexProgram
+from repro.faults.checkpoint import QueryCheckpoint
 from repro.metrics.results import BatchResult
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.driver import QuerySession
@@ -247,7 +248,7 @@ class QueryBatchRunner:
                 if checkpoint is not None:
                     bill_copy(
                         "resume-restore", index, checkpoint,
-                        driver.restore_checkpoint(sessions[index], checkpoint),
+                        checkpoint.restore(sessions[index], config=context.config),
                     )
         checkpoints: list = [None] * len(sessions)
         recovered_supers = 0
@@ -257,7 +258,7 @@ class QueryBatchRunner:
             retry_time_before = injector.retry_time_s
             # Submit-time checkpoints are free: the query state still
             # lives host-side, nothing has to cross PCIe to save it.
-            checkpoints = [driver.capture_checkpoint(session) for session in sessions]
+            checkpoints = [QueryCheckpoint.capture(session) for session in sessions]
         while True:
             live = [
                 index
@@ -281,7 +282,7 @@ class QueryBatchRunner:
                 for index in live:
                     if not preemptible[index]:
                         continue
-                    checkpoint = driver.capture_checkpoint(sessions[index])
+                    checkpoint = QueryCheckpoint.capture(sessions[index])
                     end = bill_copy(
                         "preempt-capture", index, checkpoint,
                         checkpoint.transfer_seconds(context.config),
@@ -312,7 +313,7 @@ class QueryBatchRunner:
                         )
                         bill_copy(
                             "recovery-restore", index, checkpoint,
-                            driver.restore_checkpoint(sessions[index], checkpoint),
+                            checkpoint.restore(sessions[index], config=context.config),
                         )
                     if tracing:
                         tracer.set_clock(trace_base + makespan)
@@ -425,7 +426,7 @@ class QueryBatchRunner:
                     session = sessions[index]
                     if index in terminal or not session.live:
                         continue
-                    checkpoint = driver.capture_checkpoint(session)
+                    checkpoint = QueryCheckpoint.capture(session)
                     checkpoints[index] = checkpoint
                     bill_copy(
                         "checkpoint", index, checkpoint,

@@ -63,7 +63,6 @@ from repro.sim.events import Timeline
 from repro.cache.manager import CacheManager
 from repro.core.backends import KernelBackend, active_backend, resolve_backend
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.kernel import KernelModel
 from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
 
@@ -233,7 +232,6 @@ class ExecutionContext:
             else partial(self.cache.claim_billable, dedup=self.claim_unshipped)
         )
         self.scheduler = MultiDeviceScheduler(config)
-        self.kernel_model = KernelModel(config)
         #: Span sink (no-op unless a service/CLI installs a recording
         #: tracer; see :mod:`repro.obs`).
         self.tracer = NULL_TRACER

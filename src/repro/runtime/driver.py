@@ -104,7 +104,8 @@ class QuerySession:
     pending: np.ndarray
     result: RunResult
     iteration: int = 0
-    #: System-specific per-query scratch (e.g. Grus' pending-prefetch flag).
+    #: System-specific per-query scratch (e.g. ImpTM-UM's per-query
+    #: page-cache counters).
     scratch: dict = field(default_factory=dict)
 
     @property
@@ -206,19 +207,6 @@ class IterationDriver:
         stats.interconnect_bytes = int(sum(sync_bytes))
         stats.sync_time = timeline.sync_time
         return stats
-
-    # ------------------------------------------------------------------
-    # Checkpointing (fault recovery)
-    # ------------------------------------------------------------------
-    def capture_checkpoint(self, session: QuerySession):
-        """Snapshot one query's state (values + frontier + residency)."""
-        from repro.faults.checkpoint import QueryCheckpoint
-
-        return QueryCheckpoint.capture(session, cache=self.context.cache)
-
-    def restore_checkpoint(self, session: QuerySession, checkpoint) -> float:
-        """Roll a query back; return the billed restore-transfer seconds."""
-        return checkpoint.restore(session, config=self.context.config)
 
     def drive(self, planner, session: QuerySession, max_iterations: int) -> QuerySession:
         """Run ``planner`` to convergence (or the iteration bound).

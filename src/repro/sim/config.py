@@ -208,6 +208,15 @@ class HardwareConfig:
             raise ValueError("interconnect_bandwidth must be positive")
         if self.interconnect_latency < 0:
             raise ValueError("interconnect_latency must be non-negative")
+        # Divisors and the stream count: zero or negative fails mid-run.
+        for name in (
+            "gpu_edge_throughput", "cpu_compaction_throughput", "cpu_edge_throughput",
+            "um_page_bytes", "num_streams",
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError("%s must be positive" % name)
+        if self.gpu_memory_bytes < 0:
+            raise ValueError("gpu_memory_bytes must be non-negative")
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -267,12 +276,6 @@ class HardwareConfig:
             gpu_kernel_launch_overhead=self.gpu_kernel_launch_overhead * scale,
             interconnect_latency=self.interconnect_latency * scale,
         )
-
-    def with_streams(self, num_streams: int) -> "HardwareConfig":
-        """A copy with a different number of CUDA streams."""
-        if num_streams <= 0:
-            raise ValueError("num_streams must be positive")
-        return replace(self, num_streams=num_streams)
 
     def with_devices(self, num_devices: int, interconnect: str | None = None) -> "HardwareConfig":
         """A copy attached to ``num_devices`` GPUs of this preset.

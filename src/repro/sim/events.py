@@ -156,10 +156,3 @@ class Timeline:
             span = StageSpan(INTERCONNECT_RESOURCE, *self.sync)
             entries.append(TimelineEntry("boundary-sync", SYNC_ENGINE, 0, (span,), device=-1))
         return entries
-
-    def per_engine_time(self) -> dict[str, float]:
-        """Sum of task durations grouped by transfer engine."""
-        totals: dict[str, float] = {}
-        for entry in self.entries:
-            totals[entry.engine] = totals.get(entry.engine, 0.0) + (entry.end - entry.start)
-        return totals

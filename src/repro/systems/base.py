@@ -10,7 +10,10 @@ implementing :meth:`GraphSystem.plan_iteration`; the same method serves
 1..N devices, solo runs and the concurrent multi-query batch runner
 (whose K-query :meth:`GraphSystem.plan_iterations` call plans each query
 alone) — what is already on a device is the business of the context's
-transfer window, not a planning argument.
+transfer window, not a planning argument.  A synchronous baseline states
+only its tasks (stream tasks, billed bytes, engine mix) and hands them to
+:meth:`GraphSystem._synchronous_plan`, which pushes the frontier and
+records the iteration.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import numpy as np
 from repro.algorithms.base import VertexProgram
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import build_partitioning
-from repro.metrics.results import RunResult
+from repro.metrics.results import IterationStats, RunResult
 from repro.runtime.context import ExecutionContext
-from repro.runtime.driver import IterationDriver, IterationPlan, QuerySession
+from repro.runtime.driver import FrontierSnapshot, IterationDriver, IterationPlan, QuerySession
 from repro.sim.config import HardwareConfig, default_config
 from repro.sim.kernel import KernelModel
-from repro.sim.pcie import PCIeModel
+from repro.sim.streams import StreamTask
 
 __all__ = ["GraphSystem"]
 
@@ -70,25 +73,17 @@ class GraphSystem(ABC):
         self.graph = graph
         self.config = config or default_config()
         self.max_iterations = max_iterations
-        #: Device-memory cache policy/budget (:mod:`repro.cache`).
-        #: Whole-partition transfer paths consult the context's cache;
-        #: systems whose transfers are query-specific (compaction,
-        #: zero-copy, UM paging) simply never hit it.
-        self.cache_policy = cache_policy
-        self.cache_budget = cache_budget
-        #: Compute backend for the kernel layer (``None`` = ambient/default;
-        #: see :mod:`repro.core.backends`).  Resolved by the context so an
-        #: unknown or unavailable backend fails construction, not mid-run.
-        self.backend = backend
         if self.config.num_devices > 1 and not self.supports_multi_device:
             raise ValueError(
                 "%s has no multi-device execution path; run it with num_devices=1"
                 % self.name
             )
         self.kernel_model = KernelModel(self.config)
-        self.pcie = PCIeModel(self.config)
         if self.builds_runtime:
             self.partitioning = build_partitioning(graph, num_partitions)
+            # The context holds the live cache policy/budget
+            # (:mod:`repro.cache`) and resolves the kernel backend, so an
+            # unknown or unavailable backend fails construction, not mid-run.
             self.context = ExecutionContext(
                 self.graph,
                 self.partitioning,
@@ -125,18 +120,13 @@ class GraphSystem(ABC):
         if self.context.is_multi_device:
             result.extra["num_devices"] = self.config.num_devices
             result.extra["interconnect"] = self.config.interconnect_kind
-        session = QuerySession(
+        return QuerySession(
             program=program,
             source=source,
             state=state,
             pending=program.initial_frontier(self.graph, state, source),
             result=result,
         )
-        self._prepare_session(session)
-        return session
-
-    def _prepare_session(self, session: QuerySession) -> None:
-        """Hook: populate per-query scratch state (default: nothing)."""
 
     def finish_session(self, session: QuerySession) -> RunResult:
         """Finalise one query's result record."""
@@ -189,6 +179,42 @@ class GraphSystem(ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
+    def _synchronous_plan(
+        self,
+        session: QuerySession,
+        frontier: FrontierSnapshot,
+        device_tasks: list[list[StreamTask]],
+        transfer_bytes: int,
+        engine_partitions: dict[str, int],
+        engine_tasks: dict[str, int] | None = None,
+        **plan,
+    ) -> IterationPlan:
+        """Push the whole frontier once and record the iteration.
+
+        The tail of every synchronous baseline: every active vertex
+        pushes once, each device its own shard's slice, and the
+        iteration's record counts exactly the frontier's edges as
+        processed.  ``engine_tasks`` defaults to ``engine_partitions``;
+        ``plan`` passes on to :class:`IterationPlan`.
+        """
+        pending = session.pending
+        pending[frontier.active_ids] = False
+        remote_updates = [0] * self.context.num_devices
+        self.driver.process_per_device(
+            session.program, session.state, pending, frontier.per_device, remote_updates
+        )
+        stats = IterationStats(
+            index=session.iteration,
+            time=0.0,
+            active_vertices=frontier.active_vertices,
+            active_edges=frontier.active_edges,
+            transfer_bytes=transfer_bytes,
+            processed_edges=frontier.active_edges,
+            engine_partitions=engine_partitions,
+            engine_tasks=dict(engine_partitions) if engine_tasks is None else engine_tasks,
+        )
+        return IterationPlan(stats=stats, device_tasks=device_tasks, remote_updates=remote_updates, **plan)
+
     def _active_edge_count(self, active_vertices: np.ndarray) -> int:
         if active_vertices.size == 0:
             return 0

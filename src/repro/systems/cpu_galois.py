@@ -13,7 +13,6 @@ overhead.
 
 from __future__ import annotations
 
-from repro.metrics.results import IterationStats
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.systems.base import GraphSystem
 
@@ -26,33 +25,11 @@ class CPUGaloisSystem(GraphSystem):
     name = "Galois"
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
-        pending = session.pending
-        frontier = self.driver.snapshot(pending)
+        frontier = self.driver.snapshot(session.pending)
         iteration_time = self.kernel_model.cpu_processing_time(frontier.active_edges)
-
-        pending[frontier.active_ids] = False
-        remote_updates = [0] * self.context.num_devices
-        self.driver.process_per_device(
-            session.program, session.state, pending, frontier.per_device, remote_updates
+        plan = self._synchronous_plan(
+            session, frontier, self.context.empty_device_lists(), 0, {"CPU": 1},
+            overhead_time=iteration_time, busy_fields=(),
         )
-
-        stats = IterationStats(
-            index=session.iteration,
-            time=0.0,
-            active_vertices=frontier.active_vertices,
-            active_edges=frontier.active_edges,
-            transfer_bytes=0,
-            compaction_time=0.0,
-            transfer_time=0.0,
-            kernel_time=iteration_time,
-            processed_edges=frontier.active_edges,
-            engine_partitions={"CPU": 1},
-            engine_tasks={"CPU": 1},
-        )
-        return IterationPlan(
-            stats=stats,
-            device_tasks=self.context.empty_device_lists(),
-            remote_updates=remote_updates,
-            overhead_time=iteration_time,
-            busy_fields=(),
-        )
+        plan.stats.kernel_time = iteration_time
+        return plan

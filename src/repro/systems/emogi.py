@@ -28,7 +28,6 @@ metrics.
 
 from __future__ import annotations
 
-from repro.metrics.results import IterationStats
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
@@ -49,8 +48,7 @@ class EmogiSystem(GraphSystem):
         self.engine = ZeroCopyEngine(self.graph, self.config)
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
-        pending = session.pending
-        frontier = self.driver.snapshot(pending)
+        frontier = self.driver.snapshot(session.pending)
 
         device_tasks: list[list[StreamTask]] = self.context.empty_device_lists()
         transfer_bytes = 0
@@ -72,21 +70,7 @@ class EmogiSystem(GraphSystem):
                 )
             )
 
-        # Synchronous processing: every device pushes its shard's frontier.
-        pending[frontier.active_ids] = False
-        remote_updates = [0] * self.context.num_devices
-        self.driver.process_per_device(
-            session.program, session.state, pending, frontier.per_device, remote_updates
+        return self._synchronous_plan(
+            session, frontier, device_tasks, transfer_bytes,
+            {EngineKind.IMP_ZERO_COPY.value: active_devices},
         )
-
-        stats = IterationStats(
-            index=session.iteration,
-            time=0.0,
-            active_vertices=frontier.active_vertices,
-            active_edges=frontier.active_edges,
-            transfer_bytes=transfer_bytes,
-            processed_edges=frontier.active_edges,
-            engine_partitions={EngineKind.IMP_ZERO_COPY.value: active_devices},
-            engine_tasks={EngineKind.IMP_ZERO_COPY.value: active_devices},
-        )
-        return IterationPlan(stats=stats, device_tasks=device_tasks, remote_updates=remote_updates)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.results import IterationStats
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
@@ -45,8 +44,7 @@ class ExpTMFilterSystem(GraphSystem):
     supports_multi_device = True
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
-        pending = session.pending
-        frontier = self.driver.snapshot(pending)
+        frontier = self.driver.snapshot(session.pending)
         active_ids = frontier.active_ids
         # Partitions hold consecutive vertex ranges and active_ids is
         # sorted, so one bisection splits the frontier per partition.
@@ -71,14 +69,12 @@ class ExpTMFilterSystem(GraphSystem):
         device_tasks: list[list[StreamTask]] = context.empty_device_lists()
         transfer_bytes = 0
         active_partition_count = 0
-        task_count = 0
         for partition in self.partitioning:
             in_partition = active_ids[cuts[partition.index] : cuts[partition.index + 1]]
             if in_partition.size == 0:
                 continue
             device = self.sharding.device_of_partition(partition.index)
             active_partition_count += 1
-            task_count += 1
             kernel_time = self.kernel_model.kernel_time(self._active_edge_count(in_partition))
             if not claim([partition.index]):
                 # Cache-resident, or another query already shipped it
@@ -97,21 +93,7 @@ class ExpTMFilterSystem(GraphSystem):
                 )
             )
 
-        # Synchronous processing: every active vertex pushes once.
-        pending[active_ids] = False
-        remote_updates = [0] * context.num_devices
-        self.driver.process_per_device(
-            session.program, session.state, pending, frontier.per_device, remote_updates
+        return self._synchronous_plan(
+            session, frontier, device_tasks, transfer_bytes,
+            {EngineKind.EXP_FILTER.value: active_partition_count},
         )
-
-        stats = IterationStats(
-            index=session.iteration,
-            time=0.0,
-            active_vertices=frontier.active_vertices,
-            active_edges=frontier.active_edges,
-            transfer_bytes=transfer_bytes,
-            processed_edges=frontier.active_edges,
-            engine_partitions={EngineKind.EXP_FILTER.value: active_partition_count},
-            engine_tasks={EngineKind.EXP_FILTER.value: task_count},
-        )
-        return IterationPlan(stats=stats, device_tasks=device_tasks, remote_updates=remote_updates)

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.results import IterationStats, RunResult
+from repro.metrics.results import RunResult
 from repro.runtime.driver import IterationPlan, QuerySession
+from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
 from repro.transfer.base import EngineKind
@@ -48,13 +49,14 @@ class GrusSystem(GraphSystem):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._zc_throughput = self.pcie.zero_copy_throughput(GRUS_ZC_REQUEST_BYTES)
+        pcie = PCIeModel(self.config)
+        self._zc_throughput = pcie.zero_copy_throughput(GRUS_ZC_REQUEST_BYTES)
         self._vertex_cached, self._prefetched_bytes = self._plan_prefetch()
         # The prefetch happens once, through the unified-memory migration
         # path; charge it as preprocessing-like setup on the first
         # iteration after a warm-state reset.  The prefetched data is
         # query-independent, so a batch pays it once, not once per query.
-        self._prefetch_time = self.pcie.page_migration_time(
+        self._prefetch_time = pcie.page_migration_time(
             int(np.ceil(self._prefetched_bytes / self.config.um_page_bytes))
         )
         self._prefetch_pending = True
@@ -86,8 +88,7 @@ class GrusSystem(GraphSystem):
         result.extra["prefetched_bytes"] = self._prefetched_bytes
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
-        pending = session.pending
-        frontier = self.driver.snapshot(pending)
+        frontier = self.driver.snapshot(session.pending)
         active_vertices = frontier.active_ids
 
         cached_active = active_vertices[self._vertex_cached[active_vertices]]
@@ -129,33 +130,17 @@ class GrusSystem(GraphSystem):
             transfer_time += self._prefetch_time
             self._prefetch_pending = False
 
-        pending[active_vertices] = False
-        remote_updates = [0] * self.context.num_devices
-        self.driver.process_per_device(
-            session.program, session.state, pending, frontier.per_device, remote_updates
-        )
-
-        stats = IterationStats(
-            index=session.iteration,
-            time=0.0,
-            active_vertices=frontier.active_vertices,
-            active_edges=frontier.active_edges,
-            transfer_bytes=transfer_bytes,
-            compaction_time=0.0,
-            # The one-off prefetch is accounted in transfer_time but not
-            # scheduled as a stream task, so the planner owns this field.
-            transfer_time=transfer_time,
-            processed_edges=frontier.active_edges,
-            engine_partitions={
+        plan = self._synchronous_plan(
+            session, frontier, device_tasks, transfer_bytes,
+            {
                 EngineKind.IMP_UNIFIED_MEMORY.value: int(cached_active.size > 0),
                 EngineKind.IMP_ZERO_COPY.value: int(uncached_active.size > 0),
             },
-            engine_tasks={task.engine: 1 for task in device_tasks[0]},
-        )
-        return IterationPlan(
-            stats=stats,
-            device_tasks=device_tasks,
-            remote_updates=remote_updates,
+            {task.engine: 1 for task in device_tasks[0]},
             overhead_time=overhead_time,
             busy_fields=("gpu",),
         )
+        # The one-off prefetch is accounted in transfer_time but not
+        # scheduled as a stream task, so the planner owns this field.
+        plan.stats.transfer_time = transfer_time
+        return plan

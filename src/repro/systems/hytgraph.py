@@ -48,13 +48,8 @@ class HyTGraphSystem(GraphSystem):
         self.context = self.engine.context
         self.driver = self.engine.driver
 
-    def reset_run_state(self) -> None:
-        self.engine.reset_run_state()
-
     def start_session(self, program: VertexProgram, source: int | None = None) -> QuerySession:
-        session = self.engine.start_session(program, source)
-        session.result.system = self.name
-        return session
+        return self.engine.start_session(program, source)
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
         return self.engine.plan_iteration(session)
@@ -63,11 +58,7 @@ class HyTGraphSystem(GraphSystem):
         return self.engine.plan_iterations(sessions)
 
     def finish_session(self, session: QuerySession) -> RunResult:
-        result = self.engine.finish_session(session)
-        result.system = self.name
-        return result
+        return self.engine.finish_session(session)
 
     def run(self, program: VertexProgram, source: int | None = None) -> RunResult:
-        result = self.engine.run(program, source=source)
-        result.system = self.name
-        return result
+        return self.engine.run(program, source=source)

@@ -18,7 +18,7 @@ batch's queries — later queries fault in only what earlier ones evicted.
 
 from __future__ import annotations
 
-from repro.metrics.results import IterationStats, RunResult
+from repro.metrics.results import RunResult
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
@@ -57,8 +57,7 @@ class ImpTMUMSystem(GraphSystem):
         }
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
-        pending = session.pending
-        frontier = self.driver.snapshot(pending)
+        frontier = self.driver.snapshot(session.pending)
         active_vertices = frontier.active_ids
 
         cache_stats = self.engine.cache.stats
@@ -83,20 +82,7 @@ class ImpTMUMSystem(GraphSystem):
             )
         )
 
-        pending[active_vertices] = False
-        remote_updates = [0] * self.context.num_devices
-        self.driver.process_per_device(
-            session.program, session.state, pending, frontier.per_device, remote_updates
+        return self._synchronous_plan(
+            session, frontier, device_tasks, outcome.bytes_transferred,
+            {EngineKind.IMP_UNIFIED_MEMORY.value: 1},
         )
-
-        stats = IterationStats(
-            index=session.iteration,
-            time=0.0,
-            active_vertices=frontier.active_vertices,
-            active_edges=frontier.active_edges,
-            transfer_bytes=outcome.bytes_transferred,
-            processed_edges=frontier.active_edges,
-            engine_partitions={EngineKind.IMP_UNIFIED_MEMORY.value: 1},
-            engine_tasks={EngineKind.IMP_UNIFIED_MEMORY.value: 1},
-        )
-        return IterationPlan(stats=stats, device_tasks=device_tasks, remote_updates=remote_updates)

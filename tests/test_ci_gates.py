@@ -101,7 +101,9 @@ def test_numba_leg_grep_matches_the_backend_skip_reasons():
     # silently disable that gate, so the two strings are pinned together.
     grep = re.search(r'grep -q "([^"]+)" numba_suites\.log', WORKFLOW.read_text())
     assert grep is not None, "the numba leg no longer greps its suite log"
-    for suite in ("test_kernels.py", "test_runtime_equivalence.py", "test_fused_waves.py"):
+    for suite in (
+        "test_kernels.py", "test_runtime_equivalence.py", "test_fused_waves.py", "test_system_stats.py",
+    ):
         assert suite in WORKFLOW.read_text()
         reasons = _skip_reasons(ROOT / "tests" / suite)
         assert reasons, "%s has no backend skip" % suite

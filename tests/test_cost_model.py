@@ -94,16 +94,14 @@ class TestZeroCopyCost:
     def test_low_degree_actives_cost_more_than_high_degree(self, config):
         # The Figure 4 example: same active edge count, different active
         # vertex counts -> different zero-copy cost.
-        adjacency = {}
-        vertex = 0
         # 6 vertices with ~10 neighbors each vs 2 vertices with 30 each.
-        for _ in range(6):
-            adjacency[vertex] = [(vertex + offset) % 100 + 40 for offset in range(10)]
-            vertex += 1
-        for _ in range(2):
-            adjacency[vertex] = [(vertex + offset) % 100 + 40 for offset in range(30)]
-            vertex += 1
-        graph = CSRGraph.from_adjacency(adjacency, num_vertices=140)
+        degrees = [10] * 6 + [30] * 2
+        edges = [
+            (vertex, (vertex + offset) % 100 + 40)
+            for vertex, degree in enumerate(degrees)
+            for offset in range(degree)
+        ]
+        graph = CSRGraph.from_edges(edges, num_vertices=140)
         partitioning = partition_by_count(graph, 1)
         model = CostModel(graph, partitioning, config)
         many_mask = np.zeros(graph.num_vertices, dtype=bool)

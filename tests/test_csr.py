@@ -38,12 +38,6 @@ class TestConstruction:
         assert graph.num_edges == 2
         assert list(graph.neighbors(0)) == [1, 1]
 
-    def test_from_adjacency(self):
-        graph = CSRGraph.from_adjacency({0: [1, 2], 2: [0]})
-        assert graph.num_vertices == 3
-        assert graph.num_edges == 3
-        assert list(graph.neighbors(2)) == [0]
-
     def test_empty_graph(self):
         graph = CSRGraph.empty(5)
         assert graph.num_vertices == 5
@@ -192,9 +186,3 @@ class TestTransformations:
     def test_permute_rejects_non_permutation(self, paper_graph):
         with pytest.raises(ValueError):
             paper_graph.permute(np.array([0, 0, 1, 2, 3, 4]))
-
-    def test_to_networkx(self, paper_graph):
-        nx_graph = paper_graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 6
-        assert nx_graph.number_of_edges() == 10
-        assert nx_graph[0][1]["weight"] == 2.0

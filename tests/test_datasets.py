@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.graph.datasets import DATASETS, DatasetSpec, dataset_names, load_dataset
+from repro.graph.datasets import DATASETS, dataset_names, load_dataset
 from repro.graph.generators import (
     complete_graph,
     grid_graph,
@@ -35,10 +35,6 @@ class TestSpecs:
         assert DATASETS["UK"].directed
         assert not DATASETS["FK"].directed
         assert not DATASETS["FS"].directed
-
-    def test_approx_edges(self):
-        spec = DatasetSpec("X", "x", "web", 1000, 10.0, True, 1)
-        assert spec.approx_edges == 10000
 
 
 class TestLoading:

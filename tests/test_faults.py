@@ -552,7 +552,7 @@ def test_checkpoint_restore_is_bitwise(graph, config):
         [plan] = driver.plan(system, [session])
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1
-    checkpoint = driver.capture_checkpoint(session)
+    checkpoint = QueryCheckpoint.capture(session)
     snapshot = {key: value.copy() for key, value in session.state.arrays.items()}
     pending_snapshot = session.pending.copy()
     records = len(session.result.iterations)
@@ -562,7 +562,7 @@ def test_checkpoint_restore_is_bitwise(graph, config):
         [plan] = driver.plan(system, [session])
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1
-    cost = driver.restore_checkpoint(session, checkpoint)
+    cost = checkpoint.restore(session, config=system.context.config)
     assert cost > 0.0
     assert session.iteration == checkpoint.iteration
     assert len(session.result.iterations) == records

@@ -372,7 +372,7 @@ def test_checkpoint_restore_roundtrip_bitwise(data, algorithm, steps):
         session.result.iterations.append(driver.finish(plan))
         session.iteration += 1
 
-    checkpoint = driver.capture_checkpoint(session)
+    checkpoint = QueryCheckpoint.capture(session)
     assert isinstance(checkpoint, QueryCheckpoint)
     assert checkpoint.checkpoint_bytes > 0
     arrays = {key: value.copy() for key, value in session.state.arrays.items()}
@@ -395,7 +395,7 @@ def test_checkpoint_restore_roundtrip_bitwise(data, algorithm, steps):
             value[:] = value[::-1].copy()
     session.pending[:] = ~session.pending
 
-    cost = driver.restore_checkpoint(session, checkpoint)
+    cost = checkpoint.restore(session, config=system.context.config)
     assert cost >= 0.0
     assert session.iteration == iteration
     assert len(session.result.iterations) == records
@@ -409,7 +409,7 @@ def test_checkpoint_restore_roundtrip_bitwise(data, algorithm, steps):
     # The checkpoint survives its own restore: a second rollback after
     # further divergence lands on the same bits.
     session.pending[:] = ~session.pending
-    driver.restore_checkpoint(session, checkpoint)
+    checkpoint.restore(session, config=system.context.config)
     np.testing.assert_array_equal(session.pending, pending)
 
 

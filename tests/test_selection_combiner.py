@@ -23,31 +23,36 @@ def make_costs(filter_cost, compaction_cost, zero_copy_cost, active_edges=None):
     )
 
 
+def select_one(selector, filter_cost, compaction_cost, zero_copy_cost):
+    """The engine ``selector`` picks for one active partition."""
+    return selector.select(make_costs([filter_cost], [compaction_cost], [zero_copy_cost])).choices[0]
+
+
 class TestSelectionRule:
     def test_compaction_when_both_conditions_hold(self):
         selector = EngineSelector()
         # Tec < 0.8*Tef and Tec < 0.4*Tiz.
-        assert selector.select_single(10.0, 5.0, 20.0) == EngineKind.EXP_COMPACTION
+        assert select_one(selector, 10.0, 5.0, 20.0) == EngineKind.EXP_COMPACTION
 
     def test_zero_copy_when_cheaper_than_filter(self):
         selector = EngineSelector()
         # Compaction fails the beta condition, zero-copy beats filter.
-        assert selector.select_single(10.0, 5.0, 6.0) == EngineKind.IMP_ZERO_COPY
+        assert select_one(selector, 10.0, 5.0, 6.0) == EngineKind.IMP_ZERO_COPY
 
     def test_filter_when_everything_is_active(self):
         selector = EngineSelector()
         # Dense partition: compaction ~ filter, zero-copy worse than filter.
-        assert selector.select_single(10.0, 10.5, 15.0) == EngineKind.EXP_FILTER
+        assert select_one(selector, 10.0, 10.5, 15.0) == EngineKind.EXP_FILTER
 
     def test_alpha_boundary(self):
         selector = EngineSelector(SelectionThresholds(alpha=0.8, beta=0.4))
         # Tec exactly at alpha*Tef fails the strict inequality.
-        assert selector.select_single(10.0, 8.0, 100.0) != EngineKind.EXP_COMPACTION
+        assert select_one(selector, 10.0, 8.0, 100.0) != EngineKind.EXP_COMPACTION
 
     def test_beta_boundary(self):
         selector = EngineSelector(SelectionThresholds(alpha=0.8, beta=0.4))
         # Tec exactly at beta*Tiz fails the strict inequality.
-        assert selector.select_single(100.0, 4.0, 10.0) != EngineKind.EXP_COMPACTION
+        assert select_one(selector, 100.0, 4.0, 10.0) != EngineKind.EXP_COMPACTION
 
     def test_inactive_partition_gets_none(self):
         selector = EngineSelector()
@@ -165,7 +170,7 @@ class TestTaskCombiner:
         mask = np.zeros(medium_power_law_graph.num_vertices, dtype=bool)
         mask[::5] = True
         tasks = combiner.combine(partitioning, self._selection(choices), mask)
-        total_active = sum(task.num_active_vertices for task in tasks)
+        total_active = sum(task.active_vertices.size for task in tasks)
         assert total_active == int(mask.sum())
 
     def test_disabled_combiner_one_task_per_partition(self, medium_power_law_graph):

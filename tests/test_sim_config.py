@@ -56,6 +56,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             HardwareConfig(pcie_bandwidth=-1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("num_streams", 0),
+            ("num_streams", -1),
+            ("cpu_compaction_throughput", 0),
+            ("gpu_edge_throughput", 0),
+            ("cpu_edge_throughput", 0),
+            ("um_page_bytes", 0),
+            ("gpu_memory_bytes", -5),
+        ],
+    )
+    def test_values_that_would_fail_mid_run_are_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HardwareConfig(**{field: value})
+
 
 class TestAdjustedCopies:
     def test_with_gpu_memory(self):
@@ -71,11 +87,6 @@ class TestAdjustedCopies:
     def test_scaled_invalid(self):
         with pytest.raises(ValueError):
             HardwareConfig().scaled(0)
-
-    def test_with_streams(self):
-        assert HardwareConfig().with_streams(2).num_streams == 2
-        with pytest.raises(ValueError):
-            HardwareConfig().with_streams(0)
 
     def test_original_unchanged(self):
         base = HardwareConfig()
