@@ -176,9 +176,9 @@ def _seed_out_edges(graph, vertices, weighted=False):
 
 def _seed_task_vertex_mask(self, task):
     mask = np.zeros(self.graph.num_vertices, dtype=bool)
+    bounds = self.partitioning.vertex_boundaries
     for index in task.partition_indices:
-        partition = self.partitioning[index]
-        mask[partition.vertex_start : partition.vertex_end] = True
+        mask[bounds[index] : bounds[index + 1]] = True
     return mask
 
 
@@ -225,9 +225,9 @@ def _seed_account_transfer(self, task):
     cpu_time = 0.0
     overlapped = False
     active = task.active_vertices
+    bounds = self.partitioning.vertex_boundaries
     for index in task.partition_indices:
-        partition = self.partitioning[index]
-        in_partition = active[(active >= partition.vertex_start) & (active < partition.vertex_end)]
+        in_partition = active[(active >= bounds[index]) & (active < bounds[index + 1])]
         if task.engine is EngineKind.EXP_FILTER:
             if in_partition.size:
                 bytes_total += context.partition_bytes[index]
@@ -318,11 +318,11 @@ def _seed_run(self, program, source=None):
 
 def _seed_combine(self, partitioning, selection, active_mask, active_ids=None):
     active_mask = np.asarray(active_mask, dtype=bool)
+    bounds = partitioning.vertex_boundaries.tolist()
 
     def active_in(partition_index):
-        partition = partitioning[partition_index]
-        segment = active_mask[partition.vertex_start : partition.vertex_end]
-        return np.nonzero(segment)[0] + partition.vertex_start
+        start, end = bounds[partition_index], bounds[partition_index + 1]
+        return np.nonzero(active_mask[start:end])[0] + start
 
     def make_filter_task(partition_indices):
         vertices = np.concatenate([active_in(index) for index in partition_indices])
@@ -376,7 +376,7 @@ def _seed_estimate(self, active_mask, active_ids=None):
     num_partitions = self.partitioning.num_partitions
     active_vertices, active_edges = self.partitioning.active_counts(active_mask)
 
-    filter_cost = self._filter_cost_from_edges(self._partition_edges)
+    filter_cost = self._filter_cost_from_edges(self.partitioning.edges)
     filter_cost = np.where(active_edges > 0, filter_cost, 0.0)
     compaction_cost = self._compaction_cost_from_counts(active_edges, active_vertices)
     compaction_cost = np.where(active_edges > 0, compaction_cost, 0.0)
@@ -387,10 +387,10 @@ def _seed_estimate(self, active_mask, active_ids=None):
         degrees = self.graph.out_degrees[ids]
         starts = self.graph.row_offset[ids] * self._d1
         requests = self.pcie.requests_for_vertices(degrees, starts, value_bytes=self._d1)
-        partition_of = self.partitioning.partition_of_vertices(ids)
+        partition_of = self.partitioning.partition_of[ids]
         requests_per_partition = np.bincount(partition_of, weights=requests, minlength=num_partitions)
         tlps = np.ceil(requests_per_partition / self.config.pcie_max_outstanding)
-        partition_edges_safe = np.maximum(self._partition_edges, 1)
+        partition_edges_safe = np.maximum(self.partitioning.edges, 1)
         payload_fraction = np.clip(active_edges / partition_edges_safe, 0.0, 1.0)
         gamma = self.config.zero_copy_gamma
         rtt_zc = (gamma + (1.0 - gamma) * payload_fraction) * self.config.tlp_round_trip_time

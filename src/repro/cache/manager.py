@@ -76,13 +76,6 @@ class CacheManager:
         per_device = config.gpu_memory_bytes if budget_bytes is None else budget_bytes
         self.per_device_budget = per_device
         self.budget_bytes = [per_device] * self.num_devices
-        self.partition_bytes = np.array(
-            [partitioning[p].edge_bytes for p in range(self.num_partitions)], dtype=np.int64
-        )
-        self.partition_edges = partitioning.edges_per_partition().astype(np.int64)
-        self.device_of = np.array(
-            [sharding.device_of_partition(p) for p in range(self.num_partitions)], dtype=np.int64
-        )
         self.policy = make_policy(policy)
         self.policy.bind(self)
         #: resident[p] — partition ``p``'s edge data sits in its owning
@@ -110,7 +103,7 @@ class CacheManager:
     def _install_initial_residency(self) -> None:
         self.resident = self.policy.initial_resident()
         self.used_bytes = [
-            int(self.partition_bytes[self.resident & (self.device_of == device)].sum())
+            int(self.partitioning.edge_bytes[self.resident & (self.sharding.device_of == device)].sum())
             for device in range(self.num_devices)
         ]
 
@@ -191,20 +184,17 @@ class CacheManager:
         """Rebind to a new sharding after device loss, in place.
 
         All residency is invalidated first — survivors' contents no
-        longer match their new shards — then the device maps and budgets
-        are rebuilt for the new device count.  The static policy re-pins
-        its prefix on the survivors with cleared first-touch flags, so
-        the re-warm transfers are billed naturally on next use.
+        longer match their new shards — then the budgets are rebuilt for
+        the new device count (the device map is the new sharding's).
+        The static policy re-pins its prefix on the survivors with
+        cleared first-touch flags, so the re-warm transfers are billed
+        naturally on next use.
         """
         self.invalidate()
         self.sharding = sharding
         self.num_devices = sharding.num_devices
         self.budget_bytes = [self.per_device_budget] * self.num_devices
         self.used_bytes = [0] * self.num_devices
-        self.device_of = np.array(
-            [sharding.device_of_partition(p) for p in range(self.num_partitions)],
-            dtype=np.int64,
-        )
         if not self.adaptive:
             self._install_initial_residency()
 
@@ -233,7 +223,7 @@ class CacheManager:
 
     def resident_on_device(self, device: int) -> np.ndarray:
         """Indices of the partitions resident on ``device`` (ascending)."""
-        return np.flatnonzero(self.resident & (self.device_of == device))
+        return np.flatnonzero(self.resident & (self.sharding.device_of == device))
 
     def would_admit(self, index: int) -> bool:
         """Dry-run admission check: would :meth:`fill` keep this partition?
@@ -245,8 +235,8 @@ class CacheManager:
             return False
         if self.resident[index]:
             return True
-        device = int(self.device_of[index])
-        size = int(self.partition_bytes[index])
+        device = int(self.sharding.device_of[index])
+        size = int(self.partitioning.edge_bytes[index])
         budget = self.budget_bytes[device]
         if size > budget:
             return False
@@ -291,7 +281,7 @@ class CacheManager:
             if self.resident[victim]:
                 self._evict(victim)
 
-    def observe_frontier(self, active_edges_per_partition: np.ndarray) -> None:
+    def observe_frontier(self, active_edges: np.ndarray) -> None:
         """Record one query's per-partition active-edge counts.
 
         Multiple queries of a batch super-iteration each observe their
@@ -299,7 +289,7 @@ class CacheManager:
         partition hot for *any* live query counts as hot.
         """
         np.maximum(
-            self._window_active, active_edges_per_partition, out=self._window_active
+            self._window_active, active_edges, out=self._window_active
         )
         self._window_dirty = True
         self.policy.observe_window(self._window_active)
@@ -366,7 +356,7 @@ class CacheManager:
         """Tally billed whole-partition copies as cache misses."""
         for index in partition_indices:
             self._counters["misses"] += 1
-            self._counters["miss_bytes"] += int(self.partition_bytes[index])
+            self._counters["miss_bytes"] += int(self.partitioning.edge_bytes[index])
 
     def fill(self, partition_indices: list[int]) -> None:
         """Offer freshly shipped partitions to the policy for admission.
@@ -387,20 +377,20 @@ class CacheManager:
     # ------------------------------------------------------------------
     def _record_hit(self, index: int) -> None:
         self._counters["hits"] += 1
-        self._counters["hit_bytes"] += int(self.partition_bytes[index])
+        self._counters["hit_bytes"] += int(self.partitioning.edge_bytes[index])
         if self.tracer.enabled:
             self.tracer.instant(
                 "cache", "hit", track="cache", partition=index,
-                device=int(self.device_of[index]),
-                bytes=int(self.partition_bytes[index]),
+                device=int(self.sharding.device_of[index]),
+                bytes=int(self.partitioning.edge_bytes[index]),
             )
         self.policy.on_hit(index)
 
     def _admit(self, index: int) -> None:
         if self.resident[index]:
             return
-        device = int(self.device_of[index])
-        size = int(self.partition_bytes[index])
+        device = int(self.sharding.device_of[index])
+        size = int(self.partitioning.edge_bytes[index])
         budget = self.budget_bytes[device]
         if size > budget:
             return  # can never fit; stay transient
@@ -425,13 +415,13 @@ class CacheManager:
     def _evict(self, index: int) -> None:
         if not self.resident[index]:
             return
-        device = int(self.device_of[index])
+        device = int(self.sharding.device_of[index])
         self.resident[index] = False
-        self.used_bytes[device] -= int(self.partition_bytes[index])
+        self.used_bytes[device] -= int(self.partitioning.edge_bytes[index])
         self._counters["evictions"] += 1
-        self._counters["evicted_bytes"] += int(self.partition_bytes[index])
+        self._counters["evicted_bytes"] += int(self.partitioning.edge_bytes[index])
         if self.tracer.enabled:
             self.tracer.instant(
                 "cache", "evict", track="cache", partition=index,
-                device=device, bytes=int(self.partition_bytes[index]),
+                device=device, bytes=int(self.partitioning.edge_bytes[index]),
             )

@@ -117,8 +117,8 @@ class StaticPrefixPolicy(EvictionPolicy):
         resident = np.zeros(manager.num_partitions, dtype=bool)
         for device in range(manager.num_devices):
             budget = manager.budget_bytes[device]
-            for index in manager.sharding[device].partition_indices():
-                edge_bytes = manager.partition_bytes[index]
+            for index in range(*manager.sharding.partition_bounds[device : device + 2]):
+                edge_bytes = manager.partitioning.edge_bytes[index]
                 if edge_bytes > budget:
                     break
                 resident[index] = True
@@ -160,7 +160,7 @@ class LruPolicy(EvictionPolicy):
             if freed >= needed_bytes:
                 break
             chosen.append(int(victim))
-            freed += manager.partition_bytes[victim]
+            freed += manager.partitioning.edge_bytes[victim]
         return chosen if freed >= needed_bytes else None
 
 
@@ -188,7 +188,7 @@ class FrontierAwarePolicy(EvictionPolicy):
         self._score = np.zeros(num_partitions, dtype=np.float64)
         self._idle = np.zeros(num_partitions, dtype=np.int64)
         self._window_density = np.zeros(num_partitions, dtype=np.float64)
-        self._edges_safe = np.maximum(self.manager.partition_edges, 1).astype(np.float64)
+        self._edges_safe = np.maximum(self.manager.partitioning.edges, 1).astype(np.float64)
 
     def _effective_score(self, partition: int) -> float:
         # The EMA lags one iteration; blend in the current window so a
@@ -224,7 +224,7 @@ class FrontierAwarePolicy(EvictionPolicy):
                 # newcomer; the ship stays transient instead.
                 return None
             chosen.append(int(victim))
-            freed += manager.partition_bytes[victim]
+            freed += manager.partitioning.edge_bytes[victim]
         return chosen if freed >= needed_bytes else None
 
 

@@ -68,14 +68,13 @@ class CostModel:
         self.partitioning = partitioning
         self.config = config
         self.pcie = PCIeModel(config)
-        self._partition_edges = partitioning.edges_per_partition()
-        self._partition_edges_safe = np.maximum(self._partition_edges, 1)
+        self._partition_edges_safe = np.maximum(partitioning.edges, 1)
         self._d1 = graph.edge_bytes_per_edge
         self._payload_bytes = config.tlp_payload_bytes
         self._rtt = config.tlp_round_trip_time
         # Formula 1 depends only on the (static) partition sizes, and a
         # vertex's zero-copy request count only on the CSR layout.
-        self._static_filter_cost = self._filter_cost_from_edges(self._partition_edges)
+        self._static_filter_cost = self._filter_cost_from_edges(partitioning.edges)
         # Per-vertex bincount weights (out-degree, zero-copy requests),
         # kept as the float64 that bincount sums in anyway; exact, since
         # every count is far below 2**53.
@@ -126,13 +125,13 @@ class CostModel:
         # degrees and (below) zero-copy requests all bin by partition.
         if num_rows == 1:
             vertices = active_ids
-            keys = self.partitioning.partition_of_vertices(vertices)
+            keys = self.partitioning.partition_of[vertices]
         else:
             # In place: a wave's frontiers can hold K x |V| ids.
             vertices = active_ids % self.graph.num_vertices
             keys = active_ids // self.graph.num_vertices
             keys *= num_partitions
-            keys += self.partitioning.partition_of_vertices(vertices)
+            keys += self.partitioning.partition_of[vertices]
         num_bins = num_rows * num_partitions
         active_vertices = np.bincount(keys, minlength=num_bins).astype(np.int64).reshape(shape)
         active_edges = (

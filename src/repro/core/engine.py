@@ -109,7 +109,7 @@ from repro.core.selection import (
     SelectionThresholds,
 )
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import DeviceShard, build_partitioning
+from repro.graph.partition import build_partitioning
 from repro.graph.reorder import ReorderedGraph, hub_sort
 from repro.metrics.results import IterationStats, RunResult
 from repro.runtime.context import ExecutionContext
@@ -215,12 +215,10 @@ class HyTGraphEngine:
             EngineKind.EXP_COMPACTION: ExplicitCompactionEngine(self.graph, self.config),
             EngineKind.IMP_ZERO_COPY: ZeroCopyEngine(self.graph, self.config),
         }
-        # Static per-partition vertex ranges (plain lists: transfer
-        # pricing indexes them one partition at a time) and sizes (the
+        # Static per-partition vertex bounds (a plain list: transfer
+        # pricing indexes it one partition at a time) and sizes (the
         # fused steps expand partition masks to vertex masks with them).
-        partitions = self.partitioning.partitions
-        self._vertex_start = [partition.vertex_start for partition in partitions]
-        self._vertex_end = [partition.vertex_end for partition in partitions]
+        self._vertex_bounds = self.partitioning.vertex_boundaries.tolist()
         self._partition_sizes = np.diff(self.partitioning.vertex_boundaries)
 
         # Device-agnostic execution runtime: shards, the device-memory
@@ -382,7 +380,8 @@ class HyTGraphEngine:
             context.stamp_cache(row_plan.stats, mark)
             row_plans.append(row_plan)
         # Each device scans only its own shard's partitions, concurrently.
-        widest_shard = max((shard.num_partitions for shard in context.sharding), default=0)
+        shard_bounds = context.sharding.partition_bounds.tolist()
+        widest_shard = max(last - first for first, last in zip(shard_bounds, shard_bounds[1:]))
         generation_overhead = self.kernel_model.device_scan_time(widest_shard)
 
         # ----- Stage 2: fused asynchronous task execution, per wave --------
@@ -455,9 +454,10 @@ class HyTGraphEngine:
             cache.observe_frontier(costs.active_edges)
             costs = self._discount_on_device_filter(costs, cache.resident, context.shipped)
         selection = self._force_resident_filter(self.selector.select(costs))
+        shard_bounds = context.sharding.partition_bounds.tolist()
         device_task_lists: list[list[ScheduledTask]] = [
-            self._device_tasks(shard, selection, pending, active_ids, session.program, state)
-            for shard in context.sharding
+            self._device_tasks(first, last, selection, pending, active_ids, session.program, state)
+            for first, last in zip(shard_bounds, shard_bounds[1:])
         ]
 
         # Devices drain their task queues concurrently; interleaving the
@@ -538,26 +538,25 @@ class HyTGraphEngine:
 
     def _device_tasks(
         self,
-        shard: DeviceShard,
+        first: int,
+        last: int,
         selection: SelectionResult,
         pending: np.ndarray,
         active_ids: np.ndarray,
         program: VertexProgram,
         state: ProgramState,
     ) -> list[ScheduledTask]:
-        """Combine and prioritise one device's shard-local tasks."""
-        if shard.num_partitions == 0:
+        """Combine and prioritise the tasks of one device's shard, partitions ``[first, last)``."""
+        if first == last:
             return []
-        if shard.num_partitions != self.partitioning.num_partitions:
+        if last - first != self.partitioning.num_partitions:
             # Multi-device: mask the selection and the frontier down to
             # this shard (a single shard spans everything already).
-            members = shard.partition_indices()
             codes = np.zeros_like(selection.codes)
-            codes[members.start : members.stop] = selection.codes[members.start : members.stop]
+            codes[first:last] = selection.codes[first:last]
             selection = SelectionResult(codes=codes)
-            active_ids = active_ids[
-                active_ids.searchsorted(shard.vertex_start) : active_ids.searchsorted(shard.vertex_end)
-            ]
+            bounds = self._vertex_bounds
+            active_ids = active_ids[active_ids.searchsorted(bounds[first]) : active_ids.searchsorted(bounds[last])]
         tasks = self.combiner.combine(self.partitioning, selection, pending, active_ids=active_ids)
         return self.priority.prioritize(tasks, program, state)
 
@@ -672,9 +671,9 @@ class HyTGraphEngine:
                 # by another shard — each becomes one (index entry, value)
                 # delta in the iteration's boundary exchange.
                 new_rows, new_local = np.divmod(newly_active, num_vertices)
-                shards = self.context.sharding
-                starts = np.array([shard.vertex_start for shard in shards])[devices[new_rows]]
-                ends = np.array([shard.vertex_end for shard in shards])[devices[new_rows]]
+                owners = devices[new_rows]
+                starts = self.context.sharding.vertex_bounds[owners]
+                ends = self.context.sharding.vertex_bounds[owners + 1]
                 outside = (new_local < starts) | (new_local >= ends)
                 remote[np.arange(num_rows), devices] += np.bincount(new_rows[outside], minlength=num_rows)
         return edges, newly_active
@@ -728,8 +727,9 @@ class HyTGraphEngine:
             return bytes_total, transfer_time, 0.0, False
         # Priced by the task's transfer engine.  active_vertices is
         # sorted, so each partition's slice is found by bisection.
-        boundaries = [self._vertex_start[index] for index in indices]
-        boundaries.append(self._vertex_end[indices[-1]])
+        bounds = self._vertex_bounds
+        boundaries = [bounds[index] for index in indices]
+        boundaries.append(bounds[indices[-1] + 1])
         active = task.active_vertices
         outcome = self.engines[task.engine].transfer_task(active, active.searchsorted(boundaries))
         return outcome.bytes_transferred, outcome.transfer_time, outcome.cpu_time, outcome.overlapped

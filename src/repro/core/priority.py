@@ -52,20 +52,15 @@ class ContributionScheduler:
         #: configuration of the Figure 8 ablation.
         self.enabled = enabled
         self._hub_mass = self._per_partition_hub_mass()
+        self._vertex_bounds = partitioning.vertex_boundaries.tolist()
 
     def _per_partition_hub_mass(self) -> np.ndarray:
-        num_partitions = self.partitioning.num_partitions
-        if num_partitions == 0:
+        if self.partitioning.num_partitions == 0:
             return np.zeros(0, dtype=np.float64)
         scores = hub_scores(self.graph)
         # Partitions tile the vertex range, so one segmented reduction over
         # the partition boundaries replaces the per-partition Python loop.
-        starts = np.fromiter(
-            (partition.vertex_start for partition in self.partitioning),
-            dtype=np.int64,
-            count=num_partitions,
-        )
-        return np.add.reduceat(scores, starts)
+        return np.add.reduceat(scores, self.partitioning.vertex_boundaries[:-1])
 
     # ------------------------------------------------------------------
     # Contribution measures
@@ -78,10 +73,10 @@ class ContributionScheduler:
         self, task: ScheduledTask, program: VertexProgram, state: ProgramState
     ) -> float:
         """Pending Δ mass of the task's partitions (Δ-driven)."""
+        bounds = self._vertex_bounds
         total = 0.0
         for index in task.partition_indices:
-            partition = self.partitioning[index]
-            total += program.partition_delta(self.graph, state, partition.vertex_start, partition.vertex_end)
+            total += program.partition_delta(self.graph, state, bounds[index], bounds[index + 1])
         return total
 
     # ------------------------------------------------------------------

@@ -45,6 +45,7 @@ CLI's ``serve --faults`` flag accepts::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,7 +102,7 @@ class FaultSpec:
         ``transfer-flaky`` only: per-transfer failure probability.
     factor:
         ``memory-pressure``: the budget multiplier in ``(0, 1]``;
-        ``interconnect-degrade``: the slowdown multiplier ``>= 1``.
+        ``interconnect-degrade``: the finite slowdown multiplier ``>= 1``.
     """
 
     kind: FaultKind
@@ -134,8 +135,9 @@ class FaultSpec:
             if self.factor is None or not 0.0 < self.factor <= 1.0:
                 raise ValueError("memory-pressure needs a factor in (0, 1]")
         elif self.kind is FaultKind.INTERCONNECT_DEGRADE:
-            if self.factor is None or self.factor < 1.0:
-                raise ValueError("interconnect-degrade needs a factor >= 1")
+            # An infinite (or NaN) slowdown would make every later sync infinite.
+            if self.factor is None or not 1.0 <= self.factor < math.inf:
+                raise ValueError("interconnect-degrade needs a finite factor >= 1")
         elif self.factor is not None:
             raise ValueError(
                 "factor= applies only to memory-pressure/interconnect-degrade faults"
@@ -232,7 +234,10 @@ class FaultSchedule:
                     raise ValueError(
                         "bad fault entry %r: %r is not a valid %s" % (entry, value, key)
                     ) from None
-                kwargs["probability" if key == "p" else key] = parsed
+                field = "probability" if key == "p" else key
+                if field in kwargs:
+                    raise ValueError("bad fault entry %r: %s given twice" % (entry, field))
+                kwargs[field] = parsed
             try:
                 specs.append(FaultSpec(**kwargs))
             except ValueError as error:

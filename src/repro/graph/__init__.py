@@ -12,7 +12,8 @@ graph before and during processing:
 * :mod:`repro.graph.datasets` — named stand-ins for the five real-world
   graphs of Table IV (SK, TW, FK, UK, FS).
 * :mod:`repro.graph.partition` — chunk-based edge-balanced partitioning of
-  the edge-associated data (Section IV).
+  the edge-associated data (Section IV), held as one columnar partition
+  table (:class:`Partitioning`) and its device sharding.
 * :mod:`repro.graph.reorder` — hub sorting used by the contribution-driven
   priority scheduler (Section VI-A, Formula 4).
 * :mod:`repro.graph.properties` — degree statistics (Figure 3f).
@@ -25,8 +26,6 @@ activeness is :meth:`Partitioning.active_counts` over such a bitmap.
 
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import (
-    DeviceShard,
-    EdgePartition,
     Partitioning,
     ShardedPartitioning,
     partition_by_bytes,
@@ -46,9 +45,7 @@ from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
 
 __all__ = [
     "CSRGraph",
-    "EdgePartition",
     "Partitioning",
-    "DeviceShard",
     "ShardedPartitioning",
     "partition_by_bytes",
     "partition_by_count",

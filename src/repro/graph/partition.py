@@ -18,17 +18,12 @@ The systems call :func:`build_partitioning`: a partition count, or else
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 
 __all__ = [
-    "EdgePartition",
     "Partitioning",
-    "DeviceShard",
     "ShardedPartitioning",
     "partition_by_bytes",
     "partition_by_count",
@@ -42,117 +37,47 @@ DEFAULT_PARTITION_BYTES = 32 * 1024 * 1024
 DEFAULT_PARTITION_DIVISOR = 64
 
 
-@dataclass(frozen=True)
-class EdgePartition:
-    """One contiguous vertex-range partition of the edge-associated data.
+class Partitioning:
+    """The partition table of a graph, one ``int64`` column per field.
+
+    Partition ``p`` holds the out-edges of the vertices
+    ``[vertex_boundaries[p], vertex_boundaries[p + 1])``, which are the
+    CSR edge slice ``[edge_boundaries[p], edge_boundaries[p + 1])``.
+    Every per-partition table the runtime needs is built here, once;
+    consumers index these arrays (or take one ``.tolist()`` of them when
+    a loop reads one partition at a time) instead of deriving their own.
 
     Attributes
     ----------
-    index:
-        Position of this partition in the partitioning (0-based).
-    vertex_start, vertex_end:
-        Half-open vertex-id range ``[vertex_start, vertex_end)`` whose
-        out-edges belong to this partition.
-    edge_start, edge_end:
-        Half-open slice of the CSR edge arrays covered by the partition.
-    edge_bytes:
-        Bytes of edge-associated data (neighbors + weights) in the slice.
+    vertex_boundaries, edge_boundaries:
+        ``P + 1`` ascending bounds, from 0 to ``|V|`` and ``|E|``.
+    edges, edge_bytes:
+        Per partition: its edge count and its bytes of edge-associated
+        data (neighbors + weights).
+    partition_of:
+        Per vertex: the partition holding its adjacency list.
     """
 
-    index: int
-    vertex_start: int
-    vertex_end: int
-    edge_start: int
-    edge_end: int
-    edge_bytes: int
-
-    @property
-    def num_vertices(self) -> int:
-        """Number of vertices whose adjacency lists live in this partition."""
-        return self.vertex_end - self.vertex_start
-
-    @property
-    def num_edges(self) -> int:
-        """Number of edges stored in this partition."""
-        return self.edge_end - self.edge_start
-
-    def vertices(self) -> np.ndarray:
-        """The vertex ids covered by this partition."""
-        return np.arange(self.vertex_start, self.vertex_end, dtype=np.int64)
-
-
-class Partitioning:
-    """An ordered list of :class:`EdgePartition` covering a graph.
-
-    Provides vectorised helpers the runtime needs every iteration: mapping
-    vertices to partitions and summing active vertices / edges per
-    partition given a frontier.
-    """
-
-    def __init__(self, graph: CSRGraph, partitions: Sequence[EdgePartition]):
+    def __init__(self, graph: CSRGraph, vertex_boundaries):
+        bounds = np.asarray(vertex_boundaries, dtype=np.int64)
+        if bounds.ndim != 1 or bounds.size == 0 or bounds[0] != 0 or bounds[-1] != graph.num_vertices:
+            raise ValueError(
+                "vertex boundaries must run from 0 to num_vertices (%d)" % graph.num_vertices
+            )
+        sizes = np.diff(bounds)
+        if np.any(sizes <= 0):
+            raise ValueError("vertex boundaries must rise strictly: every partition holds a vertex")
         self.graph = graph
-        self.partitions = list(partitions)
-        self._validate()
-        # vertex -> partition index lookup, used for per-partition reductions.
-        boundaries = np.array([p.vertex_start for p in self.partitions] + [graph.num_vertices])
-        self._vertex_boundaries = boundaries
-        self._vertex_starts = boundaries[:-1]
-        self._partition_of_vertex = np.zeros(graph.num_vertices, dtype=np.int64)
-        for partition in self.partitions:
-            self._partition_of_vertex[partition.vertex_start : partition.vertex_end] = partition.index
-
-    def _validate(self) -> None:
-        if not self.partitions:
-            if self.graph.num_vertices != 0:
-                raise ValueError("non-empty graph requires at least one partition")
-            return
-        expected_vertex = 0
-        expected_edge = 0
-        for index, partition in enumerate(self.partitions):
-            if partition.index != index:
-                raise ValueError("partition indices must be consecutive from 0")
-            if partition.vertex_start != expected_vertex:
-                raise ValueError("partitions must tile the vertex range without gaps")
-            if partition.edge_start != expected_edge:
-                raise ValueError("partitions must tile the edge range without gaps")
-            expected_vertex = partition.vertex_end
-            expected_edge = partition.edge_end
-        if expected_vertex != self.graph.num_vertices:
-            raise ValueError("partitions must cover all vertices")
-        if expected_edge != self.graph.num_edges:
-            raise ValueError("partitions must cover all edges")
-
-    def __len__(self) -> int:
-        return len(self.partitions)
-
-    def __iter__(self) -> Iterator[EdgePartition]:
-        return iter(self.partitions)
-
-    def __getitem__(self, index: int) -> EdgePartition:
-        return self.partitions[index]
+        self.vertex_boundaries = bounds
+        self.edge_boundaries = graph.row_offset[bounds]
+        self.edges = np.diff(self.edge_boundaries)
+        self.edge_bytes = self.edges * graph.edge_bytes_per_edge
+        self.partition_of = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
 
     @property
     def num_partitions(self) -> int:
         """Number of partitions."""
-        return len(self.partitions)
-
-    @property
-    def vertex_starts(self) -> np.ndarray:
-        """``vertex_start`` of every partition (ascending ``int64`` array)."""
-        return self._vertex_starts
-
-    @property
-    def vertex_boundaries(self) -> np.ndarray:
-        """:attr:`vertex_starts` plus the closing ``num_vertices`` bound."""
-        return self._vertex_boundaries
-
-    def partition_of_vertex(self, vertex: int) -> int:
-        """Index of the partition holding ``vertex``'s adjacency list."""
-        return int(self._partition_of_vertex[vertex])
-
-    def partition_of_vertices(self, vertices: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`partition_of_vertex`."""
-        return self._partition_of_vertex[np.asarray(vertices, dtype=np.int64)]
+        return self.edges.size
 
     def active_counts(self, active_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-partition counts of active vertices and active edges.
@@ -169,166 +94,60 @@ class Partitioning:
         """
         active_mask = np.asarray(active_mask, dtype=bool)
         active_vertex_ids = np.nonzero(active_mask)[0]
-        partition_ids = self._partition_of_vertex[active_vertex_ids]
+        partition_ids = self.partition_of[active_vertex_ids]
         active_vertices = np.bincount(partition_ids, minlength=self.num_partitions)
         degrees = self.graph.out_degrees[active_vertex_ids]
         active_edges = np.bincount(partition_ids, weights=degrees, minlength=self.num_partitions)
         return active_vertices.astype(np.int64), active_edges.astype(np.int64)
 
-    def edges_per_partition(self) -> np.ndarray:
-        """Total edge count of every partition."""
-        return np.array([p.num_edges for p in self.partitions], dtype=np.int64)
-
-    def bytes_per_partition(self) -> np.ndarray:
-        """Total edge-data bytes of every partition."""
-        return np.array([p.edge_bytes for p in self.partitions], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class DeviceShard:
-    """The contiguous run of partitions owned by one device.
-
-    Sharding keeps the single-device layout intact: a shard is a
-    half-open partition range ``[partition_start, partition_end)``,
-    which — because partitions tile the vertex range — is also a
-    contiguous vertex-id range.  Vertex ownership therefore resolves
-    with one bisection, and the per-device task generation reuses the
-    existing per-partition machinery unchanged.
-    """
-
-    device: int
-    partition_start: int
-    partition_end: int
-    vertex_start: int
-    vertex_end: int
-    edge_bytes: int
-
-    @property
-    def num_partitions(self) -> int:
-        """Number of partitions in this shard."""
-        return self.partition_end - self.partition_start
-
-    @property
-    def num_vertices(self) -> int:
-        """Number of vertices owned by this shard's device."""
-        return self.vertex_end - self.vertex_start
-
-    def partition_indices(self) -> range:
-        """The partition indices belonging to this shard."""
-        return range(self.partition_start, self.partition_end)
-
-    def count_remote(self, vertices: np.ndarray) -> int:
-        """How many of ``vertices`` are owned by a different shard.
-
-        Each remote vertex is one activation message of the boundary-delta
-        exchange; the execution runtime charges
-        ``config.boundary_update_bytes`` per message.
-        """
-        return int(((vertices < self.vertex_start) | (vertices >= self.vertex_end)).sum())
-
 
 class ShardedPartitioning:
-    """A :class:`Partitioning` split across ``num_devices`` GPUs.
+    """A :class:`Partitioning` split across ``num_devices`` GPUs, as columns.
 
-    Shards are byte-balanced contiguous partition ranges, placed with the
-    same bisection-over-prefix-sums approach as :func:`partition_by_bytes`
-    (one ``searchsorted`` per device boundary over the cumulative
-    partition bytes).  When the graph has fewer partitions than devices
-    the trailing devices simply receive empty shards.
+    Device ``d`` owns the partitions
+    ``[partition_bounds[d], partition_bounds[d + 1])``; because partitions
+    tile the vertex range, that is also the vertex range
+    ``[vertex_bounds[d], vertex_bounds[d + 1])``, so vertex ownership
+    resolves with one bisection.  Shards are
+    byte-balanced, placed with the same bisection-over-prefix-sums
+    approach as :func:`partition_by_bytes` (one ``searchsorted`` per device
+    boundary over the cumulative partition bytes).  When the graph has
+    fewer partitions than devices the trailing devices simply receive
+    empty shards, pinned to the vertex position of their boundary so the
+    vertex bounds still tile.
+
+    Attributes
+    ----------
+    partition_bounds, vertex_bounds:
+        ``num_devices + 1`` ascending bounds of every device's shard.
+    device_of:
+        Per partition: its owning device.
     """
 
     def __init__(self, partitioning: Partitioning, num_devices: int):
         if num_devices < 1:
             raise ValueError("num_devices must be at least 1")
-        self.partitioning = partitioning
         self.num_devices = num_devices
-        self.shards = self._build_shards()
-        self._device_of_partition = np.zeros(partitioning.num_partitions, dtype=np.int64)
-        for shard in self.shards:
-            self._device_of_partition[shard.partition_start : shard.partition_end] = shard.device
-
-    def _build_shards(self) -> list[DeviceShard]:
-        partitioning = self.partitioning
         num_partitions = partitioning.num_partitions
-        bytes_per_partition = partitioning.bytes_per_partition()
-        cumulative = np.cumsum(bytes_per_partition) if num_partitions else np.zeros(0, dtype=np.int64)
+        cumulative = np.cumsum(partitioning.edge_bytes)
         total = int(cumulative[-1]) if num_partitions else 0
-
-        boundaries = [0]
-        for device in range(1, self.num_devices):
-            threshold = device * total / self.num_devices
+        bounds = [0]
+        for device in range(1, num_devices):
+            threshold = device * total / num_devices
             boundary = int(np.searchsorted(cumulative, threshold, side="left"))
-            boundary = min(max(boundary, boundaries[-1]), num_partitions)
-            boundaries.append(boundary)
-        boundaries.append(num_partitions)
-
-        shards = []
-        num_vertices = partitioning.graph.num_vertices
-        for device in range(self.num_devices):
-            start, end = boundaries[device], boundaries[device + 1]
-            if start < end:
-                vertex_start = partitioning[start].vertex_start
-                vertex_end = partitioning[end - 1].vertex_end
-                edge_bytes = int(bytes_per_partition[start:end].sum())
-            else:
-                # Empty shard: pin it to the vertex position of the
-                # boundary so the shard vertex ranges still tile.
-                vertex_start = partitioning[start].vertex_start if start < num_partitions else num_vertices
-                vertex_end = vertex_start
-                edge_bytes = 0
-            shards.append(
-                DeviceShard(
-                    device=device,
-                    partition_start=start,
-                    partition_end=end,
-                    vertex_start=vertex_start,
-                    vertex_end=vertex_end,
-                    edge_bytes=edge_bytes,
-                )
-            )
-        return shards
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def __iter__(self) -> Iterator[DeviceShard]:
-        return iter(self.shards)
-
-    def __getitem__(self, device: int) -> DeviceShard:
-        return self.shards[device]
-
-    def device_of_partition(self, index: int) -> int:
-        """Owning device of partition ``index``."""
-        return int(self._device_of_partition[index])
+            bounds.append(min(max(boundary, bounds[-1]), num_partitions))
+        bounds.append(num_partitions)
+        self.partition_bounds = np.array(bounds, dtype=np.int64)
+        self.vertex_bounds = partitioning.vertex_boundaries[self.partition_bounds]
+        self.device_of = np.repeat(
+            np.arange(num_devices, dtype=np.int64), np.diff(self.partition_bounds)
+        )
 
     def split_sorted_vertices(self, vertices: np.ndarray) -> list[np.ndarray]:
         """Slice a sorted vertex-id array into one view per device."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        boundary_ids = [shard.vertex_start for shard in self.shards]
-        boundary_ids.append(self.shards[-1].vertex_end if self.shards else 0)
-        cuts = np.searchsorted(vertices, boundary_ids)
+        cuts = np.searchsorted(vertices, self.vertex_bounds)
         return [vertices[cuts[d] : cuts[d + 1]] for d in range(self.num_devices)]
-
-
-def _build_partitions(graph: CSRGraph, boundaries: list[int]) -> Partitioning:
-    """Build a :class:`Partitioning` from vertex boundaries (including 0 and |V|)."""
-    per_edge = graph.edge_bytes_per_edge
-    partitions = []
-    for index in range(len(boundaries) - 1):
-        vertex_start, vertex_end = boundaries[index], boundaries[index + 1]
-        edge_start = int(graph.row_offset[vertex_start])
-        edge_end = int(graph.row_offset[vertex_end])
-        partitions.append(
-            EdgePartition(
-                index=index,
-                vertex_start=vertex_start,
-                vertex_end=vertex_end,
-                edge_start=edge_start,
-                edge_end=edge_end,
-                edge_bytes=(edge_end - edge_start) * per_edge,
-            )
-        )
-    return Partitioning(graph, partitions)
 
 
 def partition_by_bytes(graph: CSRGraph, partition_bytes: int = DEFAULT_PARTITION_BYTES) -> Partitioning:
@@ -340,8 +159,6 @@ def partition_by_bytes(graph: CSRGraph, partition_bytes: int = DEFAULT_PARTITION
     """
     if partition_bytes <= 0:
         raise ValueError("partition_bytes must be positive")
-    if graph.num_vertices == 0:
-        return Partitioning(graph, [])
     per_edge = graph.edge_bytes_per_edge
     budget_edges = max(1, partition_bytes // per_edge)
 
@@ -361,7 +178,7 @@ def partition_by_bytes(graph: CSRGraph, partition_bytes: int = DEFAULT_PARTITION
         fits = int(np.searchsorted(row_offset, row_offset[start] + budget_edges, side="right")) - 1
         nonempty = int(np.searchsorted(row_offset, row_offset[start], side="right"))
         boundaries.append(min(max(fits, nonempty, start + 1), num_vertices))
-    return _build_partitions(graph, boundaries)
+    return Partitioning(graph, boundaries)
 
 
 def partition_by_count(graph: CSRGraph, num_partitions: int) -> Partitioning:
@@ -373,24 +190,22 @@ def partition_by_count(graph: CSRGraph, num_partitions: int) -> Partitioning:
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
     if graph.num_vertices == 0:
-        return Partitioning(graph, [])
+        return Partitioning(graph, [0])
     num_partitions = min(num_partitions, graph.num_vertices)
-    target = graph.num_edges / num_partitions if num_partitions else 0
+    target = graph.num_edges / num_partitions
 
+    # Boundaries rise strictly: each is at least one past the previous,
+    # and one that reaches |V| is dropped in favour of the closing bound.
     boundaries = [0]
     for index in range(1, num_partitions):
         threshold = index * target
         # First vertex whose cumulative edge count reaches the threshold.
         boundary = int(np.searchsorted(graph.row_offset[1:], threshold, side="left")) + 1
         boundary = min(max(boundary, boundaries[-1] + 1), graph.num_vertices)
-        if boundary > boundaries[-1] and boundary < graph.num_vertices:
+        if boundary < graph.num_vertices:
             boundaries.append(boundary)
     boundaries.append(graph.num_vertices)
-    deduped = [boundaries[0]]
-    for boundary in boundaries[1:]:
-        if boundary != deduped[-1]:
-            deduped.append(boundary)
-    return _build_partitions(graph, deduped)
+    return Partitioning(graph, boundaries)
 
 
 def build_partitioning(graph: CSRGraph, num_partitions: int | None = None) -> Partitioning:

@@ -6,7 +6,7 @@ code paths into one substrate:
 * :class:`~repro.runtime.context.ExecutionContext` — devices, shards,
   the device-memory cache (:mod:`repro.cache`), the transfer window
   that decides what is already on a device, and the shared-host
-  scheduler, built once per session; ``num_devices == 1`` is the
+  ``schedule``, built once per session; ``num_devices == 1`` is the
   trivial (one-shard, zero-sync) case of the sharded path, not a
   separate branch.
 * :class:`~repro.runtime.driver.IterationDriver` — turns per-iteration
@@ -20,7 +20,7 @@ code paths into one substrate:
 """
 
 from repro.runtime.batch import QueryBatchRunner
-from repro.runtime.context import ExecutionContext, MultiDeviceScheduler
+from repro.runtime.context import ExecutionContext
 from repro.runtime.driver import (
     FrontierSnapshot,
     IterationDriver,
@@ -30,7 +30,6 @@ from repro.runtime.driver import (
 
 __all__ = [
     "ExecutionContext",
-    "MultiDeviceScheduler",
     "IterationDriver",
     "IterationPlan",
     "FrontierSnapshot",

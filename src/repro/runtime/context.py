@@ -3,8 +3,8 @@
 :class:`ExecutionContext` bundles everything the execution layer needs to
 know about *where* work runs — the device count, the contiguous
 partition-range shards, the optional device-memory cache, the transfer
-window and the scheduler that places per-device task lists onto the
-shared host resources.  It is constructed once per system (or once per
+window and the scheduling of per-device task lists onto the shared
+host resources (:meth:`ExecutionContext.schedule`).  It is constructed once per system (or once per
 batch session) and handed to the
 :class:`~repro.runtime.driver.IterationDriver`.
 
@@ -18,7 +18,8 @@ whole-partition (filter) ship — cache split, window dedup, miss tally,
 admission — and returns what is left to price; planners never test
 whether a cache exists.  What is left is priced from the context's
 per-partition tables, :attr:`ExecutionContext.partition_bytes` and
-:attr:`ExecutionContext.partition_copy_time`.  Bytes saved by a peer's
+:attr:`ExecutionContext.partition_copy_time` (plain-list views of the
+partitioning's ``edge_bytes`` column and its copy seconds).  Bytes saved by a peer's
 copy accumulate in :attr:`ExecutionContext.amortized_bytes` (a solo
 iteration claims each partition once, so there the dedup is the
 identity).
@@ -30,8 +31,8 @@ scheduler emits no boundary-synchronisation entry.  That makes the
 sharded execution path bitwise identical to the historical single-device
 engines while deleting their ``run``/``_run_multi`` twin code.
 
-:class:`MultiDeviceScheduler` (formerly ``repro.sim.multi_gpu``) places every
-device's tasks with one :class:`~repro.sim.streams.StreamScheduler` into one
+:meth:`ExecutionContext.schedule` places every device's tasks with one
+:class:`~repro.sim.streams.StreamScheduler` into one
 :class:`~repro.sim.events.Timeline`.  The devices
 contend for two *shared host* resources — the CPU compaction engine and
 the host PCIe complex (every explicit copy and zero-copy read crosses the
@@ -66,93 +67,11 @@ from repro.obs.tracer import NULL_TRACER
 from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
 
-__all__ = ["ExecutionContext", "MultiDeviceScheduler"]
-
-
-class MultiDeviceScheduler:
-    """Schedules per-device task lists onto N GPUs sharing one host."""
-
-    def __init__(self, config: HardwareConfig, num_devices: int | None = None):
-        self.config = config
-        self.num_devices = num_devices if num_devices is not None else config.num_devices
-        if self.num_devices < 1:
-            raise ValueError("num_devices must be at least 1")
-        #: Places every device's tasks: the per-device streams and GPU
-        #: cursors live in the timeline being built, not in the scheduler.
-        self.stream_scheduler = StreamScheduler(config)
-        #: Multiplicative boundary-exchange slowdown (>= 1; the fault
-        #: injector's ``interconnect-degrade`` raises it mid-run).
-        self.interconnect_slowdown = 1.0
-
-    # ------------------------------------------------------------------
-    # Boundary synchronisation
-    # ------------------------------------------------------------------
-    def sync_duration(self, sync_bytes_per_device: Sequence[int] | None) -> float:
-        """Seconds of the per-iteration boundary synchronisation phase.
-
-        Single-device runs synchronise nothing.  Multi-device runs always
-        pay the interconnect latency (barrier + convergence all-reduce)
-        plus the busiest sender's outgoing delta bytes over its link.
-        """
-        if self.num_devices <= 1:
-            return 0.0
-        busiest = max(sync_bytes_per_device, default=0) if sync_bytes_per_device else 0
-        return self.interconnect_slowdown * (
-            self.config.interconnect_latency + busiest / self.config.interconnect_bandwidth
-        )
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def schedule(
-        self,
-        device_tasks: Sequence[list[StreamTask]],
-        sync_bytes_per_device: Sequence[int] | None = None,
-        owners: Sequence[list[int]] | None = None,
-        owner_offsets: Sequence[float] | None = None,
-    ) -> Timeline:
-        """Schedule every device's tasks plus the boundary sync phase.
-
-        ``device_tasks[d]`` is device ``d``'s task list.  Tasks are
-        placed in global ``(priority, submission order, device)`` order
-        onto each device's own streams/GPU while the ``cpu`` and ``pcie``
-        resources are shared across all devices.
-
-        A merged co-schedule of several queries passes ``owners`` —
-        ``owners[d][i]`` is the query ``device_tasks[d][i]`` belongs to —
-        and ``owner_offsets``, the priority-class offset of each owner,
-        added to its tasks' priorities (a zero offset leaves them
-        untouched).  The timeline then tracks each owner's finish time.
-        """
-        if len(device_tasks) != self.num_devices:
-            raise ValueError(
-                "expected %d device task lists, got %d" % (self.num_devices, len(device_tasks))
-            )
-
-        # (position, device) is unique, so tuple order never reaches the
-        # trailing owner/task members.
-        merged: list[tuple[float, int, int, int, StreamTask]] = []
-        for device, tasks in enumerate(device_tasks):
-            device_owners = owners[device] if owners is not None else [-1] * len(tasks)
-            for position, (task, owner) in enumerate(zip(tasks, device_owners)):
-                offset = owner_offsets[owner] if owner >= 0 else 0.0
-                priority = offset + task.priority if offset else task.priority
-                merged.append((priority, position, device, owner, task))
-        merged.sort()
-
-        num_owners = len(owner_offsets) if owners is not None else 0
-        timeline = Timeline(self.num_devices, self.config.num_streams, num_owners)
-        place = self.stream_scheduler.place
-        for _, _, device, owner, task in merged:
-            place(task, timeline, device, owner)
-
-        if self.num_devices > 1:
-            timeline.add_sync(self.sync_duration(sync_bytes_per_device))
-        return timeline
+__all__ = ["ExecutionContext"]
 
 
 class ExecutionContext:
-    """Devices, shards, device-memory cache and schedulers of one session.
+    """Devices, shards, device-memory cache and scheduling of one session.
 
     Parameters
     ----------
@@ -219,7 +138,7 @@ class ExecutionContext:
         #: The ExpTM-filter price, one entry per partition: its edge
         #: bytes and their explicit-copy seconds (plain lists: planners
         #: index them one partition at a time).
-        self.partition_bytes = [partition.edge_bytes for partition in partitioning.partitions]
+        self.partition_bytes = partitioning.edge_bytes.tolist()
         copy_time = PCIeModel(config).explicit_copy_time
         self.partition_copy_time = [copy_time(num_bytes) for num_bytes in self.partition_bytes]
         #: ``claim(partition_indices) -> billable indices`` (module
@@ -231,7 +150,12 @@ class ExecutionContext:
             if self.cache is None
             else partial(self.cache.claim_billable, dedup=self.claim_unshipped)
         )
-        self.scheduler = MultiDeviceScheduler(config)
+        #: Places every device's tasks: the per-device streams and GPU
+        #: cursors live in the timeline being built, not in the scheduler.
+        self.stream_scheduler = StreamScheduler(config)
+        #: Multiplicative boundary-exchange slowdown (>= 1; the fault
+        #: injector's ``interconnect-degrade`` raises it mid-run).
+        self.interconnect_slowdown = 1.0
         #: Span sink (no-op unless a service/CLI installs a recording
         #: tracer; see :mod:`repro.obs`).
         self.tracer = NULL_TRACER
@@ -355,9 +279,6 @@ class ExecutionContext:
             return
         self.num_devices = survivors
         self.sharding = ShardedPartitioning(self.partitioning, survivors)
-        slowdown = self.scheduler.interconnect_slowdown
-        self.scheduler = MultiDeviceScheduler(self.config, num_devices=survivors)
-        self.scheduler.interconnect_slowdown = slowdown
         if self.cache is not None:
             self.cache.reshard(self.sharding)
 
@@ -374,7 +295,7 @@ class ExecutionContext:
         """Slow the boundary exchange down by ``factor`` (>= 1)."""
         if factor < 1.0:
             raise ValueError("interconnect degradation factor must be >= 1")
-        self.scheduler.interconnect_slowdown *= factor
+        self.interconnect_slowdown *= factor
 
     # ------------------------------------------------------------------
     # Active-set topology helpers
@@ -391,7 +312,8 @@ class ExecutionContext:
         """
         if not self.is_multi_device:
             return 0
-        return self.sharding[device].count_remote(vertices)
+        start, end = self.sharding.vertex_bounds[device : device + 2]
+        return int(((vertices < start) | (vertices >= end)).sum())
 
     def sync_bytes(self, remote_updates: Sequence[int]) -> list[int]:
         """Per-device outgoing boundary-delta bytes from message counts."""
@@ -402,6 +324,20 @@ class ExecutionContext:
         """One empty per-device list per device (task/accumulator shells)."""
         return [[] for _ in range(self.num_devices)]
 
+    def sync_duration(self, sync_bytes_per_device: Sequence[int] | None) -> float:
+        """Seconds of the per-iteration boundary synchronisation phase.
+
+        Single-device runs synchronise nothing.  Multi-device runs always
+        pay the interconnect latency (barrier + convergence all-reduce)
+        plus the busiest sender's outgoing delta bytes over its link.
+        """
+        if self.num_devices <= 1:
+            return 0.0
+        busiest = max(sync_bytes_per_device, default=0) if sync_bytes_per_device else 0
+        return self.interconnect_slowdown * (
+            self.config.interconnect_latency + busiest / self.config.interconnect_bandwidth
+        )
+
     def schedule(
         self,
         device_tasks: Sequence[list[StreamTask]],
@@ -409,5 +345,41 @@ class ExecutionContext:
         owners: Sequence[list[int]] | None = None,
         owner_offsets: Sequence[float] | None = None,
     ) -> Timeline:
-        """Schedule per-device task lists plus the boundary sync phase."""
-        return self.scheduler.schedule(device_tasks, sync_bytes_per_device, owners, owner_offsets)
+        """Schedule every device's tasks plus the boundary sync phase.
+
+        ``device_tasks[d]`` is device ``d``'s task list.  Tasks are
+        placed in global ``(priority, submission order, device)`` order
+        onto each device's own streams/GPU while the ``cpu`` and ``pcie``
+        resources are shared across all devices.
+
+        A merged co-schedule of several queries passes ``owners`` —
+        ``owners[d][i]`` is the query ``device_tasks[d][i]`` belongs to —
+        and ``owner_offsets``, the priority-class offset of each owner,
+        added to its tasks' priorities (a zero offset leaves them
+        untouched).  The timeline then tracks each owner's finish time.
+        """
+        if len(device_tasks) != self.num_devices:
+            raise ValueError(
+                "expected %d device task lists, got %d" % (self.num_devices, len(device_tasks))
+            )
+
+        # (position, device) is unique, so tuple order never reaches the
+        # trailing owner/task members.
+        merged: list[tuple[float, int, int, int, StreamTask]] = []
+        for device, tasks in enumerate(device_tasks):
+            device_owners = owners[device] if owners is not None else [-1] * len(tasks)
+            for position, (task, owner) in enumerate(zip(tasks, device_owners)):
+                offset = owner_offsets[owner] if owner >= 0 else 0.0
+                priority = offset + task.priority if offset else task.priority
+                merged.append((priority, position, device, owner, task))
+        merged.sort()
+
+        num_owners = len(owner_offsets) if owners is not None else 0
+        timeline = Timeline(self.num_devices, self.config.num_streams, num_owners)
+        place = self.stream_scheduler.place
+        for _, _, device, owner, task in merged:
+            place(task, timeline, device, owner)
+
+        if self.num_devices > 1:
+            timeline.add_sync(self.sync_duration(sync_bytes_per_device))
+        return timeline

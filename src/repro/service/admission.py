@@ -28,8 +28,6 @@ admit and analytical scans expensive, without running anything.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["AdmissionController"]
 
 #: Estimate multiplier for partitions the cache policy refuses to keep
@@ -55,20 +53,18 @@ class AdmissionController:
         """Estimated PCIe bytes the request puts in flight when admitted."""
         partitioning = self.system.partitioning
         if program.needs_source and source is not None:
-            touched = np.unique(
-                partitioning.partition_of_vertices(np.asarray([source], dtype=np.int64))
-            )
+            touched = [int(partitioning.partition_of[source])]
         else:
             # Sourceless programs start with a full frontier: every
             # partition is in the first super-iteration's working set.
-            touched = np.arange(partitioning.num_partitions)
-        cache = self.system.context.cache
+            touched = range(partitioning.num_partitions)
+        context = self.system.context
+        cache = context.cache
         total = 0
         for index in touched:
-            index = int(index)
             if cache is not None and bool(cache.resident[index]):
                 continue
-            size = partitioning[index].edge_bytes
+            size = context.partition_bytes[index]
             if cache is not None and cache.adaptive and not cache.would_admit(index):
                 size *= CHURN_FACTOR
             total += size

@@ -111,8 +111,10 @@ class QueryRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "priority", Priority.parse(self.priority))
-        if self.deadline_s is not None and self.deadline_s < 0:
+        if self.deadline_s is not None and not self.deadline_s >= 0:  # also catches NaN
             raise ValueError("deadline_s must be non-negative")
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError("label must be a string or None, got %s" % type(self.label).__name__)
         if not (self.arrival_s >= 0.0):  # also catches NaN
             raise ValueError("arrival_s must be a non-negative time")
 

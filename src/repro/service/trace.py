@@ -21,6 +21,7 @@ Three layers of trace tooling share this module:
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from pathlib import Path
 from typing import Iterator
@@ -301,19 +302,18 @@ def _parse_trace_entry(entry, where: str) -> QueryRequest:
     if source is not None and (isinstance(source, bool) or not isinstance(source, numbers.Integral)):
         raise ValueError("%s: 'source' must be an integer vertex id or null" % where)
     deadline = entry.get("deadline_s")
-    if deadline is not None and (
-        isinstance(deadline, bool) or not isinstance(deadline, numbers.Real) or deadline < 0
-    ):
-        raise ValueError("%s: 'deadline_s' must be a non-negative number" % where)
-    arrival = entry.get("arrival_s", 0.0)
-    if (
-        isinstance(arrival, bool)
-        or not isinstance(arrival, numbers.Real)
-        or not np.isfinite(arrival)
-        or arrival < 0
-    ):
+    if deadline is not None:
+        deadline = _seconds(deadline)
+        if deadline is None:
+            raise ValueError("%s: 'deadline_s' must be a non-negative number" % where)
+    label = entry.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError("%s: 'label' must be a string or null, got %r" % (where, label))
+    arrival = _seconds(entry.get("arrival_s", 0.0))
+    if arrival is None or math.isinf(arrival):
         raise ValueError(
-            "%s: 'arrival_s' must be a finite non-negative number, got %r" % (where, arrival)
+            "%s: 'arrival_s' must be a finite non-negative number, got %r"
+            % (where, entry["arrival_s"])
         )
     try:
         priority = Priority.parse(entry.get("priority", Priority.STANDARD))
@@ -323,10 +323,24 @@ def _parse_trace_entry(entry, where: str) -> QueryRequest:
         algorithm=algorithm.lower(),
         source=None if source is None else int(source),
         priority=priority,
-        deadline_s=None if deadline is None else float(deadline),
-        label=entry.get("label"),
-        arrival_s=float(arrival),
+        deadline_s=deadline,
+        label=label,
+        arrival_s=arrival,
     )
+
+
+def _seconds(value) -> float | None:
+    """A JSON number as non-negative float seconds (``None`` if it is not one).
+
+    Booleans, NaN, negatives and integers beyond float range are not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        seconds = float(value)
+    except OverflowError:
+        return None
+    return seconds if seconds >= 0 else None
 
 
 def requests_from_entries(entries, wheres=None) -> list[QueryRequest]:

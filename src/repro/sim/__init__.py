@@ -18,7 +18,7 @@ discrete-event simulator whose parameters come straight from the paper:
 
 Multi-device scheduling (per-device streams over one shared host plus the
 boundary-synchronisation phase) lives in the execution runtime:
-:class:`repro.runtime.context.MultiDeviceScheduler`.
+:meth:`repro.runtime.context.ExecutionContext.schedule`.
 
 The simulator computes *time* and *bytes moved*; algorithm semantics are
 computed exactly by the vertex programs regardless of the simulated

@@ -48,8 +48,7 @@ class ExpTMFilterSystem(GraphSystem):
         active_ids = frontier.active_ids
         # Partitions hold consecutive vertex ranges and active_ids is
         # sorted, so one bisection splits the frontier per partition.
-        boundaries = np.append(self.partitioning.vertex_starts, self.graph.num_vertices)
-        cuts = np.searchsorted(active_ids, boundaries)
+        cuts = np.searchsorted(active_ids, self.partitioning.vertex_boundaries).tolist()
 
         context = self.context
         cache = context.cache
@@ -59,7 +58,7 @@ class ExpTMFilterSystem(GraphSystem):
             # Feed the eviction policy this iteration's per-partition
             # active-edge counts (committed at the next boundary).
             degrees = self.graph.out_degrees[active_ids]
-            partition_of = self.partitioning.partition_of_vertices(active_ids)
+            partition_of = self.partitioning.partition_of[active_ids]
             cache.observe_frontier(
                 np.bincount(
                     partition_of, weights=degrees, minlength=self.partitioning.num_partitions
@@ -69,23 +68,22 @@ class ExpTMFilterSystem(GraphSystem):
         device_tasks: list[list[StreamTask]] = context.empty_device_lists()
         transfer_bytes = 0
         active_partition_count = 0
-        for partition in self.partitioning:
-            in_partition = active_ids[cuts[partition.index] : cuts[partition.index + 1]]
+        for index, device in enumerate(self.sharding.device_of.tolist()):
+            in_partition = active_ids[cuts[index] : cuts[index + 1]]
             if in_partition.size == 0:
                 continue
-            device = self.sharding.device_of_partition(partition.index)
             active_partition_count += 1
             kernel_time = self.kernel_model.kernel_time(self._active_edge_count(in_partition))
-            if not claim([partition.index]):
+            if not claim([index]):
                 # Cache-resident, or another query already shipped it
                 # this transfer window; only the kernel runs.
                 transfer_time = 0.0
             else:
-                transfer_bytes += context.partition_bytes[partition.index]
-                transfer_time = context.partition_copy_time[partition.index]
+                transfer_bytes += context.partition_bytes[index]
+                transfer_time = context.partition_copy_time[index]
             device_tasks[device].append(
                 StreamTask(
-                    name="P%d-d%d" % (partition.index, device),
+                    name="P%d-d%d" % (index, device),
                     engine=EngineKind.EXP_FILTER.value,
                     transfer_time=transfer_time,
                     kernel_time=kernel_time,

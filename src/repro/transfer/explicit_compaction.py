@@ -45,11 +45,11 @@ class ExplicitCompactionEngine(TransferEngine):
             d1 += config.vertex_value_bytes
         cuts = np.asarray(cuts)
         degree_prefix = np.concatenate([[0], np.cumsum(self._active_degrees(active_vertices))])
-        edges_per_partition = degree_prefix[cuts[1:]] - degree_prefix[cuts[:-1]]
+        slice_edges = degree_prefix[cuts[1:]] - degree_prefix[cuts[:-1]]
         bytes_total = 0
         transfer_time = 0.0
         cpu_time = 0.0
-        for active_edges, count in zip(edges_per_partition.tolist(), np.diff(cuts).tolist()):
+        for active_edges, count in zip(slice_edges.tolist(), np.diff(cuts).tolist()):
             if count == 0:
                 continue
             output_bytes = active_edges * d1 + count * config.index_entry_bytes

@@ -197,7 +197,7 @@ def test_transfer_window_claims_once_per_super_iteration(transfer_bound_graph):
     # One device, static policy: no cache, so the claim is the bare window.
     context = ExpTMFilterSystem(transfer_bound_graph, config=HardwareConfig()).context
     assert context.cache is None
-    size = {index: context.partitioning[index].edge_bytes for index in (1, 2, 3)}
+    size = {index: int(context.partitioning.edge_bytes[index]) for index in (1, 2, 3)}
     context.begin_window()
     assert context.claim([1, 2]) == [1, 2]
     assert context.claim([2, 3]) == [3]

@@ -79,8 +79,8 @@ class TestStaticPrefix:
         expected = np.zeros(manager.num_partitions, dtype=bool)
         for device in range(manager.num_devices):
             budget = manager.budget_bytes[device]
-            for index in manager.sharding[device].partition_indices():
-                size = int(manager.partition_bytes[index])
+            for index in range(*manager.sharding.partition_bounds[device : device + 2]):
+                size = int(manager.partitioning.edge_bytes[index])
                 if size > budget:
                     break
                 expected[index] = True
@@ -105,7 +105,7 @@ class TestStaticPrefix:
         assert billable == [resident]
 
     def test_fill_and_would_admit_are_inert(self):
-        sizes = build_manager("static-prefix").partition_bytes
+        sizes = build_manager("static-prefix").partitioning.edge_bytes
         manager = build_manager("static-prefix", budget=int(sizes[0]))
         outside = int(np.flatnonzero(~manager.resident)[0])
         manager.fill([outside])
@@ -128,7 +128,7 @@ class TestStaticPrefix:
 class TestLru:
     def test_fill_admits_until_budget(self):
         manager = build_manager("lru", num_devices=1)
-        sizes = manager.partition_bytes
+        sizes = manager.partitioning.edge_bytes
         budget = int(sizes[0] + sizes[1])
         manager = build_manager("lru", num_devices=1, budget=budget)
         manager.fill([0, 1])
@@ -136,7 +136,7 @@ class TestLru:
         assert manager.used_bytes[0] <= budget
 
     def test_least_recently_touched_is_evicted(self):
-        sizes = build_manager("lru", num_devices=1).partition_bytes
+        sizes = build_manager("lru", num_devices=1).partitioning.edge_bytes
         manager = build_manager("lru", num_devices=1, budget=int(sizes[0] + sizes[1]))
         manager.fill([0])
         manager.fill([1])
@@ -159,10 +159,10 @@ class TestLru:
 
     def test_devices_have_independent_budgets(self):
         manager = build_manager("lru", num_devices=2)
-        first_of_each = [int(manager.sharding[d].partition_indices()[0]) for d in range(2)]
+        first_of_each = manager.sharding.partition_bounds[:2].tolist()
         manager.fill(first_of_each)
-        assert manager.used_bytes[0] == int(manager.partition_bytes[first_of_each[0]])
-        assert manager.used_bytes[1] == int(manager.partition_bytes[first_of_each[1]])
+        assert manager.used_bytes[0] == int(manager.partitioning.edge_bytes[first_of_each[0]])
+        assert manager.used_bytes[1] == int(manager.partitioning.edge_bytes[first_of_each[1]])
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +188,7 @@ class TestFrontierAware:
         assert manager.resident[0]  # one idle iteration is not collapse
         self._observe(manager, cold)
         assert not manager.resident[0]
-        assert manager.counters()["evicted_bytes"] == int(manager.partition_bytes[0])
+        assert manager.counters()["evicted_bytes"] == int(manager.partitioning.edge_bytes[0])
 
     def test_active_partition_stays_resident(self):
         manager = build_manager("frontier-aware", num_devices=1)
@@ -201,7 +201,7 @@ class TestFrontierAware:
         assert manager.counters()["evictions"] == 0
 
     def test_admission_declines_when_residents_are_hotter(self):
-        sizes = build_manager("frontier-aware", num_devices=1).partition_bytes
+        sizes = build_manager("frontier-aware", num_devices=1).partitioning.edge_bytes
         manager = build_manager("frontier-aware", num_devices=1, budget=int(sizes[0]))
         manager.fill([0])
         hot = np.zeros(manager.num_partitions, dtype=np.int64)
@@ -216,7 +216,7 @@ class TestFrontierAware:
         assert not manager.resident[1]
 
     def test_hot_newcomer_displaces_cold_resident(self):
-        sizes = build_manager("frontier-aware", num_devices=1).partition_bytes
+        sizes = build_manager("frontier-aware", num_devices=1).partitioning.edge_bytes
         manager = build_manager("frontier-aware", num_devices=1, budget=int(sizes[0]))
         manager.fill([0])
         lukewarm = np.zeros(manager.num_partitions, dtype=np.int64)
@@ -230,7 +230,7 @@ class TestFrontierAware:
         assert not manager.resident[0]
 
     def test_would_admit_is_a_dry_run(self):
-        sizes = build_manager("frontier-aware", num_devices=1).partition_bytes
+        sizes = build_manager("frontier-aware", num_devices=1).partitioning.edge_bytes
         manager = build_manager("frontier-aware", num_devices=1, budget=int(sizes[0]))
         manager.fill([0])
         lukewarm = np.zeros(manager.num_partitions, dtype=np.int64)
@@ -256,8 +256,8 @@ class TestCounters:
         manager.split_billable([0, 1])  # 0 hits, 1 is billable
         manager.record_miss([1])
         counters = manager.counters()
-        assert counters["hit_bytes"] == int(manager.partition_bytes[0])
-        assert counters["miss_bytes"] == int(manager.partition_bytes[1])
+        assert counters["hit_bytes"] == int(manager.partitioning.edge_bytes[0])
+        assert counters["miss_bytes"] == int(manager.partitioning.edge_bytes[1])
         assert counters["hits"] == 1 and counters["misses"] == 1
 
     def test_delta_since_snapshot(self):
@@ -266,7 +266,7 @@ class TestCounters:
         before = manager.snapshot_counters()
         manager.split_billable([0])
         delta = manager.delta(before)
-        assert delta["hit_bytes"] == int(manager.partition_bytes[0])
+        assert delta["hit_bytes"] == int(manager.partitioning.edge_bytes[0])
         assert delta["miss_bytes"] == 0
 
     def test_reset_clears_contents_and_counters(self):

@@ -1,6 +1,7 @@
 """Unit tests for the ``repro-graph`` command-line interface."""
 
 import hashlib
+import re
 import shlex
 from pathlib import Path
 
@@ -225,6 +226,19 @@ class TestServeCommand:
         trace = tmp_path / "trace.json"
         trace.write_text('[{"algorithm": "bfs", "source": 0, "arrival_s": -1.0}]')
         with pytest.raises(SystemExit, match="entry #0.*arrival_s"):
+            main(["serve", "--scale", "0.05", "--trace", str(trace)])
+
+    @pytest.mark.parametrize(
+        "entry, cause",
+        [
+            ('{"algorithm": "sssp", "label": 7}', "'label' must be a string or null, got 7"),
+            ('{"algorithm": "bfs", "source": 0, "deadline_s": NaN}', "'deadline_s' must be a non-negative"),
+        ],
+    )
+    def test_serve_trace_bad_field_named(self, tmp_path, entry, cause):
+        trace = tmp_path / "trace.json"
+        trace.write_text('[{"algorithm": "bfs", "source": 0}, %s]' % entry)
+        with pytest.raises(SystemExit, match="entry #1: %s" % re.escape(cause)):
             main(["serve", "--scale", "0.05", "--trace", str(trace)])
 
     def test_serve_trace_partial_arrival_stamping_rejected(self, tmp_path):

@@ -305,6 +305,14 @@ class TestClusterServing:
         counters = cluster.router.counters()
         assert counters["affinity_hits"] + counters["spills"] == len(handles)
 
+    @pytest.mark.parametrize("label", [7, 2.5, ["tenant"]])
+    def test_non_string_label_rejected_before_routing(self, graph, hardware, label):
+        # The router hashes the label for host affinity.
+        cluster = _cluster(graph, hardware, hosts=2)
+        with pytest.raises(ValueError, match="label must be a string"):
+            cluster.submit(QueryRequest(algorithm="sssp", source=3, label=label))
+        assert cluster.submit(QueryRequest(algorithm="sssp", source=3, label="7")).request_id == 0
+
     def test_request_ids_cluster_global(self, graph, hardware):
         cluster = _cluster(graph, hardware, hosts=3)
         handles = cluster.submit_many(_mixed_requests() * 2)

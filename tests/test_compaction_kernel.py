@@ -8,9 +8,8 @@ from repro.sim.kernel import KernelModel
 from repro.transfer.explicit_compaction import ExplicitCompactionEngine
 
 
-def _cuts(partitions, active):
-    bounds = [partition.vertex_start for partition in partitions] + [partitions[-1].vertex_end]
-    return np.searchsorted(active, bounds)
+def _cuts(partitioning, active):
+    return np.searchsorted(active, partitioning.vertex_boundaries)
 
 
 class TestCompactionContents:
@@ -35,9 +34,9 @@ class TestCompactionContents:
         graph = uniform_random_graph(50, 300, seed=5)
         assert not graph.is_weighted
         engine = ExplicitCompactionEngine(graph, config)
-        partitions = list(partition_by_count(graph, 4))
+        partitioning = partition_by_count(graph, 4)
         active = np.arange(0, 50, 2)
-        outcome = engine.transfer_task(active, _cuts(partitions, active))
+        outcome = engine.transfer_task(active, _cuts(partitioning, active))
         # Neighbors only: no weight column rides along.
         assert outcome.bytes_transferred == (
             int(graph.out_degrees[::2].sum()) * graph.edge_bytes_per_edge
@@ -46,14 +45,14 @@ class TestCompactionContents:
 
     def test_empty_active_set(self, paper_graph, config):
         engine = ExplicitCompactionEngine(paper_graph, config)
-        partitions = list(partition_by_count(paper_graph, 3))
+        partitioning = partition_by_count(paper_graph, 3)
         empty = np.array([], dtype=np.int64)
-        outcome = engine.transfer_task(empty, _cuts(partitions, empty))
+        outcome = engine.transfer_task(empty, _cuts(partitioning, empty))
         assert outcome.bytes_transferred == 0
         assert outcome.cpu_time == 0.0 and outcome.transfer_time == 0.0
         # A partition without active vertices packs nothing of its own.
-        active = np.array([int(partitions[0].vertex_start)])
-        task = engine.transfer_task(active, _cuts(partitions, active))
+        active = partitioning.vertex_boundaries[:1]
+        task = engine.transfer_task(active, _cuts(partitioning, active))
         alone = engine.transfer_task(active, (0, active.size))
         assert (task.bytes_transferred, task.cpu_time, task.transfer_time) == (
             alone.bytes_transferred, alone.cpu_time, alone.transfer_time

@@ -26,9 +26,10 @@ def active_partitions(costs):
     return np.flatnonzero(costs.active_edges > 0)
 
 
-def partition_mask(graph, partition, stride=1):
+def partition_mask(graph, partitioning, index, stride=1):
+    start, end = partitioning.vertex_boundaries[index : index + 2]
     mask = np.zeros(graph.num_vertices, dtype=bool)
-    mask[partition.vertex_start : partition.vertex_end : stride] = True
+    mask[start:end:stride] = True
     return mask
 
 
@@ -49,17 +50,15 @@ def cost_model(graph, partitioning, config):
 
 class TestFilterCost:
     def test_formula_1_by_hand(self, graph, partitioning, cost_model, config):
-        partition = partitioning[0]
-        num_bytes = partition.num_edges * graph.edge_bytes_per_edge
+        num_bytes = int(partitioning.edges[0]) * graph.edge_bytes_per_edge
         expected_tlps = int(np.ceil(num_bytes / config.tlp_payload_bytes))
-        costs = cost_model.estimate(partition_mask(graph, partition))
+        costs = cost_model.estimate(partition_mask(graph, partitioning, 0))
         assert costs.filter_cost[0] == pytest.approx(expected_tlps * config.tlp_round_trip_time)
 
     def test_independent_of_activeness(self, cost_model, graph, partitioning):
         mask_few = np.zeros(graph.num_vertices, dtype=bool)
-        mask_few[partitioning[0].vertex_start] = True
-        mask_many = np.zeros(graph.num_vertices, dtype=bool)
-        mask_many[partitioning[0].vertex_start : partitioning[0].vertex_end] = True
+        mask_few[partitioning.vertex_boundaries[0]] = True
+        mask_many = partition_mask(graph, partitioning, 0)
         few = cost_model.estimate(mask_few)
         many = cost_model.estimate(mask_many)
         if few.active_edges[0] > 0 and many.active_edges[0] > 0:
@@ -68,7 +67,7 @@ class TestFilterCost:
 
 class TestCompactionCost:
     def test_formula_2_transfer_term(self, cost_model, config, graph, partitioning):
-        costs = cost_model.estimate(partition_mask(graph, partitioning[0], stride=3))
+        costs = cost_model.estimate(partition_mask(graph, partitioning, 0, stride=3))
         active_edges, active_vertices = int(costs.active_edges[0]), int(costs.active_vertices[0])
         assert active_edges > 0
         num_bytes = active_edges * graph.edge_bytes_per_edge + active_vertices * config.index_entry_bytes
@@ -80,8 +79,8 @@ class TestCompactionCost:
         graph = rmat_graph(2000, 40_000, seed=5)
         partitioning = partition_by_count(graph, 1)
         cost_model = CostModel(graph, partitioning, config)
-        sparse = cost_model.estimate(partition_mask(graph, partitioning[0], stride=8))
-        dense = cost_model.estimate(partition_mask(graph, partitioning[0]))
+        sparse = cost_model.estimate(partition_mask(graph, partitioning, 0, stride=8))
+        dense = cost_model.estimate(partition_mask(graph, partitioning, 0))
         assert dense.active_edges[0] > sparse.active_edges[0]
         assert dense.compaction_cost[0] > sparse.compaction_cost[0]
 
@@ -123,10 +122,7 @@ class TestEstimate:
             assert np.all(array >= 0)
 
     def test_inactive_partitions_cost_nothing(self, cost_model, graph, partitioning):
-        mask = np.zeros(graph.num_vertices, dtype=bool)
-        partition = partitioning[2]
-        mask[partition.vertex_start : partition.vertex_end] = True
-        costs = cost_model.estimate(mask)
+        costs = cost_model.estimate(partition_mask(graph, partitioning, 2))
         for index in range(partitioning.num_partitions):
             if index != 2 and costs.active_edges[index] == 0:
                 assert costs.filter_cost[index] == 0.0
@@ -159,9 +155,8 @@ class TestEstimate:
 
     def test_per_partition_zero_copy_matches_single_method(self, cost_model, graph, partitioning, config):
         mask = np.zeros(graph.num_vertices, dtype=bool)
-        partition = partitioning[3]
-        vertices = np.arange(partition.vertex_start, partition.vertex_end, 4)
+        vertices = np.arange(*partitioning.vertex_boundaries[3:5], 4)
         mask[vertices] = True
         costs = cost_model.estimate(mask)
-        direct = zero_copy_cost_oracle(graph, config, partition.num_edges, vertices)
+        direct = zero_copy_cost_oracle(graph, config, int(partitioning.edges[3]), vertices)
         assert costs.zero_copy_cost[3] == pytest.approx(direct, rel=1e-9)

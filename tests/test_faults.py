@@ -205,6 +205,8 @@ class TestFaultSpec:
             ("transfer-flaky", "needs a probability"),
             ("memory-pressure:factor=2", "needs a factor in"),
             ("host-loss:host=-1", "host must be non-negative"),
+            ("interconnect-degrade:factor=inf", "needs a finite factor >= 1"),
+            ("interconnect-degrade:factor=nan", "needs a finite factor >= 1"),
         ],
     )
     def test_parse_names_the_entry_a_spec_rejects(self, entry, cause):
@@ -214,6 +216,22 @@ class TestFaultSpec:
             FaultSchedule.parse("device-loss@1;%s" % entry)
         assert str(raised.value).startswith("bad fault entry %r: " % entry)
         assert cause in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ("transfer-flaky:p=0.1,p=0.2", "probability"),
+            ("transfer-flaky:p=0.1,probability=0.2", "probability"),
+            ("transfer-flaky:probability=0.1,P=0.1", "probability"),
+            ("device-loss:device=0,device=1", "device"),
+            ("interconnect-degrade:factor=2,factor=4", "factor"),
+        ],
+    )
+    def test_parse_rejects_a_repeated_key(self, entry, field):
+        # The last value used to win silently, whichever spelling it used.
+        with pytest.raises(ValueError) as raised:
+            FaultSchedule.parse("device-loss@1;%s" % entry)
+        assert str(raised.value) == "bad fault entry %r: %s given twice" % (entry, field)
 
     def test_parse_rejects_empty(self):
         with pytest.raises(ValueError, match="empty fault schedule"):
@@ -307,10 +325,27 @@ def test_device_loss_reshards_onto_survivors(graph, config):
     assert cache is context.cache
     assert cache.num_devices == 3
     assert len(cache.budget_bytes) == 3
-    assert set(np.unique(cache.device_of)) <= {0, 1, 2}
+    assert set(np.unique(cache.sharding.device_of)) <= {0, 1, 2}
     assert cache.invalidated_bytes > 0
     with pytest.raises(ValueError, match="outside"):
         context.lose_device(3)
+
+
+def test_interconnect_slowdown_survives_device_loss(graph, config):
+    context = HyTGraphSystem(graph, config.with_devices(4)).context
+    latency = context.config.interconnect_latency
+    context.degrade_interconnect(3.0)
+    assert context.sync_duration([0, 0, 0, 0]) == 3.0 * latency
+    context.lose_device(0)
+    # Re-sharding keeps the degradation: the link did not heal.
+    assert context.interconnect_slowdown == 3.0
+    assert context.sync_duration([0, 0, 0]) == 3.0 * latency
+    timeline = context.schedule(context.empty_device_lists(), [0, 0, 0])
+    assert timeline.sync_time == 3.0 * latency
+    context.lose_device(0)
+    context.lose_device(0)
+    # One device left synchronises nothing, however slow the link.
+    assert context.sync_duration([0]) == 0.0
 
 
 def test_losing_last_device_degrades_to_host(graph, config):

@@ -120,8 +120,9 @@ class TestQueries:
         snapshot = driver.snapshot(mask)
         assert len(snapshot.per_device) == 2
         assert sum(ids.size for ids in snapshot.per_device) == snapshot.active_vertices
-        for shard, ids in zip(driver.context.sharding, snapshot.per_device):
-            assert np.all((ids >= shard.vertex_start) & (ids < shard.vertex_end))
+        bounds = driver.context.sharding.vertex_bounds
+        for start, end, ids in zip(bounds, bounds[1:], snapshot.per_device):
+            assert np.all((ids >= start) & (ids < end))
         np.testing.assert_array_equal(np.concatenate(snapshot.per_device), snapshot.active_ids)
 
 
@@ -141,8 +142,7 @@ class TestMutation:
 
     def test_activate_with_array(self, rmat):
         driver = _driver(rmat, num_partitions=6, num_devices=2)
-        first_shard = driver.context.sharding[0]
-        source = first_shard.vertex_start
+        source, first_shard_end = driver.context.sharding.vertex_bounds[:2].tolist()
         program = BFS()
         state = program.create_state(rmat, source)
         pending = np.zeros(rmat.num_vertices, dtype=bool)
@@ -153,7 +153,7 @@ class TestMutation:
         expected = np.setdiff1d(rmat.neighbors(source), [source])
         assert np.flatnonzero(pending).tolist() == expected.tolist()
         # Activations outside the emitting shard are its boundary messages.
-        assert remote == [int(np.count_nonzero(expected >= first_shard.vertex_end)), 0]
+        assert remote == [int(np.count_nonzero(expected >= first_shard_end)), 0]
 
     def test_activate_empty_is_noop(self, rmat):
         driver = _driver(rmat, num_partitions=6, num_devices=2)

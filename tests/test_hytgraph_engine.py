@@ -180,9 +180,7 @@ class TestBehaviour:
         engine = HyTGraphEngine(medium_rmat_graph, options=HyTGraphOptions(hub_sorting=False))
         budget = medium_rmat_graph.edge_data_bytes // DEFAULT_PARTITION_DIVISOR
         expected = partition_by_bytes(medium_rmat_graph, budget)
-        assert [(p.vertex_start, p.vertex_end) for p in engine.partitioning] == [
-            (p.vertex_start, p.vertex_end) for p in expected
-        ]
+        np.testing.assert_array_equal(engine.partitioning.vertex_boundaries, expected.vertex_boundaries)
         assert engine.partitioning.num_partitions > 4
 
     def test_empty_graph(self):

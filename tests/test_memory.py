@@ -88,13 +88,13 @@ class TestDeviceMemoryBudget:
         manager = self._manager()
         manager.fill(list(range(manager.num_partitions)))
         assert manager.resident.all()
-        keep = int(manager.partition_bytes[:3].sum())
+        keep = int(manager.partitioning.edge_bytes[:3].sum())
         manager.set_budget(keep)
         assert np.flatnonzero(manager.resident).tolist() == [0, 1, 2]
         assert manager.used_bytes == [keep]
         counters = manager.counters()
         assert counters["evictions"] == manager.num_partitions - 3
-        assert counters["evicted_bytes"] == int(manager.partition_bytes[3:].sum())
+        assert counters["evicted_bytes"] == int(manager.partitioning.edge_bytes[3:].sum())
 
     def test_set_budget_rejects_negative(self):
         manager = self._manager()
@@ -105,7 +105,7 @@ class TestDeviceMemoryBudget:
         assert manager.resident[0]
 
     def test_used_bytes_track_residency(self):
-        sizes = self._manager().partition_bytes
+        sizes = self._manager().partitioning.edge_bytes
         manager = self._manager(num_devices=2, budget=int(sizes.max() + sizes.min()))
         rng = np.random.default_rng(1)
         for _ in range(40):
@@ -113,8 +113,8 @@ class TestDeviceMemoryBudget:
             billable, _ = manager.split_billable(touched)
             manager.fill(billable)
             for device in range(2):
-                on_device = manager.resident & (manager.device_of == device)
-                assert manager.used_bytes[device] == int(manager.partition_bytes[on_device].sum())
+                on_device = manager.resident & (manager.sharding.device_of == device)
+                assert manager.used_bytes[device] == int(manager.partitioning.edge_bytes[on_device].sum())
                 assert manager.used_bytes[device] <= manager.budget_bytes[device]
 
 
@@ -145,13 +145,13 @@ class TestShardResidencyBoundaries:
 
     def test_budget_smaller_than_one_partition_pins_nothing(self):
         _, partitioning = self._residency()
-        smallest = min(partitioning[p].edge_bytes for p in range(partitioning.num_partitions))
+        smallest = int(partitioning.edge_bytes.min())
         residency, _ = self._residency(budget=smallest - 1)
         assert residency.num_resident == 0
 
     def test_budget_larger_than_whole_shard_pins_everything(self):
         _, partitioning = self._residency()
-        total = sum(partition.edge_bytes for partition in partitioning)
+        total = int(partitioning.edge_bytes.sum())
         residency, partitioning = self._residency(budget=10 * total)
         assert residency.num_resident == partitioning.num_partitions
         # Everything is billed exactly once, then free.
@@ -166,7 +166,7 @@ class TestShardResidencyBoundaries:
         # Residency is a per-shard prefix: within each shard, once a
         # partition is skipped nothing after it is pinned.
         for device in range(2):
-            shard_indices = list(residency.sharding[device].partition_indices())
+            shard_indices = range(*residency.sharding.partition_bounds[device : device + 2])
             flags = [bool(residency.resident[i]) for i in shard_indices]
             if False in flags:
                 first_gap = flags.index(False)

@@ -22,8 +22,8 @@ from repro.algorithms.pagerank import DeltaPageRank
 from repro.algorithms.sssp import SSSP
 from repro.bench.workloads import build_workload
 from repro.graph.generators import rmat_graph, uniform_random_graph
-from repro.graph.partition import ShardedPartitioning, partition_by_count
-from repro.runtime.context import MultiDeviceScheduler
+from repro.graph.partition import ShardedPartitioning, build_partitioning, partition_by_count
+from repro.runtime.context import ExecutionContext
 from repro.sim.config import INTERCONNECT_PRESETS, HardwareConfig
 from repro.sim.streams import StreamTask
 from repro.systems.emogi import EmogiSystem
@@ -75,9 +75,9 @@ def test_single_device_is_the_trivial_sharded_case():
     assert system.context is context
     assert not context.is_multi_device
     assert context.sharding.num_devices == 1
-    shard = context.sharding[0]
-    assert (shard.vertex_start, shard.vertex_end) == (0, graph.num_vertices)
-    assert shard.num_partitions == system.engine.partitioning.num_partitions
+    assert context.sharding.vertex_bounds.tolist() == [0, graph.num_vertices]
+    assert context.sharding.partition_bounds.tolist() == [0, system.engine.partitioning.num_partitions]
+    assert not context.sharding.device_of.any()
     assert context.cache is None
     assert context.num_resident_partitions == 0
 
@@ -170,7 +170,8 @@ def test_boundary_sync_bytes_hand_computed(paper_graph):
     system = EmogiSystem(paper_graph, config=config, num_partitions=3)
 
     sharding = system.sharding
-    assert [(shard.vertex_start, shard.vertex_end) for shard in sharding] == [(0, 2), (2, 6)]
+    assert sharding.vertex_bounds.tolist() == [0, 2, 6]
+    assert sharding.device_of.tolist() == [0, 1, 1]
 
     result = system.run(BFS(), source=0)
     assert result.converged
@@ -198,38 +199,43 @@ def test_sharded_partitioning_tiles_and_balances():
     sharding = ShardedPartitioning(partitioning, 4)
 
     assert sharding.num_devices == 4
-    assert sharding[0].vertex_start == 0
-    assert sharding[-1].vertex_end == graph.num_vertices
-    for left, right in zip(sharding.shards, sharding.shards[1:]):
-        assert left.vertex_end == right.vertex_start
-        assert left.partition_end == right.partition_start
+    bounds = sharding.partition_bounds
+    assert bounds.shape == sharding.vertex_bounds.shape == (5,)
+    assert bounds[0] == 0 and bounds[-1] == partitioning.num_partitions
+    assert np.all(np.diff(bounds) >= 0)
+    # Shard vertex bounds are the partition table's, at the shard bounds.
+    np.testing.assert_array_equal(sharding.vertex_bounds, partitioning.vertex_boundaries[bounds])
+    np.testing.assert_array_equal(
+        sharding.device_of, np.searchsorted(bounds, np.arange(partitioning.num_partitions), side="right") - 1
+    )
 
     vertices = np.arange(graph.num_vertices)
     split = sharding.split_sorted_vertices(vertices)
-    for shard in sharding:
-        np.testing.assert_array_equal(
-            split[shard.device], np.arange(shard.vertex_start, shard.vertex_end)
-        )
+    vertex_bounds = sharding.vertex_bounds
+    for device in range(4):
+        np.testing.assert_array_equal(split[device], np.arange(vertex_bounds[device], vertex_bounds[device + 1]))
     assert sum(part.size for part in split) == graph.num_vertices
 
     # Byte balance: no shard exceeds its fair share by more than the
     # largest single partition (contiguity makes that the bound).
-    per_partition = partitioning.bytes_per_partition()
+    per_partition = partitioning.edge_bytes
     fair = per_partition.sum() / 4
-    for shard in sharding:
-        assert shard.edge_bytes <= fair + per_partition.max()
+    shard_bytes = np.bincount(sharding.device_of, weights=per_partition, minlength=4)
+    assert np.all(shard_bytes <= fair + per_partition.max())
 
 
 def test_more_devices_than_partitions():
     graph = uniform_random_graph(60, 300, seed=4)
     partitioning = partition_by_count(graph, 2)
     sharding = ShardedPartitioning(partitioning, 4)
-    assert sum(shard.num_partitions for shard in sharding) == 2
-    assert sum(shard.num_partitions == 0 for shard in sharding) == 2
-    assert sum(shard.num_vertices for shard in sharding) == graph.num_vertices
+    shard_partitions = np.diff(sharding.partition_bounds)
+    assert shard_partitions.sum() == 2
+    assert np.count_nonzero(shard_partitions == 0) == 2
+    shard_vertices = np.diff(sharding.vertex_bounds)
+    assert shard_vertices.sum() == graph.num_vertices
     # Empty shards own no vertices; every vertex lands on a real shard.
     split = sharding.split_sorted_vertices(np.arange(graph.num_vertices))
-    assert [part.size for part in split] == [shard.num_vertices for shard in sharding]
+    assert [part.size for part in split] == shard_vertices.tolist()
     assert sum(part.size for part in split) == graph.num_vertices
 
     config = HardwareConfig().with_devices(4)
@@ -240,9 +246,10 @@ def test_more_devices_than_partitions():
 
 def test_multi_device_scheduler_shares_host_pcie():
     config = HardwareConfig(num_streams=2).with_devices(2)
-    scheduler = MultiDeviceScheduler(config)
+    graph = uniform_random_graph(60, 300, seed=4)
+    context = ExecutionContext(graph, build_partitioning(graph), config)
     transfer = StreamTask(name="t", engine="ExpTM-F", transfer_time=1.0, kernel_time=0.5)
-    timeline = scheduler.schedule([[transfer], [transfer]], [0, 0])
+    timeline = context.schedule([[transfer], [transfer]], [0, 0])
 
     # Both transfers serialise on the one host PCIe resource...
     pcie_spans = sorted(

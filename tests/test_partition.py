@@ -5,18 +5,33 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import power_law_graph, star_graph
-from repro.graph.partition import EdgePartition, Partitioning, partition_by_bytes, partition_by_count
+from repro.graph.partition import Partitioning, partition_by_bytes, partition_by_count
 
 
 def check_tiling(graph, partitioning):
-    """Partitions must tile the vertex and edge ranges without gaps or overlap."""
-    assert partitioning[0].vertex_start == 0
-    assert partitioning[-1].vertex_end == graph.num_vertices
-    assert partitioning[0].edge_start == 0
-    assert partitioning[-1].edge_end == graph.num_edges
-    for left, right in zip(partitioning.partitions[:-1], partitioning.partitions[1:]):
-        assert left.vertex_end == right.vertex_start
-        assert left.edge_end == right.edge_start
+    """The partition table tiles the vertex and edge ranges without gaps or overlap.
+
+    Vertex boundaries rise strictly from 0 to |V|; every other column is
+    what the boundaries and the CSR layout imply.
+    """
+    bounds = partitioning.vertex_boundaries
+    num_partitions = partitioning.num_partitions
+    assert bounds.dtype == np.int64 and bounds.shape == (num_partitions + 1,)
+    assert bounds[0] == 0 and bounds[-1] == graph.num_vertices
+    assert np.all(np.diff(bounds) > 0)
+    np.testing.assert_array_equal(partitioning.edge_boundaries, graph.row_offset[bounds])
+    np.testing.assert_array_equal(partitioning.edges, np.diff(graph.row_offset[bounds]))
+    np.testing.assert_array_equal(
+        partitioning.edge_bytes, np.diff(graph.row_offset[bounds]) * graph.edge_bytes_per_edge
+    )
+    assert partitioning.edge_bytes.sum() == graph.edge_data_bytes
+    for column in (partitioning.edge_boundaries, partitioning.edges, partitioning.edge_bytes):
+        assert column.dtype == np.int64
+    # Every vertex maps to the partition whose bounds contain it.
+    vertices = np.arange(graph.num_vertices)
+    owner = partitioning.partition_of
+    assert owner.dtype == np.int64 and owner.shape == (graph.num_vertices,)
+    assert np.all((bounds[owner] <= vertices) & (vertices < bounds[owner + 1]))
 
 
 class TestPartitionByBytes:
@@ -28,10 +43,10 @@ class TestPartitionByBytes:
         budget = 4096
         partitioning = partition_by_bytes(medium_power_law_graph, budget)
         per_edge = medium_power_law_graph.edge_bytes_per_edge
-        for partition in partitioning:
-            # Either within budget or a single oversized adjacency list.
-            assert partition.edge_bytes <= budget or partition.num_vertices == 1
-            assert partition.edge_bytes == partition.num_edges * per_edge
+        sizes = np.diff(partitioning.vertex_boundaries)
+        # Either within budget or a single oversized adjacency list.
+        assert np.all((partitioning.edge_bytes <= budget) | (sizes == 1))
+        np.testing.assert_array_equal(partitioning.edge_bytes, partitioning.edges * per_edge)
 
     def test_single_partition_when_budget_huge(self, small_random_graph):
         partitioning = partition_by_bytes(small_random_graph, 1 << 30)
@@ -40,9 +55,10 @@ class TestPartitionByBytes:
     def test_oversized_vertex_gets_own_partition(self):
         graph = star_graph(1000)
         partitioning = partition_by_bytes(graph, 128)
-        hub_partition = partitioning[partitioning.partition_of_vertex(0)]
-        assert hub_partition.num_vertices >= 1
-        assert hub_partition.vertex_start == 0
+        hub = partitioning.partition_of[0]
+        assert hub == 0
+        assert partitioning.vertex_boundaries[hub] == 0
+        assert partitioning.vertex_boundaries[hub + 1] >= 1
         check_tiling(graph, partitioning)
 
     def test_invalid_budget(self, small_random_graph):
@@ -52,6 +68,7 @@ class TestPartitionByBytes:
     def test_empty_graph(self):
         partitioning = partition_by_bytes(CSRGraph.empty(0), 1024)
         assert partitioning.num_partitions == 0
+        check_tiling(partitioning.graph, partitioning)
 
 
 class TestPartitionByCount:
@@ -65,7 +82,7 @@ class TestPartitionByCount:
 
     def test_edge_balance(self, medium_rmat_graph):
         partitioning = partition_by_count(medium_rmat_graph, 8)
-        edges = partitioning.edges_per_partition()
+        edges = partitioning.edges
         assert edges.sum() == medium_rmat_graph.num_edges
         # Edge-balanced: no partition is wildly larger than the ideal share
         # (hubs can force some imbalance, hence the loose bound).
@@ -77,6 +94,11 @@ class TestPartitionByCount:
         assert partitioning.num_partitions <= graph.num_vertices
         check_tiling(graph, partitioning)
 
+    def test_empty_graph(self):
+        partitioning = partition_by_count(CSRGraph.empty(0), 4)
+        assert partitioning.num_partitions == 0
+        check_tiling(partitioning.graph, partitioning)
+
     def test_invalid_count(self, small_random_graph):
         with pytest.raises(ValueError):
             partition_by_count(small_random_graph, 0)
@@ -85,17 +107,18 @@ class TestPartitionByCount:
 class TestPartitioningQueries:
     def test_partition_of_vertex(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)
-        for partition in partitioning:
-            for vertex in (partition.vertex_start, partition.vertex_end - 1):
-                assert partitioning.partition_of_vertex(vertex) == partition.index
-                assert vertex in partition.vertices()
+        bounds = partitioning.vertex_boundaries.tolist()
+        for index, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            assert partitioning.partition_of[start] == index
+            assert partitioning.partition_of[end - 1] == index
 
-    def test_partition_of_vertices_vectorised(self, medium_power_law_graph):
+    def test_partition_of_matches_the_bounds(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)
-        vertices = np.arange(medium_power_law_graph.num_vertices)
-        mapped = partitioning.partition_of_vertices(vertices)
-        expected = np.array([partitioning.partition_of_vertex(int(v)) for v in vertices])
-        np.testing.assert_array_equal(mapped, expected)
+        bounds = partitioning.vertex_boundaries
+        expected = np.concatenate(
+            [np.full(end - start, index) for index, (start, end) in enumerate(zip(bounds, bounds[1:]))]
+        )
+        np.testing.assert_array_equal(partitioning.partition_of, expected)
 
     def test_active_counts(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)
@@ -105,9 +128,8 @@ class TestPartitioningQueries:
         assert active_vertices.sum() == mask.sum()
         assert active_edges.sum() == medium_power_law_graph.out_degrees[mask].sum()
         # Per-partition counts never exceed the partition's totals.
-        for partition in partitioning:
-            assert active_vertices[partition.index] <= partition.num_vertices
-            assert active_edges[partition.index] <= partition.num_edges
+        assert np.all(active_vertices <= np.diff(partitioning.vertex_boundaries))
+        assert np.all(active_edges <= partitioning.edges)
 
     def test_active_counts_empty_mask(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)
@@ -116,27 +138,41 @@ class TestPartitioningQueries:
         assert active_vertices.sum() == 0
         assert active_edges.sum() == 0
 
-    def test_bytes_per_partition(self, medium_power_law_graph):
+    def test_edge_bytes_column(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)
-        assert partitioning.bytes_per_partition().sum() == medium_power_law_graph.edge_data_bytes
+        assert partitioning.edge_bytes.sum() == medium_power_law_graph.edge_data_bytes
 
-    def test_iteration_and_len(self, medium_power_law_graph):
+    def test_column_lengths(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)
-        assert len(list(partitioning)) == len(partitioning) == partitioning.num_partitions
+        num_partitions = partitioning.num_partitions
+        assert partitioning.vertex_boundaries.size == partitioning.edge_boundaries.size == num_partitions + 1
+        assert partitioning.edges.size == partitioning.edge_bytes.size == num_partitions
+        assert partitioning.partition_of.size == medium_power_law_graph.num_vertices
 
 
 class TestValidation:
-    def test_gap_rejected(self, small_random_graph):
-        graph = small_random_graph
-        bad = [
-            EdgePartition(0, 0, 10, 0, int(graph.row_offset[10]), 0),
-            EdgePartition(1, 12, graph.num_vertices, int(graph.row_offset[12]), graph.num_edges, 0),
-        ]
-        with pytest.raises(ValueError):
-            Partitioning(graph, bad)
+    def test_boundaries_rebuild_the_table(self, small_random_graph):
+        built = partition_by_count(small_random_graph, 4)
+        rebuilt = Partitioning(small_random_graph, built.vertex_boundaries.tolist())
+        check_tiling(small_random_graph, rebuilt)
+        np.testing.assert_array_equal(rebuilt.edge_bytes, built.edge_bytes)
 
-    def test_incomplete_cover_rejected(self, small_random_graph):
-        graph = small_random_graph
-        bad = [EdgePartition(0, 0, 10, 0, int(graph.row_offset[10]), 0)]
-        with pytest.raises(ValueError):
-            Partitioning(graph, bad)
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            pytest.param(lambda n: [1, 10, n], id="not-from-zero"),
+            pytest.param(lambda n: [0, 10], id="incomplete-cover"),
+            pytest.param(lambda n: [0, 10, n + 1], id="past-the-end"),
+            pytest.param(lambda n: [0, 12, 10, n], id="descending"),
+            pytest.param(lambda n: [0, 10, 10, n], id="empty-partition"),
+            pytest.param(lambda n: [], id="no-bounds"),
+            pytest.param(lambda n: [[0, n]], id="not-one-dimensional"),
+        ],
+    )
+    def test_bad_boundaries_rejected(self, small_random_graph, bounds):
+        with pytest.raises(ValueError, match="vertex boundaries"):
+            Partitioning(small_random_graph, bounds(small_random_graph.num_vertices))
+
+    def test_non_empty_graph_needs_a_partition(self, small_random_graph):
+        with pytest.raises(ValueError, match="vertex boundaries"):
+            Partitioning(small_random_graph, [0])

@@ -22,10 +22,14 @@ def partitioning(graph):
     return partition_by_count(graph, 8)
 
 
+def vertex_range(partitioning, index):
+    """Partition ``index``'s vertices as a ``slice``."""
+    return slice(*partitioning.vertex_boundaries[index : index + 2].tolist())
+
+
 def make_task(engine, partition_indices, partitioning):
-    vertices = np.concatenate(
-        [np.arange(partitioning[i].vertex_start, partitioning[i].vertex_end) for i in partition_indices]
-    )
+    bounds = partitioning.vertex_boundaries
+    vertices = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in partition_indices])
     return ScheduledTask(engine=engine, partition_indices=list(partition_indices), active_vertices=vertices)
 
 
@@ -34,14 +38,14 @@ class TestHubContribution:
         scheduler = ContributionScheduler(graph, partitioning)
         scores = hub_scores(graph)
         task = make_task(EngineKind.EXP_FILTER, [0, 1], partitioning)
-        expected = scores[partitioning[0].vertex_start : partitioning[1].vertex_end].sum()
+        expected = scores[partitioning.vertex_boundaries[0] : partitioning.vertex_boundaries[2]].sum()
         assert scheduler.hub_contribution(task) == pytest.approx(expected)
 
     def test_higher_hub_mass_scheduled_earlier(self, graph, partitioning):
         scheduler = ContributionScheduler(graph, partitioning)
         scores = hub_scores(graph)
         per_partition = [
-            scores[p.vertex_start : p.vertex_end].sum() for p in partitioning
+            scores[vertex_range(partitioning, index)].sum() for index in range(partitioning.num_partitions)
         ]
         rich = int(np.argmax(per_partition))
         poor = int(np.argmin(per_partition))
@@ -62,8 +66,7 @@ class TestDeltaContribution:
         state = program.create_state(graph)
         # Concentrate residual mass in partition 5.
         state["delta"][:] = 0.0
-        target = partitioning[5]
-        state["delta"][target.vertex_start : target.vertex_end] = 10.0
+        state["delta"][vertex_range(partitioning, 5)] = 10.0
         tasks = [
             make_task(EngineKind.IMP_ZERO_COPY, [1], partitioning),
             make_task(EngineKind.IMP_ZERO_COPY, [5], partitioning),
@@ -76,7 +79,7 @@ class TestDeltaContribution:
         program = DeltaPageRank()
         state = program.create_state(graph)
         task = make_task(EngineKind.IMP_ZERO_COPY, [2], partitioning)
-        expected = state["delta"][partitioning[2].vertex_start : partitioning[2].vertex_end].sum()
+        expected = state["delta"][vertex_range(partitioning, 2)].sum()
         assert scheduler.delta_contribution(task, program, state) == pytest.approx(expected)
 
 

@@ -27,6 +27,7 @@ from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
 
 from tests.conftest import assert_distances_equal
+from tests.test_partition import check_tiling
 
 COMMON_SETTINGS = settings(
     max_examples=30,
@@ -161,13 +162,8 @@ def test_partitioning_tiles_any_graph(data, num_partitions):
     num_vertices, edges, _ = data
     graph = CSRGraph.from_edges(edges, num_vertices=num_vertices)
     partitioning = partition_by_count(graph, num_partitions)
-    assert partitioning.edges_per_partition().sum() == graph.num_edges
-    covered_vertices = sum(p.num_vertices for p in partitioning)
-    assert covered_vertices == graph.num_vertices
-    # Every vertex maps to the partition that contains it.
-    for vertex in range(graph.num_vertices):
-        partition = partitioning[partitioning.partition_of_vertex(vertex)]
-        assert partition.vertex_start <= vertex < partition.vertex_end
+    check_tiling(graph, partitioning)
+    assert partitioning.num_partitions <= num_partitions
 
 
 @COMMON_SETTINGS
@@ -176,7 +172,12 @@ def test_partition_by_bytes_tiles_any_graph(data, budget):
     num_vertices, edges, weights = data
     graph = CSRGraph.from_edges(edges, num_vertices=num_vertices, weights=weights)
     partitioning = partition_by_bytes(graph, budget)
-    assert partitioning.bytes_per_partition().sum() == graph.edge_data_bytes
+    check_tiling(graph, partitioning)
+    # Within budget, or holding one adjacency list that alone exceeds it.
+    lists = np.bincount(
+        partitioning.partition_of[graph.out_degrees > 0], minlength=partitioning.num_partitions
+    )
+    assert np.all((partitioning.edge_bytes <= budget) | (lists == 1))
 
 
 @COMMON_SETTINGS
@@ -200,8 +201,9 @@ def test_frontier_matches_python_sets(data, vertices, num_partitions, num_device
     assert snapshot.active_vertices == len(active)
     assert snapshot.active_edges == sum(int(graph.out_degrees[v]) for v in active)
     assert len(snapshot.per_device) == num_devices
-    for shard, ids in zip(context.sharding, snapshot.per_device):
-        assert set(ids.tolist()) == {v for v in active if shard.vertex_start <= v < shard.vertex_end}
+    bounds = context.sharding.vertex_bounds.tolist()
+    for start, end, ids in zip(bounds, bounds[1:], snapshot.per_device):
+        assert set(ids.tolist()) == {v for v in active if start <= v < end}
     per_partition_vertices, per_partition_edges = context.partitioning.active_counts(pending)
     assert per_partition_vertices.sum() == len(active)
     assert per_partition_edges.sum() == snapshot.active_edges
@@ -460,7 +462,7 @@ window_ops = st.lists(
 @given(st.sampled_from(sorted(WINDOW_SESSIONS)), window_ops)
 def test_transfer_window_conserves_bytes(session, ops):
     devices, policy = WINDOW_SESSIONS[session]
-    sizes = [partition.edge_bytes for partition in _WINDOW_PARTITIONING.partitions]
+    sizes = _WINDOW_PARTITIONING.edge_bytes.tolist()
     context = ExecutionContext(
         _WINDOW_GRAPH,
         _WINDOW_PARTITIONING,

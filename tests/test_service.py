@@ -288,10 +288,10 @@ def test_take_wave_is_greedy_in_queue_order_and_release_clamps():
 
 def _co_partition_sources(service, count):
     """``count`` vertices sharing one partition (equal admission estimates)."""
-    partitioning = service.system.partitioning
-    for partition in partitioning:
-        if partition.vertex_end - partition.vertex_start >= count:
-            return list(range(partition.vertex_start, partition.vertex_start + count))
+    bounds = service.system.partitioning.vertex_boundaries.tolist()
+    for start, end in zip(bounds, bounds[1:]):
+        if end - start >= count:
+            return list(range(start, start + count))
     raise AssertionError("no partition holds %d vertices" % count)
 
 
@@ -395,6 +395,24 @@ def test_submit_validates_requests(graphs):
     # A source-based request without a source gets the service default.
     handle = service.submit(QueryRequest(algorithm="bfs"))
     assert handle.request_id >= 0
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("label", {"label": 7}),
+        ("label", {"label": b"tenant"}),
+        ("deadline_s", {"deadline_s": float("nan")}),
+        ("deadline_s", {"deadline_s": -1.0}),
+    ],
+)
+def test_submit_rejects_malformed_request_fields(graphs, field, kwargs):
+    # A NaN deadline would count every completion as an SLA miss; a
+    # non-string label breaks label hashing on the cluster router.
+    service = _service(graphs)
+    with pytest.raises(ValueError, match=field):
+        service.submit(_lookup(0, **kwargs))
+    assert service.stats().submitted == 0
 
 
 def test_sssp_requires_weighted_service_graph(graphs):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.context import MultiDeviceScheduler
+from repro.graph.generators import path_graph
+from repro.graph.partition import build_partitioning
+from repro.runtime.context import ExecutionContext
 from repro.sim.config import HardwareConfig
 from repro.sim.streams import StreamScheduler, StreamTask
 
@@ -120,9 +122,14 @@ _DURATIONS = st.one_of(
 )
 
 
+# The schedule reads only the context's device count and hardware.
+_GRAPH = path_graph(12)
+_PARTITIONING = build_partitioning(_GRAPH)
+
+
 @st.composite
 def co_schedules(draw):
-    """(scheduler, device task lists, sync bytes, owner lists, class offsets)."""
+    """(context, device task lists, sync bytes, owner lists, class offsets)."""
     num_devices = draw(st.integers(1, 3))
     num_owners = draw(st.integers(1, 4))
     config = replace(HardwareConfig(), num_streams=draw(st.integers(1, 4))).with_devices(num_devices)
@@ -143,16 +150,17 @@ def co_schedules(draw):
     ]
     offsets = [draw(st.sampled_from([0.0, 1e6, 2e6])) for _ in range(num_owners)]
     sync_bytes = [draw(st.integers(0, 10**6)) for _ in range(num_devices)]
-    return MultiDeviceScheduler(config), device_tasks, sync_bytes, owners, offsets
+    context = ExecutionContext(_GRAPH, _PARTITIONING, config)
+    return context, device_tasks, sync_bytes, owners, offsets
 
 
 @settings(max_examples=200, deadline=None)
 @given(co_schedules())
 def test_running_aggregates_equal_the_record_definitions(case):
-    scheduler, device_tasks, sync_bytes, owners, offsets = case
-    timeline = scheduler.schedule(device_tasks, sync_bytes, owners, offsets)
+    context, device_tasks, sync_bytes, owners, offsets = case
+    timeline = context.schedule(device_tasks, sync_bytes, owners, offsets)
     entries = timeline.entries
-    assert len(entries) == sum(map(len, device_tasks)) + (scheduler.num_devices > 1)
+    assert len(entries) == sum(map(len, device_tasks)) + (context.num_devices > 1)
 
     # The definitions the accumulator replaced, over the materialised records.
     assert timeline.makespan == max((entry.end for entry in entries), default=0.0)

@@ -88,7 +88,7 @@ ENGINES = {
 def _tasks(graph, partitioning, rng):
     """``(active, cuts)`` pairs: random, edge-case and one-slice frontiers."""
     n = graph.num_vertices
-    starts = [p.vertex_start for p in partitioning] + [n]
+    starts = partitioning.vertex_boundaries.tolist()
     num_partitions = partitioning.num_partitions
     every_other = np.concatenate(
         [np.arange(starts[i], starts[i + 1]) for i in range(0, num_partitions, 2)]
@@ -135,10 +135,12 @@ class TestExplicitFilter:
     def test_transfers_whole_partition(self, medium_power_law_graph, config):
         partitioning = partition_by_count(medium_power_law_graph, 8)
         context = ExecutionContext(medium_power_law_graph, partitioning, config)
-        assert context.partition_bytes == [p.edge_bytes for p in partitioning]
+        edge_bytes = [int(size) for size in partitioning.edge_bytes]
+        assert context.partition_bytes == edge_bytes
+        assert all(type(size) is int for size in context.partition_bytes)
         assert context.partition_copy_time == [
-            math.ceil(p.edge_bytes / config.tlp_payload_bytes) * config.tlp_round_trip_time
-            for p in partitioning
+            math.ceil(size / config.tlp_payload_bytes) * config.tlp_round_trip_time
+            for size in edge_bytes
         ]
 
     @pytest.mark.parametrize("algorithm", ["bfs", "pr"])
@@ -162,14 +164,14 @@ class TestExplicitFilter:
         assert len(frontiers) == len(result.iterations) > 1
         table = system.context.partition_bytes
         for frontier, stats in zip(frontiers, result.iterations):
-            touched = np.unique(system.partitioning.partition_of_vertices(frontier))
+            touched = np.unique(system.partitioning.partition_of[frontier])
             assert stats.transfer_bytes == sum(table[p] for p in touched.tolist())
             active_edge_bytes = stats.active_edges * medium_power_law_graph.edge_bytes_per_edge
             assert stats.transfer_bytes >= active_edge_bytes
 
 
 def _active_in_first_partition(graph, stride):
-    vertices = np.arange(0, partition_by_count(graph, 8)[0].vertex_end, stride)
+    vertices = np.arange(0, partition_by_count(graph, 8).vertex_boundaries[1], stride)
     return vertices[graph.out_degrees[vertices] > 0]
 
 
@@ -178,7 +180,7 @@ class TestExplicitCompaction:
         graph = medium_power_law_graph
         active = _active_in_first_partition(graph, 7)
         outcome = ExplicitCompactionEngine(graph, config).transfer_task(active, (0, active.size))
-        assert 0 < outcome.bytes_transferred < partition_by_count(graph, 8)[0].edge_bytes
+        assert 0 < outcome.bytes_transferred < partition_by_count(graph, 8).edge_bytes[0]
         assert outcome.cpu_time > 0 and not outcome.overlapped
 
 
