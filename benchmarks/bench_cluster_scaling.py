@@ -1,16 +1,16 @@
-"""Cluster-scaling benchmark: aggregate qps from 1x2 to 4x2 GPUs.
+"""Cluster-scaling benchmark: aggregate qps from 1x1 to 4x1 GPUs.
 
 Streams one saturated seeded mixed trace through
 :class:`~repro.cluster.ClusterService` deployments of 1, 2 and 4
-simulated hosts (2 GPUs each) behind the consistent-hash router, and
+simulated hosts (1 GPU each) behind the consistent-hash router, and
 reports the aggregate simulated queries/s curve.  Two acceptance bars
 are *asserted*, not just reported:
 
-* **Scaling** — the 4x2 deployment must sustain at least 2.5x the
-  aggregate qps of the 1x2 baseline, with sampled per-query values
+* **Scaling** — the 4x1 deployment must sustain at least 2.5x the
+  aggregate qps of the 1x1 baseline, with sampled per-query values
   bitwise equal to solo single-host runs (routing changes placement,
   never semantics).
-* **Failover** — the same 4x2 replay with one host lost at the
+* **Failover** — the same 4x1 replay with one host lost at the
   midpoint cluster wave must complete every admitted query (the loss
   causes zero ``QueryFailed``) at no more than 25% makespan overhead
   over the fault-free run, queries still bitwise.
@@ -47,7 +47,7 @@ from repro.bench.workloads import build_workload
 from repro.cluster import ClusterConfig, ClusterService
 from repro.service import ReplayHarness, ServiceConfig, timed_mixed_trace
 
-GPUS_PER_HOST = 2
+GPUS_PER_HOST = 1
 HOST_CURVE = (1, 2, 4)
 SPEEDUP_FLOOR = 2.5
 LOSS_OVERHEAD_CEILING = 0.25
@@ -123,7 +123,7 @@ def run_scaling(workload, count: int, seed: int, network: str) -> dict:
 
 
 def run_host_loss(workload, count: int, seed: int, network: str, fault_free_waves: int) -> dict:
-    """Lose one host at the midpoint wave of the 4x2 replay."""
+    """Lose one host at the midpoint wave of the 4x1 replay."""
     midpoint = max(1, fault_free_waves // 2)
     print(
         "== host loss: 4x%d GPUs, host 3 lost at cluster wave %d (midpoint of %d) =="

@@ -126,7 +126,8 @@ def chaos_sla_cell(args, graph, config):
             faults="transfer-flaky:p=%g" % args.flaky_probability,
             chaos_seed=args.chaos_seed,
         ),
-        system=HyTGraphSystem(graph, config=config),
+        graph=graph,
+        hardware=config,
     )
     service.submit_many(requests)
     service.drain()

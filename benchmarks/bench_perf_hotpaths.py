@@ -912,8 +912,9 @@ def run_service_bench(num_vertices, num_edges, point_lookups, analytical, system
         entry = {}
         values = {}
         for scheduling in ("fifo", "priority"):
-            system = make_system(name, graph, config=config)
-            service = GraphService(ServiceConfig(system=name, scheduling=scheduling), system=system)
+            service = GraphService(
+                ServiceConfig(system=name, scheduling=scheduling), graph=graph, hardware=config
+            )
             handles = service.submit_many(requests)
             service.drain()
             stats = service.stats()
@@ -924,12 +925,12 @@ def run_service_bench(num_vertices, num_edges, point_lookups, analytical, system
             }
             values[scheduling] = [np.asarray(handle.result().values) for handle in handles]
         if any(not np.array_equal(a, b) for a, b in zip(values["fifo"], values["priority"])):
-            raise AssertionError("%s: priority scheduling changed query values" % system.name)
+            raise AssertionError("%s: priority scheduling changed query values" % service.system.name)
         fifo, priority = entry["fifo"], entry["priority"]
         entry["speedup"] = fifo["point_p95_s"] / priority["point_p95_s"]
-        results[system.name] = entry
+        results[service.system.name] = entry
         rows.append({
-            "system": system.name,
+            "system": service.system.name,
             "fifo p95 (s)": round(fifo["point_p95_s"], 6),
             "priority p95 (s)": round(priority["point_p95_s"], 6),
             "p95 speedup": round(entry["speedup"], 2),
@@ -984,7 +985,8 @@ def run_tracing_bench(
         def run():
             service = GraphService(
                 ServiceConfig(system="hytgraph", tracing=tracing),
-                system=HyTGraphSystem(graph, config=config),
+                graph=graph,
+                hardware=config,
             )
             service.submit_many(requests)
             service.drain()

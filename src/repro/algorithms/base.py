@@ -230,6 +230,8 @@ class VertexProgram(ABC):
         if self.needs_source:
             if source is None:
                 raise ValueError("%s requires a source vertex" % self.name)
+            if isinstance(source, bool) or not isinstance(source, (int, np.integer)):
+                raise ValueError("source must be an integer vertex id, got %r" % (source,))
             if not 0 <= source < graph.num_vertices:
                 raise ValueError("source %d outside [0, %d)" % (source, graph.num_vertices))
         return source

@@ -15,11 +15,11 @@ binaries would expect, plus the serving layer on top:
                             query's latency breakdown from a Chrome trace
                             captured with ``--trace-out``.
 
-Every command that executes builds one
-:class:`~repro.service.ServiceConfig` from its flags and serves typed
-query requests on the :class:`~repro.service.GraphService` (under
+Every command that executes builds one workload (graph and hardware)
+and one :class:`~repro.service.ServiceConfig` from its flags and serves
+typed query requests on the :class:`~repro.service.GraphService` (under
 ``--hosts``/``--network``, the :class:`~repro.cluster.ClusterService`)
-that config describes — one warmed execution session per (graph, config).
+over them — one warmed execution session per (graph, hardware, config).
 
 Examples
 --------
@@ -305,9 +305,10 @@ def _workload(args: argparse.Namespace, algorithm: str):
 def _service(args: argparse.Namespace, system_name: str, workload, clustered=False, **serving):
     """The service the flags describe, over the workload's graph and hardware.
 
-    One :class:`ServiceConfig` carries every flag (``serving``: the
-    ``serve`` command's policy flags, by config field name); ``clustered``
-    wraps it in the ``--hosts`` x ``--devices`` :class:`ClusterConfig`.
+    The workload carries the platform flags; one :class:`ServiceConfig`
+    carries the rest (``serving``: the ``serve`` command's policy flags,
+    by config field name); ``clustered`` wraps it in the ``--hosts`` x
+    ``--devices`` :class:`ClusterConfig`.
     """
     if (
         args.cache_budget is not None
@@ -324,11 +325,6 @@ def _service(args: argparse.Namespace, system_name: str, workload, clustered=Fal
     with _user_errors():
         config = ServiceConfig(
             system=system_name,
-            dataset=args.dataset,
-            scale=args.scale,
-            gpu=args.gpu,
-            devices=args.devices,
-            interconnect=args.interconnect,
             cache_policy=args.cache_policy,
             cache_budget=args.cache_budget,
             backend=args.backend,

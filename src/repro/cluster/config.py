@@ -4,11 +4,13 @@ A :class:`ClusterConfig` layers cluster topology — how many hosts, how
 many GPUs each, which network fabric connects them — on top of one
 :class:`~repro.service.config.ServiceConfig` that every replica shares,
 and is the one place that topology is validated (host and GPU counts,
-network preset names).  The single-host serving knobs keep their exact
-semantics per replica (each host runs its own admission controller,
-circuit breaker and fault injector); the only schedule entries the
-cluster layer claims for itself are the ``host-loss`` specs, which a
-single host cannot interpret.
+network preset names).  Each host's platform is the
+:class:`~repro.sim.config.HardwareConfig` passed to the cluster, whose
+``num_devices`` must equal ``gpus_per_host``.  The single-host serving
+knobs keep their exact semantics per replica (each host runs its own
+admission controller, circuit breaker and fault injector); the only
+schedule entries the cluster layer claims for itself are the
+``host-loss`` specs, which a single host cannot interpret.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ __all__ = ["ClusterConfig"]
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Everything a :class:`~repro.cluster.ClusterService` needs to exist.
+    """Everything a :class:`~repro.cluster.ClusterService` needs besides its platform.
 
     Attributes
     ----------
@@ -33,8 +35,8 @@ class ClusterConfig:
         :class:`~repro.service.GraphService` replica with its own warmed
         execution context and device cache.
     gpus_per_host:
-        Devices of each replica's platform (overrides the service
-        config's ``devices`` when the cluster builds the replicas).
+        Devices of each replica's platform; the hardware the cluster is
+        built over must have exactly this many (``num_devices``).
     network:
         The host interconnect — a preset name (``"tcp"`` / ``"rdma"`` /
         ``"ethernet-10g"``) or an explicit
@@ -80,12 +82,11 @@ class ClusterConfig:
     def replica_config(self) -> ServiceConfig:
         """The per-host :class:`ServiceConfig` each replica is built from.
 
-        Identical to :attr:`service` except that the device count is the
-        cluster's ``gpus_per_host`` and the ``host-loss`` fault specs are
-        stripped (the single-host injector cannot interpret them; the
-        cluster fires them at wave boundaries instead).
+        Identical to :attr:`service` except that the ``host-loss`` fault
+        specs are stripped (the single-host injector cannot interpret
+        them; the cluster fires them at wave boundaries instead).
         """
         faults = self.service.faults
         if faults is not None:
             faults = faults.without_host_loss()
-        return replace(self.service, devices=self.gpus_per_host, faults=faults)
+        return replace(self.service, faults=faults)

@@ -77,13 +77,21 @@ class ClusterService:
         The :class:`~repro.cluster.ClusterConfig` (defaults to one
         single-GPU host over TCP).
     graph / hardware:
-        Optional prebuilt graph and hardware for the replicas'
-        self-built path (as in :class:`~repro.service.GraphService`);
-        all replicas share the graph object but own their systems.
+        The graph and one host's
+        :class:`~repro.sim.config.HardwareConfig` (as in
+        :class:`~repro.service.GraphService`); ``hardware.num_devices``
+        must equal ``config.gpus_per_host``.  All replicas share the
+        graph object but own their systems.
     """
 
     def __init__(self, config: ClusterConfig | None = None, *, graph=None, hardware=None):
         self.config = config or ClusterConfig()
+        if hardware is not None and hardware.num_devices != self.config.gpus_per_host:
+            raise ValueError(
+                "gpus_per_host=%d, but the hardware has num_devices=%d; build "
+                "the workload with num_devices=gpus_per_host"
+                % (self.config.gpus_per_host, hardware.num_devices)
+            )
         replica_config = self.config.replica_config()
         first = GraphService(replica_config, graph=graph, hardware=hardware)
         self.replicas = [first] + [

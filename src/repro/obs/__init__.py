@@ -25,8 +25,6 @@ from repro.obs.tracer import (
     NullTracer,
     Span,
     Tracer,
-    TracingConfig,
-    make_tracer,
 )
 
 __all__ = [
@@ -38,11 +36,9 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "TracingConfig",
     "chrome_trace",
     "flight_report",
     "load_trace",
-    "make_tracer",
     "query_summary",
     "query_tracks",
     "spans_to_jsonl",

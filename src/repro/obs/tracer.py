@@ -21,10 +21,11 @@ Two invariants shape the design:
   ``(seed, request_id)`` — no wall clock, no global RNG — so equal runs
   emit bitwise-equal span streams (the golden-file test relies on it).
 
-When enabled, spans land in a bounded ring buffer
-(:attr:`TracingConfig.capacity`): a 10^5-query replay with sampling can
-run arbitrarily long while memory stays fixed — the oldest spans fall
-out, ``dropped_spans`` says how many.
+When enabled, spans land in a ring buffer of :data:`RING_CAPACITY`
+spans: a 10^5-query replay with sampling can run arbitrarily long while
+memory stays fixed — the oldest spans fall out, ``dropped_spans`` says
+how many.  The query sampling fraction has one home,
+:meth:`Tracer.set_sample` (``ReplayHarness(trace_sample=...)`` calls it).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["TracingConfig", "Span", "NullTracer", "Tracer", "NULL_TRACER", "make_tracer"]
+__all__ = ["Span", "NullTracer", "Tracer", "NULL_TRACER"]
 
 #: Span categories the runtime emits (the README taxonomy table).
 CATEGORIES = (
@@ -48,32 +49,13 @@ CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
-class TracingConfig:
-    """How a service traces (``ServiceConfig(tracing=...)``).
+#: Ring-buffer span bound; the oldest spans are dropped beyond it.
+RING_CAPACITY = 65536
 
-    Attributes
-    ----------
-    capacity:
-        Ring-buffer span bound; the oldest spans are dropped beyond it.
-    sample:
-        Fraction of queries whose per-query spans are recorded (global
-        spans — waves, supers, cache/fault events — are always kept).
-        Sampling is a deterministic hash of ``(seed, request_id)``, so
-        the same trace replayed twice samples the same queries.
-    seed:
-        Seed of the sampling hash.
-    """
-
-    capacity: int = 65536
-    sample: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("tracing capacity must be at least 1")
-        if not 0.0 <= self.sample <= 1.0:
-            raise ValueError("tracing sample must be in [0, 1]")
+#: Seed of the query-sampling hash: sampling is a deterministic hash of
+#: ``(SAMPLE_SEED, request_id)``, so the same trace replayed twice
+#: samples the same queries.
+SAMPLE_SEED = 0
 
 
 @dataclass
@@ -167,9 +149,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, config: TracingConfig | None = None):
-        self.config = config or TracingConfig()
-        self._buffer: deque[Span] = deque(maxlen=self.config.capacity)
+    def __init__(self):
+        self._buffer: deque[Span] = deque(maxlen=RING_CAPACITY)
         self._next_id = 0
         #: Simulated-clock cursor instants default to (set by whichever
         #: layer currently owns the clock: the service at wave starts,
@@ -178,7 +159,9 @@ class Tracer:
         #: Last span end per track — what lets the service close a
         #: query's wait gap exactly where its previous tile ended.
         self._cursors: dict[str, float] = {}
-        self._sample = self.config.sample
+        #: Fraction of queries whose per-query spans are recorded (global
+        #: spans — waves, supers, cache/fault events — are always kept).
+        self._sample = 1.0
         self.total_spans = 0
 
     # ------------------------------------------------------------------
@@ -223,7 +206,7 @@ class Tracer:
             return True
         if self._sample <= 0.0:
             return False
-        return _sample_hash(self.config.seed, int(request_id)) < self._sample
+        return _sample_hash(SAMPLE_SEED, int(request_id)) < self._sample
 
     def set_sample(self, sample: float) -> None:
         """Override the query sampling fraction (the replay-harness hook)."""
@@ -242,17 +225,3 @@ class Tracer:
     def spans(self) -> list[Span]:
         """The retained spans, in emission (span-id) order."""
         return list(self._buffer)
-
-
-def make_tracer(tracing: TracingConfig | bool | None) -> NullTracer | Tracer:
-    """The tracer for a ``ServiceConfig.tracing`` value.
-
-    ``None``/``False`` → the shared :data:`NULL_TRACER`; ``True`` → a
-    recording tracer with default config; a :class:`TracingConfig` → a
-    recording tracer so configured.
-    """
-    if tracing is None or tracing is False:
-        return NULL_TRACER
-    if tracing is True:
-        return Tracer(TracingConfig())
-    return Tracer(tracing)

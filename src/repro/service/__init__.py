@@ -5,13 +5,14 @@ spine the scaling features (priority scheduling, admission control,
 future async pipelining and multi-backend execution) plug into:
 
 * :class:`~repro.service.core.GraphService` — one warmed execution
-  session per (graph, config), serving typed requests;
+  session per (graph, hardware, config), serving typed requests;
 * :class:`~repro.service.request.QueryRequest` /
   :class:`~repro.service.request.QueryHandle` — the submit → poll →
   result lifecycle, with per-request :class:`~repro.service.request.Priority`
   classes and optional latency deadlines;
-* :class:`~repro.service.config.ServiceConfig` — device, cache,
-  interconnect and serving knobs as one dataclass;
+* :class:`~repro.service.config.ServiceConfig` — system, cache,
+  backend and serving knobs as one dataclass (the platform is the
+  graph and hardware passed next to it);
 * :class:`~repro.service.admission.AdmissionController` — bounded
   estimated bytes in flight per scheduling wave;
 * :class:`~repro.service.stats.ServiceStats` — admission counters,
@@ -22,7 +23,6 @@ without a service is ``make_system(...).run`` (``Workload.run`` for a
 benchmark cell).
 """
 
-from repro.obs import TracingConfig
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
 from repro.service.core import GraphService
@@ -64,5 +64,4 @@ __all__ = [
     "RequestStatus",
     "ServiceConfig",
     "ServiceStats",
-    "TracingConfig",
 ]

@@ -1,14 +1,18 @@
 """One dataclass for every serving knob.
 
-A deployment is described by one :class:`ServiceConfig` value — which
-graph, which system, how many devices over which interconnect, which
-cache policy and compute backend, and the serving policies (scheduling
-discipline, admission budget) layered on top.  It is the only place
-those knobs are assembled: the CLI builds one from its flags, the
-service builds its system from it.
+A deployment is a graph and a :class:`~repro.sim.config.HardwareConfig`
+(:func:`repro.bench.workloads.build_workload` builds both; they are
+passed to the service, never described here) plus one
+:class:`ServiceConfig` value — which system, which cache policy and
+compute backend, and the serving policies (scheduling discipline,
+admission budget) layered on top.  It is the only place those knobs are
+assembled: the CLI builds one from its flags, the service builds its
+system from it.
 
 Checkpointing (every super-iteration), retries, the circuit breaker and
-the iteration bound are constants of :mod:`repro.faults` and the system.
+the iteration bound are constants of :mod:`repro.faults` and the system;
+the tracer's ring capacity and sampling seed are constants of
+:mod:`repro.obs.tracer`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from repro.cache.policy import CACHE_POLICIES
 from repro.core.backends import resolve_backend
 from repro.faults import FaultSchedule
-from repro.obs.tracer import TracingConfig
 from repro.systems import SYSTEMS
 
 __all__ = ["ServiceConfig", "SCHEDULING_POLICIES", "ADMISSION_POLICIES"]
@@ -32,24 +35,16 @@ ADMISSION_POLICIES = ("queue", "reject")
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Everything a :class:`~repro.service.GraphService` needs to exist.
+    """Everything a :class:`~repro.service.GraphService` needs besides its platform.
 
-    Graph/platform knobs (``dataset``/``scale``/``gpu``/``devices``/
-    ``interconnect``) feed :func:`repro.bench.workloads.build_workload`
-    when the service builds its own graph; a caller that passes
-    ``graph=``/``hardware=`` has already applied them.  The system name
-    and the cache and backend knobs build the system (they
-    are not consulted when a prebuilt ``system=`` is substituted);
-    serving knobs configure the scheduler and the admission controller.
+    The system name and the cache and backend knobs build the system
+    over the caller's graph and hardware (they are not consulted when a
+    prebuilt ``system=`` is substituted); serving knobs configure the
+    scheduler and the admission controller.
     """
 
-    # --- system/platform ------------------------------------------------
+    # --- system ---------------------------------------------------------
     system: str = "hytgraph"
-    dataset: str = "SK"
-    scale: float = 1.0
-    gpu: str | None = None
-    devices: int = 1
-    interconnect: str | None = None
     # --- device-memory cache -------------------------------------------
     cache_policy: str = "static-prefix"
     cache_budget: int | None = None
@@ -92,12 +87,11 @@ class ServiceConfig:
     #: given as a spec string).
     chaos_seed: int = 0
     # --- observability ---------------------------------------------------
-    #: Span tracing (:mod:`repro.obs`): ``None``/``False`` for the no-op
-    #: tracer (zero overhead, the default), ``True`` for a recording
-    #: tracer with default :class:`~repro.obs.tracer.TracingConfig`, or
-    #: a ``TracingConfig`` for explicit capacity/sampling.  Tracing only
-    #: records spans — every served number is bitwise unchanged.
-    tracing: TracingConfig | bool | None = None
+    #: Span tracing (:mod:`repro.obs`): ``False`` for the no-op tracer
+    #: (zero overhead, the default), ``True`` for a recording
+    #: :class:`~repro.obs.tracer.Tracer`.  Tracing only records spans —
+    #: every served number is bitwise unchanged.
+    tracing: bool = False
 
     def __post_init__(self):
         if self.system.lower() not in SYSTEMS:
@@ -126,20 +120,12 @@ class ServiceConfig:
             )
         if self.admission_budget_bytes is not None and self.admission_budget_bytes < 0:
             raise ValueError("admission_budget_bytes must be non-negative")
-        if self.devices < 1:
-            raise ValueError("devices must be at least 1")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive (omit it for no deadline)")
         if isinstance(self.faults, str):
             object.__setattr__(
                 self, "faults", FaultSchedule.parse(self.faults, seed=self.chaos_seed)
             )
-        if self.tracing is True:
-            object.__setattr__(self, "tracing", TracingConfig())
-        elif self.tracing is False:
-            object.__setattr__(self, "tracing", None)
-        elif self.tracing is not None and not isinstance(self.tracing, TracingConfig):
-            raise ValueError("tracing must be None, a bool, or a TracingConfig")
 
     def system_kwargs(self) -> dict:
         """Constructor kwargs for ``make_system`` (cache + backend knobs)."""

@@ -2,8 +2,11 @@
 
 A service owns exactly one system instance — hence one warmed
 :class:`~repro.runtime.context.ExecutionContext` (partitioning, shards,
-schedulers) and one device-memory cache — per (graph, config), and every
-query submitted to it executes on that session.  Requests flow::
+schedulers) and one device-memory cache — per (graph, hardware, config),
+and every query submitted to it executes on that session.  The graph and
+:class:`~repro.sim.config.HardwareConfig` are the platform's one home
+(``GraphService(config, graph=, hardware=)``); the config carries the
+system name and the serving policies.  Requests flow::
 
     QueryRequest ── submit() ──▶ admission control ──▶ QUEUED ─┐
                          │                                     │ drain()
@@ -34,7 +37,7 @@ from repro.algorithms import make_algorithm
 from repro.algorithms.base import VertexProgram
 from repro.faults import CircuitBreaker, FaultInjector
 from repro.metrics.results import BatchResult, RunResult
-from repro.obs import MetricsRegistry, make_tracer, write_chrome_trace
+from repro.obs import NULL_TRACER, MetricsRegistry, Tracer, write_chrome_trace
 from repro.runtime.batch import QueryBatchRunner
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
@@ -59,29 +62,27 @@ _BATCH_TOTALS = (
 
 
 class GraphService:
-    """Session-oriented serving API over one (graph, config) pair.
+    """Session-oriented serving API over one (graph, hardware, config) triple.
 
     Parameters
     ----------
     config:
-        The :class:`ServiceConfig` describing platform and serving
+        The :class:`ServiceConfig` describing the system and serving
         policies (defaults throughout when omitted).  The service builds
         its system from it: ``config.system`` with the config's cache
         and backend knobs.
     graph / hardware:
-        Optional prebuilt graph and
-        :class:`~repro.sim.config.HardwareConfig` to build that system
-        over (a benchmark workload's ``graph``/``config``), passed
-        together or not at all.  Without them the config's dataset
-        stand-in and platform are built, the graph weighted so every
-        algorithm can run against it — except CC, whose weakly-connected
-        semantics need a symmetrized graph (submit a CC request only to
-        a service built over one; a directed graph is refused at
-        submit).
+        The graph and :class:`~repro.sim.config.HardwareConfig` to build
+        that system over — a benchmark workload's ``graph``/``config``
+        (:func:`repro.bench.workloads.build_workload` builds both; its
+        SSSP cell is weighted, so it serves every algorithm except CC,
+        whose weakly-connected semantics need a symmetrized graph and
+        are refused at submit on a directed one).
     system:
         A prebuilt :class:`~repro.systems.base.GraphSystem` to serve on
-        instead (tests substitute instrumented systems through it); the
-        config's system/platform/cache knobs are then not consulted.
+        instead of ``graph``/``hardware`` (tests substitute instrumented
+        systems through it); the config's system/cache knobs are then
+        not consulted.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *, system=None, graph=None, hardware=None):
@@ -93,7 +94,14 @@ class GraphService:
                 "the command line)"
             )
         if system is None:
-            system = self._build_system(self.config, graph, hardware)
+            if graph is None or hardware is None:
+                raise ValueError(
+                    "pass graph= and hardware= (repro.bench.build_workload builds "
+                    "both), or a prebuilt system="
+                )
+            system = make_system(
+                self.config.system, graph, config=hardware, **self.config.system_kwargs()
+            )
         self.system = system
         self.runner = QueryBatchRunner(system)
         self.admission = AdmissionController(
@@ -125,36 +133,9 @@ class GraphService:
         #: Span tracer (:mod:`repro.obs`): the shared no-op unless
         #: ``config.tracing`` asks for recording.  Installed on the
         #: execution context so the runtime layers see the same sink.
-        self.tracer = make_tracer(self.config.tracing)
-        if self.tracer.enabled:
-            self.system.context.tracer = self.tracer
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _build_system(config: ServiceConfig, graph, hardware):
-        from repro.bench.workloads import build_workload
-
-        if (graph is None) != (hardware is None):
-            raise ValueError(
-                "pass graph= and hardware= together (repro.bench.build_workload "
-                "builds both), or neither to build the config's dataset"
-            )
-        if graph is None:
-            # The SSSP cell loads the dataset weighted, so one graph
-            # serves every algorithm except CC (gated at submit: its
-            # weakly-connected semantics need a symmetrized graph).
-            workload = build_workload(
-                config.dataset,
-                "sssp",
-                scale=config.scale,
-                preset=config.gpu,
-                num_devices=config.devices,
-                interconnect=config.interconnect,
-            )
-            graph, hardware = workload.graph, workload.config
-        return make_system(config.system, graph, config=hardware, **config.system_kwargs())
+        self.tracer = NULL_TRACER
+        if self.config.tracing:
+            self.tracer = self.system.context.tracer = Tracer()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -9,7 +9,9 @@ Three layers of trace tooling share this module:
 * the **arrival processes** (:func:`iter_arrival_times` /
   :func:`timed_mixed_trace`) — seed-deterministic Poisson, bursty
   (two-state MMPP) and diurnal (sinusoidally modulated Poisson)
-  generators that stamp every request with an ``arrival_s`` timestamp,
+  generators, chosen by name and mean rate (their shapes are the
+  module constants below), that stamp every request with an
+  ``arrival_s`` timestamp,
   turning the service event-driven: waves form only over requests that
   have arrived, queue wait is measured from the stamp, and the replay
   harness streams these generators without materializing the trace;
@@ -80,18 +82,20 @@ def synthetic_mixed_trace(graph, point_lookups: int, analytical: int, seed: int)
 # ----------------------------------------------------------------------
 
 
-def iter_arrival_times(
-    process: str,
-    rate: float,
-    count: int,
-    seed: int = 0,
-    *,
-    burstiness: float = 4.0,
-    burst_fraction: float = 0.1,
-    cycle_s: float | None = None,
-    amplitude: float = 0.8,
-    period_s: float | None = None,
-) -> Iterator[float]:
+#: The ``bursty`` process's burst state arrives this many times faster
+#: than its quiet state ...
+BURST_RATE_RATIO = 4.0
+#: ... and is occupied this share of the time ...
+BURST_SHARE = 0.1
+#: ... over a mean quiet+burst cycle of this many mean inter-arrivals.
+BURST_CYCLE_ARRIVALS = 50.0
+#: The ``diurnal`` process's rate swings by this fraction of the mean ...
+DIURNAL_SWING = 0.8
+#: ... over one "day" of this many mean inter-arrivals.
+DIURNAL_DAY_ARRIVALS = 1000.0
+
+
+def iter_arrival_times(process: str, rate: float, count: int, seed: int = 0) -> Iterator[float]:
     """Stream ``count`` arrival timestamps of one arrival process.
 
     All three processes have long-run mean rate ``rate`` (arrivals per
@@ -103,49 +107,36 @@ def iter_arrival_times(
         Memoryless: exponential inter-arrival times at ``rate``.
     ``bursty``
         Two-state Markov-modulated Poisson process: a *burst* state
-        whose rate is ``burstiness`` times the quiet state's, occupied
-        ``burst_fraction`` of the time (exponential dwell times, mean
-        cycle ``cycle_s``, default ``50 / rate``).  The quiet rate is
-        scaled so the time-averaged rate stays ``rate``.
+        whose rate is :data:`BURST_RATE_RATIO` times the quiet state's,
+        occupied :data:`BURST_SHARE` of the time (exponential dwell
+        times, mean cycle ``BURST_CYCLE_ARRIVALS / rate``).  The quiet
+        rate is scaled so the time-averaged rate stays ``rate``.
     ``diurnal``
         Non-homogeneous Poisson with a sinusoidal day curve
-        ``rate * (1 + amplitude * sin(2 pi t / period_s))`` sampled by
-        thinning (``period_s`` defaults to ``1000 / rate``, i.e. one
-        "day" per ~1000 mean arrivals).
+        ``rate * (1 + DIURNAL_SWING * sin(2 pi t * rate / DIURNAL_DAY_ARRIVALS))``
+        sampled by thinning.
     """
     if process not in ARRIVAL_PROCESSES:
         raise ValueError(
             "unknown arrival process %r; pick one of: %s"
             % (process, ", ".join(ARRIVAL_PROCESSES))
         )
-    if rate <= 0.0:
-        raise ValueError("arrival rate must be positive")
+    if not rate > 0.0:  # NaN fails too
+        raise ValueError("arrival rate must be positive, got %r" % (rate,))
     if count < 0:
         raise ValueError("arrival count must be non-negative")
     rng = np.random.default_rng(seed)
     if process == "poisson":
         return _poisson_arrivals(rng, rate, count)
     if process == "bursty":
-        if burstiness <= 1.0:
-            raise ValueError("burstiness must exceed 1 (1 is plain Poisson)")
-        if not 0.0 < burst_fraction < 1.0:
-            raise ValueError("burst_fraction must be in (0, 1)")
-        return _bursty_arrivals(
-            rng, rate, count, burstiness, burst_fraction,
-            cycle_s if cycle_s is not None else 50.0 / rate,
-        )
-    if not 0.0 <= amplitude <= 1.0:
-        raise ValueError("diurnal amplitude must be in [0, 1]")
-    return _diurnal_arrivals(
-        rng, rate, count, amplitude,
-        period_s if period_s is not None else 1000.0 / rate,
-    )
+        return _bursty_arrivals(rng, rate, count)
+    return _diurnal_arrivals(rng, rate, count)
 
 
-def arrival_times(process: str, rate: float, count: int, seed: int = 0, **kwargs) -> np.ndarray:
+def arrival_times(process: str, rate: float, count: int, seed: int = 0) -> np.ndarray:
     """All ``count`` timestamps of one process as one sorted array."""
     return np.fromiter(
-        iter_arrival_times(process, rate, count, seed, **kwargs),
+        iter_arrival_times(process, rate, count, seed),
         dtype=np.float64,
         count=count,
     )
@@ -158,14 +149,13 @@ def _poisson_arrivals(rng, rate: float, count: int) -> Iterator[float]:
         yield clock
 
 
-def _bursty_arrivals(
-    rng, rate: float, count: int, burstiness: float, burst_fraction: float, cycle_s: float
-) -> Iterator[float]:
+def _bursty_arrivals(rng, rate: float, count: int) -> Iterator[float]:
     # Quiet-state rate chosen so the time average over both states is
     # exactly ``rate``: f*B*q + (1-f)*q = rate.
-    quiet_rate = rate / (burst_fraction * burstiness + (1.0 - burst_fraction))
-    state_rates = (quiet_rate, burstiness * quiet_rate)
-    dwell_means = ((1.0 - burst_fraction) * cycle_s, burst_fraction * cycle_s)
+    quiet_rate = rate / (BURST_SHARE * BURST_RATE_RATIO + (1.0 - BURST_SHARE))
+    state_rates = (quiet_rate, BURST_RATE_RATIO * quiet_rate)
+    cycle = BURST_CYCLE_ARRIVALS / rate
+    dwell_means = ((1.0 - BURST_SHARE) * cycle, BURST_SHARE * cycle)
     clock = 0.0
     state = 0  # start quiet; the dwell draw below is still stochastic
     state_end = rng.exponential(dwell_means[state])
@@ -185,17 +175,15 @@ def _bursty_arrivals(
             state_end = clock + rng.exponential(dwell_means[state])
 
 
-def _diurnal_arrivals(
-    rng, rate: float, count: int, amplitude: float, period_s: float
-) -> Iterator[float]:
+def _diurnal_arrivals(rng, rate: float, count: int) -> Iterator[float]:
     # Lewis-Shedler thinning against the envelope rate.
-    peak = rate * (1.0 + amplitude)
-    omega = 2.0 * np.pi / period_s
+    peak = rate * (1.0 + DIURNAL_SWING)
+    omega = 2.0 * np.pi / (DIURNAL_DAY_ARRIVALS / rate)
     clock = 0.0
     emitted = 0
     while emitted < count:
         clock += rng.exponential(1.0 / peak)
-        instantaneous = rate * (1.0 + amplitude * np.sin(omega * clock))
+        instantaneous = rate * (1.0 + DIURNAL_SWING * np.sin(omega * clock))
         if rng.uniform() * peak <= instantaneous:
             emitted += 1
             yield clock
@@ -216,7 +204,6 @@ def timed_mixed_trace(
     interactive_fraction: float = 0.90,
     bulk_fraction: float = 0.02,
     interactive_sla_s: float | None = None,
-    **process_kwargs,
 ) -> Iterator[QueryRequest]:
     """Stream a seeded arrival-stamped request mix (lazily, in time order).
 
@@ -239,9 +226,7 @@ def timed_mixed_trace(
     candidates = np.flatnonzero(graph.out_degrees > 0)
     if candidates.size == 0:
         raise ValueError("graph has no vertex with outgoing edges to sample sources from")
-    for index, arrival in enumerate(
-        iter_arrival_times(process, rate, count, seed, **process_kwargs)
-    ):
+    for index, arrival in enumerate(iter_arrival_times(process, rate, count, seed)):
         draw = mix_rng.uniform()
         source = int(candidates[mix_rng.integers(candidates.size)])
         if draw < interactive_fraction:

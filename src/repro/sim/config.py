@@ -147,8 +147,6 @@ class HardwareConfig:
         Bytes per second the CPU compaction engine produces.
     cpu_edge_throughput:
         Edges per second of the CPU-only (Galois-like) baseline.
-    cpu_threads:
-        Host CPU cores (10 in the paper's testbed).
     num_streams:
         CUDA streams used by the multi-stream scheduler.
     vertex_value_bytes:
@@ -184,7 +182,6 @@ class HardwareConfig:
     um_fault_overhead: float = 0.5e-6
     cpu_compaction_throughput: float = 1.5e9
     cpu_edge_throughput: float = 0.25e9
-    cpu_threads: int = 10
     num_streams: int = 4
     vertex_value_bytes: int = 4
     index_entry_bytes: int = 8

@@ -88,6 +88,10 @@ class TestSSSP:
     def test_invalid_source(self, paper_graph):
         with pytest.raises(ValueError):
             SSSP().create_state(paper_graph, 99)
+        for bad in (1.5, True, "3"):
+            with pytest.raises(ValueError, match="integer vertex id, got %r" % (bad,)):
+                SSSP().create_state(paper_graph, bad)
+        SSSP().create_state(paper_graph, np.int64(0))  # NumPy integers are ids too
 
     def test_grid_graph(self):
         graph = grid_graph(6, 6, weighted=True, seed=3)

@@ -255,11 +255,13 @@ def test_seed_transfer_oracle_prices_every_planned_task_like_the_engine(monkeypa
         ), task.label
 
 
-def test_tracing_overhead_gate_fires_under_injected_slowdown():
-    # In process and on a tiny serve (the smoke's 60 rounds take ~13 s):
+def test_tracing_overhead_gate_fires_under_injected_slowdown(monkeypatch):
+    # In process and on a tiny serve over 3 rounds (the smoke's 60 take
+    # ~13 s; the injected 2x slowdown dominates round noise):
     # --inject-slowdown reaches the traced side, and an over-ceiling row
     # alone fails a payload that otherwise equals its reference.
     bench = _perf_harness()
+    monkeypatch.setattr(bench, "TRACING_MIN_ROUNDS", 3)
     tracing = bench.run_tracing_bench(300, 2000, 2, 1, repeats=1, inject_slowdown=2.0)
     assert tracing["HyTGraph"]["overhead_ratio"] > bench.TRACING_OVERHEAD_CEILING
     reference = json.loads((ROOT / "benchmarks" / "BENCH_perf_smoke.json").read_text())

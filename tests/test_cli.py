@@ -548,18 +548,19 @@ class TestConfigFidelity:
         monkeypatch.setattr(repro.cli, "GraphService", recording(repro.cli.GraphService))
         monkeypatch.setattr(repro.cli, "ClusterService", recording(repro.cli.ClusterService))
         assert main(argv + self.FLAGS) == 0
-        configs = []
+        served = []
         for service in built:
             if isinstance(service, repro.cli.ClusterService):
-                configs.append(service.config.service)
-                configs.extend(replica.config for replica in service.replicas)
+                served.append((service.config.service, service.system))
+                served.extend((replica.config, replica.system) for replica in service.replicas)
             else:
-                configs.append(service.config)
-        assert configs
-        for config in configs:
-            assert (config.cache_policy, config.cache_budget, config.backend, config.devices) == (
-                "lru", 1 << 20, "numpy", 2,
-            )
+                served.append((service.config, service.system))
+        assert served
+        for config, system in served:
+            # The device count's one home is the hardware the service runs on.
+            assert (
+                config.cache_policy, config.cache_budget, config.backend, system.config.num_devices
+            ) == ("lru", 1 << 20, "numpy", 2)
 
 
 class TestBadInput:

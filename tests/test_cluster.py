@@ -26,6 +26,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.bench.workloads import build_workload
 from repro.cluster import ClusterConfig, ClusterService, ConsistentHashRing, Router, stable_hash
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
@@ -557,18 +558,18 @@ class TestClusterConfig:
         assert default.network == NetworkConfig.from_preset("tcp")
         # hosts x gpus_per_host GPUs: one replica per host, each building
         # gpus_per_host devices of its own over one shared graph.
+        workload = build_workload("SK", "sssp", scale=0.05, num_devices=2)
         cluster = ClusterService(
-            ClusterConfig(
-                hosts=3, gpus_per_host=2,
-                service=ServiceConfig(dataset="SK", scale=0.05, system="hytgraph"),
-            )
+            ClusterConfig(hosts=3, gpus_per_host=2, service=ServiceConfig(system="hytgraph")),
+            graph=workload.graph,
+            hardware=workload.config,
         )
         assert len(cluster.replicas) == 3
         assert [replica.system.config.num_devices for replica in cluster.replicas] == [2, 2, 2]
         assert len({id(replica.system) for replica in cluster.replicas}) == 3
         assert all(replica.graph is cluster.graph for replica in cluster.replicas)
 
-    def test_replica_config_strips_host_loss_and_sets_devices(self):
+    def test_replica_config_strips_host_loss(self):
         config = ClusterConfig(
             hosts=2, gpus_per_host=4,
             service=ServiceConfig(
@@ -577,8 +578,12 @@ class TestClusterConfig:
         )
         assert len(config.host_loss_specs()) == 1
         replica = config.replica_config()
-        assert replica.devices == 4
         assert [spec.kind.value for spec in replica.faults.specs] == ["device-loss"]
+
+    def test_gpus_per_host_must_match_the_hardware(self, graph, hardware):
+        config = ClusterConfig(hosts=2, gpus_per_host=4)
+        with pytest.raises(ValueError, match="gpus_per_host=4.*num_devices=1"):
+            ClusterService(config, graph=graph, hardware=hardware)
 
     def test_network_presets_coerced(self):
         config = ClusterConfig(network="rdma")

@@ -457,7 +457,7 @@ def test_circuit_breaker_state_machine():
 
 def make_service(graph, config, devices=2, **overrides):
     system = HyTGraphSystem(graph, config.with_devices(devices))
-    service_config = ServiceConfig(system="hytgraph", devices=devices, **overrides)
+    service_config = ServiceConfig(system="hytgraph", **overrides)
     return GraphService(service_config, system=system)
 
 

@@ -57,15 +57,14 @@ from repro.obs import (
     NullTracer,
     Span,
     Tracer,
-    TracingConfig,
     chrome_trace,
     flight_report,
-    make_tracer,
     query_summary,
     query_tracks,
     spans_to_jsonl,
     validate_chrome_trace,
 )
+from repro.obs import tracer as tracer_module
 from repro.service import (
     GraphService,
     QueryRequest,
@@ -122,19 +121,15 @@ class TestTracer:
         NULL_TRACER.set_clock(5.0)
         NULL_TRACER.set_sample(0.5)  # no-op, not an error
 
-    def test_make_tracer(self):
-        assert make_tracer(None) is NULL_TRACER
-        assert make_tracer(False) is NULL_TRACER
-        assert isinstance(make_tracer(True), Tracer)
-        config = TracingConfig(capacity=8)
-        tracer = make_tracer(config)
-        assert tracer.config is config
+    def test_service_tracing_flag_picks_the_tracer(self, obs_graph, obs_hardware):
+        assert _mixed_service(obs_graph, obs_hardware).tracer is NULL_TRACER
+        traced = _mixed_service(obs_graph, obs_hardware, tracing=True)
+        assert isinstance(traced.tracer, Tracer)
+        assert traced.system.context.tracer is traced.tracer
 
-    def test_config_validation(self):
+    def test_sample_validation(self):
         with pytest.raises(ValueError):
-            TracingConfig(capacity=0)
-        with pytest.raises(ValueError):
-            TracingConfig(sample=1.5)
+            Tracer().set_sample(1.5)
         with pytest.raises(ValueError):
             Tracer().set_sample(-0.1)
 
@@ -148,8 +143,9 @@ class TestTracer:
         assert tracer.cursor("query:q0") == 1.5
         assert tracer.cursor("query:q1", default=3.0) == 3.0
 
-    def test_ring_buffer_drops_oldest(self):
-        tracer = Tracer(TracingConfig(capacity=3))
+    def test_ring_buffer_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(tracer_module, "RING_CAPACITY", 3)
+        tracer = Tracer()
         for index in range(5):
             tracer.span("iteration", "iter%d" % index, "t", float(index), index + 1.0)
         retained = tracer.spans()
@@ -158,7 +154,8 @@ class TestTracer:
         assert tracer.dropped_spans == 2
 
     def test_sampling_is_deterministic_hash(self):
-        tracer = Tracer(TracingConfig(sample=0.5, seed=3))
+        tracer = Tracer()
+        tracer.set_sample(0.5)
         picked = {rid for rid in range(200) if tracer.trace_query(rid)}
         again = {rid for rid in range(200) if tracer.trace_query(rid)}
         assert picked == again
@@ -279,7 +276,7 @@ class TestServiceTracing:
             ]
             return outcomes, json.dumps(service.stats().as_dict(), default=str)
 
-        assert run(None) == run(True)
+        assert run(False) == run(True)
 
     def test_traced_wave_has_identical_batch_numbers(self, obs_graph, obs_hardware):
         """One scheduling path, traced or not: the wave's ``BatchResult`` —
@@ -303,7 +300,7 @@ class TestServiceTracing:
             ]
             return numbers
 
-        assert wave(None) == wave(True)
+        assert wave(False) == wave(True)
 
     def test_query_tiles_sum_to_latency(self, obs_graph, obs_hardware):
         service = _mixed_service(obs_graph, obs_hardware, tracing=True)
@@ -415,9 +412,8 @@ class TestServiceTracing:
         assert "reason" in span.attrs
 
     def test_sampling_bounds_query_lanes(self, obs_graph, obs_hardware):
-        service = _mixed_service(
-            obs_graph, obs_hardware, tracing=TracingConfig(sample=0.0)
-        )
+        service = _mixed_service(obs_graph, obs_hardware, tracing=True)
+        service.tracer.set_sample(0.0)
         _serve_mix(service)
         tracks = {span.track for span in service.tracer.spans()}
         assert not any(track.startswith("query:") for track in tracks)

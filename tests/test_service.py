@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
+from repro.bench.workloads import build_workload
+from repro.cluster import ClusterConfig, ClusterService
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.runtime.batch import QueryBatchRunner
@@ -392,6 +394,8 @@ def test_submit_validates_requests(graphs):
         service.submit(QueryRequest(algorithm="pagerank", source=4))
     with pytest.raises(ValueError):  # out-of-range source
         service.submit(_lookup(10**9))
+    with pytest.raises(ValueError, match="integer vertex id, got 1.5"):
+        service.submit(_lookup(1.5))
     # A source-based request without a source gets the service default.
     handle = service.submit(QueryRequest(algorithm="bfs"))
     assert handle.request_id >= 0
@@ -479,8 +483,42 @@ def test_service_config_validation():
         ServiceConfig(admission_policy="drop")
     with pytest.raises(ValueError, match="non-negative"):
         ServiceConfig(admission_budget_bytes=-1)
-    with pytest.raises(ValueError, match="devices"):
-        ServiceConfig(devices=0)
+
+
+@pytest.mark.parametrize(
+    "config_class", [HardwareConfig, ServiceConfig, ClusterConfig], ids=lambda cls: cls.__name__
+)
+def test_every_config_field_is_read(config_class):
+    """A config field nothing reads is a knob that silently does nothing.
+
+    Every field must be read as an attribute somewhere in ``src/`` other
+    than the class's own ``__post_init__`` (validating a value is not
+    using it).
+    """
+    import ast
+    import dataclasses
+    from pathlib import Path
+
+    import repro
+
+    read = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        validation = {
+            id(node)
+            for owner in ast.walk(tree)
+            if isinstance(owner, ast.ClassDef) and owner.name == config_class.__name__
+            for method in owner.body
+            if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+            for node in ast.walk(method)
+        }
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in validation
+        )
+    assert [field.name for field in dataclasses.fields(config_class) if field.name not in read] == []
 
 
 def test_priority_parsing():
@@ -494,7 +532,11 @@ def test_priority_parsing():
 
 
 def test_service_builds_from_config():
-    service = GraphService(ServiceConfig(dataset="SK", scale=0.05, system="emogi"))
+    workload = build_workload("SK", "sssp", scale=0.05)
+    service = GraphService(
+        ServiceConfig(system="emogi"), graph=workload.graph, hardware=workload.config
+    )
+    assert service.system.name == "EMOGI"
     assert service.graph.is_weighted  # one graph serves every algorithm
     result = service.run(QueryRequest(algorithm="bfs", source=0))
     assert result.converged
@@ -503,19 +545,19 @@ def test_service_builds_from_config():
 
 
 @pytest.mark.parametrize("cluster", [False, True], ids=["service", "cluster"])
-@pytest.mark.parametrize("lone", ["graph", "hardware"])
+@pytest.mark.parametrize("lone", ["graph", "hardware", None])
 def test_graph_and_hardware_come_together(graphs, cluster, lone):
-    from repro.cluster import ClusterConfig, ClusterService
-
-    config = ServiceConfig(dataset="SK", scale=0.05, system="hytgraph")
-    prebuilt = {"graph": graphs["bfs"], "hardware": HardwareConfig()}[lone]
-    with pytest.raises(ValueError, match="graph= and hardware= together.*build_workload"):
+    config = ServiceConfig(system="hytgraph")
+    prebuilt = {"graph": graphs["bfs"], "hardware": HardwareConfig()}
+    passed = {} if lone is None else {lone: prebuilt[lone]}
+    with pytest.raises(ValueError, match="graph= and hardware=.*build_workload"):
         if cluster:
-            ClusterService(ClusterConfig(service=config), **{lone: prebuilt})
+            ClusterService(ClusterConfig(service=config), **passed)
         else:
-            GraphService(config, **{lone: prebuilt})
+            GraphService(config, **passed)
 
 
 def test_multi_device_service_refuses_incapable_system():
+    workload = build_workload("SK", "sssp", scale=0.05, num_devices=2)
     with pytest.raises(ValueError, match="multi-device"):
-        GraphService(ServiceConfig(dataset="SK", scale=0.05, system="grus", devices=2))
+        GraphService(ServiceConfig(system="grus"), graph=workload.graph, hardware=workload.config)
