@@ -92,7 +92,6 @@ from repro.algorithms.sssp import SSSP
 from repro.core.backends import available_backends, get_backend, use_backend
 from repro.core.combiner import ScheduledTask, TaskCombiner
 from repro.core.cost_model import CostModel, PartitionCosts
-from repro.core.engine import HyTGraphEngine
 from repro.graph.generators import grid_graph, rmat_graph, uniform_random_graph
 from repro.graph.partition import partition_by_bytes
 from repro.bench.workloads import batch_sources
@@ -175,7 +174,7 @@ def _seed_out_edges(graph, vertices, weighted=False):
 
 
 def _seed_task_vertex_mask(self, task):
-    mask = np.zeros(self.graph.num_vertices, dtype=bool)
+    mask = np.zeros(self.context.graph.num_vertices, dtype=bool)
     bounds = self.partitioning.vertex_boundaries
     for index in task.partition_indices:
         mask[bounds[index] : bounds[index + 1]] = True
@@ -183,7 +182,7 @@ def _seed_task_vertex_mask(self, task):
 
 
 def _seed_execute_task(self, task, program, state, pending):
-    graph = self.graph
+    graph = self.context.graph
     partition_mask = _seed_task_vertex_mask(self, task)
     first_round = np.nonzero(pending & partition_mask)[0]
     if first_round.size == 0:
@@ -233,7 +232,7 @@ def _seed_account_transfer(self, task):
                 bytes_total += context.partition_bytes[index]
                 transfer_time += context.partition_copy_time[index]
             continue
-        outcome = self.engines[task.engine].transfer_task(in_partition, (0, in_partition.size))
+        outcome = self.engine.engines[task.engine].transfer_task(in_partition, (0, in_partition.size))
         bytes_total += outcome.bytes_transferred
         transfer_time += outcome.transfer_time
         cpu_time += outcome.cpu_time
@@ -248,7 +247,8 @@ def _seed_account_transfer(self, task):
 
 
 def _seed_run_iteration(self, iteration, program, state, pending):
-    graph = self.graph
+    graph = self.context.graph
+    planner = self.engine
     active_mask = pending.copy()
     active_vertex_count = int(active_mask.sum())
     active_edge_count = int(graph.out_degrees[active_mask].sum())
@@ -258,10 +258,10 @@ def _seed_run_iteration(self, iteration, program, state, pending):
         pending[sinks] = False
         program.process(graph, state, sinks)
 
-    costs = self.cost_model.estimate(active_mask)
-    selection = self.selector.select(costs)
-    tasks = self.combiner.combine(self.partitioning, selection, active_mask)
-    tasks = self.priority.prioritize(tasks, program, state)
+    costs = planner.cost_model.estimate(active_mask)
+    selection = planner.selector.select(costs)
+    tasks = planner.combiner.combine(self.partitioning, selection, active_mask)
+    tasks = planner.priority.prioritize(tasks, program, state)
     generation_overhead = self.kernel_model.device_scan_time(self.partitioning.num_partitions)
 
     stream_tasks = []
@@ -410,7 +410,7 @@ def _seed_estimate(self, active_mask, active_ids=None):
 #: baseline swaps; the algorithm modules' entry is the name their
 #: ``process`` methods look up at call time.
 _SEED_SWAPS = (
-    (HyTGraphEngine, "run", _seed_run),
+    (HyTGraphSystem, "run", _seed_run),
     (TaskCombiner, "combine", _seed_combine),
     (CostModel, "estimate", _seed_estimate),
 ) + tuple(

@@ -5,7 +5,7 @@ This example walks through the full pipeline on a synthetic stand-in for
 the paper's sk-2005 web graph:
 
 1. load (synthesise) the graph,
-2. build a HyTGraph engine — hub sorting, 32-partition layout, hybrid
+2. build the HyTGraph system — hub sorting, 32-partition layout, hybrid
    transfer management, multi-stream scheduling,
 3. run single-source shortest paths and PageRank,
 4. inspect what the runtime did: per-iteration engine mix, transfer
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import HyTGraphEngine, HyTGraphOptions, load_dataset, make_algorithm
+from repro import HyTGraphOptions, HyTGraphSystem, load_dataset, make_algorithm
 from repro.metrics.tables import format_table
 
 
@@ -33,7 +33,7 @@ def main() -> None:
     ))
 
     # ------------------------------------------------------------------
-    # 2. Build the engine.  The options shown are the paper's defaults;
+    # 2. Build the system.  The options shown are the paper's defaults;
     #    every one of them can be switched off for experimentation.
     #    Partitioning (like the cache and backend knobs) is a
     #    constructor argument shared with every baseline system.
@@ -44,22 +44,22 @@ def main() -> None:
         contribution_scheduling=True,
         hub_sorting=True,
     )
-    engine = HyTGraphEngine(graph, options=options, num_partitions=32)
+    system = HyTGraphSystem(graph, options=options, num_partitions=32)
     print("Partitioned the edge data into %d chunks; hub sorting gathered the "
           "top %.0f%% hub vertices at the front of the CSR." % (
-              engine.partitioning.num_partitions, options.hub_fraction * 100))
+              system.partitioning.num_partitions, options.hub_fraction * 100))
 
     # ------------------------------------------------------------------
     # 3. Run SSSP from the highest-degree vertex, then PageRank.
     # ------------------------------------------------------------------
     source = int(np.argmax(graph.out_degrees))
-    sssp = engine.run(make_algorithm("sssp"), source=source)
+    sssp = system.run(make_algorithm("sssp"), source=source)
     reachable = np.isfinite(sssp.values).sum()
     print("\nSSSP from vertex %d: %d iterations, %d of %d vertices reachable, "
           "simulated time %.3f ms" % (
               source, sssp.num_iterations, reachable, graph.num_vertices, sssp.total_time * 1e3))
 
-    pagerank = engine.run(make_algorithm("pagerank"))
+    pagerank = system.run(make_algorithm("pagerank"))
     top = np.argsort(-pagerank.values)[:5]
     print("PageRank: %d iterations, simulated time %.3f ms, top vertices %s" % (
         pagerank.num_iterations, pagerank.total_time * 1e3, list(map(int, top))))

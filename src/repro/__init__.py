@@ -26,7 +26,7 @@ Quickstart
 from repro.graph import CSRGraph, load_dataset, rmat_graph, power_law_graph
 from repro.algorithms import make_algorithm, SSSP, BFS, ConnectedComponents, DeltaPageRank, PHP
 from repro.systems import make_system, HyTGraphSystem, SubwaySystem, EmogiSystem, GrusSystem
-from repro.core import HyTGraphEngine, HyTGraphOptions
+from repro.core import HyTGraphOptions
 from repro.sim import HardwareConfig, default_config, GPU_PRESETS
 from repro.metrics import RunResult, IterationStats, BatchResult
 from repro.runtime import ExecutionContext, IterationDriver, QueryBatchRunner
@@ -49,7 +49,6 @@ __all__ = [
     "SubwaySystem",
     "EmogiSystem",
     "GrusSystem",
-    "HyTGraphEngine",
     "HyTGraphOptions",
     "HardwareConfig",
     "default_config",

@@ -13,9 +13,10 @@
 * :mod:`repro.core.priority` — contribution-driven priority scheduling:
   hub-vertex-driven for traversal algorithms, Δ-driven for accumulative
   ones (Section VI-A).
-* :mod:`repro.core.engine` — the HyTGraph runtime that alternates
-  cost-aware task generation and asynchronous multi-stream task
-  scheduling until convergence (Figure 5).
+* :mod:`repro.core.engine` — the HyTGraph planner: cost-aware task
+  generation and asynchronous multi-stream task scheduling of one
+  iteration (Figure 5); :class:`~repro.systems.hytgraph.HyTGraphSystem`
+  runs it to convergence.
 """
 
 from repro.core.backends import (
@@ -29,7 +30,7 @@ from repro.core.cost_model import CostModel, PartitionCosts
 from repro.core.selection import EngineSelector, SelectionThresholds
 from repro.core.combiner import ScheduledTask, TaskCombiner
 from repro.core.priority import ContributionScheduler
-from repro.core.engine import HyTGraphEngine, HyTGraphOptions
+from repro.core.engine import HyTGraphOptions
 
 __all__ = [
     "KernelBackend",
@@ -44,6 +45,5 @@ __all__ = [
     "ScheduledTask",
     "TaskCombiner",
     "ContributionScheduler",
-    "HyTGraphEngine",
     "HyTGraphOptions",
 ]

@@ -1,6 +1,6 @@
-"""The HyTGraph runtime (Figure 5).
+"""The HyTGraph planner (Figure 5).
 
-The engine alternates two stages until the algorithm converges:
+Each iteration runs two stages:
 
 1. **Cost-aware task generation** — estimate the three engine costs for
    every partition containing active edges (:mod:`repro.core.cost_model`),
@@ -9,9 +9,9 @@ The engine alternates two stages until the algorithm converges:
    (:mod:`repro.core.combiner`).
 2. **Asynchronous task scheduling** — order the tasks by contribution
    (:mod:`repro.core.priority`), execute them (vertex-program semantics
-   plus transfer-engine accounting) and run the resulting stage durations
-   through the execution runtime (:mod:`repro.runtime`) to obtain the
-   iteration's simulated wall-clock time.
+   plus transfer-engine accounting) and hand the resulting stage
+   durations to the execution runtime (:mod:`repro.runtime`), which
+   turns them into the iteration's simulated wall-clock time.
 
 Within an iteration execution is asynchronous: a task sees every value
 update made by the tasks scheduled before it, and the loaded subgraph is
@@ -24,19 +24,21 @@ contribution-driven scheduling on and off independently.
 
 Execution runtime
 -----------------
-The engine is device-count agnostic: it plans every iteration as one
-:class:`~repro.runtime.driver.IterationPlan` — per-device task lists over
-the contiguous partition-range shards of its
-:class:`~repro.runtime.context.ExecutionContext` — and the shared
-:class:`~repro.runtime.driver.IterationDriver` schedules it.  One device
-is the trivial case (one shard, no residency, no boundary exchange), so
-there is no separate single-device code path; multi-device sessions add
-per-device shard residency and the per-iteration boundary-delta
-synchronisation.  One planning call serves solo runs and the concurrent
-multi-query batch runner: ``plan_iterations(sessions)`` plans K sessions
-at once, and ``plan_iteration(session)`` is its K = 1 call.  Whether a
-partition is already on a device — cache-resident, or shipped earlier
-in the transfer window by a peer query — is the context's decision
+The planner owns no runtime.
+:class:`~repro.systems.hytgraph.HyTGraphSystem` hub-sorts the graph,
+builds the one :class:`~repro.runtime.context.ExecutionContext` and
+:class:`~repro.runtime.driver.IterationDriver` over the sorted copy like
+every other :class:`~repro.systems.base.GraphSystem`, and plans through
+:meth:`HyTGraphEngine._plan`.  A plan is device-count agnostic: per-device
+task lists over the context's contiguous partition-range shards.  One
+device is the trivial case (one shard, no residency, no boundary
+exchange), so there is no separate single-device code path;
+multi-device sessions add per-device shard residency and the
+per-iteration boundary-delta synchronisation.  One planning call serves
+solo runs (K = 1) and the concurrent multi-query batch runner (K
+sessions at once).  Whether a partition is already on a device —
+cache-resident, or shipped earlier in the transfer window by a peer
+query — is the context's decision
 (:attr:`~repro.runtime.context.ExecutionContext.claim`); every filter
 task is priced from the context's per-partition tables for what it
 leaves billable.
@@ -108,13 +110,9 @@ from repro.core.selection import (
     SelectionResult,
     SelectionThresholds,
 )
-from repro.graph.csr import CSRGraph
-from repro.graph.partition import build_partitioning
-from repro.graph.reorder import ReorderedGraph, hub_sort
-from repro.metrics.results import IterationStats, RunResult
+from repro.metrics.results import IterationStats
 from repro.runtime.context import ExecutionContext
-from repro.runtime.driver import IterationDriver, IterationPlan, QuerySession
-from repro.sim.config import HardwareConfig, default_config
+from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.kernel import KernelModel
 from repro.sim.streams import StreamTask
 from repro.transfer.base import ENGINE_LABEL, EngineKind, TransferEngine
@@ -167,149 +165,36 @@ class HyTGraphOptions:
 
 
 class HyTGraphEngine:
-    """Hybrid-transfer-management graph processing engine."""
+    """HyTGraph's planner: both stages of one iteration of K sessions.
 
-    name = "HyTGraph"
+    :class:`~repro.systems.hytgraph.HyTGraphSystem` builds it over its
+    execution context — the hub-sorted graph, its partitioning and the
+    device runtime — and plans every iteration through :meth:`_plan`.
+    """
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        config: HardwareConfig | None = None,
-        options: HyTGraphOptions | None = None,
-        num_partitions: int | None = None,
-        max_iterations: int = 10_000,
-        cache_policy: str = "static-prefix",
-        cache_budget: int | None = None,
-        backend: str | None = None,
-    ):
-        self.original_graph = graph
-        self.config = config or default_config()
-        self.options = options or HyTGraphOptions()
-        #: Outer-iteration bound (shared protocol with the systems).
-        self.max_iterations = max_iterations
-
-        self.preprocessing_time = 0.0
-        self.reordering: ReorderedGraph | None = None
-        if self.options.hub_sorting and graph.num_vertices > 0:
-            self.reordering = hub_sort(graph, self.options.hub_fraction)
-            self.graph = self.reordering.graph
-            # Hub sorting reads and rewrites the edge arrays once on the
-            # host; charge it at the CPU compaction throughput.  It is a
-            # one-off cost shared by all subsequent runs (Section VI-A).
-            self.preprocessing_time = 2 * graph.edge_data_bytes / self.config.cpu_compaction_throughput
-        else:
-            self.graph = graph
-
-        self.partitioning = build_partitioning(self.graph, num_partitions)
+    def __init__(self, context: ExecutionContext, kernel_model: KernelModel, options: HyTGraphOptions):
+        self.context = context
+        self.kernel_model = kernel_model
+        self.options = options
+        self.graph = graph = context.graph
+        self.partitioning = partitioning = context.partitioning
+        config = context.config
         # Sink detection runs every iteration; the degree==0 mask is static.
-        self._sink_mask = self.graph.out_degrees == 0
-        self.cost_model = CostModel(self.graph, self.partitioning, self.config)
-        self.selector = EngineSelector(self.options.thresholds)
-        self.combiner = TaskCombiner(self.options.combine_factor, enabled=self.options.task_combining)
-        self.priority = ContributionScheduler(
-            self.graph, self.partitioning, enabled=self.options.contribution_scheduling
-        )
-        self.kernel_model = KernelModel(self.config)
+        self._sink_mask = graph.out_degrees == 0
+        self.cost_model = CostModel(graph, partitioning, config)
+        self.selector = EngineSelector(options.thresholds)
+        self.combiner = TaskCombiner(options.combine_factor, enabled=options.task_combining)
+        self.priority = ContributionScheduler(graph, partitioning, enabled=options.contribution_scheduling)
         # Filter tasks are priced from the context's per-partition tables.
         self.engines: dict[EngineKind, TransferEngine] = {
-            EngineKind.EXP_COMPACTION: ExplicitCompactionEngine(self.graph, self.config),
-            EngineKind.IMP_ZERO_COPY: ZeroCopyEngine(self.graph, self.config),
+            EngineKind.EXP_COMPACTION: ExplicitCompactionEngine(graph, config),
+            EngineKind.IMP_ZERO_COPY: ZeroCopyEngine(graph, config),
         }
         # Static per-partition vertex bounds (a plain list: transfer
         # pricing indexes it one partition at a time) and sizes (the
         # fused steps expand partition masks to vertex masks with them).
-        self._vertex_bounds = self.partitioning.vertex_boundaries.tolist()
-        self._partition_sizes = np.diff(self.partitioning.vertex_boundaries)
-
-        # Device-agnostic execution runtime: shards, the device-memory
-        # cache and the shared-host scheduler.  One device is the
-        # trivial case — one shard spanning every partition, no static
-        # residency, no boundary exchange — so default single-device
-        # runs stay bitwise identical to the historical dedicated path.
-        self.context = ExecutionContext(
-            self.graph,
-            self.partitioning,
-            self.config,
-            cache_policy=cache_policy,
-            cache_budget=cache_budget,
-            backend=backend,
-        )
-        self.driver = IterationDriver(self.context)
-
-    # ------------------------------------------------------------------
-    # Setup helpers
-    # ------------------------------------------------------------------
-    def _translate_source(self, source: int | None) -> int | None:
-        if source is None or self.reordering is None:
-            return source
-        return self.reordering.translate_to_new(source)
-
-    # ------------------------------------------------------------------
-    # Session lifecycle
-    # ------------------------------------------------------------------
-    def reset_run_state(self) -> None:
-        """Reset warm cross-run state (residency flags, transfer window)."""
-        self.context.reset()
-
-    def start_session(self, program: VertexProgram, source: int | None = None) -> QuerySession:
-        """Initialise one query against the preprocessed (hub-sorted) graph."""
-        program.check_graph(self.graph)
-        internal_source = self._translate_source(program.validate_source(self.original_graph, source))
-        state = program.create_state(self.graph, internal_source)
-
-        result = RunResult(
-            system=self.name,
-            algorithm=program.name,
-            graph_name=self.original_graph.name,
-            preprocessing_time=self.preprocessing_time,
-            extra={
-                "backend": self.context.backend_name,
-                "num_partitions": self.partitioning.num_partitions,
-                "hub_sorted": self.reordering is not None,
-                "task_combining": self.options.task_combining,
-                "contribution_scheduling": self.options.contribution_scheduling,
-            },
-        )
-        if self.context.is_multi_device:
-            result.extra["num_devices"] = self.config.num_devices
-            result.extra["interconnect"] = self.config.interconnect_kind
-            result.extra["resident_partitions"] = self.context.num_resident_partitions
-
-        return QuerySession(
-            program=program,
-            source=internal_source,
-            state=state,
-            pending=program.initial_frontier(self.graph, state, internal_source),
-            result=result,
-        )
-
-    def finish_session(self, session: QuerySession) -> RunResult:
-        """Finalise one query: convergence flag plus original-order values."""
-        result = session.result
-        result.converged = not session.pending.any()
-        values = session.program.vertex_result(session.state)
-        if self.reordering is not None:
-            values = self.reordering.values_in_original_order(values)
-        result.values = values
-        return result
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run(self, program: VertexProgram, source: int | None = None) -> RunResult:
-        """Run ``program`` to convergence and return the full result record."""
-        self.reset_run_state()
-        session = self.start_session(program, source)
-        self.driver.drive(self, session, self.max_iterations)
-        return self.finish_session(session)
-
-    def plan_iteration(self, session: QuerySession) -> IterationPlan:
-        """One planned iteration: the K = 1 call of :meth:`plan_iterations`."""
-        return self._plan([session])[0]
-
-    def plan_iterations(self, sessions: Sequence[QuerySession]) -> list[IterationPlan]:
-        """One planned iteration of every session (the planner protocol)."""
-        return self._plan(sessions)
+        self._vertex_bounds = partitioning.vertex_boundaries.tolist()
+        self._partition_sizes = np.diff(partitioning.vertex_boundaries)
 
     def _plan(self, sessions: Sequence[QuerySession]) -> list[IterationPlan]:
         """Plan one iteration of K sessions: task generation, execution, accounting.

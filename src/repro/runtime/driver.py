@@ -1,6 +1,6 @@
 """The device-count-agnostic iteration driver.
 
-Every system (and the HyTGraph engine) expresses one outer iteration as
+Every system expresses one outer iteration as
 an :class:`IterationPlan`: per-device :class:`~repro.sim.streams.StreamTask`
 lists, per-device remote-activation counts and a prefilled
 :class:`~repro.metrics.results.IterationStats` record.  The
@@ -20,7 +20,7 @@ still charges each query its standalone statistics.
 A planner is ``plan_iterations(sessions)``: one plan per session, in
 order, from one call.  A solo iteration is the K = 1 call; the batch
 runner passes every live query of a super-iteration, so a planner may
-share work across them (the HyTGraph engine pushes every query of one
+share work across them (HyTGraph's planner pushes every query of one
 program in one fused call per task step), while a baseline simply plans
 each session alone (:meth:`~repro.systems.base.GraphSystem.plan_iterations`).
 What a planner may skip shipping is decided by the context's transfer
@@ -212,8 +212,8 @@ class IterationDriver:
         """Run ``planner`` to convergence (or the iteration bound).
 
         ``planner`` is anything exposing
-        ``plan_iterations(sessions) -> list[IterationPlan]`` — a
-        :class:`~repro.systems.base.GraphSystem` or the HyTGraph engine.
+        ``plan_iterations(sessions) -> list[IterationPlan]``: a
+        :class:`~repro.systems.base.GraphSystem`.
         Every iteration is its own transfer window.
         """
         context = self.context

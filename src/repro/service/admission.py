@@ -53,7 +53,7 @@ class AdmissionController:
         """Estimated PCIe bytes the request puts in flight when admitted."""
         partitioning = self.system.partitioning
         if program.needs_source and source is not None:
-            touched = [int(partitioning.partition_of[source])]
+            touched = [int(partitioning.partition_of[self.system.executed_id(source)])]
         else:
             # Sourceless programs start with a full frontier: every
             # partition is in the first super-iteration's working set.

@@ -17,8 +17,8 @@ substrate so the comparison is apples-to-apples:
   full.
 * :class:`~repro.systems.cpu_galois.CPUGaloisSystem` — the CPU-only
   (Galois-like) in-memory baseline.
-* :class:`~repro.systems.hytgraph.HyTGraphSystem` — the paper's system,
-  wrapping :class:`repro.core.engine.HyTGraphEngine`.
+* :class:`~repro.systems.hytgraph.HyTGraphSystem` — the paper's system:
+  hub sorting plus :class:`repro.core.engine.HyTGraphEngine`'s planning.
 
 All systems execute the same vertex programs and therefore produce
 identical answers; they differ only in simulated time and transfer volume.

@@ -54,12 +54,6 @@ class GraphSystem(ABC):
     #: single-device.
     supports_multi_device: bool = False
 
-    #: Subclasses that adopt another component's runtime (the HyTGraph
-    #: wrapper executes on its engine's hub-sorted partitioning) set
-    #: this False and install ``partitioning``/``context``/``driver``
-    #: themselves instead of having the base build a discarded set.
-    builds_runtime: bool = True
-
     def __init__(
         self,
         graph: CSRGraph,
@@ -79,20 +73,19 @@ class GraphSystem(ABC):
                 % self.name
             )
         self.kernel_model = KernelModel(self.config)
-        if self.builds_runtime:
-            self.partitioning = build_partitioning(graph, num_partitions)
-            # The context holds the live cache policy/budget
-            # (:mod:`repro.cache`) and resolves the kernel backend, so an
-            # unknown or unavailable backend fails construction, not mid-run.
-            self.context = ExecutionContext(
-                self.graph,
-                self.partitioning,
-                self.config,
-                cache_policy=cache_policy,
-                cache_budget=cache_budget,
-                backend=backend,
-            )
-            self.driver = IterationDriver(self.context)
+        self.partitioning = build_partitioning(graph, num_partitions)
+        # The context holds the live cache policy/budget
+        # (:mod:`repro.cache`) and resolves the kernel backend, so an
+        # unknown or unavailable backend fails construction, not mid-run.
+        self.context = ExecutionContext(
+            self.graph,
+            self.partitioning,
+            self.config,
+            cache_policy=cache_policy,
+            cache_budget=cache_budget,
+            backend=backend,
+        )
+        self.driver = IterationDriver(self.context)
 
     @property
     def sharding(self):
@@ -110,11 +103,22 @@ class GraphSystem(ABC):
         """
         self.context.reset()
 
+    def executed_id(self, vertex: int) -> int:
+        """The id of the caller's ``vertex`` in the executed graph (``context.graph``)."""
+        return vertex
+
     def start_session(self, program: VertexProgram, source: int | None = None) -> QuerySession:
-        """Initialise one query: program state, frontier and result record."""
+        """Initialise one query: program state, frontier and result record.
+
+        ``source`` is a caller's vertex id; the state and the frontier
+        live on the executed graph.
+        """
         program.check_graph(self.graph)
         source = program.validate_source(self.graph, source)
-        state = program.create_state(self.graph, source)
+        if source is not None:
+            source = self.executed_id(source)
+        graph = self.context.graph
+        state = program.create_state(graph, source)
         result = RunResult(system=self.name, algorithm=program.name, graph_name=self.graph.name)
         result.extra["backend"] = self.context.backend_name
         if self.context.is_multi_device:
@@ -124,7 +128,7 @@ class GraphSystem(ABC):
             program=program,
             source=source,
             state=state,
-            pending=program.initial_frontier(self.graph, state, source),
+            pending=program.initial_frontier(graph, state, source),
             result=result,
         )
 
@@ -137,7 +141,7 @@ class GraphSystem(ABC):
         return result
 
     def _annotate_result(self, result: RunResult, session: QuerySession) -> None:
-        """Hook: attach system-specific extras (default: nothing)."""
+        """Hook: system-specific extras or value order (default: nothing)."""
 
     # ------------------------------------------------------------------
     # Execution

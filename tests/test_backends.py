@@ -227,21 +227,17 @@ class TestRuntimePlumbing:
             )
             assert result.extra["backend"] == name
 
-    @pytest.mark.parametrize("system_name", sorted(SYSTEMS) + ["engine"])
+    @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
     def test_solo_run_dispatches_to_the_pinned_backend(self, system_name):
         """A pinned backend must run the kernels, not just label the result.
 
         The ambient backend stays numpy; only the session is pinned.
         """
         from repro.algorithms.sssp import SSSP
-        from repro.core.engine import HyTGraphEngine
 
         graph = rmat_graph(500, 4000, seed=7, weighted=True)
         pinned = CountingBackend()
-        if system_name == "engine":
-            system = HyTGraphEngine(graph, backend=pinned)
-        else:
-            system = make_system(system_name, graph, backend=pinned)
+        system = make_system(system_name, graph, backend=pinned)
         assert system.context.backend is pinned
         with use_backend("numpy"):
             result = system.run(SSSP(), 0)

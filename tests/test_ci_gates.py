@@ -29,8 +29,8 @@ import pytest
 
 import repro.algorithms.cc as cc_module
 from repro.algorithms import make_algorithm
-from repro.core.engine import HyTGraphEngine
 from repro.graph.generators import rmat_graph, uniform_random_graph
+from repro.systems.hytgraph import HyTGraphSystem
 from repro.transfer.base import EngineKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,25 +170,33 @@ def test_paper_report_digests_cover_every_paper_bench_report():
     assert pinned == written and len(pinned) == 19
 
 
-def test_replay_gate_fires_under_injected_latency(tmp_path):
-    # The 10^4-query scale phase is cut down (it dominates the smoke's
-    # wall time); the three regime rows still compare like for like.
-    result = _run(
-        sys.executable, "benchmarks/bench_replay.py", "--smoke", "--scale-queries", "200",
-        "--inject-latency", "2.0", "--output", str(tmp_path / "replay.json"),
-        "--check-against", "benchmarks/BENCH_replay_smoke.json",
-    )
-    assert result.returncode == 1, result.stdout + result.stderr
-    assert "GATE FAILURE: regime:saturated: interactive p95" in result.stdout
-
-
-def _perf_harness():
-    spec = importlib.util.spec_from_file_location(
-        "bench_perf_hotpaths", ROOT / "benchmarks" / "bench_perf_hotpaths.py"
-    )
+def _bench_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / ("%s.py" % name))
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     return bench
+
+
+def test_replay_gate_fires_under_injected_latency(tmp_path, monkeypatch, capsys):
+    # In process, with the 10^4-query scale phase cut down (it dominates
+    # the smoke's wall time) and the preemption phase stubbed (the gate
+    # compares none of its rows); the three regime rows still compare
+    # like for like.
+    bench = _bench_script("bench_replay")
+    monkeypatch.setattr(bench, "run_preemption", lambda *args: {})
+    monkeypatch.setattr(sys, "argv", [
+        "bench_replay.py", "--smoke", "--scale-queries", "200",
+        "--inject-latency", "2.0", "--output", str(tmp_path / "replay.json"),
+        "--check-against", str(ROOT / "benchmarks" / "BENCH_replay_smoke.json"),
+    ])
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main()
+    assert exit_info.value.code == 1
+    assert "GATE FAILURE: regime:saturated: interactive p95" in capsys.readouterr().out
+
+
+def _perf_harness():
+    return _bench_script("bench_perf_hotpaths")
 
 
 def test_seed_baseline_pushes_through_the_seed_gather(monkeypatch):
@@ -218,12 +226,12 @@ def test_seed_baseline_pushes_through_the_seed_gather(monkeypatch):
 
 def test_seed_baseline_refuses_a_missing_swap_target(monkeypatch):
     bench = _perf_harness()
-    run = HyTGraphEngine.run
+    run = HyTGraphSystem.run
     monkeypatch.delattr(cc_module, "out_edges")
     with pytest.raises(AttributeError, match="defines no 'out_edges'"):
         with bench.seed_baseline():
             pass
-    assert HyTGraphEngine.run is run  # the swaps made before the miss are undone
+    assert HyTGraphSystem.run is run  # the swaps made before the miss are undone
 
 
 def test_seed_transfer_oracle_prices_every_planned_task_like_the_engine(monkeypatch):
@@ -235,21 +243,21 @@ def test_seed_transfer_oracle_prices_every_planned_task_like_the_engine(monkeypa
     # alone than together, so an oracle pricing a task as one total fails.
     bench = _perf_harness()
     graph = uniform_random_graph(6000, 36_000, seed=1, weighted=True)
-    engine = HyTGraphEngine(graph, num_partitions=8, max_iterations=10)
-    live = engine._account_task_transfer
+    system = HyTGraphSystem(graph, num_partitions=8, max_iterations=10)
+    live = system.engine._account_task_transfer
     priced = []
 
     def recording(task):
         priced.append((task, live(task)))
         return priced[-1][1]
 
-    monkeypatch.setattr(engine, "_account_task_transfer", recording)
-    engine.run(make_algorithm("sssp"), source=0)
-    engine.run(make_algorithm("pr"))
+    monkeypatch.setattr(system.engine, "_account_task_transfer", recording)
+    system.run(make_algorithm("sssp"), source=0)
+    system.run(make_algorithm("pr"))
     multi_partition = {task.engine for task, _ in priced if len(task.partition_indices) > 1}
     assert multi_partition == {EngineKind.EXP_FILTER, EngineKind.EXP_COMPACTION, EngineKind.IMP_ZERO_COPY}
     for task, (moved, transfer_time, cpu_time, overlapped) in priced:
-        seed = bench._seed_account_transfer(engine, task)
+        seed = bench._seed_account_transfer(system, task)
         assert (seed.bytes_transferred, seed.transfer_time, seed.cpu_time, seed.overlapped) == (
             moved, transfer_time, cpu_time, overlapped
         ), task.label

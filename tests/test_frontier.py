@@ -16,7 +16,6 @@ import pytest
 
 from repro.algorithms import BFS, ConnectedComponents, DeltaPageRank
 from repro.algorithms.base import single_vertex
-from repro.core.engine import HyTGraphEngine
 from repro.faults import QueryCheckpoint
 from repro.graph.generators import rmat_graph
 from repro.graph.partition import partition_by_count
@@ -24,6 +23,7 @@ from repro.runtime.context import ExecutionContext
 from repro.runtime.driver import IterationDriver
 from repro.sim.config import HardwareConfig
 from repro.systems import SYSTEMS, make_system
+from repro.systems.hytgraph import HyTGraphSystem
 
 
 def _driver(graph, num_partitions=4, num_devices=1):
@@ -180,10 +180,10 @@ class TestMutation:
         # A fused step's first round pushes, for every row in one call,
         # exactly the pending vertices inside that row's own task
         # partitions (flat ids ``row * |V| + v``).
-        engine = HyTGraphEngine(rmat, num_partitions=4)
-        sessions = [engine.start_session(BFS(), source) for source in (0, 1)]
+        system = HyTGraphSystem(rmat, num_partitions=4)
+        sessions = [system.start_session(BFS(), source) for source in (0, 1)]
         # Senders only (hub-sorted ids): no sink push precedes the steps.
-        senders = np.flatnonzero(engine.graph.out_degrees > 0)
+        senders = np.flatnonzero(system.context.graph.out_degrees > 0)
         for session, stride in zip(sessions, (3, 5)):
             session.pending[:] = False
             session.pending[senders[::stride]] = True
@@ -196,10 +196,10 @@ class TestMutation:
             return process(program, graph, state, active_vertices)
 
         monkeypatch.setattr(BFS, "process", recording)
-        engine.context.begin_window()
-        plans = engine._plan(sessions)
+        system.context.begin_window()
+        plans = system.engine._plan(sessions)
         num_vertices = rmat.num_vertices
-        boundaries = engine.partitioning.vertex_boundaries
+        boundaries = system.partitioning.vertex_boundaries
         for row, (plan, pending) in enumerate(zip(plans, before)):
             in_task = np.zeros(num_vertices, dtype=bool)
             for index in plan.device_tasks[0][0].name.partition_indices:
@@ -212,7 +212,7 @@ class TestMutation:
 def test_every_system_drains_the_programs_bitmap(rmat, name):
     system = make_system(name, rmat)
     session = system.start_session(BFS(), 5)
-    # The HyTGraph engine hub-sorts, so its session speaks internal ids.
+    # HyTGraph hub-sorts, so its session speaks executed ids.
     assert session.pending.dtype == bool and session.pending.shape == (rmat.num_vertices,)
     assert np.flatnonzero(session.pending).tolist() == [session.source]
     assert not any(np.shares_memory(session.pending, array) for array in session.state.arrays.values())

@@ -68,7 +68,7 @@ def test_a_wave_plans_once_per_super_iteration(graph, monkeypatch):
     system = HyTGraphSystem(graph, num_partitions=4)
     plan = system.engine._plan
     monkeypatch.setattr(system.engine, "_plan", lambda sessions: calls.append(len(sessions)) or plan(sessions))
-    monkeypatch.setattr(system.engine, "plan_iteration", None)
+    monkeypatch.setattr(system, "plan_iteration", None)
     queries = [(make_algorithm("bfs"), source) for source in (0, 1, 2)]
     batch = QueryBatchRunner(system).run(queries)
     assert len(calls) == batch.super_iterations

@@ -10,8 +10,9 @@ import pytest
 
 from repro.algorithms import DeltaPageRank, SSSP, reference
 from repro.bench.workloads import build_workload
-from repro.core.engine import HyTGraphEngine, HyTGraphOptions
+from repro.core.engine import HyTGraphOptions
 from repro.graph.generators import power_law_graph, random_weights
+from repro.systems.hytgraph import HyTGraphSystem
 from repro.transfer.base import EngineKind
 
 from tests.conftest import assert_distances_equal
@@ -93,8 +94,8 @@ class TestExecutionPathShape:
 
     def test_pagerank_engine_mix_shifts_over_time(self):
         graph = power_law_graph(1500, 16.0, exponent=2.0, seed=31, name="mix")
-        engine = HyTGraphEngine(graph, num_partitions=32)
-        result = engine.run(DeltaPageRank())
+        system = HyTGraphSystem(graph, num_partitions=32)
+        result = system.run(DeltaPageRank())
         mix = result.engine_mix()
         assert len(mix) > 3
         early_filter = mix[0].get(EngineKind.EXP_FILTER.value, 0.0)
@@ -107,8 +108,8 @@ class TestExecutionPathShape:
     def test_sssp_sparse_iterations_prefer_zero_copy(self):
         graph = power_law_graph(1500, 16.0, exponent=2.0, seed=33, name="mix")
         graph = graph.with_weights(random_weights(graph.num_edges, seed=34))
-        engine = HyTGraphEngine(graph, num_partitions=32)
-        result = engine.run(SSSP(), source=int(np.argmax(graph.out_degrees)))
+        system = HyTGraphSystem(graph, num_partitions=32)
+        result = system.run(SSSP(), source=int(np.argmax(graph.out_degrees)))
         # The tail iterations have few, low-degree active vertices: the
         # selector should avoid whole-partition filter transfers there.
         last_mix = result.engine_mix()[-1]
@@ -122,10 +123,10 @@ class TestAblationShape:
 
     def test_contribution_scheduling_reduces_pagerank_work(self):
         graph = power_law_graph(1500, 16.0, exponent=2.0, seed=35, name="ablate")
-        baseline = HyTGraphEngine(
+        baseline = HyTGraphSystem(
             graph, num_partitions=24, options=HyTGraphOptions(contribution_scheduling=False)
         ).run(DeltaPageRank())
-        with_cds = HyTGraphEngine(
+        with_cds = HyTGraphSystem(
             graph, num_partitions=24, options=HyTGraphOptions(contribution_scheduling=True)
         ).run(DeltaPageRank())
         assert with_cds.total_processed_edges <= baseline.total_processed_edges * 1.1
@@ -133,10 +134,10 @@ class TestAblationShape:
 
     def test_task_combining_reduces_task_count(self):
         graph = power_law_graph(1500, 16.0, exponent=2.0, seed=36, name="ablate")
-        combined = HyTGraphEngine(
+        combined = HyTGraphSystem(
             graph, num_partitions=24, options=HyTGraphOptions(task_combining=True)
         ).run(DeltaPageRank())
-        uncombined = HyTGraphEngine(
+        uncombined = HyTGraphSystem(
             graph, num_partitions=24, options=HyTGraphOptions(task_combining=False)
         ).run(DeltaPageRank())
         combined_tasks = sum(sum(stats.engine_tasks.values()) for stats in combined.iterations)

@@ -71,12 +71,12 @@ def test_single_device_is_the_trivial_sharded_case():
     # shard spanning every partition, no residency and no sync overhead.
     graph = rmat_graph(200, 1000, seed=3)
     system = HyTGraphSystem(graph, config=HardwareConfig())
-    context = system.engine.context
-    assert system.context is context
+    context = system.context
+    assert system.engine.context is context
     assert not context.is_multi_device
     assert context.sharding.num_devices == 1
     assert context.sharding.vertex_bounds.tolist() == [0, graph.num_vertices]
-    assert context.sharding.partition_bounds.tolist() == [0, system.engine.partitioning.num_partitions]
+    assert context.sharding.partition_bounds.tolist() == [0, system.partitioning.num_partitions]
     assert not context.sharding.device_of.any()
     assert context.cache is None
     assert context.num_resident_partitions == 0

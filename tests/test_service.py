@@ -86,6 +86,24 @@ def test_service_values_bitwise_equal_standalone_run(graphs, system_name, algori
     assert served.converged == standalone.converged
 
 
+@pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+def test_system_graph_is_the_callers(graphs, system_name):
+    graph = _graph_for(graphs, "bfs")
+    assert make_system(system_name, graph).graph is graph
+
+
+def test_sourceless_lookup_picks_its_source_on_the_callers_graph(graphs):
+    # HyTGraph executes on a hub-sorted copy; a service that saw the copy
+    # would pick another vertex and return other values.
+    from repro.bench.workloads import pick_source
+
+    graph = _graph_for(graphs, "bfs")
+    system = HyTGraphSystem(graph)
+    expected = system.run(make_algorithm("bfs"), pick_source(graph))
+    served = GraphService(system=system).run(QueryRequest(algorithm="bfs"))
+    assert np.array_equal(np.asarray(served.values), np.asarray(expected.values))
+
+
 # ----------------------------------------------------------------------
 # (2) priority scheduling invariants
 # ----------------------------------------------------------------------
@@ -354,6 +372,22 @@ def test_resident_partitions_discount_the_estimate(graphs):
     # estimate the same request again while the cache is warm.
     warm = service.submit(QueryRequest(algorithm="pagerank", priority=Priority.BULK))
     assert warm.estimated_bytes < cold.estimated_bytes
+
+
+@pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+def test_lookup_estimate_prices_the_partition_holding_the_source(graphs, system_name):
+    # The partitioning is over the executed graph (HyTGraph's is its
+    # hub-sorted copy): a caller's source prices its executed id's
+    # partition, the one its session's frontier starts in.
+    graph = _graph_for(graphs, "bfs")
+    system = make_system(system_name, graph)
+    admission = GraphService(system=system).admission
+    program = make_algorithm("bfs")
+    partitioning = system.partitioning
+    for source in range(graph.num_vertices):
+        executed = system.start_session(program, source).source
+        expected = int(partitioning.edge_bytes[partitioning.partition_of[executed]])
+        assert admission.estimate_request_bytes(program, source) == expected, source
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BFS, ConnectedComponents, DeltaPageRank, SSSP, reference
-from repro.core.engine import HyTGraphEngine
 from repro.sim.config import HardwareConfig
 from repro.systems import SYSTEMS, make_system
 from repro.systems.cpu_galois import CPUGaloisSystem
@@ -45,7 +44,7 @@ class TestRegistry:
         assert system.config.gpu_memory_bytes == 12345
 
     @pytest.mark.parametrize(
-        "planner", sorted(SYSTEMS.values(), key=lambda cls: cls.name) + [HyTGraphEngine],
+        "planner", sorted(SYSTEMS.values(), key=lambda cls: cls.name),
         ids=lambda cls: cls.__name__,
     )
     def test_planner_protocol_is_plan_iteration_of_a_session(self, planner):
