@@ -90,7 +90,6 @@ from repro.algorithms.pagerank import DeltaPageRank
 from repro.algorithms.php import PHP
 from repro.algorithms.sssp import SSSP
 from repro.core.backends import available_backends, get_backend, use_backend
-from repro.core.combiner import ScheduledTask, TaskCombiner
 from repro.core.cost_model import CostModel, PartitionCosts
 from repro.graph.generators import grid_graph, rmat_graph, uniform_random_graph
 from repro.graph.partition import partition_by_bytes
@@ -171,6 +170,66 @@ def _seed_out_edges(graph, vertices, weighted=False):
     edge_indices, _ = _seed_gather_edge_indices(graph, vertices)
     weights = graph.edge_value[edge_indices] if weighted else None
     return graph.column_index[edge_indices], weights, graph.out_degrees[vertices]
+
+
+class _SeedTask:
+    """The seed's task record: engine, partitions, active vertices and priority."""
+
+    __slots__ = ("engine", "partition_indices", "active_vertices", "priority", "combined")
+
+    def __init__(self, engine, partition_indices, active_vertices, priority=0.0, combined=False):
+        self.engine = engine
+        self.partition_indices = partition_indices
+        self.active_vertices = active_vertices
+        self.priority = priority
+        self.combined = combined
+
+    @property
+    def label(self) -> str:
+        members = self.partition_indices
+        listing = "combined:%d" % len(members) if self.combined else ",".join(map(str, members))
+        return "%s[%s]" % (self.engine.value, listing)
+
+
+#: The seed's scheduling rank of each engine (filter first, compaction last).
+_SEED_ENGINE_RANK = {
+    EngineKind.EXP_FILTER: 0,
+    EngineKind.IMP_ZERO_COPY: 1,
+    EngineKind.EXP_COMPACTION: 2,
+    EngineKind.IMP_UNIFIED_MEMORY: 1,
+}
+
+
+def _seed_prioritize(self, tasks, program, state):
+    """The seed's per-task contribution scheduler (``self`` is the planner's scheduler).
+
+    Hub mass is numpy's sum of the task's partition hub masses, Δ mass the
+    left-to-right sum of its partitions' residual sums.
+    """
+    if not tasks:
+        return []
+    bounds = self.partitioning.vertex_boundaries.tolist()
+    contributions = []
+    for task in tasks:
+        if not self.enabled:
+            contribution = 0.0
+        elif program.residual is not None:
+            residual = state[program.residual]
+            contribution = 0.0
+            for index in task.partition_indices:
+                contribution += float(residual[bounds[index] : bounds[index + 1]].sum())
+        else:
+            contribution = float(self._hub_mass[task.partition_indices].sum())
+        contributions.append(contribution)
+    max_contribution = max(contributions) if contributions else 0.0
+    scale = max_contribution if max_contribution > 0 else 1.0
+    for position, (task, contribution) in enumerate(zip(tasks, contributions)):
+        rank = _SEED_ENGINE_RANK.get(task.engine, 3)
+        if self.enabled:
+            task.priority = rank * 10.0 + (1.0 - contribution / scale)
+        else:
+            task.priority = rank * 10.0 + position * 1e-6
+    return sorted(tasks, key=lambda task: task.priority)
 
 
 def _seed_task_vertex_mask(self, task):
@@ -260,8 +319,8 @@ def _seed_run_iteration(self, iteration, program, state, pending):
 
     costs = planner.cost_model.estimate(active_mask)
     selection = planner.selector.select(costs)
-    tasks = planner.combiner.combine(self.partitioning, selection, active_mask)
-    tasks = planner.priority.prioritize(tasks, program, state)
+    tasks = _seed_combine(planner.combiner, self.partitioning, selection, active_mask)
+    tasks = _seed_prioritize(planner.priority, tasks, program, state)
     generation_overhead = self.kernel_model.device_scan_time(self.partitioning.num_partitions)
 
     stream_tasks = []
@@ -316,7 +375,8 @@ def _seed_run(self, program, source=None):
     return self.finish_session(session)
 
 
-def _seed_combine(self, partitioning, selection, active_mask, active_ids=None):
+def _seed_combine(self, partitioning, selection, active_mask):
+    """The seed's per-task combiner (``self`` is the planner's combiner)."""
     active_mask = np.asarray(active_mask, dtype=bool)
     bounds = partitioning.vertex_boundaries.tolist()
 
@@ -326,7 +386,7 @@ def _seed_combine(self, partitioning, selection, active_mask, active_ids=None):
 
     def make_filter_task(partition_indices):
         vertices = np.concatenate([active_in(index) for index in partition_indices])
-        return ScheduledTask(
+        return _SeedTask(
             engine=EngineKind.EXP_FILTER,
             partition_indices=list(partition_indices),
             active_vertices=np.sort(vertices),
@@ -338,7 +398,7 @@ def _seed_combine(self, partitioning, selection, active_mask, active_ids=None):
             if choice is None:
                 continue
             tasks.append(
-                ScheduledTask(engine=choice, partition_indices=[index], active_vertices=active_in(index))
+                _SeedTask(engine=choice, partition_indices=[index], active_vertices=active_in(index))
             )
         return tasks
 
@@ -361,7 +421,7 @@ def _seed_combine(self, partitioning, selection, active_mask, active_ids=None):
         if members:
             vertices = np.concatenate([active_in(index) for index in members])
             tasks.append(
-                ScheduledTask(
+                _SeedTask(
                     engine=engine,
                     partition_indices=list(members),
                     active_vertices=np.sort(vertices),
@@ -382,6 +442,7 @@ def _seed_estimate(self, active_mask, active_ids=None):
     compaction_cost = np.where(active_edges > 0, compaction_cost, 0.0)
 
     zero_copy_cost = np.zeros(num_partitions, dtype=np.float64)
+    requests_per_partition = zero_copy_cost
     ids = np.nonzero(active_mask)[0]
     if ids.size:
         degrees = self.graph.out_degrees[ids]
@@ -403,6 +464,7 @@ def _seed_estimate(self, active_mask, active_ids=None):
         zero_copy_cost=zero_copy_cost,
         active_vertices=active_vertices,
         active_edges=active_edges,
+        zero_copy_requests=requests_per_partition,
     )
 
 
@@ -411,7 +473,6 @@ def _seed_estimate(self, active_mask, active_ids=None):
 #: ``process`` methods look up at call time.
 _SEED_SWAPS = (
     (HyTGraphSystem, "run", _seed_run),
-    (TaskCombiner, "combine", _seed_combine),
     (CostModel, "estimate", _seed_estimate),
 ) + tuple(
     (module, "out_edges", _seed_out_edges)
@@ -441,9 +502,10 @@ def seed_baseline():
     Inside the context, algorithm scatters run on :class:`_SeedKernels`
     (``ufunc.at`` + ``np.unique``), every push gathers its out-edges
     through per-edge indices, the engine allocates per-task ``|V|``
-    masks, the combiner re-sorts task frontiers and the cost model
-    rescans the frontier bitmap — i.e. the code the seed repository
-    shipped.  The systems it runs are unpinned, so the ambient backend is
+    masks, combines and prioritises one task record at a time
+    (:func:`_seed_combine` re-sorts task frontiers, :func:`_seed_prioritize`)
+    and the cost model rescans the frontier bitmap — i.e. the code the
+    seed repository shipped.  The systems it runs are unpinned, so the ambient backend is
     the one their sessions use.
     """
     with ExitStack() as stack:

@@ -17,8 +17,9 @@ systems need:
                      mutating the state in place and returning the ids of
                      the vertices activated by those updates
 ``vertex_result``    the per-vertex answer once converged
-``partition_delta``  the contribution mass of a vertex range (used by the
-                     Δ-driven priority scheduler)
+``residual``         the state array holding an accumulative program's
+                     pending residual (Δ); the Δ-driven priority scheduler
+                     reads its per-partition mass
 
 ``process`` is deliberately restrictable to a subset of active vertices:
 that is how the systems model partition-at-a-time processing, asynchronous
@@ -174,9 +175,10 @@ class VertexProgram(ABC):
     name: str = "program"
     #: Whether the algorithm reads edge weights (SSSP does, the rest do not).
     needs_weights: bool = False
-    #: Whether the algorithm is accumulative (Δ-based) rather than
-    #: value-replacement; accumulative programs drive Δ-priority scheduling.
-    accumulative: bool = False
+    #: The state array holding the pending residual (Δ) of an
+    #: accumulative program, ``None`` for value-replacement programs; its
+    #: per-partition mass drives Δ-priority scheduling.
+    residual: str | None = None
     #: Whether the algorithm needs a source vertex (SSSP/BFS/PHP do).
     needs_source: bool = False
     #: Whether the algorithm's semantics assume a symmetric graph (CC
@@ -215,16 +217,8 @@ class VertexProgram(ABC):
         """The final per-vertex output (distances, labels, ranks, ...)."""
 
     # ------------------------------------------------------------------
-    # Optional hooks
+    # Validation
     # ------------------------------------------------------------------
-    def partition_delta(self, graph: CSRGraph, state: ProgramState, vertex_start: int, vertex_end: int) -> float:
-        """Contribution mass of the vertex range (Δ-driven priority).
-
-        Value-replacement programs return 0 by default; accumulative
-        programs return the pending residual mass in the range.
-        """
-        return 0.0
-
     def validate_source(self, graph: CSRGraph, source: int | None) -> int | None:
         """Check and normalise the source argument."""
         if self.needs_source:

@@ -46,7 +46,7 @@ class DeltaPageRank(VertexProgram):
     name = "PR"
     needs_weights = False
     needs_source = False
-    accumulative = True
+    residual = "delta"
 
     def __init__(self, damping: float = 0.85, tolerance: float = 1e-3):
         if not 0.0 < damping < 1.0:
@@ -91,6 +91,3 @@ class DeltaPageRank(VertexProgram):
     def vertex_result(self, state: ProgramState) -> np.ndarray:
         # Remaining residual mass is part of the final rank estimate.
         return state["rank"] + state["delta"]
-
-    def partition_delta(self, graph: CSRGraph, state: ProgramState, vertex_start: int, vertex_end: int) -> float:
-        return float(state["delta"][vertex_start:vertex_end].sum())

@@ -31,7 +31,7 @@ class PHP(VertexProgram):
     name = "PHP"
     needs_weights = False
     needs_source = True
-    accumulative = True
+    residual = "delta"
 
     def __init__(self, penalty: float = 0.8, tolerance: float = 1e-4):
         if not 0.0 < penalty < 1.0:
@@ -88,6 +88,3 @@ class PHP(VertexProgram):
         result = state["php"] + state["delta"]
         result[int(state["source"][0])] = 1.0
         return result
-
-    def partition_delta(self, graph: CSRGraph, state: ProgramState, vertex_start: int, vertex_end: int) -> float:
-        return float(state["delta"][vertex_start:vertex_end].sum())

@@ -41,6 +41,10 @@ class PartitionCosts:
 
     All arrays have one entry per partition; partitions with no active
     edge have zero cost in every column and are never scheduled.
+    ``zero_copy_requests`` holds the zero-copy memory requests of each
+    partition's active vertices (exact integers, as ``float64``): with
+    ``active_edges`` and ``active_vertices`` they are the totals the
+    compaction and zero-copy engines price a partition from.
     """
 
     filter_cost: np.ndarray
@@ -48,15 +52,17 @@ class PartitionCosts:
     zero_copy_cost: np.ndarray
     active_vertices: np.ndarray
     active_edges: np.ndarray
+    zero_copy_requests: np.ndarray
 
-    def row(self, index: int) -> "PartitionCosts":
-        """Row ``index`` of a stacked (``K x P``) estimate, as views."""
+    def rows(self, block: slice) -> "PartitionCosts":
+        """Rows ``block`` of a stacked (``K x P``) estimate, as views."""
         return PartitionCosts(
-            self.filter_cost[index],
-            self.compaction_cost[index],
-            self.zero_copy_cost[index],
-            self.active_vertices[index],
-            self.active_edges[index],
+            self.filter_cost[block],
+            self.compaction_cost[block],
+            self.zero_copy_cost[block],
+            self.active_vertices[block],
+            self.active_edges[block],
+            self.zero_copy_requests[block],
         )
 
 
@@ -92,10 +98,8 @@ class CostModel:
     def _compaction_cost_from_counts(
         self, active_edges: np.ndarray, active_vertices: np.ndarray
     ) -> np.ndarray:
-        num_bytes = (
-            active_edges.astype(np.float64) * self._d1
-            + active_vertices.astype(np.float64) * self.config.index_entry_bytes
-        )
+        # Integer byte counts: exact, as the float64 the division makes of them.
+        num_bytes = active_edges * self._d1 + active_vertices * self.config.index_entry_bytes
         tlps = np.ceil(num_bytes / self._payload_bytes)
         return tlps * self._rtt
 
@@ -133,7 +137,7 @@ class CostModel:
             keys *= num_partitions
             keys += self.partitioning.partition_of[vertices]
         num_bins = num_rows * num_partitions
-        active_vertices = np.bincount(keys, minlength=num_bins).astype(np.int64).reshape(shape)
+        active_vertices = np.bincount(keys, minlength=num_bins).astype(np.int64, copy=False).reshape(shape)
         active_edges = (
             np.bincount(keys, weights=self._degrees[vertices], minlength=num_bins)
             .astype(np.int64)
@@ -148,6 +152,7 @@ class CostModel:
         # Zero-copy: per-vertex requests (a static table), grouped back
         # per partition.
         zero_copy_cost = np.zeros(shape, dtype=np.float64)
+        requests_per_partition = zero_copy_cost
         if active_ids.size:
             requests_per_partition = np.bincount(
                 keys, weights=self._requests[vertices], minlength=num_bins
@@ -157,8 +162,8 @@ class CostModel:
             payload_fraction = np.minimum(active_edges / self._partition_edges_safe, 1.0)
             gamma = self.config.zero_copy_gamma
             rtt_zc = (gamma + (1.0 - gamma) * payload_fraction) * self._rtt
+            # An untouched partition has no requests, so its cost is 0.0.
             zero_copy_cost = tlps * rtt_zc
-            zero_copy_cost = np.where(touched, zero_copy_cost, 0.0)
 
         return PartitionCosts(
             filter_cost=filter_cost,
@@ -166,4 +171,5 @@ class CostModel:
             zero_copy_cost=zero_copy_cost,
             active_vertices=active_vertices,
             active_edges=active_edges,
+            zero_copy_requests=requests_per_partition,
         )

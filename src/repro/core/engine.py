@@ -50,30 +50,36 @@ the batch analogue of task combining: many small per-query pushes become
 a few large ones.  The K frontiers are stacked into one ``K x |V|``
 bitmap, scanned once and priced by one
 :meth:`~repro.core.cost_model.CostModel.estimate` (one ``bincount`` on
-``row * P + partition``).  Selection, combining, prioritising, transfer
-pricing and claims then run per query in planning order, so the window
-dedup and the cache counters see the per-query sequence.  Execution is
-fused per program (class and parameters): each query's tasks run in its
-devices' round-robin order, and step ``s`` of every query runs as one
-``process`` call over stacked ``K x |V|`` state with flat ids
-``r * |V| + v``, its pending vertices found by one ``rows x |V|``
-task mask.  No call carries more than ``|E|`` messages, the most one
-solo sweep pushes; a larger step splits at query boundaries, which
-bounds the per-edge temporaries.  Queries never share a destination and
-each keeps its message order, so every scatter fold, value and simulated
-number is the one per-query planning produces; K = 1 views the
-session's own arrays and copies nothing.
+``row * P + partition``).  Stage 1 is one columnar pass over a block of
+rows (:meth:`HyTGraphEngine._generate`): selection over the stacked
+``rows x P`` costs, filter-run combining into a
+:class:`~repro.core.combiner.TaskBlock` (one array entry per task),
+contribution priorities and order, and the compaction and zero-copy
+prices of every task, from the cost model's per-partition totals.  Only
+the window claims of the filter tasks run one task at a time, row by
+row in planning order and step by step, so the window dedup and the
+cache counters see the per-query sequence.  Rows couple only through an
+adaptive cache, so with one a block is a single row; otherwise it is
+every row.  The kernel times of all of a plan's tasks are one array
+expression.  Execution is fused per program (class and parameters):
+each query's tasks run in its devices' round-robin order, and step ``s``
+of every query runs as one ``process`` call over stacked ``K x |V|``
+state with flat ids ``r * |V| + v``, its pending vertices found by one
+``rows x |V|`` task mask.  No call carries more than ``|E|`` messages,
+the most one solo sweep pushes; a larger step splits at query
+boundaries, which bounds the per-edge temporaries.  Queries never share
+a destination and each keeps its message order, so every scatter fold,
+value and simulated number is the one per-query planning produces; K = 1
+views the session's own arrays and copies nothing.
 
 Between engine selection and the batch fold an iteration is columns and
 plain tuples, not a record per task.  The selection is an ``int8`` code
 per partition (:class:`~repro.core.selection.SelectionResult`): the
-residency pin, the per-shard mask and the per-engine counts are array
-operations, and a run of consecutive filter partitions takes its actives
-as one slice of the iteration's single sorted frontier scan.  Static
-tables are built once (vertex ranges per engine, edge bytes and
+residency pin, the per-shard combining and the per-engine counts are
+array operations.  Static tables are built once (edge bytes and
 explicit-copy time per context, zero-copy requests per vertex), and a
-compaction or zero-copy task is priced by one ``transfer_task`` call.
-Each scheduled task becomes one row of the
+task's name (:class:`~repro.core.combiner.ScheduledTask`) is its engine
+and partitions.  Each scheduled task becomes one row of the
 :class:`~repro.sim.events.Timeline`, which maintains makespan, busy time
 per resource and finish time per owning query while it places; a merged
 co-schedule names each task's owner and class offset next to the task
@@ -85,8 +91,9 @@ and ``Timeline.entries`` (the records the tests read; the tracer walks
 Simulated numbers stay bitwise because every float comes from the same
 operations in the same order: a busy total adds one ``end - start`` per
 span in placement order, a filter transfer adds the tabulated
-per-partition copy times left to right, and the tables hold the very
-values the per-call formulas returned.
+per-partition copy times left to right, a compaction or zero-copy task
+adds its partitions' prices left to right (``TaskBlock.fold``), and the
+tables hold the very values the per-call formulas returned.
 ``benchmarks/layers/run.py`` measures every layer's host time;
 ``tests/test_call_budget.py`` gates the call count.
 """
@@ -94,18 +101,20 @@ values the per-call formulas returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.base import ProgramState, VertexProgram
+from repro.algorithms.base import ProgramState
 from repro.core.combiner import ScheduledTask, TaskCombiner
 from repro.core.cost_model import CostModel, PartitionCosts
 from repro.core.priority import ContributionScheduler
 from repro.core.selection import (
+    COMPACTION,
+    ENGINE_OF_CODE,
     FILTER,
     INACTIVE,
+    ZERO_COPY,
     EngineSelector,
     SelectionResult,
     SelectionThresholds,
@@ -120,8 +129,6 @@ from repro.transfer.explicit_compaction import ExplicitCompactionEngine
 from repro.transfer.zero_copy import ZeroCopyEngine
 
 __all__ = ["HyTGraphOptions", "HyTGraphEngine"]
-
-_FILTER = EngineKind.EXP_FILTER
 
 
 @dataclass
@@ -190,10 +197,12 @@ class HyTGraphEngine:
             EngineKind.EXP_COMPACTION: ExplicitCompactionEngine(graph, config),
             EngineKind.IMP_ZERO_COPY: ZeroCopyEngine(graph, config),
         }
-        # Static per-partition vertex bounds (a plain list: transfer
-        # pricing indexes it one partition at a time) and sizes (the
-        # fused steps expand partition masks to vertex masks with them).
-        self._vertex_bounds = partitioning.vertex_boundaries.tolist()
+        self._compaction = self.engines[EngineKind.EXP_COMPACTION]
+        self._zero_copy = self.engines[EngineKind.IMP_ZERO_COPY]
+        #: Names of the tasks of consecutive partitions, by (code, first, count).
+        self._task_names: dict[tuple[int, int, int], ScheduledTask] = {}
+        # Static per-partition vertex counts: the fused steps expand
+        # partition masks to vertex masks with them.
         self._partition_sizes = np.diff(partitioning.vertex_boundaries)
 
     def _plan(self, sessions: Sequence[QuerySession]) -> list[IterationPlan]:
@@ -210,12 +219,16 @@ class HyTGraphEngine:
 
         The K frontiers are stacked as one ``K x |V|`` bitmap (K = 1
         views the session's own), grouped by program so that each group
-        (a :class:`_Wave`) is contiguous.  Stage 1 — cost analysis,
-        selection, combining, prioritising and every task's transfer
-        price and :attr:`~repro.runtime.context.ExecutionContext.claim`
-        — runs per session in the given order, so the window dedup and
-        the cache counters see exactly the per-query sequence.  Stage 2
-        runs each wave's task steps fused (:meth:`_execute_wave`).
+        (a :class:`_Wave`) is contiguous.  Stage 1 — selection,
+        combining, prioritising and pricing — runs as array operations
+        over a block of rows (:meth:`_generate`); only the window claims
+        of the filter tasks run one task at a time, row by row in the
+        given order and step by step within a row, so the window dedup
+        and the cache counters see exactly the per-query sequence.  Rows
+        couple only through an adaptive cache (the filter discount, the
+        resident pin and admissions), so there a block is one row;
+        otherwise it is every row.  Stage 2 runs each wave's task steps
+        fused (:meth:`_execute_wave`).
         """
         graph = self.graph
         context = self.context
@@ -228,20 +241,21 @@ class HyTGraphEngine:
         else:
             pending = np.stack([sessions[row].pending for row in stack])
         # One frontier scan for every row (flat ids r * |V| + v): the ids
-        # feed the stats, the cost model and the task combiner.
+        # feed the stats and the cost model.
         active = np.flatnonzero(pending)
         row_cuts = active.searchsorted(np.arange(num_rows + 1) * num_vertices).tolist()
         costs = self.cost_model.estimate(pending, active_ids=active)
+        active_edges = costs.active_edges.sum(axis=1).tolist()
 
         waves: list[_Wave] = []
         position = [0] * num_rows
-        row_states: list[ProgramState | None] = [None] * num_rows
+        residual_rows = np.zeros(num_rows, dtype=bool)
+        residual_mass = None
         top = 0
         for rows in groups:
-            wave = _Wave(sessions, rows, pending[top : top + len(rows)])
+            wave = _Wave(sessions, rows, pending, top)
             for offset, row in enumerate(rows):
                 position[row] = top + offset
-                row_states[row] = wave.row_states[offset]
             # Active vertices without out-edges generate no tasks (their
             # partitions carry no active edges), so handle them directly:
             # the push is a no-op for traversal algorithms and simply
@@ -250,63 +264,118 @@ class HyTGraphEngine:
             if sinks.size:
                 wave.flat_pending[sinks] = False
                 wave.program.process(graph, wave.state, sinks)
+            residual = wave.program.residual
+            if residual is not None and self.priority.enabled:
+                # Claims never touch program state: one Δ mass per plan.
+                if residual_mass is None:
+                    residual_mass = np.zeros((num_rows, self.partitioning.num_partitions))
+                residual_rows[wave.tops] = True
+                residual_mass[wave.tops] = self.priority.residual_mass(wave.state[residual].reshape(len(rows), -1))
             waves.append(wave)
             top += len(rows)
 
-        # ----- Stage 1: per-query, per-device cost-aware task generation ---
-        row_plans: list[_RowPlan] = []
-        for row, session in enumerate(sessions):
-            top = position[row]
-            active_ids = active[row_cuts[top] : row_cuts[top + 1]]
-            if top:
-                active_ids = active_ids - top * num_vertices
-            mark = context.cache_mark()
-            row_plan = self._plan_row(session, costs.row(top), active_ids, pending[top], row_states[row])
-            context.stamp_cache(row_plan.stats, mark)
-            row_plans.append(row_plan)
+        # ----- Stage 1: columnar task generation, sequential claims -------
+        cache = context.cache
+        blocks = [[top] for top in position] if cache is not None and cache.adaptive else [position]
+        claim = context.claim
+        copy_bytes, copy_time = context.partition_bytes, context.partition_copy_time
+        steps = _Steps(num_rows)
+        stats: list = [None] * num_rows
+        generated: list[_Block] = []
+        for block in blocks:
+            first = min(block)
+            tasks = self._generate(costs, slice(first, first + len(block)), residual_rows, residual_mass)
+            generated.append(tasks)
+            cuts, codes, members, transfer, moved = tasks.row_cuts, tasks.codes, tasks.members, tasks.transfer, tasks.moved
+            for top in block:
+                # Claim in the order the tasks will run: a filter task pays
+                # for what the context leaves billable.
+                mark = context.cache_mark()
+                start, end = cuts[top - first], cuts[top - first + 1]
+                row_bytes = 0
+                filter_steps = steps.filter_steps[top]
+                for task in range(start, end):
+                    if codes[task] == FILTER:
+                        filter_steps.append(task - start)
+                        seconds = 0.0
+                        for index in claim(members[task]):
+                            row_bytes += copy_bytes[index]
+                            seconds += copy_time[index]
+                        transfer[task] = seconds
+                    else:
+                        row_bytes += moved[task]
+                steps.task_counts[top] = end - start
+                stats[top] = IterationStats(
+                    index=sessions[stack[top]].iteration,
+                    time=0.0,
+                    active_vertices=row_cuts[top + 1] - row_cuts[top],
+                    active_edges=active_edges[top],
+                    transfer_bytes=row_bytes,
+                    processed_edges=0,
+                    engine_partitions=tasks.engine_partitions[top - first],
+                    engine_tasks={},
+                )
+                context.stamp_cache(stats[top], mark)
+        steps.lay_out(generated, self.partitioning.num_partitions, context.num_devices)
         # Each device scans only its own shard's partitions, concurrently.
         shard_bounds = context.sharding.partition_bounds.tolist()
         widest_shard = max(last - first for first, last in zip(shard_bounds, shard_bounds[1:]))
         generation_overhead = self.kernel_model.device_scan_time(widest_shard)
 
         # ----- Stage 2: fused asynchronous task execution, per wave --------
-        processed: list = [None] * num_rows
-        remote: list = [None] * num_rows
         for wave in waves:
-            wave_processed, wave_remote = self._execute_wave(wave, [row_plans[row] for row in wave.rows])
-            for offset, row in enumerate(wave.rows):
-                processed[row] = wave_processed[:, offset].tolist()
-                remote[row] = wave_remote[offset].tolist()
+            self._execute_wave(wave, steps)
             wave.write_back(sessions)
         if num_rows > 1:
             for top, row in enumerate(stack):
                 sessions[row].pending[...] = pending[top]
 
-        kernel_time = self.kernel_model.kernel_time
-        plans = []
-        for row, row_plan in enumerate(row_plans):
-            stream_task_lists: list[list[StreamTask]] = context.empty_device_lists()
-            edges = processed[row]
-            # The task itself is the name: its label is formatted only if a
-            # trace or a fault event reads it.
-            for order, (device, task, label, transfer_time, cpu_time, overlapped) in enumerate(row_plan.steps):
-                stream_task_lists[device].append(
-                    StreamTask(
-                        task, label, cpu_time, transfer_time,
-                        kernel_time(edges[order], num_kernels=1), overlapped, float(order),
+        # Every task's processed edges and kernel seconds, in stage-1 order.
+        edges = steps.processed[steps.task_steps, steps.task_tops]
+        kernel_times = iter(self.kernel_model.kernel_times(edges).tolist())
+        edges = iter(edges.tolist())
+        task_lists = [context.empty_device_lists() for _ in range(num_rows)]
+        processed = [0] * num_rows
+        for tasks in generated:
+            combined, cuts, first, names = tasks.combined, tasks.row_cuts, tasks.first, self._task_names
+            for offset, (start, end) in enumerate(zip(cuts, cuts[1:])):
+                top = first + offset
+                device_lists = task_lists[top]
+                engine_tasks = stats[top].engine_tasks
+                row_edges = 0
+                for step, (device, code, members, transfer, cpu) in enumerate(zip(
+                    tasks.devices[start:end], tasks.codes[start:end], tasks.members[start:end],
+                    tasks.transfer[start:end], tasks.cpu[start:end],
+                )):
+                    engine = ENGINE_OF_CODE[code]
+                    label = ENGINE_LABEL[engine]
+                    # The task itself is the name: its label is formatted
+                    # only if a trace or a fault event reads it.  A task of
+                    # consecutive partitions is named by its range, so its
+                    # name is made once and reused.
+                    if combined and code != FILTER:
+                        task = ScheduledTask(engine, members, True)
+                    else:
+                        task = names.get((code, members[0], len(members)))
+                        if task is None:
+                            task = names[code, members[0], len(members)] = ScheduledTask(engine, members)
+                    device_lists[device].append(
+                        StreamTask(task, label, cpu, transfer, next(kernel_times), code == ZERO_COPY, float(step))
                     )
-                )
-            stats = row_plan.stats
-            stats.processed_edges = sum(edges)
-            plans.append(
-                IterationPlan(
-                    stats=stats,
-                    device_tasks=stream_task_lists,
-                    remote_updates=remote[row],
-                    overhead_time=generation_overhead,
-                )
+                    engine_tasks[label] = engine_tasks.get(label, 0) + 1
+                    row_edges += next(edges)
+                stats[top].processed_edges = row_edges
+
+        remote = steps.remote.tolist()
+        return [
+            IterationPlan(
+                stats=stats[top],
+                device_tasks=task_lists[top],
+                remote_updates=remote[top],
+                overhead_time=generation_overhead,
             )
-        return plans
+            for top in position
+        ]
 
     @staticmethod
     def _program_groups(sessions: Sequence[QuerySession]) -> list[list[int]]:
@@ -318,17 +387,23 @@ class HyTGraphEngine:
             groups.setdefault(key, []).append(row)
         return list(groups.values())
 
-    def _plan_row(
+    def _generate(
         self,
-        session: QuerySession,
         costs: PartitionCosts,
-        active_ids: np.ndarray,
-        pending: np.ndarray,
-        state: ProgramState,
-    ) -> "_RowPlan":
-        """Stage 1 of one query: its tasks in execution order, priced and claimed."""
+        rows: slice,
+        residual_rows: np.ndarray,
+        residual_mass: np.ndarray | None,
+    ) -> "_Block":
+        """Stage 1 of the stacked rows ``rows``: their tasks in execution order, priced.
+
+        Selection, combining and prioritising run over the block's
+        ``rows x P`` columns; a compaction or zero-copy task adds its
+        partitions' ``partition_prices`` (of the cost model's totals) left
+        to right.  Filter tasks are left for the caller's claims.
+        """
         context = self.context
         cache = context.cache
+        block = costs.rows(rows)
         if cache is not None and cache.adaptive:
             # The frontier observation feeds the eviction policy (committed
             # at the next iteration boundary), and the cost model learns
@@ -336,53 +411,66 @@ class HyTGraphEngine:
             # partitions another query shipped earlier in this transfer
             # window — price the filter engine at zero, so queries B..K
             # select the free path query A paid for.
-            cache.observe_frontier(costs.active_edges)
-            costs = self._discount_on_device_filter(costs, cache.resident, context.shipped)
-        selection = self._force_resident_filter(self.selector.select(costs))
-        shard_bounds = context.sharding.partition_bounds.tolist()
-        device_task_lists: list[list[ScheduledTask]] = [
-            self._device_tasks(first, last, selection, pending, active_ids, session.program, state)
-            for first, last in zip(shard_bounds, shard_bounds[1:])
-        ]
+            for row_edges in block.active_edges:
+                cache.observe_frontier(row_edges)
+            block = self._discount_on_device_filter(block, cache.resident, context.shipped)
+        selection = self._force_resident_filter(self.selector.select(block))
+        tasks = self.combiner.combine(selection, context.sharding)
+        order = self.priority.prioritize(
+            tasks, residual_rows[rows], None if residual_mass is None else residual_mass[rows]
+        )
+        positions = np.arange(tasks.size)
+        if context.num_devices > 1:
+            # Devices drain their queues concurrently; interleaving the
+            # per-device priority orders round-robin, (depth, device)
+            # within a row, keeps the global value updates deterministic
+            # while modelling parallel progress.  A task's depth is its
+            # place in its group's order; its group starts at ``t - gen[t]``.
+            depth = positions - (order - tasks.gen[order])
+            order = order[np.lexsort((tasks.devices[order], depth, tasks.rows[order]))]
+        task_rows = tasks.rows[order]
+        row_cuts = task_rows.searchsorted(np.arange(rows.stop - rows.start + 1))
+        task_steps = positions - row_cuts[task_rows]
 
-        # Devices drain their task queues concurrently; interleaving the
-        # per-device priority orders round-robin keeps the global value
-        # updates deterministic while modelling parallel progress.  Claims
-        # never depend on execution, so every task is priced here, in the
-        # order it will run.
-        row_plan = _RowPlan()
-        steps, partitions, partition_steps, whole_steps = (
-            row_plan.steps, row_plan.partitions, row_plan.partition_steps, row_plan.whole_steps
+        # Compaction and zero-copy prices: per member partition, then each
+        # task's left-to-right sums (the filter tasks' go unused).
+        cells = tasks.cells
+        edges = block.active_edges.reshape(-1)[cells]
+        moved, seconds = self._zero_copy.partition_prices(block.zero_copy_requests.reshape(-1)[cells], edges)
+        compacted = tasks.codes[tasks.cell_tasks] == COMPACTION
+        if np.count_nonzero(compacted):
+            packed, compact_s, copy_s = self._compaction.partition_prices(edges, block.active_vertices.reshape(-1)[cells])
+            moved = np.where(compacted, packed, moved)
+            seconds = np.where(compacted, copy_s, seconds)
+            cpu = tasks.fold(np.where(compacted, compact_s, 0.0))[order].tolist()
+        else:
+            cpu = [0.0] * tasks.size
+        transfer = tasks.fold(seconds)[order].tolist()
+        # Integer byte counts add exactly in any order.
+        moved = np.add.reduceat(moved, tasks.starts)[order].tolist()
+        steps_by_task = np.empty_like(task_steps)
+        steps_by_task[order] = task_steps
+        listed = tasks.partitions.tolist()
+        return _Block(
+            first=rows.start,
+            task_tops=task_rows + rows.start,
+            task_steps=task_steps,
+            devices=tasks.devices[order].tolist(),
+            codes=tasks.codes[order].tolist(),
+            members=[
+                listed[start : start + size]
+                for start, size in zip(tasks.starts[order].tolist(), tasks.counts[order].tolist())
+            ],
+            transfer=transfer,
+            cpu=cpu,
+            moved=moved,
+            row_cuts=row_cuts.tolist(),
+            engine_partitions=selection.row_counts(),
+            combined=tasks.combined,
+            cell_tops=tasks.rows[tasks.cell_tasks] + rows.start,
+            cell_steps=steps_by_task[tasks.cell_tasks],
+            cell_partitions=tasks.partitions,
         )
-        transfer_bytes = 0
-        engine_task_counts: dict[str, int] = {}
-        longest = max((len(tasks) for tasks in device_task_lists), default=0)
-        for depth in range(longest):
-            for device, tasks in enumerate(device_task_lists):
-                if depth >= len(tasks):
-                    continue
-                task = tasks[depth]
-                moved_bytes, transfer_time, cpu_time, overlapped = self._account_task_transfer(task)
-                engine_label = ENGINE_LABEL[task.engine]
-                step = len(steps)
-                if task.engine is _FILTER:
-                    whole_steps.append(step)
-                partition_steps += [step] * len(task.partition_indices)
-                partitions += task.partition_indices
-                steps.append((device, task, engine_label, transfer_time, cpu_time, overlapped))
-                transfer_bytes += moved_bytes
-                engine_task_counts[engine_label] = engine_task_counts.get(engine_label, 0) + 1
-        row_plan.stats = IterationStats(
-            index=session.iteration,
-            time=0.0,
-            active_vertices=active_ids.size,
-            active_edges=int(costs.active_edges.sum()),
-            transfer_bytes=transfer_bytes,
-            processed_edges=0,
-            engine_partitions=selection.counts(),
-            engine_tasks=engine_task_counts,
-        )
-        return row_plan
 
     @staticmethod
     def _discount_on_device_filter(costs, resident: np.ndarray, shipped: set[int]):
@@ -411,7 +499,7 @@ class HyTGraphEngine:
         transfer at all; compacting or zero-copy-reading it would move
         bytes it already holds.  The filter path prices it correctly:
         one whole-partition copy on first touch (a miss under adaptive
-        policies), free afterwards (:meth:`_account_task_transfer`).
+        policies), free afterwards (the claims of :meth:`_plan`).
         Cacheless sessions make this the identity.
         """
         cache = self.context.cache
@@ -421,72 +509,35 @@ class HyTGraphEngine:
         codes[cache.resident & (codes != INACTIVE)] = FILTER
         return SelectionResult(codes=codes)
 
-    def _device_tasks(
-        self,
-        first: int,
-        last: int,
-        selection: SelectionResult,
-        pending: np.ndarray,
-        active_ids: np.ndarray,
-        program: VertexProgram,
-        state: ProgramState,
-    ) -> list[ScheduledTask]:
-        """Combine and prioritise the tasks of one device's shard, partitions ``[first, last)``."""
-        if first == last:
-            return []
-        if last - first != self.partitioning.num_partitions:
-            # Multi-device: mask the selection and the frontier down to
-            # this shard (a single shard spans everything already).
-            codes = np.zeros_like(selection.codes)
-            codes[first:last] = selection.codes[first:last]
-            selection = SelectionResult(codes=codes)
-            bounds = self._vertex_bounds
-            active_ids = active_ids[active_ids.searchsorted(bounds[first]) : active_ids.searchsorted(bounds[last])]
-        tasks = self.combiner.combine(self.partitioning, selection, pending, active_ids=active_ids)
-        return self.priority.prioritize(tasks, program, state)
-
     # ------------------------------------------------------------------
     # Fused task execution
     # ------------------------------------------------------------------
-    def _execute_wave(self, wave: "_Wave", row_plans: list["_RowPlan"]) -> tuple[np.ndarray, np.ndarray]:
+    def _execute_wave(self, wave: "_Wave", steps: "_Steps") -> None:
         """Run every row's tasks, step by step, as fused pushes.
 
         Step ``s`` runs each row's ``s``-th task: one push over every
         row's pending vertices inside that task's partitions, then one
         push re-processing what the tasks loaded.  The rows' task
-        partitions form one ``rows x |V|`` mask per step, so the first
+        partitions form one ``rows x P`` mask per step, so the first
         round is one bitmap AND and one scan, and the second reads what
-        the first activated.  Returns the edges each row's tasks
-        processed (``steps x rows``) and each row's remote-activation
-        messages per device (``rows x devices``).
+        the first activated.  Records the edges each row's tasks
+        processed and each row's remote-activation messages per device
+        in ``steps``.
         """
-        num_rows = len(row_plans)
-        tasks_per_row = [len(row_plan.steps) for row_plan in row_plans]
-        num_steps = max(tasks_per_row)
-        processed = np.zeros((num_steps, num_rows), dtype=np.int64)
-        remote = np.zeros((num_rows, self.context.num_devices), dtype=np.int64)
-        if num_steps == 0:
-            return processed, remote
-        # Per (step, row): the task's partitions and the device it runs on.
-        members = np.zeros((num_steps, num_rows, self.partitioning.num_partitions), dtype=bool)
-        members[
-            list(chain.from_iterable(row_plan.partition_steps for row_plan in row_plans)),
-            _row_ids([row_plan.partitions for row_plan in row_plans]),
-            list(chain.from_iterable(row_plan.partitions for row_plan in row_plans)),
-        ] = True
-        devices = np.zeros((num_steps, num_rows), dtype=np.int64)
-        if self.context.num_devices > 1:
-            for offset, row_plan in enumerate(row_plans):
-                devices[: len(row_plan.steps), offset] = [step[0] for step in row_plan.steps]
-        # Per step: how many rows run a task, and how many a filter task.
+        tops = wave.tops
+        task_counts = steps.task_counts[tops]
+        num_steps = max(task_counts)
+        # Per step: how many rows run a task, and which rows a filter task.
         tasks_at = [0] * num_steps
-        filters_at = [0] * num_steps
-        for row_plan in row_plans:
-            for step in range(len(row_plan.steps)):
+        for count in task_counts:
+            for step in range(count):
                 tasks_at[step] += 1
-            for step in row_plan.whole_steps:
-                filters_at[step] += 1
-
+        whole: list[list[int]] = [[] for _ in range(num_steps)]
+        for offset, filter_steps in enumerate(steps.filter_steps[tops]):
+            for step in filter_steps:
+                whole[step].append(offset)
+        members, devices = steps.members[:, tops], steps.devices[:, tops]
+        processed, remote = steps.processed[:, tops], steps.remote[tops]
         pending, flat_pending, push = wave.pending, wave.flat_pending, self._push
         partition_sizes = self._partition_sizes
         recompute = self.options.recompute_loaded
@@ -508,19 +559,18 @@ class HyTGraphEngine:
             # compaction and zero-copy only the originally active
             # vertices' edges are.  The first round cleared everything
             # pending there, so what is pending again is what it activated.
-            if filters_at[step] == 0:
+            if not whole[step]:
                 reloaded = first_mask
-            elif filters_at[step] == tasks_at[step]:
+            elif len(whole[step]) == tasks_at[step]:
                 reloaded = loaded
             else:
-                whole = np.zeros(num_rows, dtype=bool)
-                whole[[offset for offset, row_plan in enumerate(row_plans) if step in row_plan.whole_steps]] = True
-                reloaded = np.where(whole[:, None], loaded, first_mask)
+                rows = np.zeros(len(task_counts), dtype=bool)
+                rows[whole[step]] = True
+                reloaded = np.where(rows[:, None], loaded, first_mask)
             second_round = newly_active[reloaded.reshape(-1)[newly_active]]
             if second_round.size:
                 flat_pending[second_round] = False
                 processed[step] += push(wave, second_round, devices[step], remote)[0]
-        return processed, remote
 
     def _push(
         self, wave: "_Wave", vertices: np.ndarray, devices: np.ndarray, remote: np.ndarray
@@ -580,69 +630,74 @@ class HyTGraphEngine:
         calls.append(vertices[cuts[start] :])
         return calls
 
-    # ------------------------------------------------------------------
-    # Transfer accounting
-    # ------------------------------------------------------------------
-    def _account_task_transfer(self, task: ScheduledTask) -> tuple[int, float, float, bool]:
-        """Price one task's data movement, skipping already-on-device data.
-
-        Returns ``(bytes moved, transfer seconds, cpu seconds, overlapped)``.
-
-        A filter task pays one explicit copy per partition the context's
-        claim leaves billable: cache-resident partitions are free reads
-        (a one-off first-touch copy under the static policy, an
-        admission after a billed miss under the adaptive ones) and so
-        are partitions a peer query already shipped this transfer
-        window.  Every partition inside a task holds at least one active
-        vertex, so the billable cost is simply the sum of the context's
-        per-partition copy table (whole-partition pricing).  Compaction
-        and zero-copy transfers are query-specific and never shareable;
-        resident partitions never choose them
-        (:meth:`_force_resident_filter`).
-        """
-        indices = task.partition_indices
-        if task.engine is _FILTER:
-            context = self.context
-            edge_bytes, copy_time = context.partition_bytes, context.partition_copy_time
-            bytes_total = 0
-            transfer_time = 0.0
-            for index in self.context.claim(indices):
-                bytes_total += edge_bytes[index]
-                transfer_time += copy_time[index]
-            return bytes_total, transfer_time, 0.0, False
-        # Priced by the task's transfer engine.  active_vertices is
-        # sorted, so each partition's slice is found by bisection.
-        bounds = self._vertex_bounds
-        boundaries = [bounds[index] for index in indices]
-        boundaries.append(bounds[indices[-1] + 1])
-        active = task.active_vertices
-        outcome = self.engines[task.engine].transfer_task(active, active.searchsorted(boundaries))
-        return outcome.bytes_transferred, outcome.transfer_time, outcome.cpu_time, outcome.overlapped
-
-
-def _row_ids(per_row: list[list]) -> list[int]:
-    """The row index of every item of ``per_row``'s lists, end to end."""
-    return list(chain.from_iterable([row] * len(items) for row, items in enumerate(per_row)))
-
 
 @dataclass(slots=True)
-class _RowPlan:
-    """Stage 1 of one query's K-row plan: its tasks in execution order, priced.
+class _Block:
+    """Stage 1 of a block of rows: its tasks in execution order, priced.
 
-    ``steps`` holds one ``(device, task, engine label, transfer seconds,
-    cpu seconds, overlapped)`` tuple per task in the devices' round-robin
-    order, so a task's step is its index.  ``partitions`` lists every
-    task's partition indices end to end and ``partition_steps`` the step
-    of each; ``whole_steps`` are the steps of filter tasks (their second
-    round re-reads whole partitions).  ``stats`` lacks only the
-    processed-edge count, which stage 2 fills.
+    Tasks run row by row and step by step: block row ``r`` (stacked row
+    ``first + r``) owns tasks ``row_cuts[r]`` to ``row_cuts[r + 1]``, and
+    a task's step is its place among them.  ``members`` are each task's
+    partitions; ``transfer``, ``cpu`` and ``moved`` hold the compaction
+    and zero-copy prices (the claims set the filter tasks' seconds).
+    ``task_*`` place every task and ``cell_*`` every member partition at
+    its (step, stacked row) for stage 2.
     """
 
-    stats: IterationStats | None = None
-    steps: list[tuple] = field(default_factory=list)
-    partitions: list[int] = field(default_factory=list)
-    partition_steps: list[int] = field(default_factory=list)
-    whole_steps: list[int] = field(default_factory=list)
+    first: int
+    task_tops: np.ndarray
+    task_steps: np.ndarray
+    devices: list[int]
+    codes: list[int]
+    members: list[list[int]]
+    transfer: list[float]
+    cpu: list[float]
+    moved: list[int]
+    row_cuts: list[int]
+    engine_partitions: list[dict[str, int]]
+    combined: bool
+    cell_tops: np.ndarray
+    cell_steps: np.ndarray
+    cell_partitions: np.ndarray
+
+
+class _Steps:
+    """A plan's tasks laid out by (step, stacked row) for the fused stage 2.
+
+    Stage 1 records each row's task count and filter-task steps;
+    :meth:`lay_out` then masks ``members[s, r]``, the partitions of row
+    ``r``'s ``s``-th task, and ``devices[s, r]``, its device.  Stage 2
+    fills ``processed`` (edges per task) and ``remote`` (each row's
+    remote activations per device).
+    """
+
+    def __init__(self, num_rows: int):
+        self.task_counts = [0] * num_rows
+        self.filter_steps: list[list[int]] = [[] for _ in range(num_rows)]
+
+    def lay_out(self, blocks: list[_Block], num_partitions: int, num_devices: int) -> None:
+        num_rows = len(self.task_counts)
+        self.task_tops = _joined([block.task_tops for block in blocks])
+        self.task_steps = _joined([block.task_steps for block in blocks])
+        shape = (max(self.task_counts), num_rows)
+        self.members = np.zeros(shape + (num_partitions,), dtype=bool)
+        self.members[
+            _joined([block.cell_steps for block in blocks]),
+            _joined([block.cell_tops for block in blocks]),
+            _joined([block.cell_partitions for block in blocks]),
+        ] = True
+        self.devices = np.zeros(shape, dtype=np.int64)
+        if num_devices > 1:
+            self.devices[self.task_steps, self.task_tops] = [
+                device for block in blocks for device in block.devices
+            ]
+        self.processed = np.zeros(shape, dtype=np.int64)
+        self.remote = np.zeros((num_rows, num_devices), dtype=np.int64)
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end (the one array itself when there is one)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class _Wave:
@@ -650,16 +705,17 @@ class _Wave:
 
     ``rows`` are the member sessions' indices in planning order; their
     pending bitmaps are one contiguous block of rows of the plan's stacked
-    ``K x |V|`` bitmap (``pending`` is that block), and ``state``
+    ``K x |V|`` bitmap (``pending`` is that block, stacked rows ``tops``), and ``state``
     lays their program states end to end, so flat ids ``i * |V| + v``
     address member ``i``.  A one-row wave uses the session's own state,
     so a solo plan copies nothing; ``row_states`` are each member's view.
     """
 
-    def __init__(self, sessions: Sequence[QuerySession], rows: list[int], pending: np.ndarray):
+    def __init__(self, sessions: Sequence[QuerySession], rows: list[int], pending: np.ndarray, top: int):
         self.rows = rows
-        self.pending = pending
-        self.flat_pending = pending.reshape(-1)
+        self.tops = slice(top, top + len(rows))
+        self.pending = pending[self.tops]
+        self.flat_pending = self.pending.reshape(-1)
         self.program = sessions[rows[0]].program
         if len(rows) == 1:
             self.state = sessions[rows[0]].state

@@ -10,36 +10,42 @@ computation and hence redundant work and transfers:
   partitions carry more hub-score mass run earlier.  Hubs therefore
   accumulate incoming updates before their large out-neighborhoods are
   expanded.
-* **Δ-driven** (accumulative algorithms such as PageRank and PHP): tasks
-  are ordered by the pending residual (Δ) mass of their partitions, so
-  the largest contributions propagate first.
+* **Δ-driven** (accumulative algorithms such as PageRank and PHP, whose
+  programs declare a :attr:`~repro.algorithms.base.VertexProgram.residual`
+  array): tasks are ordered by the pending residual (Δ) mass of their
+  partitions, so the largest contributions propagate first.
 
 Regardless of contribution, the paper schedules ExpTM-filter tasks ahead
 of zero-copy and compaction tasks (Section VI-B), so the priority is a
 ``(engine rank, -contribution)`` pair flattened into a single float.
+
+The scheduler prioritises a whole :class:`~repro.core.combiner.TaskBlock`
+— every task of every row and device of a block — with array operations
+whose floats are the ones a per-task loop forms: a task's Δ mass adds
+its partitions' masses left to right (``TaskBlock.fold``); its hub mass
+is numpy's ``sum`` of its partitions' masses, and a partition's Δ mass
+its vertex slice's ``sum``, both taken for every segment at once by
+:func:`segment_sums`.  A stable sort on (group, priority, generation
+index) is the per-group ``sorted(key=priority)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ProgramState, VertexProgram
-from repro.core.combiner import ScheduledTask
+from repro.core.combiner import TaskBlock
+from repro.core.selection import COMPACTION, FILTER, ZERO_COPY
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partitioning
 from repro.graph.reorder import hub_scores
-from repro.transfer.base import EngineKind
 
-__all__ = ["ContributionScheduler"]
+__all__ = ["ContributionScheduler", "segment_sums"]
 
 # ExpTM-filter tasks are released to the streams first, then zero-copy,
-# then compaction (whose CPU stage overlaps the earlier transfers).
-_ENGINE_RANK = {
-    EngineKind.EXP_FILTER: 0,
-    EngineKind.IMP_ZERO_COPY: 1,
-    EngineKind.EXP_COMPACTION: 2,
-    EngineKind.IMP_UNIFIED_MEMORY: 1,
-}
+# then compaction (whose CPU stage overlaps the earlier transfers): the
+# priority base ``rank * 10.0`` of each selection code.
+_RANK_BASE = np.zeros(4)
+_RANK_BASE[[FILTER, ZERO_COPY, COMPACTION]] = 0 * 10.0, 1 * 10.0, 2 * 10.0
 
 
 class ContributionScheduler:
@@ -52,7 +58,13 @@ class ContributionScheduler:
         #: configuration of the Figure 8 ablation.
         self.enabled = enabled
         self._hub_mass = self._per_partition_hub_mass()
-        self._vertex_bounds = partitioning.vertex_boundaries.tolist()
+        # Δ masses are reduced over a copy of the residuals with a zero in
+        # front of every partition's vertices: ``pads`` are the zeros'
+        # positions, ``spread`` where each vertex lands.
+        bounds = partitioning.vertex_boundaries
+        num_partitions = partitioning.num_partitions
+        self._pads = bounds[:-1] + np.arange(num_partitions)
+        self._spread = np.arange(bounds[-1]) + (partitioning.partition_of + 1 if num_partitions else 0)
 
     def _per_partition_hub_mass(self) -> np.ndarray:
         if self.partitioning.num_partitions == 0:
@@ -62,53 +74,72 @@ class ContributionScheduler:
         # the partition boundaries replaces the per-partition Python loop.
         return np.add.reduceat(scores, self.partitioning.vertex_boundaries[:-1])
 
-    # ------------------------------------------------------------------
-    # Contribution measures
-    # ------------------------------------------------------------------
-    def hub_contribution(self, task: ScheduledTask) -> float:
-        """Hub-score mass of the task's partitions (hub-vertex-driven)."""
-        return float(self._hub_mass[task.partition_indices].sum())
+    def residual_mass(self, residuals: np.ndarray) -> np.ndarray:
+        """Per-partition Δ mass of each row of ``residuals`` (``rows x |V|``).
 
-    def delta_contribution(
-        self, task: ScheduledTask, program: VertexProgram, state: ProgramState
-    ) -> float:
-        """Pending Δ mass of the task's partitions (Δ-driven)."""
-        bounds = self._vertex_bounds
-        total = 0.0
-        for index in task.partition_indices:
-            total += program.partition_delta(self.graph, state, bounds[index], bounds[index + 1])
-        return total
+        Entry ``[r, p]`` equals ``residuals[r, first:last].sum()`` over
+        partition ``p``'s vertices bit for bit (:func:`segment_sums`).
+        """
+        return segment_sums(residuals, self._spread, self._pads)
 
     # ------------------------------------------------------------------
     # Prioritisation
     # ------------------------------------------------------------------
     def prioritize(
-        self,
-        tasks: list[ScheduledTask],
-        program: VertexProgram,
-        state: ProgramState,
-    ) -> list[ScheduledTask]:
-        """Set task priorities and return the tasks in execution order."""
-        if not tasks:
-            return []
-        contributions = []
-        for task in tasks:
-            if self.enabled:
-                if program.accumulative:
-                    contribution = self.delta_contribution(task, program, state)
-                else:
-                    contribution = self.hub_contribution(task)
-            else:
-                contribution = 0.0
-            contributions.append(contribution)
-        max_contribution = max(contributions) if contributions else 0.0
-        scale = max_contribution if max_contribution > 0 else 1.0
+        self, tasks: TaskBlock, residual_rows: np.ndarray, residual_mass: np.ndarray | None
+    ) -> np.ndarray:
+        """Set ``tasks.priority`` and return the tasks in execution order.
 
-        for position, (task, contribution) in enumerate(zip(tasks, contributions)):
-            rank = _ENGINE_RANK.get(task.engine, 3)
-            if self.enabled:
-                # Larger contribution -> smaller priority value -> earlier.
-                task.priority = rank * 10.0 + (1.0 - contribution / scale)
-            else:
-                task.priority = rank * 10.0 + position * 1e-6
-        return sorted(tasks, key=lambda task: task.priority)
+        The order runs group by group (row, then device); inside a group
+        tasks run by ascending priority, ties in generation order.
+        ``residual_rows`` flags the block's rows whose program is
+        Δ-driven and ``residual_mass`` (``rows x P``, ``None`` without
+        such rows) holds those rows' per-partition Δ masses
+        (:meth:`residual_mass`).
+        """
+        base = _RANK_BASE[tasks.codes]
+        if not self.enabled:
+            tasks.priority = base + tasks.gen * 1e-6
+        else:
+            contributions = self._contributions(tasks, residual_rows, residual_mass)
+            group_first = (tasks.gen == 0).nonzero()[0]
+            largest = np.maximum.reduceat(contributions, group_first)
+            # Each task divides by its own group's largest contribution.
+            scale = np.where(largest > 0, largest, 1.0)[tasks.groups[group_first].searchsorted(tasks.groups)]
+            # Larger contribution -> smaller priority value -> earlier.
+            tasks.priority = base + (1.0 - contributions / scale)
+        return np.lexsort((tasks.gen, tasks.priority, tasks.groups))
+
+    def _contributions(
+        self, tasks: TaskBlock, residual_rows: np.ndarray, residual_mass: np.ndarray | None
+    ) -> np.ndarray:
+        """Each task's hub mass, or its Δ mass on a Δ-driven row.
+
+        A hub mass is numpy's ``sum`` of the task's partition masses; a Δ
+        mass adds its partitions' masses left to right.
+        """
+        partitions = tasks.partitions
+        hub = self._hub_mass[partitions]
+        positions = np.arange(hub.size) + tasks.cell_tasks + 1
+        contributions = segment_sums(hub, positions, tasks.starts + np.arange(tasks.size))
+        if residual_mass is not None:
+            cell_rows = tasks.rows[tasks.cell_tasks]
+            delta = tasks.fold(np.where(residual_rows[cell_rows], residual_mass[cell_rows, partitions], 0.0))
+            contributions = np.where(residual_rows[tasks.rows], delta, contributions)
+        return contributions
+
+
+def segment_sums(values: np.ndarray, positions: np.ndarray, pads: np.ndarray) -> np.ndarray:
+    """numpy's ``sum`` of every segment of ``values``' last axis, bit for bit.
+
+    Segment ``i`` holds the values between the zero pads ``pads[i]`` and
+    ``pads[i + 1]`` of a padded copy in which value ``j`` sits at
+    ``positions[j]``.  ``np.add.reduceat`` starts each segment from its
+    first entry and adds the rest pairwise, and ``sum`` starts from
+    ``0.0`` and adds every entry pairwise, so with the zero pad first a
+    segment's reduction is its values' ``sum``; without it, three or more
+    values would add in another order.
+    """
+    padded = np.zeros(values.shape[:-1] + (values.shape[-1] + pads.size,))
+    padded[..., positions] = values
+    return np.add.reduceat(padded, pads, axis=-1)

@@ -58,10 +58,12 @@ class SelectionResult:
 
     Held as :attr:`codes`, an ``int8`` vector with :data:`FILTER` /
     :data:`COMPACTION` / :data:`ZERO_COPY` per active partition and
-    :data:`INACTIVE` elsewhere.  ``choices`` is the same thing as a list
-    of :class:`~repro.transfer.base.EngineKind` (``None`` for inactive
+    :data:`INACTIVE` elsewhere, or a ``K x P`` matrix of them when the
+    costs were stacked (one row per query of a batch super-iteration).
+    ``choices`` is a one-row result as a list of
+    :class:`~repro.transfer.base.EngineKind` (``None`` for inactive
     partitions; unified memory is never selected by the hybrid runtime —
-    Section IV explains why), and either form constructs a result.
+    Section IV explains why), and either form constructs a one-row result.
     """
 
     __slots__ = ("codes",)
@@ -85,11 +87,24 @@ class SelectionResult:
 
         Keys appear in order of the engines' first partition.
         """
-        totals = np.bincount(self.codes, minlength=len(ENGINE_OF_CODE)).tolist()
-        present = [code for code in (FILTER, COMPACTION, ZERO_COPY) if totals[code]]
-        if len(present) > 1:
-            present.sort(key=self.codes.tolist().index)
-        return {ENGINE_OF_CODE[code].value: totals[code] for code in present}
+        return self.row_counts()[0]
+
+    def row_counts(self) -> list[dict[str, int]]:
+        """:meth:`counts` of every row of a stacked (``K x P``) selection.
+
+        A one-row selection is the one-row case.
+        """
+        num_rows = 1 if self.codes.ndim == 1 else self.codes.shape[0]
+        flat = self.codes.reshape(-1)
+        cells = flat.nonzero()[0]
+        codes = flat[cells].tolist()
+        cuts = cells.searchsorted(np.arange(num_rows + 1) * self.codes.shape[-1]).tolist()
+        rows = []
+        for start, end in zip(cuts, cuts[1:]):
+            row = codes[start:end]
+            # dict.fromkeys keeps the codes in order of first partition.
+            rows.append({ENGINE_OF_CODE[code].value: row.count(code) for code in dict.fromkeys(row)})
+        return rows
 
 
 class EngineSelector:
@@ -99,7 +114,10 @@ class EngineSelector:
         self.thresholds = thresholds or SelectionThresholds()
 
     def select(self, costs: PartitionCosts) -> SelectionResult:
-        """Pick the most cost-efficient engine for every active partition."""
+        """Pick the most cost-efficient engine for every active partition.
+
+        Element-wise, so ``K x P`` stacked costs select every row at once.
+        """
         tef, tec, tiz = costs.filter_cost, costs.compaction_cost, costs.zero_copy_cost
         active = costs.active_edges > 0
         # Filter unless zero-copy is cheaper; compaction overrides both.

@@ -58,7 +58,7 @@ RING_CAPACITY = 65536
 SAMPLE_SEED = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One traced interval (or instant, when ``end_s == start_s``).
 

@@ -259,14 +259,19 @@ class QueryBatchRunner:
             # Submit-time checkpoints are free: the query state still
             # lives host-side, nothing has to cross PCIe to save it.
             checkpoints = [QueryCheckpoint.capture(session) for session in sessions]
+        # The sessions that may still run.  A session that left the live
+        # set never returns to it: restores and iteration rollbacks touch
+        # only live sessions, and a session with nothing pending or at the
+        # iteration bound stays so.  So the list only shrinks.
+        candidates = list(range(len(sessions)))
         while True:
-            live = [
+            live = candidates = [
                 index
-                for index, session in enumerate(sessions)
+                for index in candidates
                 if index not in terminal
                 and index not in suspended
-                and session.live
-                and session.iteration < max_iterations
+                and sessions[index].live
+                and sessions[index].iteration < max_iterations
             ]
             if not live:
                 break
@@ -293,7 +298,7 @@ class QueryBatchRunner:
                 live = [index for index in live if index not in suspended]
                 if not live:
                     break
-            live.sort(key=order_key)
+            live = sorted(live, key=order_key)
             if tracing:
                 # Fault/cache instants default to the simulated batch clock.
                 tracer.set_clock(trace_base + makespan)
@@ -533,16 +538,21 @@ class QueryBatchRunner:
         """
         busy: dict[int, dict[str, float]] = {}
         span = tracer.span
+        lanes: dict[tuple[int, str], str] = {}
         # Every task of a merged co-schedule has an owner.
         for task, stream, device, owner, stages in timeline.task_stages():
-            resources = busy.setdefault(owner, {})
+            resources = busy.get(owner)
+            if resources is None:
+                resources = busy[owner] = {}
             name = None if tracks[owner] is None else "q%d|%s" % (owner, task.name)
-            lane = "dev%d:" % device
             for resource, start, end in stages:
                 resources[resource] = resources.get(resource, 0.0) + (end - start) * scale
                 if name is not None:
+                    lane = lanes.get((device, resource))
+                    if lane is None:
+                        lane = lanes[device, resource] = "dev%d:%s" % (device, resource)
                     span(
-                        "device", name, lane + resource,
+                        "device", name, lane,
                         start_s + start * scale, start_s + end * scale,
                         engine=task.engine, stream=stream,
                     )

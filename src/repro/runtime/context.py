@@ -139,8 +139,7 @@ class ExecutionContext:
         #: bytes and their explicit-copy seconds (plain lists: planners
         #: index them one partition at a time).
         self.partition_bytes = partitioning.edge_bytes.tolist()
-        copy_time = PCIeModel(config).explicit_copy_time
-        self.partition_copy_time = [copy_time(num_bytes) for num_bytes in self.partition_bytes]
+        self.partition_copy_time = PCIeModel(config).explicit_copy_time(partitioning.edge_bytes).tolist()
         #: ``claim(partition_indices) -> billable indices`` (module
         #: docstring).  Bound once — the cache is mutated in place on
         #: device loss, never replaced — so the planners' per-task call

@@ -18,6 +18,8 @@ magnitude slower per edge, matching the 5–13x GPU speedups of Table V.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.sim.config import HardwareConfig
 
 __all__ = ["KernelModel"]
@@ -54,6 +56,22 @@ class KernelModel:
             return launch
         effective = self.config.gpu_edge_throughput * self.occupancy(active_edges)
         return launch + active_edges / effective
+
+    def kernel_times(self, active_edges: np.ndarray) -> np.ndarray:
+        """:meth:`kernel_time` of one launch per entry of an array of edge counts.
+
+        The same operations in the same order, so every entry equals the
+        scalar call on it.
+        """
+        fraction = active_edges / _OCCUPANCY_SATURATION_EDGES
+        occupancy = np.where(
+            active_edges >= _OCCUPANCY_SATURATION_EDGES,
+            1.0,
+            _MIN_OCCUPANCY_FRACTION + (1.0 - _MIN_OCCUPANCY_FRACTION) * fraction,
+        )
+        effective = self.config.gpu_edge_throughput * occupancy
+        # No edges: ``launch + 0.0`` is the bare launch.
+        return self.config.gpu_kernel_launch_overhead + active_edges / effective
 
     def device_scan_time(self, num_items: int) -> float:
         """Seconds for a device-side scan/reduction over ``num_items`` items.

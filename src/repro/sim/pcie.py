@@ -50,9 +50,13 @@ class PCIeModel:
             return 0
         return int(np.ceil(num_bytes / self.config.tlp_payload_bytes))
 
-    def explicit_copy_time(self, num_bytes: int) -> float:
-        """Seconds to transfer ``num_bytes`` with the explicit copy engine."""
-        return self.explicit_copy_tlps(num_bytes) * self.config.tlp_round_trip_time
+    def explicit_copy_time(self, num_bytes):
+        """Seconds to transfer ``num_bytes`` with the explicit copy engine.
+
+        Element-wise over an array of non-negative byte counts (whole
+        saturated TLPs each, as :meth:`explicit_copy_tlps` counts them).
+        """
+        return np.ceil(num_bytes / self.config.tlp_payload_bytes) * self.config.tlp_round_trip_time
 
     def explicit_copy_throughput(self) -> float:
         """Sustained explicit-copy throughput in bytes/second."""

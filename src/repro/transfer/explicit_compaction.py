@@ -29,37 +29,44 @@ class ExplicitCompactionEngine(TransferEngine):
     def transfer_task(self, active_vertices: np.ndarray, cuts: Sequence[int]) -> TransferOutcome:
         """Per-partition compaction pricing from exact integer prefix sums.
 
-        Each partition with active vertices packs Formula 2's volume,
-        ``sum(Do(v)) * d1 + |A| * d2``: the active neighbours (plus weights
-        when present) and one fresh index entry per vertex.  The host CPU
-        produces it at the configured compaction throughput (the paper
-        keeps this a simple throughput model, Section VIII) and one
-        explicit copy ships it, with its own TLP rounding.
+        Each partition pays its :meth:`partition_prices` (nothing when
+        it holds no active vertex); the seconds add left to right.
         """
         active_vertices = np.asarray(active_vertices, dtype=np.int64)
         if active_vertices.size == 0:
             return TransferOutcome(self.kind, 0, 0.0)
+        cuts = np.asarray(cuts)
+        degree_prefix = np.concatenate([[0], np.cumsum(self._active_degrees(active_vertices))])
+        output_bytes, cpu_times, transfer_times = self.partition_prices(
+            degree_prefix[cuts[1:]] - degree_prefix[cuts[:-1]], np.diff(cuts)
+        )
+        return TransferOutcome(
+            engine=self.kind,
+            bytes_transferred=int(output_bytes.sum()),
+            transfer_time=float(np.add.accumulate(transfer_times)[-1]),
+            cpu_time=float(np.add.accumulate(cpu_times)[-1]),
+            overlapped=False,
+        )
+
+    def partition_prices(
+        self, active_edges: np.ndarray, active_vertices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Packed bytes, CPU seconds and copy seconds of partitions, element-wise.
+
+        A partition packs Formula 2's volume, ``sum(Do(v)) * d1 + |A| *
+        d2``: the active neighbours (plus weights when present) and one
+        fresh index entry per active vertex.  The host CPU produces it at
+        the configured compaction throughput (the paper keeps this a
+        simple throughput model, Section VIII) and one explicit copy
+        ships it, with its own TLP rounding.
+        """
         config = self.config
         d1 = config.vertex_value_bytes
         if self.graph.is_weighted:
             d1 += config.vertex_value_bytes
-        cuts = np.asarray(cuts)
-        degree_prefix = np.concatenate([[0], np.cumsum(self._active_degrees(active_vertices))])
-        slice_edges = degree_prefix[cuts[1:]] - degree_prefix[cuts[:-1]]
-        bytes_total = 0
-        transfer_time = 0.0
-        cpu_time = 0.0
-        for active_edges, count in zip(slice_edges.tolist(), np.diff(cuts).tolist()):
-            if count == 0:
-                continue
-            output_bytes = active_edges * d1 + count * config.index_entry_bytes
-            bytes_total += output_bytes
-            cpu_time += output_bytes / config.cpu_compaction_throughput
-            transfer_time += self.pcie.explicit_copy_time(output_bytes)
-        return TransferOutcome(
-            engine=self.kind,
-            bytes_transferred=bytes_total,
-            transfer_time=transfer_time,
-            cpu_time=cpu_time,
-            overlapped=False,
+        output_bytes = active_edges * d1 + active_vertices * config.index_entry_bytes
+        return (
+            output_bytes,
+            output_bytes / config.cpu_compaction_throughput,
+            self.pcie.explicit_copy_time(output_bytes),
         )

@@ -37,22 +37,19 @@ class ZeroCopyEngine(TransferEngine):
         The zero-copy cost model is per-vertex and, within a partition,
         linear in the request and payload totals, so the per-vertex
         request table is reduced per partition with exact integer prefix
-        sums; each partition then pays
-        :meth:`~repro.sim.pcie.PCIeModel.zero_copy_time` of its own
-        totals, and ``np.add.accumulate`` adds those left to right.
+        sums; each partition then pays its :meth:`partition_prices`, and
+        ``np.add.accumulate`` adds those left to right.
         """
         active_vertices = np.asarray(active_vertices, dtype=np.int64)
         if active_vertices.size == 0:
             return TransferOutcome(self.kind, 0, 0.0, overlapped=True)
         cuts = np.asarray(cuts)
-        degrees = self._active_degrees(active_vertices)
         request_prefix = np.concatenate([[0], np.cumsum(self._requests[active_vertices])])
-        degree_prefix = np.concatenate([[0], np.cumsum(degrees)])
-        requests_per_partition = request_prefix[cuts[1:]] - request_prefix[cuts[:-1]]
-        payload_per_partition = (degree_prefix[cuts[1:]] - degree_prefix[cuts[:-1]]) * (
-            self.graph.edge_bytes_per_edge
+        degree_prefix = np.concatenate([[0], np.cumsum(self._active_degrees(active_vertices))])
+        payload_per_partition, partition_times = self.partition_prices(
+            request_prefix[cuts[1:]] - request_prefix[cuts[:-1]],
+            degree_prefix[cuts[1:]] - degree_prefix[cuts[:-1]],
         )
-        partition_times = self.pcie.zero_copy_time(requests_per_partition, payload_per_partition)
         return TransferOutcome(
             engine=self.kind,
             bytes_transferred=int(payload_per_partition.sum()),
@@ -60,3 +57,13 @@ class ZeroCopyEngine(TransferEngine):
             cpu_time=0.0,
             overlapped=True,
         )
+
+    def partition_prices(self, requests: np.ndarray, active_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Payload bytes and seconds of reading partitions, element-wise.
+
+        ``requests`` and ``active_edges`` are each partition's zero-copy
+        request and active out-edge totals (exact integers); the price is
+        :meth:`~repro.sim.pcie.PCIeModel.zero_copy_time` of those totals.
+        """
+        payload = active_edges * self.graph.edge_bytes_per_edge
+        return payload, self.pcie.zero_copy_time(requests, payload)

@@ -170,11 +170,11 @@ class TestDeltaPageRank:
         with pytest.raises(ValueError):
             DeltaPageRank(tolerance=0.0)
 
-    def test_partition_delta(self, medium_power_law_graph):
+    def test_residual_declares_the_delta_array(self, medium_power_law_graph):
         program = DeltaPageRank()
         state = program.create_state(medium_power_law_graph)
-        total = program.partition_delta(medium_power_law_graph, state, 0, medium_power_law_graph.num_vertices)
-        assert total == pytest.approx(state["delta"].sum())
+        assert state[program.residual] is state["delta"]
+        assert SSSP.residual is None and PHP.residual == "delta"
 
 
 class TestPHP:

@@ -28,7 +28,7 @@ from repro.service import GraphService, ReplayHarness, ServiceConfig, timed_mixe
 
 QUERIES = 60
 #: Calls per query measured at the commit that last changed the hot path.
-MEASURED_CALLS_PER_QUERY = 1667
+MEASURED_CALLS_PER_QUERY = 1030
 BUDGET_CALLS_PER_QUERY = MEASURED_CALLS_PER_QUERY * 1.1
 
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep

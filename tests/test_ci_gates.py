@@ -236,31 +236,45 @@ def test_seed_baseline_refuses_a_missing_swap_target(monkeypatch):
 
 def test_seed_transfer_oracle_prices_every_planned_task_like_the_engine(monkeypatch):
     # The seed baseline prices each partition of a task alone; the live
-    # engine prices the task in one call.  They must agree bit for bit on
-    # every task HyTGraph plans, or the gate's "vs seed" rows would time
-    # different accounting.  The two programs plan multi-partition tasks
-    # of all three engines whose partitions round to different TLP counts
-    # alone than together, so an oracle pricing a task as one total fails.
+    # engine prices a block of rows' tasks as columns.  They must agree bit
+    # for bit on every task HyTGraph plans, or the gate's "vs seed" rows
+    # would time different accounting.  The two programs plan
+    # multi-partition tasks of all three engines whose partitions round to
+    # different TLP counts alone than together, so an oracle pricing a task
+    # as one total fails.
     bench = _perf_harness()
     graph = uniform_random_graph(6000, 36_000, seed=1, weighted=True)
     system = HyTGraphSystem(graph, num_partitions=8, max_iterations=10)
-    live = system.engine._account_task_transfer
-    priced = []
+    live = system.engine._plan
+    planned = []
 
-    def recording(task):
-        priced.append((task, live(task)))
-        return priced[-1][1]
+    def recording(sessions):
+        before = [session.pending.copy() for session in sessions]
+        plans = live(sessions)
+        planned.extend(zip(before, plans))
+        return plans
 
-    monkeypatch.setattr(system.engine, "_account_task_transfer", recording)
+    monkeypatch.setattr(system.engine, "_plan", recording)
     system.run(make_algorithm("sssp"), source=0)
     system.run(make_algorithm("pr"))
-    multi_partition = {task.engine for task, _ in priced if len(task.partition_indices) > 1}
+    bounds = system.partitioning.vertex_boundaries
+    multi_partition = set()
+    for pending, plan in planned:
+        moved = 0
+        for task in (task for tasks in plan.device_tasks for task in tasks):
+            name = task.name
+            if len(name.partition_indices) > 1:
+                multi_partition.add(name.engine)
+            active = np.concatenate(
+                [np.flatnonzero(pending[bounds[index] : bounds[index + 1]]) + bounds[index] for index in name.partition_indices]
+            )
+            seed = bench._seed_account_transfer(system, bench._SeedTask(name.engine, name.partition_indices, np.sort(active)))
+            assert (seed.transfer_time, seed.cpu_time, seed.overlapped) == (
+                task.transfer_time, task.cpu_time, task.overlapped_transfer
+            ), name.label
+            moved += seed.bytes_transferred
+        assert moved == plan.stats.transfer_bytes
     assert multi_partition == {EngineKind.EXP_FILTER, EngineKind.EXP_COMPACTION, EngineKind.IMP_ZERO_COPY}
-    for task, (moved, transfer_time, cpu_time, overlapped) in priced:
-        seed = bench._seed_account_transfer(system, task)
-        assert (seed.bytes_transferred, seed.transfer_time, seed.cpu_time, seed.overlapped) == (
-            moved, transfer_time, cpu_time, overlapped
-        ), task.label
 
 
 def test_tracing_overhead_gate_fires_under_injected_slowdown(monkeypatch):

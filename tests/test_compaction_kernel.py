@@ -84,6 +84,11 @@ class TestKernelModel:
         model = KernelModel(config)
         assert model.kernel_time(1000, num_kernels=4) > model.kernel_time(1000, num_kernels=1)
 
+    def test_array_form_is_the_scalar_call_per_entry(self, config):
+        model = KernelModel(config)
+        edges = np.array([0, 1, 7, 1000, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 10_000_000])
+        assert model.kernel_times(edges).tolist() == [model.kernel_time(int(count)) for count in edges]
+
     def test_occupancy_saturates(self, config):
         model = KernelModel(config)
         assert model.occupancy(1 << 20) == 1.0

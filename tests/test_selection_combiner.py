@@ -20,6 +20,7 @@ def make_costs(filter_cost, compaction_cost, zero_copy_cost, active_edges=None):
         zero_copy_cost=np.asarray(zero_copy_cost, dtype=float),
         active_vertices=np.ones_like(filter_cost, dtype=np.int64),
         active_edges=np.asarray(active_edges, dtype=np.int64),
+        zero_copy_requests=np.ones_like(filter_cost),
     )
 
 
@@ -102,21 +103,26 @@ class TestSelectionOnRealCosts:
 
 
 class TestTaskCombiner:
-    def _selection(self, choices):
-        from repro.core.selection import SelectionResult
+    def _tasks(self, combiner, partitioning, choices, num_devices=1):
+        """``(engine, partitions)`` of every task, in generation order."""
+        from repro.core.selection import ENGINE_OF_CODE, SelectionResult
+        from repro.graph.partition import ShardedPartitioning
 
-        return SelectionResult(choices=choices)
+        codes = SelectionResult(choices=choices).codes.reshape(1, -1)
+        block = combiner.combine(SelectionResult(codes=codes), ShardedPartitioning(partitioning, num_devices))
+        return [
+            (ENGINE_OF_CODE[code], block.partitions[start : start + count].tolist())
+            for code, start, count in zip(block.codes.tolist(), block.starts.tolist(), block.counts.tolist())
+        ]
 
     def test_consecutive_filter_partitions_merge_up_to_k(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)
         combiner = TaskCombiner(combine_factor=4)
-        choices = [EngineKind.EXP_FILTER] * 8
-        mask = np.ones(medium_power_law_graph.num_vertices, dtype=bool)
-        tasks = combiner.combine(partitioning, self._selection(choices), mask)
-        filter_tasks = [task for task in tasks if task.engine == EngineKind.EXP_FILTER]
+        tasks = self._tasks(combiner, partitioning, [EngineKind.EXP_FILTER] * 8)
+        filter_tasks = [members for engine, members in tasks if engine == EngineKind.EXP_FILTER]
         assert len(filter_tasks) == 2
-        assert all(len(task.partition_indices) <= 4 for task in filter_tasks)
-        covered = sorted(index for task in filter_tasks for index in task.partition_indices)
+        assert all(len(members) <= 4 for members in filter_tasks)
+        covered = sorted(index for members in filter_tasks for index in members)
         assert covered == list(range(8))
 
     def test_non_consecutive_filter_partitions_not_merged(self, medium_power_law_graph):
@@ -132,14 +138,8 @@ class TestTaskCombiner:
             None,
             EngineKind.EXP_FILTER,
         ]
-        mask = np.ones(medium_power_law_graph.num_vertices, dtype=bool)
-        tasks = combiner.combine(partitioning, self._selection(choices), mask)
-        filter_tasks = [task for task in tasks if task.engine == EngineKind.EXP_FILTER]
-        groups = [task.partition_indices for task in filter_tasks]
-        assert [0] in groups
-        assert [2] in groups
-        assert [4, 5] in groups
-        assert [7] in groups
+        groups = [members for engine, members in self._tasks(combiner, partitioning, choices) if engine == EngineKind.EXP_FILTER]
+        assert groups == [[0], [2], [4, 5], [7]]
 
     def test_compaction_and_zero_copy_each_merge_into_one_task(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)
@@ -154,37 +154,41 @@ class TestTaskCombiner:
             None,
             None,
         ]
-        mask = np.ones(medium_power_law_graph.num_vertices, dtype=bool)
-        tasks = combiner.combine(partitioning, self._selection(choices), mask)
-        compaction_tasks = [task for task in tasks if task.engine == EngineKind.EXP_COMPACTION]
-        zero_copy_tasks = [task for task in tasks if task.engine == EngineKind.IMP_ZERO_COPY]
-        assert len(compaction_tasks) == 1
-        assert len(zero_copy_tasks) == 1
-        assert sorted(compaction_tasks[0].partition_indices) == [0, 2, 4]
-        assert sorted(zero_copy_tasks[0].partition_indices) == [1, 3]
+        tasks = self._tasks(combiner, partitioning, choices)
+        assert tasks == [(EngineKind.EXP_COMPACTION, [0, 2, 4]), (EngineKind.IMP_ZERO_COPY, [1, 3])]
 
-    def test_tasks_only_cover_active_vertices(self, medium_power_law_graph):
-        partitioning = partition_by_count(medium_power_law_graph, 4)
+    def test_tasks_cover_exactly_the_selected_partitions_per_shard(self, medium_power_law_graph):
+        partitioning = partition_by_count(medium_power_law_graph, 8)
         combiner = TaskCombiner()
-        choices = [EngineKind.IMP_ZERO_COPY] * 4
-        mask = np.zeros(medium_power_law_graph.num_vertices, dtype=bool)
-        mask[::5] = True
-        tasks = combiner.combine(partitioning, self._selection(choices), mask)
-        total_active = sum(task.active_vertices.size for task in tasks)
-        assert total_active == int(mask.sum())
+        choices = [EngineKind.IMP_ZERO_COPY, None, EngineKind.EXP_FILTER, EngineKind.EXP_FILTER] * 2
+        tasks = self._tasks(combiner, partitioning, choices, num_devices=2)
+        assert sorted(index for _, members in tasks for index in members) == [0, 2, 3, 4, 6, 7]
+        # Each device combines its own shard: no task crosses a shard bound.
+        from repro.graph.partition import ShardedPartitioning
+
+        device_of = ShardedPartitioning(partitioning, 2).device_of
+        assert all(len({int(device_of[index]) for index in members}) == 1 for _, members in tasks)
 
     def test_disabled_combiner_one_task_per_partition(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)
         combiner = TaskCombiner(enabled=False)
-        choices = [EngineKind.EXP_FILTER] * 8
-        mask = np.ones(medium_power_law_graph.num_vertices, dtype=bool)
-        tasks = combiner.combine(partitioning, self._selection(choices), mask)
-        assert len(tasks) == 8
+        tasks = self._tasks(combiner, partitioning, [EngineKind.EXP_FILTER] * 8)
+        assert tasks == [(EngineKind.EXP_FILTER, [index]) for index in range(8)]
 
     def test_invalid_combine_factor(self):
         with pytest.raises(ValueError):
             TaskCombiner(combine_factor=0)
 
     def test_task_label_generated(self):
-        task = ScheduledTask(EngineKind.EXP_FILTER, [1, 2], np.array([5, 6]))
-        assert "ExpTM-F" in task.label
+        assert ScheduledTask(EngineKind.EXP_FILTER, [1, 2]).label == "ExpTM-F[1,2]"
+        assert str(ScheduledTask(EngineKind.IMP_ZERO_COPY, [1, 5, 9], combined=True)) == "ImpTM-ZC[combined:3]"
+
+
+class TestSelectionRowCounts:
+    def test_each_row_counts_its_own_partitions_in_first_partition_order(self):
+        from repro.core.selection import SelectionResult
+
+        codes = np.array([[0, 3, 1, 1, 2, 3], [1, 0, 0, 0, 0, 0], [0] * 6], dtype=np.int8)
+        result = SelectionResult(codes=codes)
+        assert result.row_counts() == [{"ImpTM-ZC": 2, "ExpTM-F": 2, "ExpTM-C": 1}, {"ExpTM-F": 1}, {}]
+        assert [SelectionResult(codes=row).counts() for row in codes] == result.row_counts()
