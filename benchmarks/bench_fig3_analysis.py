@@ -20,6 +20,7 @@ from repro.graph.datasets import load_dataset
 from repro.graph.partition import partition_by_count
 from repro.graph.properties import degree_bucket_fractions
 from repro.metrics.tables import format_series, format_table
+from repro.runtime.context import ExecutionContext
 from repro.sim.config import default_config
 from repro.sim.pcie import PCIeModel
 
@@ -49,11 +50,12 @@ def test_fig3a_active_edges_vs_active_partitions(benchmark, report_writer, bench
         for algorithm in ("pagerank", "sssp"):
             workload = build_workload("FK", algorithm, scale=bench_scale)
             partitioning = partition_by_count(workload.graph, 256)
+            context = ExecutionContext(workload.graph, partitioning, workload.config)
             total_edges = workload.graph.num_edges
             edge_fraction = []
             partition_fraction = []
             for mask in _frontier_trace(workload):
-                _, active_edges = partitioning.active_counts(mask)
+                active_edges = context.frontier_totals(mask).active_edges
                 edge_fraction.append(float(active_edges.sum()) / total_edges)
                 partition_fraction.append(float(np.count_nonzero(active_edges)) / partitioning.num_partitions)
             label = "PR" if algorithm == "pagerank" else "SSSP"

@@ -97,7 +97,9 @@ from repro.bench.workloads import batch_sources
 from repro.metrics.results import IterationStats
 from repro.metrics.tables import format_table
 from repro.runtime.batch import QueryBatchRunner
+from repro.runtime.context import FrontierTotals
 from repro.sim.config import HardwareConfig
+from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
 from repro.systems import make_system
 from repro.systems.emogi import EmogiSystem
@@ -272,16 +274,21 @@ def _seed_account_transfer(self, task):
     """The seed's per-partition pricing, one partition at a time.
 
     A filter partition holding an active vertex costs one whole-partition
-    copy from the context's tables; any other partition is priced alone,
-    as a one-slice ``transfer_task``.
+    copy from the context's tables; a compaction or zero-copy partition is
+    priced alone from its own vertices, with exact prefix sums over them:
+    Formula 2's packed volume (CPU throughput, then whole TLPs) or
+    Formula 3's per-vertex requests (``am(v)`` included, counted per call
+    as the seed did) at the γ-split zero-copy rate.
     """
     from repro.transfer.base import TransferOutcome
 
     context = self.context
+    graph, config = context.graph, context.config
+    d1, m = graph.edge_bytes_per_edge, config.pcie_request_bytes
+    gamma, rtt, mr = config.zero_copy_gamma, config.tlp_round_trip_time, config.pcie_max_outstanding
     bytes_total = 0
     transfer_time = 0.0
     cpu_time = 0.0
-    overlapped = False
     active = task.active_vertices
     bounds = self.partitioning.vertex_boundaries
     for index in task.partition_indices:
@@ -291,17 +298,25 @@ def _seed_account_transfer(self, task):
                 bytes_total += context.partition_bytes[index]
                 transfer_time += context.partition_copy_time[index]
             continue
-        outcome = self.engine.engines[task.engine].transfer_task(in_partition, (0, in_partition.size))
-        bytes_total += outcome.bytes_transferred
-        transfer_time += outcome.transfer_time
-        cpu_time += outcome.cpu_time
-        overlapped = overlapped or outcome.overlapped
+        degrees = graph.out_degrees[in_partition]
+        edges = int(np.concatenate([[0], np.cumsum(degrees)])[-1])
+        if task.engine is EngineKind.EXP_COMPACTION:
+            packed = edges * d1 + in_partition.size * config.index_entry_bytes
+            bytes_total += packed
+            cpu_time += packed / config.cpu_compaction_throughput
+            transfer_time += math.ceil(packed / config.tlp_payload_bytes) * rtt
+        else:
+            starts = graph.row_offset[in_partition] * d1
+            requests = PCIeModel(config).requests_for_vertices(degrees, starts, value_bytes=d1)
+            requests = int(np.concatenate([[0], np.cumsum(requests)])[-1])
+            bytes_total += edges * d1
+            transfer_time += gamma * rtt * requests / mr + (1.0 - gamma) * rtt * (edges * d1) / (mr * m)
     return TransferOutcome(
         engine=task.engine,
         bytes_transferred=bytes_total,
         transfer_time=transfer_time,
         cpu_time=cpu_time,
-        overlapped=overlapped,
+        overlapped=task.engine is EngineKind.IMP_ZERO_COPY,
     )
 
 
@@ -330,7 +345,7 @@ def _seed_run_iteration(self, iteration, program, state, pending):
     for order, task in enumerate(tasks):
         processed_edges = _seed_execute_task(self, task, program, state, pending)
         outcome = _seed_account_transfer(self, task)
-        kernel_time = self.kernel_model.kernel_time(processed_edges, num_kernels=1)
+        kernel_time = self.kernel_model.kernel_time(processed_edges)
         stream_tasks.append(
             StreamTask(
                 name=task.label,
@@ -432,29 +447,34 @@ def _seed_combine(self, partitioning, selection, active_mask):
 
 
 def _seed_estimate(self, active_mask, active_ids=None):
+    """The seed's Formula 1-3 estimate: its own per-partition counts and formulas."""
+    context = self.context
+    graph, partitioning, config = context.graph, context.partitioning, context.config
+    d1, payload, rtt = graph.edge_bytes_per_edge, config.tlp_payload_bytes, config.tlp_round_trip_time
     active_mask = np.asarray(active_mask, dtype=bool)
-    num_partitions = self.partitioning.num_partitions
-    active_vertices, active_edges = self.partitioning.active_counts(active_mask)
+    num_partitions = partitioning.num_partitions
+    ids = np.nonzero(active_mask)[0]
+    partition_of = partitioning.partition_of[ids]
+    degrees = graph.out_degrees[ids]
+    active_vertices = np.bincount(partition_of, minlength=num_partitions).astype(np.int64)
+    active_edges = np.bincount(partition_of, weights=degrees, minlength=num_partitions).astype(np.int64)
 
-    filter_cost = self._filter_cost_from_edges(self.partitioning.edges)
+    filter_cost = np.ceil(partitioning.edges.astype(np.float64) * d1 / payload) * rtt
     filter_cost = np.where(active_edges > 0, filter_cost, 0.0)
-    compaction_cost = self._compaction_cost_from_counts(active_edges, active_vertices)
+    compaction_cost = np.ceil((active_edges * d1 + active_vertices * config.index_entry_bytes) / payload) * rtt
     compaction_cost = np.where(active_edges > 0, compaction_cost, 0.0)
 
     zero_copy_cost = np.zeros(num_partitions, dtype=np.float64)
     requests_per_partition = zero_copy_cost
-    ids = np.nonzero(active_mask)[0]
     if ids.size:
-        degrees = self.graph.out_degrees[ids]
-        starts = self.graph.row_offset[ids] * self._d1
-        requests = self.pcie.requests_for_vertices(degrees, starts, value_bytes=self._d1)
-        partition_of = self.partitioning.partition_of[ids]
+        starts = graph.row_offset[ids] * d1
+        requests = PCIeModel(config).requests_for_vertices(degrees, starts, value_bytes=d1)
         requests_per_partition = np.bincount(partition_of, weights=requests, minlength=num_partitions)
-        tlps = np.ceil(requests_per_partition / self.config.pcie_max_outstanding)
-        partition_edges_safe = np.maximum(self.partitioning.edges, 1)
+        tlps = np.ceil(requests_per_partition / config.pcie_max_outstanding)
+        partition_edges_safe = np.maximum(partitioning.edges, 1)
         payload_fraction = np.clip(active_edges / partition_edges_safe, 0.0, 1.0)
-        gamma = self.config.zero_copy_gamma
-        rtt_zc = (gamma + (1.0 - gamma) * payload_fraction) * self.config.tlp_round_trip_time
+        gamma = config.zero_copy_gamma
+        rtt_zc = (gamma + (1.0 - gamma) * payload_fraction) * rtt
         zero_copy_cost = tlps * rtt_zc
         zero_copy_cost = np.where(active_edges > 0, zero_copy_cost, 0.0)
 
@@ -462,9 +482,7 @@ def _seed_estimate(self, active_mask, active_ids=None):
         filter_cost=filter_cost,
         compaction_cost=compaction_cost,
         zero_copy_cost=zero_copy_cost,
-        active_vertices=active_vertices,
-        active_edges=active_edges,
-        zero_copy_requests=requests_per_partition,
+        totals=FrontierTotals(active_vertices, active_edges, requests_per_partition),
     )
 
 

@@ -49,13 +49,14 @@ A batch super-iteration is planned as one K-row call (:meth:`HyTGraphEngine._pla
 the batch analogue of task combining: many small per-query pushes become
 a few large ones.  The K frontiers are stacked into one ``K x |V|``
 bitmap, scanned once and priced by one
-:meth:`~repro.core.cost_model.CostModel.estimate` (one ``bincount`` on
-``row * P + partition``).  Stage 1 is one columnar pass over a block of
-rows (:meth:`HyTGraphEngine._generate`): selection over the stacked
+:meth:`~repro.core.cost_model.CostModel.estimate` (whose frontier
+totals are one ``bincount`` each on ``row * P + partition``).  Stage 1
+is one columnar pass over a block of rows
+(:meth:`HyTGraphEngine._generate`): selection over the stacked
 ``rows x P`` costs, filter-run combining into a
 :class:`~repro.core.combiner.TaskBlock` (one array entry per task),
 contribution priorities and order, and the compaction and zero-copy
-prices of every task, from the cost model's per-partition totals.  Only
+prices of every task, from the frontier totals the estimate priced.  Only
 the window claims of the filter tasks run one task at a time, row by
 row in planning order and step by step, so the window dedup and the
 cache counters see the per-query sequence.  Rows couple only through an
@@ -76,10 +77,10 @@ Between engine selection and the batch fold an iteration is columns and
 plain tuples, not a record per task.  The selection is an ``int8`` code
 per partition (:class:`~repro.core.selection.SelectionResult`): the
 residency pin, the per-shard combining and the per-engine counts are
-array operations.  Static tables are built once (edge bytes and
-explicit-copy time per context, zero-copy requests per vertex), and a
-task's name (:class:`~repro.core.combiner.ScheduledTask`) is its engine
-and partitions.  Each scheduled task becomes one row of the
+array operations.  Static tables are built once, on the context (edge
+bytes and explicit-copy time per partition, zero-copy requests per
+vertex), and a task's name (:class:`~repro.core.combiner.ScheduledTask`)
+is its engine and partitions.  Each scheduled task becomes one row of the
 :class:`~repro.sim.events.Timeline`, which maintains makespan, busy time
 per resource and finish time per owning query while it places; a merged
 co-schedule names each task's owner and class offset next to the task
@@ -124,8 +125,7 @@ from repro.runtime.context import ExecutionContext
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.kernel import KernelModel
 from repro.sim.streams import StreamTask
-from repro.transfer.base import ENGINE_LABEL, EngineKind, TransferEngine
-from repro.transfer.explicit_compaction import ExplicitCompactionEngine
+from repro.transfer.base import ENGINE_LABEL
 from repro.transfer.zero_copy import ZeroCopyEngine
 
 __all__ = ["HyTGraphOptions", "HyTGraphEngine"]
@@ -185,20 +185,16 @@ class HyTGraphEngine:
         self.options = options
         self.graph = graph = context.graph
         self.partitioning = partitioning = context.partitioning
-        config = context.config
         # Sink detection runs every iteration; the degree==0 mask is static.
         self._sink_mask = graph.out_degrees == 0
-        self.cost_model = CostModel(graph, partitioning, config)
+        self.cost_model = CostModel(context)
         self.selector = EngineSelector(options.thresholds)
         self.combiner = TaskCombiner(options.combine_factor, enabled=options.task_combining)
         self.priority = ContributionScheduler(graph, partitioning, enabled=options.contribution_scheduling)
-        # Filter tasks are priced from the context's per-partition tables.
-        self.engines: dict[EngineKind, TransferEngine] = {
-            EngineKind.EXP_COMPACTION: ExplicitCompactionEngine(graph, config),
-            EngineKind.IMP_ZERO_COPY: ZeroCopyEngine(graph, config),
-        }
-        self._compaction = self.engines[EngineKind.EXP_COMPACTION]
-        self._zero_copy = self.engines[EngineKind.IMP_ZERO_COPY]
+        # Filter tasks are priced from the context's per-partition tables,
+        # compaction tasks by the cost model's own compaction pricer.
+        self._compaction = self.cost_model.compaction
+        self._zero_copy = ZeroCopyEngine(graph, context.config)
         #: Names of the tasks of consecutive partitions, by (code, first, count).
         self._task_names: dict[tuple[int, int, int], ScheduledTask] = {}
         # Static per-partition vertex counts: the fused steps expand
@@ -245,7 +241,7 @@ class HyTGraphEngine:
         active = np.flatnonzero(pending)
         row_cuts = active.searchsorted(np.arange(num_rows + 1) * num_vertices).tolist()
         costs = self.cost_model.estimate(pending, active_ids=active)
-        active_edges = costs.active_edges.sum(axis=1).tolist()
+        active_edges = costs.totals.active_edges.sum(axis=1).tolist()
 
         waves: list[_Wave] = []
         position = [0] * num_rows
@@ -398,8 +394,9 @@ class HyTGraphEngine:
 
         Selection, combining and prioritising run over the block's
         ``rows x P`` columns; a compaction or zero-copy task adds its
-        partitions' ``partition_prices`` (of the cost model's totals) left
-        to right.  Filter tasks are left for the caller's claims.
+        partitions' ``partition_prices`` (of the frontier totals the cost
+        model priced from) left to right.  Filter tasks are left for the
+        caller's claims.
         """
         context = self.context
         cache = context.cache
@@ -411,7 +408,7 @@ class HyTGraphEngine:
             # partitions another query shipped earlier in this transfer
             # window — price the filter engine at zero, so queries B..K
             # select the free path query A paid for.
-            for row_edges in block.active_edges:
+            for row_edges in block.totals.active_edges:
                 cache.observe_frontier(row_edges)
             block = self._discount_on_device_filter(block, cache.resident, context.shipped)
         selection = self._force_resident_filter(self.selector.select(block))
@@ -434,12 +431,14 @@ class HyTGraphEngine:
 
         # Compaction and zero-copy prices: per member partition, then each
         # task's left-to-right sums (the filter tasks' go unused).
-        cells = tasks.cells
-        edges = block.active_edges.reshape(-1)[cells]
-        moved, seconds = self._zero_copy.partition_prices(block.zero_copy_requests.reshape(-1)[cells], edges)
+        cells, totals = tasks.cells, block.totals
+        edges = totals.active_edges.reshape(-1)[cells]
+        moved, seconds = self._zero_copy.partition_prices(totals.zero_copy_requests.reshape(-1)[cells], edges)
         compacted = tasks.codes[tasks.cell_tasks] == COMPACTION
         if np.count_nonzero(compacted):
-            packed, compact_s, copy_s = self._compaction.partition_prices(edges, block.active_vertices.reshape(-1)[cells])
+            packed, compact_s, copy_s = self._compaction.partition_prices(
+                edges, totals.active_vertices.reshape(-1)[cells]
+            )
             moved = np.where(compacted, packed, moved)
             seconds = np.where(compacted, copy_s, seconds)
             cpu = tasks.fold(np.where(compacted, compact_s, 0.0))[order].tolist()

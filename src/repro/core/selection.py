@@ -119,7 +119,7 @@ class EngineSelector:
         Element-wise, so ``K x P`` stacked costs select every row at once.
         """
         tef, tec, tiz = costs.filter_cost, costs.compaction_cost, costs.zero_copy_cost
-        active = costs.active_edges > 0
+        active = costs.totals.active_edges > 0
         # Filter unless zero-copy is cheaper; compaction overrides both.
         codes = active.astype(np.int8)
         codes[active & (tiz < tef)] = ZERO_COPY

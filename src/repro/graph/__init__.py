@@ -20,8 +20,9 @@ graph before and during processing:
 * :mod:`repro.graph.io` — edge-list and binary CSR persistence.
 
 Active-vertex frontiers are plain boolean NumPy bitmaps of length
-``num_vertices`` (see ``VertexProgram.initial_frontier``); per-partition
-activeness is :meth:`Partitioning.active_counts` over such a bitmap.
+``num_vertices`` (see ``VertexProgram.initial_frontier``); their
+per-partition totals are the execution context's
+(:meth:`~repro.runtime.context.ExecutionContext.frontier_totals`).
 """
 
 from repro.graph.csr import CSRGraph

@@ -79,27 +79,6 @@ class Partitioning:
         """Number of partitions."""
         return self.edges.size
 
-    def active_counts(self, active_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-partition counts of active vertices and active edges.
-
-        Parameters
-        ----------
-        active_mask:
-            Boolean array of length ``num_vertices`` marking active vertices.
-
-        Returns
-        -------
-        (active_vertices, active_edges):
-            Two ``int64`` arrays of length ``num_partitions``.
-        """
-        active_mask = np.asarray(active_mask, dtype=bool)
-        active_vertex_ids = np.nonzero(active_mask)[0]
-        partition_ids = self.partition_of[active_vertex_ids]
-        active_vertices = np.bincount(partition_ids, minlength=self.num_partitions)
-        degrees = self.graph.out_degrees[active_vertex_ids]
-        active_edges = np.bincount(partition_ids, weights=degrees, minlength=self.num_partitions)
-        return active_vertices.astype(np.int64), active_edges.astype(np.int64)
-
 
 class ShardedPartitioning:
     """A :class:`Partitioning` split across ``num_devices`` GPUs, as columns.

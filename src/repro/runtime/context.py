@@ -24,6 +24,16 @@ copy accumulate in :attr:`ExecutionContext.amortized_bytes` (a solo
 iteration claims each partition once, so there the dedup is the
 identity).
 
+**The frontier totals.**  Every per-iteration price starts from the
+same three per-partition quantities of the frontier — active vertices,
+active out-edges and zero-copy memory requests (Section V-A) — and
+:meth:`ExecutionContext.frontier_totals` is the one reduction that
+computes them, for one frontier or ``K`` stacked ones
+(:class:`FrontierTotals`).  The cost model's estimate, the driver's
+frontier snapshot and with it every baseline planner read them; a
+single-mechanism baseline prices a device's task from its shard's sums
+(:meth:`FrontierTotals.sum_over`).
+
 ``num_devices == 1`` is not a separate code path: the context simply
 holds one shard covering the whole partitioning, every frontier split
 returns one slice, every remote-activation count is zero and the
@@ -52,6 +62,7 @@ entry on the ``"interconnect"`` resource, after every device's last task.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -67,7 +78,44 @@ from repro.obs.tracer import NULL_TRACER
 from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
 
-__all__ = ["ExecutionContext"]
+__all__ = ["FrontierTotals", "ExecutionContext"]
+
+
+@dataclass(frozen=True)
+class FrontierTotals:
+    """Per-partition totals of a frontier, one entry per partition.
+
+    Each array has shape ``(P,)`` for one frontier bitmap and ``(K, P)``
+    for ``K`` stacked ones.  ``active_vertices`` and ``active_edges`` are
+    ``int64``; ``zero_copy_requests`` are the zero-copy memory requests
+    of the active vertices (Formula 3's per-vertex count, ``am(v)``
+    included), exact integers kept as the ``float64`` that ``bincount``
+    sums them in (every count is far below 2**53).
+    """
+
+    active_vertices: np.ndarray
+    active_edges: np.ndarray
+    zero_copy_requests: np.ndarray
+
+    def rows(self, block: slice) -> "FrontierTotals":
+        """Rows ``block`` of stacked (``K x P``) totals, as views."""
+        return FrontierTotals(
+            self.active_vertices[block], self.active_edges[block], self.zero_copy_requests[block]
+        )
+
+    def sum_over(self, bounds: np.ndarray) -> "FrontierTotals":
+        """The totals of the partition ranges ``[bounds[i], bounds[i + 1])``.
+
+        One-row totals only; ``bounds`` ascend from 0 to ``P`` (a
+        sharding's ``partition_bounds`` sums per device).  Differences of
+        prefix sums, so an empty range sums to zero; exact, because every
+        total is an exact integer (and so is every ``float64`` prefix).
+        """
+        sums = []
+        for column in (self.active_vertices, self.active_edges, self.zero_copy_requests):
+            prefix = np.concatenate((np.zeros(1, dtype=column.dtype), np.cumsum(column)))
+            sums.append(prefix[bounds[1:]] - prefix[bounds[:-1]])
+        return FrontierTotals(*sums)
 
 
 class ExecutionContext:
@@ -139,7 +187,12 @@ class ExecutionContext:
         #: bytes and their explicit-copy seconds (plain lists: planners
         #: index them one partition at a time).
         self.partition_bytes = partitioning.edge_bytes.tolist()
-        self.partition_copy_time = PCIeModel(config).explicit_copy_time(partitioning.edge_bytes).tolist()
+        pcie = PCIeModel(config)
+        self.partition_copy_time = pcie.explicit_copy_time(partitioning.edge_bytes).tolist()
+        # Per-vertex weights of the frontier totals (out-degree, zero-copy
+        # requests), as the float64 that bincount sums in anyway.
+        self._vertex_degrees = graph.out_degrees.astype(np.float64)
+        self._vertex_requests = pcie.vertex_requests(graph).astype(np.float64)
         #: ``claim(partition_indices) -> billable indices`` (module
         #: docstring).  Bound once — the cache is mutated in place on
         #: device loss, never replaced — so the planners' per-task call
@@ -299,6 +352,43 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # Active-set topology helpers
     # ------------------------------------------------------------------
+    def frontier_totals(self, pending: np.ndarray, active_ids: np.ndarray | None = None) -> FrontierTotals:
+        """Per-partition active vertices, active edges and zero-copy requests.
+
+        ``pending`` is one ``|V|`` frontier bitmap or ``K`` of them
+        stacked as a ``K x |V|`` matrix; callers that already hold its
+        flat sorted nonzero ids (``r * |V| + v`` for stacked rows) pass
+        them as ``active_ids`` and the bitmap is not scanned.  Each total
+        is one ``bincount`` over ``row * P + partition``, which folds each
+        row's vertices in the same order as a one-row call, so row ``r``
+        of a stacked call equals the call on bitmap ``r`` alone.
+        """
+        if active_ids is None:
+            active_ids = np.flatnonzero(pending)
+        partitioning = self.partitioning
+        num_partitions = partitioning.num_partitions
+        num_rows = 1 if pending.ndim == 1 else pending.shape[0]
+        shape = pending.shape[:-1] + (num_partitions,)
+        if num_rows == 1:
+            vertices = active_ids
+            keys = partitioning.partition_of[vertices]
+        else:
+            # In place: a wave's frontiers can hold K x |V| ids.
+            num_vertices = self.graph.num_vertices
+            vertices = active_ids % num_vertices
+            keys = active_ids // num_vertices
+            keys *= num_partitions
+            keys += partitioning.partition_of[vertices]
+        num_bins = num_rows * num_partitions
+        active_vertices = np.bincount(keys, minlength=num_bins).astype(np.int64, copy=False)
+        active_edges = np.bincount(keys, weights=self._vertex_degrees[vertices], minlength=num_bins)
+        requests = np.bincount(keys, weights=self._vertex_requests[vertices], minlength=num_bins)
+        return FrontierTotals(
+            active_vertices=active_vertices.reshape(shape),
+            active_edges=active_edges.astype(np.int64).reshape(shape),
+            zero_copy_requests=requests.reshape(shape),
+        )
+
     def split_frontier(self, active_ids: np.ndarray) -> list[np.ndarray]:
         """Slice a sorted active-vertex array into one view per device."""
         return self.sharding.split_sorted_vertices(active_ids)

@@ -23,6 +23,11 @@ runner passes every live query of a super-iteration, so a planner may
 share work across them (HyTGraph's planner pushes every query of one
 program in one fused call per task step), while a baseline simply plans
 each session alone (:meth:`~repro.systems.base.GraphSystem.plan_iterations`).
+A baseline planner starts from :meth:`IterationDriver.snapshot`: one
+scan of the pending bitmap into sorted ids, per-device views, counts and
+the frontier's per-partition totals
+(:meth:`~repro.runtime.context.ExecutionContext.frontier_totals`), the
+quantities every transfer price is a function of.
 What a planner may skip shipping is decided by the context's transfer
 window, which :meth:`IterationDriver.drive` opens once per solo
 iteration and the batch runner once per super-iteration — the one
@@ -38,7 +43,7 @@ import numpy as np
 from repro.algorithms.base import ProgramState, VertexProgram
 from repro.core.backends import use_backend
 from repro.metrics.results import IterationStats, RunResult
-from repro.runtime.context import ExecutionContext
+from repro.runtime.context import ExecutionContext, FrontierTotals
 from repro.sim.streams import StreamTask
 
 __all__ = ["FrontierSnapshot", "IterationPlan", "QuerySession", "IterationDriver"]
@@ -53,13 +58,15 @@ class FrontierSnapshot:
 
     ``per_device[d]`` is a sorted view of ``active_ids`` restricted to
     device ``d``'s shard; on single-device sessions it is the whole
-    frontier.
+    frontier.  ``totals`` are its per-partition totals, which the
+    baselines price from.
     """
 
     active_ids: np.ndarray
     per_device: list[np.ndarray]
     active_vertices: int
     active_edges: int
+    totals: FrontierTotals
 
 
 @dataclass
@@ -124,13 +131,15 @@ class IterationDriver:
     # Pending-bitmap helpers
     # ------------------------------------------------------------------
     def snapshot(self, pending: np.ndarray) -> FrontierSnapshot:
-        """One frontier scan: sorted ids, per-device views and counts."""
+        """One frontier scan: sorted ids, per-device views, counts and totals."""
         active_ids = np.flatnonzero(pending)
+        totals = self.context.frontier_totals(pending, active_ids)
         return FrontierSnapshot(
             active_ids=active_ids,
             per_device=self.context.split_frontier(active_ids),
             active_vertices=int(active_ids.size),
-            active_edges=int(self.context.graph.out_degrees[active_ids].sum()),
+            active_edges=int(totals.active_edges.sum()),
+            totals=totals,
         )
 
     def process_per_device(

@@ -43,15 +43,13 @@ class KernelModel:
         fraction = active_edges / _OCCUPANCY_SATURATION_EDGES
         return _MIN_OCCUPANCY_FRACTION + (1.0 - _MIN_OCCUPANCY_FRACTION) * fraction
 
-    def kernel_time(self, active_edges: int, num_kernels: int = 1) -> float:
-        """Seconds of GPU time to process ``active_edges`` edges.
+    def kernel_time(self, active_edges: int) -> float:
+        """Seconds of GPU time of one kernel launch over ``active_edges`` edges.
 
-        ``num_kernels`` separate launches each pay the launch overhead —
-        the quantity the task combiner reduces.
+        Every launch pays the launch overhead — the quantity the task
+        combiner reduces by launching fewer kernels.
         """
-        if active_edges <= 0 and num_kernels <= 0:
-            return 0.0
-        launch = max(num_kernels, 1) * self.config.gpu_kernel_launch_overhead
+        launch = self.config.gpu_kernel_launch_overhead
         if active_edges <= 0:
             return launch
         effective = self.config.gpu_edge_throughput * self.occupancy(active_edges)

@@ -18,12 +18,15 @@ saturated TLP takes a round-trip time ``RTT``.
   explicit-copy bandwidth plus a per-fault overhead.
 
 :class:`PCIeModel` packages these calculations as prices of totals
-(``explicit_copy_time``, ``zero_copy_time``, ``page_migration_time``) and
-vectorised per-vertex counts (``requests_for_vertices``,
-``pages_for_byte_ranges``).  The transfer engines' ``transfer_task`` and
-the execution context's per-partition copy-time table are their callers;
-the estimator (:mod:`repro.core.cost_model`) vectorises the same formulas
-over partitions.
+(``explicit_copy_time``, ``zero_copy_time``, ``page_migration_time``),
+each element-wise over arrays of totals, and vectorised per-vertex
+counts (``requests_for_vertices``, ``vertex_requests``,
+``pages_for_byte_ranges``).  Their callers are the transfer engines'
+``partition_prices`` (priced from a frontier's per-partition totals),
+the unified-memory engine's per-vertex ``transfer_task`` and the
+execution context's per-partition copy-time table and per-vertex request
+table; the estimator (:mod:`repro.core.cost_model`) takes the
+explicit-copy prices from them and adds Formula 3 for zero-copy.
 """
 
 from __future__ import annotations
@@ -44,17 +47,11 @@ class PCIeModel:
     # ------------------------------------------------------------------
     # Explicit copy (cudaMemcpy)
     # ------------------------------------------------------------------
-    def explicit_copy_tlps(self, num_bytes: int) -> int:
-        """Number of saturated TLPs needed to ship ``num_bytes``."""
-        if num_bytes <= 0:
-            return 0
-        return int(np.ceil(num_bytes / self.config.tlp_payload_bytes))
-
     def explicit_copy_time(self, num_bytes):
         """Seconds to transfer ``num_bytes`` with the explicit copy engine.
 
-        Element-wise over an array of non-negative byte counts (whole
-        saturated TLPs each, as :meth:`explicit_copy_tlps` counts them).
+        Element-wise over an array of non-negative byte counts: whole
+        saturated TLPs each, ``k`` of them costing ``k * RTT``.
         """
         return np.ceil(num_bytes / self.config.tlp_payload_bytes) * self.config.tlp_round_trip_time
 
@@ -99,8 +96,8 @@ class PCIeModel:
     def vertex_requests(self, graph) -> np.ndarray:
         """Zero-copy requests of every vertex of ``graph`` (aligned by its CSR offset).
 
-        A function of the CSR layout alone, so the cost model and the
-        zero-copy engine build it once and index it per frontier.
+        A function of the CSR layout alone, so the execution context
+        builds it once and sums it per partition for every frontier.
         """
         d1 = graph.edge_bytes_per_edge
         return self.requests_for_vertices(
@@ -132,7 +129,7 @@ class PCIeModel:
         batch of mostly-empty requests is dominated by the per-request
         overhead, reproducing the throughput collapse of Figure 3(e).
         Arrays of totals price element-wise with the same operations
-        (``ZeroCopyEngine.transfer_task`` prices every partition at once).
+        (``ZeroCopyEngine.partition_prices`` prices every partition at once).
         """
         gamma = self.config.zero_copy_gamma
         rtt = self.config.tlp_round_trip_time

@@ -13,7 +13,12 @@ alone) — what is already on a device is the business of the context's
 transfer window, not a planning argument.  A synchronous baseline states
 only its tasks (stream tasks, billed bytes, engine mix) and hands them to
 :meth:`GraphSystem._synchronous_plan`, which pushes the frontier and
-records the iteration.
+records the iteration.  It prices them from the driver's frontier
+snapshot, which carries the frontier's per-partition totals
+(:meth:`~repro.runtime.context.ExecutionContext.frontier_totals`):
+EMOGI and Subway price each device's one task from its shard's summed
+totals and ExpTM-F reads them per partition, while ImpTM-UM (page dedup)
+and Grus (its cached-vertex split) price per vertex.
 """
 
 from __future__ import annotations

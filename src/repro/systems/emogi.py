@@ -28,6 +28,8 @@ metrics.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
@@ -49,28 +51,26 @@ class EmogiSystem(GraphSystem):
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
         frontier = self.driver.snapshot(session.pending)
+        # Each device reads its shard's frontier: one task priced from the
+        # shard's summed per-partition totals.
+        shards = frontier.totals.sum_over(self.sharding.partition_bounds)
+        moved, seconds = self.engine.partition_prices(shards.zero_copy_requests, shards.active_edges)
+        kernel_times = self.kernel_model.kernel_times(shards.active_edges).tolist()
 
         device_tasks: list[list[StreamTask]] = self.context.empty_device_lists()
-        transfer_bytes = 0
-        active_devices = 0
-        for device, device_active in enumerate(frontier.per_device):
-            if device_active.size == 0:
-                continue
-            active_devices += 1
-            outcome = self.engine.transfer_task(device_active, (0, device_active.size))
-            kernel_time = self.kernel_model.kernel_time(self._active_edge_count(device_active))
-            transfer_bytes += outcome.bytes_transferred
+        active = np.flatnonzero(shards.active_vertices).tolist()
+        for device, transfer_time in zip(active, seconds[active].tolist()):
             device_tasks[device].append(
                 StreamTask(
                     name="zero-copy-frontier-d%d" % device,
                     engine=EngineKind.IMP_ZERO_COPY.value,
-                    transfer_time=outcome.transfer_time,
-                    kernel_time=kernel_time,
+                    transfer_time=transfer_time,
+                    kernel_time=kernel_times[device],
                     overlapped_transfer=True,
                 )
             )
 
         return self._synchronous_plan(
-            session, frontier, device_tasks, transfer_bytes,
-            {EngineKind.IMP_ZERO_COPY.value: active_devices},
+            session, frontier, device_tasks, int(moved.sum()),
+            {EngineKind.IMP_ZERO_COPY.value: len(active)},
         )

@@ -45,35 +45,27 @@ class ExpTMFilterSystem(GraphSystem):
 
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
         frontier = self.driver.snapshot(session.pending)
-        active_ids = frontier.active_ids
-        # Partitions hold consecutive vertex ranges and active_ids is
-        # sorted, so one bisection splits the frontier per partition.
-        cuts = np.searchsorted(active_ids, self.partitioning.vertex_boundaries).tolist()
+        totals = frontier.totals
 
         context = self.context
         cache = context.cache
         adaptive = cache is not None and cache.adaptive
         claim = context.claim if adaptive else context.claim_unshipped
-        if adaptive and active_ids.size:
+        if adaptive and frontier.active_vertices:
             # Feed the eviction policy this iteration's per-partition
             # active-edge counts (committed at the next boundary).
-            degrees = self.graph.out_degrees[active_ids]
-            partition_of = self.partitioning.partition_of[active_ids]
-            cache.observe_frontier(
-                np.bincount(
-                    partition_of, weights=degrees, minlength=self.partitioning.num_partitions
-                ).astype(np.int64)
-            )
+            cache.observe_frontier(totals.active_edges)
 
+        # Every partition holding an active vertex ships and launches, even
+        # one whose active vertices are all sinks.
+        touched = np.flatnonzero(totals.active_vertices)
+        kernel_times = self.kernel_model.kernel_times(totals.active_edges[touched]).tolist()
+        devices = self.sharding.device_of[touched].tolist()
         device_tasks: list[list[StreamTask]] = context.empty_device_lists()
         transfer_bytes = 0
-        active_partition_count = 0
-        for index, device in enumerate(self.sharding.device_of.tolist()):
-            in_partition = active_ids[cuts[index] : cuts[index + 1]]
-            if in_partition.size == 0:
-                continue
-            active_partition_count += 1
-            kernel_time = self.kernel_model.kernel_time(self._active_edge_count(in_partition))
+        # Claims run in partition order: the window dedup and the cache
+        # see the partitions one at a time.
+        for index, device, kernel_time in zip(touched.tolist(), devices, kernel_times):
             if not claim([index]):
                 # Cache-resident, or another query already shipped it
                 # this transfer window; only the kernel runs.
@@ -93,5 +85,5 @@ class ExpTMFilterSystem(GraphSystem):
 
         return self._synchronous_plan(
             session, frontier, device_tasks, transfer_bytes,
-            {EngineKind.EXP_FILTER.value: active_partition_count},
+            {EngineKind.EXP_FILTER.value: touched.size},
         )

@@ -62,7 +62,7 @@ class ImpTMUMSystem(GraphSystem):
 
         cache_stats = self.engine.cache.stats
         before = (cache_stats.accesses, cache_stats.hits, cache_stats.faults, cache_stats.evictions)
-        outcome = self.engine.transfer_task(active_vertices, (0, active_vertices.size))
+        outcome = self.engine.transfer_task(active_vertices)
         counters = session.scratch.setdefault(
             "page_cache", {"accesses": 0, "hits": 0, "faults": 0, "evictions": 0}
         )

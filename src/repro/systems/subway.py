@@ -62,22 +62,16 @@ class SubwaySystem(GraphSystem):
         active_ids = frontier.active_ids
 
         # One compaction per device covering the frontier it owns, priced
-        # as one slice.
-        outcomes = []
-        transfer_bytes = 0
-        for device_active in frontier.per_device:
-            if device_active.size == 0:
-                outcomes.append(None)
-                continue
-            outcome = self.engine.transfer_task(device_active, (0, device_active.size))
-            outcomes.append(outcome)
-            transfer_bytes += outcome.bytes_transferred
+        # from the shard's summed per-partition totals.
+        shards = frontier.totals.sum_over(sharding.partition_bounds)
+        packed, cpu_times, copy_times = self.engine.partition_prices(shards.active_edges, shards.active_vertices)
+        active_devices = np.flatnonzero(shards.active_vertices).tolist()
 
         # First round: every device processes the frontier it owns.
         pending[active_ids] = False
         loaded = np.zeros(self.graph.num_vertices, dtype=bool)
         loaded[active_ids] = True
-        processed_per_device = [self._active_edge_count(d) for d in frontier.per_device]
+        processed_per_device = shards.active_edges.tolist()
         remote_updates = [0] * self.context.num_devices
         self.driver.process_per_device(program, state, pending, frontier.per_device, remote_updates)
 
@@ -101,17 +95,14 @@ class SubwaySystem(GraphSystem):
                     remote_updates[device] += self.context.count_remote(newly_active, device)
 
         device_tasks: list[list[StreamTask]] = self.context.empty_device_lists()
-        active_devices = 0
-        for device, outcome in enumerate(outcomes):
-            if outcome is None:
-                continue
-            active_devices += 1
+        cpu_times, copy_times = cpu_times.tolist(), copy_times.tolist()
+        for device in active_devices:
             device_tasks[device].append(
                 StreamTask(
                     name="compacted-subgraph-d%d" % device,
                     engine=EngineKind.EXP_COMPACTION.value,
-                    cpu_time=outcome.cpu_time,
-                    transfer_time=outcome.transfer_time,
+                    cpu_time=cpu_times[device],
+                    transfer_time=copy_times[device],
                     kernel_time=self.kernel_model.kernel_time(processed_per_device[device]),
                     overlapped_transfer=False,
                 )
@@ -122,9 +113,9 @@ class SubwaySystem(GraphSystem):
             time=0.0,
             active_vertices=frontier.active_vertices,
             active_edges=frontier.active_edges,
-            transfer_bytes=transfer_bytes,
+            transfer_bytes=int(packed.sum()),
             processed_edges=int(sum(processed_per_device)),
-            engine_partitions={EngineKind.EXP_COMPACTION.value: active_devices},
-            engine_tasks={EngineKind.EXP_COMPACTION.value: active_devices},
+            engine_partitions={EngineKind.EXP_COMPACTION.value: len(active_devices)},
+            engine_tasks={EngineKind.EXP_COMPACTION.value: len(active_devices)},
         )
         return IterationPlan(stats=stats, device_tasks=device_tasks, remote_updates=remote_updates)

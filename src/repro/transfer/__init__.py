@@ -15,10 +15,17 @@ in :mod:`repro.sim`:
 * :class:`~repro.transfer.unified_memory.UnifiedMemoryEngine` —
   ImpTM-unified-memory: page-granular migration with an LRU device cache.
 
-Each engine prices a task with one call,
-:meth:`~repro.transfer.base.TransferEngine.transfer_task`.  HyTGraph's
-hybrid runtime mixes the first three per partition each iteration
-(Section IV); the baseline systems each use one of them for everything.
+Compaction and zero-copy are linear in a partition's frontier totals
+(active vertices, active edges, zero-copy requests;
+:meth:`~repro.runtime.context.ExecutionContext.frontier_totals`), so
+each prices arrays of totals with one call, ``partition_prices``: the
+HyTGraph planner per partition of a task, EMOGI and Subway on a device
+shard's summed totals.  Unified-memory page dedup is per vertex, so that
+engine alone prices a vertex set
+(:meth:`~repro.transfer.unified_memory.UnifiedMemoryEngine.transfer_task`).
+HyTGraph's hybrid runtime mixes the first three per partition each
+iteration (Section IV); the baseline systems each use one of them for
+everything.
 """
 
 from repro.transfer.base import EngineKind, TransferEngine, TransferOutcome

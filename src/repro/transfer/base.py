@@ -1,20 +1,17 @@
-"""Common interface of the transfer engines.
+"""What the transfer engines share: their kind, graph, hardware and PCIe model.
 
-Every engine prices moving the active subgraph of one task — one or more
-consecutive partitions — as one :class:`TransferOutcome`: the bytes that
-cross PCIe and the seconds of PCIe and host-CPU time they cost.
-:meth:`TransferEngine.transfer_task` is the only pricing call; a
-single-mechanism baseline prices its whole frontier as a one-slice task.
+The compaction and zero-copy engines are linear in a partition's
+frontier totals, so they price arrays of totals element-wise
+(``partition_prices``).  Unified-memory paging deduplicates pages across
+vertices, so it alone prices a vertex set, as one
+:class:`TransferOutcome` (``UnifiedMemoryEngine.transfer_task``): the
+bytes that cross PCIe and the seconds they cost.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.sim.config import HardwareConfig
@@ -69,7 +66,7 @@ class TransferOutcome:
     overlapped: bool = False
 
 
-class TransferEngine(ABC):
+class TransferEngine:
     """Base class: one engine bound to one graph and one hardware config."""
 
     kind: EngineKind
@@ -78,20 +75,3 @@ class TransferEngine(ABC):
         self.graph = graph
         self.config = config
         self.pcie = PCIeModel(config)
-
-    @abstractmethod
-    def transfer_task(self, active_vertices: np.ndarray, cuts: Sequence[int]) -> TransferOutcome:
-        """Move the active subgraph of one task to the GPU.
-
-        ``active_vertices`` is the task's sorted active-vertex array and
-        ``cuts`` slices it per partition: the task's partition ``i`` owns
-        ``active_vertices[cuts[i]:cuts[i + 1]]``.  ``(0, n)`` prices the
-        whole array as one slice.
-        """
-
-    def _active_degrees(self, active_vertices: np.ndarray) -> np.ndarray:
-        return self.graph.out_degrees[np.asarray(active_vertices, dtype=np.int64)]
-
-    def _edge_start_bytes(self, active_vertices: np.ndarray) -> np.ndarray:
-        starts = self.graph.row_offset[np.asarray(active_vertices, dtype=np.int64)]
-        return starts * self.graph.edge_bytes_per_edge

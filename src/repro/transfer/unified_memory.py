@@ -12,8 +12,6 @@ free (pages are discarded, not written back).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
@@ -39,19 +37,19 @@ class UnifiedMemoryEngine(TransferEngine):
         # now that systems keep one engine instance for their lifetime.
         self.cache = PageCache(self.cache.capacity_pages)
 
-    def transfer_task(self, active_vertices: np.ndarray, cuts: Sequence[int]) -> TransferOutcome:
-        """Price ``active_vertices[cuts[0]:cuts[-1]]`` as one page-access batch.
+    def transfer_task(self, active_vertices: np.ndarray) -> TransferOutcome:
+        """Price ``active_vertices`` as one page-access batch.
 
-        Page migration has no per-partition rounding: the pages the whole
-        slice touches are deduplicated and faulted in through the LRU
-        cache in one pass, so the inner cuts do not matter.
+        The pages every active adjacency list touches are deduplicated
+        and faulted in through the LRU cache in one pass, so the price is
+        per vertex set, not a sum of per-partition prices.
         """
-        active_vertices = np.asarray(active_vertices, dtype=np.int64)[cuts[0] : cuts[-1]]
+        active_vertices = np.asarray(active_vertices, dtype=np.int64)
         if active_vertices.size == 0:
             return TransferOutcome(self.kind, 0, 0.0, overlapped=True)
-        degrees = self._active_degrees(active_vertices)
-        start_bytes = self._edge_start_bytes(active_vertices)
-        lengths = degrees * self.graph.edge_bytes_per_edge
+        graph = self.graph
+        start_bytes = graph.row_offset[active_vertices] * graph.edge_bytes_per_edge
+        lengths = graph.out_degrees[active_vertices] * graph.edge_bytes_per_edge
         pages = self.pcie.pages_for_byte_ranges(start_bytes, lengths)
         access = self.cache.access(pages)
         return TransferOutcome(

@@ -1,8 +1,11 @@
-"""Call budget of the serving hot path: a noise-free proxy for host time.
+"""Call budgets of the hot paths: a noise-free proxy for host time.
 
 A fixed 60-query mixed replay (SK stand-in at scale 0.05, fixed seed,
 numpy backend) runs under ``sys.setprofile`` and the number of calls into
-functions *defined in this package* is held to a budget.  The count is a
+functions *defined in this package* is held to a budget.  So is one solo
+SSSP ``system.run`` of ExpTM-F, EMOGI and Subway on the same graph: a
+per-partition or per-vertex Python loop creeping back into a baseline
+planner multiplies its count.  The count is a
 pure function of the code: no machine, numpy version or hash seed moves
 it (frames of numpy and the standard library are not counted; Python 3.12
 inlines comprehensions, so it can only count fewer than the 3.11 the
@@ -22,14 +25,20 @@ import os
 import sys
 from collections import Counter
 
+import pytest
+
 import repro
 from repro.bench.workloads import build_workload
 from repro.service import GraphService, ReplayHarness, ServiceConfig, timed_mixed_trace
+from repro.systems import make_system
 
 QUERIES = 60
 #: Calls per query measured at the commit that last changed the hot path.
 MEASURED_CALLS_PER_QUERY = 1030
 BUDGET_CALLS_PER_QUERY = MEASURED_CALLS_PER_QUERY * 1.1
+#: Calls of one solo SSSP ``system.run`` per baseline, measured likewise.
+MEASURED_SOLO_CALLS = {"exptm-f": 1091, "emogi": 491, "subway": 493}
+SOLO_BUDGET_FACTOR = 1.1
 
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep
 
@@ -46,8 +55,15 @@ def _replay() -> None:
     assert report.completed == QUERIES
 
 
-def count_package_calls() -> Counter:
-    """``(file, function) -> calls`` of one replay, package frames only."""
+def _solo_run(system_name: str):
+    """One solo SSSP run of ``system_name`` on the replay's graph (built outside the count)."""
+    workload = build_workload("SK", "sssp", scale=0.05)
+    system = make_system(system_name, workload.graph, config=workload.config, backend="numpy")
+    return lambda: system.run(workload.program, source=workload.source)
+
+
+def count_package_calls(run=_replay) -> Counter:
+    """``(file, function) -> calls`` of one ``run()``, package frames only."""
     counts: Counter = Counter()
 
     def profiler(frame, event, _arg):
@@ -58,7 +74,7 @@ def count_package_calls() -> Counter:
 
     sys.setprofile(profiler)
     try:
-        _replay()
+        run()
     finally:
         sys.setprofile(None)
     return counts
@@ -79,6 +95,19 @@ def test_calls_per_query_within_budget():
     )
 
 
+@pytest.mark.parametrize("system_name", sorted(MEASURED_SOLO_CALLS))
+def test_solo_calls_within_budget(system_name):
+    counts = count_package_calls(_solo_run(system_name))
+    calls, measured = sum(counts.values()), MEASURED_SOLO_CALLS[system_name]
+    assert calls <= measured * SOLO_BUDGET_FACTOR, (
+        "%d package calls per %s run, budget %.0f (measured %d x %.1f); top callees:\n%s"
+        % (calls, system_name, measured * SOLO_BUDGET_FACTOR, measured, SOLO_BUDGET_FACTOR, _top(counts))
+    )
+
+
 if __name__ == "__main__":
     measured = count_package_calls()
     print("%.1f package calls per query; top callees:\n%s" % (sum(measured.values()) / QUERIES, _top(measured)))
+    for name in sorted(MEASURED_SOLO_CALLS):
+        solo = count_package_calls(_solo_run(name))
+        print("%s: %d package calls per run; top callees:\n%s" % (name, sum(solo.values()), _top(solo, 5)))

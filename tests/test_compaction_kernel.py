@@ -4,12 +4,23 @@ import numpy as np
 import pytest
 
 from repro.graph.partition import partition_by_count
+from repro.runtime.context import ExecutionContext
+from repro.sim.config import HardwareConfig
 from repro.sim.kernel import KernelModel
 from repro.transfer.explicit_compaction import ExplicitCompactionEngine
 
 
-def _cuts(partitioning, active):
-    return np.searchsorted(active, partitioning.vertex_boundaries)
+def _totals(graph, config, active, num_partitions):
+    context = ExecutionContext(graph, partition_by_count(graph, num_partitions), config)
+    pending = np.zeros(graph.num_vertices, dtype=bool)
+    pending[active] = True
+    return context.frontier_totals(pending)
+
+
+def _price(engine, totals):
+    """A task of every partition: packed bytes, CPU and copy seconds added left to right."""
+    packed, cpu, copy = engine.partition_prices(totals.active_edges, totals.active_vertices)
+    return int(packed.sum()), float(np.add.accumulate(cpu)[-1]), float(np.add.accumulate(copy)[-1])
 
 
 class TestCompactionContents:
@@ -18,15 +29,14 @@ class TestCompactionContents:
     def test_compacted_subgraph_matches_source(self, paper_graph, config):
         engine = ExplicitCompactionEngine(paper_graph, config)
         active = np.array([1, 3])
-        outcome = engine.transfer_task(active, (0, active.size))
+        moved, cpu, copy = _price(engine, _totals(paper_graph, config, active, 1))
         # b -> {c, d} and d -> {e, f}: four (neighbor, weight) edges.
         packed_edges = paper_graph.neighbors(1).size + paper_graph.neighbors(3).size
         assert packed_edges == 4
         expected = packed_edges * paper_graph.edge_bytes_per_edge + active.size * config.index_entry_bytes
-        assert outcome.bytes_transferred == expected
-        assert outcome.cpu_time == pytest.approx(expected / config.cpu_compaction_throughput)
-        assert outcome.transfer_time == engine.pcie.explicit_copy_time(expected)
-        assert not outcome.overlapped
+        assert moved == expected
+        assert cpu == pytest.approx(expected / config.cpu_compaction_throughput)
+        assert copy == engine.pcie.explicit_copy_time(expected)
 
     def test_compaction_unweighted(self, config):
         from repro.graph.generators import uniform_random_graph
@@ -34,29 +44,47 @@ class TestCompactionContents:
         graph = uniform_random_graph(50, 300, seed=5)
         assert not graph.is_weighted
         engine = ExplicitCompactionEngine(graph, config)
-        partitioning = partition_by_count(graph, 4)
         active = np.arange(0, 50, 2)
-        outcome = engine.transfer_task(active, _cuts(partitioning, active))
+        moved, _, _ = _price(engine, _totals(graph, config, active, 4))
         # Neighbors only: no weight column rides along.
-        assert outcome.bytes_transferred == (
+        assert moved == (
             int(graph.out_degrees[::2].sum()) * graph.edge_bytes_per_edge
             + active.size * config.index_entry_bytes
         )
 
+    def test_packs_the_csr_bytes_per_edge_whatever_the_value_width(self):
+        # Formula 2's d1 is the CSR's edge bytes (what a filter ships per
+        # edge), not the vertex-value width: with 8-byte values on an
+        # unweighted graph a fully active partition packs its edge bytes
+        # plus its index entries, and the estimate is the billed copy.
+        from repro.core.cost_model import CostModel
+        from repro.graph.generators import uniform_random_graph
+
+        config = HardwareConfig(vertex_value_bytes=8)
+        graph = uniform_random_graph(200, 3000, seed=5)
+        assert not graph.is_weighted
+        context = ExecutionContext(graph, partition_by_count(graph, 4), config)
+        pending = np.ones(graph.num_vertices, dtype=bool)
+        costs = CostModel(context).estimate(pending)
+        totals = costs.totals
+        packed, _, copy = ExplicitCompactionEngine(graph, config).partition_prices(
+            totals.active_edges, totals.active_vertices
+        )
+        partitioning = context.partitioning
+        sizes = np.diff(partitioning.vertex_boundaries)
+        assert packed.tolist() == (partitioning.edge_bytes + sizes * config.index_entry_bytes).tolist()
+        assert costs.compaction_cost.tolist() == copy.tolist()
+
     def test_empty_active_set(self, paper_graph, config):
         engine = ExplicitCompactionEngine(paper_graph, config)
-        partitioning = partition_by_count(paper_graph, 3)
         empty = np.array([], dtype=np.int64)
-        outcome = engine.transfer_task(empty, _cuts(partitioning, empty))
-        assert outcome.bytes_transferred == 0
-        assert outcome.cpu_time == 0.0 and outcome.transfer_time == 0.0
+        assert _price(engine, _totals(paper_graph, config, empty, 3)) == (0, 0.0, 0.0)
         # A partition without active vertices packs nothing of its own.
+        partitioning = partition_by_count(paper_graph, 3)
         active = partitioning.vertex_boundaries[:1]
-        task = engine.transfer_task(active, _cuts(partitioning, active))
-        alone = engine.transfer_task(active, (0, active.size))
-        assert (task.bytes_transferred, task.cpu_time, task.transfer_time) == (
-            alone.bytes_transferred, alone.cpu_time, alone.transfer_time
-        )
+        task = _price(engine, _totals(paper_graph, config, active, 3))
+        alone = _price(engine, _totals(paper_graph, config, active, 1))
+        assert task == alone
 
 
 class TestCompactionCost:
@@ -67,22 +95,14 @@ class TestCompactionCost:
 
 
 class TestKernelModel:
-    def test_zero_work(self, config):
-        model = KernelModel(config)
-        assert model.kernel_time(0, num_kernels=0) == 0.0
-
     def test_launch_overhead_only(self, config):
         model = KernelModel(config)
-        assert model.kernel_time(0, num_kernels=3) == pytest.approx(3 * config.gpu_kernel_launch_overhead)
+        assert model.kernel_time(0) == config.gpu_kernel_launch_overhead
 
     def test_monotonic_in_edges(self, config):
         model = KernelModel(config)
         times = [model.kernel_time(edges) for edges in (10, 1000, 100000, 10_000_000)]
         assert all(earlier < later for earlier, later in zip(times, times[1:]))
-
-    def test_more_kernels_cost_more(self, config):
-        model = KernelModel(config)
-        assert model.kernel_time(1000, num_kernels=4) > model.kernel_time(1000, num_kernels=1)
 
     def test_array_form_is_the_scalar_call_per_entry(self, config):
         model = KernelModel(config)

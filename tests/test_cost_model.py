@@ -7,6 +7,7 @@ from repro.core.cost_model import CostModel
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.graph.partition import partition_by_count
+from repro.runtime.context import ExecutionContext
 from repro.sim.pcie import PCIeModel
 
 
@@ -23,7 +24,7 @@ def zero_copy_cost_oracle(graph, config, partition_edges, vertices):
 
 
 def active_partitions(costs):
-    return np.flatnonzero(costs.active_edges > 0)
+    return np.flatnonzero(costs.totals.active_edges > 0)
 
 
 def partition_mask(graph, partitioning, index, stride=1):
@@ -43,9 +44,13 @@ def partitioning(graph):
     return partition_by_count(graph, 8)
 
 
+def make_model(graph, partitioning, config):
+    return CostModel(ExecutionContext(graph, partitioning, config))
+
+
 @pytest.fixture
 def cost_model(graph, partitioning, config):
-    return CostModel(graph, partitioning, config)
+    return make_model(graph, partitioning, config)
 
 
 class TestFilterCost:
@@ -61,14 +66,14 @@ class TestFilterCost:
         mask_many = partition_mask(graph, partitioning, 0)
         few = cost_model.estimate(mask_few)
         many = cost_model.estimate(mask_many)
-        if few.active_edges[0] > 0 and many.active_edges[0] > 0:
+        if few.totals.active_edges[0] > 0 and many.totals.active_edges[0] > 0:
             assert few.filter_cost[0] == pytest.approx(many.filter_cost[0])
 
 
 class TestCompactionCost:
     def test_formula_2_transfer_term(self, cost_model, config, graph, partitioning):
         costs = cost_model.estimate(partition_mask(graph, partitioning, 0, stride=3))
-        active_edges, active_vertices = int(costs.active_edges[0]), int(costs.active_vertices[0])
+        active_edges, active_vertices = int(costs.totals.active_edges[0]), int(costs.totals.active_vertices[0])
         assert active_edges > 0
         num_bytes = active_edges * graph.edge_bytes_per_edge + active_vertices * config.index_entry_bytes
         expected_tlps = int(np.ceil(num_bytes / config.tlp_payload_bytes))
@@ -78,10 +83,10 @@ class TestCompactionCost:
         # Large enough for the two volumes to round to different TLP counts.
         graph = rmat_graph(2000, 40_000, seed=5)
         partitioning = partition_by_count(graph, 1)
-        cost_model = CostModel(graph, partitioning, config)
+        cost_model = make_model(graph, partitioning, config)
         sparse = cost_model.estimate(partition_mask(graph, partitioning, 0, stride=8))
         dense = cost_model.estimate(partition_mask(graph, partitioning, 0))
-        assert dense.active_edges[0] > sparse.active_edges[0]
+        assert dense.totals.active_edges[0] > sparse.totals.active_edges[0]
         assert dense.compaction_cost[0] > sparse.compaction_cost[0]
 
 
@@ -102,7 +107,7 @@ class TestZeroCopyCost:
         ]
         graph = CSRGraph.from_edges(edges, num_vertices=140)
         partitioning = partition_by_count(graph, 1)
-        model = CostModel(graph, partitioning, config)
+        model = make_model(graph, partitioning, config)
         many_mask = np.zeros(graph.num_vertices, dtype=bool)
         many_mask[0:6] = True
         few_mask = np.zeros(graph.num_vertices, dtype=bool)
@@ -124,7 +129,7 @@ class TestEstimate:
     def test_inactive_partitions_cost_nothing(self, cost_model, graph, partitioning):
         costs = cost_model.estimate(partition_mask(graph, partitioning, 2))
         for index in range(partitioning.num_partitions):
-            if index != 2 and costs.active_edges[index] == 0:
+            if index != 2 and costs.totals.active_edges[index] == 0:
                 assert costs.filter_cost[index] == 0.0
                 assert costs.compaction_cost[index] == 0.0
                 assert costs.zero_copy_cost[index] == 0.0
@@ -160,3 +165,21 @@ class TestEstimate:
         costs = cost_model.estimate(mask)
         direct = zero_copy_cost_oracle(graph, config, int(partitioning.edges[3]), vertices)
         assert costs.zero_copy_cost[3] == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("stride", [1, 3, 50])
+    def test_explicit_copy_columns_are_the_billed_prices(self, graph, partitioning, config, stride):
+        # Selection compares what the simulator bills: on every touched
+        # partition the filter column is the context's copy-time table and
+        # the compaction column the compaction engine's copy seconds.
+        context = ExecutionContext(graph, partitioning, config)
+        model = CostModel(context)
+        mask = np.zeros(graph.num_vertices, dtype=bool)
+        mask[::stride] = True
+        costs = model.estimate(mask)
+        totals = costs.totals
+        touched = totals.active_edges > 0
+        assert touched.any()
+        _, _, copy = model.compaction.partition_prices(totals.active_edges, totals.active_vertices)
+        np.testing.assert_array_equal(costs.filter_cost[touched], np.asarray(context.partition_copy_time)[touched])
+        np.testing.assert_array_equal(costs.compaction_cost[touched], copy[touched])
+        assert not costs.filter_cost[~touched].any() and not costs.compaction_cost[~touched].any()

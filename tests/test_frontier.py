@@ -110,9 +110,9 @@ class TestQueries:
         driver = _driver(rmat)
         snapshot = driver.snapshot(mask)
         assert snapshot.active_edges == int(rmat.out_degrees[mask].sum())
-        vertices, edges = driver.context.partitioning.active_counts(mask)
-        assert vertices.sum() == snapshot.active_vertices == int(mask.sum())
-        assert edges.sum() == snapshot.active_edges
+        totals = snapshot.totals
+        assert totals.active_vertices.sum() == snapshot.active_vertices == int(mask.sum())
+        assert totals.active_edges.sum() == snapshot.active_edges
 
     def test_len_and_contains(self, rmat):
         mask = np.random.default_rng(5).random(rmat.num_vertices) < 0.4

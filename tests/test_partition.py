@@ -6,6 +6,7 @@ import pytest
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import power_law_graph, star_graph
 from repro.graph.partition import Partitioning, partition_by_bytes, partition_by_count
+from repro.runtime.context import ExecutionContext
 
 
 def check_tiling(graph, partitioning):
@@ -120,23 +121,25 @@ class TestPartitioningQueries:
         )
         np.testing.assert_array_equal(partitioning.partition_of, expected)
 
-    def test_active_counts(self, medium_power_law_graph):
+    def test_frontier_totals(self, medium_power_law_graph, config):
         partitioning = partition_by_count(medium_power_law_graph, 8)
+        context = ExecutionContext(medium_power_law_graph, partitioning, config)
         mask = np.zeros(medium_power_law_graph.num_vertices, dtype=bool)
         mask[::3] = True
-        active_vertices, active_edges = partitioning.active_counts(mask)
-        assert active_vertices.sum() == mask.sum()
-        assert active_edges.sum() == medium_power_law_graph.out_degrees[mask].sum()
+        totals = context.frontier_totals(mask)
+        assert totals.active_vertices.sum() == mask.sum()
+        assert totals.active_edges.sum() == medium_power_law_graph.out_degrees[mask].sum()
         # Per-partition counts never exceed the partition's totals.
-        assert np.all(active_vertices <= np.diff(partitioning.vertex_boundaries))
-        assert np.all(active_edges <= partitioning.edges)
+        assert np.all(totals.active_vertices <= np.diff(partitioning.vertex_boundaries))
+        assert np.all(totals.active_edges <= partitioning.edges)
 
-    def test_active_counts_empty_mask(self, medium_power_law_graph):
+    def test_frontier_totals_empty_mask(self, medium_power_law_graph, config):
         partitioning = partition_by_count(medium_power_law_graph, 8)
-        mask = np.zeros(medium_power_law_graph.num_vertices, dtype=bool)
-        active_vertices, active_edges = partitioning.active_counts(mask)
-        assert active_vertices.sum() == 0
-        assert active_edges.sum() == 0
+        context = ExecutionContext(medium_power_law_graph, partitioning, config)
+        totals = context.frontier_totals(np.zeros(medium_power_law_graph.num_vertices, dtype=bool))
+        assert totals.active_vertices.sum() == 0
+        assert totals.active_edges.sum() == 0
+        assert totals.zero_copy_requests.sum() == 0
 
     def test_edge_bytes_column(self, medium_power_law_graph):
         partitioning = partition_by_count(medium_power_law_graph, 8)

@@ -12,21 +12,20 @@ def pcie(config):
 
 
 class TestExplicitCopy:
+    # Explicit copies ship whole saturated TLPs: k of them cost k * RTT.
     def test_zero_bytes(self, pcie):
-        assert pcie.explicit_copy_tlps(0) == 0
         assert pcie.explicit_copy_time(0) == 0.0
 
     def test_single_tlp(self, pcie, config):
-        assert pcie.explicit_copy_tlps(1) == 1
-        assert pcie.explicit_copy_time(1) == pytest.approx(config.tlp_round_trip_time)
+        assert pcie.explicit_copy_time(1) == config.tlp_round_trip_time
 
     def test_exact_multiple(self, pcie, config):
         payload = config.tlp_payload_bytes
-        assert pcie.explicit_copy_tlps(3 * payload) == 3
+        assert pcie.explicit_copy_time(3 * payload) == 3 * config.tlp_round_trip_time
 
     def test_rounds_up(self, pcie, config):
         payload = config.tlp_payload_bytes
-        assert pcie.explicit_copy_tlps(payload + 1) == 2
+        assert pcie.explicit_copy_time(payload + 1) == 2 * config.tlp_round_trip_time
 
     def test_large_transfer_matches_bandwidth(self, pcie, config):
         num_bytes = 1 << 30

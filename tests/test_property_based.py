@@ -25,6 +25,8 @@ from repro.service.stats import ClassTally
 from repro.sim.config import HardwareConfig
 from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
+from repro.transfer.explicit_compaction import ExplicitCompactionEngine
+from repro.transfer.zero_copy import ZeroCopyEngine
 
 from tests.conftest import assert_distances_equal
 from tests.test_partition import check_tiling
@@ -204,9 +206,79 @@ def test_frontier_matches_python_sets(data, vertices, num_partitions, num_device
     bounds = context.sharding.vertex_bounds.tolist()
     for start, end, ids in zip(bounds, bounds[1:], snapshot.per_device):
         assert set(ids.tolist()) == {v for v in active if start <= v < end}
-    per_partition_vertices, per_partition_edges = context.partitioning.active_counts(pending)
-    assert per_partition_vertices.sum() == len(active)
-    assert per_partition_edges.sum() == snapshot.active_edges
+    assert snapshot.totals.active_vertices.sum() == len(active)
+    assert snapshot.totals.active_edges.sum() == snapshot.active_edges
+
+
+def _one_slice_prices(graph, config, vertices):
+    """A device's whole frontier priced per vertex, with exact prefix sums.
+
+    Formula 2's packed volume and Formula 3's requests (``am(v)``
+    included) summed over the vertices, then priced as one compaction
+    and one zero-copy read: ``(packed, cpu, copy), (payload, seconds)``.
+    """
+    d1, m = graph.edge_bytes_per_edge, config.pcie_request_bytes
+    degrees = graph.out_degrees[vertices]
+    spans = graph.row_offset[vertices] * d1 % m + degrees * d1
+    requests = np.where(degrees > 0, -(-spans // m), 0)
+    edges = int(np.concatenate([[0], np.cumsum(degrees)])[-1])
+    total_requests = int(np.concatenate([[0], np.cumsum(requests)])[-1])
+    pcie = PCIeModel(config)
+    packed = edges * d1 + vertices.size * config.index_entry_bytes
+    payload = edges * d1
+    return (
+        (packed, packed / config.cpu_compaction_throughput, float(pcie.explicit_copy_time(packed))),
+        (payload, float(pcie.zero_copy_time(total_requests, payload))),
+    )
+
+
+@COMMON_SETTINGS
+@given(
+    edge_lists(),
+    st.booleans(),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_frontier_totals_are_per_vertex_sums(data, weighted, num_partitions, num_devices, draw):
+    """The one frontier reduction, checked vertex by vertex and device by device."""
+    num_vertices, edges, weights = data
+    graph = CSRGraph.from_edges(edges, num_vertices=num_vertices, weights=weights if weighted else None)
+    config = HardwareConfig().with_devices(num_devices) if num_devices > 1 else HardwareConfig()
+    context = ExecutionContext(graph, partition_by_count(graph, num_partitions), config)
+    num_rows = draw.draw(st.integers(min_value=1, max_value=3))
+    pending = np.array(
+        [draw.draw(st.lists(st.booleans(), min_size=num_vertices, max_size=num_vertices)) for _ in range(num_rows)],
+        dtype=bool,
+    ).reshape(num_rows, num_vertices)
+    d1, m = graph.edge_bytes_per_edge, config.pcie_request_bytes
+    partition_of = context.partitioning.partition_of.tolist()
+    compaction, zero_copy = ExplicitCompactionEngine(graph, config), ZeroCopyEngine(graph, config)
+    stacked = context.frontier_totals(pending)
+    for row in range(num_rows):
+        alone = context.frontier_totals(pending[row])
+        for column in ("active_vertices", "active_edges", "zero_copy_requests"):
+            assert getattr(stacked.rows(row), column).tolist() == getattr(alone, column).tolist()
+        expected = np.zeros((3, context.partitioning.num_partitions))
+        for v in np.flatnonzero(pending[row]).tolist():
+            degree = int(graph.out_degrees[v])
+            requests = -(-(int(graph.row_offset[v]) * d1 % m + degree * d1) // m) if degree else 0
+            expected[:, partition_of[v]] += (1, degree, requests)
+        assert alone.active_vertices.tolist() == expected[0].tolist()
+        assert alone.active_edges.tolist() == expected[1].tolist()
+        assert alone.zero_copy_requests.tolist() == expected[2].tolist()
+
+        # Each device's one task: its shard's summed totals, priced.
+        shards = alone.sum_over(context.sharding.partition_bounds)
+        packed, cpu, copy = compaction.partition_prices(shards.active_edges, shards.active_vertices)
+        moved, seconds = zero_copy.partition_prices(shards.zero_copy_requests, shards.active_edges)
+        per_device = context.split_frontier(np.flatnonzero(pending[row]))
+        assert shards.active_vertices.tolist() == [vertices.size for vertices in per_device]
+        for device, vertices in enumerate(per_device):
+            assert _one_slice_prices(graph, config, vertices) == (
+                (int(packed[device]), float(cpu[device]), float(copy[device])),
+                (int(moved[device]), float(seconds[device])),
+            )
 
 
 @COMMON_SETTINGS
@@ -306,7 +378,7 @@ def test_cost_model_non_negative_and_selection_total(data):
     partitioning = partition_by_count(graph, 4)
     if partitioning.num_partitions == 0:
         return
-    model = CostModel(graph, partitioning, HardwareConfig())
+    model = CostModel(ExecutionContext(graph, partitioning, HardwareConfig()))
     mask = np.zeros(num_vertices, dtype=bool)
     mask[::2] = True
     costs = model.estimate(mask)
@@ -315,7 +387,7 @@ def test_cost_model_non_negative_and_selection_total(data):
     assert np.all(costs.zero_copy_cost >= 0)
     selection = EngineSelector().select(costs)
     # Every partition with active edges gets exactly one engine.
-    active = np.flatnonzero(costs.active_edges > 0)
+    active = np.flatnonzero(costs.totals.active_edges > 0)
     assert all(selection.choices[index] is not None for index in active)
     assert sum(selection.counts().values()) == active.size
 

@@ -7,6 +7,7 @@ from repro.core.combiner import ScheduledTask, TaskCombiner
 from repro.core.cost_model import CostModel, PartitionCosts
 from repro.core.selection import EngineSelector, SelectionThresholds
 from repro.graph.partition import partition_by_count
+from repro.runtime.context import ExecutionContext, FrontierTotals
 from repro.transfer.base import EngineKind
 
 
@@ -18,9 +19,11 @@ def make_costs(filter_cost, compaction_cost, zero_copy_cost, active_edges=None):
         filter_cost=filter_cost,
         compaction_cost=np.asarray(compaction_cost, dtype=float),
         zero_copy_cost=np.asarray(zero_copy_cost, dtype=float),
-        active_vertices=np.ones_like(filter_cost, dtype=np.int64),
-        active_edges=np.asarray(active_edges, dtype=np.int64),
-        zero_copy_requests=np.ones_like(filter_cost),
+        totals=FrontierTotals(
+            active_vertices=np.ones_like(filter_cost, dtype=np.int64),
+            active_edges=np.asarray(active_edges, dtype=np.int64),
+            zero_copy_requests=np.ones_like(filter_cost),
+        ),
     )
 
 
@@ -85,7 +88,7 @@ class TestSelectionRule:
 class TestSelectionOnRealCosts:
     def test_dense_frontier_prefers_filter(self, medium_power_law_graph, config):
         partitioning = partition_by_count(medium_power_law_graph, 8)
-        model = CostModel(medium_power_law_graph, partitioning, config)
+        model = CostModel(ExecutionContext(medium_power_law_graph, partitioning, config))
         costs = model.estimate(np.ones(medium_power_law_graph.num_vertices, dtype=bool))
         result = EngineSelector().select(costs)
         counts = result.counts()
@@ -93,7 +96,7 @@ class TestSelectionOnRealCosts:
 
     def test_sparse_frontier_avoids_filter(self, medium_power_law_graph, config):
         partitioning = partition_by_count(medium_power_law_graph, 8)
-        model = CostModel(medium_power_law_graph, partitioning, config)
+        model = CostModel(ExecutionContext(medium_power_law_graph, partitioning, config))
         mask = np.zeros(medium_power_law_graph.num_vertices, dtype=bool)
         mask[::79] = True
         costs = model.estimate(mask)

@@ -1,12 +1,15 @@
 """The transfer engines (Figure 2) against per-partition oracles.
 
-``TransferEngine.transfer_task(active, cuts)`` is each mechanism's only
-price.  The oracles below restate the paper's formulas one partition at a
-time in plain Python, so a vectorised engine that drops a partition's own
-rounding, or reads vertices outside its cuts, fails by value.  The
-ExpTM-filter price has no engine: it is the execution context's
-per-partition table, checked here directly and through ExpTM-F's
-per-iteration byte counts.
+Compaction and zero-copy price a frontier's per-partition totals
+(``partition_prices`` of ``ExecutionContext.frontier_totals``): the
+HyTGraph planner adds a task's partition prices left to right, and EMOGI
+and Subway price a device's summed totals.  Unified memory prices a
+vertex set (``transfer_task``).  The oracles below restate the paper's
+formulas one partition at a time in plain Python, so a vectorised engine
+that drops a partition's own rounding, or reads vertices outside its
+partitions, fails by value.  The ExpTM-filter price has no engine: it is
+the execution context's per-partition table, checked here directly and
+through ExpTM-F's per-iteration byte counts.
 """
 
 import math
@@ -85,8 +88,28 @@ ENGINES = {
 }
 
 
+def price_totals(engine, totals):
+    """``(bytes, transfer, cpu, overlapped)`` of a task of the partitions in ``totals``.
+
+    Each partition pays its own price and the seconds add left to right,
+    as the planners bill them; a partition without active vertices adds
+    nothing.
+    """
+    if isinstance(engine, ExplicitCompactionEngine):
+        moved, cpu, seconds = engine.partition_prices(totals.active_edges, totals.active_vertices)
+        overlapped = False
+    else:
+        moved, seconds = engine.partition_prices(totals.zero_copy_requests, totals.active_edges)
+        cpu, overlapped = np.zeros_like(seconds), True
+    transfer_time = cpu_time = 0.0
+    for index in np.flatnonzero(totals.active_vertices).tolist():
+        transfer_time += float(seconds[index])
+        cpu_time += float(cpu[index])
+    return int(moved.sum()), transfer_time, cpu_time, overlapped
+
+
 def _tasks(graph, partitioning, rng):
-    """``(active, cuts)`` pairs: random, edge-case and one-slice frontiers."""
+    """``(active, first, last)`` triples: random, edge-case and whole frontiers."""
     n = graph.num_vertices
     starts = partitioning.vertex_boundaries.tolist()
     num_partitions = partitioning.num_partitions
@@ -102,31 +125,43 @@ def _tasks(graph, partitioning, rng):
     ] + [np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False)) for _ in range(6)]
     tasks = []
     for active in frontiers:
-        # Every partition; a random run of partitions (vertices outside
-        # its cuts must be ignored); the whole frontier as one slice.
-        tasks.append((active, np.searchsorted(active, starts)))
+        # Every partition, and a random run of partitions (vertices outside
+        # it must be ignored).
+        tasks.append((active, 0, num_partitions))
         first = int(rng.integers(num_partitions))
-        last = int(rng.integers(first, num_partitions)) + 1
-        tasks.append((active, np.searchsorted(active, starts[first : last + 1])))
-        tasks.append((active, (0, active.size)))
+        tasks.append((active, first, int(rng.integers(first, num_partitions)) + 1))
     return tasks
 
 
 @pytest.mark.parametrize("num_partitions", [1, 3, 8])
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_transfer_task_matches_per_partition_oracle(engine_name, weighted, num_partitions, config):
+def test_prices_match_per_partition_oracle(engine_name, weighted, num_partitions, config):
     graph = rmat_graph(400, 3000, seed=37, weighted=weighted)
     partitioning = partition_by_count(graph, num_partitions)
+    context = ExecutionContext(graph, partitioning, config)
+    starts = partitioning.vertex_boundaries
     engine_cls, oracle = ENGINES[engine_name]
     rng = np.random.default_rng(num_partitions)
-    for active, cuts in _tasks(graph, partitioning, rng):
-        # A fresh engine per task: the unified-memory oracle prices a cold cache.
-        outcome = engine_cls(graph, config).transfer_task(active, cuts)
-        expected = oracle(graph, config, active, cuts)
-        actual = (outcome.bytes_transferred, outcome.transfer_time, outcome.cpu_time, outcome.overlapped)
-        assert actual == expected, (list(cuts), active.size)
-        assert outcome.engine is engine_cls.kind
+    for active, first, last in _tasks(graph, partitioning, rng):
+        cuts = np.searchsorted(active, starts[first : last + 1])
+        if engine_cls is UnifiedMemoryEngine:
+            # A fresh engine per task: the oracle prices a cold cache.
+            outcome = engine_cls(graph, config).transfer_task(active[cuts[0] : cuts[-1]])
+            actual = (outcome.bytes_transferred, outcome.transfer_time, outcome.cpu_time, outcome.overlapped)
+            assert outcome.engine is engine_cls.kind
+            assert actual == oracle(graph, config, active, cuts), (first, last, active.size)
+            continue
+        pending = np.zeros(graph.num_vertices, dtype=bool)
+        pending[active] = True
+        totals = context.frontier_totals(pending)
+        task = totals.rows(slice(first, last))
+        actual = price_totals(engine_cls(graph, config), task)
+        assert actual == oracle(graph, config, active, cuts), (first, last, active.size)
+        # The run compacted or read as one slice (a baseline device's task).
+        whole = task.sum_over(np.array([0, last - first]))
+        actual = price_totals(engine_cls(graph, config), whole)
+        assert actual == oracle(graph, config, active, cuts[[0, -1]]), (first, last, active.size)
 
 
 class TestExplicitFilter:
@@ -175,25 +210,38 @@ def _active_in_first_partition(graph, stride):
     return vertices[graph.out_degrees[vertices] > 0]
 
 
+def _whole_frontier_totals(graph, config, active):
+    """The summed totals of ``active`` (one slice: a baseline's one task)."""
+    context = ExecutionContext(graph, partition_by_count(graph, 8), config)
+    pending = np.zeros(graph.num_vertices, dtype=bool)
+    pending[active] = True
+    return context.frontier_totals(pending).sum_over(np.array([0, 8]))
+
+
 class TestExplicitCompaction:
     def test_less_data_than_filter_when_sparse(self, medium_power_law_graph, config):
         graph = medium_power_law_graph
-        active = _active_in_first_partition(graph, 7)
-        outcome = ExplicitCompactionEngine(graph, config).transfer_task(active, (0, active.size))
-        assert 0 < outcome.bytes_transferred < partition_by_count(graph, 8).edge_bytes[0]
-        assert outcome.cpu_time > 0 and not outcome.overlapped
+        totals = _whole_frontier_totals(graph, config, _active_in_first_partition(graph, 7))
+        moved, cpu, _ = ExplicitCompactionEngine(graph, config).partition_prices(
+            totals.active_edges, totals.active_vertices
+        )
+        assert 0 < moved[0] < partition_by_count(graph, 8).edge_bytes[0]
+        assert cpu[0] > 0
 
 
 class TestZeroCopy:
     def test_scales_with_active_set(self, medium_power_law_graph, config):
         graph = medium_power_law_graph
         engine = ZeroCopyEngine(graph, config)
-        few, many = (_active_in_first_partition(graph, stride) for stride in (8, 1))
-        few_outcome = engine.transfer_task(few, (0, few.size))
-        many_outcome = engine.transfer_task(many, (0, many.size))
-        assert few_outcome.bytes_transferred <= many_outcome.bytes_transferred
-        assert few_outcome.transfer_time <= many_outcome.transfer_time
-        assert many_outcome.overlapped and many_outcome.cpu_time == 0.0
+        few, many = (
+            engine.partition_prices(totals.zero_copy_requests, totals.active_edges)
+            for totals in (
+                _whole_frontier_totals(graph, config, _active_in_first_partition(graph, stride))
+                for stride in (8, 1)
+            )
+        )
+        assert few[0][0] <= many[0][0]
+        assert few[1][0] <= many[1][0]
 
 
 class TestUnifiedMemory:
@@ -204,26 +252,26 @@ class TestUnifiedMemory:
 
     def test_first_access_faults_then_hits(self, medium_power_law_graph, config, active):
         engine = UnifiedMemoryEngine(medium_power_law_graph, config)
-        cold = engine.transfer_task(active, (0, active.size))
+        cold = engine.transfer_task(active)
         cold_faults, cold_hits = engine.cache.stats.faults, engine.cache.stats.hits
         assert cold_faults > 0
         assert cold.bytes_transferred == cold_faults * config.um_page_bytes
-        warm = engine.transfer_task(active, (0, active.size))
+        warm = engine.transfer_task(active)
         assert engine.cache.stats.faults == cold_faults
         assert engine.cache.stats.hits > cold_hits
         assert (warm.bytes_transferred, warm.transfer_time) == (0, 0.0)
 
     def test_reset_clears_cache(self, medium_power_law_graph, config, active):
         engine = UnifiedMemoryEngine(medium_power_law_graph, config)
-        first = engine.transfer_task(active, (0, active.size))
+        first = engine.transfer_task(active)
         engine.reset()
         assert engine.cache.stats.faults == 0 and engine.cache.resident_pages == 0
-        again = engine.transfer_task(active, (0, active.size))
+        again = engine.transfer_task(active)
         assert again.bytes_transferred == first.bytes_transferred > 0
 
     def test_small_cache_evicts(self, medium_power_law_graph, active):
         engine = UnifiedMemoryEngine(medium_power_law_graph, HardwareConfig(gpu_memory_bytes=2 * 4096))
         for chunk in np.array_split(active, 8):
-            engine.transfer_task(chunk, (0, chunk.size))
+            engine.transfer_task(chunk)
         assert engine.cache.stats.evictions > 0
         assert engine.kind is EngineKind.IMP_UNIFIED_MEMORY
