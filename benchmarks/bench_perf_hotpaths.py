@@ -99,7 +99,6 @@ from repro.metrics.tables import format_table
 from repro.runtime.batch import QueryBatchRunner
 from repro.runtime.context import FrontierTotals
 from repro.sim.config import HardwareConfig
-from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
 from repro.systems import make_system
 from repro.systems.emogi import EmogiSystem
@@ -278,10 +277,9 @@ def _seed_account_transfer(self, task):
     priced alone from its own vertices, with exact prefix sums over them:
     Formula 2's packed volume (CPU throughput, then whole TLPs) or
     Formula 3's per-vertex requests (``am(v)`` included, counted per call
-    as the seed did) at the γ-split zero-copy rate.
+    as the seed did) at the γ-split zero-copy rate.  Returns ``(bytes,
+    transfer seconds, CPU seconds, overlapped)``.
     """
-    from repro.transfer.base import TransferOutcome
-
     context = self.context
     graph, config = context.graph, context.config
     d1, m = graph.edge_bytes_per_edge, config.pcie_request_bytes
@@ -306,18 +304,26 @@ def _seed_account_transfer(self, task):
             cpu_time += packed / config.cpu_compaction_throughput
             transfer_time += math.ceil(packed / config.tlp_payload_bytes) * rtt
         else:
-            starts = graph.row_offset[in_partition] * d1
-            requests = PCIeModel(config).requests_for_vertices(degrees, starts, value_bytes=d1)
+            requests = _seed_vertex_requests(graph, config, in_partition)
             requests = int(np.concatenate([[0], np.cumsum(requests)])[-1])
             bytes_total += edges * d1
             transfer_time += gamma * rtt * requests / mr + (1.0 - gamma) * rtt * (edges * d1) / (mr * m)
-    return TransferOutcome(
-        engine=task.engine,
-        bytes_transferred=bytes_total,
-        transfer_time=transfer_time,
-        cpu_time=cpu_time,
-        overlapped=task.engine is EngineKind.IMP_ZERO_COPY,
-    )
+    return bytes_total, transfer_time, cpu_time, task.engine is EngineKind.IMP_ZERO_COPY
+
+
+def _seed_vertex_requests(graph, config, vertices):
+    """Formula 3's zero-copy requests of each of ``vertices`` (``am(v)`` included)."""
+    d1, m = graph.edge_bytes_per_edge, config.pcie_request_bytes
+    degrees = graph.out_degrees[vertices]
+    spans = graph.row_offset[vertices] * d1 % m + degrees * d1
+    return np.where(degrees > 0, -(-spans // m), 0)
+
+
+def _seed_kernel_time(config, edges):
+    """One kernel launch over ``edges`` edges: occupancy ramps to 1 at 2**16 edges."""
+    saturation = 1 << 16
+    occupancy = 1.0 if edges >= saturation else 0.05 + (1.0 - 0.05) * (edges / saturation)
+    return config.gpu_kernel_launch_overhead + edges / (config.gpu_edge_throughput * occupancy)
 
 
 def _seed_run_iteration(self, iteration, program, state, pending):
@@ -336,7 +342,14 @@ def _seed_run_iteration(self, iteration, program, state, pending):
     selection = planner.selector.select(costs)
     tasks = _seed_combine(planner.combiner, self.partitioning, selection, active_mask)
     tasks = _seed_prioritize(planner.priority, tasks, program, state)
-    generation_overhead = self.kernel_model.device_scan_time(self.partitioning.num_partitions)
+    # The on-GPU selection scan: one launch over three values per partition.
+    config = self.config
+    num_partitions = self.partitioning.num_partitions
+    generation_overhead = (
+        config.gpu_kernel_launch_overhead
+        + num_partitions * 3 * config.vertex_value_bytes / config.gpu_memory_bandwidth
+        if num_partitions > 0 else 0.0
+    )
 
     stream_tasks = []
     total_transfer_bytes = 0
@@ -344,24 +357,23 @@ def _seed_run_iteration(self, iteration, program, state, pending):
     engine_task_counts = {}
     for order, task in enumerate(tasks):
         processed_edges = _seed_execute_task(self, task, program, state, pending)
-        outcome = _seed_account_transfer(self, task)
-        kernel_time = self.kernel_model.kernel_time(processed_edges)
+        moved, transfer_time, cpu_time, overlapped = _seed_account_transfer(self, task)
         stream_tasks.append(
             StreamTask(
                 name=task.label,
                 engine=task.engine.value,
-                cpu_time=outcome.cpu_time,
-                transfer_time=outcome.transfer_time,
-                kernel_time=kernel_time,
-                overlapped_transfer=outcome.overlapped,
+                cpu_time=cpu_time,
+                transfer_time=transfer_time,
+                kernel_time=_seed_kernel_time(config, processed_edges),
+                overlapped_transfer=overlapped,
                 priority=float(order),
             )
         )
-        total_transfer_bytes += outcome.bytes_transferred
+        total_transfer_bytes += moved
         total_processed_edges += processed_edges
         engine_task_counts[task.engine.value] = engine_task_counts.get(task.engine.value, 0) + 1
 
-    timeline = StreamScheduler(self.config).schedule(stream_tasks)
+    timeline = StreamScheduler(config).schedule(stream_tasks)
     iteration_time = timeline.makespan + generation_overhead
     return IterationStats(
         index=iteration,
@@ -467,8 +479,7 @@ def _seed_estimate(self, active_mask, active_ids=None):
     zero_copy_cost = np.zeros(num_partitions, dtype=np.float64)
     requests_per_partition = zero_copy_cost
     if ids.size:
-        starts = graph.row_offset[ids] * d1
-        requests = PCIeModel(config).requests_for_vertices(degrees, starts, value_bytes=d1)
+        requests = _seed_vertex_requests(graph, config, ids)
         requests_per_partition = np.bincount(partition_of, weights=requests, minlength=num_partitions)
         tlps = np.ceil(requests_per_partition / config.pcie_max_outstanding)
         partition_edges_safe = np.maximum(partitioning.edges, 1)

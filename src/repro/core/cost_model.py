@@ -15,17 +15,20 @@ edges, what each candidate engine would cost:
   (Formula 3).
 
 Every column is a function of the frontier's per-partition totals
-(:meth:`~repro.runtime.context.ExecutionContext.frontier_totals`), and
-the two explicit-copy columns are the billed prices themselves:
+(:meth:`~repro.runtime.context.ExecutionContext.frontier_totals`) and
+is priced by the execution context, the one home of every transfer
+price.  The two explicit-copy columns are the billed prices themselves:
 ``Tef_i`` is the context's ``partition_copy_time`` (the ExpTM-filter
 bill) and ``Tec_i`` the copy seconds of
-:meth:`~repro.transfer.explicit_compaction.ExplicitCompactionEngine.partition_prices`
-(the ExpTM-compaction bill), so selection compares exactly what the
+:meth:`~repro.runtime.context.ExecutionContext.compaction_prices` (the
+ExpTM-compaction bill), so selection compares exactly what the
 simulator charges for them.  ``Tiz_i`` stays Formula 3 (whole TLPs at
-the damped round trip), which is not the zero-copy bill
-(:meth:`~repro.sim.pcie.PCIeModel.zero_copy_time`, linear in requests
-and payload).  RTT is an arbitrary common factor during comparison, so
-the absolute value never matters, but the model keeps real seconds.
+the damped round trip,
+:meth:`~repro.sim.pcie.PCIeModel.zero_copy_rtt`), which is not the
+zero-copy bill (:meth:`~repro.runtime.context.ExecutionContext.zero_copy_prices`,
+linear in requests and payload).  RTT is an arbitrary common factor
+during comparison, so the absolute value never matters, but the model
+keeps real seconds.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.runtime.context import ExecutionContext, FrontierTotals
-from repro.transfer.explicit_compaction import ExplicitCompactionEngine
 
 __all__ = ["PartitionCosts", "CostModel"]
 
@@ -71,9 +73,7 @@ class CostModel:
 
     def __init__(self, context: ExecutionContext):
         self.context = context
-        self.config = config = context.config
-        #: The ExpTM-compaction pricer; the planner bills with it too.
-        self.compaction = ExplicitCompactionEngine(context.graph, config)
+        self.config = context.config
         # Formula 1 depends only on the (static) partition sizes.
         self._filter_cost = np.asarray(context.partition_copy_time)
         self._partition_edges_safe = np.maximum(context.partitioning.edges, 1)
@@ -92,23 +92,19 @@ class CostModel:
         are what the :class:`~repro.core.selection.EngineSelector`
         compares.
         """
-        totals = self.context.frontier_totals(np.asarray(active_mask, dtype=bool), active_ids)
+        context = self.context
+        totals = context.frontier_totals(np.asarray(active_mask, dtype=bool), active_ids)
         active_edges = totals.active_edges
         touched = active_edges > 0
         filter_cost = np.where(touched, self._filter_cost, 0.0)
-        _, _, copy_time = self.compaction.partition_prices(active_edges, totals.active_vertices)
+        _, _, copy_time = context.compaction_prices(active_edges, totals.active_vertices)
         compaction_cost = np.where(touched, copy_time, 0.0)
 
         # Zero-copy (Formula 3): the partition's requests in whole TLPs at
-        # the damped round trip of its payload fraction.
-        config = self.config
-        tlps = np.ceil(totals.zero_copy_requests / config.pcie_max_outstanding)
-        # Both counts are non-negative, so clipping to [0, 1] is a min.
-        payload_fraction = np.minimum(active_edges / self._partition_edges_safe, 1.0)
-        gamma = config.zero_copy_gamma
-        rtt_zc = (gamma + (1.0 - gamma) * payload_fraction) * config.tlp_round_trip_time
-        # An untouched partition has no requests, so its cost is 0.0.
-        zero_copy_cost = tlps * rtt_zc
+        # the damped round trip of its payload fraction.  An untouched
+        # partition has no requests, so its cost is 0.0.
+        tlps = np.ceil(totals.zero_copy_requests / self.config.pcie_max_outstanding)
+        zero_copy_cost = tlps * context.pcie.zero_copy_rtt(active_edges / self._partition_edges_safe)
 
         return PartitionCosts(
             filter_cost=filter_cost,

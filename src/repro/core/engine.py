@@ -126,7 +126,6 @@ from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.kernel import KernelModel
 from repro.sim.streams import StreamTask
 from repro.transfer.base import ENGINE_LABEL
-from repro.transfer.zero_copy import ZeroCopyEngine
 
 __all__ = ["HyTGraphOptions", "HyTGraphEngine"]
 
@@ -191,10 +190,6 @@ class HyTGraphEngine:
         self.selector = EngineSelector(options.thresholds)
         self.combiner = TaskCombiner(options.combine_factor, enabled=options.task_combining)
         self.priority = ContributionScheduler(graph, partitioning, enabled=options.contribution_scheduling)
-        # Filter tasks are priced from the context's per-partition tables,
-        # compaction tasks by the cost model's own compaction pricer.
-        self._compaction = self.cost_model.compaction
-        self._zero_copy = ZeroCopyEngine(graph, context.config)
         #: Names of the tasks of consecutive partitions, by (code, first, count).
         self._task_names: dict[tuple[int, int, int], ScheduledTask] = {}
         # Static per-partition vertex counts: the fused steps expand
@@ -394,8 +389,9 @@ class HyTGraphEngine:
 
         Selection, combining and prioritising run over the block's
         ``rows x P`` columns; a compaction or zero-copy task adds its
-        partitions' ``partition_prices`` (of the frontier totals the cost
-        model priced from) left to right.  Filter tasks are left for the
+        partitions' context prices (``compaction_prices`` /
+        ``zero_copy_prices`` of the frontier totals the cost model priced
+        from) left to right.  Filter tasks are left for the
         caller's claims.
         """
         context = self.context
@@ -433,10 +429,10 @@ class HyTGraphEngine:
         # task's left-to-right sums (the filter tasks' go unused).
         cells, totals = tasks.cells, block.totals
         edges = totals.active_edges.reshape(-1)[cells]
-        moved, seconds = self._zero_copy.partition_prices(totals.zero_copy_requests.reshape(-1)[cells], edges)
+        moved, seconds = context.zero_copy_prices(totals.zero_copy_requests.reshape(-1)[cells], edges)
         compacted = tasks.codes[tasks.cell_tasks] == COMPACTION
         if np.count_nonzero(compacted):
-            packed, compact_s, copy_s = self._compaction.partition_prices(
+            packed, compact_s, copy_s = context.compaction_prices(
                 edges, totals.active_vertices.reshape(-1)[cells]
             )
             moved = np.where(compacted, packed, moved)

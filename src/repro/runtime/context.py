@@ -34,6 +34,16 @@ frontier snapshot and with it every baseline planner read them; a
 single-mechanism baseline prices a device's task from its shard's sums
 (:meth:`FrontierTotals.sum_over`).
 
+**The prices.**  Every explicit-copy and zero-copy price is defined
+once, here, element-wise over arrays of totals, with the session's one
+:class:`~repro.sim.pcie.PCIeModel` (:attr:`ExecutionContext.pcie`): the
+filter tables above, :meth:`ExecutionContext.compaction_prices`
+(Formula 2's packed volume, its CPU and copy seconds) and
+:meth:`ExecutionContext.zero_copy_prices` (payload and seconds).  The
+HyTGraph planner bills its tasks with them per partition, the cost
+model's estimate compares them, and EMOGI and Subway bill each device's
+summed totals.
+
 ``num_devices == 1`` is not a separate code path: the context simply
 holds one shard covering the whole partitioning, every frontier split
 returns one slice, every remote-activation count is zero and the
@@ -187,7 +197,9 @@ class ExecutionContext:
         #: bytes and their explicit-copy seconds (plain lists: planners
         #: index them one partition at a time).
         self.partition_bytes = partitioning.edge_bytes.tolist()
-        pcie = PCIeModel(config)
+        #: The session's one PCIe model: every explicit-copy and zero-copy
+        #: price of the session is taken from it.
+        self.pcie = pcie = PCIeModel(config)
         self.partition_copy_time = pcie.explicit_copy_time(partitioning.edge_bytes).tolist()
         # Per-vertex weights of the frontier totals (out-degree, zero-copy
         # requests), as the float64 that bincount sums in anyway.
@@ -388,6 +400,43 @@ class ExecutionContext:
             active_edges=active_edges.astype(np.int64).reshape(shape),
             zero_copy_requests=requests.reshape(shape),
         )
+
+    def compaction_prices(
+        self, active_edges: np.ndarray, active_vertices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """ExpTM-compaction's packed bytes, CPU seconds and copy seconds, element-wise.
+
+        A partition packs Formula 2's volume, ``sum(Do(v)) * d1 + |A| *
+        d2``: the active adjacency lists at the CSR's own bytes per edge
+        (neighbours plus weights when present, what ExpTM-filter ships
+        per edge) and one fresh index entry per active vertex.  The host
+        CPU produces it at the configured compaction throughput (the
+        paper keeps this a simple throughput model, Section VIII) and one
+        explicit copy ships it, with its own TLP rounding.  A task of
+        several partitions pays each partition's price; a baseline that
+        compacts a device's whole frontier at once prices its summed
+        totals.  Only prices: no sub-CSR is built, the vertex programs
+        push from the original CSR.
+        """
+        config = self.config
+        output_bytes = active_edges * self.graph.edge_bytes_per_edge + active_vertices * config.index_entry_bytes
+        return (
+            output_bytes,
+            output_bytes / config.cpu_compaction_throughput,
+            self.pcie.explicit_copy_time(output_bytes),
+        )
+
+    def zero_copy_prices(self, requests: np.ndarray, active_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """ImpTM-zero-copy's payload bytes and seconds, element-wise.
+
+        ``requests`` and ``active_edges`` are zero-copy request and
+        active out-edge totals (exact integers); the price is
+        :meth:`~repro.sim.pcie.PCIeModel.zero_copy_time` of those totals.
+        The cost is linear in both, so a device's summed totals price the
+        same as its vertices one by one.
+        """
+        payload = active_edges * self.graph.edge_bytes_per_edge
+        return payload, self.pcie.zero_copy_time(requests, payload)
 
     def split_frontier(self, active_ids: np.ndarray) -> list[np.ndarray]:
         """Slice a sorted active-vertex array into one view per device."""

@@ -212,8 +212,13 @@ class HardwareConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
-        if self.gpu_memory_bytes < 0:
-            raise ValueError("gpu_memory_bytes must be non-negative")
+        # Sizes and overheads every bill adds: a negative one shrinks it.
+        for name in (
+            "gpu_memory_bytes", "gpu_kernel_launch_overhead", "um_fault_overhead",
+            "index_entry_bytes", "vertex_value_bytes",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be non-negative" % name)
 
     # ------------------------------------------------------------------
     # Derived quantities

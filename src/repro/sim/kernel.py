@@ -1,16 +1,19 @@
 """GPU kernel and CPU processing time models.
 
-The transfer engines decide how bytes reach the GPU; this module decides
-how long the *computation* on those bytes takes.  The paper inherits its
-processing kernels from SEP-Graph/Tigr with CTA scheduling and
-bitmap-directed frontiers (Section VI-C); at the level this reproduction
-models, kernel time is dominated by
+The PCIe model (:mod:`repro.sim.pcie`) prices how bytes reach the GPU;
+this module decides how long the *computation* on those bytes takes.
+The paper inherits its processing kernels from SEP-Graph/Tigr with CTA
+scheduling and bitmap-directed frontiers (Section VI-C); at the level
+this reproduction models, kernel time is dominated by
 
 * a fixed launch overhead per kernel (which is why HyTGraph's task
   combiner merges partitions — Section V-B), and
 * an edge-processing term: active edges divided by an effective edge
   throughput, derated when the frontier is tiny (low occupancy) or when
   many active vertices contend on atomics.
+
+:meth:`KernelModel.kernel_times` is the one kernel formula, element-wise
+over edge counts: every GPU planner prices its launches with it.
 
 The CPU model prices the Galois-like in-memory baseline and is an order of
 magnitude slower per edge, matching the 5–13x GPU speedups of Table V.
@@ -36,31 +39,16 @@ class KernelModel:
     def __init__(self, config: HardwareConfig):
         self.config = config
 
-    def occupancy(self, active_edges: int) -> float:
-        """Fraction of peak edge throughput achievable for this frontier size."""
-        if active_edges >= _OCCUPANCY_SATURATION_EDGES:
-            return 1.0
-        fraction = active_edges / _OCCUPANCY_SATURATION_EDGES
-        return _MIN_OCCUPANCY_FRACTION + (1.0 - _MIN_OCCUPANCY_FRACTION) * fraction
-
-    def kernel_time(self, active_edges: int) -> float:
-        """Seconds of GPU time of one kernel launch over ``active_edges`` edges.
+    def kernel_times(self, active_edges) -> np.ndarray:
+        """Seconds of GPU time of one kernel launch per entry of ``active_edges``.
 
         Every launch pays the launch overhead — the quantity the task
-        combiner reduces by launching fewer kernels.
+        combiner reduces by launching fewer kernels — plus its edges at
+        the peak edge throughput derated by occupancy.  Element-wise over
+        an array (or list) of edge counts, so a planner prices all its
+        launches in one call.
         """
-        launch = self.config.gpu_kernel_launch_overhead
-        if active_edges <= 0:
-            return launch
-        effective = self.config.gpu_edge_throughput * self.occupancy(active_edges)
-        return launch + active_edges / effective
-
-    def kernel_times(self, active_edges: np.ndarray) -> np.ndarray:
-        """:meth:`kernel_time` of one launch per entry of an array of edge counts.
-
-        The same operations in the same order, so every entry equals the
-        scalar call on it.
-        """
+        active_edges = np.asarray(active_edges)
         fraction = active_edges / _OCCUPANCY_SATURATION_EDGES
         occupancy = np.where(
             active_edges >= _OCCUPANCY_SATURATION_EDGES,

@@ -18,15 +18,14 @@ saturated TLP takes a round-trip time ``RTT``.
   explicit-copy bandwidth plus a per-fault overhead.
 
 :class:`PCIeModel` packages these calculations as prices of totals
-(``explicit_copy_time``, ``zero_copy_time``, ``page_migration_time``),
-each element-wise over arrays of totals, and vectorised per-vertex
-counts (``requests_for_vertices``, ``vertex_requests``,
-``pages_for_byte_ranges``).  Their callers are the transfer engines'
-``partition_prices`` (priced from a frontier's per-partition totals),
-the unified-memory engine's per-vertex ``transfer_task`` and the
-execution context's per-partition copy-time table and per-vertex request
-table; the estimator (:mod:`repro.core.cost_model`) takes the
-explicit-copy prices from them and adds Formula 3 for zero-copy.
+(``explicit_copy_time``, ``zero_copy_time``, ``zero_copy_rtt``,
+``page_migration_time``), each element-wise over arrays of totals, and
+vectorised per-vertex counts (``vertex_requests``,
+``pages_for_byte_ranges``).  The execution context
+(:class:`~repro.runtime.context.ExecutionContext`) holds the one model
+of a session as ``context.pcie`` and prices every explicit-copy and
+zero-copy bill and estimate with it; the unified-memory engine's
+per-vertex ``transfer_task`` prices page faults.
 """
 
 from __future__ import annotations
@@ -55,63 +54,38 @@ class PCIeModel:
         """
         return np.ceil(num_bytes / self.config.tlp_payload_bytes) * self.config.tlp_round_trip_time
 
-    def explicit_copy_throughput(self) -> float:
-        """Sustained explicit-copy throughput in bytes/second."""
-        return self.config.pcie_bandwidth
-
     # ------------------------------------------------------------------
     # Zero-copy
     # ------------------------------------------------------------------
-    def requests_for_vertices(
-        self,
-        degrees: np.ndarray,
-        start_bytes: np.ndarray | None = None,
-        value_bytes: int | None = None,
-    ) -> np.ndarray:
-        """Outstanding memory requests needed per vertex.
+    def vertex_requests(self, graph) -> np.ndarray:
+        """Zero-copy memory requests of every vertex of ``graph``.
 
-        Parameters
-        ----------
-        degrees:
-            Out-degrees of the accessed (active) vertices.
-        start_bytes:
-            Physical byte offset of each vertex's neighbor array; used to
-            detect misalignment (the ``am(v)`` term).  ``None`` assumes
-            aligned starts.
-        value_bytes:
-            Bytes per neighbor entry (``d1``); defaults to the config value.
+        Vertex ``v`` reads ``Do(v) * d1`` bytes from byte offset
+        ``row_offset[v] * d1`` (``d1`` the CSR's bytes per edge), so it
+        needs ``ceil((offset % m + Do(v) * d1) / m)`` requests — one more
+        than the aligned count when its list straddles an extra request
+        boundary (the ``am(v)`` term) — and a zero-degree vertex none.  A
+        function of the CSR layout alone, so the execution context builds
+        it once and sums it per partition for every frontier.
         """
-        degrees = np.asarray(degrees, dtype=np.int64)
-        d1 = self.config.vertex_value_bytes if value_bytes is None else value_bytes
+        d1 = graph.edge_bytes_per_edge
         m = self.config.pcie_request_bytes
-        if start_bytes is None:
-            # ceil(Do * d1 / m), zero-degree vertices need no request.
-            return np.ceil(degrees * d1 / m).astype(np.int64)
-        start_bytes = np.asarray(start_bytes, dtype=np.int64)
-        span = (start_bytes % m) + degrees * d1
+        degrees = graph.out_degrees
+        span = (graph.row_offset[:-1] * d1 % m) + degrees * d1
         requests = np.ceil(span / m).astype(np.int64)
         requests[degrees == 0] = 0
         return requests
 
-    def vertex_requests(self, graph) -> np.ndarray:
-        """Zero-copy requests of every vertex of ``graph`` (aligned by its CSR offset).
-
-        A function of the CSR layout alone, so the execution context
-        builds it once and sums it per partition for every frontier.
-        """
-        d1 = graph.edge_bytes_per_edge
-        return self.requests_for_vertices(
-            graph.out_degrees, graph.row_offset[:-1] * d1, value_bytes=d1
-        )
-
-    def zero_copy_rtt(self, payload_fraction: float) -> float:
+    def zero_copy_rtt(self, payload_fraction):
         """Damped TLP round trip for zero-copy with the given payload fraction.
 
         ``RTT_zc = γ·RTT + (1-γ)·payload_fraction·RTT`` (Section V-A); a
         fully saturated TLP (payload_fraction = 1) costs the full RTT, an
-        almost-empty one still costs γ of it.
+        almost-empty one still costs γ of it.  Element-wise over an array
+        of non-negative fractions, each capped at 1 (Formula 3's estimate
+        prices every partition at once).
         """
-        payload_fraction = float(np.clip(payload_fraction, 0.0, 1.0))
+        payload_fraction = np.minimum(payload_fraction, 1.0)
         gamma = self.config.zero_copy_gamma
         return (gamma + (1.0 - gamma) * payload_fraction) * self.config.tlp_round_trip_time
 
@@ -129,7 +103,7 @@ class PCIeModel:
         batch of mostly-empty requests is dominated by the per-request
         overhead, reproducing the throughput collapse of Figure 3(e).
         Arrays of totals price element-wise with the same operations
-        (``ZeroCopyEngine.partition_prices`` prices every partition at once).
+        (``ExecutionContext.zero_copy_prices`` prices every partition at once).
         """
         gamma = self.config.zero_copy_gamma
         rtt = self.config.tlp_round_trip_time
@@ -150,7 +124,7 @@ class PCIeModel:
         request_bytes = min(request_bytes, self.config.pcie_request_bytes)
         payload_fraction = request_bytes / self.config.pcie_request_bytes
         payload_per_tlp = self.config.pcie_max_outstanding * request_bytes
-        return payload_per_tlp / self.zero_copy_rtt(payload_fraction)
+        return float(payload_per_tlp / self.zero_copy_rtt(payload_fraction))
 
     # ------------------------------------------------------------------
     # Unified memory
@@ -171,16 +145,18 @@ class PCIeModel:
         """Distinct 4-KB page ids touched by each ``[start, start+length)`` range.
 
         Returns the union of page ids across all ranges (sorted, unique).
+        Each non-empty range spans pages ``first .. last``; the spans are
+        laid end to end and numbered with one ``repeat``/``cumsum``.
         """
         start_bytes = np.asarray(start_bytes, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         page = self.config.um_page_bytes
-        pages: list[np.ndarray] = []
         nonzero = lengths > 0
-        for start, length in zip(start_bytes[nonzero], lengths[nonzero]):
-            first = start // page
-            last = (start + length - 1) // page
-            pages.append(np.arange(first, last + 1, dtype=np.int64))
-        if not pages:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(pages))
+        starts = start_bytes[nonzero]
+        first = starts // page
+        counts = (starts + lengths[nonzero] - 1) // page - first + 1
+        # Page k of range i is first[i] + k: offset every slot by its own
+        # range's first page minus that range's first slot.
+        slot_starts = np.cumsum(counts) - counts
+        pages = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(first - slot_starts, counts)
+        return np.unique(pages)

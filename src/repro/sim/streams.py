@@ -9,8 +9,8 @@ deterministic list scheduler over three exclusive resources:
 ``pcie``  — the host-to-GPU interconnect (every task that moves bytes)
 ``gpu``   — the compute kernel
 
-Each :class:`StreamTask` carries the per-stage durations computed by the
-transfer engines and the kernel model.  Tasks are assigned to streams in
+Each :class:`StreamTask` carries the per-stage durations its planner
+priced from the PCIe and kernel models.  Tasks are assigned to streams in
 priority order; stages of one task run in order (compact -> transfer ->
 kernel), different streams' stages overlap whenever their resources are
 free.  Zero-copy tasks overlap their transfer with their kernel implicitly
@@ -73,13 +73,6 @@ class StreamTask:
     overlapped_transfer: bool = False
     priority: float = 0.0
     attempts: int = 1
-
-    @property
-    def serial_time(self) -> float:
-        """Duration if the task ran alone with no overlap across stages."""
-        if self.overlapped_transfer:
-            return self.cpu_time + max(self.transfer_time, self.kernel_time)
-        return self.cpu_time + self.transfer_time + self.kernel_time
 
 
 class StreamScheduler:
@@ -176,12 +169,3 @@ class StreamScheduler:
                 timeline.makespan = cursor
             if owner >= 0 and cursor > timeline.owner_finish[owner]:
                 timeline.owner_finish[owner] = cursor
-
-    def serial_time(self, tasks: list[StreamTask]) -> float:
-        """Total time if every stage of every task ran back to back.
-
-        The ratio ``serial_time / schedule(...).makespan`` quantifies how
-        much the multi-stream overlap is worth: ``schedule`` never takes
-        longer than this serial bound.
-        """
-        return sum(task.serial_time for task in tasks)

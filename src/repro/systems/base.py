@@ -15,10 +15,14 @@ only its tasks (stream tasks, billed bytes, engine mix) and hands them to
 :meth:`GraphSystem._synchronous_plan`, which pushes the frontier and
 records the iteration.  It prices them from the driver's frontier
 snapshot, which carries the frontier's per-partition totals
-(:meth:`~repro.runtime.context.ExecutionContext.frontier_totals`):
+(:meth:`~repro.runtime.context.ExecutionContext.frontier_totals`), with
+the prices the execution context defines once for every planner:
 EMOGI and Subway price each device's one task from its shard's summed
-totals and ExpTM-F reads them per partition, while ImpTM-UM (page dedup)
-and Grus (its cached-vertex split) price per vertex.
+totals (``context.zero_copy_prices`` / ``context.compaction_prices``)
+and ExpTM-F reads the filter tables per partition, while ImpTM-UM (page
+dedup) and Grus (its cached-vertex split, over ``context.pcie``) price
+per vertex.  Every kernel launch is priced by
+:meth:`~repro.sim.kernel.KernelModel.kernel_times`.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
 from repro.transfer.base import EngineKind
-from repro.transfer.zero_copy import ZeroCopyEngine
 
 __all__ = ["EmogiSystem"]
 
@@ -45,16 +44,12 @@ class EmogiSystem(GraphSystem):
     name = "EMOGI"
     supports_multi_device = True
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.engine = ZeroCopyEngine(self.graph, self.config)
-
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
         frontier = self.driver.snapshot(session.pending)
         # Each device reads its shard's frontier: one task priced from the
         # shard's summed per-partition totals.
         shards = frontier.totals.sum_over(self.sharding.partition_bounds)
-        moved, seconds = self.engine.partition_prices(shards.zero_copy_requests, shards.active_edges)
+        moved, seconds = self.context.zero_copy_prices(shards.zero_copy_requests, shards.active_edges)
         kernel_times = self.kernel_model.kernel_times(shards.active_edges).tolist()
 
         device_tasks: list[list[StreamTask]] = self.context.empty_device_lists()

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.metrics.results import RunResult
 from repro.runtime.driver import IterationPlan, QuerySession
-from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
 from repro.transfer.base import EngineKind
@@ -49,7 +48,7 @@ class GrusSystem(GraphSystem):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        pcie = PCIeModel(self.config)
+        pcie = self.context.pcie
         self._zc_throughput = pcie.zero_copy_throughput(GRUS_ZC_REQUEST_BYTES)
         self._vertex_cached, self._prefetched_bytes = self._plan_prefetch()
         # The prefetch happens once, through the unified-memory migration
@@ -94,11 +93,15 @@ class GrusSystem(GraphSystem):
         cached_active = active_vertices[self._vertex_cached[active_vertices]]
         uncached_active = active_vertices[~self._vertex_cached[active_vertices]]
 
+        uncached_edges = self._active_edge_count(uncached_active)
+        miss_kernel, cached_kernel = self.kernel_model.kernel_times(
+            [uncached_edges, self._active_edge_count(cached_active)]
+        ).tolist()
+
         device_tasks: list[list[StreamTask]] = self.context.empty_device_lists()
         transfer_bytes = 0
         transfer_time = 0.0
         if uncached_active.size:
-            uncached_edges = self._active_edge_count(uncached_active)
             uncached_bytes = uncached_edges * self.graph.edge_bytes_per_edge
             zc_time = uncached_bytes / self._zc_throughput
             transfer_bytes += uncached_bytes
@@ -108,7 +111,7 @@ class GrusSystem(GraphSystem):
                     name="zero-copy-miss",
                     engine=EngineKind.IMP_ZERO_COPY.value,
                     transfer_time=zc_time,
-                    kernel_time=self.kernel_model.kernel_time(uncached_edges),
+                    kernel_time=miss_kernel,
                     overlapped_transfer=True,
                 )
             )
@@ -118,7 +121,7 @@ class GrusSystem(GraphSystem):
                     name="um-cached",
                     engine=EngineKind.IMP_UNIFIED_MEMORY.value,
                     transfer_time=0.0,
-                    kernel_time=self.kernel_model.kernel_time(self._active_edge_count(cached_active)),
+                    kernel_time=cached_kernel,
                     overlapped_transfer=True,
                 )
             )

@@ -62,7 +62,7 @@ class ImpTMUMSystem(GraphSystem):
 
         cache_stats = self.engine.cache.stats
         before = (cache_stats.accesses, cache_stats.hits, cache_stats.faults, cache_stats.evictions)
-        outcome = self.engine.transfer_task(active_vertices)
+        moved, transfer_time = self.engine.transfer_task(active_vertices)
         counters = session.scratch.setdefault(
             "page_cache", {"accesses": 0, "hits": 0, "faults": 0, "evictions": 0}
         )
@@ -70,19 +70,19 @@ class ImpTMUMSystem(GraphSystem):
         counters["hits"] += cache_stats.hits - before[1]
         counters["faults"] += cache_stats.faults - before[2]
         counters["evictions"] += cache_stats.evictions - before[3]
-        kernel_time = self.kernel_model.kernel_time(frontier.active_edges)
+        [kernel_time] = self.kernel_model.kernel_times([frontier.active_edges]).tolist()
         device_tasks: list[list[StreamTask]] = self.context.empty_device_lists()
         device_tasks[0].append(
             StreamTask(
                 name="um-frontier",
                 engine=EngineKind.IMP_UNIFIED_MEMORY.value,
-                transfer_time=outcome.transfer_time,
+                transfer_time=transfer_time,
                 kernel_time=kernel_time,
                 overlapped_transfer=True,
             )
         )
 
         return self._synchronous_plan(
-            session, frontier, device_tasks, outcome.bytes_transferred,
+            session, frontier, device_tasks, moved,
             {EngineKind.IMP_UNIFIED_MEMORY.value: 1},
         )

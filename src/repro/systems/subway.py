@@ -36,7 +36,6 @@ from repro.runtime.driver import IterationPlan, QuerySession
 from repro.sim.streams import StreamTask
 from repro.systems.base import GraphSystem
 from repro.transfer.base import EngineKind
-from repro.transfer.explicit_compaction import ExplicitCompactionEngine
 
 __all__ = ["SubwaySystem"]
 
@@ -51,10 +50,6 @@ class SubwaySystem(GraphSystem):
     name = "Subway"
     supports_multi_device = True
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.engine = ExplicitCompactionEngine(self.graph, self.config)
-
     def plan_iteration(self, session: QuerySession) -> IterationPlan:
         program, state, pending = session.program, session.state, session.pending
         sharding = self.sharding
@@ -64,7 +59,7 @@ class SubwaySystem(GraphSystem):
         # One compaction per device covering the frontier it owns, priced
         # from the shard's summed per-partition totals.
         shards = frontier.totals.sum_over(sharding.partition_bounds)
-        packed, cpu_times, copy_times = self.engine.partition_prices(shards.active_edges, shards.active_vertices)
+        packed, cpu_times, copy_times = self.context.compaction_prices(shards.active_edges, shards.active_vertices)
         active_devices = np.flatnonzero(shards.active_vertices).tolist()
 
         # First round: every device processes the frontier it owns.
@@ -96,6 +91,7 @@ class SubwaySystem(GraphSystem):
 
         device_tasks: list[list[StreamTask]] = self.context.empty_device_lists()
         cpu_times, copy_times = cpu_times.tolist(), copy_times.tolist()
+        kernel_times = self.kernel_model.kernel_times(processed_per_device).tolist()
         for device in active_devices:
             device_tasks[device].append(
                 StreamTask(
@@ -103,7 +99,7 @@ class SubwaySystem(GraphSystem):
                     engine=EngineKind.EXP_COMPACTION.value,
                     cpu_time=cpu_times[device],
                     transfer_time=copy_times[device],
-                    kernel_time=self.kernel_model.kernel_time(processed_per_device[device]),
+                    kernel_time=kernel_times[device],
                     overlapped_transfer=False,
                 )
             )

@@ -17,7 +17,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.sim.config import HardwareConfig
 from repro.sim.memory import PageCache
-from repro.transfer.base import EngineKind, TransferEngine, TransferOutcome
+from repro.transfer.base import EngineKind, TransferEngine
 
 __all__ = ["UnifiedMemoryEngine"]
 
@@ -37,25 +37,20 @@ class UnifiedMemoryEngine(TransferEngine):
         # now that systems keep one engine instance for their lifetime.
         self.cache = PageCache(self.cache.capacity_pages)
 
-    def transfer_task(self, active_vertices: np.ndarray) -> TransferOutcome:
-        """Price ``active_vertices`` as one page-access batch.
+    def transfer_task(self, active_vertices: np.ndarray) -> tuple[int, float]:
+        """Bytes and seconds of ``active_vertices`` as one page-access batch.
 
         The pages every active adjacency list touches are deduplicated
         and faulted in through the LRU cache in one pass, so the price is
-        per vertex set, not a sum of per-partition prices.
+        per vertex set, not a sum of per-partition prices.  Only faulted
+        pages cross PCIe; the transfer overlaps the kernel.
         """
         active_vertices = np.asarray(active_vertices, dtype=np.int64)
         if active_vertices.size == 0:
-            return TransferOutcome(self.kind, 0, 0.0, overlapped=True)
+            return 0, 0.0
         graph = self.graph
         start_bytes = graph.row_offset[active_vertices] * graph.edge_bytes_per_edge
         lengths = graph.out_degrees[active_vertices] * graph.edge_bytes_per_edge
         pages = self.pcie.pages_for_byte_ranges(start_bytes, lengths)
-        access = self.cache.access(pages)
-        return TransferOutcome(
-            engine=self.kind,
-            bytes_transferred=access.faults * self.config.um_page_bytes,
-            transfer_time=self.pcie.page_migration_time(access.faults),
-            cpu_time=0.0,
-            overlapped=True,
-        )
+        faults = self.cache.access(pages).faults
+        return faults * self.config.um_page_bytes, self.pcie.page_migration_time(faults)

@@ -268,13 +268,57 @@ def test_seed_transfer_oracle_prices_every_planned_task_like_the_engine(monkeypa
             active = np.concatenate(
                 [np.flatnonzero(pending[bounds[index] : bounds[index + 1]]) + bounds[index] for index in name.partition_indices]
             )
-            seed = bench._seed_account_transfer(system, bench._SeedTask(name.engine, name.partition_indices, np.sort(active)))
-            assert (seed.transfer_time, seed.cpu_time, seed.overlapped) == (
-                task.transfer_time, task.cpu_time, task.overlapped_transfer
-            ), name.label
-            moved += seed.bytes_transferred
+            seed_bytes, *seed_prices = bench._seed_account_transfer(
+                system, bench._SeedTask(name.engine, name.partition_indices, np.sort(active))
+            )
+            assert seed_prices == [task.transfer_time, task.cpu_time, task.overlapped_transfer], name.label
+            moved += seed_bytes
         assert moved == plan.stats.transfer_bytes
     assert multi_partition == {EngineKind.EXP_FILTER, EngineKind.EXP_COMPACTION, EngineKind.IMP_ZERO_COPY}
+
+
+def _pricing_names():
+    """Every callable the simulator prices with: the PCIe and kernel models,
+    the transfer package and the execution context's ``*_prices``."""
+    import repro.sim.kernel
+    import repro.sim.pcie
+    import repro.transfer.base
+    import repro.transfer.unified_memory
+    from repro.runtime.context import ExecutionContext
+
+    names = {name for name in vars(ExecutionContext) if name.endswith("_prices")}
+    for module in (repro.sim.pcie, repro.sim.kernel, repro.transfer.base, repro.transfer.unified_memory):
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            names.add(name)
+            if isinstance(value, type):
+                names.update(attr for attr in vars(value) if not attr.startswith("_"))
+    return names
+
+
+def test_seed_oracle_prices_without_the_simulator():
+    # The "vs seed" rows and the seed-transfer gate above compare the live
+    # pricing with the harness's own: a seed function that called the
+    # simulator's pricing would compare that code with itself.
+    forbidden = _pricing_names()
+    assert {"PCIeModel", "KernelModel", "kernel_times", "zero_copy_rtt", "transfer_task",
+            "compaction_prices", "zero_copy_prices"} <= forbidden
+    tree = ast.parse((ROOT / "benchmarks" / "bench_perf_hotpaths.py").read_text())
+    seeds = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_seed_")
+    ]
+    assert {"_seed_account_transfer", "_seed_run_iteration", "_seed_estimate"} <= {node.name for node in seeds}
+    calls = []
+    for function in seeds:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name in forbidden:
+                    calls.append("%s calls %s (line %d)" % (function.name, name, node.lineno))
+    assert calls == []
 
 
 def test_tracing_overhead_gate_fires_under_injected_slowdown(monkeypatch):

@@ -1,4 +1,6 @@
-"""Unit tests for the CPU compaction cost model and the kernel time model."""
+"""Unit tests for the CPU compaction prices and the kernel time model."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,19 +9,15 @@ from repro.graph.partition import partition_by_count
 from repro.runtime.context import ExecutionContext
 from repro.sim.config import HardwareConfig
 from repro.sim.kernel import KernelModel
-from repro.transfer.explicit_compaction import ExplicitCompactionEngine
 
 
-def _totals(graph, config, active, num_partitions):
+def _price(graph, config, active, num_partitions):
+    """A task of every partition: packed bytes, CPU and copy seconds added left to right."""
     context = ExecutionContext(graph, partition_by_count(graph, num_partitions), config)
     pending = np.zeros(graph.num_vertices, dtype=bool)
     pending[active] = True
-    return context.frontier_totals(pending)
-
-
-def _price(engine, totals):
-    """A task of every partition: packed bytes, CPU and copy seconds added left to right."""
-    packed, cpu, copy = engine.partition_prices(totals.active_edges, totals.active_vertices)
+    totals = context.frontier_totals(pending)
+    packed, cpu, copy = context.compaction_prices(totals.active_edges, totals.active_vertices)
     return int(packed.sum()), float(np.add.accumulate(cpu)[-1]), float(np.add.accumulate(copy)[-1])
 
 
@@ -27,25 +25,23 @@ class TestCompactionContents:
     """ExpTM-C ships exactly the active adjacency lists plus their index."""
 
     def test_compacted_subgraph_matches_source(self, paper_graph, config):
-        engine = ExplicitCompactionEngine(paper_graph, config)
         active = np.array([1, 3])
-        moved, cpu, copy = _price(engine, _totals(paper_graph, config, active, 1))
+        moved, cpu, copy = _price(paper_graph, config, active, 1)
         # b -> {c, d} and d -> {e, f}: four (neighbor, weight) edges.
         packed_edges = paper_graph.neighbors(1).size + paper_graph.neighbors(3).size
         assert packed_edges == 4
         expected = packed_edges * paper_graph.edge_bytes_per_edge + active.size * config.index_entry_bytes
         assert moved == expected
         assert cpu == pytest.approx(expected / config.cpu_compaction_throughput)
-        assert copy == engine.pcie.explicit_copy_time(expected)
+        assert copy == math.ceil(expected / config.tlp_payload_bytes) * config.tlp_round_trip_time
 
     def test_compaction_unweighted(self, config):
         from repro.graph.generators import uniform_random_graph
 
         graph = uniform_random_graph(50, 300, seed=5)
         assert not graph.is_weighted
-        engine = ExplicitCompactionEngine(graph, config)
         active = np.arange(0, 50, 2)
-        moved, _, _ = _price(engine, _totals(graph, config, active, 4))
+        moved, _, _ = _price(graph, config, active, 4)
         # Neighbors only: no weight column rides along.
         assert moved == (
             int(graph.out_degrees[::2].sum()) * graph.edge_bytes_per_edge
@@ -67,24 +63,19 @@ class TestCompactionContents:
         pending = np.ones(graph.num_vertices, dtype=bool)
         costs = CostModel(context).estimate(pending)
         totals = costs.totals
-        packed, _, copy = ExplicitCompactionEngine(graph, config).partition_prices(
-            totals.active_edges, totals.active_vertices
-        )
+        packed, _, copy = context.compaction_prices(totals.active_edges, totals.active_vertices)
         partitioning = context.partitioning
         sizes = np.diff(partitioning.vertex_boundaries)
         assert packed.tolist() == (partitioning.edge_bytes + sizes * config.index_entry_bytes).tolist()
         assert costs.compaction_cost.tolist() == copy.tolist()
 
     def test_empty_active_set(self, paper_graph, config):
-        engine = ExplicitCompactionEngine(paper_graph, config)
         empty = np.array([], dtype=np.int64)
-        assert _price(engine, _totals(paper_graph, config, empty, 3)) == (0, 0.0, 0.0)
+        assert _price(paper_graph, config, empty, 3) == (0, 0.0, 0.0)
         # A partition without active vertices packs nothing of its own.
         partitioning = partition_by_count(paper_graph, 3)
         active = partitioning.vertex_boundaries[:1]
-        task = _price(engine, _totals(paper_graph, config, active, 3))
-        alone = _price(engine, _totals(paper_graph, config, active, 1))
-        assert task == alone
+        assert _price(paper_graph, config, active, 3) == _price(paper_graph, config, active, 1)
 
 
 class TestCompactionCost:
@@ -94,35 +85,45 @@ class TestCompactionCost:
         assert config.cpu_compaction_throughput < config.pcie_bandwidth
 
 
+def kernel_time_oracle(config, edges):
+    """One launch over ``edges`` edges, in plain Python: occupancy ramps to 1 at 2**16 edges."""
+    saturation = 1 << 16
+    occupancy = 1.0 if edges >= saturation else 0.05 + (1.0 - 0.05) * (edges / saturation)
+    return config.gpu_kernel_launch_overhead + edges / (config.gpu_edge_throughput * occupancy)
+
+
 class TestKernelModel:
     def test_launch_overhead_only(self, config):
-        model = KernelModel(config)
-        assert model.kernel_time(0) == config.gpu_kernel_launch_overhead
+        assert KernelModel(config).kernel_times([0]).tolist() == [config.gpu_kernel_launch_overhead]
 
     def test_monotonic_in_edges(self, config):
-        model = KernelModel(config)
-        times = [model.kernel_time(edges) for edges in (10, 1000, 100000, 10_000_000)]
+        times = KernelModel(config).kernel_times([10, 1000, 100000, 10_000_000]).tolist()
         assert all(earlier < later for earlier, later in zip(times, times[1:]))
 
-    def test_array_form_is_the_scalar_call_per_entry(self, config):
-        model = KernelModel(config)
-        edges = np.array([0, 1, 7, 1000, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 10_000_000])
-        assert model.kernel_times(edges).tolist() == [model.kernel_time(int(count)) for count in edges]
+    def test_entries_match_the_formula_oracle(self, config):
+        edges = [0, 1, 7, 1000, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 10_000_000, 1 << 40]
+        assert KernelModel(config).kernel_times(np.array(edges)).tolist() == [
+            kernel_time_oracle(config, count) for count in edges
+        ]
 
     def test_occupancy_saturates(self, config):
+        # At or past saturation a launch runs at peak throughput; below
+        # it the same edges take longer than at peak.
         model = KernelModel(config)
-        assert model.occupancy(1 << 20) == 1.0
-        assert 0.0 < model.occupancy(10) < 1.0
+        launch, peak = config.gpu_kernel_launch_overhead, config.gpu_edge_throughput
+        saturated, small = model.kernel_times([1 << 20, 10]).tolist()
+        assert saturated == launch + (1 << 20) / peak
+        assert small > launch + 10 / peak
 
     def test_large_kernel_matches_peak_throughput(self, config):
-        model = KernelModel(config)
         edges = 1 << 26
-        assert model.kernel_time(edges) == pytest.approx(edges / config.gpu_edge_throughput, rel=0.01)
+        [seconds] = KernelModel(config).kernel_times([edges]).tolist()
+        assert seconds == pytest.approx(edges / config.gpu_edge_throughput, rel=0.01)
 
     def test_gpu_much_faster_than_cpu(self, config):
         model = KernelModel(config)
         edges = 1 << 22
-        assert model.cpu_processing_time(edges) > 10 * model.kernel_time(edges)
+        assert model.cpu_processing_time(edges) > 10 * model.kernel_times([edges])[0]
 
     def test_cpu_zero_edges(self, config):
         assert KernelModel(config).cpu_processing_time(0) == 0.0

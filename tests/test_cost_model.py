@@ -1,5 +1,7 @@
 """Unit tests for the Formula 1-3 cost model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,19 +10,21 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.graph.partition import partition_by_count
 from repro.runtime.context import ExecutionContext
-from repro.sim.pcie import PCIeModel
 
 
 def zero_copy_cost_oracle(graph, config, partition_edges, vertices):
     """Formula 3 for one partition, one scalar evaluation at a time."""
-    pcie = PCIeModel(config)
-    d1 = graph.edge_bytes_per_edge
-    degrees = graph.out_degrees[vertices]
-    requests = pcie.requests_for_vertices(degrees, graph.row_offset[vertices] * d1, value_bytes=d1)
-    total_requests = int(requests.sum())
-    num_tlps = int(np.ceil(total_requests / config.pcie_max_outstanding)) if total_requests else 0
-    payload_fraction = int(degrees.sum()) / partition_edges if partition_edges else 0.0
-    return num_tlps * pcie.zero_copy_rtt(payload_fraction)
+    d1, m = graph.edge_bytes_per_edge, config.pcie_request_bytes
+    total_requests = payload_edges = 0
+    for v in vertices.tolist():
+        degree = int(graph.out_degrees[v])
+        if degree:
+            total_requests += math.ceil((int(graph.row_offset[v]) * d1 % m + degree * d1) / m)
+        payload_edges += degree
+    num_tlps = math.ceil(total_requests / config.pcie_max_outstanding)
+    payload_fraction = min(payload_edges / partition_edges, 1.0) if partition_edges else 0.0
+    gamma = config.zero_copy_gamma
+    return num_tlps * (gamma + (1.0 - gamma) * payload_fraction) * config.tlp_round_trip_time
 
 
 def active_partitions(costs):
@@ -170,7 +174,7 @@ class TestEstimate:
     def test_explicit_copy_columns_are_the_billed_prices(self, graph, partitioning, config, stride):
         # Selection compares what the simulator bills: on every touched
         # partition the filter column is the context's copy-time table and
-        # the compaction column the compaction engine's copy seconds.
+        # the compaction column the context's compaction copy seconds.
         context = ExecutionContext(graph, partitioning, config)
         model = CostModel(context)
         mask = np.zeros(graph.num_vertices, dtype=bool)
@@ -179,7 +183,7 @@ class TestEstimate:
         totals = costs.totals
         touched = totals.active_edges > 0
         assert touched.any()
-        _, _, copy = model.compaction.partition_prices(totals.active_edges, totals.active_vertices)
+        _, _, copy = context.compaction_prices(totals.active_edges, totals.active_vertices)
         np.testing.assert_array_equal(costs.filter_cost[touched], np.asarray(context.partition_copy_time)[touched])
         np.testing.assert_array_equal(costs.compaction_cost[touched], copy[touched])
         assert not costs.filter_cost[~touched].any() and not costs.compaction_cost[~touched].any()

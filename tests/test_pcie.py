@@ -2,13 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph.csr import CSRGraph
+from repro.sim.config import HardwareConfig
 from repro.sim.pcie import PCIeModel
 
 
 @pytest.fixture
 def pcie(config):
     return PCIeModel(config)
+
+
+def graph_of_degrees(degrees, weighted=False):
+    """A CSR graph whose vertices have out-degrees ``degrees``, laid out in order."""
+    row_offset = np.concatenate(([0], np.cumsum(degrees, dtype=np.int64)))
+    num_edges = int(row_offset[-1])
+    weights = np.ones(num_edges) if weighted else None
+    return CSRGraph(row_offset, np.zeros(num_edges, dtype=np.int64), weights)
 
 
 class TestExplicitCopy:
@@ -34,25 +46,27 @@ class TestExplicitCopy:
 
 
 class TestZeroCopyRequests:
-    def test_aligned_requests(self, pcie, config):
-        degrees = np.array([1, 32, 33, 64])
-        requests = pcie.requests_for_vertices(degrees)
-        # 4 bytes per entry, 128-byte requests -> 32 entries per request.
-        np.testing.assert_array_equal(requests, [1, 1, 2, 2])
+    # Vertex v reads Do(v) * d1 bytes from byte row_offset[v] * d1; with
+    # 4-byte entries a 128-byte request holds 32 of them.
+    @pytest.mark.parametrize("degree,requests", [(1, 1), (32, 1), (33, 2), (64, 2)])
+    def test_aligned_requests(self, pcie, degree, requests):
+        assert pcie.vertex_requests(graph_of_degrees([degree])).tolist() == [requests]
 
     def test_zero_degree_needs_no_request(self, pcie):
-        np.testing.assert_array_equal(pcie.requests_for_vertices(np.array([0, 0])), [0, 0])
+        # The last vertex starts 20 bytes into a request line but reads
+        # nothing, so it issues no request.
+        assert pcie.vertex_requests(graph_of_degrees([0, 0, 5, 0])).tolist() == [0, 0, 1, 0]
 
-    def test_misalignment_adds_request(self, pcie, config):
-        degrees = np.array([32, 32])
-        start_bytes = np.array([0, 64])  # second vertex starts mid-line
-        requests = pcie.requests_for_vertices(degrees, start_bytes)
-        np.testing.assert_array_equal(requests, [1, 2])
+    def test_misalignment_adds_request(self, pcie):
+        # The second list starts mid-line (byte 64): 128 bytes span two lines.
+        assert pcie.vertex_requests(graph_of_degrees([16, 32])).tolist() == [1, 2]
 
-    def test_custom_value_bytes(self, pcie):
-        degrees = np.array([16])
-        assert pcie.requests_for_vertices(degrees, value_bytes=8)[0] == 1
-        assert pcie.requests_for_vertices(np.array([17]), value_bytes=8)[0] == 2
+    def test_weighted_edges_are_eight_bytes(self, pcie):
+        # d1 = 8 (neighbour + weight): 16 entries fill a request, 17 spill,
+        # and a list starting mid-line (byte 136) straddles one more.
+        graph = graph_of_degrees([16, 17, 16], weighted=True)
+        assert graph.edge_bytes_per_edge == 8
+        assert pcie.vertex_requests(graph).tolist() == [1, 2, 2]
 
 
 class TestZeroCopyTiming:
@@ -66,9 +80,10 @@ class TestZeroCopyTiming:
         assert pcie.zero_copy_rtt(2.0) == pytest.approx(config.tlp_round_trip_time)
 
     def _access(self, pcie, config, degrees):
-        """(requests, payload bytes, seconds) of reading ``degrees`` aligned lists."""
-        requests = int(pcie.requests_for_vertices(degrees).sum())
-        payload = int(np.sum(degrees)) * config.vertex_value_bytes
+        """(requests, payload bytes, seconds) of reading every list of a graph of ``degrees``."""
+        graph = graph_of_degrees(degrees)
+        requests = int(pcie.vertex_requests(graph).sum())
+        payload = int(np.sum(degrees)) * graph.edge_bytes_per_edge
         return requests, payload, pcie.zero_copy_time(requests, payload)
 
     def test_access_counts(self, pcie, config):
@@ -98,7 +113,7 @@ class TestZeroCopyTiming:
         # Figure 3(e): 128-byte requests match cudaMemcpy; smaller requests
         # lose throughput monotonically, 32-byte roughly a third.
         throughput = {size: pcie.zero_copy_throughput(size) for size in (32, 64, 96, 128)}
-        assert throughput[128] == pytest.approx(pcie.explicit_copy_throughput(), rel=0.01)
+        assert throughput[128] == pytest.approx(config.pcie_bandwidth, rel=0.01)
         assert throughput[32] < throughput[64] < throughput[96] < throughput[128]
         assert throughput[32] < 0.5 * throughput[128]
 
@@ -135,3 +150,33 @@ class TestUnifiedMemory:
         lengths = np.array([32, 32])
         pages = pcie.pages_for_byte_ranges(starts, lengths)
         np.testing.assert_array_equal(pages, [0])
+
+
+_PAGE = HardwareConfig().um_page_bytes
+
+
+@st.composite
+def byte_ranges(draw):
+    """``(start, length)``: often 1 byte, empty, or ending exactly on a page boundary."""
+    offset = draw(st.one_of(st.sampled_from([0, 1, _PAGE - 1]), st.integers(0, _PAGE - 1)))
+    length = draw(st.one_of(
+        st.sampled_from([0, 1, _PAGE - offset, 2 * _PAGE - offset]),
+        st.integers(0, 3 * _PAGE),
+    ))
+    return draw(st.integers(0, 6)) * _PAGE + offset, length
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(byte_ranges(), max_size=12))
+def test_pages_match_a_per_range_oracle(ranges):
+    expected = sorted({
+        page
+        for start, length in ranges
+        if length
+        for page in range(start // _PAGE, (start + length - 1) // _PAGE + 1)
+    })
+    starts = np.array([start for start, _ in ranges], dtype=np.int64)
+    lengths = np.array([length for _, length in ranges], dtype=np.int64)
+    pages = PCIeModel(HardwareConfig()).pages_for_byte_ranges(starts, lengths)
+    assert pages.dtype == np.int64
+    assert pages.tolist() == expected

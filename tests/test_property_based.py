@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -25,11 +26,10 @@ from repro.service.stats import ClassTally
 from repro.sim.config import HardwareConfig
 from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
-from repro.transfer.explicit_compaction import ExplicitCompactionEngine
-from repro.transfer.zero_copy import ZeroCopyEngine
 
 from tests.conftest import assert_distances_equal
 from tests.test_partition import check_tiling
+from tests.test_pcie import graph_of_degrees
 
 COMMON_SETTINGS = settings(
     max_examples=30,
@@ -223,12 +223,12 @@ def _one_slice_prices(graph, config, vertices):
     requests = np.where(degrees > 0, -(-spans // m), 0)
     edges = int(np.concatenate([[0], np.cumsum(degrees)])[-1])
     total_requests = int(np.concatenate([[0], np.cumsum(requests)])[-1])
-    pcie = PCIeModel(config)
+    gamma, rtt, mr = config.zero_copy_gamma, config.tlp_round_trip_time, config.pcie_max_outstanding
     packed = edges * d1 + vertices.size * config.index_entry_bytes
     payload = edges * d1
     return (
-        (packed, packed / config.cpu_compaction_throughput, float(pcie.explicit_copy_time(packed))),
-        (payload, float(pcie.zero_copy_time(total_requests, payload))),
+        (packed, packed / config.cpu_compaction_throughput, math.ceil(packed / config.tlp_payload_bytes) * rtt),
+        (payload, gamma * rtt * total_requests / mr + (1.0 - gamma) * rtt * payload / (mr * m)),
     )
 
 
@@ -253,7 +253,6 @@ def test_frontier_totals_are_per_vertex_sums(data, weighted, num_partitions, num
     ).reshape(num_rows, num_vertices)
     d1, m = graph.edge_bytes_per_edge, config.pcie_request_bytes
     partition_of = context.partitioning.partition_of.tolist()
-    compaction, zero_copy = ExplicitCompactionEngine(graph, config), ZeroCopyEngine(graph, config)
     stacked = context.frontier_totals(pending)
     for row in range(num_rows):
         alone = context.frontier_totals(pending[row])
@@ -270,8 +269,8 @@ def test_frontier_totals_are_per_vertex_sums(data, weighted, num_partitions, num
 
         # Each device's one task: its shard's summed totals, priced.
         shards = alone.sum_over(context.sharding.partition_bounds)
-        packed, cpu, copy = compaction.partition_prices(shards.active_edges, shards.active_vertices)
-        moved, seconds = zero_copy.partition_prices(shards.zero_copy_requests, shards.active_edges)
+        packed, cpu, copy = context.compaction_prices(shards.active_edges, shards.active_vertices)
+        moved, seconds = context.zero_copy_prices(shards.zero_copy_requests, shards.active_edges)
         per_device = context.split_frontier(np.flatnonzero(pending[row]))
         assert shards.active_vertices.tolist() == [vertices.size for vertices in per_device]
         for device, vertices in enumerate(per_device):
@@ -317,15 +316,17 @@ def test_hub_sorted_sssp_matches_reference(data):
 @COMMON_SETTINGS
 @given(
     st.lists(st.integers(min_value=0, max_value=512), min_size=1, max_size=64),
-    st.integers(min_value=0, max_value=4096),
+    st.integers(min_value=0, max_value=1024),
+    st.booleans(),
 )
-def test_zero_copy_requests_lower_bound(degrees, start):
+def test_zero_copy_requests_lower_bound(degrees, lead, weighted):
+    # A leading vertex of degree ``lead`` shifts every later list off the
+    # request grid by its bytes.
     config = HardwareConfig()
-    pcie = PCIeModel(config)
-    degrees = np.array(degrees, dtype=np.int64)
-    starts = np.full(degrees.size, start, dtype=np.int64)
-    requests = pcie.requests_for_vertices(degrees, starts)
-    minimum = np.ceil(degrees * config.vertex_value_bytes / config.pcie_request_bytes)
+    degrees = np.array([lead] + degrees, dtype=np.int64)
+    graph = graph_of_degrees(degrees, weighted)
+    requests = PCIeModel(config).vertex_requests(graph)
+    minimum = np.ceil(degrees * graph.edge_bytes_per_edge / config.pcie_request_bytes)
     assert np.all(requests >= minimum)
     # Misalignment adds at most one extra request per vertex.
     assert np.all(requests <= minimum + 1)
@@ -362,8 +363,15 @@ def test_stream_schedule_bounds(task_specs, num_streams):
         for index, (cpu, transfer, kernel, overlapped) in enumerate(task_specs)
     ]
     timeline = scheduler.schedule(tasks, num_streams=num_streams)
-    serial = scheduler.serial_time(tasks)
-    longest_task = max(task.serial_time for task in tasks)
+    # A task alone runs its stages back to back, an overlapped transfer
+    # alongside its kernel.
+    alone = [
+        task.cpu_time + (max(task.transfer_time, task.kernel_time) if task.overlapped_transfer
+                         else task.transfer_time + task.kernel_time)
+        for task in tasks
+    ]
+    serial = sum(alone)
+    longest_task = max(alone)
     assert timeline.makespan <= serial + 1e-9
     assert timeline.makespan >= longest_task - 1e-9
     # Resource busy time is conserved regardless of the schedule.

@@ -66,6 +66,11 @@ class TestValidation:
             ("cpu_edge_throughput", 0),
             ("um_page_bytes", 0),
             ("gpu_memory_bytes", -5),
+            # A negative size or overhead would shrink every bill it enters.
+            ("gpu_kernel_launch_overhead", -1e-3),
+            ("um_fault_overhead", -1e-6),
+            ("index_entry_bytes", -8),
+            ("vertex_value_bytes", -4),
         ],
     )
     def test_values_that_would_fail_mid_run_are_rejected_by_name(self, field, value):

@@ -13,6 +13,21 @@ from repro.sim.config import HardwareConfig
 from repro.sim.streams import StreamScheduler, StreamTask
 
 
+def serial_time(tasks):
+    """Total time if every stage of every task ran back to back.
+
+    An overlapped transfer runs alongside its own kernel; ``schedule``
+    never takes longer than this bound.
+    """
+    return sum(
+        task.cpu_time + (
+            max(task.transfer_time, task.kernel_time) if task.overlapped_transfer
+            else task.transfer_time + task.kernel_time
+        )
+        for task in tasks
+    )
+
+
 def make_tasks(count, cpu=0.0, transfer=1.0, kernel=1.0, overlapped=False):
     return [
         StreamTask(
@@ -46,7 +61,7 @@ class TestScheduling:
         scheduler = StreamScheduler(config)
         tasks = make_tasks(4, transfer=1.0, kernel=1.0)
         timeline = scheduler.schedule(tasks, num_streams=4)
-        serial = scheduler.serial_time(tasks)
+        serial = serial_time(tasks)
         # With pipelining across streams the makespan must beat fully
         # serial execution but cannot beat the busiest single resource.
         assert timeline.makespan < serial
@@ -56,7 +71,7 @@ class TestScheduling:
         scheduler = StreamScheduler(config)
         tasks = make_tasks(3, transfer=1.0, kernel=2.0)
         timeline = scheduler.schedule(tasks, num_streams=1)
-        assert timeline.makespan == pytest.approx(scheduler.serial_time(tasks))
+        assert timeline.makespan == pytest.approx(serial_time(tasks))
 
     def test_overlapped_transfer_uses_max(self, config):
         scheduler = StreamScheduler(config)
@@ -90,7 +105,7 @@ class TestScheduling:
         compaction = StreamTask("c", "ExpTM-C", cpu_time=3.0, transfer_time=1.0, kernel_time=1.0)
         filter_task = StreamTask("f", "ExpTM-F", transfer_time=3.0, kernel_time=1.0)
         timeline = scheduler.schedule([filter_task, compaction], num_streams=2)
-        assert timeline.makespan < scheduler.serial_time([compaction, filter_task])
+        assert timeline.makespan < serial_time([compaction, filter_task])
 
 
 class TestTimelineQueries:
@@ -102,11 +117,13 @@ class TestTimelineQueries:
         assert timeline.busy_time("gpu") == pytest.approx(6.0)
         assert timeline.busy_time("cpu") == 0.0
 
-    def test_serial_time_property(self, config):
-        task = StreamTask("t", "ImpTM-ZC", cpu_time=1.0, transfer_time=4.0, kernel_time=2.0, overlapped_transfer=True)
-        assert task.serial_time == pytest.approx(5.0)
+    def test_lone_task_takes_its_serial_time(self, config):
+        scheduler = StreamScheduler(config)
+        overlapped = StreamTask("t", "ImpTM-ZC", cpu_time=1.0, transfer_time=4.0, kernel_time=2.0, overlapped_transfer=True)
         explicit = StreamTask("t", "ExpTM-C", cpu_time=1.0, transfer_time=4.0, kernel_time=2.0)
-        assert explicit.serial_time == pytest.approx(7.0)
+        for task, seconds in ((overlapped, 5.0), (explicit, 7.0)):
+            assert serial_time([task]) == pytest.approx(seconds)
+            assert scheduler.schedule([task]).makespan == pytest.approx(seconds)
 
 
 # ----------------------------------------------------------------------

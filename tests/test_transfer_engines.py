@@ -1,15 +1,16 @@
-"""The transfer engines (Figure 2) against per-partition oracles.
+"""The transfer prices (Figure 2) against per-partition oracles.
 
-Compaction and zero-copy price a frontier's per-partition totals
-(``partition_prices`` of ``ExecutionContext.frontier_totals``): the
+Compaction and zero-copy are priced by the execution context from a
+frontier's per-partition totals (``compaction_prices`` /
+``zero_copy_prices`` of ``ExecutionContext.frontier_totals``): the
 HyTGraph planner adds a task's partition prices left to right, and EMOGI
 and Subway price a device's summed totals.  Unified memory prices a
-vertex set (``transfer_task``).  The oracles below restate the paper's
-formulas one partition at a time in plain Python, so a vectorised engine
-that drops a partition's own rounding, or reads vertices outside its
-partitions, fails by value.  The ExpTM-filter price has no engine: it is
-the execution context's per-partition table, checked here directly and
-through ExpTM-F's per-iteration byte counts.
+vertex set (``UnifiedMemoryEngine.transfer_task``).  The oracles below
+restate the paper's formulas one partition at a time in plain Python, so
+a vectorised price that drops a partition's own rounding, or reads
+vertices outside its partitions, fails by value.  The ExpTM-filter price
+is the context's per-partition table, checked here directly and through
+ExpTM-F's per-iteration byte counts.
 """
 
 import math
@@ -24,9 +25,7 @@ from repro.runtime.context import ExecutionContext
 from repro.sim.config import HardwareConfig
 from repro.systems.exptm_filter import ExpTMFilterSystem
 from repro.transfer.base import EngineKind
-from repro.transfer.explicit_compaction import ExplicitCompactionEngine
 from repro.transfer.unified_memory import UnifiedMemoryEngine
-from repro.transfer.zero_copy import ZeroCopyEngine
 
 
 def _slices(active, cuts):
@@ -45,7 +44,7 @@ def compaction_oracle(graph, config, active, cuts):
         bytes_total += output
         cpu_time += output / config.cpu_compaction_throughput
         transfer_time += math.ceil(output / config.tlp_payload_bytes) * config.tlp_round_trip_time
-    return bytes_total, transfer_time, cpu_time, False
+    return bytes_total, transfer_time, cpu_time
 
 
 def zero_copy_oracle(graph, config, active, cuts):
@@ -62,7 +61,7 @@ def zero_copy_oracle(graph, config, active, cuts):
             payload += degree * d1
         bytes_total += payload
         transfer_time += gamma * rtt * requests / mr + (1.0 - gamma) * rtt * payload / (mr * m)
-    return bytes_total, transfer_time, 0.0, True
+    return bytes_total, transfer_time, 0.0
 
 
 def unified_memory_oracle(graph, config, active, cuts):
@@ -76,36 +75,40 @@ def unified_memory_oracle(graph, config, active, cuts):
             pages.update(range(start // page, (start + degree * d1 - 1) // page + 1))
     faults = len(pages)
     if faults == 0:
-        return 0, 0.0, 0.0, True
-    seconds = faults * page / config.um_bandwidth + faults * config.um_fault_overhead
-    return faults * page, seconds, 0.0, True
+        return 0, 0.0
+    return faults * page, faults * page / config.um_bandwidth + faults * config.um_fault_overhead
+
+
+def compaction_prices(context, totals):
+    moved, cpu, seconds = context.compaction_prices(totals.active_edges, totals.active_vertices)
+    return moved, seconds, cpu
+
+
+def zero_copy_prices(context, totals):
+    moved, seconds = context.zero_copy_prices(totals.zero_copy_requests, totals.active_edges)
+    return moved, seconds, np.zeros_like(seconds)
 
 
 ENGINES = {
-    "compaction": (ExplicitCompactionEngine, compaction_oracle),
-    "zero_copy": (ZeroCopyEngine, zero_copy_oracle),
-    "unified_memory": (UnifiedMemoryEngine, unified_memory_oracle),
+    "compaction": (compaction_prices, compaction_oracle),
+    "zero_copy": (zero_copy_prices, zero_copy_oracle),
+    "unified_memory": (None, unified_memory_oracle),
 }
 
 
-def price_totals(engine, totals):
-    """``(bytes, transfer, cpu, overlapped)`` of a task of the partitions in ``totals``.
+def price_totals(prices, context, totals):
+    """``(bytes, transfer, cpu)`` of a task of the partitions in ``totals``.
 
     Each partition pays its own price and the seconds add left to right,
     as the planners bill them; a partition without active vertices adds
     nothing.
     """
-    if isinstance(engine, ExplicitCompactionEngine):
-        moved, cpu, seconds = engine.partition_prices(totals.active_edges, totals.active_vertices)
-        overlapped = False
-    else:
-        moved, seconds = engine.partition_prices(totals.zero_copy_requests, totals.active_edges)
-        cpu, overlapped = np.zeros_like(seconds), True
+    moved, seconds, cpu = prices(context, totals)
     transfer_time = cpu_time = 0.0
     for index in np.flatnonzero(totals.active_vertices).tolist():
         transfer_time += float(seconds[index])
         cpu_time += float(cpu[index])
-    return int(moved.sum()), transfer_time, cpu_time, overlapped
+    return int(moved.sum()), transfer_time, cpu_time
 
 
 def _tasks(graph, partitioning, rng):
@@ -141,26 +144,24 @@ def test_prices_match_per_partition_oracle(engine_name, weighted, num_partitions
     partitioning = partition_by_count(graph, num_partitions)
     context = ExecutionContext(graph, partitioning, config)
     starts = partitioning.vertex_boundaries
-    engine_cls, oracle = ENGINES[engine_name]
+    prices, oracle = ENGINES[engine_name]
     rng = np.random.default_rng(num_partitions)
     for active, first, last in _tasks(graph, partitioning, rng):
         cuts = np.searchsorted(active, starts[first : last + 1])
-        if engine_cls is UnifiedMemoryEngine:
+        if prices is None:
             # A fresh engine per task: the oracle prices a cold cache.
-            outcome = engine_cls(graph, config).transfer_task(active[cuts[0] : cuts[-1]])
-            actual = (outcome.bytes_transferred, outcome.transfer_time, outcome.cpu_time, outcome.overlapped)
-            assert outcome.engine is engine_cls.kind
+            actual = UnifiedMemoryEngine(graph, config).transfer_task(active[cuts[0] : cuts[-1]])
             assert actual == oracle(graph, config, active, cuts), (first, last, active.size)
             continue
         pending = np.zeros(graph.num_vertices, dtype=bool)
         pending[active] = True
         totals = context.frontier_totals(pending)
         task = totals.rows(slice(first, last))
-        actual = price_totals(engine_cls(graph, config), task)
+        actual = price_totals(prices, context, task)
         assert actual == oracle(graph, config, active, cuts), (first, last, active.size)
         # The run compacted or read as one slice (a baseline device's task).
         whole = task.sum_over(np.array([0, last - first]))
-        actual = price_totals(engine_cls(graph, config), whole)
+        actual = price_totals(prices, context, whole)
         assert actual == oracle(graph, config, active, cuts[[0, -1]]), (first, last, active.size)
 
 
@@ -211,20 +212,18 @@ def _active_in_first_partition(graph, stride):
 
 
 def _whole_frontier_totals(graph, config, active):
-    """The summed totals of ``active`` (one slice: a baseline's one task)."""
+    """The context and the summed totals of ``active`` (one slice: a baseline's one task)."""
     context = ExecutionContext(graph, partition_by_count(graph, 8), config)
     pending = np.zeros(graph.num_vertices, dtype=bool)
     pending[active] = True
-    return context.frontier_totals(pending).sum_over(np.array([0, 8]))
+    return context, context.frontier_totals(pending).sum_over(np.array([0, 8]))
 
 
 class TestExplicitCompaction:
     def test_less_data_than_filter_when_sparse(self, medium_power_law_graph, config):
         graph = medium_power_law_graph
-        totals = _whole_frontier_totals(graph, config, _active_in_first_partition(graph, 7))
-        moved, cpu, _ = ExplicitCompactionEngine(graph, config).partition_prices(
-            totals.active_edges, totals.active_vertices
-        )
+        context, totals = _whole_frontier_totals(graph, config, _active_in_first_partition(graph, 7))
+        moved, cpu, _ = context.compaction_prices(totals.active_edges, totals.active_vertices)
         assert 0 < moved[0] < partition_by_count(graph, 8).edge_bytes[0]
         assert cpu[0] > 0
 
@@ -232,10 +231,9 @@ class TestExplicitCompaction:
 class TestZeroCopy:
     def test_scales_with_active_set(self, medium_power_law_graph, config):
         graph = medium_power_law_graph
-        engine = ZeroCopyEngine(graph, config)
         few, many = (
-            engine.partition_prices(totals.zero_copy_requests, totals.active_edges)
-            for totals in (
+            context.zero_copy_prices(totals.zero_copy_requests, totals.active_edges)
+            for context, totals in (
                 _whole_frontier_totals(graph, config, _active_in_first_partition(graph, stride))
                 for stride in (8, 1)
             )
@@ -252,22 +250,22 @@ class TestUnifiedMemory:
 
     def test_first_access_faults_then_hits(self, medium_power_law_graph, config, active):
         engine = UnifiedMemoryEngine(medium_power_law_graph, config)
-        cold = engine.transfer_task(active)
+        cold_bytes, _ = engine.transfer_task(active)
         cold_faults, cold_hits = engine.cache.stats.faults, engine.cache.stats.hits
         assert cold_faults > 0
-        assert cold.bytes_transferred == cold_faults * config.um_page_bytes
+        assert cold_bytes == cold_faults * config.um_page_bytes
         warm = engine.transfer_task(active)
         assert engine.cache.stats.faults == cold_faults
         assert engine.cache.stats.hits > cold_hits
-        assert (warm.bytes_transferred, warm.transfer_time) == (0, 0.0)
+        assert warm == (0, 0.0)
 
     def test_reset_clears_cache(self, medium_power_law_graph, config, active):
         engine = UnifiedMemoryEngine(medium_power_law_graph, config)
-        first = engine.transfer_task(active)
+        first, _ = engine.transfer_task(active)
         engine.reset()
         assert engine.cache.stats.faults == 0 and engine.cache.resident_pages == 0
-        again = engine.transfer_task(active)
-        assert again.bytes_transferred == first.bytes_transferred > 0
+        again, _ = engine.transfer_task(active)
+        assert again == first > 0
 
     def test_small_cache_evicts(self, medium_power_law_graph, active):
         engine = UnifiedMemoryEngine(medium_power_law_graph, HardwareConfig(gpu_memory_bytes=2 * 4096))
