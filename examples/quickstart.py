@@ -35,8 +35,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. Build the system.  The options shown are the paper's defaults;
     #    every one of them can be switched off for experimentation.
-    #    Partitioning (like the cache and backend knobs) is a
-    #    constructor argument shared with every baseline system.
+    #    Partitioning (like the cache knobs) is a constructor argument
+    #    shared with every baseline system; the kernel backend is
+    #    process-wide (REPRO_BACKEND or repro.core.backends.use_backend).
     # ------------------------------------------------------------------
     options = HyTGraphOptions(
         combine_factor=4,

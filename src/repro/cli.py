@@ -20,6 +20,8 @@ and one :class:`~repro.service.ServiceConfig` from its flags and serves
 typed query requests on the :class:`~repro.service.GraphService` (under
 ``--hosts``/``--network``, the :class:`~repro.cluster.ClusterService`)
 over them — one warmed execution session per (graph, hardware, config).
+``--backend`` is resolved before any work and scopes the whole command
+(:func:`repro.core.backends.use_backend`).
 
 Examples
 --------
@@ -39,13 +41,14 @@ from __future__ import annotations
 
 import argparse
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Sequence
 
 from repro.algorithms import ALGORITHMS
 from repro.bench.workloads import batch_sources, build_workload
 from repro.cache import CACHE_POLICIES
+from repro.core.backends import active_backend, resolve_backend, use_backend
 from repro.graph.datasets import dataset_names, load_dataset
 from repro.graph.properties import summarize
 from repro.metrics.tables import format_table
@@ -327,7 +330,6 @@ def _service(args: argparse.Namespace, system_name: str, workload, clustered=Fal
             system=system_name,
             cache_policy=args.cache_policy,
             cache_budget=args.cache_budget,
-            backend=args.backend,
             tracing=getattr(args, "trace_out", None) is not None,
             **serving,
         )
@@ -591,7 +593,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         "makespan %.6f s (%.1f queries/s), transfer %.3f MB" % (
             stats.makespan_s, stats.queries_per_second, stats.total_transfer_bytes / 1e6,
         ),
-        "compute backend: %s" % service.system.context.backend_name,
+        "compute backend: %s" % active_backend().name,
     ]
     if clustered:
         network = service.network
@@ -705,7 +707,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "info": _cmd_info, "run": _cmd_run, "compare": _cmd_compare,
         "batch": _cmd_batch, "serve": _cmd_serve, "inspect": _cmd_inspect,
     }
-    output = commands[args.command](args)
+    name = getattr(args, "backend", None)  # info and inspect take no --backend
+    with _user_errors():
+        backend = None if name is None else resolve_backend(name)
+    with nullcontext() if backend is None else use_backend(backend):
+        output = commands[args.command](args)
     print(output, end="")
     return 0
 

@@ -16,15 +16,17 @@ needs (probed without importing it) and the class that implements it.
 The vertex programs call ``active_backend().push_and_activate(...)``
 directly.
 
-Selection order
----------------
-1. An explicit backend — ``ServiceConfig(backend=...)``, the CLI
-   ``--backend`` flag, or ``ExecutionContext(backend=...)``.
-2. The ``REPRO_BACKEND`` environment variable.
-3. The default: ``numpy`` (always available, the bitwise reference).
+Selection
+---------
+The active backend is one process-wide choice:
+
+1. :func:`use_backend` scopes a backend to a ``with`` block; the CLI's
+   ``--backend`` flag enters it once around the whole command.
+2. Outside any scope, the ``REPRO_BACKEND`` environment variable, and
+   otherwise ``numpy`` (always available, the bitwise reference).
 
 ``auto`` resolves to the fastest installed backend (``numba`` when
-importable, otherwise ``numpy``).  Explicit selections also accept a
+importable, otherwise ``numpy``).  :func:`use_backend` also accepts a
 :class:`KernelBackend` instance, which passes through untouched.
 
 Every backend must be **bitwise identical** to the numpy reference on the
@@ -92,8 +94,8 @@ class KernelBackend(Protocol):
 
 class BackendError(ValueError):
     """An unknown backend name, or a known one whose optional dependency is
-    not installed (a ``ValueError`` so the config/CLI validation paths
-    surface it cleanly)."""
+    not installed (a ``ValueError`` so the CLI's bad-input path surfaces
+    it cleanly)."""
 
 
 #: name -> (the package it needs, the module and class implementing it),
@@ -166,9 +168,8 @@ def resolve_backend(backend: KernelBackend | str | None = None) -> KernelBackend
     return backend
 
 
-# The backend the vertex programs call when the runtime context does not
-# carry an explicit one.  Resolved lazily so REPRO_BACKEND set by a test
-# runner or CI leg takes effect without any code change.
+# The backend the vertex programs call.  Resolved lazily so REPRO_BACKEND
+# set by a test runner or CI leg takes effect without any code change.
 _ACTIVE: KernelBackend | None = None
 
 

@@ -137,9 +137,10 @@ class HyTGraphOptions:
     The defaults reproduce the full system of the paper; the ablation
     benchmarks flip individual switches.
 
-    Partitioning granularity, the iteration bound, the device cache and
-    the compute backend are not options: they are the constructor
-    arguments every :class:`~repro.systems.base.GraphSystem` takes.
+    Partitioning granularity, the iteration bound and the device cache
+    are not options: they are the constructor arguments every
+    :class:`~repro.systems.base.GraphSystem` takes.  The compute backend
+    is process-wide (:func:`~repro.core.backends.use_backend`).
 
     Attributes
     ----------

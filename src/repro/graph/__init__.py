@@ -17,7 +17,6 @@ graph before and during processing:
 * :mod:`repro.graph.reorder` — hub sorting used by the contribution-driven
   priority scheduler (Section VI-A, Formula 4).
 * :mod:`repro.graph.properties` — degree statistics (Figure 3f).
-* :mod:`repro.graph.io` — edge-list and binary CSR persistence.
 
 Active-vertex frontiers are plain boolean NumPy bitmaps of length
 ``num_vertices`` (see ``VertexProgram.initial_frontier``); their

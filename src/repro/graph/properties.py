@@ -18,7 +18,6 @@ from repro.graph.csr import CSRGraph
 __all__ = [
     "PAPER_DEGREE_BUCKETS",
     "degree_bucket_fractions",
-    "degree_histogram",
     "GraphSummary",
     "summarize",
 ]
@@ -27,10 +26,8 @@ __all__ = [
 PAPER_DEGREE_BUCKETS: tuple[int, ...] = (0, 8, 16, 24, 32)
 
 
-def degree_bucket_fractions(
-    graph: CSRGraph, bucket_edges: tuple[int, ...] = PAPER_DEGREE_BUCKETS
-) -> dict[str, float]:
-    """Fraction of vertices falling in each degree bucket.
+def degree_bucket_fractions(graph: CSRGraph) -> dict[str, float]:
+    """Fraction of vertices falling in each degree bucket of Figure 3(f).
 
     Returns a mapping from a human-readable bucket label (``"[0,8)"``,
     ..., ``"[32,inf)"``) to the fraction of vertices in that bucket.
@@ -39,20 +36,13 @@ def degree_bucket_fractions(
     degrees = graph.out_degrees
     if degrees.size == 0:
         return {}
-    edges = list(bucket_edges) + [np.inf]
+    edges = list(PAPER_DEGREE_BUCKETS) + [np.inf]
     fractions: dict[str, float] = {}
     for low, high in zip(edges[:-1], edges[1:]):
         label = "[%d,%s)" % (low, "inf" if np.isinf(high) else str(int(high)))
         in_bucket = np.count_nonzero((degrees >= low) & (degrees < high))
         fractions[label] = in_bucket / degrees.size
     return fractions
-
-
-def degree_histogram(graph: CSRGraph) -> dict[int, int]:
-    """Exact out-degree histogram ``{degree: vertex count}``."""
-    degrees = graph.out_degrees
-    unique, counts = np.unique(degrees, return_counts=True)
-    return {int(degree): int(count) for degree, count in zip(unique, counts)}
 
 
 @dataclass(frozen=True)

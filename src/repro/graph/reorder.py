@@ -1,4 +1,4 @@
-"""Vertex reordering: hub sorting and degree sorting.
+"""Vertex reordering: hub sorting.
 
 HyTGraph's contribution-driven priority scheduling (Section VI-A) relies on
 *hub sorting* [Zhang et al., BigData 2017]: the top 8 % most important
@@ -28,7 +28,6 @@ from repro.graph.csr import CSRGraph
 __all__ = [
     "hub_scores",
     "hub_sort_order",
-    "degree_sort_order",
     "apply_vertex_order",
     "ReorderedGraph",
     "hub_sort",
@@ -76,13 +75,6 @@ def hub_sort_order(graph: CSRGraph, hub_fraction: float = DEFAULT_HUB_FRACTION) 
     hub_set[top] = True
     rest = np.nonzero(~hub_set)[0]
     return np.concatenate([top, rest]).astype(np.int64)
-
-
-def degree_sort_order(graph: CSRGraph, descending: bool = True) -> np.ndarray:
-    """Vertex order sorted purely by out-degree (baseline reordering)."""
-    degrees = graph.out_degrees
-    order = np.argsort(-degrees if descending else degrees, kind="stable")
-    return order.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -203,56 +203,6 @@ class RunResult:
             "computation": self.total_kernel_time,
         }
 
-    def summary_row(self) -> dict[str, object]:
-        """One row of a comparison table."""
-        return {
-            "system": self.system,
-            "algorithm": self.algorithm,
-            "graph": self.graph_name,
-            "time": round(self.total_time, 6),
-            "iterations": self.num_iterations,
-            "transfer_MB": round(self.total_transfer_bytes / (1024 * 1024), 3),
-            "converged": self.converged,
-        }
-
-    def observability(self) -> dict[str, object]:
-        """Every run counter behind one discoverable, JSON-safe snapshot.
-
-        The aggregates above plus everything that used to require
-        digging through ``extra`` (backend, cache policy, fault record),
-        organised as a :class:`~repro.obs.MetricsRegistry` snapshot so
-        run- and service-level observability share one shape.
-        """
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.count("run.iterations", self.num_iterations)
-        registry.count("run.transfer_bytes", self.total_transfer_bytes)
-        registry.count("run.interconnect_bytes", self.total_interconnect_bytes)
-        registry.count("run.processed_edges", self.total_processed_edges)
-        registry.count("run.cache.hit_bytes", self.total_cache_hit_bytes)
-        registry.count("run.cache.miss_bytes", self.total_cache_miss_bytes)
-        registry.count("run.cache.evicted_bytes", self.total_cache_evicted_bytes)
-        registry.gauge("run.total_time_s", self.total_time)
-        registry.gauge("run.preprocessing_time_s", self.preprocessing_time)
-        registry.gauge("run.compaction_time_s", self.total_compaction_time)
-        registry.gauge("run.transfer_time_s", self.total_transfer_time)
-        registry.gauge("run.kernel_time_s", self.total_kernel_time)
-        registry.gauge("run.sync_time_s", self.total_sync_time)
-        registry.gauge("run.cache.hit_rate", self.cache_hit_rate)
-        registry.gauge("run.converged", self.converged)
-        for stat in self.iterations:
-            registry.observe("run.iteration_time_s", stat.time)
-        for key, value in sorted(self.extra.items()):
-            if isinstance(value, (bool, int, float, str)) or value is None:
-                registry.gauge("run.extra.%s" % key, value)
-        return {
-            "system": self.system,
-            "algorithm": self.algorithm,
-            "graph": self.graph_name,
-            "metrics": registry.snapshot(),
-        }
-
 
 @dataclass
 class BatchResult:
@@ -386,20 +336,6 @@ class BatchResult:
             "sequential_transfer_bytes": float(sequential_bytes),
             "batched_transfer_bytes": float(self.total_transfer_bytes),
             "transfer_bytes_saved": float(sequential_bytes - self.total_transfer_bytes),
-        }
-
-    def summary_row(self) -> dict[str, object]:
-        """One row of a batch comparison table."""
-        return {
-            "system": self.system,
-            "algorithm": self.algorithm,
-            "graph": self.graph_name,
-            "queries": self.num_queries,
-            "makespan": round(self.makespan, 6),
-            "queries_per_s": round(self.queries_per_second, 3),
-            "transfer_MB": round(self.total_transfer_bytes / (1024 * 1024), 3),
-            "amortized_MB": round(self.amortized_bytes / (1024 * 1024), 3),
-            "cache_hit_MB": round(self.cache_hit_bytes / (1024 * 1024), 3),
         }
 
     def as_dict(self) -> dict[str, object]:

@@ -45,13 +45,13 @@ def format_table(rows: Sequence[Mapping[str, object]], title: str | None = None)
     return "\n".join(lines) + "\n"
 
 
-def format_series(series: Mapping[str, Iterable[float]], title: str | None = None, precision: int = 4) -> str:
+def format_series(series: Mapping[str, Iterable[float]], title: str | None = None) -> str:
     """Render named numeric series (the figure line plots) as text rows."""
     lines = []
     if title:
         lines.append(title)
     for name, values in series.items():
-        formatted = ", ".join(("%." + str(precision) + "g") % float(value) for value in values)
+        formatted = ", ".join("%.4g" % float(value) for value in values)
         lines.append("%s: [%s]" % (name, formatted))
     return "\n".join(lines) + "\n"
 

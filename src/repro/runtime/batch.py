@@ -57,6 +57,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.algorithms.base import VertexProgram
+from repro.core.backends import active_backend
 from repro.faults.checkpoint import QueryCheckpoint
 from repro.metrics.results import BatchResult
 from repro.obs.tracer import NULL_TRACER
@@ -496,7 +497,7 @@ class QueryBatchRunner:
             cache_evicted_bytes=cache_totals["evicted_bytes"],
             latencies=clocks,
             extra={
-                "backend": context.backend_name,
+                "backend": active_backend().name,
                 "num_devices": context.num_devices,
                 "resident_partitions": context.num_resident_partitions,
                 "cache_policy": context.cache_policy,

@@ -83,7 +83,6 @@ from repro.graph.partition import Partitioning, ShardedPartitioning
 from repro.sim.config import HardwareConfig
 from repro.sim.events import Timeline
 from repro.cache.manager import CacheManager
-from repro.core.backends import KernelBackend, active_backend, resolve_backend
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.pcie import PCIeModel
 from repro.sim.streams import StreamScheduler, StreamTask
@@ -150,16 +149,6 @@ class ExecutionContext:
     cache_budget:
         Per-device cache budget in bytes (default: the device's
         edge-cache memory, ``config.gpu_memory_bytes``).
-    backend:
-        Compute backend for the kernel layer (a name, a
-        :class:`~repro.core.backends.KernelBackend` instance, or ``None``).
-        ``None`` (default) leaves the session on the process-wide active
-        backend (``REPRO_BACKEND`` env override, ``numpy`` otherwise); an
-        explicit value pins this session's kernels — the driver scopes it
-        around every planned iteration.  Resolution happens here, at
-        construction, so an unknown/unavailable backend fails the session
-        up front (and JIT warm-up cost lands here, never in a timed
-        region).
     """
 
     def __init__(
@@ -169,14 +158,10 @@ class ExecutionContext:
         config: HardwareConfig,
         cache_policy: str = "static-prefix",
         cache_budget: int | None = None,
-        backend: str | KernelBackend | None = None,
     ):
         self.graph = graph
         self.partitioning = partitioning
         self.config = config
-        self.backend: KernelBackend | None = (
-            resolve_backend(backend) if backend is not None else None
-        )
         self.num_devices = config.num_devices
         self.sharding = ShardedPartitioning(partitioning, config.num_devices)
         self.cache: CacheManager | None = None
@@ -236,16 +221,6 @@ class ExecutionContext:
     def is_multi_device(self) -> bool:
         """Whether more than one device participates in this session."""
         return self.num_devices > 1
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the backend this session's kernels run on.
-
-        Falls back to the process-wide active backend when the session
-        was built without an explicit one.
-        """
-        backend = self.backend if self.backend is not None else active_backend()
-        return backend.name
 
     @property
     def cache_policy(self) -> str:

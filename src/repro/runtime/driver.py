@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.core.backends import use_backend
 from repro.metrics.results import IterationStats, RunResult
 from repro.runtime.context import ExecutionContext, FrontierTotals
 from repro.sim.streams import StreamTask
@@ -181,20 +180,10 @@ class IterationDriver:
         counter snapshot, solo runs only) restamps the one plan from an
         earlier point, so it also owns the evictions committed when the
         window opened.
-
-        Planning is where ``program.process`` pushes messages, so a
-        backend pinned on the context is scoped around the whole call —
-        every kernel the iteration runs dispatches to it, while sessions
-        without an explicit backend keep the ambient one.
         """
-        context = self.context
-        if context.backend is None:
-            plans = planner.plan_iterations(sessions)
-        else:
-            with use_backend(context.backend):
-                plans = planner.plan_iterations(sessions)
+        plans = planner.plan_iterations(sessions)
         if since is not None:
-            context.stamp_cache(plans[0].stats, since)
+            self.context.stamp_cache(plans[0].stats, since)
         return plans
 
     # ------------------------------------------------------------------

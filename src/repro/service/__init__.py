@@ -10,8 +10,8 @@ future async pipelining and multi-backend execution) plug into:
   :class:`~repro.service.request.QueryHandle` — the submit → poll →
   result lifecycle, with per-request :class:`~repro.service.request.Priority`
   classes and optional latency deadlines;
-* :class:`~repro.service.config.ServiceConfig` — system, cache,
-  backend and serving knobs as one dataclass (the platform is the
+* :class:`~repro.service.config.ServiceConfig` — system, cache
+  and serving knobs as one dataclass (the platform is the
   graph and hardware passed next to it);
 * :class:`~repro.service.admission.AdmissionController` — bounded
   estimated bytes in flight per scheduling wave;

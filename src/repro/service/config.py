@@ -3,8 +3,8 @@
 A deployment is a graph and a :class:`~repro.sim.config.HardwareConfig`
 (:func:`repro.bench.workloads.build_workload` builds both; they are
 passed to the service, never described here) plus one
-:class:`ServiceConfig` value — which system, which cache policy and
-compute backend, and the serving policies (scheduling discipline,
+:class:`ServiceConfig` value — which system, which cache policy, and
+the serving policies (scheduling discipline,
 admission budget) layered on top.  It is the only place those knobs are
 assembled: the CLI builds one from its flags, the service builds its
 system from it.
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.policy import CACHE_POLICIES
-from repro.core.backends import resolve_backend
 from repro.faults import FaultSchedule
 from repro.systems import SYSTEMS
 
@@ -37,7 +36,7 @@ ADMISSION_POLICIES = ("queue", "reject")
 class ServiceConfig:
     """Everything a :class:`~repro.service.GraphService` needs besides its platform.
 
-    The system name and the cache and backend knobs build the system
+    The system name and the cache knobs build the system
     over the caller's graph and hardware (they are not consulted when a
     prebuilt ``system=`` is substituted); serving knobs configure the
     scheduler and the admission controller.
@@ -48,13 +47,6 @@ class ServiceConfig:
     # --- device-memory cache -------------------------------------------
     cache_policy: str = "static-prefix"
     cache_budget: int | None = None
-    # --- compute backend -------------------------------------------------
-    #: Kernel-layer compute backend (``"numpy"``, ``"numba"`` or
-    #: ``"auto"``); ``None`` keeps the ambient default
-    #: (``REPRO_BACKEND`` env override, numpy otherwise).  Validated at
-    #: config construction so an unknown or uninstalled backend fails the
-    #: deployment immediately, naming the installed backends.
-    backend: str | None = None
     # --- serving --------------------------------------------------------
     #: ``"priority"`` orders merged tasks by request priority class;
     #: ``"fifo"`` reproduces the historical submission-order co-schedule.
@@ -109,10 +101,6 @@ class ServiceConfig:
                 "unknown admission policy %r; pick one of: %s"
                 % (self.admission_policy, ", ".join(ADMISSION_POLICIES))
             )
-        if self.backend is not None:
-            # Raises BackendError (a ValueError) naming the installed
-            # backends for unknown or uninstalled names.
-            resolve_backend(self.backend)
         if self.cache_policy.lower() not in CACHE_POLICIES:
             raise ValueError(
                 "unknown cache policy %r; pick one of: %s"
@@ -128,12 +116,10 @@ class ServiceConfig:
             )
 
     def system_kwargs(self) -> dict:
-        """Constructor kwargs for ``make_system`` (cache + backend knobs)."""
+        """Constructor kwargs for ``make_system`` (the cache knobs)."""
         kwargs: dict = {}
         if self.cache_policy != "static-prefix":
             kwargs["cache_policy"] = self.cache_policy
         if self.cache_budget is not None:
             kwargs["cache_budget"] = self.cache_budget
-        if self.backend is not None:
-            kwargs["backend"] = self.backend
         return kwargs

@@ -70,7 +70,7 @@ class GraphService:
         The :class:`ServiceConfig` describing the system and serving
         policies (defaults throughout when omitted).  The service builds
         its system from it: ``config.system`` with the config's cache
-        and backend knobs.
+        knobs.
     graph / hardware:
         The graph and :class:`~repro.sim.config.HardwareConfig` to build
         that system over — a benchmark workload's ``graph``/``config``

@@ -32,6 +32,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.algorithms.base import VertexProgram
+from repro.core.backends import active_backend
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import build_partitioning
 from repro.metrics.results import IterationStats, RunResult
@@ -71,7 +72,6 @@ class GraphSystem(ABC):
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         cache_policy: str = "static-prefix",
         cache_budget: int | None = None,
-        backend: str | None = None,
     ):
         self.graph = graph
         self.config = config or default_config()
@@ -83,16 +83,13 @@ class GraphSystem(ABC):
             )
         self.kernel_model = KernelModel(self.config)
         self.partitioning = build_partitioning(graph, num_partitions)
-        # The context holds the live cache policy/budget
-        # (:mod:`repro.cache`) and resolves the kernel backend, so an
-        # unknown or unavailable backend fails construction, not mid-run.
+        # The context holds the live cache policy/budget (:mod:`repro.cache`).
         self.context = ExecutionContext(
             self.graph,
             self.partitioning,
             self.config,
             cache_policy=cache_policy,
             cache_budget=cache_budget,
-            backend=backend,
         )
         self.driver = IterationDriver(self.context)
 
@@ -129,7 +126,7 @@ class GraphSystem(ABC):
         graph = self.context.graph
         state = program.create_state(graph, source)
         result = RunResult(system=self.name, algorithm=program.name, graph_name=self.graph.name)
-        result.extra["backend"] = self.context.backend_name
+        result.extra["backend"] = active_backend().name
         if self.context.is_multi_device:
             result.extra["num_devices"] = self.config.num_devices
             result.extra["interconnect"] = self.config.interconnect_kind

@@ -35,7 +35,7 @@ class ImpTMUMSystem(GraphSystem):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.engine = UnifiedMemoryEngine(self.graph, self.config)
+        self.engine = UnifiedMemoryEngine(self.graph, self.context.pcie)
 
     def reset_run_state(self) -> None:
         super().reset_run_state()

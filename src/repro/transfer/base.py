@@ -12,7 +12,6 @@ from __future__ import annotations
 from enum import Enum
 
 from repro.graph.csr import CSRGraph
-from repro.sim.config import HardwareConfig
 from repro.sim.pcie import PCIeModel
 
 __all__ = ["EngineKind", "ENGINE_LABEL", "TransferEngine"]
@@ -35,11 +34,11 @@ ENGINE_LABEL = {kind: kind.value for kind in EngineKind}
 
 
 class TransferEngine:
-    """Base class: one engine bound to one graph and one hardware config."""
+    """Base class: one engine bound to one graph and the session's PCIe model."""
 
     kind: EngineKind
 
-    def __init__(self, graph: CSRGraph, config: HardwareConfig):
+    def __init__(self, graph: CSRGraph, pcie: PCIeModel):
         self.graph = graph
-        self.config = config
-        self.pcie = PCIeModel(config)
+        self.config = pcie.config
+        self.pcie = pcie

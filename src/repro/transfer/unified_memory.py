@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.sim.config import HardwareConfig
 from repro.sim.memory import PageCache
+from repro.sim.pcie import PCIeModel
 from repro.transfer.base import EngineKind, TransferEngine
 
 __all__ = ["UnifiedMemoryEngine"]
@@ -27,9 +27,9 @@ class UnifiedMemoryEngine(TransferEngine):
 
     kind = EngineKind.IMP_UNIFIED_MEMORY
 
-    def __init__(self, graph: CSRGraph, config: HardwareConfig):
-        super().__init__(graph, config)
-        self.cache = PageCache(max(0, config.gpu_memory_bytes // config.um_page_bytes))
+    def __init__(self, graph: CSRGraph, pcie: PCIeModel):
+        super().__init__(graph, pcie)
+        self.cache = PageCache(max(0, self.config.gpu_memory_bytes // self.config.um_page_bytes))
 
     def reset(self) -> None:
         # A new run starts with a cold cache AND fresh statistics — the

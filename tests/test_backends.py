@@ -6,15 +6,15 @@ Three concerns, in order:
   ``REPRO_BACKEND`` environment override, and the error contract: an
   unknown or uninstalled backend must fail up front with a
   :class:`BackendError` whose message names the installed backends,
-  wherever the name enters the stack (``get_backend``,
-  ``ExecutionContext``, ``ServiceConfig``, CLI).
+  wherever the name enters the stack (``get_backend``, the CLI).
 * **Exactness** — every installed backend's raw kernels must be bitwise
   equal to the ``ufunc.at`` references on the randomized batch grid
   (the runtime-level equivalence lives in ``test_runtime_equivalence``,
   which replays the 60-case fixture grid per backend).
-* **Plumbing** — the active backend is scoped (``use_backend`` restores),
-  results record which backend produced them, and a context-pinned
-  backend overrides the ambient one for that session only.
+* **Plumbing** — the active backend is process-wide and scoped
+  (``use_backend`` restores), every system's kernels dispatch to it,
+  results record which backend produced them, and the CLI's
+  ``--backend`` scopes exactly one command.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.core.backends import (
     use_backend,
 )
 from repro.graph.generators import rmat_graph
-from repro.service.config import ServiceConfig
 from repro.systems import SYSTEMS, make_system
 from tests.test_kernels import CountingBackend, bits, random_batches
 
@@ -185,107 +184,96 @@ class TestBackendExactness:
 
 
 class TestRuntimePlumbing:
+    def test_only_the_selection_functions_take_a_backend(self):
+        """No system, context or config can pin a backend of its own."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        takers = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                    if any("backend" in arg.arg for arg in args):
+                        takers.append(node.name)
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    if "backend" in node.target.id:
+                        takers.append(node.target.id)
+        assert sorted(takers) == ["resolve_backend", "use_backend"]
+
     def graph(self):
         return rmat_graph(200, 1600, seed=7, weighted=True)
 
     def test_results_record_their_backend(self):
         from repro.algorithms.pagerank import DeltaPageRank
 
-        system = make_system("hytgraph", self.graph(), backend="numpy")
-        result = system.run(DeltaPageRank())
+        system = make_system("hytgraph", self.graph())
+        with use_backend("numpy"):
+            result = system.run(DeltaPageRank())
         assert result.extra["backend"] == "numpy"
 
-    def test_context_pinned_backend_overrides_ambient(self):
+    @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+    def test_ambient_backend_flows_into_unpinned_sessions(self, system_name):
+        """The active backend must run the kernels, not just label the result."""
         from repro.algorithms.sssp import SSSP
 
-        system = make_system("emogi", self.graph(), backend="numpy")
-        ambient = CountingBackend()
-        with use_backend(ambient):
-            result = system.run(SSSP(), source=0)
-        assert result.extra["backend"] == "numpy"
-        assert ambient.calls == 0
-
-    def test_ambient_backend_flows_into_unpinned_sessions(self):
-        from repro.algorithms.sssp import SSSP
-
-        system = make_system("emogi", self.graph())
+        system = make_system(system_name, rmat_graph(500, 4000, seed=7, weighted=True))
         ambient = CountingBackend()
         with use_backend(ambient):
             result = system.run(SSSP(), source=0)
         assert result.extra["backend"] == "counting"
-        assert ambient.calls > 0
+        assert ambient.calls, "%s dispatched no kernel to the active backend" % system_name
 
-    def test_pinned_backend_runs_bitwise_equal_to_reference(self):
+    def test_active_backend_runs_bitwise_equal_to_reference(self):
         from repro.algorithms.pagerank import DeltaPageRank
 
-        graph = self.graph()
-        reference = make_system("hytgraph", graph, backend="numpy").run(DeltaPageRank())
+        system = make_system("hytgraph", self.graph())
+        with use_backend("numpy"):
+            reference = system.run(DeltaPageRank())
         for name in available_backends():
-            result = make_system("hytgraph", graph, backend=name).run(DeltaPageRank())
+            with use_backend(name):
+                result = system.run(DeltaPageRank())
             np.testing.assert_array_equal(
                 bits(reference.values), bits(result.values), err_msg=name
             )
             assert result.extra["backend"] == name
 
-    @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
-    def test_solo_run_dispatches_to_the_pinned_backend(self, system_name):
-        """A pinned backend must run the kernels, not just label the result.
-
-        The ambient backend stays numpy; only the session is pinned.
-        """
-        from repro.algorithms.sssp import SSSP
-
-        graph = rmat_graph(500, 4000, seed=7, weighted=True)
-        pinned = CountingBackend()
-        system = make_system(system_name, graph, backend=pinned)
-        assert system.context.backend is pinned
-        with use_backend("numpy"):
-            result = system.run(SSSP(), 0)
-        assert result.extra["backend"] == "counting"
-        assert pinned.calls, "%s dispatched no kernel to its pinned backend" % system_name
-
-    def test_unknown_backend_fails_system_construction(self):
-        with pytest.raises(BackendError, match="installed backends"):
-            make_system("hytgraph", self.graph(), backend="no-such-backend")
-
-    @pytest.mark.skipif(NUMBA_INSTALLED, reason="numba is installed here")
-    def test_unavailable_backend_fails_system_construction(self):
-        with pytest.raises(BackendError, match="numba"):
-            make_system("subway", self.graph(), backend="numba")
-
     def test_batch_results_record_their_backend(self):
         from repro.bench.workloads import build_workload
-        from repro.service import GraphService, QueryRequest
+        from repro.service import GraphService, QueryRequest, ServiceConfig
 
         workload = build_workload("SK", "sssp", scale=0.05)
         service = GraphService(
-            ServiceConfig(system="hytgraph", backend="numpy"),
-            graph=workload.graph, hardware=workload.config,
+            ServiceConfig(system="hytgraph"), graph=workload.graph, hardware=workload.config
         )
         service.submit(QueryRequest(algorithm="sssp", source=0))
         service.submit(QueryRequest(algorithm="sssp", source=1))
-        (batch,) = service.drain()
+        with use_backend("numpy"):
+            (batch,) = service.drain()
         assert batch.extra["backend"] == "numpy"
 
+    @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+    def test_batches_run_on_the_active_backend(self, system_name):
+        """A batch reads the backend active when it drains, for every system."""
+        from repro.bench.workloads import build_workload
+        from repro.service import GraphService, QueryRequest, ServiceConfig
 
-class TestServiceConfigAndCli:
-    def test_config_accepts_known_backends(self):
-        for name in ("numpy", "auto"):
-            config = ServiceConfig(backend=name)
-            assert config.system_kwargs()["backend"] == name
+        workload = build_workload("SK", "sssp", scale=0.05)
+        service = GraphService(
+            ServiceConfig(system=system_name), graph=workload.graph, hardware=workload.config
+        )
+        service.submit(QueryRequest(algorithm="sssp", source=0))
+        service.submit(QueryRequest(algorithm="sssp", source=1))
+        ambient = CountingBackend()
+        with use_backend(ambient):
+            (batch,) = service.drain()
+        assert batch.extra["backend"] == "counting"
+        assert ambient.calls, "%s batched no kernel onto the active backend" % system_name
 
-    def test_config_without_backend_passes_no_kwarg(self):
-        assert "backend" not in ServiceConfig().system_kwargs()
 
-    def test_config_rejects_unknown_backend_naming_installed(self):
-        with pytest.raises(ValueError, match="installed backends"):
-            ServiceConfig(backend="cuda-graphs")
-
-    @pytest.mark.skipif(NUMBA_INSTALLED, reason="numba is installed here")
-    def test_config_rejects_uninstalled_backend(self):
-        with pytest.raises(ValueError, match="numba"):
-            ServiceConfig(backend="numba")
-
+class TestCli:
     def test_cli_unknown_backend_fails_naming_installed(self, capsys):
         from repro.cli import main
 
@@ -293,6 +281,50 @@ class TestServiceConfigAndCli:
             main(["run", "--dataset", "SK", "--scale", "0.05", "--backend", "bogus"])
         assert "installed backends" in str(excinfo.value)
         assert "numpy" in str(excinfo.value)
+
+    @pytest.mark.parametrize("command", ["run", "compare", "batch", "serve"])
+    def test_cli_unknown_backend_exits_before_building_a_workload(self, command, monkeypatch):
+        import repro.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a workload was built before --backend was resolved")
+
+        monkeypatch.setattr(repro.cli, "build_workload", refuse)
+        with pytest.raises(SystemExit, match="installed backends"):
+            repro.cli.main([command, "--scale", "0.05", "--backend", "bogus"])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--algorithm", "bfs"],
+        ["compare", "--algorithm", "bfs", "--systems", "emogi", "hytgraph"],
+        ["batch", "--algorithm", "sssp", "--num-queries", "2"],
+        ["serve", "--point-lookups", "2", "--analytical", "1"],
+    ], ids=["run", "compare", "batch", "serve"])
+    def test_cli_backend_scopes_only_its_command(self, argv, capsys):
+        from repro.cli import main
+
+        with use_backend(CountingBackend()) as ambient:
+            assert main(argv + ["--dataset", "SK", "--scale", "0.05", "--backend", "numpy"]) == 0
+            assert active_backend() is ambient
+        assert ambient.calls == 0
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_cli_backend_runs_the_command_on_the_named_backend(self, command, monkeypatch, capsys):
+        import repro.cli
+
+        named = CountingBackend()
+        resolved = []
+
+        def resolve(name):
+            resolved.append(name)
+            return named
+
+        monkeypatch.setattr(repro.cli, "resolve_backend", resolve)
+        extra = ["--algorithm", "bfs"] if command == "run" else ["--point-lookups", "2"]
+        assert repro.cli.main(
+            [command, "--dataset", "SK", "--scale", "0.05", "--backend", "counting"] + extra
+        ) == 0
+        assert resolved == ["counting"]
+        assert named.calls, "%s ran no kernel on the backend named by --backend" % command
 
     def test_cli_run_verbose_prints_backend(self, capsys):
         from repro.cli import main

@@ -9,6 +9,8 @@ import pytest
 
 import repro.cli
 from repro.cli import DEFAULT_COMPARE_SYSTEMS, build_parser, main
+from repro.core.backends import active_backend, use_backend
+from tests.test_kernels import CountingBackend
 
 
 class TestParser:
@@ -535,19 +537,23 @@ class TestConfigFidelity:
         ["serve", "--point-lookups", "2", "--analytical", "1", "--hosts", "2"],
     ], ids=["run", "compare", "batch", "serve", "serve-cluster"])
     def test_built_service_config_equals_the_flags(self, argv, monkeypatch, capsys):
-        built = []
+        built, backends = [], []
 
         def recording(cls):
             class Recording(cls):
                 def __init__(self, *args, **kwargs):
                     super().__init__(*args, **kwargs)
                     built.append(self)
+                    backends.append(active_backend().name)
 
             return Recording
 
         monkeypatch.setattr(repro.cli, "GraphService", recording(repro.cli.GraphService))
         monkeypatch.setattr(repro.cli, "ClusterService", recording(repro.cli.ClusterService))
-        assert main(argv + self.FLAGS) == 0
+        # --backend wins over the ambient backend for the whole command.
+        with use_backend(CountingBackend()):
+            assert main(argv + self.FLAGS) == 0
+        assert backends and set(backends) == {"numpy"}
         served = []
         for service in built:
             if isinstance(service, repro.cli.ClusterService):
@@ -559,8 +565,8 @@ class TestConfigFidelity:
         for config, system in served:
             # The device count's one home is the hardware the service runs on.
             assert (
-                config.cache_policy, config.cache_budget, config.backend, system.config.num_devices
-            ) == ("lru", 1 << 20, "numpy", 2)
+                config.cache_policy, config.cache_budget, system.config.num_devices
+            ) == ("lru", 1 << 20, 2)
 
 
 class TestBadInput:

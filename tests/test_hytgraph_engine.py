@@ -158,8 +158,8 @@ class TestBehaviour:
             "combine_factor", "task_combining", "contribution_scheduling",
             "hub_sorting", "hub_fraction", "recompute_loaded", "thresholds",
         ]
-        # Partitioning, iteration bound, cache and backend are constructor
-        # arguments shared with every GraphSystem, not options.
+        # Partitioning, iteration bound and cache are constructor arguments
+        # shared with every GraphSystem, and the backend is process-wide.
         with pytest.raises(TypeError):
             HyTGraphOptions(backend="numpy")
         options = HyTGraphOptions(task_combining=False)

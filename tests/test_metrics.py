@@ -78,12 +78,6 @@ class TestRunResult:
         stats = make_result().iterations[0]
         assert stats.breakdown()["transfer"] == pytest.approx(0.5)
 
-    def test_summary_row(self):
-        row = make_result().summary_row()
-        assert row["system"] == "X"
-        assert row["iterations"] == 2
-        assert row["converged"] is True
-
     def test_empty_result(self):
         result = RunResult(system="X", algorithm="PR", graph_name="g")
         assert result.total_time == 0.0
@@ -115,6 +109,14 @@ class TestTables:
         text = format_series({"PR-actEdge": [1.0, 0.5, 0.25]}, title="Figure 3a")
         assert text.startswith("Figure 3a")
         assert "PR-actEdge" in text
+
+    def test_format_series_prints_four_significant_digits(self):
+        text = format_series({"s": [1 / 3, 123456.0, 2.0, 1e-5]})
+        assert text == "s: [0.3333, 1.235e+05, 2, 1e-05]\n"
+
+    def test_format_series_one_row_per_series(self):
+        text = format_series({"a": [1.0], "b": []}, title="T")
+        assert text.splitlines() == ["T", "a: [1]", "b: []"]
 
     def test_normalize_speedups(self):
         speedups = normalize_speedups({"Subway": 10.0, "HyTGraph": 2.0}, baseline="Subway")

@@ -72,7 +72,6 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.sim.config import HardwareConfig
-from repro.systems import make_system
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace_spans.jsonl"
 
@@ -450,23 +449,6 @@ class TestServiceTracing:
         service = _mixed_service(obs_graph, obs_hardware)
         with pytest.raises(ValueError, match="tracing"):
             service.export_trace(tmp_path / "trace.json")
-
-
-class TestRunResultObservability:
-    def test_run_observability(self, obs_graph, obs_hardware):
-        system = make_system("hytgraph", obs_graph, config=obs_hardware)
-        from repro.algorithms import make_algorithm
-
-        result = system.run(make_algorithm("pagerank"))
-        payload = result.observability()
-        assert payload["system"] == result.system
-        metrics = payload["metrics"]
-        assert metrics["counters"]["run.iterations"] == result.num_iterations
-        assert metrics["gauges"]["run.total_time_s"] == result.total_time
-        assert metrics["histograms"]["run.iteration_time_s"]["count"] == (
-            result.num_iterations
-        )
-        json.dumps(payload)
 
 
 class TestReplayTracing:

@@ -1,11 +1,10 @@
-"""Unit tests for graph statistics (Figure 3f) and graph persistence."""
+"""Unit tests for graph statistics (Figure 3f)."""
 
-import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph
-from repro.graph.io import load_csr, load_edge_list, save_csr, save_edge_list
-from repro.graph.properties import degree_bucket_fractions, degree_histogram, summarize
+from repro.graph.generators import rmat_graph
+from repro.graph.properties import degree_bucket_fractions, summarize
 
 
 class TestDegreeStatistics:
@@ -21,13 +20,34 @@ class TestDegreeStatistics:
         assert fractions["[8,16)"] == pytest.approx(1 / 12)
         assert fractions["[0,8)"] == pytest.approx(11 / 12)
 
+    def test_bucket_edges_are_half_open(self):
+        # One vertex on each side of every Figure 3(f) bucket edge.
+        degrees = [0, 7, 8, 15, 16, 23, 24, 31, 32, 40]
+        edges, target = [], len(degrees)
+        for vertex, degree in enumerate(degrees):
+            edges += [(vertex, target + k) for k in range(degree)]
+        graph = CSRGraph.from_edges(edges, num_vertices=target + max(degrees))
+        counts = {
+            label: round(fraction * graph.num_vertices)
+            for label, fraction in degree_bucket_fractions(graph).items()
+        }
+        sinks = graph.num_vertices - len(degrees)
+        assert counts == {
+            "[0,8)": 2 + sinks, "[8,16)": 2, "[16,24)": 2, "[24,32)": 2, "[32,inf)": 2,
+        }
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_bucket_fractions_match_a_per_vertex_oracle(self, seed):
+        graph = rmat_graph(300, 4000, seed=seed)
+        expected = dict.fromkeys(["[0,8)", "[8,16)", "[16,24)", "[24,32)", "[32,inf)"], 0)
+        for degree in graph.out_degrees.tolist():
+            label = "[32,inf)" if degree >= 32 else "[%d,%d)" % (degree // 8 * 8, degree // 8 * 8 + 8)
+            expected[label] += 1
+        fractions = degree_bucket_fractions(graph)
+        assert fractions == {label: count / graph.num_vertices for label, count in expected.items()}
+
     def test_empty_graph(self):
         assert degree_bucket_fractions(CSRGraph.empty(0)) == {}
-
-    def test_degree_histogram(self):
-        graph = CSRGraph.from_edges([(0, 1), (0, 2), (1, 2)], num_vertices=3)
-        histogram = degree_histogram(graph)
-        assert histogram == {2: 1, 1: 1, 0: 1}
 
     def test_summarize(self, paper_graph):
         summary = summarize(paper_graph)
@@ -39,75 +59,3 @@ class TestDegreeStatistics:
         assert row["dataset"] == "figure1"
         assert row["|E|"] == 10
 
-
-class TestEdgeListIO:
-    def test_roundtrip_weighted(self, paper_graph, tmp_path):
-        path = tmp_path / "graph.txt"
-        save_edge_list(paper_graph, path)
-        loaded = load_edge_list(path, num_vertices=6)
-        assert loaded.num_edges == paper_graph.num_edges
-        np.testing.assert_array_equal(loaded.row_offset, paper_graph.row_offset)
-        np.testing.assert_array_equal(loaded.column_index, paper_graph.column_index)
-        np.testing.assert_allclose(loaded.edge_value, paper_graph.edge_value)
-
-    def test_roundtrip_unweighted(self, small_random_graph, tmp_path):
-        graph = small_random_graph.without_weights()
-        path = tmp_path / "graph.txt"
-        save_edge_list(graph, path)
-        loaded = load_edge_list(path, num_vertices=graph.num_vertices)
-        assert not loaded.is_weighted
-        np.testing.assert_array_equal(loaded.column_index, graph.column_index)
-
-    def test_comments_and_blank_lines_ignored(self, tmp_path):
-        path = tmp_path / "graph.txt"
-        path.write_text("# comment\n\n% another\n0 1\n1 2\n")
-        loaded = load_edge_list(path)
-        assert loaded.num_edges == 2
-
-    def test_forced_unweighted_parse(self, tmp_path):
-        path = tmp_path / "graph.txt"
-        path.write_text("0 1 9\n1 0 7\n")
-        loaded = load_edge_list(path, weighted=False)
-        assert not loaded.is_weighted
-
-    def test_weights_roundtrip_exactly(self, tmp_path):
-        weights = [1234567.25, 0.1, 1e-7]
-        graph = CSRGraph.from_edges([(0, 1), (1, 2), (2, 0)], weights=weights)
-        path = tmp_path / "graph.txt"
-        save_edge_list(graph, path)
-        np.testing.assert_array_equal(load_edge_list(path).edge_value, weights)
-
-    def test_header_vertex_count_is_honoured(self, tmp_path):
-        graph = CSRGraph.from_edges([(0, 1), (1, 2)], num_vertices=5)  # 3 and 4 isolated
-        path = tmp_path / "graph.txt"
-        save_edge_list(graph, path)
-        loaded = load_edge_list(path)
-        assert loaded.num_vertices == 5
-        np.testing.assert_array_equal(loaded.row_offset, graph.row_offset)
-        assert load_edge_list(path, num_vertices=7).num_vertices == 7
-
-    @pytest.mark.parametrize("bad_line", ["3", "a b", "0 1 heavy"])
-    def test_malformed_line_names_file_and_line(self, tmp_path, bad_line):
-        path = tmp_path / "graph.txt"
-        path.write_text("# comment\n0 1 2.5\n%s\n" % bad_line)
-        with pytest.raises(ValueError, match=r"graph\.txt:3: expected 'src dst \[weight\]'"):
-            load_edge_list(path)
-
-
-class TestCSRBundleIO:
-    def test_roundtrip(self, paper_graph, tmp_path):
-        path = tmp_path / "graph.npz"
-        save_csr(paper_graph, path)
-        loaded = load_csr(path)
-        np.testing.assert_array_equal(loaded.row_offset, paper_graph.row_offset)
-        np.testing.assert_array_equal(loaded.column_index, paper_graph.column_index)
-        np.testing.assert_allclose(loaded.edge_value, paper_graph.edge_value)
-        assert loaded.name == paper_graph.name
-
-    def test_roundtrip_unweighted(self, tmp_path):
-        graph = CSRGraph.from_edges([(0, 1), (1, 2)], num_vertices=3, name="tiny")
-        path = tmp_path / "tiny.npz"
-        save_csr(graph, path)
-        loaded = load_csr(path)
-        assert not loaded.is_weighted
-        assert loaded.num_edges == 2

@@ -7,7 +7,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import star_graph
 from repro.graph.reorder import (
     apply_vertex_order,
-    degree_sort_order,
     hub_scores,
     hub_sort,
     hub_sort_order,
@@ -69,18 +68,6 @@ class TestHubSortOrder:
         graph = star_graph(20).symmetrize()
         order = hub_sort_order(graph, 0.05)
         assert order[0] == 0
-
-
-class TestDegreeSortOrder:
-    def test_descending(self, medium_power_law_graph):
-        order = degree_sort_order(medium_power_law_graph)
-        degrees = medium_power_law_graph.out_degrees[order]
-        assert np.all(np.diff(degrees) <= 0)
-
-    def test_ascending(self, medium_power_law_graph):
-        order = degree_sort_order(medium_power_law_graph, descending=False)
-        degrees = medium_power_law_graph.out_degrees[order]
-        assert np.all(np.diff(degrees) >= 0)
 
 
 class TestApplyOrder:

@@ -23,7 +23,10 @@ from repro.graph.generators import rmat_graph
 from repro.graph.partition import partition_by_count
 from repro.runtime.context import ExecutionContext
 from repro.sim.config import HardwareConfig
+from repro.sim.pcie import PCIeModel
+from repro.systems import SYSTEMS, make_system
 from repro.systems.exptm_filter import ExpTMFilterSystem
+from repro.systems.imptm_um import ImpTMUMSystem
 from repro.transfer.base import EngineKind
 from repro.transfer.unified_memory import UnifiedMemoryEngine
 
@@ -150,7 +153,7 @@ def test_prices_match_per_partition_oracle(engine_name, weighted, num_partitions
         cuts = np.searchsorted(active, starts[first : last + 1])
         if prices is None:
             # A fresh engine per task: the oracle prices a cold cache.
-            actual = UnifiedMemoryEngine(graph, config).transfer_task(active[cuts[0] : cuts[-1]])
+            actual = UnifiedMemoryEngine(graph, PCIeModel(config)).transfer_task(active[cuts[0] : cuts[-1]])
             assert actual == oracle(graph, config, active, cuts), (first, last, active.size)
             continue
         pending = np.zeros(graph.num_vertices, dtype=bool)
@@ -249,7 +252,7 @@ class TestUnifiedMemory:
         return vertices[medium_power_law_graph.out_degrees[vertices] > 0]
 
     def test_first_access_faults_then_hits(self, medium_power_law_graph, config, active):
-        engine = UnifiedMemoryEngine(medium_power_law_graph, config)
+        engine = UnifiedMemoryEngine(medium_power_law_graph, PCIeModel(config))
         cold_bytes, _ = engine.transfer_task(active)
         cold_faults, cold_hits = engine.cache.stats.faults, engine.cache.stats.hits
         assert cold_faults > 0
@@ -260,7 +263,7 @@ class TestUnifiedMemory:
         assert warm == (0, 0.0)
 
     def test_reset_clears_cache(self, medium_power_law_graph, config, active):
-        engine = UnifiedMemoryEngine(medium_power_law_graph, config)
+        engine = UnifiedMemoryEngine(medium_power_law_graph, PCIeModel(config))
         first, _ = engine.transfer_task(active)
         engine.reset()
         assert engine.cache.stats.faults == 0 and engine.cache.resident_pages == 0
@@ -268,8 +271,42 @@ class TestUnifiedMemory:
         assert again == first > 0
 
     def test_small_cache_evicts(self, medium_power_law_graph, active):
-        engine = UnifiedMemoryEngine(medium_power_law_graph, HardwareConfig(gpu_memory_bytes=2 * 4096))
+        engine = UnifiedMemoryEngine(
+            medium_power_law_graph, PCIeModel(HardwareConfig(gpu_memory_bytes=2 * 4096))
+        )
         for chunk in np.array_split(active, 8):
             engine.transfer_task(chunk)
         assert engine.cache.stats.evictions > 0
         assert engine.kind is EngineKind.IMP_UNIFIED_MEMORY
+
+    def test_system_engine_shares_the_session_pcie_model(self, medium_power_law_graph):
+        system = ImpTMUMSystem(medium_power_law_graph)
+        assert system.engine.pcie is system.context.pcie
+
+
+def _reachable_pcie_models(root):
+    """Every ``PCIeModel`` reachable through the attributes of ``root``."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, PCIeModel):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif type(obj).__module__.startswith("repro.") and hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
+@pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+def test_every_system_prices_with_its_context_pcie_model(system_name, medium_power_law_graph):
+    """One PCIe model per system: every reachable model is ``context.pcie``."""
+    system = make_system(system_name, medium_power_law_graph)
+    system.run(make_algorithm("sssp"), source=0)
+    models = _reachable_pcie_models(system)
+    assert models and all(model is system.context.pcie for model in models), system_name
