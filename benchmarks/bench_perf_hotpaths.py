@@ -84,6 +84,7 @@ import repro.algorithms.cc as cc_module
 import repro.algorithms.pagerank as pagerank_module
 import repro.algorithms.php as php_module
 import repro.algorithms.sssp as sssp_module
+from repro.algorithms.base import OutEdges
 from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.pagerank import DeltaPageRank
@@ -166,11 +167,15 @@ def _seed_gather_edge_indices(graph, vertices):
 
 
 def _seed_out_edges(graph, vertices, weighted=False):
-    """``out_edges`` as the seed computed it: per-edge indices, then gathers."""
+    """``out_edges`` as the seed computed it: per-edge indices, then gathers.
+
+    Only the senders' own edges, so ``spread`` is a plain repeat.
+    """
     vertices = np.asarray(vertices, dtype=np.int64)
     edge_indices, _ = _seed_gather_edge_indices(graph, vertices)
     weights = graph.edge_value[edge_indices] if weighted else None
-    return graph.column_index[edge_indices], weights, graph.out_degrees[vertices]
+    degrees = graph.out_degrees[vertices]
+    return OutEdges(graph.column_index[edge_indices], weights, degrees, degrees, None)
 
 
 class _SeedTask:

@@ -27,16 +27,20 @@ multi-round re-processing of loaded subgraphs, and priority scheduling,
 all while the final answer stays exact.
 
 Every ``process`` reads its senders' out-edges through :func:`out_edges`,
-which returns the destinations (and weights) in sender order plus each
-sender's out-degree; a per-vertex quantity becomes per-edge with
-``x[vertices].repeat(degrees)``.  Because the systems hand ``process`` the
-pending vertices of contiguous partition ranges, most calls read one CSR
-edge span in place: a contiguous id run returns views of the span, a
-sorted set whose edges fill at least ``1 / SPAN_DENSITY`` of its span
-boolean-compresses the span, and only genuinely sparse, unsorted or
-duplicated input gathers per-edge indices.  All three emit the same edges
-in the same order, so every message, every scatter fold order and every
-simulated number is independent of the regime.
+which returns the destinations (and weights) of one message slot per
+edge plus each sender's out-degree; :meth:`OutEdges.spread` turns a
+per-sender quantity into per-edge messages.  Because the systems hand
+``process`` the pending vertices of contiguous partition ranges, most
+calls read one CSR edge span in place: a contiguous id run returns views
+of the span, and so does a sorted set whose edges fill at least
+``1 / SPAN_DENSITY`` of its span — the edges of the span's non-senders
+then carry the combine's identity (``+inf`` for min, ``-inf`` for max,
+``-0.0`` for add), as an ExpTM-filter partition ships whole and lets the
+threads of inactive vertices idle.  Only genuinely sparse, unsorted or
+duplicated input gathers per-edge indices.  An identity message changes
+no target bit and activates nothing (see :mod:`repro.core.backends`),
+and every real message keeps its order, so every value, every scatter
+fold order and every simulated number is independent of the regime.
 
 **Stacked rows.**  ``process`` also runs K queries of one program at
 once (the HyTGraph engine's fused batch waves): every state array is K
@@ -52,16 +56,20 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["ProgramState", "VertexProgram", "out_edges", "single_vertex", "SPAN_DENSITY"]
+__all__ = ["OutEdges", "ProgramState", "VertexProgram", "out_edges", "single_vertex", "SPAN_DENSITY"]
 
-#: A strictly ascending vertex set reads its out-edges by masking its CSR
-#: edge span ``row_offset[v_first]:row_offset[v_last + 1]`` when those edges
-#: fill at least ``1 / SPAN_DENSITY`` of the span (4 measured no better).
+#: A strictly ascending vertex set pushes its whole CSR edge span
+#: ``row_offset[v_first]:row_offset[v_last + 1]``, padded, when its own
+#: edges fill at least ``1 / SPAN_DENSITY`` of the span.  Against the index
+#: gather, a padded ``process`` on the SK stand-in (12k vertices, 422k
+#: edges) breaks even at a fill of about 0.5 for SSSP and BFS and about 0.6
+#: for Δ-PageRank, and takes 55-80% of the gather's time at 0.8.
 SPAN_DENSITY = 2
 
 
@@ -85,26 +93,57 @@ class ProgramState:
         return ProgramState({key: np.array(value, copy=True) for key, value in self.arrays.items()})
 
 
-def out_edges(
-    graph: CSRGraph, vertices: np.ndarray, weighted: bool = False
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The out-edges of ``vertices``: ``(destinations, weights, degrees)``.
+class OutEdges(NamedTuple):
+    """The out-edges of a sender set, as :func:`out_edges` returns them.
 
-    ``destinations`` (and ``weights`` when ``weighted``, else ``None``) hold
-    every out-edge of every vertex in input order, each vertex's edges in
-    CSR order; ``degrees[i]`` is the out-degree of ``vertices[i]``, so
-    ``x[vertices].repeat(degrees)`` lines a per-vertex value up with its
-    edges.  This is the vectorised gather phase of a push-based GPU kernel.
-    Strictly ascending flat ids of stacked rows (``r * |V| + v``, see the
-    module docstring) yield flat destinations ``r * |V| + u``.  The result
-    may be a view of the graph's edge arrays: read it, never write it.
+    ``destinations`` (and ``weights``, or ``None``) hold one message slot
+    per edge, each sender's edges in CSR order; ``degrees[i]`` is the
+    out-degree of the ``i``-th sender.  The edges are either exactly the
+    senders' own (``members is None``: ``counts`` is ``degrees``) or the
+    whole CSR span of a span-dense sender set, whose ``counts`` are the
+    out-degrees of every vertex in the span and ``members`` the senders'
+    positions in it.  :meth:`spread` lines per-sender values up with the
+    edges either way.
+    """
+
+    destinations: np.ndarray
+    weights: np.ndarray | None
+    degrees: np.ndarray
+    counts: np.ndarray
+    members: np.ndarray | None
+
+    def spread(self, values: np.ndarray, identity: float) -> np.ndarray:
+        """Per-edge messages from per-sender ``values``.
+
+        Each sender's value fills its edges; the edges of a span vertex
+        that is not a sender carry ``identity``, which must leave every
+        target unchanged under the program's combine (``+inf`` for min,
+        ``-inf`` for max, ``-0.0`` for add).
+        """
+        if self.members is None:
+            return values.repeat(self.counts)
+        padded = np.full(self.counts.size, identity, dtype=values.dtype)
+        padded[self.members] = values
+        return padded.repeat(self.counts)
+
+
+def out_edges(graph: CSRGraph, vertices: np.ndarray, weighted: bool = False) -> OutEdges:
+    """The out-edges of ``vertices`` (see :class:`OutEdges`).
+
+    Senders' edges come in input order, each sender's in CSR order; a
+    span-dense set also carries the edges of the non-senders in its span,
+    which :meth:`OutEdges.spread` fills with the combine's identity.  This
+    is the vectorised gather phase of a push-based GPU kernel.  Strictly
+    ascending flat ids of stacked rows (``r * |V| + v``, see the module
+    docstring) yield flat destinations ``r * |V| + u``.  The result may be
+    a view of the graph's edge arrays: read it, never write it.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     row_offset = graph.row_offset
     # Most calls are small, so this uses slice differences and ndarray
     # methods rather than the slower-to-call np.diff / np.cumsum.
     #
-    # The span regimes need strictly ascending ids: a permuted or duplicated
+    # The span regime needs strictly ascending ids: a permuted or duplicated
     # set can cover the same span but pairs its values with the wrong edges.
     ascending = vertices.size > 0 and bool((vertices[1:] > vertices[:-1]).all())
     if ascending:
@@ -115,38 +154,35 @@ def out_edges(
         span = slice(span_offsets[0], span_offsets[-1])
         if last - first + 1 == vertices.size:
             # A contiguous id run: its edges are the whole span.
+            degrees = span_offsets[1:] - span_offsets[:-1]
             weights = graph.edge_value[span] if weighted else None
-            return graph.column_index[span], weights, span_offsets[1:] - span_offsets[:-1]
+            return OutEdges(graph.column_index[span], weights, degrees, degrees, None)
     starts = row_offset[vertices]
     degrees = row_offset[vertices + 1] - starts
     ends = degrees.cumsum()
     total = int(ends[-1]) if ends.size else 0
     if ascending and SPAN_DENSITY * total >= span.stop - span.start:
-        # Dense in its span: keep the edges of member vertices only.
-        member = np.zeros(last - first + 1, dtype=bool)
-        member[vertices - first] = True
-        mask = member.repeat(span_offsets[1:] - span_offsets[:-1])
-        weights = graph.edge_value[span][mask] if weighted else None
-        return graph.column_index[span][mask], weights, degrees
+        # Dense in its span: push the whole span, padded with identities.
+        weights = graph.edge_value[span] if weighted else None
+        span_degrees = span_offsets[1:] - span_offsets[:-1]
+        return OutEdges(graph.column_index[span], weights, degrees, span_degrees, vertices - first)
     # Sparse, unsorted or duplicated: for each vertex, emit starts[v] +
     # 0..deg-1.  One repeat of the per-vertex shift (starts minus the
     # running output offset) added to one arange gives every edge index.
     edge_indices = np.arange(total, dtype=np.int64) + (starts - (ends - degrees)).repeat(degrees)
     weights = graph.edge_value[edge_indices] if weighted else None
-    return graph.column_index[edge_indices], weights, degrees
+    return OutEdges(graph.column_index[edge_indices], weights, degrees, degrees, None)
 
 
-def _stacked_out_edges(
-    graph: CSRGraph, vertices: np.ndarray, weighted: bool
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+def _stacked_out_edges(graph: CSRGraph, vertices: np.ndarray, weighted: bool) -> OutEdges:
     """:func:`out_edges` of strictly ascending flat ids spanning rows > 0."""
     num_vertices = graph.num_vertices
     first_row = int(vertices[0]) // num_vertices
     if first_row == int(vertices[-1]) // num_vertices:
         # One row: its local ids keep every one-row regime.
         base = first_row * num_vertices
-        destinations, weights, degrees = out_edges(graph, vertices - base, weighted)
-        return destinations + base, weights, degrees
+        edges = out_edges(graph, vertices - base, weighted)
+        return edges._replace(destinations=edges.destinations + base)
     # Several rows: gather per-edge indices from the local ids, then shift
     # each destination into its sender's row.
     rows, local = np.divmod(vertices, num_vertices)
@@ -158,7 +194,7 @@ def _stacked_out_edges(
     destinations = graph.column_index[edge_indices]
     destinations += (rows * num_vertices).repeat(degrees)
     weights = graph.edge_value[edge_indices] if weighted else None
-    return destinations, weights, degrees
+    return OutEdges(destinations, weights, degrees, degrees, None)
 
 
 def single_vertex(num_vertices: int, vertex: int) -> np.ndarray:

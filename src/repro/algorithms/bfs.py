@@ -37,13 +37,13 @@ class BFS(VertexProgram):
 
     def process(self, graph: CSRGraph, state: ProgramState, active_vertices: np.ndarray) -> np.ndarray:
         levels = state["level"]
-        destinations, _, degrees = out_edges(graph, active_vertices)
-        if destinations.size == 0:
+        edges = out_edges(graph, active_vertices)
+        if edges.destinations.size == 0:
             return np.zeros(0, dtype=np.int64)
-        candidates = (levels[active_vertices] + 1.0).repeat(degrees)
+        candidates = edges.spread(levels[active_vertices] + 1.0, np.inf)
         # Fused min-combine scatter: applies the level updates and returns
         # the destinations whose level dropped (repro.core.backends).
-        return active_backend().push_and_activate(levels, destinations, candidates, combine="min")
+        return active_backend().push_and_activate(levels, edges.destinations, candidates, combine="min")
 
     def vertex_result(self, state: ProgramState) -> np.ndarray:
         return state["level"]

@@ -37,13 +37,13 @@ class ConnectedComponents(VertexProgram):
 
     def process(self, graph: CSRGraph, state: ProgramState, active_vertices: np.ndarray) -> np.ndarray:
         labels = state["label"]
-        destinations, _, degrees = out_edges(graph, active_vertices)
-        if destinations.size == 0:
+        edges = out_edges(graph, active_vertices)
+        if edges.destinations.size == 0:
             return np.zeros(0, dtype=np.int64)
-        candidates = labels[active_vertices].repeat(degrees)
+        candidates = edges.spread(labels[active_vertices], np.inf)
         # Fused min-combine scatter: propagates the labels and returns the
         # destinations whose label shrank (repro.core.backends).
-        return active_backend().push_and_activate(labels, destinations, candidates, combine="min")
+        return active_backend().push_and_activate(labels, edges.destinations, candidates, combine="min")
 
     def vertex_result(self, state: ProgramState) -> np.ndarray:
         return state["label"]

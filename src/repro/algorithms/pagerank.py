@@ -76,17 +76,20 @@ class DeltaPageRank(VertexProgram):
         ranks[active_vertices] += outgoing
         deltas[active_vertices] = 0.0
 
-        destinations, _, degrees = out_edges(graph, active_vertices)
-        if destinations.size == 0:
+        edges = out_edges(graph, active_vertices)
+        if edges.destinations.size == 0:
             return np.zeros(0, dtype=np.int64)
         # Each sender splits its residual evenly over its out-edges; a
-        # sender without edges repeats zero times, so its share is unused.
-        shares = (self.damping * outgoing / np.maximum(degrees, 1)).repeat(degrees)
+        # sender without edges has no edge to carry its share.
+        shares = edges.spread(self.damping * outgoing / np.maximum(edges.degrees, 1), -0.0)
         # Fused add-combine scatter: accumulates the shares and returns every
-        # destination whose residual now exceeds the tolerance — destinations
-        # that were already above it stay on the frontier, so no separate
-        # "newly crossed" bookkeeping is needed (repro.core.backends).
-        return active_backend().push_and_activate(deltas, destinations, shares, combine="add", threshold=self.tolerance)
+        # destination a share reached whose residual now exceeds the
+        # tolerance — destinations that were already above it stay on the
+        # frontier, so no separate "newly crossed" bookkeeping is needed
+        # (repro.core.backends).
+        return active_backend().push_and_activate(
+            deltas, edges.destinations, shares, combine="add", threshold=self.tolerance
+        )
 
     def vertex_result(self, state: ProgramState) -> np.ndarray:
         # Remaining residual mass is part of the final rank estimate.

@@ -64,17 +64,19 @@ class PHP(VertexProgram):
         values[active_vertices] += outgoing
         deltas[active_vertices] = 0.0
 
-        destinations, _, degrees = out_edges(graph, active_vertices)
-        # A sender without edges repeats zero times, so its share is unused.
-        shares = (self.penalty * outgoing / np.maximum(degrees, 1)).repeat(degrees)
+        edges = out_edges(graph, active_vertices)
+        destinations = edges.destinations
+        # A sender without edges has no edge to carry its share.
+        shares = edges.spread(self.penalty * outgoing / np.maximum(edges.degrees, 1), -0.0)
         # The source absorbs mass without re-emitting it (penalised hitting).
         if sources.size == 1:
             absorbing = int(sources[0])
         else:
-            # Stacked rows: each message's absorber is its own row's source.
+            # Stacked rows: each message's absorber is its own row's source
+            # (-1, no vertex, on a padding edge).
             num_vertices = graph.num_vertices
             row_sources = sources + num_vertices * np.arange(sources.size)
-            absorbing = row_sources[active_vertices // num_vertices].repeat(degrees)
+            absorbing = edges.spread(row_sources[active_vertices // num_vertices], -1)
         keep = destinations != absorbing
         destinations = destinations[keep]
         shares = shares[keep]

@@ -39,13 +39,15 @@ class SSSP(VertexProgram):
 
     def process(self, graph: CSRGraph, state: ProgramState, active_vertices: np.ndarray) -> np.ndarray:
         distances = state["dist"]
-        destinations, weights, degrees = out_edges(graph, active_vertices, weighted=True)
-        if destinations.size == 0:
+        edges = out_edges(graph, active_vertices, weighted=True)
+        if edges.destinations.size == 0:
             return np.zeros(0, dtype=np.int64)
-        candidates = distances[active_vertices].repeat(degrees) + weights
+        # A padding edge relaxes inf + w == inf: weights are finite.
+        candidates = edges.spread(distances[active_vertices], np.inf)
+        candidates += edges.weights
         # Fused min-combine scatter: relaxes all edges and returns the
         # destinations whose distance improved (repro.core.backends).
-        return active_backend().push_and_activate(distances, destinations, candidates, combine="min")
+        return active_backend().push_and_activate(distances, edges.destinations, candidates, combine="min")
 
     def vertex_result(self, state: ProgramState) -> np.ndarray:
         return state["dist"]

@@ -63,6 +63,14 @@ class KernelBackend(Protocol):
     exact semantics (including float64 accumulation order) of the numpy
     reference backend — "close" is not enough, the equivalence grid
     compares raw float bits.
+
+    ``push_and_activate`` returns the sorted ids its messages activated.
+    A span push pads the edges of non-senders with the combine's identity
+    (``+inf`` for min, ``-inf`` for max, ``-0.0`` for add; see
+    ``OutEdges.spread``): each leaves every target bit unchanged, and
+    none activates its destination — min / max activate only a strict
+    improvement, and an add message of ``-0.0`` reaches nothing, while
+    every other add message (``+0.0`` included) reaches its destination.
     """
 
     name: str

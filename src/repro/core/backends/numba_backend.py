@@ -15,27 +15,33 @@ approximate:
   (``fastmath`` off), so no reassociation can occur.
 * ``scatter_min``/``scatter_max`` compare-and-store; min/max are order
   independent and losing bins keep their exact current bits, matching
-  ``np.minimum.at`` / ``np.maximum.at``.
+  ``np.minimum.at`` / ``np.maximum.at``.  On a tie those return the
+  message, whose bits differ from the target's when the two are zeros of
+  opposite sign, so a tie stores too (it improves nothing).
 * ``push_and_activate`` exploits monotonicity: under min (max) combine the
   state only ever decreases (increases), so "some message improved this
   vertex" is equivalent to "final value is strictly better than the value
   before the batch" — the dense kernels record a changed bitmap in the
   same pass as the scatter, the sparse kernels append every improving
   destination and dedupe with ``np.unique`` afterwards.  For ``add`` the
-  activation set is the touched destinations whose *final* value exceeds
-  the threshold, evaluated after all adds land — exactly the reference
-  semantics.
+  activation set is the destinations a message other than ``-0.0``
+  padding touched whose *final* value exceeds the threshold, evaluated
+  after all adds land — exactly the reference semantics (the dense loop
+  marks a destination only for such a message, the sparse path uniques
+  only their destinations).
 
 The fused dense kernels are where the JIT pays off: one pass over the
-messages replaces the reference's bitmap build + snapshot gather +
-``ufunc.at`` + post-gather compare (four full passes and three |V|-sized
-temporaries).
+messages replaces the reference's snapshot copy + ``ufunc.at`` +
+before / after compare (and, for add, its guard reductions over the
+messages).
 
 Like the reference, the kernels assume NaN-free float64 state arrays
 (graph states are distances/ranks: finite values and ``inf`` only).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,7 +72,7 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled/exercised in the CI numba leg
         for i in range(destinations.shape[0]):
             d = destinations[i]
             v = values[i]
-            if v < target[d]:
+            if v <= target[d]:
                 target[d] = v
 
     @_numba.njit(cache=True)
@@ -74,7 +80,7 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled/exercised in the CI numba leg
         for i in range(destinations.shape[0]):
             d = destinations[i]
             v = values[i]
-            if v > target[d]:
+            if v >= target[d]:
                 target[d] = v
 
     @_numba.njit(cache=True)
@@ -83,9 +89,11 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled/exercised in the CI numba leg
         for i in range(destinations.shape[0]):
             d = destinations[i]
             v = values[i]
-            if v < target[d]:
+            t = target[d]
+            if v <= t:
                 target[d] = v
-                changed[d] = True
+                if v < t:
+                    changed[d] = True
         return changed
 
     @_numba.njit(cache=True)
@@ -94,9 +102,11 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled/exercised in the CI numba leg
         for i in range(destinations.shape[0]):
             d = destinations[i]
             v = values[i]
-            if v > target[d]:
+            t = target[d]
+            if v >= t:
                 target[d] = v
-                changed[d] = True
+                if v > t:
+                    changed[d] = True
         return changed
 
     @_numba.njit(cache=True)
@@ -106,10 +116,12 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled/exercised in the CI numba leg
         for i in range(destinations.shape[0]):
             d = destinations[i]
             v = values[i]
-            if v < target[d]:
+            t = target[d]
+            if v <= t:
                 target[d] = v
-                improved[count] = d
-                count += 1
+                if v < t:
+                    improved[count] = d
+                    count += 1
         return improved[:count]
 
     @_numba.njit(cache=True)
@@ -119,10 +131,12 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled/exercised in the CI numba leg
         for i in range(destinations.shape[0]):
             d = destinations[i]
             v = values[i]
-            if v > target[d]:
+            t = target[d]
+            if v >= t:
                 target[d] = v
-                improved[count] = d
-                count += 1
+                if v > t:
+                    improved[count] = d
+                    count += 1
         return improved[:count]
 
     @_numba.njit(cache=True)
@@ -130,8 +144,10 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled/exercised in the CI numba leg
         touched = np.zeros(target.shape[0], dtype=np.bool_)
         for i in range(destinations.shape[0]):
             d = destinations[i]
-            target[d] += values[i]
-            touched[d] = True
+            v = values[i]
+            target[d] += v
+            if v != 0.0 or math.copysign(1.0, v) > 0.0:  # not -0.0 padding
+                touched[d] = True
         return touched
 
 
@@ -219,7 +235,7 @@ class NumbaBackend:
                 touched_ids = np.flatnonzero(touched)
             else:
                 _scatter_add(target, destinations, values)
-                touched_ids = np.unique(destinations)
+                touched_ids = np.unique(destinations[values.view(np.uint64) != _ref._PADDING_BITS])
             return touched_ids[target[touched_ids] > threshold]
         if combine == "min":
             if dense:

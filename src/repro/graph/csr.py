@@ -39,8 +39,9 @@ class CSRGraph:
     column_index:
         ``int64`` array of destination vertex ids, length ``num_edges``.
     edge_value:
-        Optional ``float64`` array of edge weights, length ``num_edges``.
-        ``None`` means the graph is unweighted (BFS/CC/PageRank workloads).
+        Optional ``float64`` array of finite edge weights, length
+        ``num_edges``.  ``None`` means the graph is unweighted
+        (BFS/CC/PageRank workloads).
     name:
         Optional human-readable name used in benchmark reports.
     """
@@ -84,8 +85,16 @@ class CSRGraph:
             self.column_index.min() < 0 or self.column_index.max() >= self.num_vertices
         ):
             raise ValueError("column_index contains vertex ids outside [0, num_vertices)")
-        if self.edge_value is not None and self.edge_value.size != self.column_index.size:
-            raise ValueError("edge_value must have one entry per edge")
+        if self.edge_value is not None:
+            if self.edge_value.size != self.column_index.size:
+                raise ValueError("edge_value must have one entry per edge")
+            # A NaN weight would poison every distance it reaches, and a
+            # padded SSSP push relies on inf + w == inf.
+            if not np.isfinite(self.edge_value).all():
+                bad = int(np.flatnonzero(~np.isfinite(self.edge_value))[0])
+                raise ValueError(
+                    "edge_value must be finite: edge %d has weight %r" % (bad, float(self.edge_value[bad]))
+                )
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -320,6 +320,10 @@ class GraphService:
                 queries=len(wave), super_iterations=batch.super_iterations,
             )
         suspended = batch.extra.get("suspended", {})
+        if suspended:
+            # The checkpoints move onto their handles below; the recorded
+            # batch keeps only the positions, so it pins no query state.
+            batch.extra["suspended"] = sorted(suspended)
         completed = []
         for position, (handle, result, latency) in enumerate(
             zip(wave, batch.results, batch.latencies)

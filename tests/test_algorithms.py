@@ -38,26 +38,35 @@ def run_synchronously(program, graph, source=None, max_iterations=10_000):
 
 class TestOutEdges:
     def test_matches_manual_slices(self, paper_graph):
-        # CSR slices 2:4 (b -> c, d) and 6:8 (d -> e, f), in vertex order.
-        destinations, weights, degrees = out_edges(paper_graph, np.array([3, 1]), weighted=True)
-        np.testing.assert_array_equal(destinations, [4, 5, 2, 3])
-        np.testing.assert_array_equal(weights, [1.0, 4.0, 2.0, 1.0])
-        np.testing.assert_array_equal(degrees, [2, 2])
-        destinations, weights, degrees = out_edges(paper_graph, np.array([1, 3]))
-        np.testing.assert_array_equal(destinations, [2, 3, 4, 5])
-        assert weights is None
-        np.testing.assert_array_equal(degrees, [2, 2])
+        # CSR slices 6:8 (d -> e, f) and 2:4 (b -> c, d), in input order.
+        edges = out_edges(paper_graph, np.array([3, 1]), weighted=True)
+        np.testing.assert_array_equal(edges.destinations, [4, 5, 2, 3])
+        np.testing.assert_array_equal(edges.weights, [1.0, 4.0, 2.0, 1.0])
+        np.testing.assert_array_equal(edges.degrees, [2, 2])
+        np.testing.assert_array_equal(edges.spread(np.array([7.0, 8.0]), np.inf), [7.0, 7.0, 8.0, 8.0])
+
+    def test_span_dense_set_pushes_its_whole_span(self, paper_graph):
+        # b and d own 4 of the 6 edges of their span 2:8, so the span is
+        # pushed whole and c's edges (c -> d, e) carry the identity.
+        edges = out_edges(paper_graph, np.array([1, 3]), weighted=True)
+        np.testing.assert_array_equal(edges.destinations, [2, 3, 3, 4, 4, 5])
+        np.testing.assert_array_equal(edges.weights, [2.0, 1.0, 2.0, 1.0, 1.0, 4.0])
+        np.testing.assert_array_equal(edges.degrees, [2, 2])
+        spread = edges.spread(np.array([7.0, 8.0]), np.inf)
+        np.testing.assert_array_equal(spread, [7.0, 7.0, np.inf, np.inf, 8.0, 8.0])
+        assert out_edges(paper_graph, np.array([1, 3])).weights is None
 
     def test_empty_input(self, paper_graph):
-        destinations, weights, degrees = out_edges(paper_graph, np.array([], dtype=np.int64), weighted=True)
-        assert destinations.size == 0 and weights.size == 0 and degrees.size == 0
-        assert destinations.dtype == degrees.dtype == np.int64
+        edges = out_edges(paper_graph, np.array([], dtype=np.int64), weighted=True)
+        assert edges.destinations.size == 0 and edges.weights.size == 0 and edges.degrees.size == 0
+        assert edges.destinations.dtype == edges.degrees.dtype == np.int64
+        assert edges.spread(np.zeros(0), np.inf).size == 0
 
     def test_zero_degree_vertices(self):
         graph = path_graph(4)
-        destinations, _, degrees = out_edges(graph, np.array([3]))
-        assert destinations.size == 0
-        np.testing.assert_array_equal(degrees, [0])
+        edges = out_edges(graph, np.array([3]))
+        assert edges.destinations.size == 0
+        np.testing.assert_array_equal(edges.degrees, [0])
 
 
 class TestSSSP:

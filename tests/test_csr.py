@@ -53,6 +53,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRGraph.from_edges([(0, 1)], num_vertices=2, weights=[1.0, 2.0])
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="edge_value must be finite: edge 1"):
+            CSRGraph.from_edges([(0, 1), (1, 0), (1, 2)], num_vertices=3, weights=[1.0, weight, 2.0])
+
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):
             CSRGraph.from_edges([(0, 5)], num_vertices=3)

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import base as algorithms_base
-from repro.algorithms.base import out_edges
+from repro.algorithms.base import OutEdges, out_edges
 from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.pagerank import DeltaPageRank
@@ -35,6 +37,10 @@ from repro.systems.hytgraph import HyTGraphSystem
 def bits(array: np.ndarray) -> np.ndarray:
     """Reinterpret float64 values as uint64 so equality is bit-exact."""
     return np.asarray(array, dtype=np.float64).view(np.uint64)
+
+
+#: The bits of ``-0.0``, the add identity a padding message carries.
+PADDING_BITS = np.float64(-0.0).view(np.uint64)
 
 
 def random_batches(seed: int, trials: int):
@@ -58,8 +64,10 @@ class SeedKernels:
 
     Bare ``ufunc.at`` scatters; ``push_and_activate`` snapshots the
     per-message destination values, scatters, and ``np.unique``s the
-    destinations that qualify.  ``use_backend(SeedKernels())`` runs whole
-    engines on it.
+    destinations that qualify.  An add message of ``-0.0`` pads a span
+    push (see ``OutEdges.spread``): it changes no bit and is not a
+    message, so the oracle drops it first.  ``use_backend(SeedKernels())``
+    runs whole engines on it.
     """
 
     name = "seed"
@@ -83,6 +91,9 @@ class SeedKernels:
     def push_and_activate(target, destinations, values, *, combine="min", threshold=None):
         destinations = np.asarray(destinations, dtype=np.int64)
         if combine == "add":
+            values = np.asarray(values, dtype=np.float64)
+            real = values.view(np.uint64) != PADDING_BITS
+            destinations, values = destinations[real], values[real]
             np.add.at(target, destinations, values)
             active = target[destinations] > threshold
             return np.unique(destinations[active])
@@ -222,7 +233,87 @@ EDGE_CASES = {
         [1.0, 0.5, -3.0, -0.25],
     ),
     "strided_views": _strided_views,
+    # Padding (-0.0) reaches destinations above the threshold, which it
+    # must not activate; the +0.0 share to vertex 2 is real and must.
+    "padding_and_positive_zero": lambda: (
+        np.array([0.75, 0.25, 0.75, 2.0]),
+        np.array([0, 1, 2, 3, 1]),
+        np.array([-0.0, 0.5, 0.0, -0.0, -0.0]),
+    ),
+    # A share a 1e17 target absorbs: its destination is reached but unchanged.
+    "absorbed_share": lambda: (
+        np.array([1e17, 0.25, 0.75]),
+        np.array([0, 1, 2, 0]),
+        np.array([1.0, 0.5, -0.0, 2.0]),
+    ),
 }
+
+#: The identity each combine pads a span push with (``OutEdges.spread``).
+IDENTITY = {"min": np.inf, "max": -np.inf, "add": -0.0}
+
+
+def bitmap_push(target, destinations, values, combine, threshold=None):
+    """The touched-bitmap formulation, the oracle of padded batches.
+
+    A bitmap marks the destinations a message reached (padding reaches
+    none); the bare ``ufunc.at`` scatters; min / max keep the marked
+    destinations whose value improved, add those above ``threshold``.
+    """
+    destinations = np.asarray(destinations, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    reached = destinations[bits(values) != PADDING_BITS] if combine == "add" else destinations
+    touched = np.zeros(target.size, dtype=bool)
+    touched[reached] = True
+    ids = np.flatnonzero(touched)
+    before = target[ids]
+    {"min": np.minimum, "max": np.maximum, "add": np.add}[combine].at(target, destinations, values)
+    after = target[ids]
+    if combine == "add":
+        return ids[after > threshold]
+    return ids[after < before] if combine == "min" else ids[after > before]
+
+
+#: Targets: finite values, both zeros, infinities and a value that absorbs
+#: every share below 8.
+TARGET_VALUES = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e17, np.inf, -np.inf]),
+)
+#: Per-sender values: positive shares (the fast path), +0.0 shares, shares
+#: too small for their target and negative ones (the fallback), and for
+#: min / max infinities.
+SENDER_VALUES = {
+    "add": st.one_of(
+        st.floats(min_value=1e-3, max_value=10.0),
+        st.sampled_from([0.0, 1e-20, 1.0, -0.5]),
+    ),
+    "min": st.one_of(st.floats(min_value=-1e3, max_value=1e3), st.sampled_from([np.inf, -np.inf])),
+}
+SENDER_VALUES["max"] = SENDER_VALUES["min"]
+
+
+@st.composite
+def padded_batches(draw, combine):
+    """``(target, destinations, values)``: a span push padded with ``IDENTITY[combine]``.
+
+    The span is a run of vertices with random out-degrees; the senders a
+    random subset of it (possibly none), the destinations random targets.
+    """
+    target = np.array(draw(st.lists(TARGET_VALUES, min_size=1, max_size=40)), dtype=np.float64)
+    if combine == "add":
+        # inf + (-inf) is NaN: keep the add targets on one side of it.
+        target[target == -np.inf] = np.inf
+    counts = np.array(draw(st.lists(st.integers(0, 4), min_size=1, max_size=12)), dtype=np.int64)
+    members = np.flatnonzero(draw(st.lists(st.booleans(), min_size=counts.size, max_size=counts.size)))
+    destinations = np.array(
+        draw(st.lists(st.integers(0, target.size - 1), min_size=int(counts.sum()), max_size=int(counts.sum()))),
+        dtype=np.int64,
+    )
+    sender_values = np.array(
+        draw(st.lists(SENDER_VALUES[combine], min_size=members.size, max_size=members.size)), dtype=np.float64
+    )
+    edges = OutEdges(destinations, None, counts[members], counts, members)
+    return target, destinations, edges.spread(sender_values, IDENTITY[combine])
 
 
 class TestScatterOps:
@@ -313,6 +404,28 @@ class TestActivationFormulations:
     def test_edge_case_matches_seed(self, each_backend, formulation, combine, case):
         target, destinations, values = EDGE_CASES[case]()
         assert_push_matches_seed(each_backend, target, destinations, values, combine, formulation)
+
+    @pytest.mark.parametrize("combine", ["min", "max", "add"])
+    def test_padded_batches_match_the_bitmap_formulation(self, each_backend, formulation, combine):
+        # Every padded batch, dense or sparse, fast path or guard fallback.
+        kwargs = {"threshold": 0.5} if combine == "add" else {}
+
+        @settings(max_examples=60, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+        @given(padded_batches(combine))
+        def check(batch):
+            target, destinations, values = batch
+            expected_state = target.copy()
+            expected_active = bitmap_push(expected_state, destinations, values, combine, **kwargs)
+            actual_state = target.copy()
+            actual_active = each_backend.push_and_activate(
+                actual_state, destinations, values, combine=combine, **kwargs
+            )
+            np.testing.assert_array_equal(bits(expected_state), bits(actual_state))
+            np.testing.assert_array_equal(expected_active, actual_active)
+            assert actual_active.dtype == np.int64
+
+        check()
 
 
 def seed_gather_edge_indices(graph, vertices):
@@ -480,17 +593,55 @@ def out_edge_regime(graph, vertices):
 def gather_regime(request, monkeypatch):
     """Force one ``out_edges`` regime on every vertex set that can take it.
 
-    A sorted vertex set normally reads its span or gathers by index
+    A sorted vertex set normally pushes its whole span or gathers by index
     depending on how densely its edges fill the span, so a frontier
     exercises only one of them.  Pinning ``SPAN_DENSITY`` to a huge value
-    sends every sorted, non-contiguous set with edges through the span
-    mask, and pinning it to zero sends them through the index gather.  The
+    sends every sorted, non-contiguous set with edges through the padded
+    span, and pinning it to zero sends them through the index gather.  The
     contiguous regime is picked by the vertex set itself, so its frontiers
     are id runs.
     """
     factor = {"contiguous": algorithms_base.SPAN_DENSITY, "span": 2**40, "gather": 0}[request.param]
     monkeypatch.setattr(algorithms_base, "SPAN_DENSITY", factor)
     return request.param
+
+
+#: Stacked rows of the stacked-state cells, and the row their frontier is in.
+STACKED_ROWS, STACKED_ROW = 3, 1
+
+
+def stacked_state(state, rows=STACKED_ROWS):
+    """``rows`` copies of a one-row state, laid end to end as the engine stacks them."""
+    return algorithms_base.ProgramState(
+        {key: np.concatenate([value] * rows) for key, value in state.arrays.items()}
+    )
+
+
+def assert_stacked_process_matches_seed(name, program, graph, state, frontier):
+    """One row's push in a stacked state: the seed's one-row push, shifted into its row.
+
+    ``frontier`` holds strictly ascending local ids; the other rows must
+    keep every bit.
+    """
+    num_vertices = graph.num_vertices
+    expected_arrays = {key: value.copy() for key, value in state.arrays.items()}
+    expected_active = seed_process_reference(name, graph, expected_arrays, frontier)
+    actual = stacked_state(state)
+    base = STACKED_ROW * num_vertices
+    actual_active = program.process(graph, actual, np.asarray(frontier, dtype=np.int64) + base)
+    np.testing.assert_array_equal(expected_active + base, actual_active)
+    for key, value in state.arrays.items():
+        rows = actual[key].reshape(STACKED_ROWS, -1)
+        for row in range(STACKED_ROWS):
+            expected = expected_arrays[key] if row == STACKED_ROW else value
+            np.testing.assert_array_equal(
+                bits(expected), bits(rows[row]), err_msg="%s/%s row %d" % (name, key, row)
+            )
+
+
+def strictly_ascending(frontier) -> bool:
+    frontier = np.asarray(frontier)
+    return frontier.size > 0 and bool(np.all(np.diff(frontier) > 0))
 
 
 class TestOutEdgeRegimes:
@@ -538,25 +689,56 @@ class TestOutEdgeRegimes:
                 yield frontier.tolist()
         assert hits >= 3, (graph.name, regime, hits)
 
+    @staticmethod
+    def check_out_edges(graph, frontier, regime, row=0):
+        """``out_edges`` of ``frontier`` (shifted into stacked ``row``) vs the seed gather."""
+        weighted = graph.is_weighted
+        local = np.asarray(frontier, dtype=np.int64)
+        base = row * graph.num_vertices
+        vertices = local + base if row else frontier
+        edge_indices, sources = seed_gather_edge_indices(graph, local)
+        edges = out_edges(graph, vertices, weighted=weighted)
+        # Which sender each message slot carries (-1: a padding edge).
+        owner = edges.spread(np.arange(local.size), -1)
+        real = owner >= 0
+        np.testing.assert_array_equal(edges.destinations[real], graph.column_index[edge_indices] + base)
+        np.testing.assert_array_equal(local[owner[real]], sources)
+        np.testing.assert_array_equal(edges.degrees, graph.out_degrees[local])
+        assert edges.destinations.dtype == edges.degrees.dtype == np.int64
+        if regime == "span":
+            # The whole span, in CSR order, padded where a vertex is no sender.
+            span = slice(graph.row_offset[local[0]], graph.row_offset[local[-1] + 1])
+            np.testing.assert_array_equal(edges.destinations, graph.column_index[span] + base)
+            assert (~real).sum() == (span.stop - span.start) - edge_indices.size
+        else:
+            assert real.all()
+        if weighted:
+            np.testing.assert_array_equal(bits(edges.weights[real]), bits(graph.edge_value[edge_indices]))
+            assert edges.weights.size == edges.destinations.size
+        else:
+            assert edges.weights is None
+        # A one-row id run or span reads its destinations in place.
+        in_place = np.shares_memory(edges.destinations, graph.column_index)
+        assert in_place == (regime != "gather" and row == 0 and edges.destinations.size > 0)
+
     def test_out_edges_match_seed_gather(self, gather_regime):
         rng = np.random.default_rng(47)
         for graph in self.graphs():
             for variant in (graph, graph.without_weights()):
-                weighted = variant.is_weighted
                 for frontier in self.regime_frontiers(variant, gather_regime, rng):
-                    edge_indices, _ = seed_gather_edge_indices(variant, frontier)
-                    destinations, weights, degrees = out_edges(variant, frontier, weighted=weighted)
-                    np.testing.assert_array_equal(destinations, variant.column_index[edge_indices])
-                    expected_degrees = variant.out_degrees[np.asarray(frontier, dtype=np.int64)]
-                    np.testing.assert_array_equal(degrees, expected_degrees)
-                    assert destinations.dtype == degrees.dtype == np.int64
-                    if weighted:
-                        np.testing.assert_array_equal(bits(weights), bits(variant.edge_value[edge_indices]))
-                    else:
-                        assert weights is None
-                    # Only an id run reads the span in place.
-                    in_place = np.shares_memory(destinations, variant.column_index)
-                    assert in_place == (gather_regime == "contiguous" and destinations.size > 0)
+                    self.check_out_edges(variant, frontier, gather_regime)
+                    if strictly_ascending(frontier):
+                        # Stacked single-row flat ids keep the row's regime.
+                        self.check_out_edges(variant, frontier, gather_regime, row=STACKED_ROW)
+
+    def test_spread_fills_padding_with_the_identity(self):
+        graph = self.graphs()[0]
+        edges = out_edges(graph, np.array([0, 6, 7]))  # span 0:9, vertex 1's edge pads
+        assert edges.members is not None
+        spread = edges.spread(np.array([1.0, 2.0, 3.0]), -0.0)
+        np.testing.assert_array_equal(spread, [1.0, 1.0, 1.0, 0.0, 2.0, 2.0, 3.0, 3.0, 3.0])
+        assert bits(spread[3:4])[0] == PADDING_BITS
+        assert spread.dtype == np.float64
 
     @pytest.mark.parametrize("name, program", PROGRAMS)
     def test_process_matches_seed_bitwise(self, gather_regime, name, program):
@@ -568,6 +750,8 @@ class TestOutEdgeRegimes:
                 program.process(variant, state, np.arange(0, variant.num_vertices, 3))
                 for frontier in self.regime_frontiers(variant, gather_regime, rng):
                     assert_process_matches_seed(name, program, variant, state, frontier)
+                    if strictly_ascending(frontier):
+                        assert_stacked_process_matches_seed(name, program, variant, state, frontier)
 
 
 class TestEngineEquivalence:

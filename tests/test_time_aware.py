@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
+from repro.faults.checkpoint import QueryCheckpoint
 from repro.graph.generators import rmat_graph
 from repro.service import (
     ARRIVAL_PROCESSES,
@@ -286,6 +287,39 @@ class TestPreemption:
         assert bulk.status is RequestStatus.DONE
         assert bulk._checkpoint is None
         assert np.array_equal(bulk.result().values, solo.values)
+
+    def test_harvested_preempting_batch_holds_no_checkpoint(self, graph):
+        # The suspended query's checkpoint moves onto its handle; the batch
+        # record a harvest hands out keeps only the suspended positions.
+        service = _service(graph, preemption=True)
+        solo = service.system.run(make_algorithm("pagerank"))
+        bulk = service.submit(QueryRequest("pagerank", priority=Priority.BULK))
+        service.submit(
+            QueryRequest(
+                "bfs", source=0, priority=Priority.INTERACTIVE,
+                arrival_s=solo.total_time * 0.3,
+            )
+        )
+        service.step()
+        _, [batch] = service.harvest()
+        assert isinstance(bulk._checkpoint, QueryCheckpoint)
+        assert batch.extra["suspended"] == [0]
+        assert batch.as_dict()["extra"]["suspended_queries"] == [0]
+        found, seen, stack = [], set(), [batch]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, QueryCheckpoint):
+                found.append(obj)
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif isinstance(obj, (list, tuple)):
+                stack.extend(obj)
+            elif hasattr(obj, "__dict__"):
+                stack.extend(vars(obj).values())
+        assert found == []
 
     def test_preempted_then_cancelled_bulk_is_counted_once_each_way(self, graph):
         # Pins the two unified stats definitions: a preemption counts
