@@ -23,9 +23,11 @@ them to a tight tolerance.
 deployment's aggregate qps (floor: ``reference * (1 - tolerance)``),
 the 4-host speedup (floor: ``reference - tolerance``) and the host-loss
 makespan overhead (ceiling: ``reference + tolerance``) against a
-payload of the same shape, failing with exit code 1 on regression.
-``--inject-latency F`` divides the measured qps by ``F`` before the
-comparison to validate that the gate actually fires.
+payload of the same shape, failing with exit code 1 on regression or
+when a row of the reference is missing from the run.  The rows are
+checked by the shared :mod:`gates` module.  The payload goes to the
+git-ignored ``benchmarks/results/`` unless ``--output`` names another
+path.
 
 Usage::
 
@@ -38,11 +40,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import platform
-import time
 from pathlib import Path
 
+import gates
 from repro.bench.workloads import build_workload
 from repro.cluster import ClusterConfig, ClusterService
 from repro.service import ReplayHarness, ServiceConfig, timed_mixed_trace
@@ -176,8 +176,8 @@ def run_host_loss(workload, count: int, seed: int, network: str, fault_free_wave
 # ----------------------------------------------------------------------
 
 
-def _gate_rows(payload) -> dict[str, float]:
-    """The scalar rows the gate compares (qps floors, overhead ceiling)."""
+def _gated_values(payload) -> dict[str, float]:
+    """The scalars the gate compares, by row name (qps floors, overhead ceiling)."""
     rows = {}
     for name, deployment in payload.get("scaling", {}).get("curve", {}).items():
         rows["qps:%s" % name] = float(deployment["queries_per_second"])
@@ -188,53 +188,18 @@ def _gate_rows(payload) -> dict[str, float]:
     return rows
 
 
-def check_regressions(current, reference, tolerance) -> list[str]:
+def regression_rows(current, reference, tolerance) -> list[gates.Row]:
     """Hold qps and speedup to floors, the loss overhead to a ceiling."""
-    current_rows = _gate_rows(current)
-    reference_rows = _gate_rows(reference)
-    comparable = sorted(set(current_rows) & set(reference_rows))
-    if not comparable:
-        return ["no comparable cluster phases between run and reference"]
-    failures = []
-    print("== cluster gate (tolerance %.0f%%) ==" % (tolerance * 100))
-    for name in comparable:
-        value = current_rows[name]
-        ref = reference_rows[name]
+    values = _gated_values(current)
+    rows = []
+    for name, ref in sorted(_gated_values(reference).items()):
         if name == "loss_overhead":
-            bound = ref + tolerance
-            ok = value <= bound
-            kind = "ceiling"
+            rows.append(gates.Row(name, values.get(name), "ceiling", ref + tolerance, ref))
         elif name == "speedup_4x":
-            bound = ref - tolerance
-            ok = value >= bound
-            kind = "floor"
+            rows.append(gates.Row(name, values.get(name), "floor", ref - tolerance, ref))
         else:
-            bound = ref * (1.0 - tolerance)
-            ok = value >= bound
-            kind = "floor"
-        print(
-            "  %-14s %10.3f (ref %10.3f, %s %10.3f) %s"
-            % (name, value, ref, kind, bound, "ok" if ok else "REGRESSION")
-        )
-        if not ok:
-            failures.append(
-                "%s: %.3f breaches the %s %.3f (reference %.3f, tolerance %.0f%%)"
-                % (name, value, kind, bound, ref, tolerance * 100)
-            )
-    return failures
-
-
-def _inject_latency(payload, factor: float) -> None:
-    """Degrade the payload in place (gate-validation knob)."""
-    for deployment in payload.get("scaling", {}).get("curve", {}).values():
-        deployment["makespan_s"] = float(deployment["makespan_s"]) * factor
-        deployment["queries_per_second"] = (
-            float(deployment["queries_per_second"]) / factor
-        )
-    if "host_loss" in payload:
-        payload["host_loss"]["makespan_overhead"] = (
-            float(payload["host_loss"]["makespan_overhead"]) * factor + (factor - 1.0)
-        )
+            rows.append(gates.Row(name, values.get(name), "floor", ref * (1.0 - tolerance), ref))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -242,38 +207,11 @@ def _inject_latency(payload, factor: float) -> None:
 # ----------------------------------------------------------------------
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="10^4-query CI smoke run instead of the full 10^5")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--queries", type=int, default=None,
-                        help="override the per-deployment query count")
-    parser.add_argument("--network", default="tcp",
-                        help="network preset for the fabric (default tcp)")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="where to write the JSON payload "
-                             "(default: BENCH_cluster[_smoke].json in the repo root)")
-    parser.add_argument("--check-against", type=Path, default=None, metavar="REF.json",
-                        help="fail (exit 1) when qps/speedup/loss-overhead regress "
-                             "beyond the tolerance vs this reference")
-    parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="relative qps floor / absolute speedup+overhead "
-                             "margin (default 0.2)")
-    parser.add_argument("--inject-latency", type=float, default=None, metavar="F",
-                        help="degrade measured qps by F before the gate "
-                             "comparison (validates that the gate fires)")
-    args = parser.parse_args()
-    if args.check_against is not None and not args.check_against.is_file():
-        # Fail before the run, by name — not with a traceback after it.
-        raise SystemExit("error: --check-against reference %s does not exist" % args.check_against)
-
+def measure(args) -> dict:
+    """The scaling curve and the host-loss replay; returns the payload."""
     graph_scale = 0.02 if args.smoke else 0.05
     count = args.queries or (10_000 if args.smoke else 100_000)
 
-    started = time.perf_counter()
     workload = build_workload("SK", "sssp", scale=graph_scale)
     print(
         "cluster replay on SK scale=%g (%d vertices, %d edges), %s fabric"
@@ -299,34 +237,35 @@ def main() -> None:
             "vertices": workload.graph.num_vertices,
             "edges": workload.graph.num_edges,
         },
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
         "scaling": scaling,
         "host_loss": host_loss,
     }
-    payload["wall_s"] = time.perf_counter() - started
+    return payload
 
-    if args.inject_latency is not None:
-        print("injecting %gx latency into the payload (gate validation)" % args.inject_latency)
-        _inject_latency(payload, args.inject_latency)
 
-    output = args.output or (
-        Path(__file__).resolve().parent.parent
-        / ("BENCH_cluster_smoke.json" if args.smoke else "BENCH_cluster.json")
+def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print("wrote %s (total wall %.1f s)" % (output, payload["wall_s"]))
-
-    if args.check_against is not None:
-        reference = json.loads(args.check_against.read_text())
-        failures = check_regressions(payload, reference, args.tolerance)
-        if failures:
-            for failure in failures:
-                print("GATE FAILURE: %s" % failure)
-            raise SystemExit(1)
-        print("cluster gate passed")
+    parser.add_argument("--smoke", action="store_true",
+                        help="10^4-query CI smoke run instead of the full 10^5")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--queries", type=int, default=None,
+                        help="override the per-deployment query count")
+    parser.add_argument("--network", default="tcp",
+                        help="network preset for the fabric (default tcp)")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="where to write the JSON payload (default: "
+                             "BENCH_cluster[_smoke].json in benchmarks/results/)")
+    gates.add_arguments(parser, 0.2, "relative qps floor / absolute speedup+overhead margin")
+    args = parser.parse_args()
+    gates.run_gate(
+        "cluster gate",
+        args.output or gates.RESULTS_DIR / ("BENCH_cluster_smoke.json" if args.smoke else "BENCH_cluster.json"),
+        lambda: measure(args),
+        args.check_against,
+        against=lambda payload, reference: regression_rows(payload, reference, args.tolerance),
+    )
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ seed ("pre kernel-layer") implementation:
   ``np.unique`` formulations, on dense and sparse message batches, once
   per installed compute backend (numpy reference first; non-numpy rows
   also record ``vs_numpy``, their ratio over the numpy backend's time);
-  plus the vectorised ``CSRGraph.edge_sources`` and
-  ``partition_by_bytes`` against their seed per-vertex Python loops
-  (numpy section only — they are graph utilities, not backend kernels).
+  plus the vectorised ``partition_by_bytes`` against its seed per-vertex
+  Python loop (numpy section only — it is a graph utility, not a
+  backend kernel).
 * **Backend A/B** — when a non-numpy backend is active (``--backend`` or
   ``REPRO_BACKEND``), one fixed-size PageRank run through HyTGraph under
   the numpy backend and again under the active backend; per-vertex
@@ -53,7 +53,9 @@ against the in-run seed baseline, absolute CI-runner speed cancels out;
 the geomean across the five algorithms averages away the per-entry noise
 of tiny smoke graphs while a real hot-path regression still drags it
 down.  The serving speedups are simulated, so the gate holds them to the
-reference within ``SIMULATED_RTOL`` (1e-9) instead.
+reference within ``SIMULATED_RTOL`` (1e-9) instead.  A row of the
+reference that the run lacks fails by name.  The rows are checked by the
+shared :mod:`gates` module.
 ``--inject-slowdown F`` multiplies the measured "after" times by ``F`` —
 the end-to-end rows and the traced side of the tracing-overhead row — to
 validate that the gate actually fires.
@@ -70,15 +72,14 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
-import platform
 import time
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
 
+import gates
 import repro.algorithms.bfs as bfs_module
 import repro.algorithms.cc as cc_module
 import repro.algorithms.pagerank as pagerank_module
@@ -107,8 +108,6 @@ from repro.systems.hytgraph import HyTGraphSystem
 from repro.systems.subway import SubwaySystem
 from repro.transfer.base import EngineKind
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "benchmarks" / "results" / "perf_hotpaths.json"
 
 # ----------------------------------------------------------------------
 # Faithful seed (pre-PR) implementations of the replaced hot paths.
@@ -697,23 +696,6 @@ def run_microbench(num_vertices, repeats, backend_names):
 
 
 def _graph_utility_rows(graph, repeats):
-    results = {}
-
-    def seed_edge_sources():
-        sources = np.empty(graph.num_edges, dtype=np.int64)
-        for vertex in range(graph.num_vertices):
-            start, end = graph.edge_slice(vertex)
-            sources[start:end] = vertex
-        return sources
-
-    def new_edge_sources():
-        return np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.out_degrees)
-
-    before, seed_sources = _best_of(1, seed_edge_sources)
-    after, new_sources = _best_of(repeats, new_edge_sources)
-    assert np.array_equal(seed_sources, new_sources)
-    results["edge_sources"] = {"before_s": before, "after_s": after, "speedup": before / after if after else None}
-
     def seed_partition_by_bytes(target_bytes):
         budget_edges = max(1, target_bytes // graph.edge_bytes_per_edge)
         boundaries = [0]
@@ -730,8 +712,7 @@ def _graph_utility_rows(graph, repeats):
     target = max(graph.edge_bytes_per_edge, graph.edge_data_bytes // 64)
     before, _ = _best_of(1, lambda: seed_partition_by_bytes(target))
     after, _ = _best_of(repeats, lambda: partition_by_bytes(graph, target))
-    results["partition_by_bytes"] = {"before_s": before, "after_s": after, "speedup": before / after if after else None}
-    return results
+    return {"partition_by_bytes": {"before_s": before, "after_s": after, "speedup": before / after if after else None}}
 
 
 # ----------------------------------------------------------------------
@@ -1163,143 +1144,86 @@ SERVING_BARS = (
 )
 
 
-def check_bars(current):
-    """The serving speedups against :data:`SERVING_BARS`; returns failures."""
+def bar_rows(current):
+    """The serving speedups against :data:`SERVING_BARS`, held on every run."""
     labels = dict(SIMULATED_SECTIONS)
-    failures = []
-    print("== serving bars ==")
-    for section, system_name, bar in SERVING_BARS:
-        speedup = current[section][system_name]["speedup"]
-        ok = speedup >= bar
-        print(
-            "  %-9s %s %.2fx (bar %.1fx) %s"
-            % (system_name, labels[section], speedup, bar, "ok" if ok else "BELOW BAR")
+    return [
+        gates.Row(
+            "%s %s %s" % (section, system_name, labels[section]),
+            current.get(section, {}).get(system_name, {}).get("speedup"),
+            "floor", bar,
         )
-        if not ok:
-            failures.append(
-                "%s %s: %s %.2fx fell below the %.1fx bar"
-                % (section, system_name, labels[section], speedup, bar)
-            )
-    return failures
+        for section, system_name, bar in SERVING_BARS
+    ]
 
 
-def check_regressions(current, reference, tolerance):
-    """Compare end-to-end speedups against a reference payload.
+def regression_rows(current, reference, tolerance):
+    """The rows held when a reference payload is given.
 
-    Returns the list of failure strings (empty = gate passes).  The gated
-    quantity is each system's speedup **geomean across algorithms** — a
-    dimensionless, in-run-normalised number, so a slow CI runner shifts
-    both sides equally and only genuine hot-path regressions fire the
-    gate.  Per-entry smoke speedups on 10k-edge graphs jitter by up to
-    ~30%, which is why individual entries are reported but not gated.
-    The serving rows are simulated and must equal the reference within
-    :data:`SIMULATED_RTOL`; their absolute bars are :func:`check_bars`.
+    The gated end-to-end quantity is each system's speedup **geomean
+    across algorithms** — a dimensionless, in-run-normalised number, so a
+    slow CI runner shifts both sides equally and only genuine hot-path
+    regressions fire the gate.  Per-entry smoke speedups on 10k-edge
+    graphs jitter by up to ~30%, which is why individual entries are
+    reported and only have to be present.  The serving rows are simulated and must equal
+    the reference within :data:`SIMULATED_RTOL`; their absolute bars are
+    :func:`bar_rows`.
     """
-    current_by_system = {}
-    reference_by_system = {}
-    for algorithm, systems in current.get("end_to_end", {}).items():
-        for system_name, entry in systems.items():
-            ref_entry = reference.get("end_to_end", {}).get(algorithm, {}).get(system_name)
-            if not ref_entry or not entry.get("speedup") or not ref_entry.get("speedup"):
-                continue
-            current_by_system.setdefault(system_name, []).append(entry["speedup"])
-            reference_by_system.setdefault(system_name, []).append(ref_entry["speedup"])
-    if not current_by_system:
-        return ["no comparable end-to-end entries between run and reference"]
-
-    failures = []
-    print("== perf-regression gate (tolerance %.0f%%) ==" % (tolerance * 100))
-    for system_name in sorted(current_by_system):
-        current_geomean = _geomean(current_by_system[system_name])
-        reference_geomean = _geomean(reference_by_system[system_name])
-        floor = reference_geomean * (1.0 - tolerance)
-        ok = current_geomean >= floor
-        print(
-            "  %-9s speedup geomean %.2fx (reference %.2fx, floor %.2fx) %s"
-            % (system_name, current_geomean, reference_geomean, floor, "ok" if ok else "REGRESSION")
-        )
-        if not ok:
-            failures.append(
-                "%s: speedup geomean %.2fx fell below %.2fx (reference %.2fx - %.0f%%)"
-                % (system_name, current_geomean, floor, reference_geomean, tolerance * 100)
-            )
+    rows = []
+    pairs = {}
+    for algorithm, systems in sorted(reference.get("end_to_end", {}).items()):
+        for system_name, ref_entry in sorted(systems.items()):
+            entry = current.get("end_to_end", {}).get(algorithm, {}).get(system_name, {})
+            rows.append(gates.Row("end-to-end %s %s speedup" % (algorithm, system_name), entry.get("speedup")))
+            if entry.get("speedup") and ref_entry.get("speedup"):
+                pairs.setdefault(system_name, []).append((entry["speedup"], ref_entry["speedup"]))
+    for system_name, speedups in sorted(pairs.items()):
+        current_geomean, reference_geomean = (_geomean(side) for side in zip(*speedups))
+        rows.append(gates.Row(
+            "end-to-end %s speedup geomean" % system_name, current_geomean,
+            "floor", reference_geomean * (1.0 - tolerance), reference_geomean,
+        ))
 
     # The serving rows are simulated, so they must reproduce the
     # reference, not merely stay within the wall-clock tolerance.
     for section, label in SIMULATED_SECTIONS:
         for system_name, ref_entry in sorted(reference.get(section, {}).items()):
-            entry = current.get(section, {}).get(system_name)
-            if entry is None:
-                failures.append("%s %s: row missing from the run" % (section, system_name))
-                continue
-            ok = math.isclose(entry["speedup"], ref_entry["speedup"], rel_tol=SIMULATED_RTOL)
-            print(
-                "  %-9s %s %.6fx (reference %.6fx) %s"
-                % (system_name, label, entry["speedup"], ref_entry["speedup"], "ok" if ok else "CHANGED")
-            )
-            if not ok:
-                failures.append(
-                    "%s %s: %s %.6fx differs from the reference %.6fx (simulated, rtol %g)"
-                    % (section, system_name, label, entry["speedup"], ref_entry["speedup"], SIMULATED_RTOL)
-                )
+            rows.append(gates.Row(
+                "%s %s %s" % (section, system_name, label),
+                current.get(section, {}).get(system_name, {}).get("speedup"),
+                "equal", ref_entry["speedup"], rtol=SIMULATED_RTOL,
+            ))
+    if not rows:  # not a perf payload; run_gate names the file
+        return rows
 
     # Backend gates — absolute thresholds on the current payload, no
     # reference rows needed.  The numba backend must beat the numpy
     # reference on the dense fused-push rows (the kernels it exists
     # for), and any backend A/B must stay bitwise identical and, for
     # numba, not lose end to end.
-    numba_rows = current.get("microbench", {}).get("numba", {})
-    for row_name in sorted(numba_rows):
-        if not (row_name.startswith("push_and_activate") and row_name.endswith("_dense")):
-            continue
-        ratio = numba_rows[row_name].get("vs_numpy")
-        ok = ratio is not None and ratio >= NUMBA_DENSE_PUSH_FLOOR
-        print(
-            "  numba %-28s vs numpy %5.2fx (floor %.1fx) %s"
-            % (row_name, ratio or 0.0, NUMBA_DENSE_PUSH_FLOOR, "ok" if ok else "REGRESSION")
-        )
-        if not ok:
-            failures.append(
-                "numba %s: %.2fx vs numpy fell below the %.1fx floor"
-                % (row_name, ratio or 0.0, NUMBA_DENSE_PUSH_FLOOR)
-            )
+    for row_name, entry in sorted(current.get("microbench", {}).get("numba", {}).items()):
+        if row_name.startswith("push_and_activate") and row_name.endswith("_dense"):
+            rows.append(gates.Row(
+                "numba %s vs numpy" % row_name, entry.get("vs_numpy"), "floor", NUMBA_DENSE_PUSH_FLOOR
+            ))
+    backend_e2e = current.get("backend_e2e") or {}
+    if backend_e2e.get("speedup") is not None:
+        name = backend_e2e.get("backend")
+        rows.append(gates.Row(
+            "backend %s values identical to numpy" % name,
+            float(bool(backend_e2e.get("identical_values"))), "equal", 1.0,
+        ))
+        if name == "numba":
+            rows.append(gates.Row("backend numba PR speedup vs numpy", backend_e2e["speedup"], "floor", 1.0))
 
     # Tracing overhead — absolute ceiling on the current payload (the
     # reference may predate the tracing section; tracing-off is the
     # baseline measured in the same run, so no reference is needed).
-    for system_name in sorted(current.get("tracing", {})):
-        entry = current["tracing"][system_name]
-        ratio = entry.get("overhead_ratio")
-        if ratio is None:
-            continue
-        ok = ratio <= TRACING_OVERHEAD_CEILING
-        print(
-            "  %-9s tracing overhead %.3fx (ceiling %.2fx) %s"
-            % (system_name, ratio, TRACING_OVERHEAD_CEILING, "ok" if ok else "REGRESSION")
-        )
-        if not ok:
-            failures.append(
-                "%s: tracing overhead %.3fx exceeded the %.2fx ceiling"
-                % (system_name, ratio, TRACING_OVERHEAD_CEILING)
-            )
-
-    backend_e2e = current.get("backend_e2e") or {}
-    if backend_e2e.get("speedup") is not None:
-        name = backend_e2e.get("backend")
-        if not backend_e2e.get("identical_values"):
-            failures.append("backend %s: end-to-end values diverged from the numpy reference" % name)
-        speedup = backend_e2e["speedup"]
-        ok = name != "numba" or speedup >= 1.0
-        print(
-            "  %-9s end-to-end PR speedup %.2fx vs numpy %s"
-            % (name, speedup, "ok" if ok else "REGRESSION")
-        )
-        if not ok:
-            failures.append(
-                "backend %s: end-to-end PageRank speedup %.2fx lost to the numpy reference"
-                % (name, speedup)
-            )
-    return failures
+    for system_name, entry in sorted(current.get("tracing", {}).items()):
+        rows.append(gates.Row(
+            "%s tracing overhead" % system_name, entry.get("overhead_ratio"), "ceiling", TRACING_OVERHEAD_CEILING
+        ))
+    return rows
 
 
 def run_benches(args, backend_name, micro_vertices):
@@ -1377,7 +1301,6 @@ def run_benches(args, backend_name, micro_vertices):
         "meta": {
             "harness": "bench_perf_hotpaths",
             "numpy": np.__version__,
-            "python": platform.python_version(),
             "vertices": args.vertices,
             "edges": args.edges,
             "seed": args.seed,
@@ -1402,7 +1325,7 @@ def main(argv=None):
     parser.add_argument("--vertices", type=int, default=1 << 17, help="vertex count of the generated graphs")
     parser.add_argument("--seed", type=int, default=7, help="generator seed")
     parser.add_argument("--repeats", type=int, default=2, help="best-of repetitions per measurement")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUTPUT, help="output JSON path")
+    parser.add_argument("--out", type=Path, default=gates.RESULTS_DIR / "perf_hotpaths.json", help="output JSON path")
     parser.add_argument(
         "--backend",
         default=None,
@@ -1422,19 +1345,7 @@ def main(argv=None):
         action="store_true",
         help="tiny CI run: 2k vertices / 10k edges, single repetition",
     )
-    parser.add_argument(
-        "--check-against",
-        type=Path,
-        default=None,
-        metavar="REF.json",
-        help="fail (exit 1) when end-to-end speedups regress beyond the tolerance vs this reference",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional speedup drop before the gate fails (default 0.25)",
-    )
+    gates.add_arguments(parser, 0.25, "allowed fractional speedup drop before the gate fails")
     parser.add_argument(
         "--inject-slowdown",
         type=float,
@@ -1443,9 +1354,6 @@ def main(argv=None):
         help="multiply measured current-code times by FACTOR (validates that the gate fires)",
     )
     args = parser.parse_args(argv)
-    if args.check_against is not None and not args.check_against.is_file():
-        # Fail before the run, by name — not with a traceback after it.
-        raise SystemExit("error: --check-against reference %s does not exist" % args.check_against)
 
     if args.smoke:
         # Shrink to CI scale, but let explicit --vertices/--edges win.
@@ -1461,32 +1369,23 @@ def main(argv=None):
         1 << 16 if args.smoke else min(args.vertices, 1 << 17)
     )
 
-    # Activate the requested backend for the whole run (raises up front,
-    # naming the installed backends, on an unknown/uninstalled name).
-    with use_backend(args.backend) as backend:
-        payload = run_benches(args, backend.name, micro_vertices)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print("wrote %s" % args.out)
+    def measure():
+        # Activate the requested backend for the whole run (raises up front,
+        # naming the installed backends, on an unknown/uninstalled name).
+        with use_backend(args.backend) as backend:
+            payload = run_benches(args, backend.name, micro_vertices)
+        hytgraph_pr = payload["end_to_end"]["PR"]["HyTGraph"]["speedup"]
+        hytgraph_sssp = payload["end_to_end"]["SSSP"]["HyTGraph"]["speedup"]
+        print(
+            "HyTGraph end-to-end speedups: PR %.2fx, SSSP %.2fx (target >= 3x on ~1M-edge graphs)"
+            % (hytgraph_pr, hytgraph_sssp)
+        )
+        return payload
 
-    hytgraph_pr = payload["end_to_end"]["PR"]["HyTGraph"]["speedup"]
-    hytgraph_sssp = payload["end_to_end"]["SSSP"]["HyTGraph"]["speedup"]
-    print(
-        "HyTGraph end-to-end speedups: PR %.2fx, SSSP %.2fx (target >= 3x on ~1M-edge graphs)"
-        % (hytgraph_pr, hytgraph_sssp)
+    return gates.run_gate(
+        "perf gate", args.out, measure, args.check_against, always=bar_rows,
+        against=lambda payload, reference: regression_rows(payload, reference, args.tolerance),
     )
-
-    failures = check_bars(payload)
-    if args.check_against is not None:
-        reference = json.loads(args.check_against.read_text())
-        failures += check_regressions(payload, reference, args.tolerance)
-    if failures:
-        for failure in failures:
-            print("FAIL: %s" % failure)
-        raise SystemExit(1)
-    if args.check_against is not None:
-        print("perf-regression gate passed (reference: %s)" % args.check_against)
-    return payload
 
 
 if __name__ == "__main__":

@@ -30,10 +30,11 @@ cancels out.
 **Replay gate.**  ``--check-against REF.json`` compares the run's
 INTERACTIVE p95 latency and SLA attainment per regime (and the scale
 phase) against a reference payload of the same shape and fails with
-exit code 1 when p95 grows beyond ``reference * (1 + tolerance)`` or
-attainment drops by more than the tolerance.  ``--inject-latency F``
-multiplies the measured per-class latencies by ``F`` before the
-comparison to validate that the gate actually fires.
+exit code 1 when p95 grows beyond ``reference * (1 + tolerance)``,
+attainment drops by more than the tolerance, or a phase of the
+reference is missing from the run.  The rows are checked by the shared
+:mod:`gates` module.  The payload goes to the git-ignored
+``benchmarks/results/`` unless ``--output`` names another path.
 
 Usage::
 
@@ -46,11 +47,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import platform
-import time
+import math
 from pathlib import Path
 
+import gates
 from repro.bench.workloads import build_workload
 from repro.service import (
     GraphService,
@@ -279,8 +279,8 @@ def run_regimes(workload, count: int, capacity: float, seed: int) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _gate_rows(payload) -> dict[str, dict]:
-    """The (name -> {p95_s, sla_attainment}) rows the gate compares."""
+def _phases(payload) -> dict[str, dict]:
+    """The (name -> interactive class row) of every gated phase."""
     rows = {}
     scale_row = payload.get("scale", {}).get("classes", {}).get(GATED_CLASS)
     if scale_row:
@@ -292,67 +292,23 @@ def _gate_rows(payload) -> dict[str, dict]:
     return rows
 
 
-def check_regressions(current, reference, tolerance) -> list[str]:
-    """Gate the interactive p95 and SLA attainment against a reference.
+def regression_rows(current, reference, tolerance) -> list[gates.Row]:
+    """The interactive p95 ceiling and SLA floor of every reference phase.
 
     Latencies are deterministic simulation outputs, so the tolerance
-    absorbs intentional small model changes, not runner noise.  Returns
-    the failure strings (empty = gate passes).
+    absorbs intentional small model changes, not runner noise.
     """
-    current_rows = _gate_rows(current)
-    reference_rows = _gate_rows(reference)
-    comparable = sorted(set(current_rows) & set(reference_rows))
-    if not comparable:
-        return ["no comparable replay phases between run and reference"]
-    failures = []
-    print("== replay gate (tolerance %.0f%%) ==" % (tolerance * 100))
-    for name in comparable:
-        p95 = float(current_rows[name]["p95_s"])
-        ref_p95 = float(reference_rows[name]["p95_s"])
-        ceiling = ref_p95 * (1.0 + tolerance)
-        p95_ok = p95 <= ceiling or ref_p95 == 0.0
-        sla = float(current_rows[name]["sla_attainment"])
-        ref_sla = float(reference_rows[name]["sla_attainment"])
-        floor = ref_sla - tolerance
-        sla_ok = sla >= floor
-        print(
-            "  %-16s p95 %.6f s (ref %.6f, ceiling %.6f) %s | SLA %.1f%% "
-            "(ref %.1f%%, floor %.1f%%) %s"
-            % (
-                name, p95, ref_p95, ceiling, "ok" if p95_ok else "REGRESSION",
-                100 * sla, 100 * ref_sla, 100 * floor, "ok" if sla_ok else "REGRESSION",
-            )
-        )
-        if not p95_ok:
-            failures.append(
-                "%s: interactive p95 %.6f s exceeds %.6f s (reference %.6f s + %.0f%%)"
-                % (name, p95, ceiling, ref_p95, tolerance * 100)
-            )
-        if not sla_ok:
-            failures.append(
-                "%s: SLA attainment %.1f%% fell below %.1f%% (reference %.1f%% - %.0f pts)"
-                % (name, 100 * sla, 100 * floor, 100 * ref_sla, tolerance * 100)
-            )
-    return failures
-
-
-def _inject_latency(payload, factor: float) -> None:
-    """Scale every per-class latency in place (gate-validation knob)."""
-    def scale(row):
-        for key in ("p50_s", "p95_s", "p99_s", "mean_s", "max_s", "mean_wait_s"):
-            if key in row:
-                row[key] = float(row[key]) * factor
-        # A latency bump proportionally burns SLA headroom; approximate
-        # the attainment drop so the SLA side of the gate also exercises.
-        carrying = row.get("sla_met", 0) + row.get("sla_missed", 0)
-        if carrying and factor > 1.0:
-            row["sla_attainment"] = float(row["sla_attainment"]) / factor
-
-    for row in payload.get("scale", {}).get("classes", {}).values():
-        scale(row)
-    for regime in payload.get("regimes", {}).get("regimes", {}).values():
-        for row in regime.get("classes", {}).values():
-            scale(row)
+    phases = _phases(current)
+    rows = []
+    for name, ref in sorted(_phases(reference).items()):
+        row = phases.get(name, {})
+        ref_p95, ref_sla = float(ref["p95_s"]), float(ref["sla_attainment"])
+        ceiling = ref_p95 * (1.0 + tolerance) if ref_p95 else math.inf
+        rows.append(gates.Row("%s interactive p95" % name, row.get("p95_s"), "ceiling", ceiling, ref_p95))
+        rows.append(gates.Row(
+            "%s SLA attainment" % name, row.get("sla_attainment"), "floor", ref_sla - tolerance, ref_sla
+        ))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -360,36 +316,12 @@ def _inject_latency(payload, factor: float) -> None:
 # ----------------------------------------------------------------------
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="10^4-query CI smoke run instead of the full 10^5")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--scale-queries", type=int, default=None,
-                        help="override the scale phase's query count")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="where to write the JSON payload "
-                             "(default: BENCH_replay[_smoke].json in the repo root)")
-    parser.add_argument("--check-against", type=Path, default=None, metavar="REF.json",
-                        help="fail (exit 1) when interactive p95/SLA regress "
-                             "beyond the tolerance vs this reference")
-    parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="relative p95 ceiling / absolute SLA floor (default 0.2)")
-    parser.add_argument("--inject-latency", type=float, default=None, metavar="F",
-                        help="multiply measured latencies by F before the gate "
-                             "comparison (validates that the gate fires)")
-    args = parser.parse_args()
-    if args.check_against is not None and not args.check_against.is_file():
-        # Fail before the run, by name — not with a traceback after it.
-        raise SystemExit("error: --check-against reference %s does not exist" % args.check_against)
-
+def measure(args) -> dict:
+    """Every phase of the benchmark; returns the payload."""
     graph_scale = 0.02 if args.smoke else 0.05
     scale_queries = args.scale_queries or (10_000 if args.smoke else 100_000)
     phase_queries = 1_200 if args.smoke else 5_000
 
-    started = time.perf_counter()
     workload = build_workload("SK", "sssp", scale=graph_scale)
     print(
         "replaying on SK scale=%g (%d vertices, %d edges)"
@@ -408,35 +340,34 @@ def main() -> None:
             "edges": workload.graph.num_edges,
         },
         "capacity_qps": capacity,
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
         "scale": run_scale(workload, scale_queries, capacity, args.seed),
         "preemption": run_preemption(workload, phase_queries, capacity, args.seed),
         "regimes": run_regimes(workload, phase_queries, capacity, args.seed),
     }
-    payload["wall_s"] = time.perf_counter() - started
+    return payload
 
-    if args.inject_latency is not None:
-        print("injecting %gx latency into the payload (gate validation)" % args.inject_latency)
-        _inject_latency(payload, args.inject_latency)
 
-    output = args.output or (
-        Path(__file__).resolve().parent.parent
-        / ("BENCH_replay_smoke.json" if args.smoke else "BENCH_replay.json")
+def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print("wrote %s (total wall %.1f s)" % (output, payload["wall_s"]))
-
-    if args.check_against is not None:
-        reference = json.loads(args.check_against.read_text())
-        failures = check_regressions(payload, reference, args.tolerance)
-        if failures:
-            for failure in failures:
-                print("GATE FAILURE: %s" % failure)
-            raise SystemExit(1)
-        print("replay gate passed")
+    parser.add_argument("--smoke", action="store_true",
+                        help="10^4-query CI smoke run instead of the full 10^5")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--scale-queries", type=int, default=None,
+                        help="override the scale phase's query count")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="where to write the JSON payload (default: "
+                             "BENCH_replay[_smoke].json in benchmarks/results/)")
+    gates.add_arguments(parser, 0.2, "relative p95 ceiling / absolute SLA floor")
+    args = parser.parse_args()
+    gates.run_gate(
+        "replay gate",
+        args.output or gates.RESULTS_DIR / ("BENCH_replay_smoke.json" if args.smoke else "BENCH_replay.json"),
+        lambda: measure(args),
+        args.check_against,
+        against=lambda payload, reference: regression_rows(payload, reference, args.tolerance),
+    )
 
 
 if __name__ == "__main__":

@@ -3,11 +3,12 @@
 The replay gate's reference file was once git-ignored, so the job could
 only crash on a missing file.  These tests keep every gate honest from a
 clean checkout: each ``--check-against`` path named in the workflow is
-tracked by git, a missing reference is a one-line named error, the
-replay and perf gates exit 1 under their own ``--inject-*`` knobs, the
-perf gate's seed baseline really swaps in the seed gather and prices
-transfers exactly as the engine does, its simulated serving rows fail on
-any drift from the reference or below their bars, the numba leg's skip
+tracked by git, a missing reference is a one-line named error, every
+gated row fails by name just past its bound and every reference row
+fails by name when the run lacks it, the replay gate's ``main`` exits 1
+on a tightened reference, the perf gate's tracing row fires under
+``--inject-slowdown``, its seed baseline really swaps in the seed gather
+and prices transfers exactly as the engine does, the numba leg's skip
 check still matches the suites' skip reasons, and every bench script is
 run by a CI job and listed in README's gate table.
 """
@@ -20,8 +21,10 @@ import importlib.util
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,7 @@ from repro.systems.hytgraph import HyTGraphSystem
 from repro.transfer.base import EngineKind
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 GATE_SCRIPTS = ("bench_replay.py", "bench_cluster_scaling.py", "bench_perf_hotpaths.py")
 
@@ -171,28 +175,218 @@ def test_paper_report_digests_cover_every_paper_bench_report():
 
 
 def _bench_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / ("%s.py" % name))
+    # The scripts import their sibling gates.py, as when run from benchmarks/.
+    if str(BENCHMARKS) not in sys.path:
+        sys.path.insert(0, str(BENCHMARKS))
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / ("%s.py" % name))
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     return bench
 
 
-def test_replay_gate_fires_under_injected_latency(tmp_path, monkeypatch, capsys):
-    # In process, with the 10^4-query scale phase cut down (it dominates
-    # the smoke's wall time) and the preemption phase stubbed (the gate
-    # compares none of its rows); the three regime rows still compare
-    # like for like.
+def _reference(name):
+    return json.loads((BENCHMARKS / name).read_text())
+
+
+@lru_cache(maxsize=None)
+def _gate(name):
+    """``(rows(run), base run)`` of one gate: the base passes at its bounds."""
+    if name == "replay":
+        bench, reference = _bench_script("bench_replay"), _reference("BENCH_replay_smoke.json")
+        return (lambda run: bench.regression_rows(run, reference, 0.2)), reference
+    if name == "cluster":
+        bench, reference = _bench_script("bench_cluster_scaling"), _reference("BENCH_cluster_smoke.json")
+        return (lambda run: bench.regression_rows(run, reference, 0.2)), reference
+    if name == "fault":
+        return _bench_script("bench_fault_recovery").ceiling_rows, {"recovery": {"overhead": 0.25}}
+    bench, reference = _perf_harness(), _reference("BENCH_perf_smoke.json")
+    if name == "perf bars":
+        return bench.bar_rows, reference
+    # The committed reference holds no numba, backend A/B or tracing rows:
+    # the base run adds them at their absolute bounds.
+    base = copy.deepcopy(reference)
+    base["microbench"]["numba"] = {
+        op: {"vs_numpy": 2.0} for op in ("push_and_activate_add_dense", "push_and_activate_min_dense")
+    }
+    base["backend_e2e"] = {"backend": "numba", "speedup": 1.0, "identical_values": True}
+    base["tracing"] = {"HyTGraph": {"overhead_ratio": 1.10}}
+    return (lambda run: bench.regression_rows(run, reference, 0.25)), base
+
+
+def _setter(*keys):
+    def set_value(run, value):
+        for key in keys[:-1]:
+            run = run[key]
+        run[keys[-1]] = value
+
+    return set_value
+
+
+def _geomean_setter(system):
+    """Scale every end-to-end speedup of ``system`` to the given geomean."""
+
+    def set_value(run, value):
+        entries = [systems[system] for systems in run["end_to_end"].values()]
+        factor = value / statistics.geometric_mean(entry["speedup"] for entry in entries)
+        for entry in entries:
+            entry["speedup"] *= factor
+
+    return set_value
+
+
+def _identical_setter(run, value):
+    run["backend_e2e"]["identical_values"] = value == 1.0
+
+
+def _gated_rows():
+    """``(gate, row name, kind, bound, setter)`` of every gated row.
+
+    Each bound is written out here from the committed reference and the
+    CI tolerance (0.2 for replay and cluster, 0.25 for perf), or is the
+    absolute bar, so a gate whose bound moves fails this table.
+    """
+    cells = []
+    replay = _reference("BENCH_replay_smoke.json")
+    phases = [("scale", ("scale",))] + [
+        ("regime:%s" % name, ("regimes", "regimes", name)) for name in replay["regimes"]["regimes"]
+    ]
+    for phase, keys in phases:
+        row = replay
+        for key in keys + ("classes", "interactive"):
+            row = row[key]
+        cells.append(("replay", "%s interactive p95" % phase, "ceiling", row["p95_s"] * 1.2,
+                      _setter(*keys, "classes", "interactive", "p95_s")))
+        cells.append(("replay", "%s SLA attainment" % phase, "floor", row["sla_attainment"] - 0.2,
+                      _setter(*keys, "classes", "interactive", "sla_attainment")))
+    cluster = _reference("BENCH_cluster_smoke.json")
+    for hosts, deployment in cluster["scaling"]["curve"].items():
+        cells.append(("cluster", "qps:%s" % hosts, "floor", deployment["queries_per_second"] * 0.8,
+                      _setter("scaling", "curve", hosts, "queries_per_second")))
+    cells.append(("cluster", "speedup_4x", "floor", cluster["scaling"]["speedup_4x"] - 0.2,
+                  _setter("scaling", "speedup_4x")))
+    cells.append(("cluster", "loss_overhead", "ceiling", cluster["host_loss"]["makespan_overhead"] + 0.2,
+                  _setter("host_loss", "makespan_overhead")))
+    perf = _reference("BENCH_perf_smoke.json")
+    for system in ("EMOGI", "HyTGraph", "Subway"):
+        geomean = statistics.geometric_mean(
+            systems[system]["speedup"] for systems in perf["end_to_end"].values()
+        )
+        cells.append(("perf", "end-to-end %s speedup geomean" % system, "floor", geomean * 0.75,
+                      _geomean_setter(system)))
+    labels = {"batch": "batched speedup", "cache": "frontier-aware cache speedup",
+              "service": "priority p95 speedup"}
+    for section, label in labels.items():
+        for system, entry in perf[section].items():
+            cells.append(("perf", "%s %s %s" % (section, system, label), "equal", entry["speedup"],
+                          _setter(section, system, "speedup")))
+    for section, system, bar in (("batch", "HyTGraph", 2.0), ("cache", "ExpTM-F", 1.3),
+                                 ("service", "HyTGraph", 1.5)):
+        cells.append(("perf bars", "%s %s %s" % (section, system, labels[section]), "floor", bar,
+                      _setter(section, system, "speedup")))
+    for op in ("push_and_activate_add_dense", "push_and_activate_min_dense"):
+        cells.append(("perf", "numba %s vs numpy" % op, "floor", 2.0,
+                      _setter("microbench", "numba", op, "vs_numpy")))
+    cells.append(("perf", "backend numba PR speedup vs numpy", "floor", 1.0,
+                  _setter("backend_e2e", "speedup")))
+    cells.append(("perf", "backend numba values identical to numpy", "equal", 1.0, _identical_setter))
+    cells.append(("perf", "HyTGraph tracing overhead", "ceiling", 1.10,
+                  _setter("tracing", "HyTGraph", "overhead_ratio")))
+    cells.append(("fault", "recovery overhead", "ceiling", 0.25, _setter("recovery", "overhead")))
+    return cells
+
+
+GATED_ROWS = _gated_rows()
+
+
+@pytest.mark.parametrize(
+    "gate, name, kind, bound, set_value",
+    GATED_ROWS,
+    ids=["%s: %s" % (gate, name) for gate, name, *_ in GATED_ROWS],
+)
+def test_a_row_just_past_its_bound_fails_by_name(gate, name, kind, bound, set_value):
+    # In process, no bench: the base run passes, the row set just inside
+    # its bound passes, and just past it is the gate's one failure.
+    rows, base = _gate(gate)
+    check = _bench_script("gates").check
+    inside, past = {
+        "floor": (bound * (1 + 1e-6), bound * (1 - 1e-6)),
+        "ceiling": (bound * (1 - 1e-6), bound * (1 + 1e-6)),
+        "equal": (bound, bound * (1 + 1e-8)),
+    }[kind]
+    run = copy.deepcopy(base)
+    assert check(gate, rows(run)) == []
+    set_value(run, inside)
+    assert check(gate, rows(run)) == []
+    set_value(run, past)
+    failures = check(gate, rows(run))
+    assert len(failures) == 1 and failures[0].startswith("%s: " % name), failures
+    assert "breaches the %s" % kind in failures[0], failures
+
+
+#: ``(gate, keys, rows)``: deleting ``keys`` from the base run drops ``rows``.
+MISSING_ROWS = [
+    ("replay", ("regimes", "regimes", "overload"),
+     ["regime:overload interactive p95", "regime:overload SLA attainment"]),
+    ("cluster", ("host_loss",), ["loss_overhead"]),
+    ("perf", ("end_to_end", "PR"),
+     ["end-to-end PR EMOGI speedup", "end-to-end PR HyTGraph speedup", "end-to-end PR Subway speedup"]),
+    ("perf", ("service", "HyTGraph"), ["service HyTGraph priority p95 speedup"]),
+    ("perf bars", ("cache", "ExpTM-F"), ["cache ExpTM-F frontier-aware cache speedup"]),
+    ("fault", ("recovery",), ["recovery overhead"]),
+]
+
+
+@pytest.mark.parametrize(
+    "gate, keys, missing", MISSING_ROWS, ids=["%s: %s" % (gate, "/".join(keys)) for gate, keys, _ in MISSING_ROWS]
+)
+def test_a_reference_row_missing_from_the_run_fails_by_name(gate, keys, missing):
+    rows, base = _gate(gate)
+    run = copy.deepcopy(base)
+    parent = run
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
+    assert _bench_script("gates").check(gate, rows(run)) == [
+        "%s: row missing from the run" % name for name in missing
+    ]
+
+
+def test_replay_gate_fails_on_a_tightened_reference(tmp_path, monkeypatch, capsys):
+    # main() with the phases stubbed out (the run's payload is the
+    # committed reference) against a copy whose saturated p95 is cut below
+    # the reference's own value over 1.2: exit 1, that row named alone.
     bench = _bench_script("bench_replay")
-    monkeypatch.setattr(bench, "run_preemption", lambda *args: {})
+    committed = _reference("BENCH_replay_smoke.json")
+    monkeypatch.setattr(bench, "measure", lambda args: copy.deepcopy(committed))
+    tightened = copy.deepcopy(committed)
+    tightened["regimes"]["regimes"]["saturated"]["classes"]["interactive"]["p95_s"] /= 1.3
+    reference = tmp_path / "tightened.json"
+    reference.write_text(json.dumps(tightened))
     monkeypatch.setattr(sys, "argv", [
-        "bench_replay.py", "--smoke", "--scale-queries", "200",
-        "--inject-latency", "2.0", "--output", str(tmp_path / "replay.json"),
-        "--check-against", str(ROOT / "benchmarks" / "BENCH_replay_smoke.json"),
+        "bench_replay.py", "--smoke", "--output", str(tmp_path / "replay.json"),
+        "--check-against", str(reference),
     ])
     with pytest.raises(SystemExit) as exit_info:
         bench.main()
     assert exit_info.value.code == 1
-    assert "GATE FAILURE: regime:saturated: interactive p95" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "GATE FAILURE: regime:saturated interactive p95: " in out
+    assert out.count("GATE FAILURE") == 1
+    assert json.loads((tmp_path / "replay.json").read_text())["regimes"] == committed["regimes"]
+
+
+def test_a_reference_of_another_gate_fails_by_its_file_name(tmp_path, monkeypatch, capsys):
+    # A reference that yields no row of this gate would otherwise pass.
+    bench = _bench_script("bench_replay")
+    monkeypatch.setattr(bench, "measure", lambda args: _reference("BENCH_replay_smoke.json"))
+    cluster = BENCHMARKS / "BENCH_cluster_smoke.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_replay.py", "--output", str(tmp_path / "replay.json"), "--check-against", str(cluster),
+    ])
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main()
+    assert exit_info.value.code == 1
+    assert "GATE FAILURE: %s holds no row this gate compares\n" % cluster in capsys.readouterr().out
 
 
 def _perf_harness():
@@ -331,34 +525,6 @@ def test_tracing_overhead_gate_fires_under_injected_slowdown(monkeypatch):
     tracing = bench.run_tracing_bench(300, 2000, 2, 1, repeats=1, inject_slowdown=2.0)
     assert tracing["HyTGraph"]["overhead_ratio"] > bench.TRACING_OVERHEAD_CEILING
     reference = json.loads((ROOT / "benchmarks" / "BENCH_perf_smoke.json").read_text())
-    failures = bench.check_regressions(dict(reference, tracing=tracing), reference, 0.25)
+    rows = bench.regression_rows(dict(reference, tracing=tracing), reference, 0.25)
+    failures = bench.gates.check("perf gate", rows)
     assert len(failures) == 1 and "tracing overhead" in failures[0], failures
-
-
-def test_a_drifted_serving_row_fails_the_perf_gate():
-    # The serving speedups are simulated, so the smoke run reproduces the
-    # reference exactly: a 1% drift is a behaviour change, well inside the
-    # 25% wall-clock tolerance, and must fail by name.
-    bench = _perf_harness()
-    reference = json.loads((ROOT / "benchmarks" / "BENCH_perf_smoke.json").read_text())
-    assert bench.check_regressions(reference, reference, 0.25) == []
-    drifted = copy.deepcopy(reference)
-    drifted["cache"]["ExpTM-F"]["speedup"] *= 0.99
-    failures = bench.check_regressions(drifted, reference, 0.25)
-    assert len(failures) == 1, failures
-    assert failures[0].startswith("cache ExpTM-F: frontier-aware cache speedup"), failures
-    del drifted["service"]["HyTGraph"]
-    assert "service HyTGraph: row missing from the run" in bench.check_regressions(
-        drifted, reference, 0.25
-    )
-
-
-def test_a_serving_row_below_its_bar_fails():
-    bench = _perf_harness()
-    reference = json.loads((ROOT / "benchmarks" / "BENCH_perf_smoke.json").read_text())
-    assert bench.check_bars(reference) == []
-    slow = copy.deepcopy(reference)
-    slow["batch"]["HyTGraph"]["speedup"] = 1.9
-    assert bench.check_bars(slow) == [
-        "batch HyTGraph: batched speedup 1.90x fell below the 2.0x bar"
-    ]
