@@ -4,7 +4,8 @@ Streams one saturated seeded mixed trace through
 :class:`~repro.cluster.ClusterService` deployments of 1, 2 and 4
 simulated hosts (1 GPU each) behind the consistent-hash router, and
 reports the aggregate simulated queries/s curve.  Two acceptance bars
-are *asserted*, not just reported:
+are held on every run, not just reported (the speedup and the overhead
+are gate rows, :func:`bar_rows`; the correctness checks are asserts):
 
 * **Scaling** — the 4x1 deployment must sustain at least 2.5x the
   aggregate qps of the 1x1 baseline, with sampled per-query values
@@ -19,7 +20,8 @@ All latencies are simulated seconds out of the deterministic cost
 model, so runs reproduce exactly for a given seed and the CI gate holds
 them to a tight tolerance.
 
-**Cluster gate.**  ``--check-against REF.json`` compares each
+**Cluster gate.**  The two bars are checked on every run.
+``--check-against REF.json`` also compares each
 deployment's aggregate qps (floor: ``reference * (1 - tolerance)``),
 the 4-host speedup (floor: ``reference - tolerance``) and the host-loss
 makespan overhead (ceiling: ``reference + tolerance``) against a
@@ -83,7 +85,7 @@ def replay_once(workload, hosts: int, count: int, seed: int, network: str, *, fa
 
 
 def run_scaling(workload, count: int, seed: int, network: str) -> dict:
-    """The qps curve over the host counts; asserts the 4x speedup bar."""
+    """The qps curve over the host counts and the 4-host speedup."""
     print("== scaling: %d queries, hosts x %d GPUs over %s ==" % (count, GPUS_PER_HOST, network))
     curve = {}
     waves = {}
@@ -115,10 +117,6 @@ def run_scaling(workload, count: int, seed: int, network: str) -> dict:
         curve["hosts4"]["queries_per_second"] / curve["hosts1"]["queries_per_second"]
     )
     print("  4-host speedup over 1 host: %.2fx" % speedup)
-    assert speedup >= SPEEDUP_FLOOR, (
-        "4x%d GPUs must sustain >= %.1fx the 1x%d aggregate qps; measured %.2fx"
-        % (GPUS_PER_HOST, SPEEDUP_FLOOR, GPUS_PER_HOST, speedup)
-    )
     return {"curve": curve, "speedup_4x": speedup, "cluster_waves": waves}
 
 
@@ -156,10 +154,6 @@ def run_host_loss(workload, count: int, seed: int, network: str, fault_free_wave
             baseline.makespan_s, 100.0 * overhead,
         )
     )
-    assert overhead <= LOSS_OVERHEAD_CEILING, (
-        "losing one of four hosts at the midpoint must cost <= %.0f%% makespan; "
-        "measured %.1f%%" % (100 * LOSS_OVERHEAD_CEILING, 100 * overhead)
-    )
     payload = report.as_dict()
     payload["midpoint_wave"] = midpoint
     payload["migrated"] = cluster.router.failovers
@@ -186,6 +180,15 @@ def _gated_values(payload) -> dict[str, float]:
     if "makespan_overhead" in payload.get("host_loss", {}):
         rows["loss_overhead"] = float(payload["host_loss"]["makespan_overhead"])
     return rows
+
+
+def bar_rows(current) -> list[gates.Row]:
+    """The 4-host speedup floor and the host-loss overhead ceiling, held on every run."""
+    values = _gated_values(current)
+    return [
+        gates.Row("speedup_4x bar", values.get("speedup_4x"), "floor", SPEEDUP_FLOOR),
+        gates.Row("loss_overhead bar", values.get("loss_overhead"), "ceiling", LOSS_OVERHEAD_CEILING),
+    ]
 
 
 def regression_rows(current, reference, tolerance) -> list[gates.Row]:
@@ -264,6 +267,7 @@ def main() -> None:
         args.output or gates.RESULTS_DIR / ("BENCH_cluster_smoke.json" if args.smoke else "BENCH_cluster.json"),
         lambda: measure(args),
         args.check_against,
+        always=bar_rows,
         against=lambda payload, reference: regression_rows(payload, reference, args.tolerance),
     )
 

@@ -12,11 +12,12 @@ deployment would ask of the stack:
   results against solo ``system.run`` calls.
 * **Preemption** — the same saturated BULK-heavy trace served twice,
   with and without super-iteration-boundary BULK preemption, holding
-  everything else fixed.  The run *asserts* the PR's acceptance bars:
-  INTERACTIVE p95 with preemption at least 1.5x better than
-  non-preemptive priority scheduling, BULK completion (simulated
-  makespan of the last BULK query) within 15% of the non-preemptive
-  run, and served values bitwise equal to solo runs in both modes.
+  everything else fixed.  Every run holds the feature's acceptance bars
+  as gate rows (:func:`bar_rows`): INTERACTIVE p95 with preemption at
+  least 1.5x better than non-preemptive priority scheduling, and BULK
+  completion (simulated makespan of the last BULK query) within 15% of
+  the non-preemptive run; served values must be bitwise equal to solo
+  runs in both modes.
 * **Regimes** — the same mix replayed under-loaded (0.3x the measured
   batched capacity), saturated (1x) and overloaded (3x, with a byte
   budget and ``reject`` admission), showing queue-wait growth, SLA
@@ -27,7 +28,8 @@ model, so runs are exactly reproducible for a given seed and the CI
 gate can hold them to a tight tolerance; wall-clock speed of the runner
 cancels out.
 
-**Replay gate.**  ``--check-against REF.json`` compares the run's
+**Replay gate.**  The preemption bars are checked on every run.
+``--check-against REF.json`` also compares the run's
 INTERACTIVE p95 latency and SLA attainment per regime (and the scale
 phase) against a reference payload of the same shape and fails with
 exit code 1 when p95 grows beyond ``reference * (1 + tolerance)``,
@@ -62,6 +64,10 @@ from repro.service import (
 )
 
 GATED_CLASS = "interactive"
+#: The preemption phase's acceptance bars: interactive p95 improvement
+#: floor and BULK makespan regression ceiling, off vs on.
+P95_IMPROVEMENT_FLOOR = 1.5
+BULK_REGRESSION_CEILING = 1.15
 
 
 # ----------------------------------------------------------------------
@@ -166,9 +172,10 @@ def run_scale(workload, count: int, capacity: float, seed: int) -> dict:
 def run_preemption(workload, count: int, capacity: float, seed: int) -> dict:
     """Preemption on vs off on one saturated BULK-heavy trace.
 
-    Asserts the acceptance bars — this benchmark is the executable
-    statement of what the preemption feature must deliver, not just a
-    report.
+    The payload's ``p95_improvement`` and ``bulk_regression`` are the
+    acceptance bars :func:`bar_rows` holds on every run — this benchmark
+    is the executable statement of what the preemption feature must
+    deliver, not just a report.
     """
     print("== preemption: on vs off, %d queries, BULK-heavy saturated mix ==" % count)
     # The light-mix `capacity` overstates what a BULK-heavy mix can
@@ -209,14 +216,6 @@ def run_preemption(workload, count: int, capacity: float, seed: int) -> dict:
         )
     )
     assert on.preemptions > 0, "the BULK-heavy saturated mix never preempted"
-    assert improvement >= 1.5, (
-        "preemption must improve interactive p95 by >= 1.5x over non-preemptive "
-        "priority scheduling; measured %.2fx" % improvement
-    )
-    assert bulk_regression <= 1.15, (
-        "preemption must keep BULK completion within 15%% of the non-preemptive "
-        "run; measured %.1f%% regression" % (100.0 * (bulk_regression - 1.0))
-    )
     assert off.verified_bitwise is True and on.verified_bitwise is True, (
         "served values diverged bitwise from solo runs"
     )
@@ -290,6 +289,17 @@ def _phases(payload) -> dict[str, dict]:
         if row:
             rows["regime:%s" % name] = row
     return rows
+
+
+def bar_rows(current) -> list[gates.Row]:
+    """The preemption phase's acceptance bars, held on every run."""
+    preemption = current.get("preemption", {})
+    return [
+        gates.Row("preemption interactive p95 improvement", preemption.get("p95_improvement"),
+                  "floor", P95_IMPROVEMENT_FLOOR),
+        gates.Row("preemption BULK regression", preemption.get("bulk_regression"),
+                  "ceiling", BULK_REGRESSION_CEILING),
+    ]
 
 
 def regression_rows(current, reference, tolerance) -> list[gates.Row]:
@@ -366,6 +376,7 @@ def main() -> None:
         args.output or gates.RESULTS_DIR / ("BENCH_replay_smoke.json" if args.smoke else "BENCH_replay.json"),
         lambda: measure(args),
         args.check_against,
+        always=bar_rows,
         against=lambda payload, reference: regression_rows(payload, reference, args.tolerance),
     )
 

@@ -136,7 +136,7 @@ class Router:
         return affine, "reject"
 
     def counters(self) -> dict[str, int]:
-        """The router's counter snapshot (metrics/observability rows)."""
+        """The router's counter snapshot (the ``cluster.router`` stats block)."""
         return {
             "affinity_hits": self.affinity_hits,
             "spills": self.spills,

@@ -37,11 +37,11 @@ from repro.algorithms import make_algorithm
 from repro.cluster.config import ClusterConfig
 from repro.cluster.router import Router
 from repro.metrics.results import BatchResult
-from repro.obs import MetricsRegistry, write_chrome_trace
+from repro.obs import write_chrome_trace
 from repro.obs.tracer import Span
 from repro.service.core import GraphService
 from repro.service.request import QueryHandle, QueryRequest
-from repro.service.stats import ServiceStats, register_service_metrics
+from repro.service.stats import ServiceStats
 
 __all__ = ["ClusterService"]
 
@@ -392,51 +392,10 @@ class ClusterService:
             ServiceStats.merge, (replica.stats() for replica in self.replicas), ServiceStats()
         )
 
-    def metrics(self) -> MetricsRegistry:
-        """Aggregate ``service.*`` rows plus the ``cluster.*`` vocabulary.
-
-        Per-replica breakdowns land under ``cluster.host<h>.*`` —
-        admission counters, makespan/throughput gauges and the per-class
-        latency percentiles of :meth:`ServiceStats.rows` — next to the
-        router and network-shipping counters.
-        """
-        registry = MetricsRegistry()
-        snapshots = [replica.stats() for replica in self.replicas]
-        register_service_metrics(
-            registry, reduce(ServiceStats.merge, snapshots, ServiceStats())
-        )
-        registry.gauge("cluster.hosts", float(self.config.hosts))
-        registry.gauge("cluster.hosts_alive", float(len(self.alive_hosts())))
-        for name, value in self.router.counters().items():
-            registry.count("cluster.router.%s" % name, value)
-        registry.count("cluster.network.shipped_bytes", self.shipped_bytes)
-        registry.gauge("cluster.network.ship_time_s", self.ship_time_s)
-        registry.gauge("cluster.network.bandwidth", self.network.bandwidth)
-        registry.gauge("cluster.network.latency", self.network.latency)
-        for host, snapshot in enumerate(snapshots):
-            prefix = "cluster.host%d" % host
-            for name in (
-                "submitted", "admitted", "rejected", "completed", "failed",
-                "cancelled", "queued", "waves", "preemptions",
-            ):
-                registry.count("%s.%s" % (prefix, name), getattr(snapshot, name))
-            registry.gauge("%s.alive" % prefix, float(self._alive[host]))
-            registry.gauge("%s.makespan_s" % prefix, snapshot.makespan_s)
-            registry.gauge(
-                "%s.queries_per_second" % prefix, snapshot.queries_per_second
-            )
-            for name, row in snapshot.rows().items():
-                for quantile in (50, 95, 99):
-                    registry.gauge(
-                        "%s.latency_p%d_s.%s" % (prefix, quantile, name),
-                        row["p%d_s" % quantile],
-                    )
-        return registry
-
     def observability(self) -> dict:
-        """The machine-readable picture: stats ∪ metrics ∪ cluster view."""
+        """The machine-readable picture: aggregate stats, health and the
+        cluster view (router, network shipping, ``per_host`` stats)."""
         payload = self.stats().as_dict()
-        payload["metrics"] = self.metrics().snapshot()
         payload["device_health"] = self.device_health()
         payload["cluster"] = {
             "hosts": self.config.hosts,
@@ -527,6 +486,5 @@ class ClusterService:
         return write_chrome_trace(
             path,
             self.trace_spans(),
-            metrics=self.metrics().snapshot(),
             dropped=self.tracer.dropped_spans,
         )

@@ -1,11 +1,12 @@
-"""Observability: structured tracing, one metrics registry, exporters.
+"""Observability: structured tracing and trace exporters.
 
 The simulation already knows every timestamp exactly; this package
 records them.  :mod:`repro.obs.tracer` emits spans over simulated time,
-:mod:`repro.obs.metrics` unifies the runtime's scattered counters,
 :mod:`repro.obs.export` writes Chrome ``trace_event`` JSON and JSONL
 span logs, and :mod:`repro.obs.flight` reconstructs a single query's
-latency budget from an exported trace.
+latency budget from an exported trace.  Serving counters live in
+:class:`~repro.service.stats.ServiceStats` alone and leave through
+``observability()`` (``--stats-json``), never through a trace file.
 
 This package imports nothing from the rest of :mod:`repro` (the
 instrumented layers import *it*), so it can never create a cycle.
@@ -18,7 +19,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.flight import flight_report, load_trace, query_summary, query_tracks
-from repro.obs.metrics import LATENCY_BUCKETS_S, Histogram, MetricsRegistry
 from repro.obs.tracer import (
     CATEGORIES,
     NULL_TRACER,
@@ -29,9 +29,6 @@ from repro.obs.tracer import (
 
 __all__ = [
     "CATEGORIES",
-    "Histogram",
-    "LATENCY_BUCKETS_S",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "Span",

@@ -9,7 +9,8 @@ cache/fault event streams.  Simulated seconds map to trace microseconds.
 
 Everything here is a pure function of the span list, so exporting never
 perturbs a run; ``validate_chrome_trace`` is the schema check the test
-suite and the CI trace-smoke job share.
+suite and the CI trace-smoke job share.  A trace file carries no serving
+counters: those leave once, through ``--stats-json``.
 """
 
 from __future__ import annotations
@@ -42,12 +43,11 @@ def _track_order(spans: list[Span]) -> list[str]:
     return list(seen)
 
 
-def chrome_trace(spans: list[Span], metrics: dict | None = None, dropped: int = 0) -> dict:
+def chrome_trace(spans: list[Span], dropped: int = 0) -> dict:
     """The Chrome ``trace_event`` payload for a span list.
 
-    ``metrics`` (a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`)
-    rides along under ``otherData`` so one file carries the whole
-    observability picture; ``dropped`` records ring-buffer overflow.
+    ``otherData`` carries the clock, the span count, ``dropped``
+    (ring-buffer overflow) and the track names.
     """
     tracks = _track_order(spans)
     tids = {track: index for index, track in enumerate(tracks)}
@@ -89,7 +89,7 @@ def chrome_trace(spans: list[Span], metrics: dict | None = None, dropped: int = 
         else:
             event["dur"] = span.duration_s * 1e6
         events.append(event)
-    payload: dict = {
+    return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
@@ -99,15 +99,12 @@ def chrome_trace(spans: list[Span], metrics: dict | None = None, dropped: int = 
             "tracks": tracks,
         },
     }
-    if metrics is not None:
-        payload["otherData"]["metrics"] = metrics
-    return payload
 
 
-def write_chrome_trace(path, spans: list[Span], metrics: dict | None = None, dropped: int = 0) -> Path:
+def write_chrome_trace(path, spans: list[Span], dropped: int = 0) -> Path:
     """Write the Chrome trace JSON; returns the path written."""
     path = Path(path)
-    path.write_text(json.dumps(chrome_trace(spans, metrics=metrics, dropped=dropped)))
+    path.write_text(json.dumps(chrome_trace(spans, dropped=dropped)))
     return path
 
 

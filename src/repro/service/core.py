@@ -37,7 +37,7 @@ from repro.algorithms import make_algorithm
 from repro.algorithms.base import VertexProgram
 from repro.faults import CircuitBreaker, FaultInjector
 from repro.metrics.results import BatchResult, RunResult
-from repro.obs import NULL_TRACER, MetricsRegistry, Tracer, write_chrome_trace
+from repro.obs import NULL_TRACER, Tracer, write_chrome_trace
 from repro.runtime.batch import QueryBatchRunner
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
@@ -47,7 +47,7 @@ from repro.service.request import (
     QueryRequest,
     RequestStatus,
 )
-from repro.service.stats import ServiceStats, register_service_metrics
+from repro.service.stats import ServiceStats
 from repro.systems import make_system
 
 __all__ = ["GraphService"]
@@ -420,43 +420,29 @@ class GraphService:
                 tracer.span("query", name, track, start, wave_start, wave=wave_index)
         return tracks
 
-    def metrics(self) -> MetricsRegistry:
-        """One registry over every live counter source of the service.
-
-        An export view built on demand from the cumulative :meth:`stats`
-        record, the device cache, the fault injector and the tracer —
-        the snapshot is deterministic (sorted names, fixed histogram
-        bounds), so CI can diff it across runs.
-        """
-        registry = MetricsRegistry()
-        stats = self.stats()
-        register_service_metrics(registry, stats)
-        registry.count("batch.amortized_bytes", stats.amortized_bytes)
-        registry.count("batch.super_iterations", stats.super_iterations)
+    def observability(self) -> dict:
+        """The full machine-readable picture: stats, device health, and
+        the device cache's and tracer's own counts when the service has
+        them (the ``--stats-json`` payload)."""
+        payload = self.stats().as_dict()
+        payload["device_health"] = self.device_health()
         cache = self.system.context.cache
         if cache is not None:
-            registry.merge_counters("cache", cache.counters())
-            registry.count("cache.invalidated_bytes", cache.invalidated_bytes)
-            registry.gauge("cache.resident_bytes", cache.resident_bytes)
-            registry.gauge("cache.policy", cache.policy_name)
-        if self._injector is not None:
-            registry.count("faults.injected", self._injector.faults_injected)
-            registry.count("faults.retries", self._injector.retries)
-            registry.gauge("faults.retry_time_s", self._injector.retry_time_s)
+            payload["cache"] = {
+                **cache.counters(),
+                "invalidated_bytes": cache.invalidated_bytes,
+                "resident_bytes": cache.resident_bytes,
+                "policy": cache.policy_name,
+            }
         if self.tracer.enabled:
-            registry.count("trace.spans", self.tracer.total_spans)
-            registry.count("trace.dropped_spans", self.tracer.dropped_spans)
-        return registry
-
-    def observability(self) -> dict:
-        """The full machine-readable picture: stats ∪ metrics ∪ health."""
-        payload = self.stats().as_dict()
-        payload["metrics"] = self.metrics().snapshot()
-        payload["device_health"] = self.device_health()
+            payload["trace"] = {
+                "total_spans": self.tracer.total_spans,
+                "dropped_spans": self.tracer.dropped_spans,
+            }
         return payload
 
     def export_trace(self, path):
-        """Write the recorded spans (+ metrics snapshot) as a Chrome trace.
+        """Write the recorded spans as a Chrome trace.
 
         Requires ``config.tracing``; the file loads in Perfetto and
         feeds ``repro-graph inspect``.
@@ -468,7 +454,6 @@ class GraphService:
         return write_chrome_trace(
             path,
             self.tracer.spans(),
-            metrics=self.metrics().snapshot(),
             dropped=self.tracer.dropped_spans,
         )
 
@@ -502,8 +487,8 @@ class GraphService:
         after each :meth:`step` hands the finished handles and batches to
         the caller and drops the service's references, keeping memory
         bounded by the in-flight queue.  Queued/running handles stay.
-        :meth:`stats` and :meth:`metrics` are cumulative: they read the
-        same before and after a harvest.
+        :meth:`stats` and :meth:`observability` are cumulative: they read
+        the same before and after a harvest.
         """
         finished = sorted(self._finished, key=lambda handle: handle.request_id)
         self._finished = []

@@ -5,7 +5,8 @@ A :class:`~repro.service.GraphService` bumps one cumulative
 it — nothing is re-derived from handles or batch records, so
 ``harvest()`` cannot invalidate it, and :meth:`ServiceStats.merge` makes
 the cluster aggregate a fold.  The replay report, ``--stats-json`` and
-the ``service.*`` / ``cluster.host<h>.*`` metrics are views of it.
+the cluster's ``per_host`` rows are views of it; no other record of a
+serving number exists.
 """
 
 from __future__ import annotations
@@ -16,19 +17,13 @@ from dataclasses import dataclass, field, fields
 from repro.metrics.percentiles import percentile, percentiles
 from repro.service.request import Priority, RequestStatus
 
-__all__ = ["ClassTally", "ServiceStats", "class_row", "register_service_metrics"]
+__all__ = ["ClassTally", "ServiceStats", "class_row"]
 
-#: The counter- and gauge-valued members of one stats snapshot that the
-#: metrics registry exports, in emission order.
-COUNTER_FIELDS = (
-    "submitted", "admitted", "rejected", "completed", "failed",
-    "cancelled", "queued", "waves", "preemptions", "deadline_met",
-    "deadline_missed", "faults_injected", "retries", "breaker_trips",
-    "total_transfer_bytes",
-)
-GAUGE_FIELDS = (
-    "makespan_s", "queries_per_second", "deadline_attainment", "breaker_open",
-    "retry_time_s", "checkpoint_time_s", "recovery_time_s",
+#: The derived properties :meth:`ServiceStats.as_dict` writes after the
+#: dataclass fields, in emission order.
+DERIVED_FIELDS = (
+    "admitted", "rejected", "completed", "failed", "cancelled",
+    "deadline_met", "deadline_missed", "queries_per_second", "deadline_attainment",
 )
 
 #: Fields a merge takes the maximum of (everything else adds up).
@@ -97,23 +92,6 @@ def class_row(tally: ClassTally) -> dict[str, object]:
         "sla_missed": tally.sla_missed,
         "sla_attainment": (tally.sla_met / carrying) if carrying else 1.0,
     }
-
-
-def register_service_metrics(registry, stats: "ServiceStats") -> None:
-    """Emit one stats snapshot as ``service.*`` rows of ``registry``.
-
-    Shared by :meth:`~repro.service.GraphService.metrics` and the
-    cluster tier's aggregate registry, so the single-host and cluster
-    ``--stats-json`` payloads carry the same ``service.*`` vocabulary.
-    """
-    for name in COUNTER_FIELDS:
-        registry.count("service.%s" % name, getattr(stats, name))
-    for name in GAUGE_FIELDS:
-        registry.gauge("service.%s" % name, getattr(stats, name))
-    for priority, latencies in stats.latencies_by_class.items():
-        name = "service.latency_s.%s" % priority.name.lower()
-        for value in latencies:
-            registry.observe(name, value)
 
 
 def _class_total(name: str) -> property:
@@ -275,7 +253,7 @@ class ServiceStats:
         """JSON-friendly dump (benchmark artifacts, trace reports)."""
         names = [spec.name for spec in fields(self) if spec.name != "classes"]
         payload = {
-            name: getattr(self, name) for name in (*names, *COUNTER_FIELDS, *GAUGE_FIELDS)
+            name: getattr(self, name) for name in (*names, *DERIVED_FIELDS)
         }
         payload["latencies_by_class"] = {
             priority.name.lower(): list(latencies)

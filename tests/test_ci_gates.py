@@ -7,7 +7,8 @@ tracked by git, a missing reference is a one-line named error, every
 gated row fails by name just past its bound and every reference row
 fails by name when the run lacks it, the replay gate's ``main`` exits 1
 on a tightened reference, the perf gate's tracing row fires under
-``--inject-slowdown``, its seed baseline really swaps in the seed gather
+``--inject-slowdown``, a diverging backend A/B reaches its gate row
+instead of raising, its seed baseline really swaps in the seed gather
 and prices transfers exactly as the engine does, the numba leg's skip
 check still matches the suites' skip reasons, and every bench script is
 run by a CI job and listed in README's gate table.
@@ -16,6 +17,7 @@ run by a CI job and listed in README's gate table.
 from __future__ import annotations
 
 import ast
+import contextlib
 import copy
 import importlib.util
 import json
@@ -24,6 +26,7 @@ import re
 import statistics
 import subprocess
 import sys
+import types
 from functools import lru_cache
 from pathlib import Path
 
@@ -191,17 +194,19 @@ def _reference(name):
 @lru_cache(maxsize=None)
 def _gate(name):
     """``(rows(run), base run)`` of one gate: the base passes at its bounds."""
-    if name == "replay":
+    if name.startswith("replay"):
         bench, reference = _bench_script("bench_replay"), _reference("BENCH_replay_smoke.json")
+        if name == "replay bars":
+            return bench.bar_rows, reference
         return (lambda run: bench.regression_rows(run, reference, 0.2)), reference
-    if name == "cluster":
+    if name.startswith("cluster"):
         bench, reference = _bench_script("bench_cluster_scaling"), _reference("BENCH_cluster_smoke.json")
+        if name == "cluster bars":
+            return bench.bar_rows, reference
         return (lambda run: bench.regression_rows(run, reference, 0.2)), reference
     if name == "fault":
         return _bench_script("bench_fault_recovery").ceiling_rows, {"recovery": {"overhead": 0.25}}
     bench, reference = _perf_harness(), _reference("BENCH_perf_smoke.json")
-    if name == "perf bars":
-        return bench.bar_rows, reference
     # The committed reference holds no numba, backend A/B or tracing rows:
     # the base run adds them at their absolute bounds.
     base = copy.deepcopy(reference)
@@ -210,6 +215,8 @@ def _gate(name):
     }
     base["backend_e2e"] = {"backend": "numba", "speedup": 1.0, "identical_values": True}
     base["tracing"] = {"HyTGraph": {"overhead_ratio": 1.10}}
+    if name == "perf bars":
+        return bench.bar_rows, base
     return (lambda run: bench.regression_rows(run, reference, 0.25)), base
 
 
@@ -266,6 +273,13 @@ def _gated_rows():
                   _setter("scaling", "speedup_4x")))
     cells.append(("cluster", "loss_overhead", "ceiling", cluster["host_loss"]["makespan_overhead"] + 0.2,
                   _setter("host_loss", "makespan_overhead")))
+    cells.append(("replay bars", "preemption interactive p95 improvement", "floor", 1.5,
+                  _setter("preemption", "p95_improvement")))
+    cells.append(("replay bars", "preemption BULK regression", "ceiling", 1.15,
+                  _setter("preemption", "bulk_regression")))
+    cells.append(("cluster bars", "speedup_4x bar", "floor", 2.5, _setter("scaling", "speedup_4x")))
+    cells.append(("cluster bars", "loss_overhead bar", "ceiling", 0.25,
+                  _setter("host_loss", "makespan_overhead")))
     perf = _reference("BENCH_perf_smoke.json")
     for system in ("EMOGI", "HyTGraph", "Subway"):
         geomean = statistics.geometric_mean(
@@ -288,7 +302,7 @@ def _gated_rows():
                       _setter("microbench", "numba", op, "vs_numpy")))
     cells.append(("perf", "backend numba PR speedup vs numpy", "floor", 1.0,
                   _setter("backend_e2e", "speedup")))
-    cells.append(("perf", "backend numba values identical to numpy", "equal", 1.0, _identical_setter))
+    cells.append(("perf bars", "backend numba values identical to numpy", "equal", 1.0, _identical_setter))
     cells.append(("perf", "HyTGraph tracing overhead", "ceiling", 1.10,
                   _setter("tracing", "HyTGraph", "overhead_ratio")))
     cells.append(("fault", "recovery overhead", "ceiling", 0.25, _setter("recovery", "overhead")))
@@ -328,6 +342,9 @@ MISSING_ROWS = [
     ("replay", ("regimes", "regimes", "overload"),
      ["regime:overload interactive p95", "regime:overload SLA attainment"]),
     ("cluster", ("host_loss",), ["loss_overhead"]),
+    ("replay bars", ("preemption",),
+     ["preemption interactive p95 improvement", "preemption BULK regression"]),
+    ("cluster bars", ("host_loss",), ["loss_overhead bar"]),
     ("perf", ("end_to_end", "PR"),
      ["end-to-end PR EMOGI speedup", "end-to-end PR HyTGraph speedup", "end-to-end PR Subway speedup"]),
     ("perf", ("service", "HyTGraph"), ["service HyTGraph priority p95 speedup"]),
@@ -513,6 +530,41 @@ def test_seed_oracle_prices_without_the_simulator():
                 if name in forbidden:
                     calls.append("%s calls %s (line %d)" % (function.name, name, node.lineno))
     assert calls == []
+
+
+def test_backend_divergence_fails_the_backend_row_by_name(monkeypatch):
+    # run_backend_e2e in process with the backend switch and the system
+    # stubbed: the second run's values differ from the first in one bit.
+    # The entry comes back (no raise), and its row, held on every run
+    # whether or not a reference is given, is the one failure.
+    bench = _perf_harness()
+    active = []
+
+    @contextlib.contextmanager
+    def stub_use_backend(name):
+        active.append(name)
+        yield name
+
+    class StubSystem:
+        def __init__(self, graph):
+            self.backend = active[-1]
+
+        def run(self, program):
+            values = np.array([0.25, 0.5, 1.0])
+            if self.backend != "numpy":
+                values.view(np.int64)[1] ^= 1
+            return types.SimpleNamespace(values=values)
+
+    monkeypatch.setattr(bench, "use_backend", stub_use_backend)
+    monkeypatch.setattr(bench, "HyTGraphSystem", StubSystem)
+    monkeypatch.setattr(bench, "BACKEND_E2E_VERTICES", 64)
+    monkeypatch.setattr(bench, "BACKEND_E2E_EDGES", 256)
+    entry = bench.run_backend_e2e("stub", 1)
+    assert active == ["numpy", "stub"] and entry["identical_values"] is False
+    reference = json.loads((ROOT / "benchmarks" / "BENCH_perf_smoke.json").read_text())
+    failures = bench.gates.check("perf gate", bench.bar_rows(dict(reference, backend_e2e=entry)))
+    assert len(failures) == 1, failures
+    assert failures[0].startswith("backend stub values identical to numpy: "), failures
 
 
 def test_tracing_overhead_gate_fires_under_injected_slowdown(monkeypatch):

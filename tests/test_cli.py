@@ -370,7 +370,10 @@ class TestCacheOptions:
 
 # Byte-for-byte stdout (the --stats-json path normalised to STATS.json) and
 # the sha256 of the --stats-json payload of the batch/serve cases, recorded
-# at the commit before cli.py was rebuilt around one ServiceConfig.
+# at the commit before cli.py was rebuilt around one ServiceConfig.  The
+# serve digests were re-derived once, when the payload lost its duplicate
+# "metrics" block: the sha256 of the earlier payload with that one key
+# popped, dumped as the CLI dumps it (indent=2, sorted keys, newline).
 GOLDEN = {
     "run-iterations": (
         ["run", "--dataset", "SK", "--algorithm", "sssp", "--scale", "0.05", "--iterations"],
@@ -474,7 +477,7 @@ GOLDEN = {
         "------------------------------------------------------------\n"
         "interactive  4        0.000177  0.0002    0.000201  0.000201\n"
         "bulk         2        0.002851  0.002901  0.002906  0.002907\n",
-        "26977ca201cf6ced6b69c39d368f527b25592b9675b27f9a22a743657e9022aa",
+        "ee84f92625d8a45a7f6190b5ef0650ca5b1f225be7635ad2f78a4809ac32ca9f",
     ),
     "serve-budget-reject": (
         ["serve", "--dataset", "SK", "--scale", "0.05", "--point-lookups", "4", "--analytical", "2", "--budget", "4M", "--admission", "reject"],
@@ -488,7 +491,7 @@ GOLDEN = {
         "------------------------------------------------------------\n"
         "interactive  4        0.000177  0.0002    0.000201  0.000201\n"
         "bulk         2        0.002851  0.002901  0.002906  0.002907\n",
-        "26977ca201cf6ced6b69c39d368f527b25592b9675b27f9a22a743657e9022aa",
+        "ee84f92625d8a45a7f6190b5ef0650ca5b1f225be7635ad2f78a4809ac32ca9f",
     ),
     "serve-cluster-host-loss": (
         ["serve", "--dataset", "SK", "--scale", "0.05", "--point-lookups", "4", "--analytical", "2", "--hosts", "2", "--devices", "2", "--faults", "host-loss@1:host=1"],
@@ -505,7 +508,7 @@ GOLDEN = {
         "------------------------------------------------------------\n"
         "interactive  4        0.000332  0.000635  0.000636  0.000636\n"
         "bulk         2        0.000876  0.001148  0.001173  0.001179\n",
-        "f0f6fb3ed468ddad3d0823825d804e8481d74e0119d23824a16b716184ac062b",
+        "8c3b71570db211822ab7cd4c51605e41eb67afd2878aa15ed3f4a0262f53330d",
     ),
 }
 

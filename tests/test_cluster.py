@@ -180,18 +180,19 @@ class TestStatsMerge:
         assert total.completed == report.completed == 120
         assert total.makespan_s == max(s.makespan_s for s in snapshots) == report.makespan_s
         assert total.rows() == report.classes
-        # The per-host metric gauges read the same single row function.
-        gauges = cluster.metrics().snapshot()["gauges"]
+        # The per-host rows read the same single row function.
+        per_host = cluster.observability()["cluster"]["per_host"]
         for host, snapshot in enumerate(snapshots):
+            rows = {row["class"]: row for row in per_host[host]["classes"]}
             for name, row in snapshot.rows().items():
-                assert gauges["cluster.host%d.latency_p95_s.%s" % (host, name)] == row["p95_s"]
+                assert rows[name]["p95_s"] == row["p95_s"]
 
     def test_merge_leaves_the_replica_snapshots_alone(self, graph, hardware):
         cluster = _cluster(graph, hardware, hosts=2)
         cluster.submit_many(_mixed_requests() * 2)
         cluster.drain()
         before = [replica.stats().as_dict() for replica in cluster.replicas]
-        cluster.stats(), cluster.metrics(), cluster.observability()
+        cluster.stats(), cluster.observability()
         assert [replica.stats().as_dict() for replica in cluster.replicas] == before
 
 
@@ -606,26 +607,24 @@ class TestClusterConfig:
 
 
 class TestClusterObservability:
-    def test_metrics_carry_per_host_and_router_rows(self, graph, hardware):
+    def test_observability_carries_per_host_router_and_network(self, graph, hardware):
         cluster = _cluster(graph, hardware, hosts=2)
         cluster.submit_many(_mixed_requests() * 2)
         cluster.drain()
         payload = cluster.observability()
-        metrics = payload["metrics"]
-        names = (
-            set(metrics["counters"]) | set(metrics["gauges"]) | set(metrics["histograms"])
-        )
-        for host in (0, 1):
-            assert "cluster.host%d.completed" % host in names
-            assert "cluster.host%d.alive" % host in names
-            assert "cluster.host%d.queries_per_second" % host in names
-        for counter in ("affinity_hits", "spills", "rejections", "failovers"):
-            assert "cluster.router.%s" % counter in names
-        assert "cluster.network.shipped_bytes" in names
-        assert "service.completed" in names
+        assert "metrics" not in payload
         view = payload["cluster"]
         assert view["hosts"] == 2 and view["hosts_alive"] == 2
+        assert view["router"] == cluster.router.counters()
+        assert set(view["router"]) >= {"affinity_hits", "spills", "rejections", "failovers"}
+        assert view["shipped_bytes"] == cluster.shipped_bytes
+        assert view["ship_time_s"] == cluster.ship_time_s
+        assert view["network"]["bandwidth"] == cluster.network.bandwidth
         assert len(view["per_host"]) == 2
+        for host, row in enumerate(view["per_host"]):
+            assert row == {
+                "host": host, "alive": True, **cluster.replicas[host].stats().as_dict()
+            }
         assert sum(row["completed"] for row in view["per_host"]) == payload["completed"]
 
     def test_device_health_reports_lost_hosts(self, graph, hardware):

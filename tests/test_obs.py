@@ -51,8 +51,6 @@ from repro.graph.generators import rmat_graph
 from repro.metrics.percentiles import percentile, percentiles
 from repro.obs import (
     CATEGORIES,
-    LATENCY_BUCKETS_S,
-    MetricsRegistry,
     NULL_TRACER,
     NullTracer,
     Span,
@@ -173,36 +171,6 @@ class TestTracer:
         assert record.start_s == record.end_s == 2.25
 
 
-class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
-        registry = MetricsRegistry()
-        registry.count("service.completed", 2)
-        registry.count("service.completed", 3)
-        registry.gauge("service.makespan_s", 1.5)
-        for value in (0.0002, 0.003, 0.003, 20.0, 1000.0):
-            registry.observe("service.latency_s.bulk", value)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["service.completed"] == 5
-        assert snapshot["gauges"]["service.makespan_s"] == 1.5
-        histogram = snapshot["histograms"]["service.latency_s.bulk"]
-        assert histogram["count"] == 5
-        assert histogram["sum"] == pytest.approx(1020.0062)
-        assert list(histogram["bounds"]) == list(LATENCY_BUCKETS_S)
-        # One overflow bucket beyond the last bound, and it caught 1000.0.
-        assert len(histogram["counts"]) == len(LATENCY_BUCKETS_S) + 1
-        assert histogram["counts"][-1] == 1
-
-    def test_snapshot_is_sorted(self):
-        registry = MetricsRegistry()
-        registry.count("z.last", 1)
-        registry.count("a.first", 1)
-        registry.merge_counters("cache", {"hits": 3, "admits": 1})
-        snapshot = registry.snapshot()
-        names = list(snapshot["counters"])
-        assert names == sorted(names)
-        assert snapshot["counters"]["cache.hits"] == 3
-
-
 class TestPercentileHelper:
     def test_matches_numpy_bitwise(self):
         values = np.random.default_rng(7).random(101)
@@ -222,7 +190,7 @@ class TestChromeExport:
         tracer = Tracer()
         tracer.span("wave", "wave0", "service", 0.0, 1.0)
         tracer.instant("query", "done", track="query:q0", t=1.0, latency_s=1.0)
-        payload = chrome_trace(tracer.spans(), metrics={"counters": {}}, dropped=0)
+        payload = chrome_trace(tracer.spans(), dropped=0)
         assert validate_chrome_trace(payload) == []
         names = {
             event["args"]["name"]
@@ -230,9 +198,14 @@ class TestChromeExport:
             if event["ph"] == "M" and event["name"] == "thread_name"
         }
         assert names == {"service", "query:q0"}
-        assert payload["otherData"]["clock"] == "simulated"
-        assert payload["otherData"]["metrics"] == {"counters": {}}
-        assert payload["otherData"]["tracks"] == ["service", "query:q0"]
+        # The trace carries spans only: serving counters leave through
+        # --stats-json, never a second time inside the trace file.
+        assert payload["otherData"] == {
+            "clock": "simulated",
+            "spans": 2,
+            "dropped_spans": 0,
+            "tracks": ["service", "query:q0"],
+        }
 
     def test_validator_catches_problems(self):
         assert validate_chrome_trace({}) == ["traceEvents missing or not a list"]
@@ -418,31 +391,49 @@ class TestServiceTracing:
         assert not any(track.startswith("query:") for track in tracks)
         assert "service" in tracks  # global lanes always recorded
 
-    def test_metrics_registry_covers_the_service(self, obs_graph, obs_hardware):
+    def test_observability_covers_the_cache_tracer_and_faults(
+        self, obs_graph, obs_hardware
+    ):
+        # Everything a service counts leaves through observability(): the
+        # stats payload, plus the cache's and tracer's own counts, each once.
         service = _mixed_service(
             obs_graph, obs_hardware, tracing=True, cache_policy="lru",
             faults="transfer-flaky:p=0.05",
         )
         _serve_mix(service)
-        snapshot = service.metrics().snapshot()
+        payload = service.observability()
         stats = service.stats()
-        assert snapshot["counters"]["service.completed"] == stats.completed
-        assert snapshot["gauges"]["service.makespan_s"] == stats.makespan_s
-        assert snapshot["counters"]["trace.spans"] == service.tracer.total_spans
-        assert "cache.hit_bytes" in snapshot["counters"]
-        assert "faults.injected" in snapshot["counters"]
+        assert payload["completed"] == stats.completed
+        assert payload["makespan_s"] == stats.makespan_s
         for priority, latencies in stats.latencies_by_class.items():
-            name = "service.latency_s.%s" % priority.name.lower()
-            assert snapshot["histograms"][name]["count"] == len(latencies)
+            assert payload["latencies_by_class"][priority.name.lower()] == latencies
+        cache = service.system.context.cache
+        assert payload["cache"] == {
+            **cache.counters(),
+            "invalidated_bytes": cache.invalidated_bytes,
+            "resident_bytes": cache.resident_bytes,
+            "policy": "lru",
+        }
+        assert payload["trace"] == {
+            "total_spans": service.tracer.total_spans,
+            "dropped_spans": service.tracer.dropped_spans,
+        }
+        # The fault counts are the injector's lifetime totals, so the stats
+        # record needs no second copy of them.
+        injector = service._injector
+        assert injector.faults_injected > 0
+        assert stats.faults_injected == injector.faults_injected
+        assert stats.retries == injector.retries
+        assert stats.retry_time_s == injector.retry_time_s
 
     def test_observability_superset(self, obs_graph, obs_hardware):
         service = _mixed_service(obs_graph, obs_hardware, tracing=True)
         _serve_mix(service)
         payload = service.observability()
         as_dict = service.stats().as_dict()
-        for key in as_dict:
-            assert key in payload
-        assert "metrics" in payload and "device_health" in payload
+        assert {key: payload[key] for key in as_dict} == as_dict
+        # static-prefix runs without a device cache, so no cache block.
+        assert set(payload) - set(as_dict) == {"device_health", "trace"}
         json.dumps(payload)  # machine-readable end to end
 
     def test_export_requires_tracing(self, obs_graph, obs_hardware, tmp_path):
@@ -486,8 +477,7 @@ class TestReplayTracing:
         report, verified = replay(5)
         assert report.verified_queries == 5 and report.verified_bitwise
         assert spans_to_jsonl(verified.tracer.spans()) == spans_to_jsonl(plain.tracer.spans())
-        counters = [service.metrics().snapshot()["counters"] for service in (plain, verified)]
-        assert counters[0]["trace.spans"] == counters[1]["trace.spans"]
+        assert verified.observability()["trace"] == plain.observability()["trace"]
 
     def test_null_tracer_accepts_the_hook(self, obs_graph, obs_hardware):
         from repro.service import synthetic_mixed_trace
@@ -518,7 +508,15 @@ class TestCLI:
         payload = json.loads(trace_path.read_text())
         assert validate_chrome_trace(payload) == []
         stats = json.loads(stats_path.read_text())
-        assert "metrics" in stats and "classes" in stats
+        assert "classes" in stats and "metrics" not in stats
+        # One count, two views: the stats file's tracer tally covers every
+        # span the trace file holds plus the ring buffer's overflow.
+        other = payload["otherData"]
+        assert "metrics" not in other
+        assert stats["trace"] == {
+            "total_spans": other["spans"] + other["dropped_spans"],
+            "dropped_spans": other["dropped_spans"],
+        }
 
         assert main(["inspect", str(trace_path)]) == 0
         listing = capsys.readouterr().out

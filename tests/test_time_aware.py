@@ -404,7 +404,7 @@ class TestReplayHarness:
 
     def test_report_is_the_service_stats_after_full_harvest(self, graph):
         # One bookkeeper: a fully harvested replay leaves stats() and
-        # metrics() reading the report's totals, and the report's class
+        # observability() reading the report's totals, and the report's class
         # rows are what the harvested handles themselves say.
         service = _service(graph, preemption=True)
         harvested = []
@@ -424,14 +424,14 @@ class TestReplayHarness:
         )
         assert service._finished == [] and len(harvested) == 200
         stats = service.stats()
-        counters = service.metrics().snapshot()["counters"]
+        payload = service.observability()
         assert report.completed == 200
-        assert stats.completed == counters["service.completed"] == report.completed
-        assert stats.submitted == counters["service.submitted"] == report.queries
-        assert stats.preemptions == counters["service.preemptions"] == report.preemptions
+        assert stats.completed == payload["completed"] == report.completed
+        assert stats.submitted == payload["submitted"] == report.queries
+        assert stats.preemptions == payload["preemptions"] == report.preemptions
         assert report.preemptions == sum(handle.preemptions for handle in harvested)
         assert report.preempted_queries == sum(bool(h.preemptions) for h in harvested)
-        assert stats.total_transfer_bytes == counters["service.total_transfer_bytes"] > 0
+        assert stats.total_transfer_bytes == payload["total_transfer_bytes"] > 0
         assert stats.makespan_s == report.makespan_s
         assert stats.rows() == report.classes
         expected = {}
